@@ -1,0 +1,210 @@
+"""Golden artifact digests: the (config, seed) -> bytes contract.
+
+Each cell runs one tiny config through the CLI and compares the sha256
+of curve.csv and manifest.txt with a recorded digest; the `score` cells
+do the same for the stdout of `sim2real-al score` on an interchange
+file written here.  A refactor that keeps behaviour passes unchanged; a
+deliberate numerics change regenerates the digests in the same change
+and says so in CHANGES.md.
+
+Floating-point results depend on the numpy and scipy builds, so the
+digests are only checked with the versions they were recorded with.
+
+To regenerate: python tests/test_golden.py (prints the digest tables).
+"""
+
+import contextlib
+import hashlib
+import io
+
+import numpy as np
+import pytest
+import scipy
+
+from sim2real_al import cli
+
+RECORDED_WITH = {"numpy": "2.4.6", "scipy": "1.17.1"}
+
+pytestmark = pytest.mark.skipif(
+    (np.__version__, scipy.__version__) != (RECORDED_WITH["numpy"],
+                                            RECORDED_WITH["scipy"]),
+    reason=f"golden digests were recorded with numpy {RECORDED_WITH['numpy']} "
+           f"and scipy {RECORDED_WITH['scipy']}; installed numpy "
+           f"{np.__version__}, scipy {scipy.__version__}")
+
+TINY_CLS = """\
+config_version = 1
+track = classification
+name = golden-cls
+seeds = 1
+dataset.seed = 3
+dataset.n_classes = 4
+dataset.dim = 4
+dataset.sim_size = 40
+dataset.pool_size = 60
+dataset.test_size = 60
+dataset.hidden_dim = 8
+selection.batch_size = 6
+selection.subsample_fraction = 0.5
+selection.mc_count = 16
+train.epochs = 3
+train.batch_size = 16
+loop.iterations = 2
+loop.mc_passes = 4
+strategies = random,topn
+"""
+
+TINY_DET = """\
+config_version = 1
+track = detection
+name = golden-det
+seeds = 1
+dataset.seed = 3
+dataset.objects_max = 4
+dataset.sim_scenes = 12
+dataset.pool_scenes = 30
+dataset.test_scenes = 15
+selection.batch_size = 6
+loop.iterations = 2
+strategies = random,topn
+"""
+
+TINY_DET_CLS_BAYESIAN = TINY_DET + "loop.cls_bayesian = true\nacquisition.agg = max\n"
+
+RUN_CELLS = {
+    "cls-random": (TINY_CLS, "random"),
+    "cls-topn": (TINY_CLS, "topn"),
+    "cls-subsample_topn": (TINY_CLS, "subsample_topn"),
+    "cls-coreset": (TINY_CLS, "coreset"),
+    "cls-clue": (TINY_CLS, "clue"),
+    "cls-batchbald": (TINY_CLS, "batchbald"),
+    "det-random": (TINY_DET, "random"),
+    "det-topn": (TINY_DET, "topn"),
+    "det-subsample_topn": (TINY_DET, "subsample_topn"),
+    "det-coreset": (TINY_DET, "coreset"),
+    "det-clue": (TINY_DET, "clue"),
+    "det-clue-cls_bayesian-max": (TINY_DET_CLS_BAYESIAN, "clue"),
+}
+
+# cell -> (sha256 of curve.csv, sha256 of manifest.txt)
+RUN_DIGESTS = {
+    "cls-batchbald": (
+        "582fa9ce2edfddc8133e600b89463abf1b792bbb6a6cdc481952615a4c54561e",
+        "300bdc8d52716a976ed30c31aec07e5fad53f7d3280603c97e025e238d26a7fb"),
+    "cls-clue": (
+        "ce04b08adb6c5e629593b8338832e68e15827f25425af6ac5f945fd6c4b6a6b3",
+        "c8f1680cc546227634914786b60e68355545599786637fcd1d7a6328b9b4013f"),
+    "cls-coreset": (
+        "214c8e6363bccd574d13be145fbeabf1acfd83f89965583b4d865e471902cc22",
+        "ac2c792bb0d12941d9002d708b4f6b52522d64c8a554ddede3d44fa7f25f4b74"),
+    "cls-random": (
+        "ac489426ea2ac2b4f392fd0b46a32cf61daf11739d65cc83470fe23ec5076c0f",
+        "574bd83cde5bd9add6213be0afa3b300b8ff65b257e53b646647c10fb639d42d"),
+    "cls-subsample_topn": (
+        "6b995c943ba795b165df0008624276e244ff4865e813c309b5d8ef72d8fe9436",
+        "145e7aa8e368af08f57ac01c595de09516cfeadd68af787bb8cf0f81c4faffed"),
+    "cls-topn": (
+        "4f617703d9604e28273e331d9fb048199ef5d2025e4f8f3eb77d7c45837b6773",
+        "0a735f9485f867fed9218462cf5680154c5cb08247c3c2e12d20c39305520a9b"),
+    "det-clue": (
+        "49c4462541029b8fad818f2d866cb8a55867558752c520a8e7b9665659d9f563",
+        "89154d7e6a0767e3ef9a024e912345f90fb95ab151d27ddd9c8088a8e564d50c"),
+    "det-clue-cls_bayesian-max": (
+        "e7ff8cf674cd88da8f79d3c3e82e85c02f5709c2a1e7af811f8da484f2508bfe",
+        "81fe4693ac9496782256d2d23e69a37e85398a91b23e7a1f843b1d8ca31df668"),
+    "det-coreset": (
+        "9b5f0cc757720bead31ceb6f601f95554c0455089ea99f9b0e16c0b08a1b1fa1",
+        "d6523d6c65d5d72b78c9d60212b475009a5a5f71d2b1dcf4b90bfb9624e01b15"),
+    "det-random": (
+        "1cc1d27999018260a3e14b5079f7f4c40b1ed65e49735b0af21dc25fdd3f7711",
+        "25ff06db966da5800b155c484791c47cbcae9a930df3adf39e5d35963f3d5c8f"),
+    "det-subsample_topn": (
+        "5a88803129781edeeeede2322071967fba9e00d8b0d4a72a2479f92bcccc61b9",
+        "6e089ea4d730e5c4f16cf7261f3551c0be946afc72dc947243e74f0b0d7cb5bc"),
+    "det-topn": (
+        "362bcb6733889dfdef380b44fc09e6ca19d7ee95f943c08a53928cb794bafc15",
+        "e71ef4fb23e0acd6dd1330c00b945fa9174c35b3378d2fed321e4faa709f2dfe"),
+}
+
+# extra `score` flags -> sha256 of stdout
+SCORE_DIGESTS = {
+    "": "f059f4f1ef9b773b75218a97cc4b5e88ab27da533ad6b71c1167e163b14402c4",
+    "--cls-bayesian": "4fd4b9efc112abcd45239c832627e92e32d383fc064db1cc076e9d9b21e5a7b4",
+}
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_cell(tmp_path, cell):
+    text, strategy = RUN_CELLS[cell]
+    cfg = tmp_path / "golden.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["run", "--config", str(cfg), "--strategy", strategy,
+                         "--out", str(out)]) == 0
+    return (_sha((out / "curve.csv").read_bytes()),
+            _sha((out / "manifest.txt").read_bytes()))
+
+
+def write_interchange(path) -> None:
+    """Six images in the interchange format, written as text so the file
+    does not depend on the package's writer: clustered multi-object
+    images, one T=1 image and one image with no anchors."""
+    rng = np.random.default_rng(2024)
+    lines = ["# golden interchange file"]
+    layout = [("a", 3, 4, 2), ("b", 2, 6, 3), ("t1", 3, 1, 2),
+              ("empty", 0, 0, 0), ("c", 4, 3, 1), ("d", 1, 5, 4)]
+    for image_id, n_classes, t, n_objects in layout:
+        anchors = []
+        for _ in range(n_objects):
+            corner = rng.uniform(0.0, 60.0, 2)
+            box = np.concatenate([corner, corner + rng.uniform(10.0, 30.0, 2)])
+            for _ in range(int(rng.integers(1, 4))):
+                scores = rng.uniform(0.0, 1.0, (t, n_classes))
+                boxes = box + rng.normal(0.0, 1.5, (t, 4))
+                anchors.append((scores, boxes))
+        lines.append(f"image {image_id} {n_classes} {t} {len(anchors)}")
+        for scores, boxes in anchors:
+            lines += [" ".join(repr(float(v)) for v in row)
+                      for row in [*scores, *boxes]]
+    path.write_text("\n".join(lines) + "\n")
+
+
+def score_stdout(tmp_path, flags) -> bytes:
+    path = tmp_path / "anchors.txt"
+    write_interchange(path)
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert cli.main(["score", "--anchors", str(path), *flags]) == 0
+    return buf.getvalue().encode()
+
+
+@pytest.mark.parametrize("cell", sorted(RUN_CELLS))
+def test_run_artifacts_match_golden(tmp_path, cell):
+    assert run_cell(tmp_path, cell) == RUN_DIGESTS[cell]
+
+
+@pytest.mark.parametrize("flags", sorted(SCORE_DIGESTS),
+                         ids=lambda flags: flags or "default")
+def test_score_output_matches_golden(tmp_path, flags):
+    assert _sha(score_stdout(tmp_path, flags.split())) == SCORE_DIGESTS[flags]
+
+
+if __name__ == "__main__":
+    import tempfile
+    from pathlib import Path
+
+    print("RUN_DIGESTS = {")
+    for name in sorted(RUN_CELLS):
+        with tempfile.TemporaryDirectory() as tmp:
+            print(f"    {name!r}: {run_cell(Path(tmp), name)!r},")
+    print("}")
+    print("SCORE_DIGESTS = {")
+    for flags in ("", "--cls-bayesian"):
+        with tempfile.TemporaryDirectory() as tmp:
+            digest = _sha(score_stdout(Path(tmp), flags.split()))
+            print(f"    {flags!r}: {digest!r},")
+    print("}")
