@@ -9,35 +9,36 @@ entropy measures read off how unsure the detector still is.
 import numpy as np
 
 from sim2real_al.acquisition import cls_entropy, reg_entropy
-from sim2real_al.fusion import (AnchorPrediction, bayesod_inference,
-                                cluster_anchors, iou, Box)
+from sim2real_al.fusion import (Anchors, bayesod_inference, cluster_anchors,
+                                iou_matrix)
 
 rng = np.random.default_rng(7)
 
 # one object near (20, 20)-(52, 52); anchors jitter around it
 gt = np.array([20.0, 20.0, 52.0, 52.0])
-anchors = []
+scores, boxes = [], []
 for k in range(3):
-    boxes = gt + rng.normal(0, 2.0, size=(10, 4))
+    boxes.append(gt + rng.normal(0, 2.0, size=(10, 4)))
     logits = np.full((10, 3), -4.0)
     logits[:, 1] = 2.0                      # class 1 is the right one
     logits += rng.normal(0, 0.8, size=(10, 3))
-    scores = 1 / (1 + np.exp(-logits))
-    anchors.append(AnchorPrediction(score_samples=scores, box_samples=boxes))
+    scores.append(1 / (1 + np.exp(-logits)))
 
 # a distractor anchor far away, low score
 far = np.array([100.0, 100.0, 120.0, 120.0])
-anchors.append(AnchorPrediction(
-    score_samples=rng.uniform(0.05, 0.3, size=(10, 3)),
-    box_samples=far + rng.normal(0, 1.0, size=(10, 4))))
+scores.append(rng.uniform(0.05, 0.3, size=(10, 3)))
+boxes.append(far + rng.normal(0, 1.0, size=(10, 4)))
 
+# one image's anchors: (A, T, C) scores and (A, T, 4) boxes
+anchors = Anchors(scores=np.stack(scores), boxes=np.stack(boxes))
+
+mean_boxes = anchors.boxes.mean(axis=1)
 print("pairwise IoU of the first two anchor mean boxes:",
-      round(iou(Box.from_array(anchors[0].mean_box()),
-                Box.from_array(anchors[1].mean_box())), 3))
+      round(float(iou_matrix(mean_boxes[:1], mean_boxes[1:2])[0, 0]), 3))
 
 clusters = cluster_anchors(anchors, iou_threshold=0.5)
 print(f"{len(anchors)} anchors -> {len(clusters)} clusters "
-      f"(sizes {[c.size for c in clusters]})")
+      f"(sizes {[len(c) for c in clusters]})")
 
 detections = bayesod_inference(anchors, iou_threshold=0.5)
 for i, det in enumerate(detections):

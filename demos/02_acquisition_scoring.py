@@ -48,5 +48,5 @@ with tempfile.TemporaryDirectory() as tmp:
     loaded = read_anchor_records(path)
     print(f"\ninterchange round trip: wrote {len(records)} image records, "
           f"read back {len(loaded)} "
-          f"({sum(len(p) for _, p in loaded)} anchors total)")
+          f"({sum(len(anchors) for _, anchors in loaded)} anchors total)")
     print(f"try:  sim2real-al score --anchors {path.name}")

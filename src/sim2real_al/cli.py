@@ -445,6 +445,9 @@ def cmd_report(args) -> int:
 def cmd_score(args) -> int:
     from .acquisition import score_image
     from .fusion import bayesod_inference, read_anchor_records
+    if not 0.0 <= args.iou_threshold <= 1.0:
+        raise ConfigError(f"--iou-threshold must lie in [0, 1], "
+                          f"got {args.iou_threshold!r}")
     try:
         records = read_anchor_records(args.anchors)
     except (OSError, ValueError) as exc:
@@ -455,10 +458,13 @@ def cmd_score(args) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     scored = []
-    for image_id, preds in records:
-        detections = bayesod_inference(preds, iou_threshold=args.iou_threshold,
-                                       cls_bayesian=args.cls_bayesian)
-        scored.append(score_image(detections, acq_cfg, image_id=image_id))
+    for image_id, anchors in records:
+        try:
+            detections = bayesod_inference(anchors, iou_threshold=args.iou_threshold,
+                                           cls_bayesian=args.cls_bayesian)
+            scored.append(score_image(detections, acq_cfg, image_id=image_id))
+        except ValueError as exc:
+            raise ConfigError(f"image {image_id}: {exc}") from None
     scored.sort(key=lambda s: (-s.score, str(s.image_id)))
     print("image_id,score,n_detections")
     for s in scored:

@@ -28,92 +28,36 @@ DEFAULT_IOU_THRESHOLD = 0.5
 
 
 @dataclass(frozen=True)
-class Box:
-    """Axis-aligned 2D box in pixel coordinates."""
+class Anchors:
+    """Monte-Carlo samples of one image's A anchors, T samples each.
 
-    x_min: float
-    y_min: float
-    x_max: float
-    y_max: float
+    scores: (A, T, C) array, entries in [0, 1]
+    boxes:  (A, T, 4) array of (x_min, y_min, x_max, y_max)
 
-    def __post_init__(self):
-        arr = (self.x_min, self.y_min, self.x_max, self.y_max)
-        if not all(np.isfinite(v) for v in arr):
-            raise ValueError(f"box coordinates must be finite, got {arr}")
-        if not (self.x_min < self.x_max and self.y_min < self.y_max):
-            raise ValueError(f"degenerate box {arr}: need x_min < x_max and y_min < y_max")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x_min, self.y_min, self.x_max, self.y_max], dtype=float)
-
-    @property
-    def area(self) -> float:
-        return (self.x_max - self.x_min) * (self.y_max - self.y_min)
-
-    @staticmethod
-    def from_array(a) -> "Box":
-        a = np.asarray(a, dtype=float)
-        return Box(float(a[0]), float(a[1]), float(a[2]), float(a[3]))
-
-
-@dataclass
-class AnchorPrediction:
-    """Monte-Carlo samples of one anchor: T score vectors and T boxes.
-
-    score_samples: (T, n_classes) array, entries in [0, 1]
-    box_samples:   (T, 4) array of (x_min, y_min, x_max, y_max)
+    The only place anchor samples are validated; len() is A.
     """
 
-    score_samples: np.ndarray
-    box_samples: np.ndarray
+    scores: np.ndarray
+    boxes: np.ndarray
 
     def __post_init__(self):
-        self.score_samples = np.atleast_2d(np.asarray(self.score_samples, dtype=float))
-        self.box_samples = np.atleast_2d(np.asarray(self.box_samples, dtype=float))
-        if self.score_samples.shape[0] != self.box_samples.shape[0]:
-            raise ValueError("score_samples and box_samples must have the same sample count")
-        if self.score_samples.shape[0] < 1:
+        scores = np.ascontiguousarray(self.scores, dtype=float)
+        boxes = np.ascontiguousarray(self.boxes, dtype=float)
+        object.__setattr__(self, "scores", scores)
+        object.__setattr__(self, "boxes", boxes)
+        if (scores.ndim != 3 or boxes.ndim != 3 or boxes.shape[2] != 4
+                or scores.shape[:2] != boxes.shape[:2]):
+            raise ValueError(f"need (A, T, C) scores and (A, T, 4) boxes, got "
+                             f"{scores.shape} and {boxes.shape}")
+        if len(scores) and scores.shape[1] < 1:
             raise ValueError("need at least one Monte-Carlo sample")
-        if self.box_samples.shape[1] != 4:
-            raise ValueError("box samples must be 4-vectors")
-        if np.any(self.score_samples < 0) or np.any(self.score_samples > 1):
+        if not (np.isfinite(scores).all() and np.isfinite(boxes).all()):
+            raise ValueError("anchor samples must be finite")
+        if np.any(scores < 0) or np.any(scores > 1):
             raise ValueError("scores must lie in [0, 1]")
 
-    @property
-    def n_samples(self) -> int:
-        return self.score_samples.shape[0]
-
-    @property
-    def n_classes(self) -> int:
-        return self.score_samples.shape[1]
-
-    def mean_scores(self) -> np.ndarray:
-        return self.score_samples.mean(axis=0)
-
-    def mean_box(self) -> np.ndarray:
-        return self.box_samples.mean(axis=0)
-
-
-@dataclass
-class DetectionCluster:
-    """Anchors grouped by spatial affinity; the center has the top score."""
-
-    center_index: int
-    members: list[AnchorPrediction]
-
-    def __post_init__(self):
-        if not self.members:
-            raise ValueError("cluster must have at least one member")
-        if not (0 <= self.center_index < len(self.members)):
-            raise ValueError("center_index out of range")
-
-    @property
-    def center(self) -> AnchorPrediction:
-        return self.members[self.center_index]
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
+    def __len__(self) -> int:
+        return self.scores.shape[0]
 
 
 @dataclass
@@ -125,11 +69,6 @@ class FusedDetection:
     box_cov: np.ndarray       # (4, 4), symmetric positive definite
     cluster_size: int = 1
 
-    def __post_init__(self):
-        self.class_probs = np.asarray(self.class_probs, dtype=float)
-        self.box_mean = np.asarray(self.box_mean, dtype=float)
-        self.box_cov = np.asarray(self.box_cov, dtype=float)
-
     @property
     def label(self) -> int:
         """argmax class, ties broken toward the smaller index."""
@@ -140,91 +79,83 @@ class FusedDetection:
         return float(self.class_probs[self.label])
 
 
-def iou(a: Box, b: Box) -> float:
-    """Intersection over union of two valid boxes."""
-    ix = min(a.x_max, b.x_max) - max(a.x_min, b.x_min)
-    iy = min(a.y_max, b.y_max) - max(a.y_min, b.y_min)
-    if ix <= 0 or iy <= 0:
-        return 0.0
+def iou_matrix(a, b) -> np.ndarray:
+    """(N, M) IoU matrix of boxes a (N, 4) and b (M, 4); 0 where they do not overlap."""
+    a = np.asarray(a, dtype=float).reshape(-1, 1, 4)
+    b = np.asarray(b, dtype=float).reshape(1, -1, 4)
+    ix = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
+    iy = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
     inter = ix * iy
-    return inter / (a.area + b.area - inter)
-
-
-def iou_arrays(a, b) -> float:
-    """IoU of two boxes given as 4-vectors (no validity checks)."""
-    ix = min(a[2], b[2]) - max(a[0], b[0])
-    iy = min(a[3], b[3]) - max(a[1], b[1])
-    if ix <= 0 or iy <= 0:
-        return 0.0
-    inter = ix * iy
-    area_a = (a[2] - a[0]) * (a[3] - a[1])
-    area_b = (b[2] - b[0]) * (b[3] - b[1])
-    return inter / (area_a + area_b - inter)
+    area_a = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
+    area_b = (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where((ix > 0) & (iy > 0), inter / (area_a + area_b - inter), 0.0)
 
 
 def mc_statistics(samples) -> tuple[np.ndarray, np.ndarray]:
-    """Sample mean and unbiased covariance of 4-vector samples.
+    """Sample mean and unbiased covariance of (..., T, 4) samples.
 
-    A single sample yields a zero covariance matrix by convention.
+    Statistics run over the sample axis (second to last), so a stack
+    of anchors yields stacked means and covariances.  A single sample
+    yields a zero covariance matrix by convention.
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     if samples.size == 0:
         raise ValueError("no samples")
-    mean = samples.mean(axis=0)
-    t = samples.shape[0]
+    mean = samples.mean(axis=-2)
+    t, k = samples.shape[-2:]
     if t == 1:
-        return mean, np.zeros((samples.shape[1], samples.shape[1]))
-    centered = samples - mean
-    cov = centered.T @ centered / (t - 1)
+        return mean, np.zeros(samples.shape[:-2] + (k, k))
+    centered = samples - mean[..., None, :]
+    cov = np.swapaxes(centered, -1, -2) @ centered / (t - 1)
     return mean, cov
 
 
-def cluster_anchors(preds: list[AnchorPrediction],
-                    iou_threshold: float = DEFAULT_IOU_THRESHOLD) -> list[DetectionCluster]:
+def cluster_anchors(anchors: Anchors,
+                    iou_threshold: float = DEFAULT_IOU_THRESHOLD) -> list[np.ndarray]:
     """Greedy score-descending clustering by mean-box IoU.
 
     The highest-scoring unassigned anchor becomes a cluster center and
     absorbs every unassigned anchor whose mean box overlaps it with
     IoU >= iou_threshold.  Score ties break toward the lower anchor
-    index.  Every anchor ends up in exactly one cluster.
+    index.  Every anchor ends up in exactly one cluster; each cluster
+    is an array of anchor indices, center first, then the members in
+    score order.
     """
     if not (0.0 <= iou_threshold <= 1.0):
         raise ValueError("iou_threshold must lie in [0, 1]")
-    if not preds:
+    if len(anchors) == 0:
         return []
-    top_scores = np.array([p.mean_scores().max() for p in preds])
-    mean_boxes = [p.mean_box() for p in preds]
+    top_scores = anchors.scores.mean(axis=1).max(axis=1)
+    mean_boxes = anchors.boxes.mean(axis=1)
+    overlaps = iou_matrix(mean_boxes, mean_boxes)
     order = np.argsort(-top_scores, kind="stable")
 
-    assigned = np.zeros(len(preds), dtype=bool)
+    assigned = np.zeros(len(anchors), dtype=bool)
     clusters = []
-    for idx in order:
-        if assigned[idx]:
+    for center in order:
+        if assigned[center]:
             continue
-        assigned[idx] = True
-        member_ids = [idx]
-        for other in order:
-            if assigned[other]:
-                continue
-            if iou_arrays(mean_boxes[idx], mean_boxes[other]) >= iou_threshold:
-                assigned[other] = True
-                member_ids.append(other)
-        clusters.append(DetectionCluster(center_index=0,
-                                         members=[preds[i] for i in member_ids]))
+        assigned[center] = True
+        free = order[~assigned[order]]
+        members = free[overlaps[center, free] >= iou_threshold]
+        assigned[members] = True
+        clusters.append(np.concatenate(([center], members)))
     return clusters
 
 
-def fuse_categorical(cluster: DetectionCluster, renormalize: bool = False) -> np.ndarray:
-    """Per-class product of the member mean score vectors.
+def fuse_categorical(mean_scores, renormalize: bool = False) -> np.ndarray:
+    """Per-class product of a cluster's (n, C) member mean score vectors.
 
     Default keeps the independent-Bernoulli form (no renormalization);
     renormalize=True divides by the sum to interpret the result as a
     categorical distribution.  Products run in log space.
     """
-    log_prod = np.zeros(cluster.center.n_classes)
-    for member in cluster.members:
+    mean_scores = np.asarray(mean_scores, dtype=float)
+    log_prod = np.zeros(mean_scores.shape[1])
+    for scores in mean_scores:
         with np.errstate(divide="ignore"):
-            log_prod += np.log(member.mean_scores())
+            log_prod += np.log(scores)
     probs = np.exp(log_prod)
     if renormalize:
         total = probs.sum()
@@ -234,26 +165,26 @@ def fuse_categorical(cluster: DetectionCluster, renormalize: bool = False) -> np
     return probs
 
 
-def fuse_gaussian(cluster: DetectionCluster,
+def fuse_gaussian(box_samples,
                   regularizer: float = COV_REGULARIZER) -> tuple[np.ndarray, np.ndarray]:
     """Precision-weighted product-of-Gaussians fusion of a cluster.
 
-    Each member is reduced to (mean, cov) via mc_statistics, the
-    covariance regularized with `regularizer` on the diagonal, and the
-    Gaussians multiplied: fused precision is the sum of member
-    precisions, fused mean the precision-weighted mean.
+    box_samples holds the cluster's (n, T, 4) box samples.  Each member
+    is reduced to (mean, cov) via mc_statistics, the covariance
+    regularized with `regularizer` on the diagonal, and the Gaussians
+    multiplied: fused precision is the sum of member precisions, fused
+    mean the precision-weighted mean.
     """
-    eye = np.eye(4)
+    means, covs = mc_statistics(box_samples)
+    covs = covs + regularizer * np.eye(4)
+    try:
+        np.linalg.cholesky(covs)
+        precisions = np.linalg.inv(covs)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError("degenerate covariance") from exc
     precision_sum = np.zeros((4, 4))
     weighted_mean_sum = np.zeros(4)
-    for member in cluster.members:
-        mean, cov = mc_statistics(member.box_samples)
-        cov = cov + regularizer * eye
-        try:
-            np.linalg.cholesky(cov)
-            precision = np.linalg.inv(cov)
-        except np.linalg.LinAlgError as exc:
-            raise ValueError("degenerate covariance") from exc
+    for precision, mean in zip(precisions, means):
         precision_sum += precision
         weighted_mean_sum += precision @ mean
     try:
@@ -265,28 +196,29 @@ def fuse_gaussian(cluster: DetectionCluster,
     return fused_mean, fused_cov
 
 
-def bayesod_inference(preds: list[AnchorPrediction],
+def bayesod_inference(anchors: Anchors,
                       iou_threshold: float = DEFAULT_IOU_THRESHOLD,
                       cls_bayesian: bool = False,
                       regularizer: float = COV_REGULARIZER) -> list[FusedDetection]:
     """Cluster anchors and fuse each cluster into one detection.
 
-    Box distributions always go through Gaussian fusion; class scores go
+    The box samples always go through Gaussian fusion; class scores go
     through the categorical product only when cls_bayesian is set,
     otherwise the cluster center's mean scores are used (Bayesian
     inference on the regression head only).
     """
     detections = []
-    for cluster in cluster_anchors(preds, iou_threshold):
-        box_mean, box_cov = fuse_gaussian(cluster, regularizer)
+    for members in cluster_anchors(anchors, iou_threshold):
+        box_mean, box_cov = fuse_gaussian(anchors.boxes[members], regularizer)
+        mean_scores = anchors.scores[members].mean(axis=1)
         if cls_bayesian:
-            class_probs = fuse_categorical(cluster)
+            class_probs = fuse_categorical(mean_scores)
         else:
-            class_probs = cluster.center.mean_scores()
+            class_probs = mean_scores[0]
         detections.append(FusedDetection(class_probs=class_probs,
                                          box_mean=box_mean,
                                          box_cov=box_cov,
-                                         cluster_size=cluster.size))
+                                         cluster_size=len(members)))
     return detections
 
 
@@ -305,27 +237,23 @@ def bayesod_inference(preds: list[AnchorPrediction],
 # ---------------------------------------------------------------------------
 
 def write_anchor_records(path, records) -> None:
-    """Write (image_id, [AnchorPrediction, ...]) pairs to a text file."""
+    """Write (image_id, Anchors) pairs to a text file."""
     with open(path, "w") as fh:
         fh.write("# anchor-sample interchange v1\n")
-        for image_id, preds in records:
-            if preds:
-                n_classes = preds[0].n_classes
-                t = preds[0].n_samples
-            else:
-                n_classes, t = 0, 0
-            fh.write(f"image {image_id} {n_classes} {t} {len(preds)}\n")
-            for pred in preds:
-                if pred.n_classes != n_classes or pred.n_samples != t:
-                    raise ValueError("all anchors of one image must share |C| and T")
-                for row in pred.score_samples:
-                    fh.write(" ".join(repr(float(v)) for v in row) + "\n")
-                for row in pred.box_samples:
+        for image_id, anchors in records:
+            t, n_classes = anchors.scores.shape[1:] if len(anchors) else (0, 0)
+            fh.write(f"image {image_id} {n_classes} {t} {len(anchors)}\n")
+            for scores, boxes in zip(anchors.scores, anchors.boxes):
+                for row in [*scores, *boxes]:
                     fh.write(" ".join(repr(float(v)) for v in row) + "\n")
 
 
-def read_anchor_records(path) -> list[tuple[str, list[AnchorPrediction]]]:
-    """Read back records written by write_anchor_records."""
+def read_anchor_records(path) -> list[tuple[str, Anchors]]:
+    """Read back records written by write_anchor_records.
+
+    Raises ValueError on a malformed header, and naming the image on a
+    truncated or ragged anchor block or samples that Anchors rejects.
+    """
     with open(path) as fh:
         lines = [ln.strip() for ln in fh
                  if ln.strip() and not ln.lstrip().startswith("#")]
@@ -333,21 +261,25 @@ def read_anchor_records(path) -> list[tuple[str, list[AnchorPrediction]]]:
     pos = 0
     while pos < len(lines):
         parts = lines[pos].split()
-        if parts[0] != "image" or len(parts) != 5:
+        if (parts[0] != "image" or len(parts) != 5
+                or not all(v.isdecimal() for v in parts[2:])):
             raise ValueError(f"malformed image header: {lines[pos]!r}")
         image_id = parts[1]
         n_classes, t, n_anchors = int(parts[2]), int(parts[3]), int(parts[4])
-        pos += 1
-        preds = []
-        for _ in range(n_anchors):
-            scores = np.array([[float(v) for v in lines[pos + i].split()]
-                               for i in range(t)])
-            pos += t
-            boxes = np.array([[float(v) for v in lines[pos + i].split()]
-                              for i in range(t)])
-            pos += t
-            if scores.shape != (t, n_classes) or boxes.shape != (t, 4):
-                raise ValueError(f"malformed anchor block for image {image_id}")
-            preds.append(AnchorPrediction(score_samples=scores, box_samples=boxes))
-        records.append((image_id, preds))
+        rows = [ln.split() for ln in lines[pos + 1:pos + 1 + 2 * t * n_anchors]]
+        pos += 1 + 2 * t * n_anchors
+        widths = np.array([len(row) for row in rows], dtype=int)
+        # per anchor: t score rows of n_classes values, then t box rows of 4
+        if (pos > len(lines)
+                or np.any(widths.reshape(n_anchors, 2, t) != [[n_classes], [4]])):
+            raise ValueError(f"image {image_id}: truncated or malformed anchor block")
+        try:
+            values = np.array([v for row in rows for v in row], dtype=float)
+            values = values.reshape(n_anchors, t * (n_classes + 4))
+            anchors = Anchors(
+                scores=values[:, :t * n_classes].reshape(n_anchors, t, n_classes),
+                boxes=values[:, t * n_classes:].reshape(n_anchors, t, 4))
+        except ValueError as exc:
+            raise ValueError(f"image {image_id}: {exc}") from None
+        records.append((image_id, anchors))
     return records

@@ -14,6 +14,7 @@ the same curve byte for byte.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -21,7 +22,7 @@ from scipy.special import xlogy
 
 from . import acquisition as acq
 from . import sampling
-from .fusion import bayesod_inference, iou_arrays
+from .fusion import bayesod_inference, iou_matrix
 from .learner import MCDropoutClassifier, TrainConfig
 from .synthdata import (ClassificationDomainSpec, DetectionScene,
                         DetectionSceneSpec, LabeledExample,
@@ -155,20 +156,21 @@ def evaluate_detection(detections_per_image, scenes, iou_threshold: float = 0.5)
         for det_idx, det in enumerate(dets):
             label = det.label
             if label in by_class:
-                by_class[label].append((det.confidence, img_idx, det_idx, det.box_mean))
+                by_class[label].append((det.confidence, img_idx, det_idx))
 
+    overlaps = [iou_matrix([det.box_mean for det in dets], scene.gt_boxes)
+                for dets, scene in zip(detections_per_image, scenes)]
     aps = []
     for cls in sorted(n_gt_per_class):
         dets = sorted(by_class[cls], key=lambda d: (-d[0], d[1], d[2]))
         matched = [np.zeros(len(s.gt_classes), dtype=bool) for s in scenes]
         tp = np.zeros(len(dets))
-        for rank, (_, img_idx, _, box) in enumerate(dets):
-            scene = scenes[img_idx]
+        for rank, (_, img_idx, det_idx) in enumerate(dets):
             best_iou, best_gt = iou_threshold, -1
-            for gi, (gcls, gbox) in enumerate(zip(scene.gt_classes, scene.gt_boxes)):
+            for gi, gcls in enumerate(scenes[img_idx].gt_classes):
                 if int(gcls) != cls or matched[img_idx][gi]:
                     continue
-                overlap = iou_arrays(box, gbox)
+                overlap = overlaps[img_idx][det_idx, gi]
                 if overlap >= best_iou:
                     best_iou, best_gt = overlap, gi
             if best_gt >= 0:
@@ -534,6 +536,7 @@ def _select_detection(cfg, model, pool_scenes, pool_ids, labeled_scenes,
     sel = cfg.selection
     sel_seed = _stream_seed(seed, _SELECT, it, cfg.selection_seed)
 
+    @functools.cache  # detect is a pure function of (model, scene, seed)
     def fused_for(pid):
         return model.detect(pool_scenes[pid],
                             _stream_seed(seed, _SCORE, it, pid),

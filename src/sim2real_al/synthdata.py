@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fusion import AnchorPrediction, read_anchor_records, write_anchor_records
+from .fusion import Anchors, read_anchor_records, write_anchor_records
 
 
 @dataclass
@@ -38,7 +38,6 @@ class ClassificationDomainSpec:
     class_means: np.ndarray          # (C, d)
     cov_scale: float = 1.0
     class_priors: np.ndarray = None  # uniform when omitted
-    n_points: int = 1000
 
     def __post_init__(self):
         self.class_means = np.atleast_2d(np.asarray(self.class_means, dtype=float))
@@ -68,7 +67,7 @@ def shifted_domain(spec: ClassificationDomainSpec, translation=None,
         means = means + np.asarray(translation, dtype=float)
     new_priors = spec.class_priors if priors is None else np.asarray(priors, dtype=float)
     return ClassificationDomainSpec(class_means=means, cov_scale=spec.cov_scale,
-                                    class_priors=new_priors, n_points=spec.n_points)
+                                    class_priors=new_priors)
 
 
 def skewed_priors(n_classes: int, skew: float) -> np.ndarray:
@@ -206,7 +205,7 @@ def generate_detection_scenes(spec: DetectionSceneSpec, n: int,
 
 
 def synth_detector_outputs(scene: DetectionScene, spec: DetectionSceneSpec,
-                           seed) -> list[AnchorPrediction]:
+                           seed) -> Anchors:
     """Anchor-level MC outputs for one scene.
 
     Per surviving ground-truth object (objects drop out with the
@@ -222,26 +221,25 @@ def synth_detector_outputs(scene: DetectionScene, spec: DetectionSceneSpec,
     score_noise = spec.per_class(spec.score_noise)
     true_logit = spec.per_class(spec.true_logit)
     miss_prob = spec.per_class(spec.miss_prob)
-    t, m = spec.mc_samples, spec.anchors_per_object
+    t, m, c = spec.mc_samples, spec.anchors_per_object, spec.n_classes
 
-    preds = []
+    scores, boxes = [np.empty((0, t, c))], [np.empty((0, t, 4))]
     for cls, box in zip(scene.gt_classes, scene.gt_boxes):
         if miss_prob[cls] > 0 and rng.random() < miss_prob[cls]:
             continue
-        for _ in range(m):
-            jitter = rng.standard_normal((t, 4)) * sigma_box[cls]
-            samples = box + jitter
-            x_lo = np.minimum(samples[:, 0], samples[:, 2] - 1e-3)
-            x_hi = np.maximum(samples[:, 2], samples[:, 0] + 1e-3)
-            y_lo = np.minimum(samples[:, 1], samples[:, 3] - 1e-3)
-            y_hi = np.maximum(samples[:, 3], samples[:, 1] + 1e-3)
-            boxes = np.stack([x_lo, y_lo, x_hi, y_hi], axis=1)
-            logits = np.full((t, spec.n_classes), spec.off_logit)
-            logits[:, cls] = true_logit[cls]
-            logits = logits + rng.standard_normal((t, spec.n_classes)) * score_noise[cls]
-            scores = 1.0 / (1.0 + np.exp(-logits))
-            preds.append(AnchorPrediction(score_samples=scores, box_samples=boxes))
-    return preds
+        # per anchor: t x 4 box jitter, then t x c score noise (fixes a seed's output)
+        draws = rng.standard_normal((m, t * (4 + c)))
+        samples = box + draws[:, :4 * t].reshape(m, t, 4) * sigma_box[cls]
+        x_lo = np.minimum(samples[..., 0], samples[..., 2] - 1e-3)
+        x_hi = np.maximum(samples[..., 2], samples[..., 0] + 1e-3)
+        y_lo = np.minimum(samples[..., 1], samples[..., 3] - 1e-3)
+        y_hi = np.maximum(samples[..., 3], samples[..., 1] + 1e-3)
+        boxes.append(np.stack([x_lo, y_lo, x_hi, y_hi], axis=-1))
+        logits = np.full((m, t, c), spec.off_logit)
+        logits[..., cls] = true_logit[cls]
+        logits = logits + draws[:, 4 * t:].reshape(m, t, c) * score_noise[cls]
+        scores.append(1.0 / (1.0 + np.exp(-logits)))
+    return Anchors(scores=np.concatenate(scores), boxes=np.concatenate(boxes))
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,7 @@ from scipy import stats
 
 from sim2real_al import loop as al
 from sim2real_al.acquisition import AcquisitionConfig, cls_entropy, reg_entropy
-from sim2real_al.fusion import (AnchorPrediction, DetectionCluster,
-                                fuse_categorical, fuse_gaussian, mc_statistics)
+from sim2real_al.fusion import fuse_categorical, fuse_gaussian, mc_statistics
 from sim2real_al.learner import MCDropoutClassifier, TrainConfig, gradient_check
 from sim2real_al.sampling import (SelectionConfig, bald_scores,
                                   covering_radius, select_coreset,
@@ -48,13 +47,11 @@ def test_criterion_1_entropy_closed_forms():
 
 
 def _exact_cov_member(mean4, var0, seed, t=400):
-    """Anchor whose sample stats are exactly (mean4, diag(var0,1,1,1))."""
+    """(t, 4) box samples whose stats are exactly (mean4, diag(var0,1,1,1))."""
     raw = np.random.default_rng(seed).standard_normal((t, 4))
     raw -= raw.mean(axis=0)
     white = raw @ np.linalg.inv(np.linalg.cholesky(np.cov(raw.T, ddof=1))).T
-    samples = white @ np.diag([np.sqrt(var0), 1, 1, 1]) + np.asarray(mean4)
-    return AnchorPrediction(score_samples=np.full((t, 1), 0.5),
-                            box_samples=samples)
+    return white @ np.diag([np.sqrt(var0), 1, 1, 1]) + np.asarray(mean4)
 
 
 def test_criterion_2_fusion_oracles():
@@ -67,7 +64,7 @@ def test_criterion_2_fusion_oracles():
         for (m1, v1), (m2, v2) in [((0.0, 1.0), (2.0, 1.0)),
                                    ((1.0, 0.5), (-1.5, 2.0)),
                                    ((4.0, 1.2), (4.5, 0.6))]:
-            cluster = DetectionCluster(0, [
+            cluster = np.stack([
                 _exact_cov_member([m1, 10, 10, 30], v1, seed=17),
                 _exact_cov_member([m2, 10, 10, 30], v2, seed=18)])
             mean, cov = fuse_gaussian(cluster, regularizer=0.0)
@@ -82,10 +79,7 @@ def test_criterion_2_fusion_oracles():
             [5, 5, 20, 20], 2.0, size=(60, 4))
         m0, c0 = mc_statistics(member_samples)
         for m in (2, 4, 7):
-            cluster = DetectionCluster(0, [
-                AnchorPrediction(score_samples=np.full((60, 1), 0.5),
-                                 box_samples=member_samples.copy())
-                for _ in range(m)])
+            cluster = np.tile(member_samples, (m, 1, 1))
             mean, cov = fuse_gaussian(cluster, regularizer=1e-6)
             np.testing.assert_allclose(cov, (c0 + 1e-6 * np.eye(4)) / m,
                                        atol=1e-10)
@@ -96,10 +90,7 @@ def test_criterion_2_fusion_oracles():
         for _ in range(100):
             score_sets = [rng.uniform(0, 1, size=5)
                           for _ in range(rng.integers(1, 6))]
-            cluster = DetectionCluster(0, [
-                AnchorPrediction(score_samples=np.tile(s, (3, 1)),
-                                 box_samples=np.tile([0, 0, 9, 9], (3, 1)))
-                for s in score_sets])
+            cluster = np.array(score_sets)
             expected = np.ones(5)
             for s in score_sets:
                 expected = expected * s

@@ -277,6 +277,27 @@ class TestCmdScore:
         assert cli.main(["score", "--anchors", "/nonexistent/a.txt"]) == 2
         assert "cannot read" in capsys.readouterr().err
 
+    GOOD_IMAGE = "image ok 2 2 1\n0.5 0.5\n0.5 0.5\n0 0 9 9\n1 1 10 10\n"
+
+    @pytest.mark.parametrize("text, flags, named", [
+        (GOOD_IMAGE + "image cut 2 2 1\n0.5 0.5\n0.5 0.5\n0 0 9 9\n", [], "image cut"),
+        (GOOD_IMAGE + "image nan 2 1 1\nnan 0.5\n0 0 9 9\n", [], "image nan"),
+        (GOOD_IMAGE + "image nan 2 1 1\nnan 0.5\n0 0 9 9\n",
+         ["--cls-bayesian"], "image nan"),
+        (GOOD_IMAGE + "image inf 2 1 1\n0.5 0.5\n0 0 inf 9\n", [], "image inf"),
+        ("image neg 2 2 -1\n" + GOOD_IMAGE, [], "image neg"),
+        (GOOD_IMAGE, ["--iou-threshold", "2"], "--iou-threshold"),
+    ], ids=["truncated", "nan-score", "nan-score-cls-bayesian", "inf-box",
+            "negative-anchor-count", "iou-threshold-out-of-range"])
+    def test_score_bad_input_exits_2(self, tmp_path, capsys, text, flags, named):
+        path = tmp_path / "anchors.txt"
+        path.write_text(text)
+        assert cli.main(["score", "--anchors", str(path), *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert named in captured.err
+
 
 class TestPresetRuntime:
     def test_digits_preset_single_seed_fast(self, tmp_path):

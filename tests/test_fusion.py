@@ -3,53 +3,67 @@
 import numpy as np
 import pytest
 
-from sim2real_al.fusion import (AnchorPrediction, Box, DetectionCluster,
-                                bayesod_inference, cluster_anchors,
-                                fuse_categorical, fuse_gaussian, iou,
+from sim2real_al.fusion import (Anchors, bayesod_inference, cluster_anchors,
+                                fuse_categorical, fuse_gaussian, iou_matrix,
                                 mc_statistics, read_anchor_records,
                                 write_anchor_records)
 
 
-def anchor_const(scores, box, t=3):
-    """Anchor whose T samples all equal the given score vector and box."""
-    scores = np.asarray(scores, dtype=float)
-    box = np.asarray(box, dtype=float)
-    return AnchorPrediction(score_samples=np.tile(scores, (t, 1)),
-                            box_samples=np.tile(box, (t, 1)))
+def anchors_const(score_rows, boxes, t=3):
+    """Anchors whose T samples each repeat the given score vector and box."""
+    scores = np.asarray(score_rows, dtype=float)
+    boxes = np.asarray(boxes, dtype=float)
+    return Anchors(scores=np.repeat(scores[:, None, :], t, axis=1),
+                   boxes=np.repeat(boxes[:, None, :], t, axis=1))
 
 
-class TestBox:
+class TestAnchors:
     def test_valid(self):
-        b = Box(0, 0, 2, 3)
-        assert b.area == 6
+        a = Anchors(scores=np.full((2, 5, 3), 0.5), boxes=np.zeros((2, 5, 4)))
+        assert len(a) == 2
+        assert len(Anchors(scores=np.empty((0, 0, 0)), boxes=np.empty((0, 0, 4)))) == 0
 
-    @pytest.mark.parametrize("coords", [(1, 0, 1, 2), (0, 2, 3, 1),
-                                        (0, 0, -1, 1), (0, 0, np.inf, 1)])
-    def test_invalid(self, coords):
+    @pytest.mark.parametrize("scores, boxes", [
+        (np.full((2, 3, 2), 0.5), np.zeros((2, 3, 3))),
+        (np.full((2, 3, 2), 0.5), np.zeros((2, 4, 4))),
+        (np.full((2, 3), 0.5), np.zeros((2, 3, 4))),
+        (np.full((2, 0, 2), 0.5), np.zeros((2, 0, 4))),
+        (np.full((1, 2, 2), np.nan), np.zeros((1, 2, 4))),
+        (np.full((1, 2, 2), 0.5), np.array([[[0, 0, np.inf, 1]] * 2])),
+        (np.full((1, 2, 2), 1.5), np.zeros((1, 2, 4))),
+        (np.full((1, 2, 2), -0.1), np.zeros((1, 2, 4))),
+    ], ids=["box-width", "sample-count", "score-rank", "no-samples", "nan-score",
+            "inf-box", "score-above-one", "score-below-zero"])
+    def test_invalid(self, scores, boxes):
         with pytest.raises(ValueError):
-            Box(*coords)
+            Anchors(scores=scores, boxes=boxes)
 
 
 class TestIoU:
     def test_identical(self):
-        b = Box(3, 4, 10, 12)
-        assert iou(b, b) == 1.0
+        b = [[3, 4, 10, 12]]
+        assert iou_matrix(b, b)[0, 0] == 1.0
 
     def test_disjoint(self):
-        assert iou(Box(0, 0, 1, 1), Box(5, 5, 6, 6)) == 0.0
+        assert iou_matrix([[0, 0, 1, 1]], [[5, 5, 6, 6]])[0, 0] == 0.0
 
     def test_hand_computed(self):
         # inter = 1, union = 4 + 4 - 1 = 7
-        assert iou(Box(0, 0, 2, 2), Box(1, 1, 3, 3)) == pytest.approx(1 / 7, abs=1e-12)
+        overlap = iou_matrix([[0, 0, 2, 2]], [[1, 1, 3, 3]])[0, 0]
+        assert overlap == pytest.approx(1 / 7, abs=1e-12)
 
     def test_symmetry(self):
         rng = np.random.default_rng(7)
-        for _ in range(200):
-            x = rng.uniform(0, 50, size=8)
-            a = Box(x[0], x[1], x[0] + x[2] + 0.1, x[1] + x[3] + 0.1)
-            b = Box(x[4], x[5], x[4] + x[6] + 0.1, x[5] + x[7] + 0.1)
-            assert iou(a, b) == iou(b, a)
-            assert 0.0 <= iou(a, b) <= 1.0
+        x = rng.uniform(0, 50, size=(200, 4))
+        boxes = np.concatenate([x[:, :2], x[:, :2] + x[:, 2:] + 0.1], axis=1)
+        overlaps = iou_matrix(boxes, boxes)
+        assert overlaps.shape == (200, 200)
+        np.testing.assert_array_equal(overlaps, overlaps.T)
+        assert np.all((0.0 <= overlaps) & (overlaps <= 1.0))
+
+    def test_rectangular_shape(self):
+        assert iou_matrix(np.zeros((0, 4)), [[0, 0, 1, 1]]).shape == (0, 1)
+        assert iou_matrix([[0, 0, 1, 1]] * 3, [[0, 0, 1, 1]] * 2).shape == (3, 2)
 
 
 class TestMcStatistics:
@@ -80,106 +94,100 @@ class TestMcStatistics:
         _, cov = mc_statistics(samples)
         np.testing.assert_allclose(cov, np.cov(samples.T, ddof=1), atol=1e-12)
 
+    def test_stacked_matches_per_anchor(self):
+        rng = np.random.default_rng(4)
+        for t in (1, 3, 10, 33):
+            stack = rng.normal(size=(5, t, 4))
+            means, covs = mc_statistics(stack)
+            for samples, mean, cov in zip(stack, means, covs):
+                m0, c0 = mc_statistics(samples)
+                np.testing.assert_array_equal(mean, m0)
+                np.testing.assert_array_equal(cov, c0)
+
 
 class TestClusterAnchors:
     def test_singleton(self):
-        clusters = cluster_anchors([anchor_const([0.9], [0, 0, 10, 10])], 0.5)
+        clusters = cluster_anchors(anchors_const([[0.9]], [[0, 0, 10, 10]]), 0.5)
         assert len(clusters) == 1
-        assert clusters[0].size == 1
-        assert clusters[0].center_index == 0
+        np.testing.assert_array_equal(clusters[0], [0])
 
     def test_full_overlap(self):
-        low = anchor_const([0.3], [0, 0, 10, 10])
-        high = anchor_const([0.8], [0, 0, 10, 10])
-        clusters = cluster_anchors([low, high], 0.5)
+        anchors = anchors_const([[0.3], [0.8]], [[0, 0, 10, 10]] * 2)
+        clusters = cluster_anchors(anchors, 0.5)
         assert len(clusters) == 1
-        assert clusters[0].size == 2
-        assert clusters[0].center is clusters[0].members[0]
-        np.testing.assert_allclose(clusters[0].center.mean_scores(), [0.8],
-                                   atol=1e-12)
+        # the center (highest score) comes first
+        np.testing.assert_array_equal(clusters[0], [1, 0])
 
     def test_three_anchor_partition(self):
-        a = anchor_const([0.9], [0, 0, 10, 10])
-        b = anchor_const([0.7], [0, 1, 10, 11])   # IoU with a: 9/11 >= 0.5
-        c = anchor_const([0.5], [50, 50, 60, 60])
-        clusters = cluster_anchors([a, b, c], 0.5)
-        sizes = sorted(cl.size for cl in clusters)
-        assert sizes == [1, 2]
-        members = [set(id(m) for m in cl.members) for cl in clusters]
-        assert {id(a), id(b)} in members
-        assert {id(c)} in members
+        anchors = anchors_const([[0.9], [0.7], [0.5]],
+                                [[0, 0, 10, 10],
+                                 [0, 1, 10, 11],     # IoU with 0: 9/11 >= 0.5
+                                 [50, 50, 60, 60]])
+        clusters = cluster_anchors(anchors, 0.5)
+        assert sorted(len(cl) for cl in clusters) == [1, 2]
+        assert [list(cl) for cl in clusters] == [[0, 1], [2]]
 
     def test_partition_property(self):
         rng = np.random.default_rng(11)
         for _ in range(30):
             n = rng.integers(1, 12)
-            preds = []
-            for _ in range(n):
-                x0, y0 = rng.uniform(0, 40, size=2)
-                w, h = rng.uniform(5, 25, size=2)
-                box = np.array([x0, y0, x0 + w, y0 + h])
-                preds.append(AnchorPrediction(
-                    score_samples=rng.uniform(0, 1, size=(4, 3)),
-                    box_samples=box + rng.normal(0, 0.5, size=(4, 4))))
-            clusters = cluster_anchors(preds, rng.uniform(0.1, 0.9))
-            seen = [id(m) for cl in clusters for m in cl.members]
-            assert sorted(seen) == sorted(id(p) for p in preds)
+            x0y0 = rng.uniform(0, 40, size=(n, 2))
+            wh = rng.uniform(5, 25, size=(n, 2))
+            boxes = np.concatenate([x0y0, x0y0 + wh], axis=1)
+            anchors = Anchors(scores=rng.uniform(0, 1, size=(n, 4, 3)),
+                              boxes=boxes[:, None, :] + rng.normal(0, 0.5, size=(n, 4, 4)))
+            clusters = cluster_anchors(anchors, rng.uniform(0.1, 0.9))
+            seen = np.concatenate(clusters)
+            assert sorted(seen) == list(range(n))
+            top = anchors.scores.mean(axis=1).max(axis=1)
             for cl in clusters:
-                top = cl.center.mean_scores().max()
-                assert all(top >= m.mean_scores().max() - 1e-12 for m in cl.members)
+                assert all(top[cl[0]] >= top[m] - 1e-12 for m in cl)
 
     def test_empty(self):
-        assert cluster_anchors([], 0.5) == []
+        empty = Anchors(scores=np.empty((0, 0, 0)), boxes=np.empty((0, 0, 4)))
+        assert cluster_anchors(empty, 0.5) == []
+
+    def test_threshold_range(self):
+        with pytest.raises(ValueError, match="iou_threshold"):
+            cluster_anchors(anchors_const([[0.9]], [[0, 0, 10, 10]]), 2.0)
 
 
 class TestFuseCategorical:
     def test_singleton_identity(self):
-        a = anchor_const([0.6, 0.4], [0, 0, 10, 10])
-        cluster = DetectionCluster(center_index=0, members=[a])
-        np.testing.assert_allclose(fuse_categorical(cluster), [0.6, 0.4], atol=1e-15)
+        np.testing.assert_allclose(fuse_categorical([[0.6, 0.4]]), [0.6, 0.4], atol=1e-15)
 
     def test_two_members_bernoulli_default(self):
-        members = [anchor_const([0.6, 0.4], [0, 0, 10, 10]) for _ in range(2)]
-        cluster = DetectionCluster(center_index=0, members=members)
-        np.testing.assert_allclose(fuse_categorical(cluster), [0.36, 0.16], atol=1e-12)
+        fused = fuse_categorical([[0.6, 0.4]] * 2)
+        np.testing.assert_allclose(fused, [0.36, 0.16], atol=1e-12)
 
     def test_two_members_renormalized(self):
-        members = [anchor_const([0.6, 0.4], [0, 0, 10, 10]) for _ in range(2)]
-        cluster = DetectionCluster(center_index=0, members=members)
-        fused = fuse_categorical(cluster, renormalize=True)
+        fused = fuse_categorical([[0.6, 0.4]] * 2, renormalize=True)
         np.testing.assert_allclose(fused, [9 / 13, 4 / 13], atol=1e-12)
 
     def test_all_ones_member_is_identity(self):
         rng = np.random.default_rng(5)
-        scores = rng.uniform(0, 1, size=3)
-        base = [anchor_const(scores, [0, 0, 10, 10]),
-                anchor_const(rng.uniform(0, 1, size=3), [0, 0, 10, 10])]
-        with_ones = base + [anchor_const([1.0, 1.0, 1.0], [0, 0, 10, 10])]
-        f_base = fuse_categorical(DetectionCluster(0, base))
-        f_ones = fuse_categorical(DetectionCluster(0, with_ones))
-        np.testing.assert_array_equal(f_base, f_ones)
+        base = rng.uniform(0, 1, size=(2, 3))
+        with_ones = np.concatenate([base, np.ones((1, 3))])
+        np.testing.assert_array_equal(fuse_categorical(base), fuse_categorical(with_ones))
 
     def test_brute_force_products(self):
         rng = np.random.default_rng(9)
         for _ in range(50):
             m = rng.integers(1, 6)
-            score_sets = [rng.uniform(0, 1, size=4) for _ in range(m)]
-            cluster = DetectionCluster(0, [anchor_const(s, [0, 0, 10, 10])
-                                           for s in score_sets])
+            score_sets = rng.uniform(0, 1, size=(m, 4))
             expected = np.ones(4)
             for s in score_sets:
                 expected = expected * s
-            np.testing.assert_allclose(fuse_categorical(cluster), expected,
+            np.testing.assert_allclose(fuse_categorical(score_sets), expected,
                                        atol=1e-12)
-            assert np.all(fuse_categorical(cluster) <= 1.0 + 1e-15)
+            assert np.all(fuse_categorical(score_sets) <= 1.0 + 1e-15)
 
 
 class TestFuseGaussian:
     def test_singleton_identity(self):
         rng = np.random.default_rng(2)
         samples = rng.normal([10, 10, 30, 30], 1.5, size=(40, 4))
-        a = AnchorPrediction(score_samples=np.full((40, 1), 0.5), box_samples=samples)
-        mean, cov = fuse_gaussian(DetectionCluster(0, [a]), regularizer=1e-6)
+        mean, cov = fuse_gaussian(samples[None], regularizer=1e-6)
         m0, c0 = mc_statistics(samples)
         np.testing.assert_allclose(mean, m0, atol=1e-8)
         np.testing.assert_allclose(cov, c0 + 1e-6 * np.eye(4), atol=1e-8)
@@ -192,13 +200,10 @@ class TestFuseGaussian:
             rng = np.random.default_rng(int(mu0 * 7 + 13))
             samples = rng.normal(mean, 1.0, size=(t, 4))
             # recenter/rescale so the sample stats are exact
-            samples = (samples - samples.mean(0)) @ np.linalg.inv(
+            return (samples - samples.mean(0)) @ np.linalg.inv(
                 np.linalg.cholesky(np.cov(samples.T, ddof=1)).T) + mean
-            return AnchorPrediction(score_samples=np.full((t, 1), 0.5),
-                                    box_samples=samples)
 
-        cluster = DetectionCluster(0, [member(0.0), member(2.0)])
-        mean, cov = fuse_gaussian(cluster, regularizer=0.0)
+        mean, cov = fuse_gaussian(np.stack([member(0.0), member(2.0)]), regularizer=0.0)
         assert mean[0] == pytest.approx(1.0, abs=1e-9)
         assert cov[0, 0] == pytest.approx(0.5, abs=1e-9)
         np.testing.assert_allclose(mean[1:], [5, 5, 5], atol=1e-9)
@@ -207,10 +212,7 @@ class TestFuseGaussian:
         rng = np.random.default_rng(8)
         samples = rng.normal([5, 5, 20, 20], 2.0, size=(60, 4))
         for m in (2, 3, 5):
-            cluster = DetectionCluster(0, [
-                AnchorPrediction(score_samples=np.full((60, 1), 0.5),
-                                 box_samples=samples.copy()) for _ in range(m)])
-            mean, cov = fuse_gaussian(cluster, regularizer=1e-6)
+            mean, cov = fuse_gaussian(np.tile(samples, (m, 1, 1)), regularizer=1e-6)
             m0, c0 = mc_statistics(samples)
             np.testing.assert_allclose(mean, m0, atol=1e-10)
             np.testing.assert_allclose(cov, (c0 + 1e-6 * np.eye(4)) / m,
@@ -219,18 +221,22 @@ class TestFuseGaussian:
     def test_information_never_decreases(self):
         rng = np.random.default_rng(21)
         for _ in range(20):
-            members = [AnchorPrediction(
-                score_samples=rng.uniform(0, 1, size=(10, 2)),
-                box_samples=rng.normal([0, 0, 20, 20], 2.0, size=(10, 4)))
-                for _ in range(rng.integers(1, 5))]
-            cluster = DetectionCluster(0, members)
-            _, fused_cov = fuse_gaussian(cluster)
+            members = rng.normal([0, 0, 20, 20], 2.0, size=(rng.integers(1, 5), 10, 4))
+            _, fused_cov = fuse_gaussian(members)
             fused_prec = np.linalg.inv(fused_cov)
             for member in members:
-                _, c = mc_statistics(member.box_samples)
+                _, c = mc_statistics(member)
                 prec = np.linalg.inv(c + 1e-6 * np.eye(4))
                 eigs = np.linalg.eigvalsh(fused_prec - prec)
                 assert eigs.min() >= -1e-6 * max(1.0, abs(eigs).max())
+
+    def test_member_order_invariance(self):
+        rng = np.random.default_rng(22)
+        members = rng.normal([0, 0, 20, 20], 2.0, size=(4, 12, 4))
+        mean, cov = fuse_gaussian(members)
+        mean_r, cov_r = fuse_gaussian(members[::-1])
+        np.testing.assert_allclose(mean_r, mean, atol=1e-9)
+        np.testing.assert_allclose(cov_r, cov, atol=1e-12)
 
     def test_density_product_grid_oracle(self):
         """1-D restriction: fused pdf equals the grid-normalized product."""
@@ -256,13 +262,11 @@ class TestFuseGaussian:
                 raw -= raw.mean(axis=0)
                 white = raw @ np.linalg.inv(np.linalg.cholesky(
                     np.cov(raw.T, ddof=1))).T          # exact identity cov
-                samples = white @ np.diag([np.sqrt(v), 1, 1, 1]) \
+                return white @ np.diag([np.sqrt(v), 1, 1, 1]) \
                     + np.array([m, 10.0, 10.0, 30.0])  # cov diag(v,1,1,1)
-                return AnchorPrediction(score_samples=np.full((t, 1), 0.5),
-                                        box_samples=samples)
 
             mean, cov = fuse_gaussian(
-                DetectionCluster(0, [member(m1, v1, 17), member(m2, v2, 18)]),
+                np.stack([member(m1, v1, 17), member(m2, v2, 18)]),
                 regularizer=0.0)
             assert mean[0] == pytest.approx(fused_m, abs=1e-9)
             assert cov[0, 0] == pytest.approx(fused_v, abs=1e-9)
@@ -270,15 +274,15 @@ class TestFuseGaussian:
 
 class TestBayesodInference:
     def test_empty(self):
-        assert bayesod_inference([], 0.5) == []
+        empty = Anchors(scores=np.empty((0, 0, 0)), boxes=np.empty((0, 0, 4)))
+        assert bayesod_inference(empty, 0.5) == []
 
     def test_single_anchor(self):
         rng = np.random.default_rng(4)
         samples = rng.normal([0, 0, 20, 20], 1.0, size=(25, 4))
-        a = AnchorPrediction(score_samples=np.tile([0.7, 0.2], (25, 1)),
-                             box_samples=samples)
+        a = Anchors(scores=np.tile([0.7, 0.2], (1, 25, 1)), boxes=samples[None])
         for flag in (False, True):
-            dets = bayesod_inference([a], cls_bayesian=flag)
+            dets = bayesod_inference(a, cls_bayesian=flag)
             assert len(dets) == 1
             np.testing.assert_allclose(dets[0].class_probs, [0.7, 0.2], atol=1e-12)
             m0, _ = mc_statistics(samples)
@@ -286,9 +290,8 @@ class TestBayesodInference:
             assert dets[0].cluster_size == 1
 
     def test_two_overlapping_cls_bayesian_off(self):
-        hi = anchor_const([0.8, 0.3], [0, 0, 10, 10], t=4)
-        lo = anchor_const([0.5, 0.2], [0, 0, 10, 10], t=4)
-        dets = bayesod_inference([lo, hi], cls_bayesian=False)
+        anchors = anchors_const([[0.5, 0.2], [0.8, 0.3]], [[0, 0, 10, 10]] * 2, t=4)
+        dets = bayesod_inference(anchors, cls_bayesian=False)
         assert len(dets) == 1
         np.testing.assert_allclose(dets[0].class_probs, [0.8, 0.3], atol=1e-12)
         assert dets[0].cluster_size == 2
@@ -296,19 +299,23 @@ class TestBayesodInference:
         np.testing.assert_allclose(dets[0].box_mean, [0, 0, 10, 10], atol=1e-9)
 
     def test_two_overlapping_cls_bayesian_on(self):
-        hi = anchor_const([0.8, 0.3], [0, 0, 10, 10], t=4)
-        lo = anchor_const([0.5, 0.2], [0, 0, 10, 10], t=4)
-        dets = bayesod_inference([lo, hi], cls_bayesian=True)
+        anchors = anchors_const([[0.5, 0.2], [0.8, 0.3]], [[0, 0, 10, 10]] * 2, t=4)
+        dets = bayesod_inference(anchors, cls_bayesian=True)
         np.testing.assert_allclose(dets[0].class_probs, [0.4, 0.06], atol=1e-12)
 
     def test_fused_cov_properties(self):
         rng = np.random.default_rng(14)
-        preds = [AnchorPrediction(score_samples=rng.uniform(0, 1, (8, 3)),
-                                  box_samples=rng.normal([5, 5, 25, 25], 1.0, (8, 4)))
-                 for _ in range(6)]
-        for det in bayesod_inference(preds, 0.3):
+        anchors = Anchors(scores=rng.uniform(0, 1, (6, 8, 3)),
+                          boxes=rng.normal([5, 5, 25, 25], 1.0, (6, 8, 4)))
+        for det in bayesod_inference(anchors, 0.3):
             np.testing.assert_allclose(det.box_cov, det.box_cov.T, atol=1e-12)
             assert np.linalg.eigvalsh(det.box_cov).min() >= 0
+
+    def test_single_sample_anchors(self):
+        anchors = anchors_const([[0.9], [0.6]], [[0, 0, 10, 10]] * 2, t=1)
+        dets = bayesod_inference(anchors, 0.5)
+        assert len(dets) == 1
+        np.testing.assert_allclose(dets[0].box_cov, 0.5e-6 * np.eye(4), rtol=1e-12)
 
 
 class TestInterchangeFormat:
@@ -316,22 +323,45 @@ class TestInterchangeFormat:
         rng = np.random.default_rng(6)
         records = []
         for i in range(3):
-            preds = [AnchorPrediction(score_samples=rng.uniform(0, 1, (4, 2)),
-                                      box_samples=rng.uniform(0, 30, (4, 4)))
-                     for _ in range(rng.integers(0, 4))]
-            records.append((f"img{i}", preds))
+            n = rng.integers(0, 4)
+            records.append((f"img{i}", Anchors(scores=rng.uniform(0, 1, (n, 4, 2)),
+                                               boxes=rng.uniform(0, 30, (n, 4, 4)))))
         path = tmp_path / "anchors.txt"
         write_anchor_records(path, records)
         loaded = read_anchor_records(path)
         assert [r[0] for r in loaded] == [r[0] for r in records]
         for (_, orig), (_, back) in zip(records, loaded):
             assert len(orig) == len(back)
-            for a, b in zip(orig, back):
-                np.testing.assert_array_equal(a.score_samples, b.score_samples)
-                np.testing.assert_array_equal(a.box_samples, b.box_samples)
+            if len(orig):
+                np.testing.assert_array_equal(orig.scores, back.scores)
+                np.testing.assert_array_equal(orig.boxes, back.boxes)
+
+    def test_empty_image_header(self, tmp_path):
+        path = tmp_path / "anchors.txt"
+        empty = Anchors(scores=np.empty((0, 10, 3)), boxes=np.empty((0, 10, 4)))
+        write_anchor_records(path, [("x", empty)])
+        assert "image x 0 0 0\n" in path.read_text()
+        assert len(read_anchor_records(path)[0][1]) == 0
 
     def test_malformed_header(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("not-an-image-header 1 2 3\n")
         with pytest.raises(ValueError, match="malformed image header"):
+            read_anchor_records(path)
+
+    @pytest.mark.parametrize("text, match", [
+        ("image a 1 2 1\n0.5\n0.5\n0 0 1 1\n", "image a: truncated or malformed anchor block"),
+        ("image a 1 1 -1\n", "malformed image header: 'image a 1 1 -1'"),
+        ("image a 1 1 1\nnan\n0 0 1 1\n", "image a: anchor samples must be finite"),
+        ("image a 1 1 1\n0.5\n0 0 inf 1\n", "image a: anchor samples must be finite"),
+        ("image a 1 1 1\n1.5\n0 0 1 1\n", r"image a: scores must lie in \[0, 1\]"),
+        ("image a 2 1 1\n0.5\n0 0 1 1\n", "image a: truncated or malformed anchor block"),
+        ("image a 1 1 1\nx\n0 0 1 1\n", "image a: could not convert"),
+        ("image a 1 0 2\n", "image a: need at least one Monte-Carlo sample"),
+    ], ids=["truncated", "negative-count", "nan-score", "inf-box", "score-range",
+            "ragged-row", "not-a-number", "no-samples"])
+    def test_bad_block_names_image(self, tmp_path, text, match):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=match):
             read_anchor_records(path)

@@ -5,7 +5,7 @@ import pytest
 from scipy import stats
 
 from sim2real_al.acquisition import reg_entropy
-from sim2real_al.fusion import bayesod_inference, iou_arrays
+from sim2real_al.fusion import bayesod_inference, iou_matrix
 from sim2real_al.learner import MCDropoutClassifier, TrainConfig
 from sim2real_al.synthdata import (ClassificationDomainSpec,
                                    DetectionSceneSpec, generate_classification,
@@ -196,24 +196,24 @@ class TestSynthDetectorOutputs:
         while draws < 10_000:
             scene = generate_detection_scenes(spec, 1, seed=7000 + i)[0]
             anchors = synth_detector_outputs(scene, spec, seed=8000 + i)
-            for a in anchors:
-                hits += iou_arrays(a.mean_box(), scene.gt_boxes[0]) >= 0.5
-                total += 1
-                draws += 1
+            overlaps = iou_matrix(anchors.boxes.mean(axis=1), scene.gt_boxes[:1])
+            hits += int((overlaps >= 0.5).sum())
+            total += len(anchors)
+            draws += len(anchors)
             i += 1
         assert hits / total >= 0.95
 
     def test_score_samples_in_range_and_class_structure(self):
         spec = self.spec(score_noise=1.0, true_logit=2.0)
         scene = generate_detection_scenes(spec, 1, seed=9)[0]
-        for anchor in synth_detector_outputs(scene, spec, seed=10):
-            assert np.all(anchor.score_samples >= 0)
-            assert np.all(anchor.score_samples <= 1)
+        scores = synth_detector_outputs(scene, spec, seed=10).scores
+        assert np.all(scores >= 0)
+        assert np.all(scores <= 1)
         # noiseless scores: true class sigmoid(2), off classes sigmoid(-4)
         quiet = self.spec(score_noise=0.0, sigma_box=0.0)
-        anchor = synth_detector_outputs(scene, quiet, seed=11)[0]
-        top = anchor.mean_scores().argmax()
-        assert anchor.mean_scores()[top] == pytest.approx(1 / (1 + np.exp(-2)))
+        mean_scores = synth_detector_outputs(scene, quiet, seed=11).scores[0].mean(axis=0)
+        top = mean_scores.argmax()
+        assert mean_scores[top] == pytest.approx(1 / (1 + np.exp(-2)))
 
     def test_per_class_noise_arrays(self):
         spec = self.spec(sigma_box=np.array([0.0, 5.0, 0.0]),
@@ -224,7 +224,7 @@ class TestSynthDetectorOutputs:
     def test_miss_probability_drops_objects(self):
         spec = self.spec(miss_prob=1.0)
         scene = generate_detection_scenes(spec, 1, seed=12)[0]
-        assert synth_detector_outputs(scene, spec, seed=13) == []
+        assert len(synth_detector_outputs(scene, spec, seed=13)) == 0
 
 
 class TestDatasetIO:

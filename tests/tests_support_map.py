@@ -11,7 +11,7 @@ import itertools
 import numpy as np
 
 from sim2real_al import loop as al
-from sim2real_al.fusion import FusedDetection, iou_arrays
+from sim2real_al.fusion import FusedDetection, iou_matrix
 from sim2real_al.synthdata import DetectionScene
 
 
@@ -43,10 +43,10 @@ def brute_force_map(dets_per_img, scenes, thr):
                for gi, c in enumerate(s.gt_classes) if int(c) == cls]
         cand = []
         for _, img, _, box in dets:
+            overlaps = iou_matrix([box], scenes[img].gt_boxes)[0]
             opts = [None]
             for g_img, gi in gts:
-                if g_img == img and iou_arrays(
-                        box, scenes[g_img].gt_boxes[gi]) >= thr:
+                if g_img == img and overlaps[gi] >= thr:
                     opts.append((g_img, gi))
             cand.append(opts)
         best = 0.0
