@@ -26,6 +26,8 @@ from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
+
 from . import loop as al
 from .acquisition import AcquisitionConfig
 from .learner import TrainConfig
@@ -214,6 +216,12 @@ def build_experiment_config(raw: dict, path: str,
         if default is None:
             raise ConfigError(f"{path}: missing required key {key!r}")
         values[key] = default
+
+    seeds = values["seeds"]
+    if len(set(seeds)) != len(seeds):
+        repeated = next(s for i, s in enumerate(seeds) if s in seeds[:i])
+        raise ConfigError(f"{path}:{raw['seeds'][1]}: duplicate seed "
+                          f"{repeated} in 'seeds'")
 
     try:
         selection = SelectionConfig(
@@ -460,10 +468,13 @@ def cmd_score(args) -> int:
     scored = []
     for image_id, anchors in records:
         try:
-            detections = bayesod_inference(anchors, iou_threshold=args.iou_threshold,
-                                           cls_bayesian=args.cls_bayesian)
-            scored.append(score_image(detections, acq_cfg, image_id=image_id))
-        except ValueError as exc:
+            # finite samples so large that fusion overflows cannot be scored
+            with np.errstate(over="raise"):
+                detections = bayesod_inference(anchors,
+                                               iou_threshold=args.iou_threshold,
+                                               cls_bayesian=args.cls_bayesian)
+                scored.append(score_image(detections, acq_cfg, image_id=image_id))
+        except (ValueError, FloatingPointError) as exc:
             raise ConfigError(f"image {image_id}: {exc}") from None
     scored.sort(key=lambda s: (-s.score, str(s.image_id)))
     print("image_id,score,n_detections")

@@ -252,12 +252,14 @@ def read_anchor_records(path) -> list[tuple[str, Anchors]]:
     """Read back records written by write_anchor_records.
 
     Raises ValueError on a malformed header, and naming the image on a
-    truncated or ragged anchor block or samples that Anchors rejects.
+    repeated image id, a truncated or ragged anchor block or samples
+    that Anchors rejects.
     """
     with open(path) as fh:
         lines = [ln.strip() for ln in fh
                  if ln.strip() and not ln.lstrip().startswith("#")]
     records = []
+    seen = set()
     pos = 0
     while pos < len(lines):
         parts = lines[pos].split()
@@ -265,6 +267,9 @@ def read_anchor_records(path) -> list[tuple[str, Anchors]]:
                 or not all(v.isdecimal() for v in parts[2:])):
             raise ValueError(f"malformed image header: {lines[pos]!r}")
         image_id = parts[1]
+        if image_id in seen:
+            raise ValueError(f"image {image_id}: duplicate image id")
+        seen.add(image_id)
         n_classes, t, n_anchors = int(parts[2]), int(parts[3]), int(parts[4])
         rows = [ln.split() for ln in lines[pos + 1:pos + 1 + 2 * t * n_anchors]]
         pos += 1 + 2 * t * n_anchors

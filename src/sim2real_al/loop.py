@@ -379,6 +379,14 @@ def run_al(cfg: ALRunConfig, datasets, learner, oracle, seed: int = 0) -> Learni
     raise TypeError(f"unsupported dataset bundle {type(datasets).__name__}")
 
 
+def _cannot_fill_batch(sel, pool_size: int) -> bool:
+    """True once the pool, or for subsample_topn its sub-sample, holds
+    fewer than batch_size candidates; the loop then truncates."""
+    if sel.strategy == "subsample_topn":
+        pool_size = sampling.subsample_size(sel.subsample_fraction, pool_size)
+    return pool_size < sel.batch_size
+
+
 def _run_classification(cfg, data: ClassificationDatasets, learner, oracle,
                         seed: int) -> LearningCurve:
     x_sim, y_sim = stack_examples(data.sim_train)
@@ -405,7 +413,7 @@ def _run_classification(cfg, data: ClassificationDatasets, learner, oracle,
     truncated = False
 
     for it in range(1, cfg.iterations + 1):
-        if len(state.pool_ids) < cfg.selection.batch_size:
+        if _cannot_fill_batch(cfg.selection, len(state.pool_ids)):
             truncated = True
             break
         state.iteration = it
@@ -495,7 +503,7 @@ def _run_detection(cfg, data: DetectionDatasets, learner: DetectionSurrogate,
     truncated = False
 
     for it in range(1, cfg.iterations + 1):
-        if len(state.pool_ids) < cfg.selection.batch_size:
+        if _cannot_fill_batch(cfg.selection, len(state.pool_ids)):
             truncated = True
             break
         state.iteration = it

@@ -137,17 +137,20 @@ def covering_radius(pool_features, center_ids, labeled_features=None) -> float:
     return float(cdist(pool, stacked).min(axis=1).max())
 
 
+def _entropy(p: np.ndarray) -> np.ndarray:
+    """-sum p log p over the last axis, with 0 log 0 = 0."""
+    log_p = np.zeros_like(p)
+    np.log(p, out=log_p, where=p > 0)
+    return -np.einsum("...c,...c->...", p, log_p)
+
+
 def bald_scores(prob_samples) -> np.ndarray:
     """Mutual information H(mean_t p) - mean_t H(p) per item.
 
     prob_samples: (N, T, C) stochastic predictive distributions.
     """
     probs = np.asarray(prob_samples, dtype=float)
-    mean = probs.mean(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        h_mean = -np.where(mean > 0, mean * np.log(mean), 0.0).sum(axis=-1)
-        h_each = -np.where(probs > 0, probs * np.log(probs), 0.0).sum(axis=-1)
-    return h_mean - h_each.mean(axis=1)
+    return _entropy(probs.mean(axis=1)) - _entropy(probs).mean(axis=1)
 
 
 def select_batchbald(prob_samples, b: int, mc_count: int = 100, seed=0) -> list[int]:
@@ -168,8 +171,7 @@ def select_batchbald(prob_samples, b: int, mc_count: int = 100, seed=0) -> list[
     if b > n:
         raise ValueError(f"batch size {b} exceeds pool size {n}")
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        h_cond = -np.where(probs > 0, probs * np.log(probs), 0.0).sum(axis=-1).mean(axis=1)
+    h_cond = _entropy(probs).mean(axis=1)
 
     rng = np.random.default_rng(seed)
     selected: list[int] = []
@@ -181,10 +183,11 @@ def select_batchbald(prob_samples, b: int, mc_count: int = 100, seed=0) -> list[
     selected.append(pick)
     available[pick] = False
 
+    k = mc_count
+    cond_probs = np.empty((n, k, c))
     while len(selected) < b:
         # sample mc_count label configurations of the selected batch from
         # the plug-in joint (1/T) sum_t prod_i p_it
-        k = mc_count
         t_draws = rng.integers(0, t, size=k)
         log_w = np.zeros((k, t))
         for i in selected:
@@ -199,13 +202,11 @@ def select_batchbald(prob_samples, b: int, mc_count: int = 100, seed=0) -> list[
         w /= w.sum(axis=1, keepdims=True)
         h_batch = float(-log_joint.mean())
 
-        # candidate conditional entropy H(y_c | batch config), exact in y_c
-        cond_probs = np.einsum("kt,ntc->nkc", w, probs)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            h_c_given = -np.where(cond_probs > 0,
-                                  cond_probs * np.log(cond_probs),
-                                  0.0).sum(axis=-1).mean(axis=1)
-        joint_mi = h_batch + h_c_given - (h_cond[list(selected)].sum() + h_cond)
+        # candidate conditional entropy H(y_c | batch config), exact in y_c:
+        # (k, t) @ (n, t, c) broadcasts to one BLAS product per candidate
+        np.matmul(w, probs, out=cond_probs)
+        h_c_given = _entropy(cond_probs).mean(axis=1)
+        joint_mi = h_batch + h_c_given - (h_cond[selected].sum() + h_cond)
         joint_mi[~available] = -np.inf
         pick = int(np.argmax(joint_mi))
         selected.append(pick)

@@ -1,9 +1,16 @@
 """CLI: config parsing, run/sweep/report subcommands, artifact contracts."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from sim2real_al import cli
 from sim2real_al import loop as al
+
+ROOT = Path(__file__).resolve().parent.parent
 
 SMALL_CLS = """\
 config_version = 1
@@ -91,6 +98,15 @@ class TestConfigParsing:
         with pytest.raises(cli.ConfigError, match="duplicate key"):
             cli.load_config(write_cfg(tmp_path, bad))
 
+    def test_duplicate_seed_rejected(self, tmp_path, capsys):
+        bad = write_cfg(tmp_path, SMALL_CLS.replace("seeds = 1,2", "seeds = 1,2,1"))
+        with pytest.raises(cli.ConfigError, match=r":4: duplicate seed 1"):
+            cli.load_config(bad)
+        assert cli.main(["run", "--config", bad, "--out",
+                         str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out").exists()
+
     def test_type_errors_are_line_anchored(self, tmp_path):
         bad = SMALL_CLS.replace("loop.iterations = 3", "loop.iterations = soon")
         with pytest.raises(cli.ConfigError, match="loop.iterations"):
@@ -145,6 +161,20 @@ class TestCmdRun:
         assert cli.main(["run", "--config", bad, "--out",
                          str(tmp_path / "x")]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_short_subsample_writes_truncated_artifacts(self, tmp_path):
+        # pool 100, B = 20, p = 0.25: the third sub-sample holds 15 < 20 ids
+        text = (SMALL_CLS.replace("seeds = 1,2", "seeds = 1")
+                .replace("pool_size = 120", "pool_size = 100")
+                .replace("batch_size = 10", "batch_size = 20")
+                .replace("subsample_fraction = 0.5", "subsample_fraction = 0.25")
+                .replace("loop.iterations = 3", "loop.iterations = 5"))
+        out = tmp_path / "short"
+        assert cli.main(["run", "--config", write_cfg(tmp_path, text),
+                         "--out", str(out)]) == 0
+        manifest = al.read_manifest(out / "manifest.txt")
+        assert manifest["run.1.truncated"] == "True"
+        assert len(al.read_curve_csv(out / "curve.csv")["points"][1]) == 3
 
     def test_detection_track_runs(self, tmp_path):
         cfg = write_cfg(tmp_path, SMALL_DET)
@@ -287,8 +317,10 @@ class TestCmdScore:
         (GOOD_IMAGE + "image inf 2 1 1\n0.5 0.5\n0 0 inf 9\n", [], "image inf"),
         ("image neg 2 2 -1\n" + GOOD_IMAGE, [], "image neg"),
         (GOOD_IMAGE, ["--iou-threshold", "2"], "--iou-threshold"),
+        (GOOD_IMAGE + GOOD_IMAGE.replace("ok", "dup") * 2, [], "image dup"),
     ], ids=["truncated", "nan-score", "nan-score-cls-bayesian", "inf-box",
-            "negative-anchor-count", "iou-threshold-out-of-range"])
+            "negative-anchor-count", "iou-threshold-out-of-range",
+            "duplicate-image-id"])
     def test_score_bad_input_exits_2(self, tmp_path, capsys, text, flags, named):
         path = tmp_path / "anchors.txt"
         path.write_text(text)
@@ -297,6 +329,24 @@ class TestCmdScore:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert named in captured.err
+
+
+    def test_score_overflow_is_one_error_line(self, tmp_path):
+        # finite boxes whose areas overflow: stderr carries no numpy warnings
+        big = "1e200 1e200 3e200 3e200\n2e200 2e200 5e200 5e200\n"
+        path = tmp_path / "anchors.txt"
+        path.write_text(self.GOOD_IMAGE + "image big 2 2 2\n"
+                        + ("0.5 0.5\n0.5 0.5\n" + big) * 2)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-m", "sim2real_al.cli", "score",
+                               "--anchors", str(path)], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: image big: ")
 
 
 class TestPresetRuntime:

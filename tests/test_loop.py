@@ -271,6 +271,15 @@ class TestRunAlClassification:
         assert curve.truncated
         assert len(curve.points) == 3  # iterations 0..2; 5 remaining < 10
 
+    def test_short_subsample_truncates(self):
+        # pool 100 -> 80 -> 60: ceil(0.25 * 60) = 15 < 20 stops iteration 3
+        cfg, datasets, oracle, learner = tiny_classification(
+            strategy="subsample_topn", pool=100, batch=20, p=0.25,
+            iterations=5)
+        curve = al.run_al(cfg, datasets, learner, oracle, seed=4)
+        assert curve.truncated
+        assert [p.labeled_count for p in curve.points] == [0, 20, 40]
+
     def test_all_strategies_run(self):
         for strategy in ("random", "topn", "subsample_topn", "coreset",
                          "batchbald", "clue"):
@@ -281,14 +290,14 @@ class TestRunAlClassification:
             assert len(curve.selected_ids[0]) == 5
 
 
-def tiny_detection(strategy="random", iterations=2, pool=40, batch=8):
+def tiny_detection(strategy="random", iterations=2, pool=40, batch=8, p=0.5):
     spec = al.DetectionExperimentSpec(sim_scenes=30, pool_scenes=pool,
                                       test_scenes=25)
     datasets, oracle, learner = al.build_detection_experiment(spec, 1)
     cfg = al.ALRunConfig(
         iterations=iterations,
         selection=SelectionConfig(strategy=strategy, batch_size=batch,
-                                  subsample_fraction=0.5),
+                                  subsample_fraction=p),
         acquisition=AcquisitionConfig(comb="sum", agg="avg"))
     return cfg, datasets, oracle, learner
 
@@ -313,6 +322,14 @@ class TestRunAlDetection:
                                                         batch=12)
         curve = al.run_al(cfg, datasets, learner, oracle, seed=6)
         assert curve.points[-1].metric > curve.points[0].metric
+
+    def test_short_subsample_truncates(self):
+        # pool 40 -> 32: ceil(0.2 * 32) = 7 < 8 stops iteration 2
+        cfg, datasets, oracle, learner = tiny_detection(
+            strategy="subsample_topn", iterations=4, p=0.2)
+        curve = al.run_al(cfg, datasets, learner, oracle, seed=5)
+        assert curve.truncated
+        assert [p.labeled_count for p in curve.points] == [0, 8]
 
     def test_batchbald_rejected(self):
         cfg, datasets, oracle, learner = tiny_detection(strategy="batchbald")

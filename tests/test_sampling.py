@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from sim2real_al.sampling import (SelectionConfig, bald_scores,
@@ -218,6 +220,96 @@ class TestBatchBald:
         b = select_batchbald(probs, 4, mc_count=50, seed=3)
         assert a == b
         assert len(set(a)) == 4
+
+
+def reference_entropy(p):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return -np.where(p > 0, p * np.log(p), 0.0).sum(axis=-1)
+
+
+def reference_batchbald(probs, b, mc_count, seed):
+    """The einsum/np.where formulation select_batchbald replaced, kept as
+    an oracle: same Monte-Carlo draws, plain-loop contraction."""
+    n, t, c = probs.shape
+    h_cond = reference_entropy(probs).mean(axis=1)
+    rng = np.random.default_rng(seed)
+    available = np.ones(n, dtype=bool)
+    first = reference_entropy(probs.mean(axis=1)) - h_cond
+    selected = [int(np.argmax(first))]
+    available[selected[0]] = False
+    while len(selected) < b:
+        t_draws = rng.integers(0, t, size=mc_count)
+        log_w = np.zeros((mc_count, t))
+        for i in selected:
+            cdf = probs[i, t_draws].cumsum(axis=1)
+            y = np.minimum((cdf < rng.random(mc_count)[:, None]).sum(axis=1), c - 1)
+            with np.errstate(divide="ignore"):
+                log_w += np.log(probs[i][:, y].T)
+        log_joint = np.logaddexp.reduce(log_w, axis=1) - np.log(t)
+        w = np.exp(log_w - log_w.max(axis=1, keepdims=True))
+        w /= w.sum(axis=1, keepdims=True)
+        h_c_given = reference_entropy(np.einsum("kt,ntc->nkc", w, probs)).mean(axis=1)
+        joint_mi = (float(-log_joint.mean()) + h_c_given
+                    - (h_cond[selected].sum() + h_cond))
+        joint_mi[~available] = -np.inf
+        selected.append(int(np.argmax(joint_mi)))
+        available[selected[-1]] = False
+    return selected
+
+
+def probs_with_zeros(rng, n, t, c):
+    """(n, t, c) Dirichlet samples with exact zeros and two one-hot items."""
+    probs = rng.dirichlet(np.ones(c), size=(n, t))
+    probs[rng.random((n, t, c)) < 0.25] = 0.0
+    probs[probs.sum(axis=-1) == 0, 0] = 1.0
+    probs /= probs.sum(axis=-1, keepdims=True)
+    probs[:2] = 0.0
+    probs[0, :, 0] = 1.0
+    probs[1, :, c - 1] = 1.0
+    return probs
+
+
+class TestBatchBaldReference:
+    """select_batchbald picks what the einsum formulation picks."""
+
+    @pytest.mark.parametrize("trial", range(20))
+    def test_matches_reference(self, trial):
+        rng = np.random.default_rng(100 + trial)
+        n, t, c = (int(v) for v in rng.integers([5, 2, 2], [60, 12, 9]))
+        probs = (probs_with_zeros(rng, n, t, c) if trial % 2
+                 else rng.dirichlet(np.ones(c), size=(n, t)))
+        b = int(rng.integers(1, n + 1))
+        mc_count = int(rng.integers(1, 80))
+        # summation order differs: entropies of at most 9 classes agree
+        # to a few ulps of log(9)
+        want = (reference_entropy(probs.mean(axis=1))
+                - reference_entropy(probs).mean(axis=1))
+        np.testing.assert_allclose(bald_scores(probs), want, rtol=0, atol=1e-14)
+        assert select_batchbald(probs, b, mc_count, seed=trial) == \
+            reference_batchbald(probs, b, mc_count, seed=trial)
+
+    def test_no_floating_point_errors_with_zeros(self):
+        probs = probs_with_zeros(np.random.default_rng(4), 12, 6, 4)
+        with np.errstate(all="raise"):
+            scores = bald_scores(probs)
+            picked = select_batchbald(probs, 12, mc_count=30, seed=2)
+        assert np.all(np.isfinite(scores))
+        assert scores[0] == scores[1] == 0.0
+        assert sorted(picked) == list(range(12))
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 12), t=st.integers(2, 6), c=st.integers(1, 5),
+           data=st.data())
+    def test_b_distinct_ids_deterministic(self, n, t, c, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        probs = (probs_with_zeros(rng, n, t, c) if n >= 2
+                 else rng.dirichlet(np.ones(c), size=(n, t)))
+        b = data.draw(st.integers(1, n))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        picked = select_batchbald(probs, b, mc_count=16, seed=seed)
+        assert len(picked) == len(set(picked)) == b
+        assert set(picked) <= set(range(n))
+        assert select_batchbald(probs, b, mc_count=16, seed=seed) == picked
 
 
 class TestSelectClue:
