@@ -62,6 +62,8 @@ class AcquisitionConfig:
             raise ValueError("w_cls must be finite and >= 0")
         if not (np.isfinite(self.w_reg) and self.w_reg >= 0):
             raise ValueError("w_reg must be finite and >= 0")
+        if not np.isfinite(self.empty_image_score):
+            raise ValueError("empty_image_score must be finite")
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ import numpy as np
 from . import loop as al
 from .acquisition import AcquisitionConfig
 from .learner import TrainConfig
-from .sampling import SelectionConfig
+from .sampling import STRATEGIES, SelectionConfig
 
 OUTPUT_ROOT_ENV = "SIM2REAL_AL_OUTPUT_ROOT"
 
@@ -104,6 +104,11 @@ DETECTION_SCHEMA = {
 
 TRACKS = ("classification", "detection")
 
+# batchbald needs per-item class-probability samples, which the
+# detection surrogate does not produce
+TRACK_STRATEGIES = {"classification": STRATEGIES,
+                    "detection": tuple(s for s in STRATEGIES if s != "batchbald")}
+
 
 class ConfigError(Exception):
     """Config problem with a file/line anchor where available."""
@@ -129,6 +134,20 @@ def _convert(kind, raw, key, lineno, path):
     except ValueError:
         raise ConfigError(f"{path}:{lineno}: key {key!r} expects {kind}, "
                           f"got {raw!r}") from None
+
+
+def _check_strategies(names, track: str, where: str) -> None:
+    """Reject an unknown, repeated or track-incompatible strategy name;
+    `where` anchors the message (file:line, or the flag)."""
+    for i, name in enumerate(names):
+        if name not in STRATEGIES:
+            raise ConfigError(f"{where}: unknown strategy {name!r}; expected "
+                              f"one of {STRATEGIES}")
+        if name not in TRACK_STRATEGIES[track]:
+            raise ConfigError(f"{where}: strategy {name!r} is not available "
+                              f"on the {track} track")
+        if name in names[:i]:
+            raise ConfigError(f"{where}: repeated strategy {name!r}")
 
 
 def parse_config_text(text: str, path: str = "<config>") -> dict:
@@ -222,6 +241,10 @@ def build_experiment_config(raw: dict, path: str,
         repeated = next(s for i, s in enumerate(seeds) if s in seeds[:i])
         raise ConfigError(f"{path}:{raw['seeds'][1]}: duplicate seed "
                           f"{repeated} in 'seeds'")
+    for key in ("selection.strategy", "strategies"):
+        names = values[key] if key == "strategies" else [values[key]]
+        where = f"{path}:{raw[key][1]}" if key in raw else path
+        _check_strategies(names, track, f"{where}: {key!r}")
 
     try:
         selection = SelectionConfig(
@@ -317,15 +340,24 @@ def _resolved_items(excfg: ExperimentConfig, strategy: str,
 
 
 def execute_run(excfg: ExperimentConfig, strategy: str, seeds: list[int],
-                out_dir: Path) -> list[al.LearningCurve]:
-    """Run one strategy over the given seeds and write run artifacts."""
+                out_dir: Path, real_perfs: dict = None) -> list[al.LearningCurve]:
+    """Run one strategy over the given seeds and write run artifacts.
+
+    real_perfs maps a run seed to its reference performance, which does
+    not depend on the strategy: a seed found there skips the reference
+    model, and a seed not found there gets its value recorded.
+    """
     _fresh_dir(out_dir)
     run_cfg = replace(excfg.al,
                       selection=replace(excfg.al.selection, strategy=strategy))
+    real_perfs = {} if real_perfs is None else real_perfs
     curves = []
     for seed in seeds:
         datasets, oracle, learner = _build(excfg, seed)
-        curves.append(al.run_al(run_cfg, datasets, learner, oracle, seed))
+        datasets.real_perf = real_perfs.get(seed)
+        curve = al.run_al(run_cfg, datasets, learner, oracle, seed)
+        real_perfs[seed] = curve.real_perf
+        curves.append(curve)
     al.write_curve_csv(out_dir / "curve.csv", curves)
     al.write_manifest(out_dir / "manifest.txt",
                       _resolved_items(excfg, strategy, seeds), curves)
@@ -342,6 +374,8 @@ def cmd_run(args) -> int:
     excfg = load_config(args.config, args.track)
     seeds = [args.seed] if args.seed is not None else excfg.seeds
     strategy = args.strategy or excfg.al.selection.strategy
+    if args.strategy:
+        _check_strategies([strategy], excfg.track, "--strategy")
     out_dir = Path(args.out) if args.out else _default_out(excfg, args.config)
     curves = execute_run(excfg, strategy, seeds, out_dir)
     for curve in curves:
@@ -358,6 +392,7 @@ def cmd_sweep(args) -> int:
     strategies = excfg.strategies
     if args.strategy:
         strategies = [s.strip() for s in args.strategy.split(",") if s.strip()]
+        _check_strategies(strategies, excfg.track, "--strategy")
     if len(strategies) < 2:
         raise ConfigError("sweep needs at least 2 strategies "
                           "(set 'strategies = a,b,...' in the config)")
@@ -366,10 +401,11 @@ def cmd_sweep(args) -> int:
     _fresh_dir(out_root)
 
     rows = []
+    real_perfs: dict[int, float] = {}   # one reference run per seed
     for strategy in strategies:
         for seed in seeds:
             cell_dir = out_root / f"{strategy}-s{seed}"
-            curves = execute_run(excfg, strategy, [seed], cell_dir)
+            curves = execute_run(excfg, strategy, [seed], cell_dir, real_perfs)
             report = al.gap_report(curves[0])
             rows.append((strategy, seed, report, curves[0]))
 
@@ -462,7 +498,8 @@ def cmd_score(args) -> int:
         raise ConfigError(f"cannot read anchor records: {exc}") from None
     try:
         acq_cfg = AcquisitionConfig(comb=args.comb, agg=args.agg,
-                                    w_cls=args.w_cls, w_reg=args.w_reg)
+                                    w_cls=args.w_cls, w_reg=args.w_reg,
+                                    empty_image_score=args.empty_image_score)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     scored = []
@@ -524,6 +561,8 @@ def build_parser() -> argparse.ArgumentParser:
     score_p.add_argument("--agg", default="avg")
     score_p.add_argument("--w-cls", type=float, default=1.0)
     score_p.add_argument("--w-reg", type=float, default=0.01)
+    score_p.add_argument("--empty-image-score", type=float, default=0.0,
+                         help="score of an image with no detections")
     score_p.set_defaults(func=cmd_score)
     return parser
 

@@ -112,6 +112,13 @@ class MCDropoutClassifier:
         fine_tune continues from this snapshot's weights; otherwise the
         weights reinitialize from cfg.seed, making the result
         independent of the incoming state.  Returns a new model.
+
+        Each epoch draws one permutation and then, in one call, the
+        dropout uniforms of all its batches: Generator.random fills an
+        (n, H) array from the same stream, one double per output, that
+        per-batch (batch, H) draws would take in turn.  A step runs the
+        float operations of the textbook step in the same order, in
+        place, so the weights are the same bit for bit.
         """
         x = np.atleast_2d(np.asarray(x, dtype=float))
         y = np.asarray(y, dtype=int)
@@ -120,48 +127,79 @@ class MCDropoutClassifier:
         if np.any(y < 0) or np.any(y >= self.n_classes):
             raise ValueError("labels outside [0, n_classes)")
 
-        if cfg.fine_tune:
-            model = self.copy()
-        else:
-            model = MCDropoutClassifier(self.input_dim, self.hidden_dim,
-                                        self.n_classes, self.dropout_rate,
-                                        seed=cfg.seed)
+        start = self if cfg.fine_tune else MCDropoutClassifier(
+            self.input_dim, self.hidden_dim, self.n_classes, self.dropout_rate,
+            seed=cfg.seed)
+        # weights and their gradients are views of one flat vector each,
+        # so that an update is two calls
+        shapes = [p.shape for p in (start.w1, start.b1, start.w2, start.b2)]
+        params = np.concatenate([start.w1.ravel(), start.b1,
+                                 start.w2.ravel(), start.b2])
+        grads = np.empty_like(params)
+        w1, b1, w2, b2 = _unflatten(params, shapes)
+        dw1, db1, dw2, db2 = _unflatten(grads, shapes)
+
         rng = np.random.default_rng(cfg.seed)
-        n = x.shape[0]
-        keep = 1.0 - model.dropout_rate
+        n, h = x.shape[0], self.hidden_dim
+        rate, lr = self.dropout_rate, cfg.learning_rate
+        targets = np.eye(self.n_classes)[y]
+        rows = min(cfg.batch_size, n)
+        hidden = np.empty((rows, h))
+        dropped = np.empty_like(hidden)
+        grad_hidden = np.empty_like(hidden)
+        probs = np.empty((rows, self.n_classes))
         for _ in range(cfg.epochs):
             order = rng.permutation(n)
-            for start in range(0, n, cfg.batch_size):
-                idx = order[start:start + cfg.batch_size]
-                xb, yb = x[idx], y[idx]
-                a1 = np.tanh(xb @ model.w1 + model.b1)
-                if model.dropout_rate > 0:
-                    mask = (rng.random(a1.shape) >= model.dropout_rate) / keep
+            xe, te = x[order], targets[order]
+            if rate > 0:
+                masks = (rng.random((n, h)) >= rate) / (1.0 - rate)
+            for lo in range(0, n, cfg.batch_size):
+                hi = min(lo + cfg.batch_size, n)
+                m = hi - lo
+                xb = xe[lo:hi]
+                a1 = np.matmul(xb, w1, out=hidden[:m])
+                a1 += b1
+                np.tanh(a1, out=a1)
+                if rate > 0:
+                    mask = masks[lo:hi]
+                    a1d = np.multiply(a1, mask, out=dropped[:m])
                 else:
-                    mask = 1.0
-                a1d = a1 * mask
-                probs = _softmax(a1d @ model.w2 + model.b2)
-                dz2 = probs.copy()
-                dz2[np.arange(len(yb)), yb] -= 1.0
-                dz2 /= len(yb)
-                dw2 = a1d.T @ dz2
-                db2 = dz2.sum(axis=0)
-                da1 = (dz2 @ model.w2.T) * mask * (1.0 - a1 ** 2)
-                dw1 = xb.T @ da1
-                db1 = da1.sum(axis=0)
-                model.w1 -= cfg.learning_rate * dw1
-                model.b1 -= cfg.learning_rate * db1
-                model.w2 -= cfg.learning_rate * dw2
-                model.b2 -= cfg.learning_rate * db2
-            for p in (model.w1, model.b1, model.w2, model.b2):
-                if not np.all(np.isfinite(p)):
-                    raise FloatingPointError("training produced non-finite weights")
-        return model
-
-    def copy(self) -> "MCDropoutClassifier":
+                    a1d = a1                     # a1 * 1.0 == a1
+                # softmax, then dz2 = softmax - one_hot (p - 0.0 == p)
+                dz2 = np.matmul(a1d, w2, out=probs[:m])
+                dz2 += b2
+                dz2 -= dz2.max(axis=-1, keepdims=True)
+                np.exp(dz2, out=dz2)
+                dz2 /= dz2.sum(axis=-1, keepdims=True)
+                dz2 -= te[lo:hi]
+                dz2 /= m
+                np.matmul(a1d.T, dz2, out=dw2)
+                np.sum(dz2, axis=0, out=db2)
+                da1 = np.matmul(dz2, w2.T, out=grad_hidden[:m])
+                if rate > 0:
+                    da1 *= mask
+                np.multiply(a1, a1, out=a1)      # a1d is no longer read
+                np.subtract(1.0, a1, out=a1)
+                da1 *= a1
+                np.matmul(xb.T, da1, out=dw1)
+                np.sum(da1, axis=0, out=db1)
+                grads *= lr
+                params -= grads
+            if not np.all(np.isfinite(params)):
+                raise FloatingPointError("training produced non-finite weights")
         return MCDropoutClassifier(self.input_dim, self.hidden_dim,
                                    self.n_classes, self.dropout_rate,
-                                   params=(self.w1, self.b1, self.w2, self.b2))
+                                   params=(w1, b1, w2, b2))
+
+
+def _unflatten(flat: np.ndarray, shapes) -> list:
+    """Consecutive views of a flat vector in the given shapes."""
+    views, at = [], 0
+    for shape in shapes:
+        size = int(np.prod(shape))
+        views.append(flat[at:at + size].reshape(shape))
+        at += size
+    return views
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:

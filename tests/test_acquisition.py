@@ -146,6 +146,8 @@ class TestCombine:
             AcquisitionConfig(agg="median")
         with pytest.raises(ValueError):
             AcquisitionConfig(w_cls=-1.0)
+        with pytest.raises(ValueError, match="empty_image_score"):
+            AcquisitionConfig(empty_image_score=float("nan"))
 
 
 def _det(probs, cov_scale=1.0):

@@ -1,6 +1,7 @@
 """CLI: config parsing, run/sweep/report subcommands, artifact contracts."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -107,6 +108,49 @@ class TestConfigParsing:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("text, args, message", [
+        (SMALL_CLS.replace("strategies = random,subsample_topn",
+                           "strategies = random,wobble"), [],
+         r"exp\.cfg:18: 'strategies': unknown strategy 'wobble'"),
+        (SMALL_CLS.replace("strategies = random,subsample_topn",
+                           "strategies = random,random"), [],
+         r"exp\.cfg:18: 'strategies': repeated strategy 'random'"),
+        (SMALL_CLS, ["--strategy", "random,wobble"],
+         r"--strategy: unknown strategy 'wobble'"),
+        (SMALL_CLS, ["--strategy", "random,clue,random"],
+         r"--strategy: repeated strategy 'random'"),
+        (SMALL_DET.replace("strategies = random,topn",
+                           "strategies = random,batchbald"), [],
+         r"exp\.cfg:11: 'strategies': strategy 'batchbald' is not available "
+         r"on the detection track"),
+        (SMALL_DET.replace("selection.strategy = subsample_topn",
+                           "selection.strategy = batchbald"), [],
+         r"exp\.cfg:8: 'selection.strategy': strategy 'batchbald' is not"),
+        (SMALL_DET, ["--strategy", "random,batchbald"],
+         r"--strategy: strategy 'batchbald' is not available"),
+    ], ids=["unknown", "repeated", "unknown-flag", "repeated-flag",
+            "detection-batchbald", "detection-batchbald-selection",
+            "detection-batchbald-flag"])
+    def test_bad_strategies_rejected_before_any_cell(self, tmp_path, capsys,
+                                                     text, args, message):
+        cfg = write_cfg(tmp_path, text)
+        out = tmp_path / "out"
+        assert cli.main(["sweep", "--config", cfg, "--out", str(out),
+                         *args]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert re.search(message, err), err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, strategy", [
+        (SMALL_CLS, "wobble"), (SMALL_DET, "batchbald")])
+    def test_run_strategy_flag_checked(self, tmp_path, capsys, text, strategy):
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", write_cfg(tmp_path, text),
+                         "--strategy", strategy, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: --strategy: ")
+        assert not out.exists()
+
     def test_type_errors_are_line_anchored(self, tmp_path):
         bad = SMALL_CLS.replace("loop.iterations = 3", "loop.iterations = soon")
         with pytest.raises(cli.ConfigError, match="loop.iterations"):
@@ -203,6 +247,34 @@ class TestCmdSweep:
         assert (out / "sweep_report.txt").exists()
         report = (out / "sweep_report.txt").read_text()
         assert "random" in report and "subsample_topn" in report
+
+    def test_one_reference_run_per_seed(self, tmp_path, monkeypatch):
+        """Later cells of a seed reuse its reference performance, and
+        each cell still writes the bytes of a lone `run`."""
+        given = []
+
+        def recording_run_al(cfg, datasets, learner, oracle, seed):
+            given.append((cfg.selection.strategy, seed, datasets.real_perf))
+            return run_al(cfg, datasets, learner, oracle, seed)
+
+        run_al = al.run_al
+        monkeypatch.setattr(al, "run_al", recording_run_al)
+        cfg = write_cfg(tmp_path, SMALL_CLS)
+        out = tmp_path / "sweep"
+        assert cli.main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+        assert [g[:2] for g in given] == [("random", 1), ("random", 2),
+                                          ("subsample_topn", 1),
+                                          ("subsample_topn", 2)]
+        assert given[0][2] is None and given[1][2] is None
+        for seed in (1, 2):
+            manifest = al.read_manifest(out / f"random-s{seed}" / "manifest.txt")
+            assert given[seed + 1][2] == float(manifest[f"run.{seed}.real_perf"])
+        single = tmp_path / "single"
+        assert cli.main(["run", "--config", cfg, "--seed", "2", "--out",
+                         str(single)]) == 0
+        for name in ("curve.csv", "manifest.txt"):
+            assert ((out / "subsample_topn-s2" / name).read_bytes()
+                    == (single / name).read_bytes())
 
     def test_single_strategy_rejected(self, tmp_path):
         text = SMALL_CLS.replace("strategies = random,subsample_topn",
@@ -318,9 +390,10 @@ class TestCmdScore:
         ("image neg 2 2 -1\n" + GOOD_IMAGE, [], "image neg"),
         (GOOD_IMAGE, ["--iou-threshold", "2"], "--iou-threshold"),
         (GOOD_IMAGE + GOOD_IMAGE.replace("ok", "dup") * 2, [], "image dup"),
+        (GOOD_IMAGE, ["--empty-image-score", "nan"], "empty_image_score"),
     ], ids=["truncated", "nan-score", "nan-score-cls-bayesian", "inf-box",
             "negative-anchor-count", "iou-threshold-out-of-range",
-            "duplicate-image-id"])
+            "duplicate-image-id", "nan-empty-image-score"])
     def test_score_bad_input_exits_2(self, tmp_path, capsys, text, flags, named):
         path = tmp_path / "anchors.txt"
         path.write_text(text)
@@ -330,6 +403,17 @@ class TestCmdScore:
         assert captured.err.startswith("error: ")
         assert named in captured.err
 
+
+    @pytest.mark.parametrize("flags, row", [
+        ([], "e,0.0,0"),
+        (["--empty-image-score", "-1.5"], "e,-1.5,0"),
+    ])
+    def test_score_empty_image_score(self, tmp_path, capsys, flags, row):
+        path = tmp_path / "anchors.txt"
+        path.write_text("image e 0 0 0\n")
+        assert cli.main(["score", "--anchors", str(path), *flags]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "image_id,score,n_detections", row]
 
     def test_score_overflow_is_one_error_line(self, tmp_path):
         # finite boxes whose areas overflow: stderr carries no numpy warnings

@@ -3,9 +3,12 @@
 Each cell runs one tiny config through the CLI and compares the sha256
 of curve.csv and manifest.txt with a recorded digest; the `score` cells
 do the same for the stdout of `sim2real-al score` on an interchange
-file written here.  A refactor that keeps behaviour passes unchanged; a
-deliberate numerics change regenerates the digests in the same change
-and says so in CHANGES.md.
+file written here.  A `sweep` over every strategy of a track must give
+each of its cells the digests of the matching `run` cell, although the
+sweep computes each seed's reference performance only once.  A
+refactor that keeps behaviour passes unchanged; a deliberate numerics
+change regenerates the digests in the same change and says so in
+CHANGES.md.
 
 Floating-point results depend on the numpy and scipy builds, so the
 digests are only checked with the versions they were recorded with.
@@ -86,6 +89,12 @@ RUN_CELLS = {
     "det-clue-cls_bayesian-max": (TINY_DET_CLS_BAYESIAN, "clue"),
 }
 
+# track prefix -> (config, strategies of one `sweep` over the track)
+SWEEPS = {
+    "cls": (TINY_CLS, "random,topn,subsample_topn,coreset,clue,batchbald"),
+    "det": (TINY_DET, "random,topn,subsample_topn,coreset,clue"),
+}
+
 # cell -> (sha256 of curve.csv, sha256 of manifest.txt)
 RUN_DIGESTS = {
     "cls-batchbald": (
@@ -149,6 +158,21 @@ def run_cell(tmp_path, cell):
             _sha((out / "manifest.txt").read_bytes()))
 
 
+def sweep_cells(tmp_path, track):
+    """{run cell name: digests} of every cell of one tiny sweep."""
+    text, strategies = SWEEPS[track]
+    cfg = tmp_path / "golden.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "sweep"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["sweep", "--config", str(cfg), "--strategy",
+                         strategies, "--out", str(out)]) == 0
+    return {f"{track}-{strategy}":
+            tuple(_sha((out / f"{strategy}-s1" / name).read_bytes())
+                  for name in ("curve.csv", "manifest.txt"))
+            for strategy in strategies.split(",")}
+
+
 def write_interchange(path) -> None:
     """Six images in the interchange format, written as text so the file
     does not depend on the package's writer: clustered multi-object
@@ -187,6 +211,12 @@ def test_run_artifacts_match_golden(tmp_path, cell):
     assert run_cell(tmp_path, cell) == RUN_DIGESTS[cell]
 
 
+@pytest.mark.parametrize("track", sorted(SWEEPS))
+def test_sweep_cells_match_run_cells(tmp_path, track):
+    cells = sweep_cells(tmp_path, track)
+    assert cells == {name: RUN_DIGESTS[name] for name in cells}
+
+
 @pytest.mark.parametrize("flags", sorted(SCORE_DIGESTS),
                          ids=lambda flags: flags or "default")
 def test_score_output_matches_golden(tmp_path, flags):
@@ -197,11 +227,19 @@ if __name__ == "__main__":
     import tempfile
     from pathlib import Path
 
+    run_digests = {}
     print("RUN_DIGESTS = {")
     for name in sorted(RUN_CELLS):
         with tempfile.TemporaryDirectory() as tmp:
-            print(f"    {name!r}: {run_cell(Path(tmp), name)!r},")
+            run_digests[name] = run_cell(Path(tmp), name)
+            print(f"    {name!r}: {run_digests[name]!r},")
     print("}")
+    for track in sorted(SWEEPS):
+        with tempfile.TemporaryDirectory() as tmp:
+            cells = sweep_cells(Path(tmp), track)
+        differ = sorted(n for n in cells if cells[n] != run_digests[n])
+        print(f"# {track} sweep cells differ from their run cells: "
+              f"{', '.join(differ) or 'none'}")
     print("SCORE_DIGESTS = {")
     for flags in ("", "--cls-bayesian"):
         with tempfile.TemporaryDirectory() as tmp:

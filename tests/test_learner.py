@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sim2real_al.learner import (MCDropoutClassifier, TrainConfig,
+from sim2real_al.learner import (MCDropoutClassifier, TrainConfig, _softmax,
                                  analytic_gradients, gradient_check,
                                  load_checkpoint, save_checkpoint)
 
@@ -126,12 +128,109 @@ class TestFit:
             model.fit(np.ones((3, 2)), np.array([0, 1, 2]),
                       TrainConfig(epochs=1, learning_rate=0.1))
 
+    def test_non_finite_weights_raise(self):
+        x, y = two_blobs(seed=9)
+        model = MCDropoutClassifier(2, 16, 2, seed=3)
+        with np.errstate(all="ignore"), \
+                pytest.raises(FloatingPointError, match="non-finite weights"):
+            model.fit(x, y, TrainConfig(epochs=2, learning_rate=1e308, seed=1))
+
     def test_weights_stay_finite(self):
         x, y = two_blobs(seed=7)
         model = MCDropoutClassifier(2, 16, 2, seed=3)
         model = model.fit(x, y, TrainConfig(epochs=10, learning_rate=0.5, seed=1))
         for p in (model.w1, model.b1, model.w2, model.b2):
             assert np.all(np.isfinite(p))
+
+
+def reference_fit(model, x, y, cfg):
+    """The per-batch training loop that fit replaced: one fancy-indexed
+    gather and one (batch, H) dropout draw per mini-batch."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    y = np.asarray(y, dtype=int)
+    if cfg.fine_tune:
+        model = MCDropoutClassifier(model.input_dim, model.hidden_dim,
+                                    model.n_classes, model.dropout_rate,
+                                    params=(model.w1, model.b1, model.w2, model.b2))
+    else:
+        model = MCDropoutClassifier(model.input_dim, model.hidden_dim,
+                                    model.n_classes, model.dropout_rate,
+                                    seed=cfg.seed)
+    rng = np.random.default_rng(cfg.seed)
+    n = x.shape[0]
+    keep = 1.0 - model.dropout_rate
+    for _ in range(cfg.epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, cfg.batch_size):
+            idx = order[start:start + cfg.batch_size]
+            xb, yb = x[idx], y[idx]
+            a1 = np.tanh(xb @ model.w1 + model.b1)
+            if model.dropout_rate > 0:
+                mask = (rng.random(a1.shape) >= model.dropout_rate) / keep
+            else:
+                mask = 1.0
+            a1d = a1 * mask
+            probs = _softmax(a1d @ model.w2 + model.b2)
+            dz2 = probs.copy()
+            dz2[np.arange(len(yb)), yb] -= 1.0
+            dz2 /= len(yb)
+            dw2 = a1d.T @ dz2
+            db2 = dz2.sum(axis=0)
+            da1 = (dz2 @ model.w2.T) * mask * (1.0 - a1 ** 2)
+            dw1 = xb.T @ da1
+            db1 = da1.sum(axis=0)
+            model.w1 -= cfg.learning_rate * dw1
+            model.b1 -= cfg.learning_rate * db1
+            model.w2 -= cfg.learning_rate * dw2
+            model.b2 -= cfg.learning_rate * db2
+    return model
+
+
+def assert_same_weights(a, b):
+    for name in ("w1", "b1", "w2", "b2"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+class TestFitReference:
+    """fit equals the per-batch loop bit for bit: same RNG stream, same
+    float operations in the same order."""
+
+    @staticmethod
+    def case(n, dim, hidden, n_classes, rate, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n, dim)) * 2.0
+        y = rng.integers(0, n_classes, size=n)
+        model = MCDropoutClassifier(dim, hidden, n_classes, dropout_rate=rate,
+                                    seed=seed + 1)
+        return model, x, y
+
+    @pytest.mark.parametrize("fine_tune", [True, False])
+    @pytest.mark.parametrize("rate", [0.0, 0.1, 0.5])
+    @pytest.mark.parametrize("batch_size", [1, 16, 32, "n+5"])
+    @pytest.mark.parametrize("n", [1, 15, 16, 17, 40, 333])
+    def test_matches_per_batch_loop(self, n, batch_size, rate, fine_tune):
+        if batch_size == "n+5":
+            batch_size = n + 5
+        model, x, y = self.case(n, 5, 12, 4, rate, seed=n)
+        cfg = TrainConfig(epochs=3, learning_rate=0.3,
+                          batch_size=batch_size, seed=7, fine_tune=fine_tune)
+        assert_same_weights(model.fit(x, y, cfg),
+                            reference_fit(model, x, y, cfg))
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 70), dim=st.integers(1, 9),
+           hidden=st.integers(1, 20), n_classes=st.integers(1, 6),
+           batch_size=st.integers(1, 80), epochs=st.integers(1, 3),
+           rate=st.sampled_from([0.0, 0.05, 0.3, 0.9]),
+           fine_tune=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_matches_per_batch_loop_on_random_shapes(
+            self, n, dim, hidden, n_classes, batch_size, epochs, rate,
+            fine_tune, seed):
+        model, x, y = self.case(n, dim, hidden, n_classes, rate, seed)
+        cfg = TrainConfig(epochs=epochs, learning_rate=0.2,
+                          batch_size=batch_size, seed=seed, fine_tune=fine_tune)
+        assert_same_weights(model.fit(x, y, cfg),
+                            reference_fit(model, x, y, cfg))
 
 
 class TestGradients:
