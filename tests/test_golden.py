@@ -135,10 +135,13 @@ RUN_DIGESTS = {
         "e71ef4fb23e0acd6dd1330c00b945fa9174c35b3378d2fed321e4faa709f2dfe"),
 }
 
-# extra `score` flags -> sha256 of stdout
+# extra `score` flags -> sha256 of stdout; a leading "dense" scores the
+# file of write_dense_interchange instead of write_interchange
 SCORE_DIGESTS = {
     "": "f059f4f1ef9b773b75218a97cc4b5e88ab27da533ad6b71c1167e163b14402c4",
     "--cls-bayesian": "4fd4b9efc112abcd45239c832627e92e32d383fc064db1cc076e9d9b21e5a7b4",
+    "dense --comb max --agg sum": "52e030f64565f4713e00b39b8058a69aebe1fdee83f3a524d2cf3ba8cc44d53d",
+    "dense --cls-bayesian": "700986726acf4be8d2c144e12749bde36abee9f74091acccc5dff5d764d1fce6",
 }
 
 
@@ -197,9 +200,53 @@ def write_interchange(path) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+def write_dense_interchange(path) -> None:
+    """Eight images shaped like detector dumps: 8 anchors per object,
+    T=20 samples, 3 classes, fixed-precision values, with comment and
+    blank lines inside the blocks and tabs or repeated spaces between
+    and around the values."""
+    rng = np.random.default_rng(77)
+    seps = [" ", "  ", "\t", " \t ", "\t\t"]
+    junk = ["# detector dump", "   # indented comment", "", "   ", "\t"]
+
+    def row(values, fmt):
+        gaps = rng.choice(seps, size=len(values) + 1)
+        text = "".join(g + fmt % v for g, v in zip(gaps, values))
+        return text + (gaps[-1] if rng.random() < 0.2 else "")
+
+    lines = ["# dense interchange file", ""]
+    for i in range(8):
+        n_obj = int(rng.integers(1, 5))
+        wh = rng.uniform(20.0, 60.0, (n_obj, 2))
+        corner = rng.uniform(0.0, 100.0, (n_obj, 2))
+        gt = np.concatenate([corner, corner + wh], axis=1)
+        lines.append(f"image dense{i} 3 20 {8 * n_obj}")
+        for box in gt:
+            cls = int(rng.integers(0, 3))
+            for _ in range(8):
+                center = box + rng.normal(0.0, 3.0, 4)
+                spread = rng.uniform(0.5, 4.0)
+                logits = np.full((20, 3), -3.0)
+                logits[:, cls] = 2.0
+                logits += rng.normal(0.0, 1.0) * rng.standard_normal((20, 3))
+                scores = np.clip(1.0 / (1.0 + np.exp(-logits)), 1e-6, 1 - 1e-6)
+                boxes = center + spread * rng.standard_normal((20, 4))
+                rows = ([row(s, "%.6f") for s in scores]
+                        + [row(b, "%.3f") for b in boxes])
+                for text in rows:
+                    lines.append(text)
+                    if rng.random() < 0.03:
+                        lines.append(str(rng.choice(junk)))
+    path.write_text("\n".join(lines) + "\n")
+
+
 def score_stdout(tmp_path, flags) -> bytes:
     path = tmp_path / "anchors.txt"
-    write_interchange(path)
+    if flags[:1] == ["dense"]:
+        write_dense_interchange(path)
+        flags = flags[1:]
+    else:
+        write_interchange(path)
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         assert cli.main(["score", "--anchors", str(path), *flags]) == 0
@@ -241,7 +288,7 @@ if __name__ == "__main__":
         print(f"# {track} sweep cells differ from their run cells: "
               f"{', '.join(differ) or 'none'}")
     print("SCORE_DIGESTS = {")
-    for flags in ("", "--cls-bayesian"):
+    for flags in SCORE_DIGESTS:
         with tempfile.TemporaryDirectory() as tmp:
             digest = _sha(score_stdout(Path(tmp), flags.split()))
             print(f"    {flags!r}: {digest!r},")
