@@ -32,10 +32,8 @@ class UncertaintyPair:
     u_reg: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.u_cls) and np.isfinite(self.u_reg)):
-            raise ValueError("uncertainties must be finite")
-        if self.u_cls < 0:
-            raise ValueError("classification entropy cannot be negative")
+        _raise_first_failure(_pair_checks(np.array([self.u_cls]),
+                                          np.array([self.u_reg])))
 
 
 @dataclass
@@ -77,6 +75,70 @@ class ImageScore:
             raise ValueError("image score must be finite")
 
 
+def _raise_first_failure(checks) -> None:
+    """Raise the ValueError a loop over rows would raise first.
+
+    checks lists (message, (N,) failure mask) pairs in the order one
+    row's checks run; rows are checked in order.
+    """
+    failed = np.column_stack([mask for _, mask in checks])
+    rows = np.flatnonzero(failed.any(axis=1))
+    if len(rows):
+        raise ValueError(checks[int(np.argmax(failed[rows[0]]))][0])
+
+
+def _bernoulli_entropies(probs: np.ndarray):
+    """Per-row sums of Bernoulli entropies of (N, C) class scores.
+
+    Returns the (N,) entropies and the check that every score lies in
+    [0, 1].  Each row sums via fsum, so its entropy does not depend on
+    entry order.
+    """
+    out_of_range = ((probs < 0) | (probs > 1)).any(axis=1)
+    terms = xlogy(probs, probs) + xlogy(1.0 - probs, 1.0 - probs)
+    entropies = -np.array([math.fsum(row) for row in terms.tolist()])
+    return entropies, [("class scores must lie in [0, 1]", out_of_range)]
+
+
+def _gaussian_entropies(covs: np.ndarray):
+    """Differential entropies of (N, k, k) Gaussian covariances.
+
+    k/2 + (k/2) ln(2 pi) + 1/2 ln|cov|.  Returns the (N,) entropies and
+    the checks that each covariance is symmetric and positive definite.
+    """
+    if covs.ndim != 3 or covs.shape[1] != covs.shape[2]:
+        not_square = np.ones(len(covs), dtype=bool)
+        return np.full(len(covs), np.nan), [
+            ("covariance must be a square matrix", not_square)]
+    transposed = np.swapaxes(covs, 1, 2)
+    if (covs == transposed).all():  # as fused covariances are
+        asymmetric = np.zeros(len(covs), dtype=bool)
+    else:  # np.allclose(cov, cov.T, atol=1e-10) per matrix
+        asymmetric = ~np.isclose(covs, transposed, atol=1e-10).all(axis=(1, 2))
+    with np.errstate(invalid="ignore"):  # NaN matrices fail the symmetry check
+        sign, logdet = np.linalg.slogdet(covs)
+    k = covs.shape[-1]
+    entropies = 0.5 * k + 0.5 * k * np.log(2.0 * np.pi) + 0.5 * logdet
+    return entropies, [("covariance must be symmetric", asymmetric),
+                       ("degenerate covariance", sign <= 0)]
+
+
+def _pair_checks(u_cls: np.ndarray, u_reg: np.ndarray):
+    return [("uncertainties must be finite",
+             ~(np.isfinite(u_cls) & np.isfinite(u_reg))),
+            ("classification entropy cannot be negative", u_cls < 0)]
+
+
+def _combined(u_cls, u_reg, cfg: AcquisitionConfig):
+    """The comb rule on scalars or arrays; max keeps the classification
+    term on ties, as Python's max(wc, wr) does."""
+    wc = cfg.w_cls * u_cls
+    wr = cfg.w_reg * u_reg
+    if cfg.comb == "sum":
+        return wc + wr
+    return np.where(wr > wc, wr, wc)
+
+
 def cls_entropy(probs) -> float:
     """Sum of per-class Bernoulli entropies, natural log.
 
@@ -84,10 +146,9 @@ def cls_entropy(probs) -> float:
     0 ln 0 evaluates to 0.  Summation via fsum, so the result does not
     depend on entry order.
     """
-    p = np.asarray(probs, dtype=float)
-    if np.any(p < 0) or np.any(p > 1):
-        raise ValueError("class scores must lie in [0, 1]")
-    return -math.fsum(xlogy(p, p) + xlogy(1.0 - p, 1.0 - p))
+    entropies, checks = _bernoulli_entropies(np.asarray(probs, dtype=float)[None])
+    _raise_first_failure(checks)
+    return float(entropies[0])
 
 
 def categorical_entropy(probs) -> float:
@@ -110,37 +171,31 @@ def reg_entropy(cov) -> float:
     fused boxes).  Raises on non-symmetric or non-positive-definite
     input.
     """
-    c = np.asarray(cov, dtype=float)
-    if c.ndim != 2 or c.shape[0] != c.shape[1]:
-        raise ValueError("covariance must be a square matrix")
-    if not np.allclose(c, c.T, atol=1e-10):
-        raise ValueError("covariance must be symmetric")
-    sign, logdet = np.linalg.slogdet(c)
-    if sign <= 0:
-        raise ValueError("degenerate covariance")
-    k = c.shape[0]
-    return 0.5 * k + 0.5 * k * np.log(2.0 * np.pi) + 0.5 * logdet
+    entropies, checks = _gaussian_entropies(np.asarray(cov, dtype=float)[None])
+    _raise_first_failure(checks)
+    return entropies[0]
 
 
 def combine(u: UncertaintyPair, cfg: AcquisitionConfig) -> float:
     """Collapse an uncertainty pair into one number per cfg.comb."""
-    wc = cfg.w_cls * u.u_cls
-    wr = cfg.w_reg * u.u_reg
-    if cfg.comb == "sum":
-        return wc + wr
-    return max(wc, wr)
+    return float(_combined(u.u_cls, u.u_reg, cfg))
 
 
 def score_image(detections, cfg: AcquisitionConfig, image_id=0) -> ImageScore:
-    """Aggregate per-detection combined uncertainties into an image score."""
+    """Aggregate per-detection combined uncertainties into an image score.
+
+    All detections are scored in one pass; a detection that cannot be
+    scored raises the error the first such detection would raise alone.
+    """
     if not detections:
         return ImageScore(image_id=image_id, score=cfg.empty_image_score,
                           n_detections=0)
-    values = []
-    for det in detections:
-        pair = UncertaintyPair(u_cls=cls_entropy(det.class_probs),
-                               u_reg=reg_entropy(det.box_cov))
-        values.append(combine(pair, cfg))
+    u_cls, cls_checks = _bernoulli_entropies(
+        np.array([det.class_probs for det in detections], dtype=float))
+    u_reg, reg_checks = _gaussian_entropies(
+        np.array([det.box_cov for det in detections], dtype=float))
+    _raise_first_failure(cls_checks + reg_checks + _pair_checks(u_cls, u_reg))
+    values = _combined(u_cls, u_reg, cfg).tolist()
     if cfg.agg == "max":
         score = max(values)
     elif cfg.agg == "sum":

@@ -19,6 +19,7 @@ noise-free synthetic samples do not produce singular matrices.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -165,34 +166,38 @@ def fuse_categorical(mean_scores, renormalize: bool = False) -> np.ndarray:
     return probs
 
 
-def fuse_gaussian(box_samples,
+def fuse_gaussian(box_samples, clusters,
                   regularizer: float = COV_REGULARIZER) -> tuple[np.ndarray, np.ndarray]:
-    """Precision-weighted product-of-Gaussians fusion of a cluster.
+    """Precision-weighted product-of-Gaussians fusion of an image's clusters.
 
-    box_samples holds the cluster's (n, T, 4) box samples.  Each member
-    is reduced to (mean, cov) via mc_statistics, the covariance
-    regularized with `regularizer` on the diagonal, and the Gaussians
-    multiplied: fused precision is the sum of member precisions, fused
-    mean the precision-weighted mean.
+    box_samples holds the image's (A, T, 4) box samples and clusters is
+    a list of K anchor-index arrays (as from cluster_anchors).  Each
+    member is reduced to (mean, cov) via mc_statistics, the covariance
+    regularized with `regularizer` on the diagonal, and each cluster's
+    Gaussians multiplied: fused precision is the sum of member
+    precisions, fused mean the precision-weighted mean.  Sums run in
+    member order.  Returns (K, 4) means and (K, 4, 4) covariances.
     """
-    means, covs = mc_statistics(box_samples)
+    members = np.concatenate(clusters)
+    owner = np.repeat(np.arange(len(clusters)), [len(m) for m in clusters])
+    means, covs = mc_statistics(np.asarray(box_samples, dtype=float)[members])
     covs = covs + regularizer * np.eye(4)
     try:
         np.linalg.cholesky(covs)
         precisions = np.linalg.inv(covs)
     except np.linalg.LinAlgError as exc:
         raise ValueError("degenerate covariance") from exc
-    precision_sum = np.zeros((4, 4))
-    weighted_mean_sum = np.zeros(4)
-    for precision, mean in zip(precisions, means):
-        precision_sum += precision
-        weighted_mean_sum += precision @ mean
+    precision_sum = np.zeros((len(clusters), 4, 4))
+    weighted_mean_sum = np.zeros((len(clusters), 4, 1))
+    # ufunc.at adds in index order, so each cluster sums in member order
+    np.add.at(precision_sum, owner, precisions)
+    np.add.at(weighted_mean_sum, owner, precisions @ means[..., None])
     try:
         fused_cov = np.linalg.inv(precision_sum)
     except np.linalg.LinAlgError as exc:
         raise ValueError("degenerate covariance") from exc
-    fused_cov = 0.5 * (fused_cov + fused_cov.T)
-    fused_mean = fused_cov @ weighted_mean_sum
+    fused_cov = 0.5 * (fused_cov + np.swapaxes(fused_cov, -1, -2))
+    fused_mean = (fused_cov @ weighted_mean_sum)[..., 0]
     return fused_mean, fused_cov
 
 
@@ -207,14 +212,17 @@ def bayesod_inference(anchors: Anchors,
     otherwise the cluster center's mean scores are used (Bayesian
     inference on the regression head only).
     """
+    clusters = cluster_anchors(anchors, iou_threshold)
+    if not clusters:
+        return []
+    box_means, box_covs = fuse_gaussian(anchors.boxes, clusters, regularizer)
+    mean_scores = anchors.scores.mean(axis=1)
     detections = []
-    for members in cluster_anchors(anchors, iou_threshold):
-        box_mean, box_cov = fuse_gaussian(anchors.boxes[members], regularizer)
-        mean_scores = anchors.scores[members].mean(axis=1)
+    for members, box_mean, box_cov in zip(clusters, box_means, box_covs):
         if cls_bayesian:
-            class_probs = fuse_categorical(mean_scores)
+            class_probs = fuse_categorical(mean_scores[members])
         else:
-            class_probs = mean_scores[0]
+            class_probs = mean_scores[members[0]]
         detections.append(FusedDetection(class_probs=class_probs,
                                          box_mean=box_mean,
                                          box_cov=box_cov,
@@ -225,19 +233,44 @@ def bayesod_inference(anchors: Anchors,
 # ---------------------------------------------------------------------------
 # anchor-sample interchange format
 #
-# One block per image, whitespace-separated, '#' starts a comment line:
+# One block per image, whitespace-separated, '#' starts a comment line,
+# blank lines are ignored:
 #
 #   image <image_id> <n_classes> <T> <n_anchors>
 #   <for each anchor, in order:>
 #       T lines of n_classes score values
 #       T lines of 4 box values (x_min y_min x_max y_max)
 #
-# Field order is fixed; floats are written with repr so files round-trip
-# exactly.
+# Field order is fixed; a value is any literal Python's float() accepts,
+# and an image id is a non-empty token with no ','.  Floats are written
+# with repr so files round-trip exactly.
 # ---------------------------------------------------------------------------
 
+# "Whitespace" is str.split()'s: re's \s on str patterns is the same set.
+_JUNK_LINES = r"(?:[^\S\n]*+(?:#[^\n]*+)?+\n)*+"
+_JUNK_RE = re.compile(_JUNK_LINES)
+_COMMENT_LINE_RE = re.compile(r"^[^\S\n]*+#[^\n]*+", re.MULTILINE)
+
+
+def _rows_pattern(n_rows: int, width: int) -> str:
+    """n_rows data lines of exactly `width` tokens, comment and blank
+    lines allowed before each."""
+    row = (_JUNK_LINES + r"[^\S\n]*+\S++"
+           + r"(?:[^\S\n]++\S++){%d}[^\S\n]*+\n" % (width - 1))
+    return "(?:%s){%d}" % (row, n_rows)
+
+
 def write_anchor_records(path, records) -> None:
-    """Write (image_id, Anchors) pairs to a text file."""
+    """Write (image_id, Anchors) pairs to a text file.
+
+    Raises ValueError on an image id that read_anchor_records would not
+    give back (empty, or holding whitespace or ',').
+    """
+    records = [(str(image_id), anchors) for image_id, anchors in records]
+    for image_id, _ in records:  # before the file is touched
+        if not image_id or "," in image_id or any(ch.isspace() for ch in image_id):
+            raise ValueError(f"image id {image_id!r} cannot be read back: "
+                             f"an id is non-empty, with no whitespace or ','")
     with open(path, "w") as fh:
         fh.write("# anchor-sample interchange v1\n")
         for image_id, anchors in records:
@@ -251,35 +284,52 @@ def write_anchor_records(path, records) -> None:
 def read_anchor_records(path) -> list[tuple[str, Anchors]]:
     """Read back records written by write_anchor_records.
 
-    Raises ValueError on a malformed header, and naming the image on a
-    repeated image id, a truncated or ragged anchor block or samples
-    that Anchors rejects.
+    Each image block is checked line by line with one regular
+    expression per anchor and converted with one float conversion.
+    Raises ValueError on a malformed header, and naming the image on an
+    id with a ',', a repeated image id, a truncated or ragged anchor
+    block, a value float() rejects, or samples that Anchors rejects.
     """
     with open(path) as fh:
-        lines = [ln.strip() for ln in fh
-                 if ln.strip() and not ln.lstrip().startswith("#")]
+        text = fh.read()
+    if not text.endswith("\n"):
+        text += "\n"
+    n_lines = text.count("\n")
     records = []
     seen = set()
-    pos = 0
-    while pos < len(lines):
-        parts = lines[pos].split()
+    pos = _JUNK_RE.match(text).end()
+    while pos < len(text):
+        eol = text.index("\n", pos)
+        header = text[pos:eol].strip()
+        parts = header.split()
         if (parts[0] != "image" or len(parts) != 5
                 or not all(v.isdecimal() for v in parts[2:])):
-            raise ValueError(f"malformed image header: {lines[pos]!r}")
+            raise ValueError(f"malformed image header: {header!r}")
         image_id = parts[1]
+        if "," in image_id:
+            raise ValueError(f"image {image_id}: an image id cannot hold ','")
         if image_id in seen:
             raise ValueError(f"image {image_id}: duplicate image id")
         seen.add(image_id)
         n_classes, t, n_anchors = int(parts[2]), int(parts[3]), int(parts[4])
-        rows = [ln.split() for ln in lines[pos + 1:pos + 1 + 2 * t * n_anchors]]
-        pos += 1 + 2 * t * n_anchors
-        widths = np.array([len(row) for row in rows], dtype=int)
-        # per anchor: t score rows of n_classes values, then t box rows of 4
-        if (pos > len(lines)
-                or np.any(widths.reshape(n_anchors, 2, t) != [[n_classes], [4]])):
-            raise ValueError(f"image {image_id}: truncated or malformed anchor block")
+        start = pos = eol + 1
+        if t * n_anchors:
+            malformed = f"image {image_id}: truncated or malformed anchor block"
+            # counts the text cannot hold would also overflow re's repeat limit
+            if not (0 < n_classes <= len(text) and 2 * t * n_anchors <= n_lines):
+                raise ValueError(malformed)
+            # per anchor: t score rows of n_classes values, then t box rows of 4
+            anchor = re.compile(_rows_pattern(t, n_classes) + _rows_pattern(t, 4))
+            for _ in range(n_anchors):
+                match = anchor.match(text, pos)
+                if match is None:
+                    raise ValueError(malformed)
+                pos = match.end()
+        block = text[start:pos]
+        if "#" in block:
+            block = _COMMENT_LINE_RE.sub("", block)
         try:
-            values = np.array([v for row in rows for v in row], dtype=float)
+            values = np.array(block.split(), dtype=float)
             values = values.reshape(n_anchors, t * (n_classes + 4))
             anchors = Anchors(
                 scores=values[:, :t * n_classes].reshape(n_anchors, t, n_classes),
@@ -287,4 +337,5 @@ def read_anchor_records(path) -> list[tuple[str, Anchors]]:
         except ValueError as exc:
             raise ValueError(f"image {image_id}: {exc}") from None
         records.append((image_id, anchors))
+        pos = _JUNK_RE.match(text, pos).end()
     return records

@@ -483,6 +483,9 @@ def _select_classification(cfg, model, pool_x, pool_ids, labeled_x, seed, it):
 
 def _run_detection(cfg, data: DetectionDatasets, learner: DetectionSurrogate,
                    oracle, seed: int) -> LearningCurve:
+    if cfg.selection.strategy == "batchbald":
+        raise ValueError("batchbald needs per-item class-probability samples; "
+                         "it is only available on the classification track")
     n_pool0 = len(data.pool_scenes)
     state = ALState(pool_ids=list(range(n_pool0)))
 
@@ -579,9 +582,6 @@ def _select_detection(cfg, model, pool_scenes, pool_ids, labeled_scenes,
             idx = sampling.select_clue(feats, np.maximum(unc, 0.0),
                                        sel.batch_size, sel_seed)
         return [pool_ids[i] for i in idx]
-    if sel.strategy == "batchbald":
-        raise ValueError("batchbald needs per-item class-probability samples; "
-                         "it is only available on the classification track")
     raise ValueError(f"unknown strategy {sel.strategy!r}")
 
 

@@ -33,6 +33,12 @@ def criterion(number, description):
     print(f"[PASS] criterion {number}: {description}")
 
 
+def fuse_cluster(box_samples, **kwargs):
+    """fuse_gaussian on one cluster of all the given (n, T, 4) samples."""
+    return tuple(out[0] for out in fuse_gaussian(
+        box_samples, [np.arange(len(box_samples))], **kwargs))
+
+
 def test_criterion_1_entropy_closed_forms():
     with criterion(1, "entropy closed forms and scaling identity"):
         assert abs(cls_entropy([0.5]) - math.log(2)) < 1e-9
@@ -67,7 +73,7 @@ def test_criterion_2_fusion_oracles():
             cluster = np.stack([
                 _exact_cov_member([m1, 10, 10, 30], v1, seed=17),
                 _exact_cov_member([m2, 10, 10, 30], v2, seed=18)])
-            mean, cov = fuse_gaussian(cluster, regularizer=0.0)
+            mean, cov = fuse_cluster(cluster, regularizer=0.0)
             xs = np.linspace(min(m1, m2) - 8, max(m1, m2) + 8, 1000)
             prod = gauss(xs, m1, v1) * gauss(xs, m2, v2)
             prod /= np.trapezoid(prod, xs)
@@ -80,7 +86,7 @@ def test_criterion_2_fusion_oracles():
         m0, c0 = mc_statistics(member_samples)
         for m in (2, 4, 7):
             cluster = np.tile(member_samples, (m, 1, 1))
-            mean, cov = fuse_gaussian(cluster, regularizer=1e-6)
+            mean, cov = fuse_cluster(cluster, regularizer=1e-6)
             np.testing.assert_allclose(cov, (c0 + 1e-6 * np.eye(4)) / m,
                                        atol=1e-10)
             np.testing.assert_allclose(mean, m0, atol=1e-10)

@@ -4,6 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from tests_support_reference import (reference_cls_entropy,
+                                     reference_reg_entropy,
+                                     reference_score_image)
 
 from sim2real_al.acquisition import (AcquisitionConfig, ImageScore,
                                      UncertaintyPair, categorical_entropy,
@@ -189,3 +194,93 @@ class TestScoreImage:
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             ImageScore(image_id=0, score=float("nan"), n_detections=0)
+
+
+CONFIGS = [AcquisitionConfig(comb=comb, agg=agg, w_cls=w_cls, w_reg=w_reg)
+           for comb in ("sum", "max") for agg in ("max", "sum", "avg")
+           for w_cls, w_reg in ((1.0, 0.01), (0.0, 1.0), (1.0, 0.0), (0.3, 2.5))]
+
+
+def random_detections(rng, n, n_classes):
+    """n detections with scores that include exact 0s and 1s, and SPD
+    covariances from tight (negative entropy) to wide."""
+    dets = []
+    for _ in range(n):
+        probs = rng.uniform(0.0, 1.0, n_classes)
+        probs[rng.random(n_classes) < 0.2] = rng.choice([0.0, 1.0])
+        a = rng.normal(size=(4, 4)) * 10.0 ** rng.uniform(-3, 2)
+        cov = a @ a.T + 1e-6 * np.eye(4)
+        dets.append(FusedDetection(class_probs=probs, box_mean=np.zeros(4),
+                                   box_cov=0.5 * (cov + cov.T)))
+    return dets
+
+
+def score_or_error(score, dets, cfg):
+    try:
+        s = score(dets, cfg, image_id="x")
+    except ValueError as exc:
+        return str(exc)
+    return (s.image_id, s.score.hex(), s.n_detections)
+
+
+class TestScoreImageReference:
+    """One scoring pass per image gives the bits, and the first error,
+    of scoring one detection at a time
+    (tests_support_reference.reference_score_image)."""
+
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=lambda c: f"{c.comb}-{c.agg}-{c.w_cls}-{c.w_reg}")
+    def test_random_detections(self, cfg):
+        rng = np.random.default_rng(3)
+        for n in (1, 2, 3, 7, 40):
+            for n_classes in (1, 3, 5):
+                dets = random_detections(rng, n, n_classes)
+                assert (score_or_error(score_image, dets, cfg)
+                        == score_or_error(reference_score_image, dets, cfg))
+
+    def test_tied_terms_under_max(self):
+        # w_reg = 0 makes the regression term a signed zero, tied with a
+        # zero classification entropy: max keeps the first operand
+        det = FusedDetection(class_probs=np.array([0.0, 1.0]), box_mean=np.zeros(4),
+                             box_cov=1e-6 * np.eye(4))
+        for w_reg in (0.0, 1.0):
+            cfg = AcquisitionConfig(comb="max", agg="sum", w_reg=w_reg)
+            assert (score_or_error(score_image, [det, det], cfg)
+                    == score_or_error(reference_score_image, [det, det], cfg))
+
+    BAD = {
+        "score-range": lambda d: FusedDetection(np.array([0.5, 1.5]), d.box_mean, d.box_cov),
+        "nan-score": lambda d: FusedDetection(np.array([np.nan, 0.5]), d.box_mean, d.box_cov),
+        "asymmetric": lambda d: FusedDetection(d.class_probs, d.box_mean,
+                                               d.box_cov + np.triu(np.ones((4, 4)), 1)),
+        "singular": lambda d: FusedDetection(d.class_probs, d.box_mean, np.zeros((4, 4))),
+        "negative-definite": lambda d: FusedDetection(d.class_probs, d.box_mean,
+                                                      -np.eye(4)),
+        "nan-cov": lambda d: FusedDetection(d.class_probs, d.box_mean,
+                                            np.full((4, 4), np.nan)),
+        "inf-cov": lambda d: FusedDetection(d.class_probs, d.box_mean, np.diag([1, 1, 1, np.inf])),
+        "not-square": lambda d: FusedDetection(d.class_probs, d.box_mean, np.eye(4)[:3]),
+    }
+
+    @settings(max_examples=80, deadline=None)
+    @given(kinds=st.lists(st.sampled_from(sorted(BAD)), min_size=1, max_size=3),
+           n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    def test_first_error_matches(self, kinds, n, seed):
+        rng = np.random.default_rng(seed)
+        dets = random_detections(rng, n + len(kinds), 2)
+        for kind, good in zip(kinds, dets[n:]):
+            dets[int(rng.integers(0, n))] = self.BAD[kind](good)
+        dets = dets[:n]
+        if len({np.shape(d.box_cov) for d in dets}) > 1:
+            dets = [d for d in dets if np.shape(d.box_cov) == np.shape(dets[0].box_cov)]
+        with np.errstate(invalid="ignore"):
+            assert (score_or_error(score_image, dets, CONFIGS[0])
+                    == score_or_error(reference_score_image, dets, CONFIGS[0]))
+
+    def test_one_row_kernels(self):
+        rng = np.random.default_rng(4)
+        for det in random_detections(rng, 50, 4):
+            assert cls_entropy(det.class_probs) == reference_cls_entropy(det.class_probs)
+            assert reg_entropy(det.box_cov) == reference_reg_entropy(det.box_cov)
+        for bad in ([0.5, 1.5], [-0.1]):
+            with pytest.raises(ValueError, match=r"class scores must lie in \[0, 1\]"):
+                cls_entropy(bad)

@@ -6,10 +6,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from tests_support_reference import dense_image_text, reference_score_stdout
 
 from sim2real_al import cli
 from sim2real_al import loop as al
+from sim2real_al.acquisition import AcquisitionConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -414,6 +417,37 @@ class TestCmdScore:
         assert cli.main(["score", "--anchors", str(path), *flags]) == 0
         assert capsys.readouterr().out.splitlines() == [
             "image_id,score,n_detections", row]
+
+    def test_score_comma_in_image_id_exits_2(self, tmp_path, capsys):
+        # a ',' in an id would add a field to the CSV row
+        path = tmp_path / "anchors.txt"
+        path.write_text(self.GOOD_IMAGE + "image a,b 1 1 1\n0.5\n0 0 1 1\n")
+        assert cli.main(["score", "--anchors", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot read anchor records: image a,b: ")
+
+    @pytest.mark.parametrize("flags", [
+        [], ["--cls-bayesian"], ["--comb", "max", "--agg", "sum"],
+        ["--agg", "max", "--iou-threshold", "0.3", "--w-reg", "0.5"],
+        ["--cls-bayesian", "--comb", "max", "--iou-threshold", "0.8"],
+        ["--iou-threshold", "0", "--w-cls", "0"], ["--iou-threshold", "1"],
+    ], ids=lambda flags: " ".join(flags) or "default")
+    def test_score_stdout_matches_reference(self, tmp_path, capsys, flags):
+        """`score` prints the bytes of the line-by-line reader, per-cluster
+        fusion and per-detection scoring (tests_support_reference)."""
+        rng = np.random.default_rng(len(flags))
+        path = tmp_path / "anchors.txt"
+        path.write_text("# dump\n" + "".join(
+            dense_image_text(rng, f"img{i:03d}", n_objects=(0, 5), t=int(t),
+                             loose=bool(i % 2))
+            for i, t in enumerate(rng.choice([1, 3, 20], size=16))))
+        assert cli.main(["score", "--anchors", str(path), *flags]) == 0
+        args = cli.build_parser().parse_args(["score", "--anchors", str(path), *flags])
+        cfg = AcquisitionConfig(comb=args.comb, agg=args.agg, w_cls=args.w_cls,
+                                w_reg=args.w_reg)
+        assert capsys.readouterr().out == reference_score_stdout(
+            path, args.iou_threshold, args.cls_bayesian, cfg)
 
     def test_score_overflow_is_one_error_line(self, tmp_path):
         # finite boxes whose areas overflow: stderr carries no numpy warnings

@@ -1,12 +1,22 @@
 """Fusion: IoU, MC statistics, clustering, categorical/Gaussian products."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from tests_support_reference import (dense_image_text,
+                                     reference_bayesod_inference,
+                                     reference_read_anchor_records)
 
 from sim2real_al.fusion import (Anchors, bayesod_inference, cluster_anchors,
                                 fuse_categorical, fuse_gaussian, iou_matrix,
                                 mc_statistics, read_anchor_records,
                                 write_anchor_records)
+from sim2real_al.synthdata import (DetectionSceneSpec,
+                                   generate_detection_scenes,
+                                   synth_detector_outputs)
 
 
 def anchors_const(score_rows, boxes, t=3):
@@ -15,6 +25,12 @@ def anchors_const(score_rows, boxes, t=3):
     boxes = np.asarray(boxes, dtype=float)
     return Anchors(scores=np.repeat(scores[:, None, :], t, axis=1),
                    boxes=np.repeat(boxes[:, None, :], t, axis=1))
+
+
+def fuse_cluster(box_samples, **kwargs):
+    """fuse_gaussian on one cluster of all the given (n, T, 4) samples."""
+    return tuple(out[0] for out in fuse_gaussian(
+        box_samples, [np.arange(len(box_samples))], **kwargs))
 
 
 class TestAnchors:
@@ -187,7 +203,7 @@ class TestFuseGaussian:
     def test_singleton_identity(self):
         rng = np.random.default_rng(2)
         samples = rng.normal([10, 10, 30, 30], 1.5, size=(40, 4))
-        mean, cov = fuse_gaussian(samples[None], regularizer=1e-6)
+        mean, cov = fuse_cluster(samples[None], regularizer=1e-6)
         m0, c0 = mc_statistics(samples)
         np.testing.assert_allclose(mean, m0, atol=1e-8)
         np.testing.assert_allclose(cov, c0 + 1e-6 * np.eye(4), atol=1e-8)
@@ -203,7 +219,7 @@ class TestFuseGaussian:
             return (samples - samples.mean(0)) @ np.linalg.inv(
                 np.linalg.cholesky(np.cov(samples.T, ddof=1)).T) + mean
 
-        mean, cov = fuse_gaussian(np.stack([member(0.0), member(2.0)]), regularizer=0.0)
+        mean, cov = fuse_cluster(np.stack([member(0.0), member(2.0)]), regularizer=0.0)
         assert mean[0] == pytest.approx(1.0, abs=1e-9)
         assert cov[0, 0] == pytest.approx(0.5, abs=1e-9)
         np.testing.assert_allclose(mean[1:], [5, 5, 5], atol=1e-9)
@@ -212,7 +228,7 @@ class TestFuseGaussian:
         rng = np.random.default_rng(8)
         samples = rng.normal([5, 5, 20, 20], 2.0, size=(60, 4))
         for m in (2, 3, 5):
-            mean, cov = fuse_gaussian(np.tile(samples, (m, 1, 1)), regularizer=1e-6)
+            mean, cov = fuse_cluster(np.tile(samples, (m, 1, 1)), regularizer=1e-6)
             m0, c0 = mc_statistics(samples)
             np.testing.assert_allclose(mean, m0, atol=1e-10)
             np.testing.assert_allclose(cov, (c0 + 1e-6 * np.eye(4)) / m,
@@ -222,7 +238,7 @@ class TestFuseGaussian:
         rng = np.random.default_rng(21)
         for _ in range(20):
             members = rng.normal([0, 0, 20, 20], 2.0, size=(rng.integers(1, 5), 10, 4))
-            _, fused_cov = fuse_gaussian(members)
+            _, fused_cov = fuse_cluster(members)
             fused_prec = np.linalg.inv(fused_cov)
             for member in members:
                 _, c = mc_statistics(member)
@@ -233,8 +249,8 @@ class TestFuseGaussian:
     def test_member_order_invariance(self):
         rng = np.random.default_rng(22)
         members = rng.normal([0, 0, 20, 20], 2.0, size=(4, 12, 4))
-        mean, cov = fuse_gaussian(members)
-        mean_r, cov_r = fuse_gaussian(members[::-1])
+        mean, cov = fuse_cluster(members)
+        mean_r, cov_r = fuse_cluster(members[::-1])
         np.testing.assert_allclose(mean_r, mean, atol=1e-9)
         np.testing.assert_allclose(cov_r, cov, atol=1e-12)
 
@@ -265,7 +281,7 @@ class TestFuseGaussian:
                 return white @ np.diag([np.sqrt(v), 1, 1, 1]) \
                     + np.array([m, 10.0, 10.0, 30.0])  # cov diag(v,1,1,1)
 
-            mean, cov = fuse_gaussian(
+            mean, cov = fuse_cluster(
                 np.stack([member(m1, v1, 17), member(m2, v2, 18)]),
                 regularizer=0.0)
             assert mean[0] == pytest.approx(fused_m, abs=1e-9)
@@ -358,10 +374,248 @@ class TestInterchangeFormat:
         ("image a 2 1 1\n0.5\n0 0 1 1\n", "image a: truncated or malformed anchor block"),
         ("image a 1 1 1\nx\n0 0 1 1\n", "image a: could not convert"),
         ("image a 1 0 2\n", "image a: need at least one Monte-Carlo sample"),
+        ("image a 1 99999999999 1\n0.5\n0 0 1 1\n",
+         "image a: truncated or malformed anchor block"),
+        ("image a 99999999999 1 1\n0.5\n0 0 1 1\n",
+         "image a: truncated or malformed anchor block"),
+        ("image a 0 1 1\n\n0 0 1 1\n", "image a: truncated or malformed anchor block"),
+        ("image a 1 1 1\n0.5 # note\n0 0 1 1\n",
+         "image a: truncated or malformed anchor block"),
     ], ids=["truncated", "negative-count", "nan-score", "inf-box", "score-range",
-            "ragged-row", "not-a-number", "no-samples"])
+            "ragged-row", "not-a-number", "no-samples", "huge-count", "huge-width", "no-classes",
+            "trailing-comment"])
     def test_bad_block_names_image(self, tmp_path, text, match):
         path = tmp_path / "bad.txt"
         path.write_text(text)
         with pytest.raises(ValueError, match=match):
+            read_anchor_records(path)
+
+
+def assert_same_detections(got, expected):
+    assert len(got) == len(expected)
+    for g, e in zip(got, expected):
+        assert g.cluster_size == e.cluster_size
+        for name in ("class_probs", "box_mean", "box_cov"):
+            assert np.array_equal(getattr(g, name), getattr(e, name)), name
+
+
+class TestFusionReference:
+    """One fuse_gaussian call per image gives the bits of one call per
+    cluster (tests_support_reference.reference_bayesod_inference)."""
+
+    THRESHOLDS = [0.0, 0.05, 0.3, 0.5, 0.7, 0.95, 1.0]
+
+    @pytest.mark.parametrize("cls_bayesian", [False, True])
+    @pytest.mark.parametrize("t, n_classes, anchors_per_object",
+                             [(1, 3, 3), (10, 3, 3), (20, 1, 6), (130, 5, 2)])
+    def test_synth_outputs(self, t, n_classes, anchors_per_object, cls_bayesian):
+        spec = DetectionSceneSpec(n_classes=n_classes, objects_per_scene=(0, 8),
+                                  anchors_per_object=anchors_per_object,
+                                  mc_samples=t, sigma_box=3.0)
+        scenes = generate_detection_scenes(spec, 12, seed=t)
+        for i, scene in enumerate(scenes):
+            anchors = synth_detector_outputs(scene, spec, seed=i)
+            for threshold in self.THRESHOLDS:
+                assert_same_detections(
+                    bayesod_inference(anchors, threshold, cls_bayesian),
+                    reference_bayesod_inference(anchors, threshold, cls_bayesian))
+
+    @pytest.mark.parametrize("cls_bayesian", [False, True])
+    def test_dense_images(self, tmp_path, cls_bayesian):
+        rng = np.random.default_rng(5)
+        path = tmp_path / "dense.txt"
+        path.write_text("".join(dense_image_text(rng, f"im{i}", n_objects=(1, 8))
+                                for i in range(10)))
+        for _, anchors in read_anchor_records(path):
+            for threshold in self.THRESHOLDS:
+                assert_same_detections(
+                    bayesod_inference(anchors, threshold, cls_bayesian),
+                    reference_bayesod_inference(anchors, threshold, cls_bayesian))
+
+    def test_empty_image(self):
+        empty = Anchors(scores=np.empty((0, 5, 3)), boxes=np.empty((0, 5, 4)))
+        assert bayesod_inference(empty) == reference_bayesod_inference(empty) == []
+
+    def test_degenerate_cluster_raises_alike(self):
+        anchors = anchors_const([[0.9], [0.6]], [[0, 0, 10, 10], [50, 50, 60, 60]], t=1)
+        for fuse in (bayesod_inference, reference_bayesod_inference):
+            with pytest.raises(ValueError, match="degenerate covariance"):
+                fuse(anchors, regularizer=0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n_anchors=st.integers(1, 14), t=st.integers(1, 6),
+           n_classes=st.integers(1, 4), threshold=st.floats(0.0, 1.0),
+           cls_bayesian=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_random_images(self, n_anchors, t, n_classes, threshold,
+                           cls_bayesian, seed):
+        rng = np.random.default_rng(seed)
+        corners = rng.uniform(0.0, 30.0, (3, 2))
+        objects = np.concatenate([corners, corners + 15.0], axis=1)
+        picked = objects[rng.integers(0, 3, n_anchors)]
+        anchors = Anchors(
+            scores=rng.uniform(0.0, 1.0, (n_anchors, t, n_classes)),
+            boxes=picked[:, None, :] + rng.normal(0.0, 2.0, (n_anchors, t, 4)))
+        assert_same_detections(
+            bayesod_inference(anchors, threshold, cls_bayesian),
+            reference_bayesod_inference(anchors, threshold, cls_bayesian))
+
+
+def read_either(reader, path):
+    """(image ids, score and box bytes) of a file, or its ValueError message."""
+    try:
+        records = reader(path)
+    except ValueError as exc:
+        return str(exc)
+    return [(image_id, a.scores.shape, a.scores.tobytes(), a.boxes.tobytes())
+            for image_id, a in records]
+
+
+# tokens a mutation may put in place of a value, and whitespace it may use
+ODD_TOKENS = ["x", "nan", "-inf", "infinity", "1e999", "-0", "1_0", "1__0",
+              "１２", "١", "0x1", "+.5", "5.", "#", "#3", ",",
+              "image", "2.5", "1e-400", "0.5#"]
+ODD_SPACES = [" ", "\t", "  ", "\x0b", "\x0c", "\x1c", "\xa0", "　", "\r"]
+
+
+def mutate(text, rng):
+    """Apply a few random edits that a hand-made or damaged file may hold."""
+    lines = text.split("\n")
+    for _ in range(int(rng.integers(1, 4))):
+        lines = lines or [""]
+        i = int(rng.integers(0, len(lines)))
+        kind = int(rng.integers(0, 11))
+        if kind == 0:
+            del lines[i]
+        elif kind == 1:
+            lines.insert(i, lines[i])
+        elif kind == 2:
+            lines.insert(i, str(rng.choice(["", "   ", "# note", "\t# x y",
+                                            "　", "  #"])))
+        elif kind in (3, 4):
+            tokens = lines[i].split() or ["0.5"]
+            j = int(rng.integers(0, len(tokens)))
+            if kind == 3:
+                tokens[j] = str(rng.choice(ODD_TOKENS))
+            else:
+                tokens.insert(j, str(rng.choice(ODD_TOKENS)))
+            lines[i] = " ".join(tokens)
+        elif kind == 5:
+            lines[i] = str(rng.choice(ODD_SPACES)).join(lines[i].split(" "))
+        elif kind == 6:
+            lines[i] = " ".join(lines[i].split()[:-1])
+        elif kind == 7:
+            parts = lines[i].split()
+            if parts[:1] == ["image"] and len(parts) == 5:
+                k = int(rng.integers(1, 5))
+                parts[k] = str(rng.choice(["0", "2", "-1", "２", "1.0",
+                                           "99999999999", "a,b", "dup"]))
+                lines[i] = " ".join(parts)
+        elif kind == 8:
+            lines[i] = str(rng.choice(ODD_SPACES)) + lines[i]
+        elif kind == 9:
+            lines = lines[:i]
+        else:
+            lines.insert(i, "image dup 1 1 1\n0.5\n0 0 1 1")
+    out = "\n".join(lines)
+    if rng.random() < 0.2:
+        out = out.rstrip("\n")
+    if rng.random() < 0.1:
+        out = out.replace("\n", "\r\n")
+    return out
+
+
+class TestReaderReference:
+    """The block reader gives the records, or the error message, of the
+    line-by-line reader (tests_support_reference.reference_read_anchor_records)."""
+
+    @pytest.mark.parametrize("loose", [False, True])
+    def test_dense_files(self, tmp_path, loose):
+        rng = np.random.default_rng(11)
+        path = tmp_path / "dense.txt"
+        path.write_text("# anchor-sample interchange v1\n" + "".join(
+            dense_image_text(rng, f"img{i:05d}", n_objects=(0, 6), loose=loose)
+            for i in range(12)))
+        expected = read_either(reference_read_anchor_records, path)
+        assert isinstance(expected, list) and len(expected) == 12
+        assert read_either(read_anchor_records, path) == expected
+
+    def test_written_files(self, tmp_path):
+        rng = np.random.default_rng(12)
+        path = tmp_path / "repr.txt"
+        write_anchor_records(path, [
+            (f"r{i}", synth_detector_outputs(scene, DetectionSceneSpec(), seed=i))
+            for i, scene in enumerate(generate_detection_scenes(
+                DetectionSceneSpec(), 20, seed=rng.integers(1 << 30)))])
+        expected = read_either(reference_read_anchor_records, path)
+        assert isinstance(expected, list) and len(expected) == 20
+        assert read_either(read_anchor_records, path) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_mutated_files(self, tmp_path_factory, seed):
+        rng = np.random.default_rng(seed)
+        blocks = []
+        for i in range(int(rng.integers(1, 4))):
+            t, c, n = (int(v) for v in rng.integers([1, 0, 0], [3, 3, 3],
+                                                    endpoint=True))
+            t = 0 if rng.random() < 0.1 else t
+            if t * n == 0:
+                blocks.append(f"image e{i} {c} {t} {n}\n")
+                continue
+            rows = [" ".join(str(v) for v in rng.uniform(0.0, 1.0, c).round(3))
+                    for _ in range(t)] if c else []
+            rows += [" ".join(str(v) for v in rng.uniform(0, 9, 4).round(2))
+                     for _ in range(t)]
+            blocks.append(f"image i{i} {c} {t} {n}\n" + "\n".join(rows * n) + "\n")
+        text = mutate("# header\n" + "".join(blocks), rng)
+        path = tmp_path_factory.mktemp("mutated") / "anchors.txt"
+        path.write_text(text)
+        assert (read_either(read_anchor_records, path)
+                == read_either(reference_read_anchor_records, path)), repr(text)
+
+
+IMAGE_IDS = st.text(st.characters(blacklist_categories=("Cs", "Cc", "Zs", "Zl", "Zp"),
+                                  blacklist_characters=","), min_size=1, max_size=8)
+
+
+class TestRoundTrip:
+    @settings(max_examples=60, deadline=None)
+    @given(ids=st.lists(IMAGE_IDS, min_size=1, max_size=4, unique=True),
+           data=st.data())
+    def test_write_read_exact(self, tmp_path_factory, ids, data):
+        floats = st.floats(allow_nan=False, allow_infinity=False)
+        unit = st.floats(0.0, 1.0)
+        records = []
+        for image_id in ids:
+            n, t, c = (data.draw(st.integers(lo, 3)) for lo in (0, 1, 1))
+            scores = np.array(data.draw(st.lists(unit, min_size=n * t * c,
+                                                 max_size=n * t * c)), dtype=float)
+            boxes = np.array(data.draw(st.lists(floats, min_size=n * t * 4,
+                                                max_size=n * t * 4)), dtype=float)
+            records.append((image_id, Anchors(scores=scores.reshape(n, t, c),
+                                              boxes=boxes.reshape(n, t, 4))))
+        path = tmp_path_factory.mktemp("round") / "anchors.txt"
+        write_anchor_records(path, records)
+        back = read_anchor_records(path)
+        assert [image_id for image_id, _ in back] == ids
+        for (_, a), (_, b) in zip(records, back):
+            assert len(a) == len(b)
+            if len(a):
+                assert a.scores.shape == b.scores.shape
+                assert a.scores.tobytes() == b.scores.tobytes()
+                assert a.boxes.tobytes() == b.boxes.tobytes()
+
+
+class TestImageIds:
+    @pytest.mark.parametrize("image_id", ["a b", "", "a,b", "tab\there", "x　y", "n\n"])
+    def test_writer_rejects_unreadable_id(self, tmp_path, image_id):
+        empty = Anchors(scores=np.empty((0, 1, 1)), boxes=np.empty((0, 1, 4)))
+        with pytest.raises(ValueError, match=re.escape(f"image id {image_id!r}")):
+            write_anchor_records(tmp_path / "a.txt", [("ok", empty), (image_id, empty)])
+        assert not (tmp_path / "a.txt").exists()
+
+    def test_reader_rejects_comma(self, tmp_path):
+        path = tmp_path / "a.txt"
+        path.write_text("image a,b 1 1 1\n0.5\n0 0 1 1\n")
+        with pytest.raises(ValueError, match="^image a,b: "):
             read_anchor_records(path)

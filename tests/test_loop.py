@@ -336,6 +336,21 @@ class TestRunAlDetection:
         with pytest.raises(ValueError, match="classification track"):
             al.run_al(cfg, datasets, learner, oracle, seed=1)
 
+    def test_batchbald_rejected_before_any_detection(self):
+        cfg, datasets, oracle, _ = tiny_detection(strategy="batchbald")
+
+        class FailingSurrogate:
+            def with_sim(self, scenes):
+                return self
+
+            with_real = with_sim
+
+            def detect(self, *args, **kwargs):
+                raise AssertionError("detect ran before the strategy check")
+
+        with pytest.raises(ValueError, match="classification track"):
+            al.run_al(cfg, datasets, FailingSurrogate(), oracle, seed=1)
+
     def test_strategies_run(self):
         for strategy in ("topn", "subsample_topn", "coreset", "clue"):
             cfg, datasets, oracle, learner = tiny_detection(strategy=strategy,
