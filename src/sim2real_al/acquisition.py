@@ -24,18 +24,6 @@ COMB_MODES = ("sum", "max")
 AGG_MODES = ("max", "sum", "avg")
 
 
-@dataclass(frozen=True)
-class UncertaintyPair:
-    """Classification and regression uncertainty of one detection (nats)."""
-
-    u_cls: float
-    u_reg: float
-
-    def __post_init__(self):
-        _raise_first_failure(_pair_checks(np.array([self.u_cls]),
-                                          np.array([self.u_reg])))
-
-
 @dataclass
 class AcquisitionConfig:
     """How detection uncertainties combine into one image score.
@@ -110,11 +98,9 @@ def _gaussian_entropies(covs: np.ndarray):
         not_square = np.ones(len(covs), dtype=bool)
         return np.full(len(covs), np.nan), [
             ("covariance must be a square matrix", not_square)]
-    transposed = np.swapaxes(covs, 1, 2)
-    if (covs == transposed).all():  # as fused covariances are
-        asymmetric = np.zeros(len(covs), dtype=bool)
-    else:  # np.allclose(cov, cov.T, atol=1e-10) per matrix
-        asymmetric = ~np.isclose(covs, transposed, atol=1e-10).all(axis=(1, 2))
+    # np.allclose(cov, cov.T, atol=1e-10) per matrix
+    asymmetric = ~np.isclose(covs, np.swapaxes(covs, 1, 2),
+                             atol=1e-10).all(axis=(1, 2))
     with np.errstate(invalid="ignore"):  # NaN matrices fail the symmetry check
         sign, logdet = np.linalg.slogdet(covs)
     k = covs.shape[-1]
@@ -174,11 +160,6 @@ def reg_entropy(cov) -> float:
     entropies, checks = _gaussian_entropies(np.asarray(cov, dtype=float)[None])
     _raise_first_failure(checks)
     return entropies[0]
-
-
-def combine(u: UncertaintyPair, cfg: AcquisitionConfig) -> float:
-    """Collapse an uncertainty pair into one number per cfg.comb."""
-    return float(_combined(u.u_cls, u.u_reg, cfg))
 
 
 def score_image(detections, cfg: AcquisitionConfig, image_id=0) -> ImageScore:

@@ -247,16 +247,18 @@ def bayesod_inference(anchors: Anchors,
 # ---------------------------------------------------------------------------
 
 # "Whitespace" is str.split()'s: re's \s on str patterns is the same set.
-_JUNK_LINES = r"(?:[^\S\n]*+(?:#[^\n]*+)?+\n)*+"
+# A data line cannot start with '#', so a line is either junk or data and
+# every failed match backtracks only over single characters.
+_JUNK_LINES = r"(?:[^\S\n]*(?:#[^\n]*)?\n)*"
 _JUNK_RE = re.compile(_JUNK_LINES)
-_COMMENT_LINE_RE = re.compile(r"^[^\S\n]*+#[^\n]*+", re.MULTILINE)
+_COMMENT_LINE_RE = re.compile(r"^[^\S\n]*#[^\n]*", re.MULTILINE)
 
 
 def _rows_pattern(n_rows: int, width: int) -> str:
     """n_rows data lines of exactly `width` tokens, comment and blank
     lines allowed before each."""
-    row = (_JUNK_LINES + r"[^\S\n]*+\S++"
-           + r"(?:[^\S\n]++\S++){%d}[^\S\n]*+\n" % (width - 1))
+    row = (_JUNK_LINES + r"[^\S\n]*[^\s#]\S*"
+           + r"(?:[^\S\n]+\S+){%d}[^\S\n]*\n" % (width - 1))
     return "(?:%s){%d}" % (row, n_rows)
 
 
@@ -325,9 +327,7 @@ def read_anchor_records(path) -> list[tuple[str, Anchors]]:
                 if match is None:
                     raise ValueError(malformed)
                 pos = match.end()
-        block = text[start:pos]
-        if "#" in block:
-            block = _COMMENT_LINE_RE.sub("", block)
+        block = _COMMENT_LINE_RE.sub("", text[start:pos])
         try:
             values = np.array(block.split(), dtype=float)
             values = values.reshape(n_anchors, t * (n_classes + 4))

@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from tests_support_reference import (reference_cls_entropy,
+                                     reference_combine,
                                      reference_reg_entropy,
                                      reference_score_image)
 
 from sim2real_al.acquisition import (AcquisitionConfig, ImageScore,
-                                     UncertaintyPair, categorical_entropy,
-                                     cls_entropy, combine, reg_entropy,
-                                     score_image)
+                                     _combined, _pair_checks,
+                                     _raise_first_failure, categorical_entropy,
+                                     cls_entropy, reg_entropy, score_image)
 from sim2real_al.fusion import FusedDetection
 
 
@@ -123,26 +124,68 @@ class TestRegEntropy:
             assert abs(reg_entropy(cov) - estimate) <= 3 * se
 
 
+def combine(u_cls, u_reg, cfg):
+    """The comb rule on one detection's pair, after its checks."""
+    _raise_first_failure(_pair_checks(np.array([u_cls]), np.array([u_reg])))
+    return float(_combined(np.array([u_cls]), np.array([u_reg]), cfg)[0])
+
+
 class TestCombine:
     def test_sum_with_default_weights(self):
         cfg = AcquisitionConfig(comb="sum", w_cls=1.0, w_reg=0.01)
-        assert combine(UncertaintyPair(0.5, 10.0), cfg) == pytest.approx(0.6)
+        assert combine(0.5, 10.0, cfg) == pytest.approx(0.6)
 
     def test_max_unit_weights(self):
         cfg = AcquisitionConfig(comb="max", w_cls=1.0, w_reg=1.0)
-        assert combine(UncertaintyPair(0.5, 10.0), cfg) == 10.0
+        assert combine(0.5, 10.0, cfg) == 10.0
 
     def test_cls_only(self):
         cfg = AcquisitionConfig(comb="sum", w_cls=1.0, w_reg=0.0)
-        assert combine(UncertaintyPair(0.7, 123.0), cfg) == pytest.approx(0.7)
+        assert combine(0.7, 123.0, cfg) == pytest.approx(0.7)
 
     def test_sum_linear_in_each_component(self):
         cfg = AcquisitionConfig(comb="sum", w_cls=2.0, w_reg=0.5)
         for a, b, c in [(0.1, 0.2, 0.3), (1.0, 2.0, 3.0)]:
-            vals = [combine(UncertaintyPair(v, 1.0), cfg) for v in (a, b, c)]
+            vals = [combine(v, 1.0, cfg) for v in (a, b, c)]
             assert vals[1] - vals[0] == pytest.approx(vals[2] - vals[1], abs=1e-12)
-            vals = [combine(UncertaintyPair(0.4, v), cfg) for v in (a, b, c)]
+            vals = [combine(0.4, v, cfg) for v in (a, b, c)]
             assert vals[1] - vals[0] == pytest.approx(vals[2] - vals[1], abs=1e-12)
+
+    def test_max_tie_keeps_classification_term(self):
+        # as Python's max(wc, wr): the first operand wins a tie, which
+        # shows in the sign of a zero
+        cfg = AcquisitionConfig(comb="max", w_cls=1.0, w_reg=1.0)
+        assert not math.copysign(1.0, combine(0.0, -0.0, cfg)) < 0
+        assert math.copysign(1.0, combine(-0.0, 0.0, cfg)) < 0
+
+    def test_arrays_match_reference(self):
+        rng = np.random.default_rng(6)
+        u_cls = np.concatenate([rng.uniform(0, 3, 50), [0.0, -0.0, 1.0]])
+        u_reg = np.concatenate([rng.normal(0, 20, 50), [-0.0, 0.0, 100.0]])
+        for comb in ("sum", "max"):
+            for w_cls, w_reg in ((1.0, 0.01), (0.0, 1.0), (1.0, 0.0), (0.3, 2.5)):
+                cfg = AcquisitionConfig(comb=comb, w_cls=w_cls, w_reg=w_reg)
+                got = _combined(u_cls, u_reg, cfg).tolist()
+                want = [reference_combine(c, r, cfg) for c, r in zip(u_cls, u_reg)]
+                assert [v.hex() for v in got] == [float(v).hex() for v in want]
+
+    @pytest.mark.parametrize("u_cls, u_reg, message", [
+        (float("nan"), 1.0, "uncertainties must be finite"),
+        (0.5, float("inf"), "uncertainties must be finite"),
+        (-0.1, 1.0, "classification entropy cannot be negative"),
+        (-0.1, float("nan"), "uncertainties must be finite"),
+    ])
+    def test_pair_checks(self, u_cls, u_reg, message):
+        with pytest.raises(ValueError, match=message):
+            combine(u_cls, u_reg, AcquisitionConfig())
+        with pytest.raises(ValueError, match=message):
+            reference_combine(u_cls, u_reg, AcquisitionConfig())
+
+    def test_pair_checks_first_failing_row(self):
+        u_cls = np.array([0.5, -0.1, float("nan")])
+        u_reg = np.array([1.0, 1.0, 1.0])
+        with pytest.raises(ValueError, match="cannot be negative"):
+            _raise_first_failure(_pair_checks(u_cls, u_reg))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

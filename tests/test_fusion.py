@@ -10,6 +10,7 @@ from tests_support_reference import (dense_image_text,
                                      reference_bayesod_inference,
                                      reference_read_anchor_records)
 
+from sim2real_al import fusion
 from sim2real_al.fusion import (Anchors, bayesod_inference, cluster_anchors,
                                 fuse_categorical, fuse_gaussian, iou_matrix,
                                 mc_statistics, read_anchor_records,
@@ -572,6 +573,26 @@ class TestReaderReference:
         path.write_text(text)
         assert (read_either(read_anchor_records, path)
                 == read_either(reference_read_anchor_records, path)), repr(text)
+
+    @pytest.mark.parametrize("text", [
+        # too few data rows: a pattern that could also take a comment line
+        # as a data row backtracks through 2**40 splits before failing
+        "image a 4 41 1\n" + "# 1 2 3\n0.1 0.2 0.3 0.4\n" * 40 + "\n" * 100,
+        # a ragged last row: taking a comment line as a row would match
+        "image a 4 4 1\n" + "# 1 2 3\n0.1 0.2 0.3 0.4\n" * 7 + "# 1 2 3\n0 0 1\n",
+    ], ids=["too-few-rows", "ragged-last-row"])
+    def test_comment_lines_shaped_like_rows(self, tmp_path, text):
+        path = tmp_path / "anchors.txt"
+        path.write_text(text)
+        expected = read_either(reference_read_anchor_records, path)
+        assert expected == "image a: truncated or malformed anchor block"
+        assert read_either(read_anchor_records, path) == expected
+
+    def test_patterns_are_python_310_syntax(self):
+        # possessive quantifiers and atomic groups need Python 3.11
+        for pattern in (fusion._JUNK_LINES, fusion._COMMENT_LINE_RE.pattern,
+                        fusion._rows_pattern(3, 4)):
+            assert not re.search(r"[*+?}]\+|\(\?>", pattern), pattern
 
 
 IMAGE_IDS = st.text(st.characters(blacklist_categories=("Cs", "Cc", "Zs", "Zl", "Zp"),
