@@ -247,17 +247,20 @@ def bayesod_inference(anchors: Anchors,
 # ---------------------------------------------------------------------------
 
 # "Whitespace" is str.split()'s: re's \s on str patterns is the same set.
-# A data line cannot start with '#', so a line is either junk or data and
-# every failed match backtracks only over single characters.
-_JUNK_LINES = r"(?:[^\S\n]*(?:#[^\n]*)?\n)*"
-_JUNK_RE = re.compile(_JUNK_LINES)
-_COMMENT_LINE_RE = re.compile(r"^[^\S\n]*#[^\n]*", re.MULTILINE)
+# _JUNK runs from a line start over blank and comment lines, and the
+# leading whitespace of the next line, to that line's first token; a data
+# line cannot start with '#' and a comment runs to its '\n', so no line
+# reads both ways and a failing match backtracks only over single
+# characters.
+_JUNK = r"\s*(?:#[^\n]*\n\s*)*"
+_JUNK_RE = re.compile(_JUNK)
+_COMMENT_LINE_RE = re.compile(r"\n[^\S\n]*#[^\n]*")
 
 
 def _rows_pattern(n_rows: int, width: int) -> str:
     """n_rows data lines of exactly `width` tokens, comment and blank
     lines allowed before each."""
-    row = (_JUNK_LINES + r"[^\S\n]*[^\s#]\S*"
+    row = (_JUNK + r"[^\s#]\S*"
            + r"(?:[^\S\n]+\S+){%d}[^\S\n]*\n" % (width - 1))
     return "(?:%s){%d}" % (row, n_rows)
 
@@ -327,7 +330,7 @@ def read_anchor_records(path) -> list[tuple[str, Anchors]]:
                 if match is None:
                     raise ValueError(malformed)
                 pos = match.end()
-        block = _COMMENT_LINE_RE.sub("", text[start:pos])
+        block = _COMMENT_LINE_RE.sub("\n", text[start - 1:pos])  # header's '\n' on
         try:
             values = np.array(block.split(), dtype=float)
             values = values.reshape(n_anchors, t * (n_classes + 4))

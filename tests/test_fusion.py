@@ -360,6 +360,17 @@ class TestInterchangeFormat:
         assert "image x 0 0 0\n" in path.read_text()
         assert len(read_anchor_records(path)[0][1]) == 0
 
+    def test_comment_and_blank_lines_anywhere(self, tmp_path):
+        path = tmp_path / "anchors.txt"
+        path.write_text("# head\n\n  # indented\nimage a 1 1 2\n# after header\n"
+                        "0.25\n \t\n0 0 1 1\n#\n0.5\n# mid-anchor\n0 0 2 2\n"
+                        "\n# between images\nimage b 1 1 1\n0.75\n0 0 3 3\n# end")
+        (id_a, a), (id_b, b) = read_anchor_records(path)
+        assert (id_a, id_b) == ("a", "b")
+        np.testing.assert_array_equal(a.scores.ravel(), [0.25, 0.5])
+        np.testing.assert_array_equal(a.boxes[:, 0, 2], [1, 2])
+        np.testing.assert_array_equal(b.boxes.ravel(), [0, 0, 3, 3])
+
     def test_malformed_header(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("not-an-image-header 1 2 3\n")
@@ -580,7 +591,9 @@ class TestReaderReference:
         "image a 4 41 1\n" + "# 1 2 3\n0.1 0.2 0.3 0.4\n" * 40 + "\n" * 100,
         # a ragged last row: taking a comment line as a row would match
         "image a 4 4 1\n" + "# 1 2 3\n0.1 0.2 0.3 0.4\n" * 7 + "# 1 2 3\n0 0 1\n",
-    ], ids=["too-few-rows", "ragged-last-row"])
+        # the same, with a row that a comment cut short would hold
+        "image a 4 4 1\n" + "# note 1 2 3 4\n0.1 0.2 0.3 0.4\n" * 7 + "# note 1 2 3 4\n0 0 1\n",
+    ], ids=["too-few-rows", "ragged-last-row", "row-inside-comment"])
     def test_comment_lines_shaped_like_rows(self, tmp_path, text):
         path = tmp_path / "anchors.txt"
         path.write_text(text)
@@ -590,7 +603,7 @@ class TestReaderReference:
 
     def test_patterns_are_python_310_syntax(self):
         # possessive quantifiers and atomic groups need Python 3.11
-        for pattern in (fusion._JUNK_LINES, fusion._COMMENT_LINE_RE.pattern,
+        for pattern in (fusion._JUNK, fusion._COMMENT_LINE_RE.pattern,
                         fusion._rows_pattern(3, 4)):
             assert not re.search(r"[*+?}]\+|\(\?>", pattern), pattern
 
