@@ -22,7 +22,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from importlib import resources
 from pathlib import Path
 
@@ -237,74 +237,53 @@ def build_experiment_config(raw: dict, path: str,
         values[key] = default
 
     seeds = values["seeds"]
+    where = f"{path}:{raw['seeds'][1]}" if "seeds" in raw else path
     if len(set(seeds)) != len(seeds):
         repeated = next(s for i, s in enumerate(seeds) if s in seeds[:i])
-        raise ConfigError(f"{path}:{raw['seeds'][1]}: duplicate seed "
-                          f"{repeated} in 'seeds'")
+        raise ConfigError(f"{where}: duplicate seed {repeated} in 'seeds'")
+    if seeds and min(seeds) < 0:
+        raise ConfigError(f"{where}: 'seeds': seed {min(seeds)} is negative")
     for key in ("selection.strategy", "strategies"):
         names = values[key] if key == "strategies" else [values[key]]
         where = f"{path}:{raw[key][1]}" if key in raw else path
         _check_strategies(names, track, f"{where}: {key!r}")
 
-    try:
-        selection = SelectionConfig(
-            strategy=values["selection.strategy"],
-            batch_size=values["selection.batch_size"],
-            subsample_fraction=values["selection.subsample_fraction"],
-            mc_count=values["selection.mc_count"])
-    except ValueError as exc:
-        raise ConfigError(f"{path}: selection.strategy/batch_size: {exc}") from None
-    try:
-        acquisition = AcquisitionConfig(
-            comb=values["acquisition.comb"], agg=values["acquisition.agg"],
-            w_cls=values["acquisition.w_cls"], w_reg=values["acquisition.w_reg"],
-            empty_image_score=values["acquisition.empty_image_score"])
-    except ValueError as exc:
-        raise ConfigError(f"{path}: acquisition.*: {exc}") from None
+    def built(cls, section, names, **fixed):
+        """cls from the values of the keys `section.name`.  The rules
+        live in cls.__post_init__, whose ValueError starts with the
+        failing parameter's name; it is re-raised at that key's line."""
+        try:
+            return cls(**{n: values[f"{section}.{n}"] for n in names}, **fixed)
+        except ValueError as exc:
+            name = str(exc).split()[0]
+            if name not in names:
+                raise ConfigError(f"{path}: {section}: {exc}") from None
+            key = f"{section}.{name}"
+            where = f"{path}:{raw[key][1]}" if key in raw else path
+            raise ConfigError(f"{where}: {key!r}: {exc}") from None
 
+    selection = built(SelectionConfig, "selection",
+                      ("strategy", "batch_size", "subsample_fraction", "mc_count"))
+    acquisition = built(AcquisitionConfig, "acquisition",
+                        ("comb", "agg", "w_cls", "w_reg", "empty_image_score"))
     if track == "classification":
-        train = TrainConfig(epochs=values["train.epochs"],
-                            learning_rate=values["train.learning_rate"],
-                            batch_size=values["train.batch_size"],
-                            fine_tune=values["train.fine_tune"])
-        dataset_spec = al.ClassificationExperimentSpec(
-            n_classes=values["dataset.n_classes"], dim=values["dataset.dim"],
-            sim_size=values["dataset.sim_size"],
-            pool_size=values["dataset.pool_size"],
-            test_size=values["dataset.test_size"],
-            class_separation=values["dataset.class_separation"],
-            cov_scale=values["dataset.cov_scale"],
-            mean_shift=values["dataset.mean_shift"],
-            label_skew=values["dataset.label_skew"],
-            hidden_dim=values["dataset.hidden_dim"],
-            dropout_rate=values["dataset.dropout_rate"],
-            seed=values["dataset.seed"])
+        train = built(TrainConfig, "train",
+                      ("epochs", "learning_rate", "batch_size", "fine_tune"))
+        spec_cls, extra = al.ClassificationExperimentSpec, {}
     else:
         train = TrainConfig()
-        dataset_spec = al.DetectionExperimentSpec(
-            n_classes=values["dataset.n_classes"],
-            width=values["dataset.width"], height=values["dataset.height"],
-            objects_min=values["dataset.objects_min"],
-            objects_max=values["dataset.objects_max"],
-            box_min=values["dataset.box_min"], box_max=values["dataset.box_max"],
-            anchors_per_object=values["dataset.anchors_per_object"],
-            mc_samples=values["dataset.mc_samples"],
-            sim_scenes=values["dataset.sim_scenes"],
-            pool_scenes=values["dataset.pool_scenes"],
-            test_scenes=values["dataset.test_scenes"],
-            label_skew=values["dataset.label_skew"],
-            surrogate=al.SurrogateParams(kappa=values["surrogate.kappa"],
-                                         sim_weight=values["surrogate.sim_weight"]),
-            seed=values["dataset.seed"])
-
-    run_cfg = al.ALRunConfig(
-        iterations=values["loop.iterations"], selection=selection,
-        acquisition=acquisition, train=train,
-        seeds=tuple(values["seeds"]), level=values["loop.level"],
-        replay=values["loop.replay"], mc_passes=values["loop.mc_passes"],
-        selection_seed=values["selection.seed"],
-        iou_threshold=values["loop.iou_threshold"],
-        cls_bayesian=values["loop.cls_bayesian"])
+        spec_cls = al.DetectionExperimentSpec
+        extra = {"surrogate": al.SurrogateParams(
+            kappa=values["surrogate.kappa"],
+            sim_weight=values["surrogate.sim_weight"])}
+    dataset_spec = built(spec_cls, "dataset",
+                         [f.name for f in fields(spec_cls) if f.name not in extra],
+                         **extra)
+    run_cfg = built(al.ALRunConfig, "loop",
+                    ("iterations", "level", "replay", "mc_passes",
+                     "iou_threshold", "cls_bayesian"),
+                    selection=selection, acquisition=acquisition, train=train,
+                    seeds=tuple(seeds), selection_seed=values["selection.seed"])
 
     return ExperimentConfig(track=track, name=values["name"],
                             seeds=list(values["seeds"]),
@@ -370,9 +349,18 @@ def _default_out(excfg: ExperimentConfig, config_arg: str) -> Path:
     return Path(root) / name
 
 
+def _seeds(args, excfg: ExperimentConfig) -> list[int]:
+    """The config's seeds, or the one --seed overriding them."""
+    if args.seed is None:
+        return excfg.seeds
+    if args.seed < 0:
+        raise ConfigError(f"--seed: seed {args.seed} is negative")
+    return [args.seed]
+
+
 def cmd_run(args) -> int:
     excfg = load_config(args.config, args.track)
-    seeds = [args.seed] if args.seed is not None else excfg.seeds
+    seeds = _seeds(args, excfg)
     strategy = args.strategy or excfg.al.selection.strategy
     if args.strategy:
         _check_strategies([strategy], excfg.track, "--strategy")
@@ -396,7 +384,7 @@ def cmd_sweep(args) -> int:
     if len(strategies) < 2:
         raise ConfigError("sweep needs at least 2 strategies "
                           "(set 'strategies = a,b,...' in the config)")
-    seeds = [args.seed] if args.seed is not None else excfg.seeds
+    seeds = _seeds(args, excfg)
     out_root = Path(args.out) if args.out else _default_out(excfg, args.config)
     _fresh_dir(out_root)
 

@@ -16,8 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-CHECKPOINT_VERSION = 1
-
 
 @dataclass
 class TrainConfig:
@@ -262,25 +260,3 @@ def gradient_check(model: MCDropoutClassifier, x, y, n_checks: int = 40,
         worst = max(worst, rel)
     return worst
 
-
-# ---------------------------------------------------------------------------
-# checkpoints: versioned npz with layer sizes and weights, bit-exact
-# ---------------------------------------------------------------------------
-
-def save_checkpoint(model: MCDropoutClassifier, path) -> None:
-    np.savez(path,
-             version=np.array([CHECKPOINT_VERSION]),
-             dims=np.array([model.input_dim, model.hidden_dim, model.n_classes]),
-             dropout_rate=np.array([model.dropout_rate]),
-             w1=model.w1, b1=model.b1, w2=model.w2, b2=model.b2)
-
-
-def load_checkpoint(path) -> MCDropoutClassifier:
-    data = np.load(path)
-    version = int(data["version"][0])
-    if version != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {version}")
-    dims = data["dims"]
-    return MCDropoutClassifier(int(dims[0]), int(dims[1]), int(dims[2]),
-                               dropout_rate=float(data["dropout_rate"][0]),
-                               params=(data["w1"], data["b1"], data["w2"], data["b2"]))

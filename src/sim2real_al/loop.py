@@ -25,10 +25,9 @@ from . import sampling
 from .fusion import bayesod_inference, iou_matrix
 from .learner import MCDropoutClassifier, TrainConfig
 from .synthdata import (ClassificationDomainSpec, DetectionScene,
-                        DetectionSceneSpec, LabeledExample,
-                        generate_classification, generate_detection_scenes,
-                        grid_class_means, shifted_domain, skewed_priors,
-                        stack_examples, synth_detector_outputs)
+                        DetectionSceneSpec, generate_classification,
+                        generate_detection_scenes, grid_class_means,
+                        shifted_domain, skewed_priors, synth_detector_outputs)
 
 # seed stream tags (mixed into SeedSequence entropy)
 _TRAIN, _SELECT, _EVAL, _REFERENCE, _SCORE, _PREDICT, _DATA = range(7)
@@ -70,8 +69,6 @@ class ALState:
 
     pool_ids: list[int]
     labeled_ids: list[int] = field(default_factory=list)
-    iteration: int = 0
-    model: object = None
 
     def acquire(self, ids) -> None:
         ids = list(ids)
@@ -247,7 +244,8 @@ def _entropy_rows(probs: np.ndarray) -> np.ndarray:
 
 @dataclass
 class ClassificationDatasets:
-    sim_train: list[LabeledExample]
+    sim_x: np.ndarray
+    sim_y: np.ndarray
     pool_x: np.ndarray
     test_x: np.ndarray
     test_y: np.ndarray
@@ -371,12 +369,48 @@ class DetectionSurrogate:
 # ---------------------------------------------------------------------------
 
 def run_al(cfg: ALRunConfig, datasets, learner, oracle, seed: int = 0) -> LearningCurve:
-    """One full active-learning run; see module docstring for the steps."""
+    """One full active-learning run; see module docstring for the steps.
+
+    One skeleton serves both tracks: a track object holds the current
+    model and supplies the track's own steps (start, evaluate, the
+    reference performance, learning from a labeled batch, the batch's
+    labels) and what each selection strategy needs from the model.
+    """
     if isinstance(datasets, ClassificationDatasets):
-        return _run_classification(cfg, datasets, learner, oracle, seed)
-    if isinstance(datasets, DetectionDatasets):
-        return _run_detection(cfg, datasets, learner, oracle, seed)
-    raise TypeError(f"unsupported dataset bundle {type(datasets).__name__}")
+        track = _ClassificationTrack(cfg, datasets, seed)
+    elif isinstance(datasets, DetectionDatasets):
+        track = _DetectionTrack(cfg, datasets, seed)
+    else:
+        raise TypeError(f"unsupported dataset bundle {type(datasets).__name__}")
+    n_pool0 = track.pool_size
+    state = ALState(pool_ids=list(range(n_pool0)))
+    track.start(learner)
+    sim_perf = track.evaluate(0)
+    real_perf = datasets.real_perf
+    if real_perf is None:
+        real_perf = track.reference_perf(learner, oracle(state.pool_ids))
+
+    points = [CurvePoint(0, 0, 0.0, sim_perf, 0.0)]
+    selected_log: list[list[int]] = []
+    truncated = False
+    for it in range(1, cfg.iterations + 1):
+        if _cannot_fill_batch(cfg.selection, len(state.pool_ids)):
+            truncated = True
+            break
+        ids = _select(cfg, track, state.pool_ids, seed, it)
+        batch = oracle(ids)
+        state.acquire(ids)
+        track.learn(ids, batch, it)
+        metric = track.evaluate(it)
+        count = len(state.labeled_ids)
+        icv = inter_class_variation(track.labels(batch), datasets.n_classes)
+        points.append(CurvePoint(it, count, count / n_pool0, metric, icv))
+        selected_log.append(list(ids))
+
+    return LearningCurve(points=points, sim_perf=sim_perf, real_perf=real_perf,
+                         strategy=cfg.selection.strategy, seed=seed,
+                         level=cfg.level, truncated=truncated,
+                         selected_ids=selected_log)
 
 
 def _cannot_fill_batch(sel, pool_size: int) -> bool:
@@ -387,202 +421,166 @@ def _cannot_fill_batch(sel, pool_size: int) -> bool:
     return pool_size < sel.batch_size
 
 
-def _run_classification(cfg, data: ClassificationDatasets, learner, oracle,
-                        seed: int) -> LearningCurve:
-    x_sim, y_sim = stack_examples(data.sim_train)
-    pool_x = np.asarray(data.pool_x, dtype=float)
-    n_pool0 = pool_x.shape[0]
-    state = ALState(pool_ids=list(range(n_pool0)))
-
-    t0 = replace(cfg.train, fine_tune=False,
-                 seed=_seed_int(_stream_seed(seed, _TRAIN, 0)))
-    state.model = learner.fit(x_sim, y_sim, t0)
-    sim_perf = evaluate_classifier(state.model, data.test_x, data.test_y)
-
-    if data.real_perf is not None:
-        real_perf = data.real_perf
-    else:
-        ref_cfg = replace(cfg.train, fine_tune=False,
-                          seed=_seed_int(_stream_seed(seed, _REFERENCE, 0)))
-        ref_model = learner.fit(pool_x, oracle(state.pool_ids), ref_cfg)
-        real_perf = evaluate_classifier(ref_model, data.test_x, data.test_y)
-
-    points = [CurvePoint(0, 0, 0.0, sim_perf, 0.0)]
-    labeled_y = np.empty(0, dtype=int)
-    selected_log: list[list[int]] = []
-    truncated = False
-
-    for it in range(1, cfg.iterations + 1):
-        if _cannot_fill_batch(cfg.selection, len(state.pool_ids)):
-            truncated = True
-            break
-        state.iteration = it
-        labeled_x = pool_x[state.labeled_ids]
-        ids = _select_classification(cfg, state.model, pool_x, state.pool_ids,
-                                     np.vstack([x_sim, labeled_x]), seed, it)
-        batch_y = np.asarray(oracle(ids), dtype=int)
-        state.acquire(ids)
-        labeled_x = pool_x[state.labeled_ids]
-        labeled_y = np.concatenate([labeled_y, batch_y])
-
-        if cfg.replay:
-            xt = np.vstack([x_sim, labeled_x])
-            yt = np.concatenate([y_sim, labeled_y])
-        else:
-            xt, yt = labeled_x, labeled_y
-        tcfg = replace(cfg.train, seed=_seed_int(_stream_seed(seed, _TRAIN, it)))
-        state.model = state.model.fit(xt, yt, tcfg)
-
-        metric = evaluate_classifier(state.model, data.test_x, data.test_y)
-        points.append(CurvePoint(it, len(labeled_y), len(labeled_y) / n_pool0,
-                                 metric, inter_class_variation(batch_y, data.n_classes)))
-        selected_log.append(list(ids))
-
-    return LearningCurve(points=points, sim_perf=sim_perf, real_perf=real_perf,
-                         strategy=cfg.selection.strategy, seed=seed,
-                         level=cfg.level, truncated=truncated,
-                         selected_ids=selected_log)
-
-
-def _select_classification(cfg, model, pool_x, pool_ids, labeled_x, seed, it):
+def _select(cfg, track, pool_ids, seed, it) -> list:
+    """B pool ids by the configured strategy, from the track's inputs:
+    a per-id score, pool and labeled features, clue weights or MC
+    samples of the current model."""
     sel = cfg.selection
     sel_seed = _stream_seed(seed, _SELECT, it, cfg.selection_seed)
-
-    def entropy_of(pid):
-        return acq.categorical_entropy(model.predict_mean(pool_x[pid]))
-
+    score = functools.partial(track.score, it=it)
     if sel.strategy == "random":
         return sampling.select_random(pool_ids, sel.batch_size, sel_seed)
     if sel.strategy == "topn":
-        scored = [(pid, entropy_of(pid)) for pid in pool_ids]
-        return sampling.select_topn(scored, sel.batch_size)
+        return sampling.select_topn([(pid, score(pid)) for pid in pool_ids],
+                                    sel.batch_size)
     if sel.strategy == "subsample_topn":
-        return sampling.select_subsample_topn(pool_ids, entropy_of,
+        return sampling.select_subsample_topn(pool_ids, score,
                                               sel.subsample_fraction,
                                               sel.batch_size, sel_seed)
     if sel.strategy == "coreset":
-        idx = sampling.select_coreset(model.features(pool_x[pool_ids]),
-                                      model.features(labeled_x),
-                                      sel.batch_size)
-        return [pool_ids[i] for i in idx]
-    if sel.strategy == "batchbald":
-        pred_seed = _seed_int(_stream_seed(seed, _PREDICT, it))
-        samples = model.predict_samples(pool_x[pool_ids], cfg.mc_passes,
-                                        seed=pred_seed)
-        idx = sampling.select_batchbald(samples, sel.batch_size,
-                                        sel.mc_count, sel_seed)
-        return [pool_ids[i] for i in idx]
-    if sel.strategy == "clue":
-        probs = np.atleast_2d(model.predict_mean(pool_x[pool_ids]))
-        idx = sampling.select_clue(model.features(pool_x[pool_ids]),
-                                   _entropy_rows(probs),
+        idx = sampling.select_coreset(track.pool_features(pool_ids, it),
+                                      track.labeled_features(it), sel.batch_size)
+    elif sel.strategy == "batchbald":
+        idx = sampling.select_batchbald(track.mc_samples(pool_ids, it),
+                                        sel.batch_size, sel.mc_count, sel_seed)
+    elif sel.strategy == "clue":
+        idx = sampling.select_clue(track.pool_features(pool_ids, it),
+                                   track.clue_weights(pool_ids, it),
                                    sel.batch_size, sel_seed)
-        return [pool_ids[i] for i in idx]
-    raise ValueError(f"unknown strategy {sel.strategy!r}")
-
-
-def _run_detection(cfg, data: DetectionDatasets, learner: DetectionSurrogate,
-                   oracle, seed: int) -> LearningCurve:
-    if cfg.selection.strategy == "batchbald":
-        raise ValueError("batchbald needs per-item class-probability samples; "
-                         "it is only available on the classification track")
-    n_pool0 = len(data.pool_scenes)
-    state = ALState(pool_ids=list(range(n_pool0)))
-
-    state.model = learner.with_sim(data.sim_scenes)
-    sim_perf = _evaluate_surrogate(cfg, state.model, data.test_scenes, seed, 0)
-
-    if data.real_perf is not None:
-        real_perf = data.real_perf
     else:
-        ref = DetectionSurrogate(learner.scene_spec, learner.params)
-        ref = ref.with_real(oracle(state.pool_ids))
-        real_perf = _evaluate_surrogate(cfg, ref, data.test_scenes, seed, 0,
-                                        stream=_REFERENCE)
-
-    points = [CurvePoint(0, 0, 0.0, sim_perf, 0.0)]
-    selected_log: list[list[int]] = []
-    labeled_scenes = list(data.sim_scenes)
-    truncated = False
-
-    for it in range(1, cfg.iterations + 1):
-        if _cannot_fill_batch(cfg.selection, len(state.pool_ids)):
-            truncated = True
-            break
-        state.iteration = it
-        ids = _select_detection(cfg, state.model, data.pool_scenes,
-                                state.pool_ids, labeled_scenes, n_pool0,
-                                seed, it)
-        batch_scenes = oracle(ids)
-        state.model = state.model.with_real(batch_scenes)
-        labeled_scenes.extend(batch_scenes)
-        state.acquire(ids)
-
-        metric = _evaluate_surrogate(cfg, state.model, data.test_scenes, seed, it)
-        batch_labels = np.concatenate([s.gt_classes for s in batch_scenes]) \
-            if batch_scenes else np.empty(0, dtype=int)
-        labeled_count = len(state.labeled_ids)
-        points.append(CurvePoint(it, labeled_count, labeled_count / n_pool0,
-                                 metric, inter_class_variation(batch_labels,
-                                                               data.n_classes)))
-        selected_log.append(list(ids))
-
-    return LearningCurve(points=points, sim_perf=sim_perf, real_perf=real_perf,
-                         strategy=cfg.selection.strategy, seed=seed,
-                         level=cfg.level, truncated=truncated,
-                         selected_ids=selected_log)
+        raise ValueError(f"unknown strategy {sel.strategy!r}")
+    return [pool_ids[i] for i in idx]
 
 
-def _evaluate_surrogate(cfg, model, test_scenes, seed, it, stream=_EVAL) -> float:
-    detections = [model.detect(scene,
-                               _stream_seed(seed, stream, it, sid),
-                               iou_threshold=cfg.iou_threshold,
-                               cls_bayesian=cfg.cls_bayesian)
-                  for sid, scene in enumerate(test_scenes)]
-    return evaluate_detection(detections, test_scenes, cfg.iou_threshold)
+class _ClassificationTrack:
+    """The MC-dropout learner on sim arrays plus the labeled pool rows."""
 
+    def __init__(self, cfg, data: ClassificationDatasets, seed: int):
+        self.cfg, self.data, self.seed = cfg, data, seed
+        self.x_sim = np.asarray(data.sim_x, dtype=float)
+        self.y_sim = np.asarray(data.sim_y, dtype=int)
+        self.pool_x = np.asarray(data.pool_x, dtype=float)
+        self.pool_size = self.pool_x.shape[0]
+        self.labeled_x = self.pool_x[:0]
+        self.labeled_y = np.empty(0, dtype=int)
 
-def _select_detection(cfg, model, pool_scenes, pool_ids, labeled_scenes,
-                      n_pool0, seed, it):
-    sel = cfg.selection
-    sel_seed = _stream_seed(seed, _SELECT, it, cfg.selection_seed)
+    def _train_cfg(self, stream, it, **fixed) -> TrainConfig:
+        return replace(self.cfg.train, **fixed,
+                       seed=_seed_int(_stream_seed(self.seed, stream, it)))
 
-    @functools.cache  # detect is a pure function of (model, scene, seed)
-    def fused_for(pid):
-        return model.detect(pool_scenes[pid],
-                            _stream_seed(seed, _SCORE, it, pid),
-                            iou_threshold=cfg.iou_threshold,
-                            cls_bayesian=cfg.cls_bayesian)
+    def start(self, learner) -> None:
+        self.model = learner.fit(self.x_sim, self.y_sim,
+                                 self._train_cfg(_TRAIN, 0, fine_tune=False))
 
-    def score_of(pid):
-        return acq.score_image(fused_for(pid), cfg.acquisition, image_id=pid).score
+    def evaluate(self, it) -> float:
+        return evaluate_classifier(self.model, self.data.test_x, self.data.test_y)
 
-    if sel.strategy == "random":
-        return sampling.select_random(pool_ids, sel.batch_size, sel_seed)
-    if sel.strategy == "topn":
-        return sampling.select_topn([(pid, score_of(pid)) for pid in pool_ids],
-                                    sel.batch_size)
-    if sel.strategy == "subsample_topn":
-        return sampling.select_subsample_topn(pool_ids, score_of,
-                                              sel.subsample_fraction,
-                                              sel.batch_size, sel_seed)
-    if sel.strategy in ("coreset", "clue"):
-        n_classes = model.scene_spec.n_classes
-        feats = np.array([_scene_feature(fused_for(pid), n_classes)
-                          for pid in pool_ids])
-        if sel.strategy == "coreset":
-            lab = np.array([_scene_feature(
-                model.detect(s, _stream_seed(seed, _SCORE, it, n_pool0 + sid),
-                             iou_threshold=cfg.iou_threshold,
-                             cls_bayesian=cfg.cls_bayesian), n_classes)
-                for sid, s in enumerate(labeled_scenes)])
-            idx = sampling.select_coreset(feats, lab, sel.batch_size)
+    def reference_perf(self, learner, pool_y) -> float:
+        ref = learner.fit(self.pool_x, pool_y,
+                          self._train_cfg(_REFERENCE, 0, fine_tune=False))
+        return evaluate_classifier(ref, self.data.test_x, self.data.test_y)
+
+    def learn(self, ids, batch, it) -> None:
+        self.labeled_x = np.concatenate([self.labeled_x, self.pool_x[ids]])
+        self.labeled_y = np.concatenate([self.labeled_y, self.labels(batch)])
+        if self.cfg.replay:
+            x = np.vstack([self.x_sim, self.labeled_x])
+            y = np.concatenate([self.y_sim, self.labeled_y])
         else:
-            unc = np.array([score_of(pid) for pid in pool_ids])
-            idx = sampling.select_clue(feats, np.maximum(unc, 0.0),
-                                       sel.batch_size, sel_seed)
-        return [pool_ids[i] for i in idx]
-    raise ValueError(f"unknown strategy {sel.strategy!r}")
+            x, y = self.labeled_x, self.labeled_y
+        self.model = self.model.fit(x, y, self._train_cfg(_TRAIN, it))
+
+    @staticmethod
+    def labels(batch) -> np.ndarray:
+        return np.asarray(batch, dtype=int)
+
+    def score(self, pid, it) -> float:
+        return acq.categorical_entropy(self.model.predict_mean(self.pool_x[pid]))
+
+    def pool_features(self, pool_ids, it) -> np.ndarray:
+        return self.model.features(self.pool_x[pool_ids])
+
+    def labeled_features(self, it) -> np.ndarray:
+        return self.model.features(np.vstack([self.x_sim, self.labeled_x]))
+
+    def clue_weights(self, pool_ids, it) -> np.ndarray:
+        return _entropy_rows(np.atleast_2d(
+            self.model.predict_mean(self.pool_x[pool_ids])))
+
+    def mc_samples(self, pool_ids, it) -> np.ndarray:
+        return self.model.predict_samples(
+            self.pool_x[pool_ids], self.cfg.mc_passes,
+            seed=_seed_int(_stream_seed(self.seed, _PREDICT, it)))
+
+
+class _DetectionTrack:
+    """The skill surrogate on scenes; labeled scenes start with sim's."""
+
+    def __init__(self, cfg, data: DetectionDatasets, seed: int):
+        if cfg.selection.strategy == "batchbald":
+            raise ValueError("batchbald needs per-item class-probability samples; "
+                             "it is only available on the classification track")
+        self.cfg, self.data, self.seed = cfg, data, seed
+        self.pool_size = len(data.pool_scenes)
+        self.labeled_scenes = list(data.sim_scenes)
+        self._pool_dets = {}   # pool id -> detections of the current model
+
+    def _detect(self, model, scene, stream, it, extra):
+        return model.detect(scene, _stream_seed(self.seed, stream, it, extra),
+                            iou_threshold=self.cfg.iou_threshold,
+                            cls_bayesian=self.cfg.cls_bayesian)
+
+    def _mean_ap(self, model, stream, it) -> float:
+        scenes = self.data.test_scenes
+        detections = [self._detect(model, scene, stream, it, sid)
+                      for sid, scene in enumerate(scenes)]
+        return evaluate_detection(detections, scenes, self.cfg.iou_threshold)
+
+    def start(self, learner) -> None:
+        self.model = learner.with_sim(self.data.sim_scenes)
+
+    def evaluate(self, it) -> float:
+        return self._mean_ap(self.model, _EVAL, it)
+
+    def reference_perf(self, learner, pool_scenes) -> float:
+        ref = DetectionSurrogate(learner.scene_spec, learner.params)
+        return self._mean_ap(ref.with_real(pool_scenes), _REFERENCE, 0)
+
+    def learn(self, ids, batch, it) -> None:
+        self.model = self.model.with_real(batch)
+        self.labeled_scenes.extend(batch)
+        self._pool_dets = {}
+
+    @staticmethod
+    def labels(batch) -> np.ndarray:
+        if not batch:
+            return np.empty(0, dtype=int)
+        return np.concatenate([s.gt_classes for s in batch])
+
+    def _pool_detections(self, pid, it):
+        # detect is a pure function of (model, scene, seed)
+        if pid not in self._pool_dets:
+            self._pool_dets[pid] = self._detect(
+                self.model, self.data.pool_scenes[pid], _SCORE, it, pid)
+        return self._pool_dets[pid]
+
+    def score(self, pid, it) -> float:
+        return acq.score_image(self._pool_detections(pid, it),
+                               self.cfg.acquisition, image_id=pid).score
+
+    def pool_features(self, pool_ids, it) -> np.ndarray:
+        n_classes = self.model.scene_spec.n_classes
+        return np.array([_scene_feature(self._pool_detections(pid, it), n_classes)
+                         for pid in pool_ids])
+
+    def labeled_features(self, it) -> np.ndarray:
+        n_classes = self.model.scene_spec.n_classes
+        return np.array([_scene_feature(
+            self._detect(self.model, scene, _SCORE, it, self.pool_size + sid),
+            n_classes) for sid, scene in enumerate(self.labeled_scenes)])
+
+    def clue_weights(self, pool_ids, it) -> np.ndarray:
+        return np.maximum([self.score(pid, it) for pid in pool_ids], 0.0)
 
 
 def _scene_feature(detections, n_classes: int) -> np.ndarray:
@@ -623,6 +621,17 @@ class ClassificationExperimentSpec:
     dropout_rate: float = 0.1
     seed: int = 100              # dataset stream base, mixed with the run seed
 
+    def __post_init__(self):
+        if self.n_classes < 1:
+            raise ValueError("n_classes must be >= 1")
+        if self.dim < self.n_classes:
+            raise ValueError("dim must be >= n_classes")
+        for name in ("sim_size", "pool_size", "test_size", "hidden_dim"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if not (0.0 <= self.dropout_rate < 1.0):
+            raise ValueError("dropout_rate must lie in [0, 1)")
+
 
 def build_classification_experiment(spec: ClassificationExperimentSpec,
                                     run_seed: int):
@@ -643,13 +652,11 @@ def build_classification_experiment(spec: ClassificationExperimentSpec,
     test_domain = shifted_domain(sim_domain,
                                  translation=spec.mean_shift * direction)
 
-    sim_train = generate_classification(sim_domain, spec.sim_size, s_sim)
-    pool = generate_classification(real_domain, spec.pool_size, s_pool)
-    test = generate_classification(test_domain, spec.test_size, s_test)
-    pool_x, pool_y = stack_examples(pool)
-    test_x, test_y = stack_examples(test)
+    sim_x, sim_y = generate_classification(sim_domain, spec.sim_size, s_sim)
+    pool_x, pool_y = generate_classification(real_domain, spec.pool_size, s_pool)
+    test_x, test_y = generate_classification(test_domain, spec.test_size, s_test)
 
-    datasets = ClassificationDatasets(sim_train=sim_train, pool_x=pool_x,
+    datasets = ClassificationDatasets(sim_x=sim_x, sim_y=sim_y, pool_x=pool_x,
                                       test_x=test_x, test_y=test_y,
                                       n_classes=spec.n_classes)
     oracle = make_classification_oracle(pool_y)

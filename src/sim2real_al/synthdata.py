@@ -20,15 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fusion import Anchors, read_anchor_records, write_anchor_records
-
-
-@dataclass
-class LabeledExample:
-    """One classification-track example: feature vector and class label."""
-
-    x: np.ndarray
-    y: int
+from .fusion import Anchors
 
 
 @dataclass
@@ -88,22 +80,17 @@ def grid_class_means(n_classes: int, dim: int, separation: float) -> np.ndarray:
 
 
 def generate_classification(spec: ClassificationDomainSpec, n: int,
-                            seed) -> list[LabeledExample]:
-    """Draw n labeled points: class from priors, point from its Gaussian."""
+                            seed) -> tuple[np.ndarray, np.ndarray]:
+    """Draw n labeled points: class from priors, point from its Gaussian.
+
+    Returns the (n, d) points and their (n,) integer labels.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = np.random.default_rng(seed)
     labels = rng.choice(spec.n_classes, size=n, p=spec.class_priors)
     noise = rng.standard_normal((n, spec.dim)) * np.sqrt(spec.cov_scale)
-    points = spec.class_means[labels] + noise
-    return [LabeledExample(x=points[i], y=int(labels[i])) for i in range(n)]
-
-
-def stack_examples(examples) -> tuple[np.ndarray, np.ndarray]:
-    """(X, y) arrays from a list of LabeledExample."""
-    x = np.array([ex.x for ex in examples])
-    y = np.array([ex.y for ex in examples], dtype=int)
-    return x, y
+    return spec.class_means[labels] + noise, labels
 
 
 # ---------------------------------------------------------------------------
@@ -241,77 +228,3 @@ def synth_detector_outputs(scene: DetectionScene, spec: DetectionSceneSpec,
         scores.append(1.0 / (1.0 + np.exp(-logits)))
     return Anchors(scores=np.concatenate(scores), boxes=np.concatenate(boxes))
 
-
-# ---------------------------------------------------------------------------
-# dataset dump/load
-# ---------------------------------------------------------------------------
-
-def save_detection_dataset(path_anchors, path_labels, scenes, spec,
-                           seed) -> None:
-    """Detector outputs in the anchor interchange format + labels sidecar.
-
-    The sidecar holds one block per image:
-    'image <id> <n_objects> <width> <height>' followed by n_objects
-    lines of 'class x_min y_min x_max y_max'.
-    """
-    seeds = _as_seed_sequence(seed).spawn(len(scenes))
-    records = [(str(i), synth_detector_outputs(scene, spec, child))
-               for i, (scene, child) in enumerate(zip(scenes, seeds))]
-    write_anchor_records(path_anchors, records)
-    with open(path_labels, "w") as fh:
-        fh.write("# detection labels sidecar v1\n")
-        for i, scene in enumerate(scenes):
-            fh.write(f"image {i} {scene.n_objects} "
-                     f"{repr(float(scene.width))} {repr(float(scene.height))}\n")
-            for cls, box in zip(scene.gt_classes, scene.gt_boxes):
-                coords = " ".join(repr(float(v)) for v in box)
-                fh.write(f"{int(cls)} {coords}\n")
-
-
-def load_detection_dataset(path_anchors, path_labels):
-    """Inverse of save_detection_dataset: (anchor records, scenes)."""
-    records = read_anchor_records(path_anchors)
-    with open(path_labels) as fh:
-        lines = [ln.strip() for ln in fh
-                 if ln.strip() and not ln.lstrip().startswith("#")]
-    scenes = []
-    pos = 0
-    while pos < len(lines):
-        parts = lines[pos].split()
-        if parts[0] != "image" or len(parts) != 5:
-            raise ValueError(f"malformed sidecar header: {lines[pos]!r}")
-        n_obj = int(parts[2])
-        width, height = float(parts[3]), float(parts[4])
-        pos += 1
-        classes, boxes = [], []
-        for _ in range(n_obj):
-            vals = lines[pos].split()
-            classes.append(int(vals[0]))
-            boxes.append([float(v) for v in vals[1:5]])
-            pos += 1
-        scenes.append(DetectionScene(width=width, height=height,
-                                     gt_classes=np.array(classes, dtype=int),
-                                     gt_boxes=np.array(boxes).reshape(-1, 4)))
-    return records, scenes
-
-
-def save_classification_dataset(path, examples) -> None:
-    """One line per example: label then feature values (repr floats)."""
-    with open(path, "w") as fh:
-        fh.write("# classification dataset v1\n")
-        for ex in examples:
-            feats = " ".join(repr(float(v)) for v in ex.x)
-            fh.write(f"{int(ex.y)} {feats}\n")
-
-
-def load_classification_dataset(path) -> list[LabeledExample]:
-    examples = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            vals = line.split()
-            examples.append(LabeledExample(x=np.array([float(v) for v in vals[1:]]),
-                                           y=int(vals[0])))
-    return examples

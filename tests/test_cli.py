@@ -154,6 +154,48 @@ class TestConfigParsing:
         assert capsys.readouterr().err.startswith("error: --strategy: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("train.epochs", "0", "epochs must be >= 1"),
+        ("train.batch_size", "0", "batch_size must be >= 1"),
+        ("train.learning_rate", "nan", "learning_rate must be finite"),
+        ("loop.level", "2", "level must lie in (0, 1]"),
+        ("loop.level", "nan", "level must lie in (0, 1]"),
+        ("loop.iterations", "-3", "iterations must be >= 0"),
+        ("seeds", "-1", "seed -1 is negative"),
+        ("seeds", "2,-5", "seed -5 is negative"),
+        ("dataset.n_classes", "0", "n_classes must be >= 1"),
+        ("dataset.dim", "3", "dim must be >= n_classes"),
+        ("dataset.sim_size", "0", "sim_size must be >= 1"),
+        ("dataset.pool_size", "0", "pool_size must be >= 1"),
+        ("dataset.test_size", "0", "test_size must be >= 1"),
+        ("dataset.hidden_dim", "0", "hidden_dim must be >= 1"),
+        ("dataset.dropout_rate", "1", "dropout_rate must lie in [0, 1)"),
+        ("dataset.dropout_rate", "-0.1", "dropout_rate must lie in [0, 1)"),
+        ("selection.batch_size", "0", "batch_size must be >= 1"),
+        ("acquisition.w_reg", "-1", "w_reg must be finite and >= 0"),
+    ])
+    def test_out_of_range_value_exits_2(self, tmp_path, capsys, key, value,
+                                        message):
+        """One bad value, set alone, is one error line at its key's
+        line, before any output is written."""
+        lines = [ln for ln in SMALL_CLS.splitlines()
+                 if not ln.startswith(f"{key} =")] + [f"{key} = {value}"]
+        cfg = write_cfg(tmp_path, "\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {cfg}:{len(lines)}: {key!r}: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_negative_seed_flag_exits_2(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        assert cli.main([command, "--config", write_cfg(tmp_path, SMALL_CLS),
+                         "--seed", "-1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: --seed: seed -1 is negative\n"
+        assert not out.exists()
+
     def test_type_errors_are_line_anchored(self, tmp_path):
         bad = SMALL_CLS.replace("loop.iterations = 3", "loop.iterations = soon")
         with pytest.raises(cli.ConfigError, match="loop.iterations"):

@@ -1,4 +1,4 @@
-"""MC-dropout classifier: training, prediction, gradients, checkpoints."""
+"""MC-dropout classifier: training, prediction, gradients, snapshots."""
 
 import numpy as np
 import pytest
@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sim2real_al.learner import (MCDropoutClassifier, TrainConfig, _softmax,
-                                 analytic_gradients, gradient_check,
-                                 load_checkpoint, save_checkpoint)
+                                 analytic_gradients, gradient_check)
 
 
 def two_blobs(n=200, sep=6.0, seed=0):
@@ -267,24 +266,19 @@ class TestGradients:
         assert np.abs(grads["b2"]).max() < 1e-12
 
 
-class TestCheckpoint:
-    def test_round_trip_bit_exact(self, tmp_path):
+class TestSnapshot:
+    def test_params_rebuild_bit_exact(self):
+        """A model rebuilt from a trained snapshot's sizes and weights
+        holds the same weights bit for bit."""
         x, y = two_blobs(seed=8)
         model = MCDropoutClassifier(2, 16, 2, dropout_rate=0.25, seed=5)
         model = model.fit(x, y, TrainConfig(epochs=3, learning_rate=0.2, seed=7))
-        path = tmp_path / "model.npz"
-        save_checkpoint(model, path)
-        loaded = load_checkpoint(path)
-        assert (loaded.input_dim, loaded.hidden_dim, loaded.n_classes) == (2, 16, 2)
-        assert loaded.dropout_rate == 0.25
+        rebuilt = MCDropoutClassifier(
+            model.input_dim, model.hidden_dim, model.n_classes,
+            dropout_rate=model.dropout_rate,
+            params=(model.w1, model.b1, model.w2, model.b2))
+        assert (rebuilt.input_dim, rebuilt.hidden_dim, rebuilt.n_classes) == (2, 16, 2)
+        assert rebuilt.dropout_rate == 0.25
         for a, b in zip((model.w1, model.b1, model.w2, model.b2),
-                        (loaded.w1, loaded.b1, loaded.w2, loaded.b2)):
+                        (rebuilt.w1, rebuilt.b1, rebuilt.w2, rebuilt.b2)):
             np.testing.assert_array_equal(a, b)
-
-    def test_version_gate(self, tmp_path):
-        path = tmp_path / "bad.npz"
-        np.savez(path, version=np.array([99]), dims=np.array([1, 1, 1]),
-                 dropout_rate=np.array([0.1]), w1=np.zeros((1, 1)),
-                 b1=np.zeros(1), w2=np.zeros((1, 1)), b2=np.zeros(1))
-        with pytest.raises(ValueError, match="unsupported checkpoint version"):
-            load_checkpoint(path)

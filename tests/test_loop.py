@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from tests_support_map import brute_force_map
 from tests_support_map import make_det as det
 from tests_support_map import make_scene as scene
@@ -11,6 +13,7 @@ from tests_support_map import make_scene as scene
 from sim2real_al import loop as al
 from sim2real_al.acquisition import AcquisitionConfig
 from sim2real_al.learner import TrainConfig
+from sim2real_al.cli import TRACK_STRATEGIES
 from sim2real_al.sampling import SelectionConfig
 from sim2real_al.synthdata import DetectionScene
 
@@ -357,6 +360,45 @@ class TestRunAlDetection:
                                                             iterations=1)
             curve = al.run_al(cfg, datasets, learner, oracle, seed=2)
             assert len(curve.selected_ids[0]) == 8
+
+
+class TestRunAlSelectionProperty:
+    @pytest.mark.parametrize("track, strategy", [
+        (track, strategy) for track, names in TRACK_STRATEGIES.items()
+        for strategy in names])
+    @settings(max_examples=8, deadline=None)
+    @given(seed=st.integers(0, 2**16), pool=st.integers(6, 20),
+           batch=st.integers(1, 5), p=st.sampled_from([0.3, 0.5, 1.0]),
+           iterations=st.integers(1, 3))
+    def test_batches_are_distinct_pool_ids_and_repeat(self, track, strategy,
+                                                      seed, pool, batch, p,
+                                                      iterations):
+        """Each batch holds B distinct ids of the pool at its iteration,
+        the oracle labels exactly the batches after the reference run,
+        and a rerun with the same seed selects the same ids."""
+        build = tiny_classification if track == "classification" else tiny_detection
+        runs = []
+        for _ in range(2):
+            cfg, datasets, oracle, learner = build(
+                strategy=strategy, iterations=iterations, pool=pool,
+                batch=batch, p=p)
+            asked = []
+
+            def recording_oracle(ids, oracle=oracle, asked=asked):
+                asked.append(list(ids))
+                return oracle(ids)
+
+            curve = al.run_al(cfg, datasets, learner, recording_oracle, seed)
+            assert asked == [list(range(pool))] + curve.selected_ids
+            runs.append(curve.selected_ids)
+        selected = runs[0]
+        assert runs[1] == selected
+        assert len(selected) == iterations or curve.truncated
+        remaining = set(range(pool))
+        for ids in selected:
+            assert len(ids) == len(set(ids)) == batch
+            assert set(ids) <= remaining
+            remaining -= set(ids)
 
 
 class TestArtifacts:
