@@ -22,10 +22,10 @@ blurry = DetectionSceneSpec(n_classes=3, objects_per_scene=(2, 3),
                             sigma_box=5.0, score_noise=1.5, true_logit=0.5)
 
 scenes = generate_detection_scenes(sharp, 2, seed=3)
-records = [("sharp-0", synth_detector_outputs(scenes[0], sharp, seed=10)),
-           ("blurry-0", synth_detector_outputs(scenes[0], blurry, seed=11)),
-           ("sharp-1", synth_detector_outputs(scenes[1], sharp, seed=12)),
-           ("blurry-1", synth_detector_outputs(scenes[1], blurry, seed=13))]
+records = [("sharp-0", synth_detector_outputs([scenes[0]], sharp, [10])),
+           ("blurry-0", synth_detector_outputs([scenes[0]], blurry, [11])),
+           ("sharp-1", synth_detector_outputs([scenes[1]], sharp, [12])),
+           ("blurry-1", synth_detector_outputs([scenes[1]], blurry, [13]))]
 
 print("comb/agg grid (rows are images, higher = more informative):")
 header = [f"{comb}+{agg}" for comb in ("sum", "max") for agg in ("max", "sum", "avg")]
@@ -36,7 +36,7 @@ for image_id, anchors in records:
     for comb in ("sum", "max"):
         for agg in ("max", "sum", "avg"):
             cfg = AcquisitionConfig(comb=comb, agg=agg, w_cls=1.0, w_reg=0.01)
-            row.append(score_image(detections, cfg, image_id).score)
+            row.append(score_image(detections, cfg, [image_id])[0].score)
     print(f"{image_id:10s} " + " ".join(f"{v:9.3f}" for v in row))
 
 print("\nblurry images dominate under every setting; sum-aggregation also "

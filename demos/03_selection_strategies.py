@@ -31,7 +31,7 @@ print(f"pool label counts: {histogram(pool)} (labels 0/1/2/3)\n")
 picks = {
     "random": select_random(pool, B, seed=1),
     "topn": select_topn([(i, scores[i]) for i in pool], B),
-    "subsample_topn": select_subsample_topn(pool, lambda i: scores[i],
+    "subsample_topn": select_subsample_topn(pool, lambda ids: scores[ids],
                                             0.25, B, seed=1),
     "coreset": select_coreset(features, features[:10], B),
     "batchbald": select_batchbald(prob_samples, B, mc_count=60, seed=1),

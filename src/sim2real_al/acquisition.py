@@ -162,26 +162,38 @@ def reg_entropy(cov) -> float:
     return entropies[0]
 
 
-def score_image(detections, cfg: AcquisitionConfig, image_id=0) -> ImageScore:
-    """Aggregate per-detection combined uncertainties into an image score.
+def score_image(detections, cfg: AcquisitionConfig, image_ids=None) -> list[ImageScore]:
+    """Score every image of a fusion.Detections batch, one ImageScore each.
 
-    All detections are scored in one pass; a detection that cannot be
-    scored raises the error the first such detection would raise alone.
+    All detections of the batch are scored in one pass; a detection
+    that cannot be scored raises the error the first such detection
+    would raise alone.  Each image then aggregates its detections'
+    combined uncertainties, in order, with Python's max or sum; an image
+    without detections scores cfg.empty_image_score.  image_ids names
+    the images (default 0, 1, ...).
     """
-    if not detections:
-        return ImageScore(image_id=image_id, score=cfg.empty_image_score,
-                          n_detections=0)
+    image_ids = range(detections.n_images) if image_ids is None else list(image_ids)
+    if len(image_ids) != detections.n_images:
+        raise ValueError(f"need one image id per image, got {len(image_ids)} "
+                         f"for {detections.n_images} images")
     u_cls, cls_checks = _bernoulli_entropies(
-        np.array([det.class_probs for det in detections], dtype=float))
+        np.asarray(detections.class_probs, dtype=float))
     u_reg, reg_checks = _gaussian_entropies(
-        np.array([det.box_cov for det in detections], dtype=float))
+        np.asarray(detections.box_cov, dtype=float))
     _raise_first_failure(cls_checks + reg_checks + _pair_checks(u_cls, u_reg))
     values = _combined(u_cls, u_reg, cfg).tolist()
-    if cfg.agg == "max":
-        score = max(values)
-    elif cfg.agg == "sum":
-        score = sum(values)
-    else:
-        score = sum(values) / len(values)
-    return ImageScore(image_id=image_id, score=float(score),
-                      n_detections=len(values))
+    bounds = detections.offsets.tolist()
+    scores = []
+    for image_id, lo, hi in zip(image_ids, bounds, bounds[1:]):
+        image_values = values[lo:hi]
+        if not image_values:
+            score = cfg.empty_image_score
+        elif cfg.agg == "max":
+            score = max(image_values)
+        elif cfg.agg == "sum":
+            score = sum(image_values)
+        else:
+            score = sum(image_values) / len(image_values)
+        scores.append(ImageScore(image_id=image_id, score=float(score),
+                                 n_detections=hi - lo))
+    return scores

@@ -181,10 +181,11 @@ class ExperimentConfig:
     resolved: dict                 # every schema key -> final value (for manifests)
 
 
-def load_config(path_or_preset: str, track_override: str = None) -> ExperimentConfig:
+def load_config(path_or_preset: str, track_override: str = None,
+                strategy_flag: list[str] = None) -> ExperimentConfig:
     text, label = resolve_config_text(path_or_preset)
     raw = parse_config_text(text, label)
-    return build_experiment_config(raw, label, track_override)
+    return build_experiment_config(raw, label, track_override, strategy_flag)
 
 
 def resolve_config_text(path_or_preset: str) -> tuple[str, str]:
@@ -200,8 +201,11 @@ def resolve_config_text(path_or_preset: str) -> tuple[str, str]:
                       f"shipped preset")
 
 
-def build_experiment_config(raw: dict, path: str,
-                            track_override: str = None) -> ExperimentConfig:
+def build_experiment_config(raw: dict, path: str, track_override: str = None,
+                            strategy_flag: list[str] = None) -> ExperimentConfig:
+    """Check and build every spec of a parsed config.  strategy_flag is
+    the --strategy list, which is checked like the config's own
+    strategies (and anchored at the flag)."""
     version_entry = raw.get("config_version")
     if version_entry is None:
         raise ConfigError(f"{path}:1: missing required key 'config_version'")
@@ -247,18 +251,21 @@ def build_experiment_config(raw: dict, path: str,
         names = values[key] if key == "strategies" else [values[key]]
         where = f"{path}:{raw[key][1]}" if key in raw else path
         _check_strategies(names, track, f"{where}: {key!r}")
+    if strategy_flag is not None:
+        _check_strategies(strategy_flag, track, "--strategy")
 
     def built(cls, section, names, **fixed):
         """cls from the values of the keys `section.name`.  The rules
         live in cls.__post_init__, whose ValueError starts with the
-        failing parameter's name; it is re-raised at that key's line."""
+        failing parameter's name (or with its full key, for a value of
+        another section); it is re-raised at that key's line."""
         try:
             return cls(**{n: values[f"{section}.{n}"] for n in names}, **fixed)
         except ValueError as exc:
             name = str(exc).split()[0]
-            if name not in names:
+            key = name if "." in name else f"{section}.{name}"
+            if key not in values:
                 raise ConfigError(f"{path}: {section}: {exc}") from None
-            key = f"{section}.{name}"
             where = f"{path}:{raw[key][1]}" if key in raw else path
             raise ConfigError(f"{where}: {key!r}: {exc}") from None
 
@@ -279,11 +286,18 @@ def build_experiment_config(raw: dict, path: str,
     dataset_spec = built(spec_cls, "dataset",
                          [f.name for f in fields(spec_cls) if f.name not in extra],
                          **extra)
-    run_cfg = built(al.ALRunConfig, "loop",
-                    ("iterations", "level", "replay", "mc_passes",
-                     "iou_threshold", "cls_bayesian"),
-                    selection=selection, acquisition=acquisition, train=train,
-                    seeds=tuple(seeds), selection_seed=values["selection.seed"])
+
+    def run_config(strategy):
+        return built(al.ALRunConfig, "loop",
+                     ("iterations", "level", "replay", "mc_passes",
+                      "iou_threshold", "cls_bayesian"),
+                     selection=replace(selection, strategy=strategy),
+                     acquisition=acquisition, train=train,
+                     selection_seed=values["selection.seed"])
+
+    run_cfg = run_config(selection.strategy)
+    for name in [*values["strategies"], *(strategy_flag or [])]:
+        run_config(name)   # each strategy that may run must pass the loop rules
 
     return ExperimentConfig(track=track, name=values["name"],
                             seeds=list(values["seeds"]),
@@ -359,11 +373,10 @@ def _seeds(args, excfg: ExperimentConfig) -> list[int]:
 
 
 def cmd_run(args) -> int:
-    excfg = load_config(args.config, args.track)
+    excfg = load_config(args.config, args.track,
+                        [args.strategy] if args.strategy else None)
     seeds = _seeds(args, excfg)
     strategy = args.strategy or excfg.al.selection.strategy
-    if args.strategy:
-        _check_strategies([strategy], excfg.track, "--strategy")
     out_dir = Path(args.out) if args.out else _default_out(excfg, args.config)
     curves = execute_run(excfg, strategy, seeds, out_dir)
     for curve in curves:
@@ -376,11 +389,11 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    excfg = load_config(args.config, args.track)
-    strategies = excfg.strategies
+    flag = None
     if args.strategy:
-        strategies = [s.strip() for s in args.strategy.split(",") if s.strip()]
-        _check_strategies(strategies, excfg.track, "--strategy")
+        flag = [s.strip() for s in args.strategy.split(",") if s.strip()]
+    excfg = load_config(args.config, args.track, flag)
+    strategies = excfg.strategies if flag is None else flag
     if len(strategies) < 2:
         raise ConfigError("sweep needs at least 2 strategies "
                           "(set 'strategies = a,b,...' in the config)")
@@ -476,7 +489,7 @@ def cmd_report(args) -> int:
 
 def cmd_score(args) -> int:
     from .acquisition import score_image
-    from .fusion import bayesod_inference, read_anchor_records
+    from .fusion import Anchors, bayesod_inference, read_anchor_records
     if not 0.0 <= args.iou_threshold <= 1.0:
         raise ConfigError(f"--iou-threshold must lie in [0, 1], "
                           f"got {args.iou_threshold!r}")
@@ -490,17 +503,32 @@ def cmd_score(args) -> int:
                                     empty_image_score=args.empty_image_score)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    scored = []
-    for image_id, anchors in records:
-        try:
-            # finite samples so large that fusion overflows cannot be scored
-            with np.errstate(over="raise"):
-                detections = bayesod_inference(anchors,
-                                               iou_threshold=args.iou_threshold,
-                                               cls_bayesian=args.cls_bayesian)
-                scored.append(score_image(detections, acq_cfg, image_id=image_id))
-        except (ValueError, FloatingPointError) as exc:
-            raise ConfigError(f"image {image_id}: {exc}") from None
+
+    def score_all(records):
+        """ImageScores of the records, one batch per sample shape (T, C)."""
+        batches = {}
+        for image_id, anchors in records:
+            batches.setdefault(anchors.scores.shape[1:], []).append((image_id, anchors))
+        scores = []
+        # finite samples so large that fusion overflows cannot be scored
+        with np.errstate(over="raise"):
+            for batch in batches.values():
+                ids, parts = zip(*batch)
+                detections = bayesod_inference(Anchors.concatenate(parts),
+                                               args.iou_threshold, args.cls_bayesian)
+                scores += score_image(detections, acq_cfg, ids)
+        return scores
+
+    try:
+        scored = score_all(records)
+    except (ValueError, FloatingPointError) as batch_exc:
+        # name the first image, in file order, that fails on its own
+        for image_id, anchors in records:
+            try:
+                score_all([(image_id, anchors)])
+            except (ValueError, FloatingPointError) as exc:
+                raise ConfigError(f"image {image_id}: {exc}") from None
+        raise ConfigError(str(batch_exc)) from None
     scored.sort(key=lambda s: (-s.score, str(s.image_id)))
     print("image_id,score,n_detections")
     for s in scored:

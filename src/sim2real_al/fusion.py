@@ -30,16 +30,21 @@ DEFAULT_IOU_THRESHOLD = 0.5
 
 @dataclass(frozen=True)
 class Anchors:
-    """Monte-Carlo samples of one image's A anchors, T samples each.
+    """Monte-Carlo samples of the anchors of one or more images, T samples each.
 
-    scores: (A, T, C) array, entries in [0, 1]
-    boxes:  (A, T, 4) array of (x_min, y_min, x_max, y_max)
+    scores:  (A, T, C) array, entries in [0, 1]
+    boxes:   (A, T, 4) array of (x_min, y_min, x_max, y_max)
+    offsets: (n_images + 1,) ints rising from 0 to A; image i holds
+             anchors offsets[i]:offsets[i + 1].  Omitted, the A anchors
+             are one image.
 
-    The only place anchor samples are validated; len() is A.
+    The only place anchor samples are validated; len() is A, the anchor
+    count over all images.
     """
 
     scores: np.ndarray
     boxes: np.ndarray
+    offsets: np.ndarray = None
 
     def __post_init__(self):
         scores = np.ascontiguousarray(self.scores, dtype=float)
@@ -56,9 +61,29 @@ class Anchors:
             raise ValueError("anchor samples must be finite")
         if np.any(scores < 0) or np.any(scores > 1):
             raise ValueError("scores must lie in [0, 1]")
+        offsets = np.array([0, len(scores)]) if self.offsets is None \
+            else np.asarray(self.offsets, dtype=np.intp)
+        if (offsets.ndim != 1 or len(offsets) < 1 or offsets[0] != 0
+                or offsets[-1] != len(scores) or np.any(np.diff(offsets) < 0)):
+            raise ValueError("offsets must rise from 0 to the anchor count")
+        object.__setattr__(self, "offsets", offsets)
 
     def __len__(self) -> int:
         return self.scores.shape[0]
+
+    @property
+    def n_images(self) -> int:
+        return len(self.offsets) - 1
+
+    @classmethod
+    def concatenate(cls, parts) -> Anchors:
+        """One batch of the images of every part, in order; the parts
+        share T and C."""
+        parts = list(parts)
+        counts = np.concatenate([np.diff(part.offsets) for part in parts])
+        return cls(scores=np.concatenate([part.scores for part in parts]),
+                   boxes=np.concatenate([part.boxes for part in parts]),
+                   offsets=np.concatenate(([0], np.cumsum(counts))))
 
 
 @dataclass
@@ -80,10 +105,52 @@ class FusedDetection:
         return float(self.class_probs[self.label])
 
 
+@dataclass(frozen=True)
+class Detections:
+    """Fused detections of one or more images: K detections, image by image.
+
+    class_probs (K, C), box_mean (K, 4), box_cov (K, 4, 4) and
+    cluster_size (K,) hold one row per detection; offsets
+    (n_images + 1,) says image i holds detections offsets[i]:offsets[i + 1].
+    len() is K, and indexing gives one FusedDetection.
+    """
+
+    class_probs: np.ndarray
+    box_mean: np.ndarray
+    box_cov: np.ndarray
+    cluster_size: np.ndarray
+    offsets: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.cluster_size)
+
+    def __getitem__(self, k: int) -> FusedDetection:
+        k = range(len(self))[k]  # IndexError past the end ends iteration
+        return FusedDetection(class_probs=self.class_probs[k],
+                              box_mean=self.box_mean[k], box_cov=self.box_cov[k],
+                              cluster_size=int(self.cluster_size[k]))
+
+    @property
+    def n_images(self) -> int:
+        return len(self.offsets) - 1
+
+    def images(self) -> list[Detections]:
+        """The batch split into one single-image Detections per image."""
+        bounds = self.offsets.tolist()
+        return [Detections(class_probs=self.class_probs[lo:hi],
+                           box_mean=self.box_mean[lo:hi],
+                           box_cov=self.box_cov[lo:hi],
+                           cluster_size=self.cluster_size[lo:hi],
+                           offsets=np.array([0, hi - lo]))
+                for lo, hi in zip(bounds, bounds[1:])]
+
+
 def iou_matrix(a, b) -> np.ndarray:
-    """(N, M) IoU matrix of boxes a (N, 4) and b (M, 4); 0 where they do not overlap."""
-    a = np.asarray(a, dtype=float).reshape(-1, 1, 4)
-    b = np.asarray(b, dtype=float).reshape(1, -1, 4)
+    """(..., N, M) IoU matrix of boxes a (..., N, 4) and b (..., M, 4); 0
+    where they do not overlap.  Leading axes broadcast, so a stack of
+    images gives one IoU block per image."""
+    a = _boxes(a)[..., :, None, :]
+    b = _boxes(b)[..., None, :, :]
     ix = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
     iy = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
     inter = ix * iy
@@ -91,6 +158,11 @@ def iou_matrix(a, b) -> np.ndarray:
     area_b = (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where((ix > 0) & (iy > 0), inter / (area_a + area_b - inter), 0.0)
+
+
+def _boxes(boxes) -> np.ndarray:
+    boxes = np.asarray(boxes, dtype=float)
+    return boxes.reshape(-1, 4) if boxes.ndim < 2 else boxes
 
 
 def mc_statistics(samples) -> tuple[np.ndarray, np.ndarray]:
@@ -112,16 +184,27 @@ def mc_statistics(samples) -> tuple[np.ndarray, np.ndarray]:
     return mean, cov
 
 
+# Images are clustered in blocks of at most this many padded IoU entries
+# (images x widest image squared), so a batch of wide images needs no
+# more memory than a few of them.
+_BLOCK_ENTRIES = 1 << 16
+
+
 def cluster_anchors(anchors: Anchors,
                     iou_threshold: float = DEFAULT_IOU_THRESHOLD) -> list[np.ndarray]:
-    """Greedy score-descending clustering by mean-box IoU.
+    """Greedy score-descending clustering by mean-box IoU, per image.
 
-    The highest-scoring unassigned anchor becomes a cluster center and
-    absorbs every unassigned anchor whose mean box overlaps it with
-    IoU >= iou_threshold.  Score ties break toward the lower anchor
-    index.  Every anchor ends up in exactly one cluster; each cluster
-    is an array of anchor indices, center first, then the members in
-    score order.
+    In each image the highest-scoring unassigned anchor becomes a
+    cluster center and absorbs every unassigned anchor of that image
+    whose mean box overlaps it with IoU >= iou_threshold.  Score ties
+    break toward the lower anchor index.  Every anchor ends up in
+    exactly one cluster; each cluster is an array of anchor indices
+    into the batch, center first, then the members in score order.
+    Clusters come image by image, each image's in the order they form.
+
+    All images cluster together, in rounds: each round takes the top
+    unassigned anchor of every image that still has one, so there are
+    as many rounds as the most clusters any image has.
     """
     if not (0.0 <= iou_threshold <= 1.0):
         raise ValueError("iou_threshold must lie in [0, 1]")
@@ -129,48 +212,91 @@ def cluster_anchors(anchors: Anchors,
         return []
     top_scores = anchors.scores.mean(axis=1).max(axis=1)
     mean_boxes = anchors.boxes.mean(axis=1)
-    overlaps = iou_matrix(mean_boxes, mean_boxes)
-    order = np.argsort(-top_scores, kind="stable")
+    offsets = anchors.offsets
+    width = int(np.diff(offsets).max())
+    step = max(1, _BLOCK_ENTRIES // width ** 2)
+    members, starts, placed = [], [], 0
+    for first in range(0, anchors.n_images, step):
+        block = offsets[first:first + step + 1]
+        m, s = _cluster_rounds(top_scores, mean_boxes, block, iou_threshold)
+        members.append(m)
+        starts.append(s + placed)
+        placed += len(m)
+    members = np.concatenate(members)
+    bounds = np.append(np.concatenate(starts), len(members)).tolist()
+    return [members[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
-    assigned = np.zeros(len(anchors), dtype=bool)
-    clusters = []
-    for center in order:
-        if assigned[center]:
-            continue
-        assigned[center] = True
-        free = order[~assigned[order]]
-        members = free[overlaps[center, free] >= iou_threshold]
-        assigned[members] = True
-        clusters.append(np.concatenate(([center], members)))
-    return clusters
+
+def _cluster_rounds(top_scores, mean_boxes, offsets, iou_threshold):
+    """cluster_anchors on the images of one block: anchor indices in
+    cluster order, and the position where each cluster starts."""
+    counts = np.diff(offsets)
+    n, width = len(counts), int(counts.max())
+    if width == 0:
+        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
+    valid = np.arange(width) < counts[:, None]
+    index = np.where(valid, offsets[:-1, None] + np.arange(width), 0)
+    # per image, anchors by descending score (stable), padding last
+    order = np.argsort(np.where(valid, -top_scores[index], np.inf), axis=1,
+                       kind="stable")
+    index = np.take_along_axis(index, order, axis=1)
+    boxes = np.where(valid[..., None], mean_boxes[index], 0.0)
+    near = iou_matrix(boxes, boxes) >= iou_threshold   # rows and columns in score order
+    near[:, np.arange(width), np.arange(width)] = True  # a center joins its own cluster
+    free = valid.copy()                                # padding sorts last, so valid holds
+    joined = np.full((n, width), width)                # round each anchor joins in
+    rows = np.arange(n)
+    for rnd in range(width):
+        taken = free & near[rows, free.argmax(axis=1)]  # the top free anchor's cluster
+        if not taken.any():
+            break
+        joined[taken] = rnd
+        free ^= taken
+    # per image by round, then by score: each cluster's center comes first
+    by_round = np.argsort(joined, axis=1, kind="stable")
+    members = np.take_along_axis(index, by_round, axis=1)[valid]
+    rounds = np.take_along_axis(joined, by_round, axis=1)[valid]
+    image = np.repeat(rows, counts)
+    new = np.ones(len(members), dtype=bool)
+    new[1:] = (rounds[1:] != rounds[:-1]) | (image[1:] != image[:-1])
+    return members, np.flatnonzero(new)
 
 
-def fuse_categorical(mean_scores, renormalize: bool = False) -> np.ndarray:
-    """Per-class product of a cluster's (n, C) member mean score vectors.
+def fuse_categorical(mean_scores, clusters, renormalize: bool = False) -> np.ndarray:
+    """Per-class products of the (n, C) member mean score vectors of each
+    of K clusters (anchor-index arrays into mean_scores).
 
     Default keeps the independent-Bernoulli form (no renormalization);
-    renormalize=True divides by the sum to interpret the result as a
-    categorical distribution.  Products run in log space.
+    renormalize=True divides each product by its sum to interpret it
+    as a categorical distribution.  Products run in log space, in
+    member order.  Returns (K, C).
     """
     mean_scores = np.asarray(mean_scores, dtype=float)
-    log_prod = np.zeros(mean_scores.shape[1])
-    for scores in mean_scores:
-        with np.errstate(divide="ignore"):
-            log_prod += np.log(scores)
+    members, owner = _members(clusters)
+    log_prod = np.zeros((len(clusters), mean_scores.shape[1]))
+    with np.errstate(divide="ignore"):
+        np.add.at(log_prod, owner, np.log(mean_scores[members]))
     probs = np.exp(log_prod)
     if renormalize:
-        total = probs.sum()
-        if total <= 0:
+        total = probs.sum(axis=1, keepdims=True)
+        if np.any(total <= 0):
             raise ValueError("all-zero class products cannot be renormalized")
         probs = probs / total
     return probs
 
 
+def _members(clusters) -> tuple[np.ndarray, np.ndarray]:
+    """Every cluster's anchor indices in order, and the cluster of each."""
+    members = np.concatenate(clusters)
+    owner = np.repeat(np.arange(len(clusters)), [len(m) for m in clusters])
+    return members, owner
+
+
 def fuse_gaussian(box_samples, clusters,
                   regularizer: float = COV_REGULARIZER) -> tuple[np.ndarray, np.ndarray]:
-    """Precision-weighted product-of-Gaussians fusion of an image's clusters.
+    """Precision-weighted product-of-Gaussians fusion of K clusters.
 
-    box_samples holds the image's (A, T, 4) box samples and clusters is
+    box_samples holds the batch's (A, T, 4) box samples and clusters is
     a list of K anchor-index arrays (as from cluster_anchors).  Each
     member is reduced to (mean, cov) via mc_statistics, the covariance
     regularized with `regularizer` on the diagonal, and each cluster's
@@ -178,8 +304,7 @@ def fuse_gaussian(box_samples, clusters,
     precisions, fused mean the precision-weighted mean.  Sums run in
     member order.  Returns (K, 4) means and (K, 4, 4) covariances.
     """
-    members = np.concatenate(clusters)
-    owner = np.repeat(np.arange(len(clusters)), [len(m) for m in clusters])
+    members, owner = _members(clusters)
     means, covs = mc_statistics(np.asarray(box_samples, dtype=float)[members])
     covs = covs + regularizer * np.eye(4)
     try:
@@ -204,30 +329,34 @@ def fuse_gaussian(box_samples, clusters,
 def bayesod_inference(anchors: Anchors,
                       iou_threshold: float = DEFAULT_IOU_THRESHOLD,
                       cls_bayesian: bool = False,
-                      regularizer: float = COV_REGULARIZER) -> list[FusedDetection]:
-    """Cluster anchors and fuse each cluster into one detection.
+                      regularizer: float = COV_REGULARIZER) -> Detections:
+    """Cluster every image's anchors and fuse each cluster into one detection.
 
-    The box samples always go through Gaussian fusion; class scores go
-    through the categorical product only when cls_bayesian is set,
-    otherwise the cluster center's mean scores are used (Bayesian
-    inference on the regression head only).
+    One cluster_anchors call covers the batch, and one fuse_gaussian
+    call fuses every cluster's box samples; class scores go through the
+    categorical product only when cls_bayesian is set, otherwise the
+    cluster center's mean scores are used (Bayesian inference on the
+    regression head only).
     """
     clusters = cluster_anchors(anchors, iou_threshold)
+    n_classes = anchors.scores.shape[2]
     if not clusters:
-        return []
-    box_means, box_covs = fuse_gaussian(anchors.boxes, clusters, regularizer)
+        return Detections(class_probs=np.zeros((0, n_classes)),
+                          box_mean=np.zeros((0, 4)), box_cov=np.zeros((0, 4, 4)),
+                          cluster_size=np.zeros(0, dtype=int),
+                          offsets=np.zeros(anchors.n_images + 1, dtype=int))
+    box_mean, box_cov = fuse_gaussian(anchors.boxes, clusters, regularizer)
     mean_scores = anchors.scores.mean(axis=1)
-    detections = []
-    for members, box_mean, box_cov in zip(clusters, box_means, box_covs):
-        if cls_bayesian:
-            class_probs = fuse_categorical(mean_scores[members])
-        else:
-            class_probs = mean_scores[members[0]]
-        detections.append(FusedDetection(class_probs=class_probs,
-                                         box_mean=box_mean,
-                                         box_cov=box_cov,
-                                         cluster_size=len(members)))
-    return detections
+    centers = np.array([members[0] for members in clusters])
+    if cls_bayesian:
+        class_probs = fuse_categorical(mean_scores, clusters)
+    else:
+        class_probs = mean_scores[centers]
+    image = np.searchsorted(anchors.offsets, centers, side="right") - 1
+    per_image = np.bincount(image, minlength=anchors.n_images)
+    return Detections(class_probs=class_probs, box_mean=box_mean, box_cov=box_cov,
+                      cluster_size=np.array([len(members) for members in clusters]),
+                      offsets=np.concatenate(([0], np.cumsum(per_image))))
 
 
 # ---------------------------------------------------------------------------

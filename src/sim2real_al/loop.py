@@ -22,7 +22,7 @@ from scipy.special import xlogy
 
 from . import acquisition as acq
 from . import sampling
-from .fusion import bayesod_inference, iou_matrix
+from .fusion import Detections, bayesod_inference, iou_matrix
 from .learner import MCDropoutClassifier, TrainConfig
 from .synthdata import (ClassificationDomainSpec, DetectionScene,
                         DetectionSceneSpec, generate_classification,
@@ -48,7 +48,6 @@ class ALRunConfig:
     selection: sampling.SelectionConfig = field(default_factory=sampling.SelectionConfig)
     acquisition: acq.AcquisitionConfig = field(default_factory=acq.AcquisitionConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
-    seeds: tuple = (0,)
     level: float = 0.95            # gap fraction considered "bridged"
     replay: bool = True            # fine-tune on sim + all labeled real
     mc_passes: int = 10            # T predictive samples (batchbald scoring)
@@ -61,6 +60,13 @@ class ALRunConfig:
             raise ValueError("iterations must be >= 0")
         if not (0.0 < self.level <= 1.0):
             raise ValueError("level must lie in (0, 1]")
+        if self.mc_passes < 1:
+            raise ValueError("mc_passes must be >= 1")
+        if self.selection.strategy == "batchbald" and self.mc_passes < 2:
+            raise ValueError("mc_passes must be >= 2 for batchbald, whose "
+                             "mutual information needs two samples")
+        if not (0.0 <= self.iou_threshold <= 1.0):
+            raise ValueError("iou_threshold must lie in [0, 1]")
 
 
 @dataclass
@@ -310,7 +316,8 @@ class DetectionSurrogate:
     """Stand-in detector whose per-class output quality tracks how many
     labeled instances of that class it has seen (sim counts discounted).
 
-    Immutable: with_sim / with_real return new snapshots.
+    Immutable: with_sim / with_real return new snapshots, so each
+    snapshot derives its output spec once.
     """
 
     def __init__(self, scene_spec: DetectionSceneSpec, params: SurrogateParams,
@@ -320,6 +327,7 @@ class DetectionSurrogate:
         c = scene_spec.n_classes
         self.sim_counts = np.zeros(c) if sim_counts is None else np.asarray(sim_counts, dtype=float)
         self.real_counts = np.zeros(c) if real_counts is None else np.asarray(real_counts, dtype=float)
+        self._output_spec = self._derive_output_spec()
 
     def _counted(self, scenes) -> np.ndarray:
         counts = np.zeros(self.scene_spec.n_classes)
@@ -344,6 +352,9 @@ class DetectionSurrogate:
 
     def output_spec(self) -> DetectionSceneSpec:
         """Scene spec with per-class noise derived from current skill."""
+        return self._output_spec
+
+    def _derive_output_spec(self) -> DetectionSceneSpec:
         s = self.competence()
         p = self.params
 
@@ -356,12 +367,12 @@ class DetectionSurrogate:
                        true_logit=interp(p.true_logit_weak, p.true_logit_strong),
                        miss_prob=interp(p.miss_weak, p.miss_strong))
 
-    def detect(self, scene: DetectionScene, seed, iou_threshold: float = 0.5,
-               cls_bayesian: bool = False):
-        """Fused detections for one scene at the current skill level."""
-        anchors = synth_detector_outputs(scene, self.output_spec(), seed)
-        return bayesod_inference(anchors, iou_threshold=iou_threshold,
-                                 cls_bayesian=cls_bayesian)
+    def detect(self, scenes, seeds, iou_threshold: float = 0.5,
+               cls_bayesian: bool = False) -> Detections:
+        """Fused detections of a batch of scenes at the current skill
+        level, one image per scene; scene i draws from seeds[i]."""
+        anchors = synth_detector_outputs(scenes, self.output_spec(), seeds)
+        return bayesod_inference(anchors, iou_threshold, cls_bayesian)
 
 
 # ---------------------------------------------------------------------------
@@ -423,18 +434,18 @@ def _cannot_fill_batch(sel, pool_size: int) -> bool:
 
 def _select(cfg, track, pool_ids, seed, it) -> list:
     """B pool ids by the configured strategy, from the track's inputs:
-    a per-id score, pool and labeled features, clue weights or MC
-    samples of the current model."""
+    the scores of a list of ids, pool and labeled features, clue
+    weights or MC samples of the current model."""
     sel = cfg.selection
     sel_seed = _stream_seed(seed, _SELECT, it, cfg.selection_seed)
-    score = functools.partial(track.score, it=it)
+    scores = functools.partial(track.scores, it=it)
     if sel.strategy == "random":
         return sampling.select_random(pool_ids, sel.batch_size, sel_seed)
     if sel.strategy == "topn":
-        return sampling.select_topn([(pid, score(pid)) for pid in pool_ids],
+        return sampling.select_topn(list(zip(pool_ids, scores(pool_ids))),
                                     sel.batch_size)
     if sel.strategy == "subsample_topn":
-        return sampling.select_subsample_topn(pool_ids, score,
+        return sampling.select_subsample_topn(pool_ids, scores,
                                               sel.subsample_fraction,
                                               sel.batch_size, sel_seed)
     if sel.strategy == "coreset":
@@ -494,8 +505,9 @@ class _ClassificationTrack:
     def labels(batch) -> np.ndarray:
         return np.asarray(batch, dtype=int)
 
-    def score(self, pid, it) -> float:
-        return acq.categorical_entropy(self.model.predict_mean(self.pool_x[pid]))
+    def scores(self, pool_ids, it) -> list[float]:
+        return [acq.categorical_entropy(self.model.predict_mean(self.pool_x[pid]))
+                for pid in pool_ids]
 
     def pool_features(self, pool_ids, it) -> np.ndarray:
         return self.model.features(self.pool_x[pool_ids])
@@ -514,7 +526,11 @@ class _ClassificationTrack:
 
 
 class _DetectionTrack:
-    """The skill surrogate on scenes; labeled scenes start with sim's."""
+    """The skill surrogate on scenes; labeled scenes start with sim's.
+
+    Each detection need is one batch: the test scenes of an evaluation,
+    the pool ids a selection asks about, the labeled scenes for coreset.
+    """
 
     def __init__(self, cfg, data: DetectionDatasets, seed: int):
         if cfg.selection.strategy == "batchbald":
@@ -523,18 +539,17 @@ class _DetectionTrack:
         self.cfg, self.data, self.seed = cfg, data, seed
         self.pool_size = len(data.pool_scenes)
         self.labeled_scenes = list(data.sim_scenes)
-        self._pool_dets = {}   # pool id -> detections of the current model
+        self._pool_dets = (None, None)   # (pool ids, their detections by the current model)
 
-    def _detect(self, model, scene, stream, it, extra):
-        return model.detect(scene, _stream_seed(self.seed, stream, it, extra),
-                            iou_threshold=self.cfg.iou_threshold,
+    def _detect(self, model, scenes, stream, it, extras) -> Detections:
+        seeds = [_stream_seed(self.seed, stream, it, extra) for extra in extras]
+        return model.detect(scenes, seeds, iou_threshold=self.cfg.iou_threshold,
                             cls_bayesian=self.cfg.cls_bayesian)
 
     def _mean_ap(self, model, stream, it) -> float:
         scenes = self.data.test_scenes
-        detections = [self._detect(model, scene, stream, it, sid)
-                      for sid, scene in enumerate(scenes)]
-        return evaluate_detection(detections, scenes, self.cfg.iou_threshold)
+        detections = self._detect(model, scenes, stream, it, range(len(scenes)))
+        return evaluate_detection(detections.images(), scenes, self.cfg.iou_threshold)
 
     def start(self, learner) -> None:
         self.model = learner.with_sim(self.data.sim_scenes)
@@ -549,7 +564,7 @@ class _DetectionTrack:
     def learn(self, ids, batch, it) -> None:
         self.model = self.model.with_real(batch)
         self.labeled_scenes.extend(batch)
-        self._pool_dets = {}
+        self._pool_dets = (None, None)
 
     @staticmethod
     def labels(batch) -> np.ndarray:
@@ -557,38 +572,46 @@ class _DetectionTrack:
             return np.empty(0, dtype=int)
         return np.concatenate([s.gt_classes for s in batch])
 
-    def _pool_detections(self, pid, it):
-        # detect is a pure function of (model, scene, seed)
-        if pid not in self._pool_dets:
-            self._pool_dets[pid] = self._detect(
-                self.model, self.data.pool_scenes[pid], _SCORE, it, pid)
-        return self._pool_dets[pid]
+    def _pool_detections(self, pool_ids, it) -> Detections:
+        # detect is a pure function of (model, scenes, seeds), and clue
+        # asks twice about the same ids
+        pool_ids = tuple(pool_ids)
+        if self._pool_dets[0] != pool_ids:
+            scenes = [self.data.pool_scenes[pid] for pid in pool_ids]
+            self._pool_dets = (pool_ids, self._detect(self.model, scenes, _SCORE,
+                                                      it, pool_ids))
+        return self._pool_dets[1]
 
-    def score(self, pid, it) -> float:
-        return acq.score_image(self._pool_detections(pid, it),
-                               self.cfg.acquisition, image_id=pid).score
+    def scores(self, pool_ids, it) -> list[float]:
+        scored = acq.score_image(self._pool_detections(pool_ids, it),
+                                 self.cfg.acquisition, pool_ids)
+        return [s.score for s in scored]
 
     def pool_features(self, pool_ids, it) -> np.ndarray:
-        n_classes = self.model.scene_spec.n_classes
-        return np.array([_scene_feature(self._pool_detections(pid, it), n_classes)
-                         for pid in pool_ids])
+        return _scene_features(self._pool_detections(pool_ids, it),
+                               self.model.scene_spec.n_classes)
 
     def labeled_features(self, it) -> np.ndarray:
-        n_classes = self.model.scene_spec.n_classes
-        return np.array([_scene_feature(
-            self._detect(self.model, scene, _SCORE, it, self.pool_size + sid),
-            n_classes) for sid, scene in enumerate(self.labeled_scenes)])
+        scenes = self.labeled_scenes
+        extras = range(self.pool_size, self.pool_size + len(scenes))
+        return _scene_features(self._detect(self.model, scenes, _SCORE, it, extras),
+                               self.model.scene_spec.n_classes)
 
     def clue_weights(self, pool_ids, it) -> np.ndarray:
-        return np.maximum([self.score(pid, it) for pid in pool_ids], 0.0)
+        return np.maximum(self.scores(pool_ids, it), 0.0)
 
 
-def _scene_feature(detections, n_classes: int) -> np.ndarray:
-    """Image-level embedding: mean fused class scores plus detection count."""
-    if not detections:
-        return np.zeros(n_classes + 1)
-    probs = np.mean([d.class_probs for d in detections], axis=0)
-    return np.concatenate([probs, [float(len(detections))]])
+def _scene_features(detections: Detections, n_classes: int) -> np.ndarray:
+    """Image-level embeddings, one row per image: mean fused class scores
+    (np.mean per image, so each row keeps its reduction order) plus the
+    detection count."""
+    bounds = detections.offsets.tolist()
+    features = np.zeros((detections.n_images, n_classes + 1))
+    for row, lo, hi in zip(features, bounds, bounds[1:]):
+        if hi > lo:
+            row[:-1] = np.mean(detections.class_probs[lo:hi], axis=0)
+            row[-1] = hi - lo
+    return features
 
 
 def _seed_int(ss: np.random.SeedSequence) -> int:
@@ -631,6 +654,14 @@ class ClassificationExperimentSpec:
                 raise ValueError(f"{name} must be >= 1")
         if not (0.0 <= self.dropout_rate < 1.0):
             raise ValueError("dropout_rate must lie in [0, 1)")
+        if not (np.isfinite(self.cov_scale) and self.cov_scale > 0):
+            raise ValueError("cov_scale must be finite and > 0")
+        _check_label_skew(self.label_skew)
+
+
+def _check_label_skew(skew) -> None:
+    if not (np.isfinite(skew) and skew >= 0):
+        raise ValueError("label_skew must be finite and >= 0")
 
 
 def build_classification_experiment(spec: ClassificationExperimentSpec,
@@ -684,6 +715,26 @@ class DetectionExperimentSpec:
     label_skew: float = 1.5
     surrogate: SurrogateParams = field(default_factory=SurrogateParams)
     seed: int = 100
+
+    def __post_init__(self):
+        if self.n_classes < 1:
+            raise ValueError("n_classes must be >= 1")
+        for name in ("width", "height"):
+            if not (np.isfinite(getattr(self, name)) and getattr(self, name) > 0):
+                raise ValueError(f"{name} must be finite and > 0")
+        if not (0 <= self.objects_min <= self.objects_max):
+            raise ValueError("objects_min must lie in [0, objects_max]")
+        if not (0 < self.box_min <= self.box_max):
+            raise ValueError("box_min must lie in (0, box_max]")
+        if not self.box_max <= min(self.width, self.height):
+            raise ValueError("box_max must be <= min(width, height)")
+        for name in ("anchors_per_object", "mc_samples", "sim_scenes",
+                     "pool_scenes", "test_scenes"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        _check_label_skew(self.label_skew)
+        if not np.isfinite(self.surrogate.sim_weight):
+            raise ValueError("surrogate.sim_weight must be finite")
 
 
 def build_detection_experiment(spec: DetectionExperimentSpec, run_seed: int):

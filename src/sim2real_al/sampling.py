@@ -70,18 +70,21 @@ def subsample_size(p: float, pool_size: int) -> int:
 def select_subsample_topn(pool_ids, score_fn, p: float, b: int, seed) -> list:
     """Uniformly sub-sample ceil(p * |pool|) ids, then TopN among them.
 
-    Only the sub-sampled ids are scored (score_fn(id) -> real), so the
-    selected label distribution follows the pool distribution instead
-    of concentrating on whatever the raw scores favor.
+    Only the sub-sampled ids are scored, in one call: score_fn(ids)
+    returns one real per id, in order.  So the selected label
+    distribution follows the pool distribution instead of concentrating
+    on whatever the raw scores favor.
     """
     pool_ids = list(pool_ids)
     m = subsample_size(p, len(pool_ids))
     if b > m:
         raise ValueError("sub-sample too small for batch")
     rng = np.random.default_rng(seed)
-    drawn = rng.choice(len(pool_ids), size=m, replace=False)
-    candidates = [(pool_ids[i], score_fn(pool_ids[i])) for i in drawn]
-    return select_topn(candidates, b)
+    drawn = [pool_ids[i] for i in rng.choice(len(pool_ids), size=m, replace=False)]
+    scores = list(score_fn(drawn))
+    if len(scores) != m:
+        raise ValueError(f"score_fn returned {len(scores)} scores for {m} ids")
+    return select_topn(list(zip(drawn, scores)), b)
 
 
 def select_coreset(pool_features, labeled_features, b: int) -> list[int]:

@@ -11,7 +11,8 @@ fusion/acquisition stack can run without training an actual detector.
 
 Everything is a pure function of (spec, seed).  Parallel per-scene
 generation derives child seeds with numpy's SeedSequence spawning
-(seed mixing: SeedSequence([seed, index])).
+(seed mixing: SeedSequence([seed, index])); detector outputs take one
+seed per scene.
 """
 
 from __future__ import annotations
@@ -191,40 +192,61 @@ def generate_detection_scenes(spec: DetectionSceneSpec, n: int,
     return scenes
 
 
-def synth_detector_outputs(scene: DetectionScene, spec: DetectionSceneSpec,
-                           seed) -> Anchors:
-    """Anchor-level MC outputs for one scene.
+def synth_detector_outputs(scenes, spec: DetectionSceneSpec, seeds) -> Anchors:
+    """Anchor-level MC outputs of a batch of scenes, one image per scene.
 
-    Per surviving ground-truth object (objects drop out with the
-    per-class miss probability), anchors_per_object anchors are
-    emitted; each carries mc_samples box samples (ground-truth corners
-    plus Gaussian jitter, corners re-ordered if the jitter inverts
-    them) and mc_samples score vectors (sigmoid of the true-class /
-    off-class logits plus Gaussian noise).  Noisier spec values raise
-    the downstream classification and regression entropies.
+    Scene i draws from its own generator, default_rng(seeds[i]), so its
+    anchors do not depend on the rest of the batch.  Per ground-truth
+    object, in order, it draws one uniform for the per-class miss
+    probability (only where that is > 0; a missed object yields no
+    anchors) and, for a surviving object, one standard_normal((m,
+    T * (4 + C))) block: per anchor, T x 4 box jitter, then T x C score
+    noise.  Then, once over every anchor of the batch, each anchor's T
+    box samples are the ground-truth corners plus jitter (corners
+    re-ordered if the jitter inverts them) and its T score vectors the
+    sigmoid of the true-class / off-class logits plus noise.  Noisier
+    spec values raise the downstream classification and regression
+    entropies.  Returns one Anchors whose offsets mark the scenes.
     """
-    rng = np.random.default_rng(seed)
+    scenes, seeds = list(scenes), list(seeds)
+    if len(scenes) != len(seeds):
+        raise ValueError(f"need one seed per scene, got {len(seeds)} seeds "
+                         f"for {len(scenes)} scenes")
     sigma_box = spec.per_class(spec.sigma_box)
     score_noise = spec.per_class(spec.score_noise)
     true_logit = spec.per_class(spec.true_logit)
-    miss_prob = spec.per_class(spec.miss_prob)
+    miss_prob = spec.per_class(spec.miss_prob).tolist()
     t, m, c = spec.mc_samples, spec.anchors_per_object, spec.n_classes
 
-    scores, boxes = [np.empty((0, t, c))], [np.empty((0, t, 4))]
-    for cls, box in zip(scene.gt_classes, scene.gt_boxes):
-        if miss_prob[cls] > 0 and rng.random() < miss_prob[cls]:
-            continue
-        # per anchor: t x 4 box jitter, then t x c score noise (fixes a seed's output)
-        draws = rng.standard_normal((m, t * (4 + c)))
-        samples = box + draws[:, :4 * t].reshape(m, t, 4) * sigma_box[cls]
-        x_lo = np.minimum(samples[..., 0], samples[..., 2] - 1e-3)
-        x_hi = np.maximum(samples[..., 2], samples[..., 0] + 1e-3)
-        y_lo = np.minimum(samples[..., 1], samples[..., 3] - 1e-3)
-        y_hi = np.maximum(samples[..., 3], samples[..., 1] + 1e-3)
-        boxes.append(np.stack([x_lo, y_lo, x_hi, y_hi], axis=-1))
-        logits = np.full((m, t, c), spec.off_logit)
-        logits[..., cls] = true_logit[cls]
-        logits = logits + draws[:, 4 * t:].reshape(m, t, c) * score_noise[cls]
-        scores.append(1.0 / (1.0 + np.exp(-logits)))
-    return Anchors(scores=np.concatenate(scores), boxes=np.concatenate(boxes))
+    classes = np.concatenate([np.zeros(0, dtype=int)] + [s.gt_classes for s in scenes])
+    gt_boxes = np.concatenate([np.zeros((0, 4))] + [s.gt_boxes for s in scenes])
+    draws = np.empty((len(classes), m, t * (4 + c)))
+    kept = np.zeros(len(classes), dtype=bool)
+    obj = n_kept = 0
+    for scene, seed in zip(scenes, seeds):
+        rng = np.random.default_rng(seed)
+        for cls in scene.gt_classes.tolist():
+            if not (miss_prob[cls] > 0 and rng.random() < miss_prob[cls]):
+                rng.standard_normal(out=draws[n_kept])
+                kept[obj] = True
+                n_kept += 1
+            obj += 1
+    draws, cls, box = draws[:n_kept], classes[kept], gt_boxes[kept]
+    scene_of = np.repeat(np.arange(len(scenes)), [s.n_objects for s in scenes])
+    per_scene = m * np.bincount(scene_of[kept], minlength=len(scenes))
 
+    jitter = draws[..., :4 * t].reshape(n_kept, m, t, 4)
+    samples = box[:, None, None, :] + jitter * sigma_box[cls][:, None, None, None]
+    x_lo = np.minimum(samples[..., 0], samples[..., 2] - 1e-3)
+    x_hi = np.maximum(samples[..., 2], samples[..., 0] + 1e-3)
+    y_lo = np.minimum(samples[..., 1], samples[..., 3] - 1e-3)
+    y_hi = np.maximum(samples[..., 3], samples[..., 1] + 1e-3)
+    boxes = np.stack([x_lo, y_lo, x_hi, y_hi], axis=-1)
+    logits = np.full((n_kept, c), spec.off_logit)
+    logits[np.arange(n_kept), cls] = true_logit[cls]
+    noise = draws[..., 4 * t:].reshape(n_kept, m, t, c)
+    logits = logits[:, None, None, :] + noise * score_noise[cls][:, None, None, None]
+    scores = 1.0 / (1.0 + np.exp(-logits))
+    return Anchors(scores=scores.reshape(n_kept * m, t, c),
+                   boxes=boxes.reshape(n_kept * m, t, 4),
+                   offsets=np.concatenate(([0], np.cumsum(per_scene))))

@@ -39,6 +39,11 @@ def fuse_cluster(box_samples, **kwargs):
         box_samples, [np.arange(len(box_samples))], **kwargs))
 
 
+def scores_of(scores):
+    """The batch scorer select_subsample_topn calls: ids -> their scores."""
+    return lambda ids: [scores[i] for i in ids]
+
+
 def test_criterion_1_entropy_closed_forms():
     with criterion(1, "entropy closed forms and scaling identity"):
         assert abs(cls_entropy([0.5]) - math.log(2)) < 1e-9
@@ -100,7 +105,7 @@ def test_criterion_2_fusion_oracles():
             expected = np.ones(5)
             for s in score_sets:
                 expected = expected * s
-            got = fuse_categorical(cluster)
+            got = fuse_categorical(cluster, [np.arange(len(cluster))])[0]
             np.testing.assert_allclose(got, expected, atol=1e-12)
 
 
@@ -113,7 +118,7 @@ def test_criterion_3_selection_correctness():
             ids = [int(i) for i in rng.choice(10_000, size=n, replace=False)]
             scores = {i: float(rng.normal()) for i in ids}
             b = int(rng.integers(1, n + 1))
-            assert select_subsample_topn(ids, scores.__getitem__, 1.0, b,
+            assert select_subsample_topn(ids, scores_of(scores), 1.0, b,
                                          seed=trial) == \
                 select_topn(list(scores.items()), b)
 
@@ -145,7 +150,7 @@ def test_criterion_4_label_shift_mitigation():
         picked = np.zeros(4)
         for draw in range(1000):
             scores = np.random.default_rng(50_000 + draw).normal(size=n)
-            ids = select_subsample_topn(pool, lambda i: scores[i], 0.1, 10,
+            ids = select_subsample_topn(pool, scores_of(scores), 0.1, 10,
                                         seed=draw)
             for i in ids:
                 picked[labels[i]] += 1

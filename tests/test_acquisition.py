@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from tests_support_reference import (reference_cls_entropy,
+from tests_support_reference import (detections_of, reference_cls_entropy,
                                      reference_combine,
                                      reference_reg_entropy,
                                      reference_score_image)
@@ -198,6 +198,11 @@ class TestCombine:
             AcquisitionConfig(empty_image_score=float("nan"))
 
 
+def score_one(dets, cfg, image_id=0):
+    """score_image on a batch of one image holding the detections dets."""
+    return score_image(detections_of([dets]), cfg, [image_id])[0]
+
+
 def _det(probs, cov_scale=1.0):
     return FusedDetection(class_probs=np.asarray(probs),
                           box_mean=np.array([0, 0, 10, 10]),
@@ -212,25 +217,25 @@ class TestScoreImage:
         h = math.log(2)
         for agg, expected in (("max", h), ("sum", 3 * h), ("avg", h)):
             cfg = AcquisitionConfig(agg=agg, **cfg_base)
-            assert score_image(dets, cfg).score == pytest.approx(expected)
+            assert score_one(dets, cfg).score == pytest.approx(expected)
 
     def test_empty_default_zero(self):
-        score = score_image([], AcquisitionConfig())
+        score = score_one([], AcquisitionConfig())
         assert score.score == 0.0
         assert score.n_detections == 0
 
     def test_empty_custom_score(self):
         cfg = AcquisitionConfig(empty_image_score=-3.5)
-        assert score_image([], cfg).score == -3.5
+        assert score_one([], cfg).score == -3.5
 
     def test_singleton_agg_equivalence(self):
         det = _det([0.3, 0.6], cov_scale=2.0)
-        scores = [score_image([det], AcquisitionConfig(agg=a)).score
+        scores = [score_one([det], AcquisitionConfig(agg=a)).score
                   for a in ("max", "sum", "avg")]
         assert scores[0] == scores[1] == scores[2]
 
     def test_image_id_and_count(self):
-        s = score_image([_det([0.4])], AcquisitionConfig(), image_id="k7")
+        s = score_one([_det([0.4])], AcquisitionConfig(), image_id="k7")
         assert s.image_id == "k7"
         assert s.n_detections == 1
 
@@ -277,7 +282,7 @@ class TestScoreImageReference:
         for n in (1, 2, 3, 7, 40):
             for n_classes in (1, 3, 5):
                 dets = random_detections(rng, n, n_classes)
-                assert (score_or_error(score_image, dets, cfg)
+                assert (score_or_error(score_one, dets, cfg)
                         == score_or_error(reference_score_image, dets, cfg))
 
     def test_tied_terms_under_max(self):
@@ -287,7 +292,7 @@ class TestScoreImageReference:
                              box_cov=1e-6 * np.eye(4))
         for w_reg in (0.0, 1.0):
             cfg = AcquisitionConfig(comb="max", agg="sum", w_reg=w_reg)
-            assert (score_or_error(score_image, [det, det], cfg)
+            assert (score_or_error(score_one, [det, det], cfg)
                     == score_or_error(reference_score_image, [det, det], cfg))
 
     BAD = {
@@ -316,8 +321,66 @@ class TestScoreImageReference:
         if len({np.shape(d.box_cov) for d in dets}) > 1:
             dets = [d for d in dets if np.shape(d.box_cov) == np.shape(dets[0].box_cov)]
         with np.errstate(invalid="ignore"):
-            assert (score_or_error(score_image, dets, CONFIGS[0])
+            assert (score_or_error(score_one, dets, CONFIGS[0])
                     == score_or_error(reference_score_image, dets, CONFIGS[0]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(kinds=st.lists(st.sampled_from(sorted(set(BAD) - {"not-square"})),
+                          max_size=3),
+           sizes=st.lists(st.integers(0, 4), min_size=1, max_size=5),
+           seed=st.integers(0, 2**32 - 1))
+    def test_batch_matches_image_by_image(self, kinds, sizes, seed):
+        """A batch of images scores, and fails, as scoring its images one
+        at a time, in order, does."""
+        rng = np.random.default_rng(seed)
+        dets = random_detections(rng, sum(sizes) + len(kinds), 2)
+        for kind, good in zip(kinds, dets[sum(sizes):]):
+            if sum(sizes):
+                dets[int(rng.integers(0, sum(sizes)))] = self.BAD[kind](good)
+        bounds = np.cumsum([0, *sizes])
+        images = [dets[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+        ids = [f"im{i}" for i in range(len(images))]
+
+        def batch():
+            return [(s.image_id, s.score.hex(), s.n_detections) for s in
+                    score_image(detections_of(images), CONFIGS[0], ids)]
+
+        def one_by_one():
+            return [score_or_error(reference_score_image, image, CONFIGS[0])
+                    for image in images]
+
+        with np.errstate(invalid="ignore"):
+            try:
+                got = batch()
+            except ValueError as exc:
+                got = str(exc)
+            expected = one_by_one()
+        errors = [e for e in expected if isinstance(e, str)]
+        if errors:
+            assert got == errors[0]
+        else:
+            assert got == [(i, *e[1:]) for i, e in zip(ids, expected)]
+
+    @pytest.mark.parametrize("comb", ["sum", "max"])
+    @pytest.mark.parametrize("agg", ["max", "sum", "avg"])
+    def test_signed_zero_ties_per_image(self, comb, agg):
+        # exact 0/1 class scores give a -0.0 classification entropy, and
+        # w_reg = 0 a regression term of the sign of the covariance's
+        # entropy, so the combined values are zeros of either sign; max
+        # keeps the first of tied zeros, as Python's max does
+        tight = FusedDetection(np.array([1.0, 0.0]), np.zeros(4), 1e-6 * np.eye(4))
+        wide = FusedDetection(np.array([1.0, 0.0]), np.zeros(4), np.eye(4))
+        images = [[tight, wide], [wide, tight], [tight], [], [wide, wide, tight]]
+        cfg = AcquisitionConfig(comb=comb, agg=agg, w_reg=0.0)
+        got = [(s.image_id, s.score.hex(), s.n_detections)
+               for s in score_image(detections_of(images), cfg)]
+        refs = [reference_score_image(image, cfg, i) for i, image in enumerate(images)]
+        expected = [(r.image_id, r.score.hex(), r.n_detections) for r in refs]
+        assert got == expected
+
+    def test_one_image_id_per_image(self):
+        with pytest.raises(ValueError, match="one image id per image"):
+            score_image(detections_of([[_det([0.4])], []]), AcquisitionConfig(), ["a"])
 
     def test_one_row_kernels(self):
         rng = np.random.default_rng(4)

@@ -85,4 +85,15 @@ def test_sweep_calls_match_span_contract(tmp_path, capsys, workload, text):
     after = attributes()
     assert after.keys() == before.keys()
     assert [key for key in before if after[key] is not before[key]] == []
-    assert spans.coverage_errors(workload, tracer.totals()[0]) == []
+    calls = tracer.totals()[0]
+    assert spans.coverage_errors(workload, calls) == []
+    if workload == "det-sweep":
+        # one detect per detection batch, not per scene: an evaluation's
+        # test scenes, a scored or clue pool, and coreset's pool plus
+        # labeled scenes; each runs the detection chain once
+        batches = (calls["loop.evaluate_detection"] + calls["acquisition.score_image"]
+                   + 2 * calls["sampling.select_coreset"])
+        assert calls["loop.detect"] == batches == 26
+        for name in ("synthdata.synth_detector_outputs", "fusion.bayesod_inference",
+                     "fusion.cluster_anchors", "fusion.fuse_gaussian"):
+            assert calls[name] == batches, name

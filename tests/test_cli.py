@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -173,20 +174,76 @@ class TestConfigParsing:
         ("dataset.dropout_rate", "-0.1", "dropout_rate must lie in [0, 1)"),
         ("selection.batch_size", "0", "batch_size must be >= 1"),
         ("acquisition.w_reg", "-1", "w_reg must be finite and >= 0"),
+        ("dataset.cov_scale", "0", "cov_scale must be finite and > 0"),
+        ("dataset.label_skew", "-1", "label_skew must be finite and >= 0"),
+        ("dataset.label_skew", "nan", "label_skew must be finite and >= 0"),
+        ("loop.mc_passes", "0", "mc_passes must be >= 1"),
+        ("loop.iou_threshold", "1.5", "iou_threshold must lie in [0, 1]"),
+        ("loop.iou_threshold", "-0.1", "iou_threshold must lie in [0, 1]"),
+        ("dataset.objects_min", "4", "objects_min must lie in [0, objects_max]"),
+        ("dataset.objects_min", "-1", "objects_min must lie in [0, objects_max]"),
+        ("dataset.box_max", "200", "box_max must be <= min(width, height)"),
+        ("dataset.box_min", "0", "box_min must lie in (0, box_max]"),
+        ("dataset.box_min", "60", "box_min must lie in (0, box_max]"),
+        ("dataset.anchors_per_object", "0", "anchors_per_object must be >= 1"),
+        ("dataset.mc_samples", "0", "mc_samples must be >= 1"),
+        ("dataset.width", "0", "width must be finite and > 0"),
+        ("dataset.height", "nan", "height must be finite and > 0"),
+        ("dataset.sim_scenes", "0", "sim_scenes must be >= 1"),
+        ("dataset.pool_scenes", "0", "pool_scenes must be >= 1"),
+        ("dataset.test_scenes", "0", "test_scenes must be >= 1"),
+        ("surrogate.sim_weight", "nan", "surrogate.sim_weight must be finite"),
     ])
     def test_out_of_range_value_exits_2(self, tmp_path, capsys, key, value,
                                         message):
         """One bad value, set alone, is one error line at its key's
-        line, before any output is written."""
-        lines = [ln for ln in SMALL_CLS.splitlines()
-                 if not ln.startswith(f"{key} =")] + [f"{key} = {value}"]
-        cfg = write_cfg(tmp_path, "\n".join(lines) + "\n")
+        line, before any output is written; a key of both tracks fails
+        on both."""
+        bases = [text for text, schema in ((SMALL_CLS, cli.CLASSIFICATION_SCHEMA),
+                                           (SMALL_DET, cli.DETECTION_SCHEMA))
+                 if key in schema or key in cli.COMMON_SCHEMA]
+        assert bases
+        for base in bases:
+            lines = [ln for ln in base.splitlines()
+                     if not ln.startswith(f"{key} =")] + [f"{key} = {value}"]
+            cfg = write_cfg(tmp_path, "\n".join(lines) + "\n")
+            out = tmp_path / "out"
+            assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: {cfg}:{len(lines)}: {key!r}: {message}\n"
+            assert not out.exists()
+
+    BATCHBALD_PASSES = "mc_passes must be >= 2 for batchbald, whose mutual " \
+                       "information needs two samples"
+
+    @pytest.mark.parametrize("command, edit, args", [
+        ("run", ("selection.strategy = subsample_topn",
+                 "selection.strategy = batchbald"), []),
+        ("sweep", ("strategies = random,subsample_topn",
+                   "strategies = random,batchbald"), []),
+        ("run", None, ["--strategy", "batchbald"]),
+        ("sweep", None, ["--strategy", "random,batchbald"]),
+    ], ids=["selection", "strategies", "run-flag", "sweep-flag"])
+    def test_one_mc_pass_with_batchbald_exits_2(self, tmp_path, capsys, command,
+                                                edit, args):
+        text = SMALL_CLS if edit is None else SMALL_CLS.replace(*edit)
+        cfg = write_cfg(tmp_path, text + "loop.mc_passes = 1\n")
+        n_lines = len(text.splitlines()) + 1
         out = tmp_path / "out"
-        assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 2
+        assert cli.main([command, "--config", cfg, "--out", str(out), *args]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: {cfg}:{len(lines)}: {key!r}: {message}\n"
+        assert captured.err == (f"error: {cfg}:{n_lines}: 'loop.mc_passes': "
+                                f"{self.BATCHBALD_PASSES}\n")
         assert not out.exists()
+
+    def test_one_mc_pass_without_batchbald_loads(self, tmp_path):
+        excfg = cli.load_config(write_cfg(tmp_path, SMALL_CLS + "loop.mc_passes = 1\n"))
+        assert excfg.al.mc_passes == 1
+        with pytest.raises(ValueError, match="mc_passes must be >= 2"):
+            replace(excfg.al, selection=replace(excfg.al.selection,
+                                                strategy="batchbald"))
 
     @pytest.mark.parametrize("command", ["run", "sweep"])
     def test_negative_seed_flag_exits_2(self, tmp_path, capsys, command):
@@ -411,8 +468,8 @@ class TestCmdScore:
                                    sigma_box=5.0, score_noise=2.0,
                                    true_logit=0.5)
         sc = generate_detection_scenes(quiet, 1, seed=1)[0]
-        records = [("calm", synth_detector_outputs(sc, quiet, seed=2)),
-                   ("loud", synth_detector_outputs(sc, noisy, seed=3))]
+        records = [("calm", synth_detector_outputs([sc], quiet, [2])),
+                   ("loud", synth_detector_outputs([sc], noisy, [3]))]
         path = tmp_path / "anchors.txt"
         write_anchor_records(path, records)
         assert cli.main(["score", "--anchors", str(path)]) == 0
@@ -490,6 +547,20 @@ class TestCmdScore:
                                 w_reg=args.w_reg)
         assert capsys.readouterr().out == reference_score_stdout(
             path, args.iou_threshold, args.cls_bayesian, cfg)
+
+    def test_score_names_first_failing_image_in_file_order(self, tmp_path, capsys):
+        # images are scored in one batch per sample shape, so 'late'
+        # (T=2, like 'ok') runs before 'early' (T=1); the error still
+        # names the first image of the file that fails on its own
+        huge = "1e200 1e200 3e200 3e200\n"
+        path = tmp_path / "anchors.txt"
+        path.write_text(self.GOOD_IMAGE
+                        + "image early 2 1 1\n0.5 0.5\n" + huge
+                        + "image late 2 2 1\n0.5 0.5\n0.5 0.5\n" + huge * 2)
+        assert cli.main(["score", "--anchors", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: image early: overflow")
 
     def test_score_overflow_is_one_error_line(self, tmp_path):
         # finite boxes whose areas overflow: stderr carries no numpy warnings

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from tests_support_reference import (dense_image_text,
+from tests_support_reference import (assert_same_detections, dense_image_text,
                                      reference_bayesod_inference,
+                                     reference_cluster_anchors,
                                      reference_read_anchor_records)
 
 from sim2real_al import fusion
@@ -26,6 +27,11 @@ def anchors_const(score_rows, boxes, t=3):
     boxes = np.asarray(boxes, dtype=float)
     return Anchors(scores=np.repeat(scores[:, None, :], t, axis=1),
                    boxes=np.repeat(boxes[:, None, :], t, axis=1))
+
+
+def fuse_scores(mean_scores, **kwargs):
+    """fuse_categorical on one cluster of all the given (n, C) mean scores."""
+    return fuse_categorical(mean_scores, [np.arange(len(mean_scores))], **kwargs)[0]
 
 
 def fuse_cluster(box_samples, **kwargs):
@@ -169,23 +175,101 @@ class TestClusterAnchors:
             cluster_anchors(anchors_const([[0.9]], [[0, 0, 10, 10]]), 2.0)
 
 
+def random_batch(rng, sizes, t=3, n_classes=2):
+    """Anchors of len(sizes) images, sizes[i] anchors each, jittered
+    around three shared objects so that clusters form."""
+    corners = rng.uniform(0.0, 30.0, (3, 2))
+    objects = np.concatenate([corners, corners + 15.0], axis=1)
+    n = int(sum(sizes))
+    picked = objects[rng.integers(0, 3, n)]
+    return Anchors(scores=rng.uniform(0.0, 1.0, (n, t, n_classes)),
+                   boxes=picked[:, None, :] + rng.normal(0.0, 2.0, (n, t, 4)),
+                   offsets=np.cumsum([0, *sizes]))
+
+
+def one_image(anchors, i):
+    lo, hi = anchors.offsets[i], anchors.offsets[i + 1]
+    return Anchors(scores=anchors.scores[lo:hi], boxes=anchors.boxes[lo:hi])
+
+
+class TestBatchClustering:
+    """A batch of images clusters and fuses as its images do one by one
+    (tests_support_reference.reference_cluster_anchors,
+    reference_bayesod_inference), with indices shifted by each image's
+    offset."""
+
+    def check(self, anchors, threshold, cls_bayesian):
+        clusters = cluster_anchors(anchors, threshold)
+        expected = []
+        for i in range(anchors.n_images):
+            expected += [members + anchors.offsets[i] for members in
+                         reference_cluster_anchors(one_image(anchors, i), threshold)]
+        assert [list(c) for c in clusters] == [list(c) for c in expected]
+        detections = bayesod_inference(anchors, threshold, cls_bayesian)
+        images = detections.images()
+        assert len(images) == anchors.n_images
+        for i, got in enumerate(images):
+            assert_same_detections(got, reference_bayesod_inference(
+                one_image(anchors, i), threshold, cls_bayesian))
+
+    @settings(max_examples=60, deadline=None)
+    @given(sizes=st.lists(st.integers(0, 9), min_size=1, max_size=8),
+           t=st.integers(1, 5), threshold=st.sampled_from([0.0, 0.3, 0.5, 1.0]),
+           cls_bayesian=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_random_batches(self, sizes, t, threshold, cls_bayesian, seed):
+        self.check(random_batch(np.random.default_rng(seed), sizes, t),
+                   threshold, cls_bayesian)
+
+    def test_blocks_of_images(self, monkeypatch):
+        # blocks of one or two images give the clusters of one block
+        rng = np.random.default_rng(8)
+        anchors = random_batch(rng, [5, 0, 9, 1, 7, 3, 0, 8])
+        for entries in (1, 2 * 81, 1 << 16):
+            monkeypatch.setattr(fusion, "_BLOCK_ENTRIES", entries)
+            for cls_bayesian in (False, True):
+                self.check(anchors, 0.5, cls_bayesian)
+
+    def test_zero_area_boxes(self):
+        # a zero-area mean box overlaps nothing, itself included, yet a
+        # center still joins its own cluster
+        rng = np.random.default_rng(3)
+        anchors = random_batch(rng, [4, 3, 5])
+        flat = anchors.boxes.copy()
+        flat[::2, :, 2] = flat[::2, :, 0]
+        anchors = Anchors(scores=anchors.scores, boxes=flat, offsets=anchors.offsets)
+        for threshold in (0.0, 0.5, 1.0):
+            self.check(anchors, threshold, False)
+
+    def test_empty_images_keep_their_place(self):
+        anchors = random_batch(np.random.default_rng(2), [0, 0])
+        detections = bayesod_inference(anchors)
+        assert len(detections) == 0
+        np.testing.assert_array_equal(detections.offsets, [0, 0, 0])
+
+    def test_offsets_checked(self):
+        for offsets in ([0, 3, 2, 4], [1, 4], [0, 3], []):
+            with pytest.raises(ValueError, match="offsets"):
+                Anchors(scores=np.full((4, 2, 1), 0.5), boxes=np.zeros((4, 2, 4)),
+                        offsets=offsets)
+
+
 class TestFuseCategorical:
     def test_singleton_identity(self):
-        np.testing.assert_allclose(fuse_categorical([[0.6, 0.4]]), [0.6, 0.4], atol=1e-15)
+        np.testing.assert_allclose(fuse_scores([[0.6, 0.4]]), [0.6, 0.4], atol=1e-15)
 
     def test_two_members_bernoulli_default(self):
-        fused = fuse_categorical([[0.6, 0.4]] * 2)
+        fused = fuse_scores([[0.6, 0.4]] * 2)
         np.testing.assert_allclose(fused, [0.36, 0.16], atol=1e-12)
 
     def test_two_members_renormalized(self):
-        fused = fuse_categorical([[0.6, 0.4]] * 2, renormalize=True)
+        fused = fuse_scores([[0.6, 0.4]] * 2, renormalize=True)
         np.testing.assert_allclose(fused, [9 / 13, 4 / 13], atol=1e-12)
 
     def test_all_ones_member_is_identity(self):
         rng = np.random.default_rng(5)
         base = rng.uniform(0, 1, size=(2, 3))
         with_ones = np.concatenate([base, np.ones((1, 3))])
-        np.testing.assert_array_equal(fuse_categorical(base), fuse_categorical(with_ones))
+        np.testing.assert_array_equal(fuse_scores(base), fuse_scores(with_ones))
 
     def test_brute_force_products(self):
         rng = np.random.default_rng(9)
@@ -195,9 +279,9 @@ class TestFuseCategorical:
             expected = np.ones(4)
             for s in score_sets:
                 expected = expected * s
-            np.testing.assert_allclose(fuse_categorical(score_sets), expected,
+            np.testing.assert_allclose(fuse_scores(score_sets), expected,
                                        atol=1e-12)
-            assert np.all(fuse_categorical(score_sets) <= 1.0 + 1e-15)
+            assert np.all(fuse_scores(score_sets) <= 1.0 + 1e-15)
 
 
 class TestFuseGaussian:
@@ -292,7 +376,7 @@ class TestFuseGaussian:
 class TestBayesodInference:
     def test_empty(self):
         empty = Anchors(scores=np.empty((0, 0, 0)), boxes=np.empty((0, 0, 4)))
-        assert bayesod_inference(empty, 0.5) == []
+        assert len(bayesod_inference(empty, 0.5)) == 0
 
     def test_single_anchor(self):
         rng = np.random.default_rng(4)
@@ -403,14 +487,6 @@ class TestInterchangeFormat:
             read_anchor_records(path)
 
 
-def assert_same_detections(got, expected):
-    assert len(got) == len(expected)
-    for g, e in zip(got, expected):
-        assert g.cluster_size == e.cluster_size
-        for name in ("class_probs", "box_mean", "box_cov"):
-            assert np.array_equal(getattr(g, name), getattr(e, name)), name
-
-
 class TestFusionReference:
     """One fuse_gaussian call per image gives the bits of one call per
     cluster (tests_support_reference.reference_bayesod_inference)."""
@@ -426,7 +502,7 @@ class TestFusionReference:
                                   mc_samples=t, sigma_box=3.0)
         scenes = generate_detection_scenes(spec, 12, seed=t)
         for i, scene in enumerate(scenes):
-            anchors = synth_detector_outputs(scene, spec, seed=i)
+            anchors = synth_detector_outputs([scene], spec, [i])
             for threshold in self.THRESHOLDS:
                 assert_same_detections(
                     bayesod_inference(anchors, threshold, cls_bayesian),
@@ -446,7 +522,7 @@ class TestFusionReference:
 
     def test_empty_image(self):
         empty = Anchors(scores=np.empty((0, 5, 3)), boxes=np.empty((0, 5, 4)))
-        assert bayesod_inference(empty) == reference_bayesod_inference(empty) == []
+        assert len(bayesod_inference(empty)) == len(reference_bayesod_inference(empty)) == 0
 
     def test_degenerate_cluster_raises_alike(self):
         anchors = anchors_const([[0.9], [0.6]], [[0, 0, 10, 10], [50, 50, 60, 60]], t=1)
@@ -555,7 +631,7 @@ class TestReaderReference:
         rng = np.random.default_rng(12)
         path = tmp_path / "repr.txt"
         write_anchor_records(path, [
-            (f"r{i}", synth_detector_outputs(scene, DetectionSceneSpec(), seed=i))
+            (f"r{i}", synth_detector_outputs([scene], DetectionSceneSpec(), [i]))
             for i, scene in enumerate(generate_detection_scenes(
                 DetectionSceneSpec(), 20, seed=rng.integers(1 << 30)))])
         expected = read_either(reference_read_anchor_records, path)

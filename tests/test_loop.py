@@ -9,13 +9,17 @@ from hypothesis import strategies as st
 from tests_support_map import brute_force_map
 from tests_support_map import make_det as det
 from tests_support_map import make_scene as scene
+from tests_support_reference import (assert_same_detections, reference_detect,
+                                     reference_score_image)
 
 from sim2real_al import loop as al
-from sim2real_al.acquisition import AcquisitionConfig
+from sim2real_al.acquisition import (AGG_MODES, COMB_MODES, AcquisitionConfig,
+                                     score_image)
 from sim2real_al.learner import TrainConfig
 from sim2real_al.cli import TRACK_STRATEGIES
 from sim2real_al.sampling import SelectionConfig
-from sim2real_al.synthdata import DetectionScene
+from sim2real_al.synthdata import (DetectionScene, DetectionSceneSpec,
+                                   generate_detection_scenes)
 
 
 class TestEvaluateClassifier:
@@ -360,6 +364,78 @@ class TestRunAlDetection:
                                                             iterations=1)
             curve = al.run_al(cfg, datasets, learner, oracle, seed=2)
             assert len(curve.selected_ids[0]) == 8
+
+
+class TestBatchDetectionReference:
+    """One batch step, DetectionSurrogate.detect on every scene and one
+    score_image call, gives the bits, and the first error, of the
+    per-scene chain it replaced: detect one scene, then score it
+    (tests_support_reference.reference_detect, reference_score_image)."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_scenes=st.integers(1, 10),
+           objects=st.tuples(st.integers(0, 3), st.integers(0, 4)),
+           n_classes=st.integers(1, 4), t=st.integers(1, 6), m=st.integers(1, 4),
+           miss=st.sampled_from([0.0, 0.3, 1.0]),
+           true_logit=st.sampled_from([2.0, 800.0]),
+           sigma_weak=st.sampled_from([6.0, 6.0, 6.0, np.inf]),
+           seen=st.sampled_from([0.0, 30.0, 1e4]),
+           threshold=st.sampled_from([0.0, 0.5, 1.0]), cls_bayesian=st.booleans(),
+           comb=st.sampled_from(COMB_MODES), agg=st.sampled_from(AGG_MODES),
+           weights=st.sampled_from([(1.0, 0.01), (1.0, 0.0), (0.0, 0.0), (0.3, 2.5)]))
+    def test_batch_matches_per_scene_chain(self, seed, n_scenes, objects, n_classes,
+                                           t, m, miss, true_logit, sigma_weak, seen,
+                                           threshold, cls_bayesian, comb, agg,
+                                           weights):
+        # objects_min = 0 gives empty scenes and miss = 1 misses every
+        # object; a huge true-class logit with one class scores exactly 1,
+        # a -0.0 classification entropy, so w_reg = 0 ties signed zeros;
+        # an infinite box sigma fails every scene with a surviving object
+        spec = DetectionSceneSpec(n_classes=n_classes,
+                                  objects_per_scene=tuple(sorted(objects)),
+                                  anchors_per_object=m, mc_samples=t)
+        params = al.SurrogateParams(miss_weak=miss, miss_strong=miss,
+                                    true_logit_weak=true_logit,
+                                    true_logit_strong=true_logit,
+                                    sigma_box_weak=sigma_weak, sigma_box_strong=0.2)
+        with np.errstate(invalid="ignore"):   # inf - inf in the skill interpolation
+            surrogate = al.DetectionSurrogate(spec, params,
+                                              sim_counts=np.full(n_classes, seen))
+        scenes = generate_detection_scenes(spec, n_scenes, seed)
+        seeds = [np.random.SeedSequence([seed, i]) for i in range(n_scenes)]
+        cfg = AcquisitionConfig(comb=comb, agg=agg, w_cls=weights[0], w_reg=weights[1])
+        ids = [f"s{i}" for i in range(n_scenes)]
+
+        try:
+            detections = surrogate.detect(scenes, seeds, threshold, cls_bayesian)
+            got = (detections.images(), score_image(detections, cfg, ids))
+        except ValueError as exc:
+            got = str(exc)
+        expected = ([], [])
+        try:
+            for scene_, seed_, image_id in zip(scenes, seeds, ids):
+                image = reference_detect(surrogate, scene_, seed_, threshold,
+                                         cls_bayesian)
+                expected[0].append(image)
+                expected[1].append(reference_score_image(image, cfg, image_id))
+        except ValueError as exc:
+            expected = str(exc)
+
+        if isinstance(expected, str):
+            assert got == expected
+            return
+        assert not isinstance(got, str), got
+        for got_image, image in zip(*[got[0], expected[0]], strict=True):
+            assert_same_detections(got_image, image)
+        assert ([(s.image_id, s.score.hex(), s.n_detections) for s in got[1]]
+                == [(s.image_id, s.score.hex(), s.n_detections) for s in expected[1]])
+
+    def test_seed_count_checked(self):
+        spec = DetectionSceneSpec()
+        surrogate = al.DetectionSurrogate(spec, al.SurrogateParams())
+        scenes = generate_detection_scenes(spec, 3, seed=1)
+        with pytest.raises(ValueError, match="one seed per scene"):
+            surrogate.detect(scenes, [1, 2])
 
 
 class TestRunAlSelectionProperty:

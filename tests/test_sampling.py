@@ -71,6 +71,11 @@ class TestSelectTopn:
             select_topn([(0, 1.0)], 2)
 
 
+def scores_of(scores):
+    """The batch scorer select_subsample_topn calls: ids -> their scores."""
+    return lambda ids: [scores[i] for i in ids]
+
+
 class TestSelectSubsampleTopn:
     def test_p_one_equals_topn(self):
         rng = np.random.default_rng(3)
@@ -79,14 +84,14 @@ class TestSelectSubsampleTopn:
             ids = list(rng.choice(1000, size=n, replace=False))
             scores = {i: float(rng.normal()) for i in ids}
             b = int(rng.integers(1, n + 1))
-            got = select_subsample_topn(ids, scores.__getitem__, 1.0, b, seed=trial)
+            got = select_subsample_topn(ids, scores_of(scores), 1.0, b, seed=trial)
             want = select_topn([(i, scores[i]) for i in ids], b)
             assert got == want
 
     def test_output_within_subsample(self):
         pool = list(range(60))
         scores = {i: float(i) for i in pool}
-        out = select_subsample_topn(pool, scores.__getitem__, 0.4, 5, seed=9)
+        out = select_subsample_topn(pool, scores_of(scores), 0.4, 5, seed=9)
         assert len(out) == 5 and len(set(out)) == 5
         assert set(out) <= set(pool)
 
@@ -95,11 +100,16 @@ class TestSelectSubsampleTopn:
         pool = list(range(100))
         scores = {i: float(i) for i in pool}
         seed = 1234
-        out = select_subsample_topn(pool, scores.__getitem__, 0.5, 5, seed=seed)
+        out = select_subsample_topn(pool, scores_of(scores), 0.5, 5, seed=seed)
         rng = np.random.default_rng(seed)
         drawn = [pool[i] for i in rng.choice(100, size=50, replace=False)]
         expected = sorted(drawn, key=lambda i: (-scores[i], i))[:5]
         assert out == expected
+
+    def test_one_score_per_drawn_id(self):
+        with pytest.raises(ValueError, match="returned 2 scores for 5 ids"):
+            select_subsample_topn(list(range(10)), lambda ids: [0.0, 1.0], 0.5, 3,
+                                  seed=0)
 
     def test_too_small_subsample_rejected(self):
         with pytest.raises(ValueError, match="sub-sample too small"):
@@ -120,7 +130,7 @@ class TestSelectSubsampleTopn:
         for draw in range(300):
             # fresh scores per draw, independent of the labels
             scores = np.random.default_rng(10_000 + draw).normal(size=n)
-            ids = select_subsample_topn(pool, lambda i: scores[i], 0.1, 10,
+            ids = select_subsample_topn(pool, scores_of(scores), 0.1, 10,
                                         seed=draw)
             for i in ids:
                 picked[labels[i]] += 1
@@ -384,7 +394,7 @@ class TestAllStrategiesContract:
                 "random": select_random(ids, b, seed=trial),
                 "topn": select_topn(list(scores.items()), b),
                 "subsample_topn": select_subsample_topn(
-                    ids, scores.__getitem__, 0.9, b, seed=trial),
+                    ids, scores_of(scores), 0.9, b, seed=trial),
                 "coreset": select_coreset(feats, [], b),
                 "batchbald": select_batchbald(probs, b, mc_count=20, seed=trial),
                 "clue": select_clue(feats, np.abs(rng.normal(size=n)) + 0.1,

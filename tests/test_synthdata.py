@@ -155,7 +155,7 @@ class TestSynthDetectorOutputs:
     def test_noiseless_limit_exact(self):
         spec = self.spec(sigma_box=0.0, score_noise=0.0)
         scene = generate_detection_scenes(spec, 1, seed=3)[0]
-        anchors = synth_detector_outputs(scene, spec, seed=4)
+        anchors = synth_detector_outputs([scene], spec, [4])
         assert len(anchors) == scene.n_objects * 3
         dets = bayesod_inference(anchors, 0.5)
         assert len(dets) == scene.n_objects
@@ -177,7 +177,7 @@ class TestSynthDetectorOutputs:
             values = []
             for i, scene in enumerate(scenes):
                 for det in bayesod_inference(
-                        synth_detector_outputs(scene, spec, seed=1000 + i), 0.5):
+                        synth_detector_outputs([scene], spec, [1000 + i]), 0.5):
                     values.append(reg_entropy(det.box_cov))
             entropies[sigma] = np.mean(values)
         assert entropies[4.0] > entropies[1.0]
@@ -191,7 +191,7 @@ class TestSynthDetectorOutputs:
         i = 0
         while draws < 10_000:
             scene = generate_detection_scenes(spec, 1, seed=7000 + i)[0]
-            anchors = synth_detector_outputs(scene, spec, seed=8000 + i)
+            anchors = synth_detector_outputs([scene], spec, [8000 + i])
             overlaps = iou_matrix(anchors.boxes.mean(axis=1), scene.gt_boxes[:1])
             hits += int((overlaps >= 0.5).sum())
             total += len(anchors)
@@ -202,12 +202,12 @@ class TestSynthDetectorOutputs:
     def test_score_samples_in_range_and_class_structure(self):
         spec = self.spec(score_noise=1.0, true_logit=2.0)
         scene = generate_detection_scenes(spec, 1, seed=9)[0]
-        scores = synth_detector_outputs(scene, spec, seed=10).scores
+        scores = synth_detector_outputs([scene], spec, [10]).scores
         assert np.all(scores >= 0)
         assert np.all(scores <= 1)
         # noiseless scores: true class sigmoid(2), off classes sigmoid(-4)
         quiet = self.spec(score_noise=0.0, sigma_box=0.0)
-        mean_scores = synth_detector_outputs(scene, quiet, seed=11).scores[0].mean(axis=0)
+        mean_scores = synth_detector_outputs([scene], quiet, [11]).scores[0].mean(axis=0)
         top = mean_scores.argmax()
         assert mean_scores[top] == pytest.approx(1 / (1 + np.exp(-2)))
 
@@ -220,12 +220,12 @@ class TestSynthDetectorOutputs:
     def test_deterministic(self):
         spec = self.spec()
         scene = generate_detection_scenes(spec, 1, seed=14)[0]
-        a = synth_detector_outputs(scene, spec, seed=15)
-        b = synth_detector_outputs(scene, spec, seed=15)
+        a = synth_detector_outputs([scene], spec, [15])
+        b = synth_detector_outputs([scene], spec, [15])
         np.testing.assert_array_equal(a.scores, b.scores)
         np.testing.assert_array_equal(a.boxes, b.boxes)
 
     def test_miss_probability_drops_objects(self):
         spec = self.spec(miss_prob=1.0)
         scene = generate_detection_scenes(spec, 1, seed=12)[0]
-        assert len(synth_detector_outputs(scene, spec, seed=13)) == 0
+        assert len(synth_detector_outputs([scene], spec, [13])) == 0

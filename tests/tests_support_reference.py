@@ -1,13 +1,17 @@
-"""Reference versions of the `score` path, kept to pin the array code.
+"""Reference versions of the detection and `score` paths, kept to pin
+the array code.
 
-`fusion.read_anchor_records`, `fusion.fuse_gaussian` /
-`fusion.bayesod_inference` and `acquisition.score_image` work on whole
-files, images and detection lists.  The functions here are the
-line-by-line reader, the one-cluster-at-a-time fusion and the
-one-detection-at-a-time scoring they replaced, kept as they were, so
-tests can require the same records, the same bits and the same error
-messages.  `dense_image_text` writes images shaped like detector dumps
-(many anchors per object, fixed-precision values).
+`synthdata.synth_detector_outputs`, `fusion.cluster_anchors`,
+`fusion.fuse_gaussian` / `fusion.fuse_categorical` /
+`fusion.bayesod_inference`, `acquisition.score_image` and
+`fusion.read_anchor_records` work on batches of images and on whole
+files.  The functions here are the one-scene synthesis, the
+one-center-at-a-time clustering, the one-cluster-at-a-time fusion, the
+one-detection-at-a-time scoring and the line-by-line reader they
+replaced, kept as they were, so tests can require the same records,
+the same bits and the same error messages.  `dense_image_text` writes
+images shaped like detector dumps (many anchors per object,
+fixed-precision values).
 """
 
 import math
@@ -17,11 +21,86 @@ from scipy.special import xlogy
 
 from sim2real_al.acquisition import ImageScore
 from sim2real_al.fusion import (COV_REGULARIZER, DEFAULT_IOU_THRESHOLD, Anchors,
-                                FusedDetection, cluster_anchors,
-                                fuse_categorical, mc_statistics)
+                                Detections, FusedDetection, iou_matrix,
+                                mc_statistics)
+
+
+# -- synthesis: one scene, one generator ------------------------------------
+
+def reference_synth_detector_outputs(scene, spec, seed):
+    rng = np.random.default_rng(seed)
+    sigma_box = spec.per_class(spec.sigma_box)
+    score_noise = spec.per_class(spec.score_noise)
+    true_logit = spec.per_class(spec.true_logit)
+    miss_prob = spec.per_class(spec.miss_prob)
+    t, m, c = spec.mc_samples, spec.anchors_per_object, spec.n_classes
+
+    scores, boxes = [np.empty((0, t, c))], [np.empty((0, t, 4))]
+    for cls, box in zip(scene.gt_classes, scene.gt_boxes):
+        if miss_prob[cls] > 0 and rng.random() < miss_prob[cls]:
+            continue
+        # per anchor: t x 4 box jitter, then t x c score noise (fixes a seed's output)
+        draws = rng.standard_normal((m, t * (4 + c)))
+        samples = box + draws[:, :4 * t].reshape(m, t, 4) * sigma_box[cls]
+        x_lo = np.minimum(samples[..., 0], samples[..., 2] - 1e-3)
+        x_hi = np.maximum(samples[..., 2], samples[..., 0] + 1e-3)
+        y_lo = np.minimum(samples[..., 1], samples[..., 3] - 1e-3)
+        y_hi = np.maximum(samples[..., 3], samples[..., 1] + 1e-3)
+        boxes.append(np.stack([x_lo, y_lo, x_hi, y_hi], axis=-1))
+        logits = np.full((m, t, c), spec.off_logit)
+        logits[..., cls] = true_logit[cls]
+        logits = logits + draws[:, 4 * t:].reshape(m, t, c) * score_noise[cls]
+        scores.append(1.0 / (1.0 + np.exp(-logits)))
+    return Anchors(scores=np.concatenate(scores), boxes=np.concatenate(boxes))
+
+
+def reference_detect(surrogate, scene, seed, iou_threshold=0.5, cls_bayesian=False):
+    """`DetectionSurrogate.detect` on one scene, as the per-scene chain."""
+    anchors = reference_synth_detector_outputs(scene, surrogate.output_spec(), seed)
+    return reference_bayesod_inference(anchors, iou_threshold, cls_bayesian)
+
+
+# -- clustering: one center at a time ---------------------------------------
+
+def reference_cluster_anchors(anchors, iou_threshold=DEFAULT_IOU_THRESHOLD):
+    if not (0.0 <= iou_threshold <= 1.0):
+        raise ValueError("iou_threshold must lie in [0, 1]")
+    if len(anchors) == 0:
+        return []
+    top_scores = anchors.scores.mean(axis=1).max(axis=1)
+    mean_boxes = anchors.boxes.mean(axis=1)
+    overlaps = iou_matrix(mean_boxes, mean_boxes)
+    order = np.argsort(-top_scores, kind="stable")
+
+    assigned = np.zeros(len(anchors), dtype=bool)
+    clusters = []
+    for center in order:
+        if assigned[center]:
+            continue
+        assigned[center] = True
+        free = order[~assigned[order]]
+        members = free[overlaps[center, free] >= iou_threshold]
+        assigned[members] = True
+        clusters.append(np.concatenate(([center], members)))
+    return clusters
 
 
 # -- fusion: one call per cluster -------------------------------------------
+
+def reference_fuse_categorical(mean_scores, renormalize=False):
+    mean_scores = np.asarray(mean_scores, dtype=float)
+    log_prod = np.zeros(mean_scores.shape[1])
+    for scores in mean_scores:
+        with np.errstate(divide="ignore"):
+            log_prod += np.log(scores)
+    probs = np.exp(log_prod)
+    if renormalize:
+        total = probs.sum()
+        if total <= 0:
+            raise ValueError("all-zero class products cannot be renormalized")
+        probs = probs / total
+    return probs
+
 
 def reference_fuse_gaussian(box_samples, regularizer=COV_REGULARIZER):
     means, covs = mc_statistics(box_samples)
@@ -48,12 +127,12 @@ def reference_fuse_gaussian(box_samples, regularizer=COV_REGULARIZER):
 def reference_bayesod_inference(anchors, iou_threshold=DEFAULT_IOU_THRESHOLD,
                                 cls_bayesian=False, regularizer=COV_REGULARIZER):
     detections = []
-    for members in cluster_anchors(anchors, iou_threshold):
+    for members in reference_cluster_anchors(anchors, iou_threshold):
         box_mean, box_cov = reference_fuse_gaussian(anchors.boxes[members],
                                                     regularizer)
         mean_scores = anchors.scores[members].mean(axis=1)
         if cls_bayesian:
-            class_probs = fuse_categorical(mean_scores)
+            class_probs = reference_fuse_categorical(mean_scores)
         else:
             class_probs = mean_scores[0]
         detections.append(FusedDetection(class_probs=class_probs,
@@ -112,6 +191,27 @@ def reference_score_image(detections, cfg, image_id=0):
         score = sum(values) / len(values)
     return ImageScore(image_id=image_id, score=float(score),
                       n_detections=len(values))
+
+
+def assert_same_detections(got, expected):
+    """Same count, and every field of every detection bit for bit."""
+    assert len(got) == len(expected)
+    for g, e in zip(got, expected):
+        assert g.cluster_size == e.cluster_size
+        for name in ("class_probs", "box_mean", "box_cov"):
+            assert np.array_equal(getattr(g, name), getattr(e, name)), name
+
+
+def detections_of(images):
+    """A fusion.Detections batch of per-image lists of FusedDetection,
+    for calling the batch kernels on hand-made detections."""
+    dets = [det for image in images for det in image]
+    return Detections(
+        class_probs=np.array([d.class_probs for d in dets]) if dets else np.zeros((0, 0)),
+        box_mean=np.array([d.box_mean for d in dets]) if dets else np.zeros((0, 4)),
+        box_cov=np.array([d.box_cov for d in dets]) if dets else np.zeros((0, 4, 4)),
+        cluster_size=np.array([d.cluster_size for d in dets], dtype=int),
+        offsets=np.cumsum([0] + [len(image) for image in images]))
 
 
 # -- interchange reader: a stripped-line list and one split per line --------
