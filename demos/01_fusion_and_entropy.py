@@ -40,13 +40,15 @@ clusters = cluster_anchors(anchors, iou_threshold=0.5)
 print(f"{len(anchors)} anchors -> {len(clusters)} clusters "
       f"(sizes {[len(c) for c in clusters]})")
 
+# one Detections batch: a row per fused detection in each array
 detections = bayesod_inference(anchors, iou_threshold=0.5)
-for i, det in enumerate(detections):
-    u_cls = cls_entropy(det.class_probs)
-    u_reg = reg_entropy(det.box_cov)
-    print(f"detection {i}: label={det.label} conf={det.confidence:.3f} "
-          f"members={det.cluster_size}")
-    print(f"  box mean {np.round(det.box_mean, 1)}")
+labels = detections.class_probs.argmax(axis=1)
+for i, probs in enumerate(detections.class_probs):
+    u_cls = cls_entropy(probs)
+    u_reg = reg_entropy(detections.box_cov[i])
+    print(f"detection {i}: label={labels[i]} conf={probs[labels[i]]:.3f} "
+          f"members={detections.cluster_size[i]}")
+    print(f"  box mean {np.round(detections.box_mean[i], 1)}")
     print(f"  semantic entropy {u_cls:.3f} nats, spatial entropy {u_reg:.3f} nats")
 
 print("\nthe fused box of the 3-anchor cluster is much tighter than any "

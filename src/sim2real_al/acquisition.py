@@ -137,17 +137,26 @@ def cls_entropy(probs) -> float:
     return float(entropies[0])
 
 
-def categorical_entropy(probs) -> float:
-    """Shannon entropy -sum p ln p of a categorical distribution.
+def categorical_entropy(probs):
+    """Shannon entropy -sum p ln p of a categorical distribution (C,), a
+    float, or of each row of (N, C) distributions, an (N,) array.
 
-    Exactly permutation invariant (fsum reduction).
+    Each row sums via fsum, so its entropy is exactly permutation
+    invariant; rows that cannot be scored raise the error the first
+    such row would raise alone.
     """
     p = np.asarray(probs, dtype=float)
-    if np.any(p < 0):
-        raise ValueError("probabilities must be nonnegative")
-    if abs(math.fsum(p) - 1.0) > 1e-9:
-        raise ValueError(f"probabilities must sum to 1, got {p.sum()!r}")
-    return -math.fsum(xlogy(p, p))
+    rows = np.atleast_2d(p)
+    negative = (rows < 0).any(axis=1)
+    # clipped, fsum never meets -inf + inf; a row with a negative entry
+    # fails the first check, so its total is never read
+    totals = np.array([math.fsum(row) for row in np.maximum(rows, 0.0).tolist()])
+    off_sum = np.abs(totals - 1.0) > 1e-9
+    got = rows[np.argmax(off_sum)].sum() if off_sum.any() else None
+    _raise_first_failure([("probabilities must be nonnegative", negative),
+                          (f"probabilities must sum to 1, got {got!r}", off_sum)])
+    entropies = -np.array([math.fsum(row) for row in xlogy(rows, rows).tolist()])
+    return float(entropies[0]) if p.ndim == 1 else entropies
 
 
 def reg_entropy(cov) -> float:

@@ -242,10 +242,12 @@ def build_experiment_config(raw: dict, path: str, track_override: str = None,
 
     seeds = values["seeds"]
     where = f"{path}:{raw['seeds'][1]}" if "seeds" in raw else path
+    if not seeds:
+        raise ConfigError(f"{where}: 'seeds': need at least one seed")
     if len(set(seeds)) != len(seeds):
         repeated = next(s for i, s in enumerate(seeds) if s in seeds[:i])
         raise ConfigError(f"{where}: duplicate seed {repeated} in 'seeds'")
-    if seeds and min(seeds) < 0:
+    if min(seeds) < 0:
         raise ConfigError(f"{where}: 'seeds': seed {min(seeds)} is negative")
     for key in ("selection.strategy", "strategies"):
         names = values[key] if key == "strategies" else [values[key]]

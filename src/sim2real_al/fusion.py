@@ -86,25 +86,6 @@ class Anchors:
                    offsets=np.concatenate(([0], np.cumsum(counts))))
 
 
-@dataclass
-class FusedDetection:
-    """One output detection: class score vector plus Gaussian box."""
-
-    class_probs: np.ndarray   # (n_classes,)
-    box_mean: np.ndarray      # (4,)
-    box_cov: np.ndarray       # (4, 4), symmetric positive definite
-    cluster_size: int = 1
-
-    @property
-    def label(self) -> int:
-        """argmax class, ties broken toward the smaller index."""
-        return int(np.argmax(self.class_probs))
-
-    @property
-    def confidence(self) -> float:
-        return float(self.class_probs[self.label])
-
-
 @dataclass(frozen=True)
 class Detections:
     """Fused detections of one or more images: K detections, image by image.
@@ -112,7 +93,7 @@ class Detections:
     class_probs (K, C), box_mean (K, 4), box_cov (K, 4, 4) and
     cluster_size (K,) hold one row per detection; offsets
     (n_images + 1,) says image i holds detections offsets[i]:offsets[i + 1].
-    len() is K, and indexing gives one FusedDetection.
+    len() is K.
     """
 
     class_probs: np.ndarray
@@ -124,25 +105,9 @@ class Detections:
     def __len__(self) -> int:
         return len(self.cluster_size)
 
-    def __getitem__(self, k: int) -> FusedDetection:
-        k = range(len(self))[k]  # IndexError past the end ends iteration
-        return FusedDetection(class_probs=self.class_probs[k],
-                              box_mean=self.box_mean[k], box_cov=self.box_cov[k],
-                              cluster_size=int(self.cluster_size[k]))
-
     @property
     def n_images(self) -> int:
         return len(self.offsets) - 1
-
-    def images(self) -> list[Detections]:
-        """The batch split into one single-image Detections per image."""
-        bounds = self.offsets.tolist()
-        return [Detections(class_probs=self.class_probs[lo:hi],
-                           box_mean=self.box_mean[lo:hi],
-                           box_cov=self.box_cov[lo:hi],
-                           cluster_size=self.cluster_size[lo:hi],
-                           offsets=np.array([0, hi - lo]))
-                for lo, hi in zip(bounds, bounds[1:])]
 
 
 def iou_matrix(a, b) -> np.ndarray:

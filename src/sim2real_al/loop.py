@@ -18,7 +18,6 @@ import functools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import xlogy
 
 from . import acquisition as acq
 from . import sampling
@@ -138,49 +137,77 @@ def evaluate_classifier(model, x_test, y_test) -> float:
     return float((probs.argmax(axis=1) == y_test).mean())
 
 
-def evaluate_detection(detections_per_image, scenes, iou_threshold: float = 0.5) -> float:
+def evaluate_detection(detections: Detections, scenes,
+                       iou_threshold: float = 0.5) -> float:
     """Mean average precision with greedy confidence-ordered matching.
 
-    Each fused detection counts for its argmax class with its max score
-    as confidence.  Per class, detections sorted by descending
-    confidence greedily match the unmatched same-image ground-truth box
-    of best IoU >= iou_threshold; the all-point interpolated AP is then
-    averaged over the classes present in the ground truth.
+    Image i of the detections batch is scenes[i].  Each detection counts
+    for its argmax class with its max score as confidence.  A match
+    never crosses images, so each image matches on its own: its
+    detections in stable descending-confidence order each take the
+    unmatched ground-truth box of their class with the best IoU >=
+    iou_threshold, the later box on ties.  Per ground-truth class, the
+    all-point interpolated AP of its detections in (-confidence, batch
+    index) order is then averaged over the classes present in the
+    ground truth.
     """
-    n_gt_per_class: dict[int, int] = {}
-    for scene in scenes:
-        for cls in scene.gt_classes:
-            n_gt_per_class[int(cls)] = n_gt_per_class.get(int(cls), 0) + 1
-    if not n_gt_per_class:
+    gt_classes = [np.asarray(scene.gt_classes, dtype=int) for scene in scenes]
+    classes, n_gt = np.unique(np.concatenate([np.zeros(0, dtype=int), *gt_classes]),
+                              return_counts=True)
+    if not len(classes):
         raise ValueError("empty ground truth")
+    if detections.n_images != len(scenes):
+        raise ValueError(f"need one image of detections per scene, got "
+                         f"{detections.n_images} for {len(scenes)} scenes")
+    labels, confidence = np.zeros(len(detections), dtype=int), np.zeros(len(detections))
+    if len(detections):
+        labels = detections.class_probs.argmax(axis=1)
+        confidence = detections.class_probs.max(axis=1)
+    tp = _greedy_matches(detections, labels, confidence, scenes, gt_classes,
+                         iou_threshold)
+    order = np.argsort(-confidence, kind="stable")
+    labels, tp = labels[order], tp[order]
+    return float(np.mean([_average_precision(tp[labels == cls], n)
+                          for cls, n in zip(classes.tolist(), n_gt.tolist())]))
 
-    by_class: dict[int, list] = {c: [] for c in n_gt_per_class}
-    for img_idx, dets in enumerate(detections_per_image):
-        for det_idx, det in enumerate(dets):
-            label = det.label
-            if label in by_class:
-                by_class[label].append((det.confidence, img_idx, det_idx))
 
-    overlaps = [iou_matrix([det.box_mean for det in dets], scene.gt_boxes)
-                for dets, scene in zip(detections_per_image, scenes)]
-    aps = []
-    for cls in sorted(n_gt_per_class):
-        dets = sorted(by_class[cls], key=lambda d: (-d[0], d[1], d[2]))
-        matched = [np.zeros(len(s.gt_classes), dtype=bool) for s in scenes]
-        tp = np.zeros(len(dets))
-        for rank, (_, img_idx, det_idx) in enumerate(dets):
-            best_iou, best_gt = iou_threshold, -1
-            for gi, gcls in enumerate(scenes[img_idx].gt_classes):
-                if int(gcls) != cls or matched[img_idx][gi]:
-                    continue
-                overlap = overlaps[img_idx][det_idx, gi]
-                if overlap >= best_iou:
-                    best_iou, best_gt = overlap, gi
-            if best_gt >= 0:
-                matched[img_idx][best_gt] = True
-                tp[rank] = 1.0
-        aps.append(_average_precision(tp, n_gt_per_class[cls]))
-    return float(np.mean(aps))
+def _greedy_matches(detections, labels, confidence, scenes, gt_classes,
+                    iou_threshold) -> np.ndarray:
+    """The (K,) true-positive flags of evaluate_detection's matching.
+
+    All images match together, in rounds: round r takes the r-th
+    detection by confidence of every image that has one.  Each
+    detection gets one row of IoUs against its image's GT boxes, padded
+    to the most boxes any image has.
+    """
+    offsets = detections.offsets
+    counts = np.diff(offsets)
+    image = np.repeat(np.arange(len(counts)), counts)
+    order = np.lexsort((-confidence, image))    # by image, then by confidence
+    n_boxes = np.array([len(gt) for gt in gt_classes])
+    gt_boxes = np.zeros((len(scenes), n_boxes.max(), 4))
+    gt_labels = np.zeros(gt_boxes.shape[:2], dtype=int)
+    for i, (scene, gt) in enumerate(zip(scenes, gt_classes)):
+        gt_boxes[i, :len(gt)] = scene.gt_boxes
+        gt_labels[i, :len(gt)] = gt
+    owner = image[order]
+    overlaps = iou_matrix(detections.box_mean[order, None], gt_boxes[owner])[:, 0]
+    # -inf marks a box the detection may not take: padding, another
+    # class or too little overlap
+    allowed = ((np.arange(gt_boxes.shape[1]) < n_boxes[owner, None])
+               & (labels[order, None] == gt_labels[owner]) & (overlaps >= iou_threshold))
+    overlaps[~allowed] = -np.inf
+    taken = np.zeros(gt_labels.shape, dtype=bool)
+    tp = np.zeros(len(detections))
+    for rnd in range(counts.max()):
+        images = np.flatnonzero(counts > rnd)
+        rows = offsets[images] + rnd
+        candidates = np.where(taken[images], -np.inf, overlaps[rows])
+        best = candidates.shape[1] - 1 - candidates[:, ::-1].argmax(axis=1)  # later box on ties
+        hit = candidates[np.arange(len(rows)), best] > -np.inf
+        taken[images[hit], best[hit]] = True
+        tp[order[rows[hit]]] = 1.0
+    return tp
 
 
 def _average_precision(tp: np.ndarray, n_gt: int) -> float:
@@ -191,8 +218,7 @@ def _average_precision(tp: np.ndarray, n_gt: int) -> float:
     recall = cum_tp / n_gt
     precision = cum_tp / np.arange(1, len(tp) + 1)
     # precision envelope (monotone non-increasing from the right)
-    for i in range(len(precision) - 2, -1, -1):
-        precision[i] = max(precision[i], precision[i + 1])
+    precision = np.maximum.accumulate(precision[::-1])[::-1]
     ap = 0.0
     prev_r = 0.0
     for r, p in zip(recall, precision):
@@ -238,10 +264,6 @@ def gap_report(curve: LearningCurve, sim_perf: float = None,
     return GapReport(gap=gap, bridged_fraction=bridged, mean_metric=mean_metric,
                      level=level, sim_perf=sim_perf, real_perf=real_perf,
                      inverted=inverted)
-
-
-def _entropy_rows(probs: np.ndarray) -> np.ndarray:
-    return -(xlogy(probs, probs)).sum(axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +478,7 @@ def _select(cfg, track, pool_ids, seed, it) -> list:
                                         sel.batch_size, sel.mc_count, sel_seed)
     elif sel.strategy == "clue":
         idx = sampling.select_clue(track.pool_features(pool_ids, it),
-                                   track.clue_weights(pool_ids, it),
+                                   np.maximum(scores(pool_ids), 0.0),
                                    sel.batch_size, sel_seed)
     else:
         raise ValueError(f"unknown strategy {sel.strategy!r}")
@@ -505,19 +527,14 @@ class _ClassificationTrack:
     def labels(batch) -> np.ndarray:
         return np.asarray(batch, dtype=int)
 
-    def scores(self, pool_ids, it) -> list[float]:
-        return [acq.categorical_entropy(self.model.predict_mean(self.pool_x[pid]))
-                for pid in pool_ids]
+    def scores(self, pool_ids, it) -> np.ndarray:
+        return acq.categorical_entropy(self.model.predict_mean(self.pool_x[pool_ids]))
 
     def pool_features(self, pool_ids, it) -> np.ndarray:
         return self.model.features(self.pool_x[pool_ids])
 
     def labeled_features(self, it) -> np.ndarray:
         return self.model.features(np.vstack([self.x_sim, self.labeled_x]))
-
-    def clue_weights(self, pool_ids, it) -> np.ndarray:
-        return _entropy_rows(np.atleast_2d(
-            self.model.predict_mean(self.pool_x[pool_ids])))
 
     def mc_samples(self, pool_ids, it) -> np.ndarray:
         return self.model.predict_samples(
@@ -549,7 +566,7 @@ class _DetectionTrack:
     def _mean_ap(self, model, stream, it) -> float:
         scenes = self.data.test_scenes
         detections = self._detect(model, scenes, stream, it, range(len(scenes)))
-        return evaluate_detection(detections.images(), scenes, self.cfg.iou_threshold)
+        return evaluate_detection(detections, scenes, self.cfg.iou_threshold)
 
     def start(self, learner) -> None:
         self.model = learner.with_sim(self.data.sim_scenes)
@@ -596,9 +613,6 @@ class _DetectionTrack:
         extras = range(self.pool_size, self.pool_size + len(scenes))
         return _scene_features(self._detect(self.model, scenes, _SCORE, it, extras),
                                self.model.scene_spec.n_classes)
-
-    def clue_weights(self, pool_ids, it) -> np.ndarray:
-        return np.maximum(self.scores(pool_ids, it), 0.0)
 
 
 def _scene_features(detections: Detections, n_classes: int) -> np.ndarray:
@@ -654,6 +668,9 @@ class ClassificationExperimentSpec:
                 raise ValueError(f"{name} must be >= 1")
         if not (0.0 <= self.dropout_rate < 1.0):
             raise ValueError("dropout_rate must lie in [0, 1)")
+        for name in ("class_separation", "mean_shift"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not (np.isfinite(self.cov_scale) and self.cov_scale > 0):
             raise ValueError("cov_scale must be finite and > 0")
         _check_label_skew(self.label_skew)
@@ -733,8 +750,12 @@ class DetectionExperimentSpec:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         _check_label_skew(self.label_skew)
+        if not (np.isfinite(self.surrogate.kappa) and self.surrogate.kappa > 0):
+            raise ValueError("surrogate.kappa must be finite and > 0")
         if not np.isfinite(self.surrogate.sim_weight):
             raise ValueError("surrogate.sim_weight must be finite")
+        if self.surrogate.sim_weight < 0:
+            raise ValueError("surrogate.sim_weight must be >= 0")
 
 
 def build_detection_experiment(spec: DetectionExperimentSpec, run_seed: int):

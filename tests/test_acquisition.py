@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from tests_support_reference import (detections_of, reference_cls_entropy,
+from tests_support_reference import (Detection, detections_of, reference_cls_entropy,
                                      reference_combine,
                                      reference_reg_entropy,
                                      reference_score_image)
@@ -15,7 +15,6 @@ from sim2real_al.acquisition import (AcquisitionConfig, ImageScore,
                                      _combined, _pair_checks,
                                      _raise_first_failure, categorical_entropy,
                                      cls_entropy, reg_entropy, score_image)
-from sim2real_al.fusion import FusedDetection
 
 
 class TestClsEntropy:
@@ -81,6 +80,39 @@ class TestCategoricalEntropy:
             p = rng.dirichlet(np.ones(5))
             expected = sum(-pi * math.log(pi) for pi in p if pi > 0)
             assert categorical_entropy(p) == pytest.approx(expected, abs=1e-12)
+
+    BAD_ROWS = {
+        "negative": lambda p: np.concatenate(([-0.2], p[1:])),
+        "off-sum": lambda p: 1.5 * p,
+        "nan": lambda p: np.concatenate(([np.nan], p[1:])),
+    }
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(0, 6), c=st.integers(1, 5),
+           kinds=st.lists(st.sampled_from(sorted(BAD_ROWS)), max_size=3),
+           seed=st.integers(0, 2**32 - 1))
+    def test_rows_match_one_row_calls(self, n, c, kinds, seed):
+        """(N, C) rows give the bits of N one-row calls, and fail with
+        the message of the first row that fails alone."""
+        rng = np.random.default_rng(seed)
+        rows = rng.dirichlet(np.ones(c), size=n)
+        rows[rng.random(n) < 0.2] = np.eye(c)[rng.integers(0, c)]   # exact 0s and 1s
+        for kind in kinds:
+            if n:
+                i = int(rng.integers(0, n))
+                rows[i] = self.BAD_ROWS[kind](rows[i])
+
+        def outcome(call):
+            try:
+                return call()
+            except ValueError as exc:
+                return ("error", str(exc))
+
+        batch = outcome(lambda: [v.hex() for v in categorical_entropy(rows).tolist()])
+        one_by_one = [outcome(lambda row=row: categorical_entropy(row).hex())
+                      for row in rows]
+        errors = [e for e in one_by_one if isinstance(e, tuple)]
+        assert batch == (errors[0] if errors else one_by_one)
 
 
 class TestRegEntropy:
@@ -204,9 +236,9 @@ def score_one(dets, cfg, image_id=0):
 
 
 def _det(probs, cov_scale=1.0):
-    return FusedDetection(class_probs=np.asarray(probs),
-                          box_mean=np.array([0, 0, 10, 10]),
-                          box_cov=cov_scale * np.eye(4))
+    return Detection(class_probs=np.asarray(probs),
+                     box_mean=np.array([0, 0, 10, 10]),
+                     box_cov=cov_scale * np.eye(4))
 
 
 class TestScoreImage:
@@ -258,8 +290,8 @@ def random_detections(rng, n, n_classes):
         probs[rng.random(n_classes) < 0.2] = rng.choice([0.0, 1.0])
         a = rng.normal(size=(4, 4)) * 10.0 ** rng.uniform(-3, 2)
         cov = a @ a.T + 1e-6 * np.eye(4)
-        dets.append(FusedDetection(class_probs=probs, box_mean=np.zeros(4),
-                                   box_cov=0.5 * (cov + cov.T)))
+        dets.append(Detection(class_probs=probs, box_mean=np.zeros(4),
+                              box_cov=0.5 * (cov + cov.T)))
     return dets
 
 
@@ -288,25 +320,25 @@ class TestScoreImageReference:
     def test_tied_terms_under_max(self):
         # w_reg = 0 makes the regression term a signed zero, tied with a
         # zero classification entropy: max keeps the first operand
-        det = FusedDetection(class_probs=np.array([0.0, 1.0]), box_mean=np.zeros(4),
-                             box_cov=1e-6 * np.eye(4))
+        det = Detection(class_probs=np.array([0.0, 1.0]), box_mean=np.zeros(4),
+                        box_cov=1e-6 * np.eye(4))
         for w_reg in (0.0, 1.0):
             cfg = AcquisitionConfig(comb="max", agg="sum", w_reg=w_reg)
             assert (score_or_error(score_one, [det, det], cfg)
                     == score_or_error(reference_score_image, [det, det], cfg))
 
     BAD = {
-        "score-range": lambda d: FusedDetection(np.array([0.5, 1.5]), d.box_mean, d.box_cov),
-        "nan-score": lambda d: FusedDetection(np.array([np.nan, 0.5]), d.box_mean, d.box_cov),
-        "asymmetric": lambda d: FusedDetection(d.class_probs, d.box_mean,
-                                               d.box_cov + np.triu(np.ones((4, 4)), 1)),
-        "singular": lambda d: FusedDetection(d.class_probs, d.box_mean, np.zeros((4, 4))),
-        "negative-definite": lambda d: FusedDetection(d.class_probs, d.box_mean,
-                                                      -np.eye(4)),
-        "nan-cov": lambda d: FusedDetection(d.class_probs, d.box_mean,
-                                            np.full((4, 4), np.nan)),
-        "inf-cov": lambda d: FusedDetection(d.class_probs, d.box_mean, np.diag([1, 1, 1, np.inf])),
-        "not-square": lambda d: FusedDetection(d.class_probs, d.box_mean, np.eye(4)[:3]),
+        "score-range": lambda d: Detection(np.array([0.5, 1.5]), d.box_mean, d.box_cov),
+        "nan-score": lambda d: Detection(np.array([np.nan, 0.5]), d.box_mean, d.box_cov),
+        "asymmetric": lambda d: Detection(d.class_probs, d.box_mean,
+                                          d.box_cov + np.triu(np.ones((4, 4)), 1)),
+        "singular": lambda d: Detection(d.class_probs, d.box_mean, np.zeros((4, 4))),
+        "negative-definite": lambda d: Detection(d.class_probs, d.box_mean,
+                                                 -np.eye(4)),
+        "nan-cov": lambda d: Detection(d.class_probs, d.box_mean,
+                                       np.full((4, 4), np.nan)),
+        "inf-cov": lambda d: Detection(d.class_probs, d.box_mean, np.diag([1, 1, 1, np.inf])),
+        "not-square": lambda d: Detection(d.class_probs, d.box_mean, np.eye(4)[:3]),
     }
 
     @settings(max_examples=80, deadline=None)
@@ -368,8 +400,8 @@ class TestScoreImageReference:
         # w_reg = 0 a regression term of the sign of the covariance's
         # entropy, so the combined values are zeros of either sign; max
         # keeps the first of tied zeros, as Python's max does
-        tight = FusedDetection(np.array([1.0, 0.0]), np.zeros(4), 1e-6 * np.eye(4))
-        wide = FusedDetection(np.array([1.0, 0.0]), np.zeros(4), np.eye(4))
+        tight = Detection(np.array([1.0, 0.0]), np.zeros(4), 1e-6 * np.eye(4))
+        wide = Detection(np.array([1.0, 0.0]), np.zeros(4), np.eye(4))
         images = [[tight, wide], [wide, tight], [tight], [], [wide, wide, tight]]
         cfg = AcquisitionConfig(comb=comb, agg=agg, w_reg=0.0)
         got = [(s.image_id, s.score.hex(), s.n_detections)

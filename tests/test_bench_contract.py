@@ -87,6 +87,11 @@ def test_sweep_calls_match_span_contract(tmp_path, capsys, workload, text):
     assert [key for key in before if after[key] is not before[key]] == []
     calls = tracer.totals()[0]
     assert spans.coverage_errors(workload, calls) == []
+    if workload == "cls-sweep":
+        # one scoring call per topn, subsample_topn (whose TopN is a
+        # select_topn call) or clue selection, never one per pool id
+        selections = calls["sampling.select_topn"] + calls["sampling.select_clue"]
+        assert calls["acquisition.categorical_entropy"] == selections == 6
     if workload == "det-sweep":
         # one detect per detection batch, not per scene: an evaluation's
         # test scenes, a scored or clue pool, and coreset's pool plus

@@ -193,6 +193,12 @@ class TestConfigParsing:
         ("dataset.pool_scenes", "0", "pool_scenes must be >= 1"),
         ("dataset.test_scenes", "0", "test_scenes must be >= 1"),
         ("surrogate.sim_weight", "nan", "surrogate.sim_weight must be finite"),
+        ("surrogate.sim_weight", "-0.5", "surrogate.sim_weight must be >= 0"),
+        ("surrogate.kappa", "0", "surrogate.kappa must be finite and > 0"),
+        ("surrogate.kappa", "inf", "surrogate.kappa must be finite and > 0"),
+        ("dataset.mean_shift", "inf", "mean_shift must be finite"),
+        ("dataset.class_separation", "nan", "class_separation must be finite"),
+        ("seeds", "", "need at least one seed"),
     ])
     def test_out_of_range_value_exits_2(self, tmp_path, capsys, key, value,
                                         message):

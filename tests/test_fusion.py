@@ -205,12 +205,10 @@ class TestBatchClustering:
             expected += [members + anchors.offsets[i] for members in
                          reference_cluster_anchors(one_image(anchors, i), threshold)]
         assert [list(c) for c in clusters] == [list(c) for c in expected]
-        detections = bayesod_inference(anchors, threshold, cls_bayesian)
-        images = detections.images()
-        assert len(images) == anchors.n_images
-        for i, got in enumerate(images):
-            assert_same_detections(got, reference_bayesod_inference(
-                one_image(anchors, i), threshold, cls_bayesian))
+        assert_same_detections(
+            bayesod_inference(anchors, threshold, cls_bayesian),
+            [reference_bayesod_inference(one_image(anchors, i), threshold, cls_bayesian)
+             for i in range(anchors.n_images)])
 
     @settings(max_examples=60, deadline=None)
     @given(sizes=st.lists(st.integers(0, 9), min_size=1, max_size=8),
@@ -385,38 +383,38 @@ class TestBayesodInference:
         for flag in (False, True):
             dets = bayesod_inference(a, cls_bayesian=flag)
             assert len(dets) == 1
-            np.testing.assert_allclose(dets[0].class_probs, [0.7, 0.2], atol=1e-12)
+            np.testing.assert_allclose(dets.class_probs[0], [0.7, 0.2], atol=1e-12)
             m0, _ = mc_statistics(samples)
-            np.testing.assert_allclose(dets[0].box_mean, m0, atol=1e-6)
-            assert dets[0].cluster_size == 1
+            np.testing.assert_allclose(dets.box_mean[0], m0, atol=1e-6)
+            assert dets.cluster_size[0] == 1
 
     def test_two_overlapping_cls_bayesian_off(self):
         anchors = anchors_const([[0.5, 0.2], [0.8, 0.3]], [[0, 0, 10, 10]] * 2, t=4)
         dets = bayesod_inference(anchors, cls_bayesian=False)
         assert len(dets) == 1
-        np.testing.assert_allclose(dets[0].class_probs, [0.8, 0.3], atol=1e-12)
-        assert dets[0].cluster_size == 2
+        np.testing.assert_allclose(dets.class_probs[0], [0.8, 0.3], atol=1e-12)
+        assert dets.cluster_size[0] == 2
         # identical zero-variance boxes fuse back to the same corners
-        np.testing.assert_allclose(dets[0].box_mean, [0, 0, 10, 10], atol=1e-9)
+        np.testing.assert_allclose(dets.box_mean[0], [0, 0, 10, 10], atol=1e-9)
 
     def test_two_overlapping_cls_bayesian_on(self):
         anchors = anchors_const([[0.5, 0.2], [0.8, 0.3]], [[0, 0, 10, 10]] * 2, t=4)
         dets = bayesod_inference(anchors, cls_bayesian=True)
-        np.testing.assert_allclose(dets[0].class_probs, [0.4, 0.06], atol=1e-12)
+        np.testing.assert_allclose(dets.class_probs[0], [0.4, 0.06], atol=1e-12)
 
     def test_fused_cov_properties(self):
         rng = np.random.default_rng(14)
         anchors = Anchors(scores=rng.uniform(0, 1, (6, 8, 3)),
                           boxes=rng.normal([5, 5, 25, 25], 1.0, (6, 8, 4)))
-        for det in bayesod_inference(anchors, 0.3):
-            np.testing.assert_allclose(det.box_cov, det.box_cov.T, atol=1e-12)
-            assert np.linalg.eigvalsh(det.box_cov).min() >= 0
+        for cov in bayesod_inference(anchors, 0.3).box_cov:
+            np.testing.assert_allclose(cov, cov.T, atol=1e-12)
+            assert np.linalg.eigvalsh(cov).min() >= 0
 
     def test_single_sample_anchors(self):
         anchors = anchors_const([[0.9], [0.6]], [[0, 0, 10, 10]] * 2, t=1)
         dets = bayesod_inference(anchors, 0.5)
         assert len(dets) == 1
-        np.testing.assert_allclose(dets[0].box_cov, 0.5e-6 * np.eye(4), rtol=1e-12)
+        np.testing.assert_allclose(dets.box_cov[0], 0.5e-6 * np.eye(4), rtol=1e-12)
 
 
 class TestInterchangeFormat:
@@ -506,7 +504,7 @@ class TestFusionReference:
             for threshold in self.THRESHOLDS:
                 assert_same_detections(
                     bayesod_inference(anchors, threshold, cls_bayesian),
-                    reference_bayesod_inference(anchors, threshold, cls_bayesian))
+                    [reference_bayesod_inference(anchors, threshold, cls_bayesian)])
 
     @pytest.mark.parametrize("cls_bayesian", [False, True])
     def test_dense_images(self, tmp_path, cls_bayesian):
@@ -518,7 +516,7 @@ class TestFusionReference:
             for threshold in self.THRESHOLDS:
                 assert_same_detections(
                     bayesod_inference(anchors, threshold, cls_bayesian),
-                    reference_bayesod_inference(anchors, threshold, cls_bayesian))
+                    [reference_bayesod_inference(anchors, threshold, cls_bayesian)])
 
     def test_empty_image(self):
         empty = Anchors(scores=np.empty((0, 5, 3)), boxes=np.empty((0, 5, 4)))
@@ -545,7 +543,7 @@ class TestFusionReference:
             boxes=picked[:, None, :] + rng.normal(0.0, 2.0, (n_anchors, t, 4)))
         assert_same_detections(
             bayesod_inference(anchors, threshold, cls_bayesian),
-            reference_bayesod_inference(anchors, threshold, cls_bayesian))
+            [reference_bayesod_inference(anchors, threshold, cls_bayesian)])
 
 
 def read_either(reader, path):

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from tests_support_map import brute_force_map
 from tests_support_map import make_det as det
 from tests_support_map import make_scene as scene
-from tests_support_reference import (assert_same_detections, reference_detect,
+from tests_support_reference import (Detection, assert_same_detections,
+                                     detections_of, reference_detect,
+                                     reference_evaluate_detection,
                                      reference_score_image)
 
 from sim2real_al import loop as al
@@ -61,30 +63,30 @@ class TestEvaluateDetection:
     def test_perfect_detections(self):
         sc = scene([0, 1], [[0, 0, 10, 10], [20, 20, 30, 30]])
         dets = [det(0, 1.0, [0, 0, 10, 10]), det(1, 1.0, [20, 20, 30, 30])]
-        assert al.evaluate_detection([dets], [sc]) == 1.0
+        assert al.evaluate_detection(detections_of([dets]), [sc]) == 1.0
 
     def test_no_detections(self):
         sc = scene([0], [[0, 0, 10, 10]])
-        assert al.evaluate_detection([[]], [sc]) == 0.0
+        assert al.evaluate_detection(detections_of([[]]), [sc]) == 0.0
 
     def test_tp_then_fp_keeps_ap_one(self):
         sc = scene([0], [[0, 0, 10, 10]])
         dets = [det(0, 0.9, [0, 0, 10, 10]),
                 det(0, 0.8, [50, 50, 60, 60])]
-        assert al.evaluate_detection([dets], [sc]) == 1.0
+        assert al.evaluate_detection(detections_of([dets]), [sc]) == 1.0
 
     def test_fp_before_tp_halves_ap(self):
         sc = scene([0], [[0, 0, 10, 10]])
         dets = [det(0, 0.9, [50, 50, 60, 60]),
                 det(0, 0.8, [0, 0, 10, 10])]
-        assert al.evaluate_detection([dets], [sc]) == 0.5
+        assert al.evaluate_detection(detections_of([dets]), [sc]) == 0.5
 
     def test_empty_ground_truth_rejected(self):
         empty = DetectionScene(width=10, height=10,
                                gt_classes=np.empty(0, int),
                                gt_boxes=np.empty((0, 4)))
         with pytest.raises(ValueError, match="empty ground truth"):
-            al.evaluate_detection([[]], [empty])
+            al.evaluate_detection(detections_of([[]]), [empty])
 
     def test_brute_force_matching_oracle(self):
         """Greedy mAP equals exhaustive max-over-matchings on all
@@ -104,7 +106,7 @@ class TestEvaluateDetection:
                         else:
                             box = np.array([70.0 + 11 * d, 70, 80 + 11 * d, 80])
                         dets.append(det(0, confs[d], box))
-                    got = al.evaluate_detection([dets], [sc])
+                    got = al.evaluate_detection(detections_of([dets]), [sc])
                     want = brute_force_map([dets], [sc], 0.5)
                     assert got == pytest.approx(want, abs=1e-12), \
                         (n_gt, targets)
@@ -116,8 +118,73 @@ class TestEvaluateDetection:
         dets = [det(0, 0.9, [1, 0, 11, 10]),
                 det(1, 0.8, [21, 20, 31, 30]),
                 det(1, 0.7, [60, 60, 70, 70])]
-        got = al.evaluate_detection([dets], [sc])
+        got = al.evaluate_detection(detections_of([dets]), [sc])
         assert got == pytest.approx(brute_force_map([dets], [sc], 0.5), abs=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_brute_force_random_instances(self, data):
+        """The build_instances family, drawn at random over several
+        images and two classes: disjoint GT boxes, each detection on
+        one GT box (1px offset) or in empty space."""
+        gt_boxes = [[0.0, 0, 10, 10], [20.0, 20, 30, 30], [40.0, 0, 50, 10]]
+        images, scenes = [], []
+        for _ in range(data.draw(st.integers(1, 3))):
+            n_gt = data.draw(st.integers(1, 3))
+            dets = []
+            for d in range(data.draw(st.integers(0, 3))):
+                tgt = data.draw(st.integers(0, n_gt))
+                box = (np.asarray(gt_boxes[tgt]) + [1, 0, 1, 0] if tgt < n_gt
+                       else np.array([70.0 + 11 * d, 70, 80 + 11 * d, 80]))
+                dets.append(det(data.draw(st.integers(0, 1)),
+                                data.draw(st.sampled_from([0.9, 0.8, 0.7])), box))
+            images.append(dets)
+            scenes.append(scene(data.draw(st.lists(st.integers(0, 1), min_size=n_gt,
+                                                   max_size=n_gt)), gt_boxes[:n_gt]))
+        got = al.evaluate_detection(detections_of(images), scenes)
+        assert got == pytest.approx(brute_force_map(images, scenes, 0.5), abs=1e-12)
+
+    # boxes with IoU ties: [2, 0, 12, 10] overlaps [0, 0, 10, 10] and
+    # [4, 0, 14, 10] equally (2/3), and only [0, 0, 10, 10] tells them
+    # apart at threshold 0.5; drawn with repeats, and a far box
+    BOXES = [[0.0, 0, 10, 10], [2.0, 0, 12, 10], [4.0, 0, 14, 10], [70.0, 70, 80, 80]]
+
+    def test_iou_tie_goes_to_later_box(self):
+        # the first detection ties between both boxes and takes the later
+        # one, so the second detection still finds its box
+        sc = scene([0, 0], [self.BOXES[0], self.BOXES[2]])
+        dets = [det(0, 0.9, self.BOXES[1]), det(0, 0.8, self.BOXES[0])]
+        assert al.evaluate_detection(detections_of([dets]), [sc]) == 1.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n_images=st.integers(1, 6), n_classes=st.integers(1, 3),
+           threshold=st.sampled_from([0.0, 0.5, 1.0]))
+    def test_matches_per_object_reference(self, data, n_images, n_classes, threshold):
+        """The batch evaluator gives the float, or the error, of the
+        per-object evaluator it replaced
+        (tests_support_reference.reference_evaluate_detection).  Class
+        scores come from a few values, so confidences and argmax ties
+        repeat; the last class never occurs in the ground truth."""
+        score = st.sampled_from([0.0, 0.3, 0.5, 0.5, 0.9, 1.0])
+        detection = st.tuples(st.lists(score, min_size=n_classes + 1,
+                                       max_size=n_classes + 1),
+                              st.sampled_from(self.BOXES))
+        gt_box = st.tuples(st.integers(0, n_classes - 1), st.sampled_from(self.BOXES))
+        images, scenes = [], []
+        for _ in range(n_images):
+            gt = data.draw(st.lists(gt_box, max_size=3))
+            scenes.append(scene([c for c, _ in gt], [b for _, b in gt]))
+            images.append([Detection(np.array(probs), np.array(box), np.eye(4))
+                           for probs, box in data.draw(st.lists(detection, max_size=4))])
+
+        def outcome(evaluate, detections):
+            try:
+                return evaluate(detections, scenes, threshold)
+            except ValueError as exc:
+                return str(exc)
+
+        assert (outcome(al.evaluate_detection, detections_of(images))
+                == outcome(reference_evaluate_detection, images))
 
 
 class TestALState:
@@ -408,7 +475,7 @@ class TestBatchDetectionReference:
 
         try:
             detections = surrogate.detect(scenes, seeds, threshold, cls_bayesian)
-            got = (detections.images(), score_image(detections, cfg, ids))
+            got = (detections, score_image(detections, cfg, ids))
         except ValueError as exc:
             got = str(exc)
         expected = ([], [])
@@ -425,8 +492,7 @@ class TestBatchDetectionReference:
             assert got == expected
             return
         assert not isinstance(got, str), got
-        for got_image, image in zip(*[got[0], expected[0]], strict=True):
-            assert_same_detections(got_image, image)
+        assert_same_detections(got[0], expected[0])
         assert ([(s.image_id, s.score.hex(), s.n_detections) for s in got[1]]
                 == [(s.image_id, s.score.hex(), s.n_detections) for s in expected[1]])
 

@@ -159,15 +159,12 @@ class TestSynthDetectorOutputs:
         assert len(anchors) == scene.n_objects * 3
         dets = bayesod_inference(anchors, 0.5)
         assert len(dets) == scene.n_objects
-        for det in dets:
-            gt_idx = int(np.argmin([np.abs(det.box_mean - g).max()
+        for mean, cov, size in zip(dets.box_mean, dets.box_cov, dets.cluster_size):
+            gt_idx = int(np.argmin([np.abs(mean - g).max()
                                     for g in scene.gt_boxes]))
-            np.testing.assert_allclose(det.box_mean, scene.gt_boxes[gt_idx],
-                                       atol=1e-9)
+            np.testing.assert_allclose(mean, scene.gt_boxes[gt_idx], atol=1e-9)
             # member covariances are eps*I; M members fuse to eps/M * I
-            np.testing.assert_allclose(det.box_cov,
-                                       1e-6 / det.cluster_size * np.eye(4),
-                                       atol=1e-12)
+            np.testing.assert_allclose(cov, 1e-6 / size * np.eye(4), atol=1e-12)
 
     def test_reg_entropy_grows_with_box_noise(self):
         entropies = {}
@@ -176,9 +173,9 @@ class TestSynthDetectorOutputs:
             scenes = generate_detection_scenes(spec, 100, seed=5)
             values = []
             for i, scene in enumerate(scenes):
-                for det in bayesod_inference(
-                        synth_detector_outputs([scene], spec, [1000 + i]), 0.5):
-                    values.append(reg_entropy(det.box_cov))
+                for cov in bayesod_inference(
+                        synth_detector_outputs([scene], spec, [1000 + i]), 0.5).box_cov:
+                    values.append(reg_entropy(cov))
             entropies[sigma] = np.mean(values)
         assert entropies[4.0] > entropies[1.0]
 

@@ -9,17 +9,18 @@ GT, where greedy confidence-ordered matching is provably optimal.
 import itertools
 
 import numpy as np
+from tests_support_reference import Detection
 
 from sim2real_al import loop as al
-from sim2real_al.fusion import FusedDetection, iou_matrix
+from sim2real_al.fusion import iou_matrix
 from sim2real_al.synthdata import DetectionScene
 
 
 def make_det(cls, conf, box, n_classes=2):
     probs = np.zeros(n_classes)
     probs[cls] = conf
-    return FusedDetection(class_probs=probs, box_mean=np.asarray(box, float),
-                          box_cov=np.eye(4))
+    return Detection(class_probs=probs, box_mean=np.asarray(box, float),
+                     box_cov=np.eye(4))
 
 
 def make_scene(classes, boxes, extent=100.0):

@@ -3,26 +3,47 @@ the array code.
 
 `synthdata.synth_detector_outputs`, `fusion.cluster_anchors`,
 `fusion.fuse_gaussian` / `fusion.fuse_categorical` /
-`fusion.bayesod_inference`, `acquisition.score_image` and
-`fusion.read_anchor_records` work on batches of images and on whole
-files.  The functions here are the one-scene synthesis, the
-one-center-at-a-time clustering, the one-cluster-at-a-time fusion, the
-one-detection-at-a-time scoring and the line-by-line reader they
-replaced, kept as they were, so tests can require the same records,
-the same bits and the same error messages.  `dense_image_text` writes
-images shaped like detector dumps (many anchors per object,
-fixed-precision values).
+`fusion.bayesod_inference`, `acquisition.score_image`,
+`loop.evaluate_detection` and `fusion.read_anchor_records` work on
+batches of images and on whole files.  The functions here are the
+one-scene synthesis, the one-center-at-a-time clustering, the
+one-cluster-at-a-time fusion, the one-detection-at-a-time scoring and
+evaluation and the line-by-line reader they replaced, kept as they
+were, so tests can require the same records, the same bits and the
+same error messages.  They work on `Detection` records, one per
+detection; `detections_of` packs per-image record lists into a
+`fusion.Detections` batch.  `dense_image_text` writes images shaped
+like detector dumps (many anchors per object, fixed-precision values).
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import xlogy
 
 from sim2real_al.acquisition import ImageScore
 from sim2real_al.fusion import (COV_REGULARIZER, DEFAULT_IOU_THRESHOLD, Anchors,
-                                Detections, FusedDetection, iou_matrix,
-                                mc_statistics)
+                                Detections, iou_matrix, mc_statistics)
+
+
+@dataclass
+class Detection:
+    """One detection: class score vector plus Gaussian box."""
+
+    class_probs: np.ndarray   # (n_classes,)
+    box_mean: np.ndarray      # (4,)
+    box_cov: np.ndarray       # (4, 4)
+    cluster_size: int = 1
+
+    @property
+    def label(self) -> int:
+        """argmax class, ties broken toward the smaller index."""
+        return int(np.argmax(self.class_probs))
+
+    @property
+    def confidence(self) -> float:
+        return float(self.class_probs[self.label])
 
 
 # -- synthesis: one scene, one generator ------------------------------------
@@ -135,9 +156,9 @@ def reference_bayesod_inference(anchors, iou_threshold=DEFAULT_IOU_THRESHOLD,
             class_probs = reference_fuse_categorical(mean_scores)
         else:
             class_probs = mean_scores[0]
-        detections.append(FusedDetection(class_probs=class_probs,
-                                         box_mean=box_mean, box_cov=box_cov,
-                                         cluster_size=len(members)))
+        detections.append(Detection(class_probs=class_probs,
+                                    box_mean=box_mean, box_cov=box_cov,
+                                    cluster_size=len(members)))
     return detections
 
 
@@ -193,17 +214,66 @@ def reference_score_image(detections, cfg, image_id=0):
                       n_detections=len(values))
 
 
-def assert_same_detections(got, expected):
-    """Same count, and every field of every detection bit for bit."""
-    assert len(got) == len(expected)
-    for g, e in zip(got, expected):
-        assert g.cluster_size == e.cluster_size
-        for name in ("class_probs", "box_mean", "box_cov"):
-            assert np.array_equal(getattr(g, name), getattr(e, name)), name
+# -- evaluation: one detection at a time ------------------------------------
 
+def reference_evaluate_detection(detections_per_image, scenes, iou_threshold=0.5):
+    n_gt_per_class = {}
+    for scene in scenes:
+        for cls in scene.gt_classes:
+            n_gt_per_class[int(cls)] = n_gt_per_class.get(int(cls), 0) + 1
+    if not n_gt_per_class:
+        raise ValueError("empty ground truth")
+
+    by_class = {c: [] for c in n_gt_per_class}
+    for img_idx, dets in enumerate(detections_per_image):
+        for det_idx, det in enumerate(dets):
+            label = det.label
+            if label in by_class:
+                by_class[label].append((det.confidence, img_idx, det_idx))
+
+    overlaps = [iou_matrix([det.box_mean for det in dets], scene.gt_boxes)
+                for dets, scene in zip(detections_per_image, scenes)]
+    aps = []
+    for cls in sorted(n_gt_per_class):
+        dets = sorted(by_class[cls], key=lambda d: (-d[0], d[1], d[2]))
+        matched = [np.zeros(len(s.gt_classes), dtype=bool) for s in scenes]
+        tp = np.zeros(len(dets))
+        for rank, (_, img_idx, det_idx) in enumerate(dets):
+            best_iou, best_gt = iou_threshold, -1
+            for gi, gcls in enumerate(scenes[img_idx].gt_classes):
+                if int(gcls) != cls or matched[img_idx][gi]:
+                    continue
+                overlap = overlaps[img_idx][det_idx, gi]
+                if overlap >= best_iou:
+                    best_iou, best_gt = overlap, gi
+            if best_gt >= 0:
+                matched[img_idx][best_gt] = True
+                tp[rank] = 1.0
+        aps.append(reference_average_precision(tp, n_gt_per_class[cls]))
+    return float(np.mean(aps))
+
+
+def reference_average_precision(tp, n_gt):
+    if len(tp) == 0:
+        return 0.0
+    cum_tp = np.cumsum(tp)
+    recall = cum_tp / n_gt
+    precision = cum_tp / np.arange(1, len(tp) + 1)
+    for i in range(len(precision) - 2, -1, -1):
+        precision[i] = max(precision[i], precision[i + 1])
+    ap = 0.0
+    prev_r = 0.0
+    for r, p in zip(recall, precision):
+        if r > prev_r:
+            ap += (r - prev_r) * p
+            prev_r = r
+    return float(ap)
+
+
+# -- Detection records and Detections batches ---------------------------------
 
 def detections_of(images):
-    """A fusion.Detections batch of per-image lists of FusedDetection,
+    """A fusion.Detections batch of per-image lists of Detection records,
     for calling the batch kernels on hand-made detections."""
     dets = [det for image in images for det in image]
     return Detections(
@@ -212,6 +282,18 @@ def detections_of(images):
         box_cov=np.array([d.box_cov for d in dets]) if dets else np.zeros((0, 4, 4)),
         cluster_size=np.array([d.cluster_size for d in dets], dtype=int),
         offsets=np.cumsum([0] + [len(image) for image in images]))
+
+
+def assert_same_detections(got, expected):
+    """The Detections batch got holds the per-image lists of Detection
+    records expected: the same count per image, and every field of every
+    detection bit for bit."""
+    assert np.diff(got.offsets).tolist() == [len(image) for image in expected]
+    rows = [det for image in expected for det in image]
+    assert got.cluster_size.tolist() == [det.cluster_size for det in rows]
+    for name in ("class_probs", "box_mean", "box_cov"):
+        for k, det in enumerate(rows):
+            assert np.array_equal(getattr(got, name)[k], getattr(det, name)), name
 
 
 # -- interchange reader: a stripped-line list and one split per line --------
