@@ -148,11 +148,13 @@ def categorical_entropy(probs):
     p = np.asarray(probs, dtype=float)
     rows = np.atleast_2d(p)
     negative = (rows < 0).any(axis=1)
-    # clipped, fsum never meets -inf + inf; a row with a negative entry
-    # fails the first check, so its total is never read
-    totals = np.array([math.fsum(row) for row in np.maximum(rows, 0.0).tolist()])
+    # clipped to [0, 2], fsum neither meets -inf + inf nor overflows; a
+    # row with a negative entry fails the first check, so its total is
+    # never read, and one with an entry above 2 is off the sum either way
+    totals = np.array([math.fsum(row) for row in np.clip(rows, 0.0, 2.0).tolist()])
     off_sum = np.abs(totals - 1.0) > 1e-9
-    got = rows[np.argmax(off_sum)].sum() if off_sum.any() else None
+    with np.errstate(over="ignore"):
+        got = rows[np.argmax(off_sum)].sum() if off_sum.any() else None
     _raise_first_failure([("probabilities must be nonnegative", negative),
                           (f"probabilities must sum to 1, got {got!r}", off_sum)])
     entropies = -np.array([math.fsum(row) for row in xlogy(rows, rows).tolist()])

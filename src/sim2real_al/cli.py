@@ -11,18 +11,22 @@ report  recompute gap reports from stored run directories
 score   ingest an anchor-sample interchange file, run cluster-and-fuse
         plus entropy acquisition, and print ranked image scores
 
-Config files are flat `key = value` text with dotted section prefixes
-(see the schema tables below); `config_version = 1` is required.  Two
-presets ship with the package: digits-analog and detection-analog.
+Config files are flat `key = value` text with dotted section prefixes;
+`config_version = 1` is required.  Each `section.field` key takes the
+type and default of the dataclass field it feeds (see SECTIONS below).
+Two presets ship with the package: digits-analog and detection-analog.
 The default output root comes from $SIM2REAL_AL_OUTPUT_ROOT.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+import typing
+import warnings
+from dataclasses import MISSING, dataclass, fields, replace
 from importlib import resources
 from pathlib import Path
 
@@ -35,73 +39,6 @@ from .sampling import STRATEGIES, SelectionConfig
 
 OUTPUT_ROOT_ENV = "SIM2REAL_AL_OUTPUT_ROOT"
 
-_BOOL = "bool"
-_INT = "int"
-_FLOAT = "float"
-_STR = "str"
-_INTS = "int_list"
-_STRS = "str_list"
-
-COMMON_SCHEMA = {
-    "config_version": (_INT, None),
-    "track": (_STR, None),
-    "name": (_STR, ""),
-    "seeds": (_INTS, [0]),
-    "strategies": (_STRS, []),
-    "dataset.seed": (_INT, 100),
-    "dataset.n_classes": (_INT, None),
-    "acquisition.comb": (_STR, "sum"),
-    "acquisition.agg": (_STR, "avg"),
-    "acquisition.w_cls": (_FLOAT, 1.0),
-    "acquisition.w_reg": (_FLOAT, 0.01),
-    "acquisition.empty_image_score": (_FLOAT, 0.0),
-    "selection.strategy": (_STR, "subsample_topn"),
-    "selection.batch_size": (_INT, 20),
-    "selection.subsample_fraction": (_FLOAT, 0.5),
-    "selection.mc_count": (_INT, 100),
-    "selection.seed": (_INT, 0),
-    "loop.iterations": (_INT, 10),
-    "loop.level": (_FLOAT, 0.95),
-    "loop.replay": (_BOOL, True),
-    "loop.mc_passes": (_INT, 10),
-    "loop.iou_threshold": (_FLOAT, 0.5),
-    "loop.cls_bayesian": (_BOOL, False),
-}
-
-CLASSIFICATION_SCHEMA = {
-    "dataset.dim": (_INT, 8),
-    "dataset.sim_size": (_INT, 500),
-    "dataset.pool_size": (_INT, 2000),
-    "dataset.test_size": (_INT, 1000),
-    "dataset.class_separation": (_FLOAT, 4.0),
-    "dataset.cov_scale": (_FLOAT, 1.0),
-    "dataset.mean_shift": (_FLOAT, 5.5),
-    "dataset.label_skew": (_FLOAT, 2.5),
-    "dataset.hidden_dim": (_INT, 64),
-    "dataset.dropout_rate": (_FLOAT, 0.1),
-    "train.epochs": (_INT, 60),
-    "train.learning_rate": (_FLOAT, 0.15),
-    "train.batch_size": (_INT, 32),
-    "train.fine_tune": (_BOOL, True),
-}
-
-DETECTION_SCHEMA = {
-    "dataset.width": (_FLOAT, 128.0),
-    "dataset.height": (_FLOAT, 128.0),
-    "dataset.objects_min": (_INT, 1),
-    "dataset.objects_max": (_INT, 3),
-    "dataset.box_min": (_FLOAT, 24.0),
-    "dataset.box_max": (_FLOAT, 48.0),
-    "dataset.anchors_per_object": (_INT, 3),
-    "dataset.mc_samples": (_INT, 10),
-    "dataset.sim_scenes": (_INT, 100),
-    "dataset.pool_scenes": (_INT, 400),
-    "dataset.test_scenes": (_INT, 160),
-    "dataset.label_skew": (_FLOAT, 1.5),
-    "surrogate.kappa": (_FLOAT, 40.0),
-    "surrogate.sim_weight": (_FLOAT, 0.15),
-}
-
 TRACKS = ("classification", "detection")
 
 # batchbald needs per-item class-probability samples, which the
@@ -110,29 +47,89 @@ TRACK_STRATEGIES = {"classification": STRATEGIES,
                     "detection": tuple(s for s in STRATEGIES if s != "batchbald")}
 
 
+@functools.cache
+def _field_kinds(cls) -> dict:
+    """name -> (type, default) of each field of cls with a plain default."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: (hints[f.name], f.default) for f in fields(cls)
+            if f.default is not MISSING}
+
+
+# Each config section feeds one dataclass per track (a track missing
+# from the mapping has no such section).  Its keys are `section.field`
+# for the listed fields, or for every field with a plain default when
+# none are listed; a key takes the type and default of its field.
+SECTIONS = {
+    "dataset": ({"classification": al.ClassificationExperimentSpec,
+                 "detection": al.DetectionExperimentSpec}, None),
+    "surrogate": ({"detection": al.SurrogateParams}, ("kappa", "sim_weight")),
+    "acquisition": (dict.fromkeys(TRACKS, AcquisitionConfig), None),
+    "selection": (dict.fromkeys(TRACKS, SelectionConfig), None),
+    "train": ({"classification": TrainConfig},
+              ("epochs", "learning_rate", "batch_size", "fine_tune")),
+    "loop": (dict.fromkeys(TRACKS, al.ALRunConfig),
+             ("iterations", "level", "replay", "mc_passes", "iou_threshold",
+              "cls_bayesian")),
+}
+
+# the keys listed by hand: key -> (type, default); config_version and
+# track are checked before any other key
+OTHER_KEYS = {
+    "config_version": (int, None),
+    "track": (str, None),
+    "name": (str, ""),
+    "seeds": (list[int], [0]),
+    "strategies": (list[str], []),
+    "selection.seed": _field_kinds(al.ALRunConfig)["selection_seed"],
+}
+
+
 class ConfigError(Exception):
-    """Config problem with a file/line anchor where available."""
+    """Config problem with a file/line anchor where available, or a run
+    that its config's values make fail; `main` prints it as one
+    `error:` line and exits 2."""
+
+
+def _section_fields(section: str, track: str) -> tuple:
+    """The dataclass a section feeds on a track, and name -> (type,
+    default) of each field the section exposes."""
+    classes, names = SECTIONS[section]
+    kinds = _field_kinds(classes[track])
+    return classes[track], {n: kinds[n] for n in names or kinds}
+
+
+def config_keys(track: str) -> dict:
+    """key -> (type, default) of every key a config of `track` may set."""
+    keys = dict(OTHER_KEYS)
+    for section, (classes, _) in SECTIONS.items():
+        if track in classes:
+            exposed = _section_fields(section, track)[1]
+            keys.update((f"{section}.{n}", kind) for n, kind in exposed.items())
+    return keys
+
+
+def _parse_bool(raw: str) -> bool:
+    if raw.lower() in ("true", "1", "yes"):
+        return True
+    if raw.lower() in ("false", "0", "no"):
+        return False
+    raise ValueError(raw)
+
+
+_PARSERS = {int: int, float: float, bool: _parse_bool, str: str}
 
 
 def _convert(kind, raw, key, lineno, path):
+    """raw as a value of kind: int, float, bool, str or a comma list of
+    one of them (list[int], list[str]); empty list items are dropped."""
+    item = typing.get_args(kind)[0] if typing.get_origin(kind) is list else None
     try:
-        if kind == _INT:
-            return int(raw)
-        if kind == _FLOAT:
-            return float(raw)
-        if kind == _BOOL:
-            if raw.lower() in ("true", "1", "yes"):
-                return True
-            if raw.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError(raw)
-        if kind == _INTS:
-            return [int(v) for v in raw.split(",") if v.strip() != ""]
-        if kind == _STRS:
-            return [v.strip() for v in raw.split(",") if v.strip() != ""]
-        return raw
+        if item is None:
+            return _PARSERS[kind](raw)
+        return [_PARSERS[item](v.strip()) for v in raw.split(",") if v.strip()]
     except ValueError:
-        raise ConfigError(f"{path}:{lineno}: key {key!r} expects {kind}, "
+        name = kind.__name__ if item is None else f"{item.__name__}_list"
+        raise ConfigError(f"{path}:{lineno}: key {key!r} expects {name}, "
                           f"got {raw!r}") from None
 
 
@@ -178,7 +175,7 @@ class ExperimentConfig:
     strategies: list[str]
     dataset_spec: object           # ClassificationExperimentSpec | DetectionExperimentSpec
     al: al.ALRunConfig
-    resolved: dict                 # every schema key -> final value (for manifests)
+    resolved: dict                 # every config key -> final value (for manifests)
 
 
 def load_config(path_or_preset: str, track_override: str = None,
@@ -209,7 +206,7 @@ def build_experiment_config(raw: dict, path: str, track_override: str = None,
     version_entry = raw.get("config_version")
     if version_entry is None:
         raise ConfigError(f"{path}:1: missing required key 'config_version'")
-    if _convert(_INT, version_entry[0], "config_version",
+    if _convert(int, version_entry[0], "config_version",
                 version_entry[1], path) != 1:
         raise ConfigError(f"{path}:{version_entry[1]}: unsupported "
                           f"config_version {version_entry[0]!r}")
@@ -220,25 +217,16 @@ def build_experiment_config(raw: dict, path: str, track_override: str = None,
         raise ConfigError(f"{path}:{lineno}: track must be one of {TRACKS}, "
                           f"got {track!r}")
 
-    schema = dict(COMMON_SCHEMA)
-    schema.update(CLASSIFICATION_SCHEMA if track == "classification"
-                  else DETECTION_SCHEMA)
-    if schema["dataset.n_classes"][1] is None:
-        schema["dataset.n_classes"] = (_INT, 8 if track == "classification" else 3)
-
+    keys = config_keys(track)
     values = {"track": track}
     for key, (value, lineno) in raw.items():
         if key == "track":
             continue
-        if key not in schema:
+        if key not in keys:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        values[key] = _convert(schema[key][0], value, key, lineno, path)
-    for key, (kind, default) in schema.items():
-        if key in values or key in ("config_version", "track"):
-            continue
-        if default is None:
-            raise ConfigError(f"{path}: missing required key {key!r}")
-        values[key] = default
+        values[key] = _convert(keys[key][0], value, key, lineno, path)
+    for key, (_, default) in keys.items():
+        values.setdefault(key, default)
 
     seeds = values["seeds"]
     where = f"{path}:{raw['seeds'][1]}" if "seeds" in raw else path
@@ -256,13 +244,14 @@ def build_experiment_config(raw: dict, path: str, track_override: str = None,
     if strategy_flag is not None:
         _check_strategies(strategy_flag, track, "--strategy")
 
-    def built(cls, section, names, **fixed):
-        """cls from the values of the keys `section.name`.  The rules
-        live in cls.__post_init__, whose ValueError starts with the
-        failing parameter's name (or with its full key, for a value of
-        another section); it is re-raised at that key's line."""
+    def built(section, **fixed):
+        """The dataclass of a section from the values of its keys.  The
+        rules live in its __post_init__, whose ValueError starts with
+        the failing parameter's name (or with its full key, for a value
+        of another section); it is re-raised at that key's line."""
+        cls, exposed = _section_fields(section, track)
         try:
-            return cls(**{n: values[f"{section}.{n}"] for n in names}, **fixed)
+            return cls(**{n: values[f"{section}.{n}"] for n in exposed}, **fixed)
         except ValueError as exc:
             name = str(exc).split()[0]
             key = name if "." in name else f"{section}.{name}"
@@ -271,29 +260,16 @@ def build_experiment_config(raw: dict, path: str, track_override: str = None,
             where = f"{path}:{raw[key][1]}" if key in raw else path
             raise ConfigError(f"{where}: {key!r}: {exc}") from None
 
-    selection = built(SelectionConfig, "selection",
-                      ("strategy", "batch_size", "subsample_fraction", "mc_count"))
-    acquisition = built(AcquisitionConfig, "acquisition",
-                        ("comb", "agg", "w_cls", "w_reg", "empty_image_score"))
+    selection = built("selection")
+    acquisition = built("acquisition")
     if track == "classification":
-        train = built(TrainConfig, "train",
-                      ("epochs", "learning_rate", "batch_size", "fine_tune"))
-        spec_cls, extra = al.ClassificationExperimentSpec, {}
+        train, extra = built("train"), {}
     else:
-        train = TrainConfig()
-        spec_cls = al.DetectionExperimentSpec
-        extra = {"surrogate": al.SurrogateParams(
-            kappa=values["surrogate.kappa"],
-            sim_weight=values["surrogate.sim_weight"])}
-    dataset_spec = built(spec_cls, "dataset",
-                         [f.name for f in fields(spec_cls) if f.name not in extra],
-                         **extra)
+        train, extra = TrainConfig(), {"surrogate": built("surrogate")}
+    dataset_spec = built("dataset", **extra)
 
     def run_config(strategy):
-        return built(al.ALRunConfig, "loop",
-                     ("iterations", "level", "replay", "mc_passes",
-                      "iou_threshold", "cls_bayesian"),
-                     selection=replace(selection, strategy=strategy),
+        return built("loop", selection=replace(selection, strategy=strategy),
                      acquisition=acquisition, train=train,
                      selection_seed=values["selection.seed"])
 
@@ -340,7 +316,9 @@ def execute_run(excfg: ExperimentConfig, strategy: str, seeds: list[int],
 
     real_perfs maps a run seed to its reference performance, which does
     not depend on the strategy: a seed found there skips the reference
-    model, and a seed not found there gets its value recorded.
+    model, and a seed not found there gets its value recorded.  A seed
+    whose run fails raises ConfigError naming the strategy and the
+    seed, before any artifact is written.
     """
     _fresh_dir(out_dir)
     run_cfg = replace(excfg.al,
@@ -348,9 +326,19 @@ def execute_run(excfg: ExperimentConfig, strategy: str, seeds: list[int],
     real_perfs = {} if real_perfs is None else real_perfs
     curves = []
     for seed in seeds:
-        datasets, oracle, learner = _build(excfg, seed)
-        datasets.real_perf = real_perfs.get(seed)
-        curve = al.run_al(run_cfg, datasets, learner, oracle, seed)
+        # a config's values can make the run itself fail, such as a
+        # learning rate that drives the weights to overflow; the error
+        # line then replaces the numpy warnings that led up to it
+        with warnings.catch_warnings(record=True) as caught:
+            try:
+                datasets, oracle, learner = _build(excfg, seed)
+                datasets.real_perf = real_perfs.get(seed)
+                curve = al.run_al(run_cfg, datasets, learner, oracle, seed)
+            except (ValueError, ArithmeticError) as exc:
+                raise ConfigError(f"strategy {strategy!r}, seed {seed}: "
+                                  f"{exc}") from None
+        for w in caught:
+            warnings.showwarning(w.message, w.category, w.filename, w.lineno)
         real_perfs[seed] = curve.real_perf
         curves.append(curve)
     al.write_curve_csv(out_dir / "curve.csv", curves)
@@ -467,20 +455,20 @@ def cmd_report(args) -> int:
         for seed in sorted(csv_data["points"]):
             try:
                 curve = al.curve_from_artifacts(manifest, csv_data, seed)
+                report = al.gap_report(curve)
             except (KeyError, ValueError) as exc:
                 print(f"warning: skipping {run_dir} seed {seed}: {exc}",
                       file=sys.stderr)
                 skipped += 1
                 continue
-            groups.setdefault(key, []).append((str(run_dir), curve))
+            groups.setdefault(key, []).append((str(run_dir), curve, report))
     if not groups:
         print("error: no readable run directories", file=sys.stderr)
         return 1
 
     for gi, (key, entries) in enumerate(sorted(groups.items()), start=1):
         print(f"group {gi} ({len(entries)} runs)")
-        for run_dir, curve in entries:
-            report = al.gap_report(curve)
+        for run_dir, curve, report in entries:
             print(f"  {run_dir} seed={curve.seed} strategy={curve.strategy} "
                   f"gap={report.gap:.4f} bridged={_fmt_bridged(report, curve)} "
                   f"mean_metric={report.mean_metric:.6f}")
@@ -500,9 +488,8 @@ def cmd_score(args) -> int:
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read anchor records: {exc}") from None
     try:
-        acq_cfg = AcquisitionConfig(comb=args.comb, agg=args.agg,
-                                    w_cls=args.w_cls, w_reg=args.w_reg,
-                                    empty_image_score=args.empty_image_score)
+        acq_cfg = AcquisitionConfig(**{name: getattr(args, name)
+                                       for name in _field_kinds(AcquisitionConfig)})
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -575,12 +562,10 @@ def build_parser() -> argparse.ArgumentParser:
     score_p.add_argument("--iou-threshold", type=float, default=0.5)
     score_p.add_argument("--cls-bayesian", action="store_true",
                          help="fuse class scores too, not only boxes")
-    score_p.add_argument("--comb", default="sum")
-    score_p.add_argument("--agg", default="avg")
-    score_p.add_argument("--w-cls", type=float, default=1.0)
-    score_p.add_argument("--w-reg", type=float, default=0.01)
-    score_p.add_argument("--empty-image-score", type=float, default=0.0,
-                         help="score of an image with no detections")
+    flag_help = {"empty_image_score": "score of an image with no detections"}
+    for name, (kind, default) in _field_kinds(AcquisitionConfig).items():
+        score_p.add_argument("--" + name.replace("_", "-"), type=_PARSERS[kind],
+                             default=default, help=flag_help.get(name))
     score_p.set_defaults(func=cmd_score)
     return parser
 

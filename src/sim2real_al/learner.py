@@ -19,8 +19,8 @@ import numpy as np
 
 @dataclass
 class TrainConfig:
-    epochs: int = 30
-    learning_rate: float = 0.1
+    epochs: int = 60
+    learning_rate: float = 0.15
     batch_size: int = 32
     seed: int = 0
     fine_tune: bool = True

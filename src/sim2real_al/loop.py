@@ -855,17 +855,18 @@ def write_manifest(path, config_items: dict, curves) -> None:
 
 
 def read_manifest(path) -> dict:
-    """Flat key -> string value mapping of a manifest file."""
+    """Flat key -> string value mapping of a manifest file; a value may
+    be empty (`key = `)."""
     items = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            if " = " not in line:
+            key, sep, value = raw.partition(" = ")
+            if not sep:
                 raise ValueError(f"{path}:{lineno}: malformed manifest line {line!r}")
-            key, value = line.split(" = ", 1)
-            items[key.strip()] = value
+            items[key.strip()] = value.strip()
     if items.get("manifest_version") != "1":
         raise ValueError(f"{path}: unsupported or missing manifest_version")
     return items

@@ -9,10 +9,9 @@ of anchor-level Monte-Carlo detector outputs (noisy box samples and
 sigmoid score samples), standing in for a BNN detector head so the
 fusion/acquisition stack can run without training an actual detector.
 
-Everything is a pure function of (spec, seed).  Parallel per-scene
-generation derives child seeds with numpy's SeedSequence spawning
-(seed mixing: SeedSequence([seed, index])); detector outputs take one
-seed per scene.
+Everything is a pure function of (spec, seed).  Scene generation
+draws scene i from the i-th child of SeedSequence(seed).spawn(n), one
+scene after another; detector outputs take one seed per scene.
 """
 
 from __future__ import annotations

@@ -68,6 +68,13 @@ class TestCategoricalEntropy:
         with pytest.raises(ValueError):
             categorical_entropy([-0.2, 1.2])
 
+    @pytest.mark.parametrize("probs", [[1e308, 1e308],
+                                       [[0.5, 0.5], [1e308, 1e308]]],
+                             ids=["row", "after-valid-row"])
+    def test_overflowing_sum_rejected(self, probs):
+        with pytest.raises(ValueError, match=r"probabilities must sum to 1, got "):
+            categorical_entropy(probs)
+
     def test_permutation_invariant(self):
         rng = np.random.default_rng(2)
         for _ in range(50):

@@ -2,6 +2,7 @@
 
 import os
 import re
+import shutil
 import subprocess
 import sys
 from dataclasses import replace
@@ -14,6 +15,7 @@ from tests_support_reference import dense_image_text, reference_score_stdout
 from sim2real_al import cli
 from sim2real_al import loop as al
 from sim2real_al.acquisition import AcquisitionConfig
+from sim2real_al.learner import TrainConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -205,9 +207,9 @@ class TestConfigParsing:
         """One bad value, set alone, is one error line at its key's
         line, before any output is written; a key of both tracks fails
         on both."""
-        bases = [text for text, schema in ((SMALL_CLS, cli.CLASSIFICATION_SCHEMA),
-                                           (SMALL_DET, cli.DETECTION_SCHEMA))
-                 if key in schema or key in cli.COMMON_SCHEMA]
+        bases = [text for text, track in ((SMALL_CLS, "classification"),
+                                          (SMALL_DET, "detection"))
+                 if key in cli.config_keys(track)]
         assert bases
         for base in bases:
             lines = [ln for ln in base.splitlines()
@@ -258,6 +260,41 @@ class TestConfigParsing:
                          "--seed", "-1", "--out", str(out)]) == 2
         assert capsys.readouterr().err == "error: --seed: seed -1 is negative\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("key, value, kind", [
+        ("loop.iterations", "soon", "int"), ("loop.level", "high", "float"),
+        ("loop.replay", "maybe", "bool"), ("train.fine_tune", "2", "bool"),
+        ("seeds", "1,x", "int_list")])
+    def test_type_error_names_the_expected_type(self, tmp_path, key, value, kind):
+        lines = [ln for ln in SMALL_CLS.splitlines()
+                 if not ln.startswith(f"{key} =")] + [f"{key} = {value}"]
+        cfg = write_cfg(tmp_path, "\n".join(lines) + "\n")
+        with pytest.raises(cli.ConfigError) as info:
+            cli.load_config(cfg)
+        assert str(info.value) == (f"{cfg}:{len(lines)}: key {key!r} expects "
+                                   f"{kind}, got {value!r}")
+
+    @pytest.mark.parametrize("track", cli.TRACKS)
+    def test_absent_keys_take_the_dataclass_defaults(self, tmp_path, track):
+        """A config of only the required keys builds every section's
+        dataclass with its own defaults."""
+        excfg = cli.load_config(write_cfg(
+            tmp_path, f"config_version = 1\ntrack = {track}\n"))
+        spec_cls = (al.ClassificationExperimentSpec if track == "classification"
+                    else al.DetectionExperimentSpec)
+        assert excfg.dataset_spec == spec_cls()
+        assert excfg.al == al.ALRunConfig(train=excfg.al.train)
+        if track == "classification":
+            assert excfg.al.train == TrainConfig()
+        assert (excfg.name, excfg.seeds, excfg.strategies) == ("", [0], [])
+        assert len(cli.config_keys(track)) == 37
+
+    def test_score_flag_defaults_are_the_acquisition_defaults(self):
+        args = cli.build_parser().parse_args(["score", "--anchors", "a.txt"])
+        assert AcquisitionConfig(comb=args.comb, agg=args.agg, w_cls=args.w_cls,
+                                 w_reg=args.w_reg,
+                                 empty_image_score=args.empty_image_score) \
+            == AcquisitionConfig()
 
     def test_type_errors_are_line_anchored(self, tmp_path):
         bad = SMALL_CLS.replace("loop.iterations = 3", "loop.iterations = soon")
@@ -334,6 +371,35 @@ class TestCmdRun:
         assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
         data = al.read_curve_csv(out / "curve.csv")
         assert len(data["points"][1]) == 3
+
+    @pytest.mark.parametrize("command, text, args, message", [
+        ("run", SMALL_CLS.replace("seeds = 1,2", "seeds = 1")
+         .replace("learning_rate = 0.2", "learning_rate = 1e308"), [],
+         "strategy 'subsample_topn', seed 1: training produced non-finite weights"),
+        ("sweep", SMALL_CLS.replace("seeds = 1,2", "seeds = 1")
+         .replace("learning_rate = 0.2", "learning_rate = 1e308"), [],
+         "strategy 'random', seed 1: training produced non-finite weights"),
+        ("run", SMALL_DET + "acquisition.w_cls = 1e308\n", ["--strategy", "topn"],
+         "strategy 'topn', seed 1: image score must be finite"),
+        ("run", SMALL_DET + "surrogate.sim_weight = 1e308\n", [],
+         "strategy 'subsample_topn', seed 1: anchor samples must be finite"),
+    ], ids=["learning-rate", "learning-rate-sweep", "w-cls", "sim-weight"])
+    def test_run_time_failure_is_one_error_line(self, tmp_path, command, text,
+                                                args, message):
+        """A cell whose values make the run fail exits 2 with one line
+        naming its strategy and seed, and writes no artifact."""
+        cfg = write_cfg(tmp_path, text)
+        out = tmp_path / "out"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-m", "sim2real_al.cli", command,
+                               "--config", cfg, "--out", str(out), *args],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: {message}\n"
+        assert not list(out.rglob("curve.csv")) and not list(out.rglob("manifest.txt"))
 
     def test_env_output_root(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path / "root"))
@@ -443,6 +509,41 @@ class TestCmdReport:
         assert cli.main(["report", str(bad), str(good)]) == 0
         err = capsys.readouterr().err
         assert "skipping" in err
+
+    @pytest.mark.parametrize("edit", [
+        ("strategies = random,subsample_topn\n", ""),
+        ("name = smoke\n", "name =\n"),
+    ], ids=["no-strategies", "empty-name"])
+    def test_report_reads_empty_values(self, tmp_path, capsys, edit):
+        """`config.strategies = ` and `config.name = ` are read back."""
+        text = SMALL_CLS.replace("seeds = 1,2", "seeds = 1").replace(*edit)
+        out = tmp_path / "run"
+        assert cli.main(["run", "--config", write_cfg(tmp_path, text),
+                         "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert cli.main(["report", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.startswith("group 1 (1 runs)\n")
+
+    @pytest.mark.parametrize("level", ["2.0", "nan", "-0.5"])
+    def test_out_of_range_level_skipped_with_warning(self, tmp_path, capsys,
+                                                     level):
+        cfg = write_cfg(tmp_path, SMALL_CLS.replace("seeds = 1,2", "seeds = 1"))
+        good, bad = tmp_path / "good", tmp_path / "bad"
+        assert cli.main(["run", "--config", cfg, "--out", str(good)]) == 0
+        shutil.copytree(good, bad)
+        manifest = (bad / "manifest.txt").read_text()
+        assert "\nrun.1.level = 0.95\n" in manifest
+        (bad / "manifest.txt").write_text(
+            manifest.replace("run.1.level = 0.95", f"run.1.level = {level}"))
+        capsys.readouterr()
+        assert cli.main(["report", str(bad), str(good)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"warning: skipping {bad}")
+        assert captured.out.startswith("group 1 (1 runs)\n")
+        assert str(bad) not in captured.out
+        assert cli.main(["report", str(bad)]) == 1
 
     def test_all_corrupt_nonzero_exit(self, tmp_path, capsys):
         bad = tmp_path / "bad"
