@@ -132,8 +132,11 @@ def cls_entropy(probs) -> float:
     0 ln 0 evaluates to 0.  Summation via fsum, so the result does not
     depend on entry order.
     """
-    entropies, checks = _bernoulli_entropies(np.asarray(probs, dtype=float)[None])
-    _raise_first_failure(checks)
+    p = np.asarray(probs, dtype=float)[None]
+    entropies, checks = _bernoulli_entropies(p)
+    # NaN passes the range check (score_image rejects its entropy instead)
+    _raise_first_failure(checks + [("class scores must be finite",
+                                    ~np.isfinite(p).all(axis=1))])
     return float(entropies[0])
 
 
@@ -156,7 +159,9 @@ def categorical_entropy(probs):
     with np.errstate(over="ignore"):
         got = rows[np.argmax(off_sum)].sum() if off_sum.any() else None
     _raise_first_failure([("probabilities must be nonnegative", negative),
-                          (f"probabilities must sum to 1, got {got!r}", off_sum)])
+                          (f"probabilities must sum to 1, got {got!r}", off_sum),
+                          # NaN passes both checks above
+                          ("probabilities must be finite", ~np.isfinite(rows).all(axis=1))])
     entropies = -np.array([math.fsum(row) for row in xlogy(rows, rows).tolist()])
     return float(entropies[0]) if p.ndim == 1 else entropies
 

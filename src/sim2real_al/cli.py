@@ -294,11 +294,10 @@ def _build(excfg: ExperimentConfig, run_seed: int):
     return al.build_detection_experiment(excfg.dataset_spec, run_seed)
 
 
-def _fresh_dir(path: Path) -> None:
+def _check_fresh(path: Path) -> None:
     if path.exists() and any(path.iterdir()):
         raise ConfigError(f"output directory {path} already contains run "
                           f"artifacts; refusing to overwrite")
-    path.mkdir(parents=True, exist_ok=True)
 
 
 def _resolved_items(excfg: ExperimentConfig, strategy: str,
@@ -311,19 +310,19 @@ def _resolved_items(excfg: ExperimentConfig, strategy: str,
 
 
 def execute_run(excfg: ExperimentConfig, strategy: str, seeds: list[int],
-                out_dir: Path, real_perfs: dict = None) -> list[al.LearningCurve]:
+                out_dir: Path, starts: dict = None) -> list[al.LearningCurve]:
     """Run one strategy over the given seeds and write run artifacts.
 
-    real_perfs maps a run seed to its reference performance, which does
-    not depend on the strategy: a seed found there skips the reference
-    model, and a seed not found there gets its value recorded.  A seed
-    whose run fails raises ConfigError naming the strategy and the
-    seed, before any artifact is written.
+    starts maps a run seed to its loop.RunStart, which does not depend
+    on the strategy: a seed found there starts from it, and a seed not
+    found there gets its start recorded.  A seed whose run fails raises
+    ConfigError naming the strategy and the seed; out_dir is created
+    only once every seed has run, to hold the artifacts.
     """
-    _fresh_dir(out_dir)
+    _check_fresh(out_dir)
     run_cfg = replace(excfg.al,
                       selection=replace(excfg.al.selection, strategy=strategy))
-    real_perfs = {} if real_perfs is None else real_perfs
+    starts = {} if starts is None else starts
     curves = []
     for seed in seeds:
         # a config's values can make the run itself fail, such as a
@@ -332,15 +331,17 @@ def execute_run(excfg: ExperimentConfig, strategy: str, seeds: list[int],
         with warnings.catch_warnings(record=True) as caught:
             try:
                 datasets, oracle, learner = _build(excfg, seed)
-                datasets.real_perf = real_perfs.get(seed)
+                if seed not in starts:
+                    starts[seed] = al.run_start(run_cfg, datasets, learner, oracle, seed)
+                datasets.start = starts[seed]
                 curve = al.run_al(run_cfg, datasets, learner, oracle, seed)
             except (ValueError, ArithmeticError) as exc:
                 raise ConfigError(f"strategy {strategy!r}, seed {seed}: "
                                   f"{exc}") from None
         for w in caught:
             warnings.showwarning(w.message, w.category, w.filename, w.lineno)
-        real_perfs[seed] = curve.real_perf
         curves.append(curve)
+    out_dir.mkdir(parents=True, exist_ok=True)
     al.write_curve_csv(out_dir / "curve.csv", curves)
     al.write_manifest(out_dir / "manifest.txt",
                       _resolved_items(excfg, strategy, seeds), curves)
@@ -389,14 +390,14 @@ def cmd_sweep(args) -> int:
                           "(set 'strategies = a,b,...' in the config)")
     seeds = _seeds(args, excfg)
     out_root = Path(args.out) if args.out else _default_out(excfg, args.config)
-    _fresh_dir(out_root)
+    _check_fresh(out_root)
 
     rows = []
-    real_perfs: dict[int, float] = {}   # one reference run per seed
+    starts: dict[int, al.RunStart] = {}   # one run start per seed
     for strategy in strategies:
         for seed in seeds:
             cell_dir = out_root / f"{strategy}-s{seed}"
-            curves = execute_run(excfg, strategy, [seed], cell_dir, real_perfs)
+            curves = execute_run(excfg, strategy, [seed], cell_dir, starts)
             report = al.gap_report(curves[0])
             rows.append((strategy, seed, report, curves[0]))
 

@@ -87,6 +87,17 @@ class ALState:
         self.pool_ids = [i for i in self.pool_ids if i not in chosen]
 
 
+@dataclass(frozen=True)
+class RunStart:
+    """A run before its first selection: the sim-trained model, its metric
+    and the reference performance; one start serves every strategy of a
+    (config, seed), as no part depends on the strategy or is mutated."""
+
+    model: object
+    sim_perf: float
+    real_perf: float
+
+
 @dataclass
 class CurvePoint:
     iteration: int
@@ -278,7 +289,7 @@ class ClassificationDatasets:
     test_x: np.ndarray
     test_y: np.ndarray
     n_classes: int
-    real_perf: float | None = None
+    start: RunStart | None = None
 
 
 @dataclass
@@ -287,7 +298,7 @@ class DetectionDatasets:
     pool_scenes: list[DetectionScene]
     test_scenes: list[DetectionScene]
     n_classes: int
-    real_perf: float | None = None
+    start: RunStart | None = None
 
 
 def make_classification_oracle(pool_y):
@@ -401,6 +412,24 @@ class DetectionSurrogate:
 # the loop
 # ---------------------------------------------------------------------------
 
+def _track(cfg: ALRunConfig, datasets, seed: int):
+    if isinstance(datasets, ClassificationDatasets):
+        return _ClassificationTrack(cfg, datasets, seed)
+    if isinstance(datasets, DetectionDatasets):
+        return _DetectionTrack(cfg, datasets, seed)
+    raise TypeError(f"unsupported dataset bundle {type(datasets).__name__}")
+
+
+def run_start(cfg: ALRunConfig, datasets, learner, oracle, seed: int = 0) -> RunStart:
+    """The start run_al computes when datasets.start is None; a caller
+    running several strategies on one (config, seed) may compute it once."""
+    track = _track(cfg, datasets, seed)
+    track.start(learner)
+    sim_perf = track.evaluate(0)
+    return RunStart(track.model, sim_perf, track.reference_perf(
+        learner, oracle(list(range(track.pool_size)))))
+
+
 def run_al(cfg: ALRunConfig, datasets, learner, oracle, seed: int = 0) -> LearningCurve:
     """One full active-learning run; see module docstring for the steps.
 
@@ -409,21 +438,13 @@ def run_al(cfg: ALRunConfig, datasets, learner, oracle, seed: int = 0) -> Learni
     reference performance, learning from a labeled batch, the batch's
     labels) and what each selection strategy needs from the model.
     """
-    if isinstance(datasets, ClassificationDatasets):
-        track = _ClassificationTrack(cfg, datasets, seed)
-    elif isinstance(datasets, DetectionDatasets):
-        track = _DetectionTrack(cfg, datasets, seed)
-    else:
-        raise TypeError(f"unsupported dataset bundle {type(datasets).__name__}")
+    track = _track(cfg, datasets, seed)
+    start = datasets.start or run_start(cfg, datasets, learner, oracle, seed)
+    track.model = start.model
     n_pool0 = track.pool_size
     state = ALState(pool_ids=list(range(n_pool0)))
-    track.start(learner)
-    sim_perf = track.evaluate(0)
-    real_perf = datasets.real_perf
-    if real_perf is None:
-        real_perf = track.reference_perf(learner, oracle(state.pool_ids))
 
-    points = [CurvePoint(0, 0, 0.0, sim_perf, 0.0)]
+    points = [CurvePoint(0, 0, 0.0, start.sim_perf, 0.0)]
     selected_log: list[list[int]] = []
     truncated = False
     for it in range(1, cfg.iterations + 1):
@@ -440,7 +461,7 @@ def run_al(cfg: ALRunConfig, datasets, learner, oracle, seed: int = 0) -> Learni
         points.append(CurvePoint(it, count, count / n_pool0, metric, icv))
         selected_log.append(list(ids))
 
-    return LearningCurve(points=points, sim_perf=sim_perf, real_perf=real_perf,
+    return LearningCurve(points=points, sim_perf=start.sim_perf, real_perf=start.real_perf,
                          strategy=cfg.selection.strategy, seed=seed,
                          level=cfg.level, truncated=truncated,
                          selected_ids=selected_log)

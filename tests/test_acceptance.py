@@ -176,6 +176,7 @@ def test_criterion_5_digits_analog_ordering():
         bridged = {"subsample_topn": [], "random": []}
         for seed in range(1, 11):
             metrics = {}
+            seed_start = None   # shared by both strategies
             for strategy in ("subsample_topn", "random"):
                 datasets, oracle, learner = \
                     al.build_classification_experiment(spec, seed)
@@ -184,6 +185,8 @@ def test_criterion_5_digits_analog_ordering():
                     selection=SelectionConfig(strategy=strategy, batch_size=20,
                                               subsample_fraction=0.25),
                     train=train)
+                seed_start = datasets.start = (
+                    seed_start or al.run_start(cfg, datasets, learner, oracle, seed))
                 curve = al.run_al(cfg, datasets, learner, oracle, seed)
                 report = al.gap_report(curve, level=0.95)
                 metrics[strategy] = report.mean_metric
@@ -208,6 +211,7 @@ def test_criterion_6_detection_analog_gap_bridging():
         bridged_no_later = 0
         for seed in range(1, 11):
             fractions = {}
+            seed_start = None   # shared by both strategies
             for strategy in ("subsample_topn", "random"):
                 datasets, oracle, learner = \
                     al.build_detection_experiment(spec, seed)
@@ -216,6 +220,8 @@ def test_criterion_6_detection_analog_gap_bridging():
                     selection=SelectionConfig(strategy=strategy, batch_size=40,
                                               subsample_fraction=0.5),
                     acquisition=AcquisitionConfig(comb="sum", agg="avg"))
+                seed_start = datasets.start = (
+                    seed_start or al.run_start(cfg, datasets, learner, oracle, seed))
                 curve = al.run_al(cfg, datasets, learner, oracle, seed)
                 report = al.gap_report(curve, level=0.95)
                 fractions[strategy] = (report.bridged_fraction

@@ -1,6 +1,7 @@
 """Acquisition: entropies, combination and per-image aggregation."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,7 +18,28 @@ from sim2real_al.acquisition import (AcquisitionConfig, ImageScore,
                                      cls_entropy, reg_entropy, score_image)
 
 
+# three Dirichlet rows, a one-hot row and the uniform row, with the
+# float.hex of their categorical and Bernoulli-sum entropies as computed
+# before the finite checks were added
+VALID_ROWS = np.vstack([np.random.default_rng(11).dirichlet(np.ones(4), size=3),
+                        [0.0, 1.0, 0.0, 0.0], [0.25] * 4])
+CATEGORICAL_HEX = ["0x1.036b79182f4ddp+0", "0x1.9588ee81fa1b9p-2", "0x1.4c26bac1b429dp+0",
+                   "-0x0.0p+0", "0x1.62e42fefa39efp+0"]
+BERNOULLI_HEX = ["0x1.bf5c6c9a4d9d2p+0", "0x1.6778363c905b2p-1", "0x1.10d25db9f3d09p+1",
+                 "-0x0.0p+0", "0x1.1fea645f0ef4ep+1"]
+
+
 class TestClsEntropy:
+    @pytest.mark.parametrize("probs, message", [
+        ([np.nan, 0.5], "class scores must be finite"),
+        ([0.5, np.nan, 0.5], "class scores must be finite"),
+        ([np.nan, 1.5], "class scores must lie in [0, 1]"),   # the range check runs first
+    ])
+    def test_nan_rejected(self, probs, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            cls_entropy(probs)
+        assert [cls_entropy(row).hex() for row in VALID_ROWS] == BERNOULLI_HEX
+
     def test_max_entropy_bernoulli(self):
         assert cls_entropy([0.5]) == pytest.approx(math.log(2), abs=1e-12)
 
@@ -61,6 +83,23 @@ class TestCategoricalEntropy:
     def test_hand_computed(self):
         assert categorical_entropy([0.7, 0.3]) == pytest.approx(
             0.6108643020548935, abs=1e-9)
+
+    @pytest.mark.parametrize("bad, message", [
+        ([[np.nan, 0.5, 0.25, 0.25]], "probabilities must be finite"),
+        ([[0.5, 0.5, 0.0, np.nan], [-0.2, 0.4, 0.4, 0.4]], "probabilities must be finite"),
+        ([[-0.2, 0.4, 0.4, 0.4], [0.5, 0.5, 0.0, np.nan]], "probabilities must be nonnegative"),
+        ([[np.nan, -0.5, 1.0, 0.5]], "probabilities must be nonnegative"),  # sign check first
+    ], ids=["nan", "nan-then-negative", "negative-then-nan", "nan-and-negative"])
+    def test_nan_rows_rejected(self, bad, message):
+        """An (N, C) batch holding NaN rows raises the first failing
+        row's message wherever the rows sit; valid rows keep their bits."""
+        assert [v.hex() for v in categorical_entropy(VALID_ROWS).tolist()] == CATEGORICAL_HEX
+        for at in range(len(VALID_ROWS) + 1):
+            rows = np.insert(VALID_ROWS, at, bad, axis=0)
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                categorical_entropy(rows)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            categorical_entropy(bad[0])
 
     def test_non_normalized_rejected(self):
         with pytest.raises(ValueError):

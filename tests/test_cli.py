@@ -15,7 +15,7 @@ from tests_support_reference import dense_image_text, reference_score_stdout
 from sim2real_al import cli
 from sim2real_al import loop as al
 from sim2real_al.acquisition import AcquisitionConfig
-from sim2real_al.learner import TrainConfig
+from sim2real_al.learner import MCDropoutClassifier, TrainConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -52,6 +52,37 @@ selection.strategy = subsample_topn
 selection.batch_size = 8
 loop.iterations = 2
 strategies = random,topn
+"""
+
+
+FIVE_STRATEGIES = ("random", "topn", "subsample_topn", "coreset", "clue")
+
+TINY_CLS_SWEEP = f"""\
+config_version = 1
+track = classification
+seeds = 1,2
+dataset.n_classes = 4
+dataset.dim = 4
+dataset.sim_size = 30
+dataset.pool_size = 40
+dataset.test_size = 30
+dataset.hidden_dim = 8
+selection.batch_size = 4
+train.epochs = 2
+loop.iterations = 2
+strategies = {",".join(FIVE_STRATEGIES)}
+"""
+
+TINY_DET_SWEEP = f"""\
+config_version = 1
+track = detection
+seeds = 1,2
+dataset.sim_scenes = 6
+dataset.pool_scenes = 16
+dataset.test_scenes = 6
+selection.batch_size = 3
+loop.iterations = 2
+strategies = {",".join(FIVE_STRATEGIES)}
 """
 
 
@@ -387,7 +418,8 @@ class TestCmdRun:
     def test_run_time_failure_is_one_error_line(self, tmp_path, command, text,
                                                 args, message):
         """A cell whose values make the run fail exits 2 with one line
-        naming its strategy and seed, and writes no artifact."""
+        naming its strategy and seed, writes no artifact and leaves no
+        directory for the failed cell."""
         cfg = write_cfg(tmp_path, text)
         out = tmp_path / "out"
         env = dict(os.environ)
@@ -400,6 +432,8 @@ class TestCmdRun:
         assert proc.stdout == ""
         assert proc.stderr == f"error: {message}\n"
         assert not list(out.rglob("curve.csv")) and not list(out.rglob("manifest.txt"))
+        strategy, seed = re.match(r"strategy '(\w+)', seed (\d+)", message).groups()
+        assert not (out / f"{strategy}-s{seed}" if command == "sweep" else out).exists()
 
     def test_env_output_root(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path / "root"))
@@ -423,12 +457,13 @@ class TestCmdSweep:
         assert "random" in report and "subsample_topn" in report
 
     def test_one_reference_run_per_seed(self, tmp_path, monkeypatch):
-        """Later cells of a seed reuse its reference performance, and
-        each cell still writes the bytes of a lone `run`."""
+        """Later cells of a seed reuse its run start, reference
+        performance included, and each cell still writes the bytes of a
+        lone `run`."""
         given = []
 
         def recording_run_al(cfg, datasets, learner, oracle, seed):
-            given.append((cfg.selection.strategy, seed, datasets.real_perf))
+            given.append((cfg.selection.strategy, seed, datasets.start))
             return run_al(cfg, datasets, learner, oracle, seed)
 
         run_al = al.run_al
@@ -439,16 +474,55 @@ class TestCmdSweep:
         assert [g[:2] for g in given] == [("random", 1), ("random", 2),
                                           ("subsample_topn", 1),
                                           ("subsample_topn", 2)]
-        assert given[0][2] is None and given[1][2] is None
         for seed in (1, 2):
             manifest = al.read_manifest(out / f"random-s{seed}" / "manifest.txt")
-            assert given[seed + 1][2] == float(manifest[f"run.{seed}.real_perf"])
+            assert given[seed + 1][2] is given[seed - 1][2]
+            assert given[seed + 1][2].real_perf == float(manifest[f"run.{seed}.real_perf"])
         single = tmp_path / "single"
         assert cli.main(["run", "--config", cfg, "--seed", "2", "--out",
                          str(single)]) == 0
         for name in ("curve.csv", "manifest.txt"):
             assert ((out / "subsample_topn-s2" / name).read_bytes()
                     == (single / name).read_bytes())
+
+    @pytest.mark.parametrize("text", [TINY_CLS_SWEEP, TINY_DET_SWEEP],
+                             ids=["classification", "detection"])
+    def test_cells_match_lone_runs_and_start_once_per_seed(self, tmp_path, monkeypatch,
+                                                           capsys, text):
+        """Every cell of a five-strategy sweep writes the bytes of the
+        same lone `run --strategy s --seed n`, and the sweep computes
+        each seed's start once: on classification one sim fit and one
+        reference fit per seed (the fits that do not fine-tune), on
+        detection one with_sim per seed."""
+        counts = {"fresh_fits": 0, "with_sim": 0}
+        fit, with_sim = MCDropoutClassifier.fit, al.DetectionSurrogate.with_sim
+
+        def counting_fit(model, x, y, cfg):
+            counts["fresh_fits"] += not cfg.fine_tune
+            return fit(model, x, y, cfg)
+
+        def counting_with_sim(surrogate, scenes):
+            counts["with_sim"] += 1
+            return with_sim(surrogate, scenes)
+
+        monkeypatch.setattr(MCDropoutClassifier, "fit", counting_fit)
+        monkeypatch.setattr(al.DetectionSurrogate, "with_sim", counting_with_sim)
+        cfg = write_cfg(tmp_path, text)
+        out = tmp_path / "sweep"
+        assert cli.main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+        if "classification" in text:
+            assert counts == {"fresh_fits": 2 * 2, "with_sim": 0}
+        else:
+            assert counts == {"fresh_fits": 0, "with_sim": 2}
+        for strategy in FIVE_STRATEGIES:
+            for seed in (1, 2):
+                single = tmp_path / f"single-{strategy}-{seed}"
+                assert cli.main(["run", "--config", cfg, "--strategy", strategy,
+                                 "--seed", str(seed), "--out", str(single)]) == 0
+                for name in ("curve.csv", "manifest.txt"):
+                    assert ((out / f"{strategy}-s{seed}" / name).read_bytes()
+                            == (single / name).read_bytes()), (strategy, seed, name)
+        capsys.readouterr()
 
     def test_single_strategy_rejected(self, tmp_path):
         text = SMALL_CLS.replace("strategies = random,subsample_topn",

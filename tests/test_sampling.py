@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -404,3 +405,41 @@ class TestAllStrategiesContract:
                 assert len(out) == b, name
                 assert len(set(out)) == b, name
                 assert set(out) <= set(ids), name
+
+    @settings(max_examples=60, deadline=None)
+    @given(ids=st.lists(st.integers(0, 10**6), min_size=1, max_size=25, unique=True),
+           data=st.data())
+    def test_six_selectors_b_distinct_ids_deterministic(self, ids, data):
+        """Each selector, given a pool of arbitrary ids as the loop gives
+        it (row indices mapped back through the pool), returns B distinct
+        pool ids, and the same ids on a rerun with the same inputs and
+        seed.  Features, scores and weights sit on a coarse grid, so
+        duplicate points, tied scores and zero weights occur."""
+        n = len(ids)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="inputs"))
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        p = data.draw(st.floats(0.05, 1.0), label="subsample fraction")
+        b = data.draw(st.integers(1, subsample_size(p, n)), label="b")
+        feats = rng.integers(0, 3, size=(n, 2)).astype(float)
+        labeled = rng.integers(0, 3, size=(int(rng.integers(0, 4)), 2)).astype(float)
+        scores = dict(zip(ids, rng.integers(0, 3, size=n).astype(float)))
+        weights = rng.integers(0, 3, size=n).astype(float)
+        probs = (probs_with_zeros(rng, n, 4, 3) if n >= 2
+                 else rng.dirichlet(np.ones(3), size=(n, 4)))
+        selectors = {
+            "random": lambda: select_random(ids, b, seed),
+            "topn": lambda: select_topn(list(scores.items()), b),
+            "subsample_topn": lambda: select_subsample_topn(ids, scores_of(scores),
+                                                            p, b, seed),
+            "coreset": lambda: [ids[i] for i in select_coreset(feats, labeled, b)],
+            "batchbald": lambda: [ids[i] for i in select_batchbald(probs, b, mc_count=8,
+                                                                   seed=seed)],
+            "clue": lambda: [ids[i] for i in select_clue(feats, weights, b, seed=seed)],
+        }
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")   # clue's all-zero weights fallback
+            for name, select in selectors.items():
+                picked = select()
+                assert len(picked) == len(set(picked)) == b, name
+                assert set(picked) <= set(ids), name
+                assert select() == picked, name
