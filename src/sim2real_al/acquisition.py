@@ -157,7 +157,7 @@ def categorical_entropy(probs):
     totals = np.array([math.fsum(row) for row in np.clip(rows, 0.0, 2.0).tolist()])
     off_sum = np.abs(totals - 1.0) > 1e-9
     with np.errstate(over="ignore"):
-        got = rows[np.argmax(off_sum)].sum() if off_sum.any() else None
+        got = float(rows[np.argmax(off_sum)].sum()) if off_sum.any() else None
     _raise_first_failure([("probabilities must be nonnegative", negative),
                           (f"probabilities must sum to 1, got {got!r}", off_sum),
                           # NaN passes both checks above

@@ -189,11 +189,18 @@ def resolve_config_text(path_or_preset: str) -> tuple[str, str]:
     """Config text plus a display label, from a file or a shipped preset."""
     p = Path(path_or_preset)
     if p.exists():
-        return p.read_text(), str(p)
+        try:
+            return p.read_text(encoding="utf-8"), str(p)
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{p}: config is not UTF-8 text ({exc.reason} "
+                              f"at byte {exc.start})") from None
+        except OSError as exc:
+            raise ConfigError(f"cannot read config {str(p)!r}: "
+                              f"{exc.strerror}") from None
     name = path_or_preset if path_or_preset.endswith(".cfg") else path_or_preset + ".cfg"
     packaged = resources.files("sim2real_al").joinpath("presets").joinpath(name)
     if packaged.is_file():
-        return packaged.read_text(), f"preset:{path_or_preset}"
+        return packaged.read_text(encoding="utf-8"), f"preset:{path_or_preset}"
     raise ConfigError(f"config {path_or_preset!r} is neither a file nor a "
                       f"shipped preset")
 
@@ -295,6 +302,10 @@ def _build(excfg: ExperimentConfig, run_seed: int):
 
 
 def _check_fresh(path: Path) -> None:
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"output path {path}: {existing} exists and is "
+                          f"not a directory")
     if path.exists() and any(path.iterdir()):
         raise ConfigError(f"output directory {path} already contains run "
                           f"artifacts; refusing to overwrite")

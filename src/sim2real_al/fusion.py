@@ -19,7 +19,6 @@ noise-free synthetic samples do not produce singular matrices.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -338,25 +337,80 @@ def bayesod_inference(anchors: Anchors,
 # Field order is fixed; a value is any literal Python's float() accepts,
 # and an image id is a non-empty token with no ','.  Floats are written
 # with repr so files round-trip exactly.
+#
+# The reader makes one table of the file's '\n'-terminated lines: each
+# line's token count (str.split's), -1 for a comment line, and whether it
+# holds a code point numpy's C float parser cannot take exactly.  Headers
+# and row widths are then checked from the table, and each image's values
+# are converted by one C parse, or by float() token by token when a row
+# needs it or the C parser rejects a token.
 # ---------------------------------------------------------------------------
 
-# "Whitespace" is str.split()'s: re's \s on str patterns is the same set.
-# _JUNK runs from a line start over blank and comment lines, and the
-# leading whitespace of the next line, to that line's first token; a data
-# line cannot start with '#' and a comment runs to its '\n', so no line
-# reads both ways and a failing match backtracks only over single
-# characters.
-_JUNK = r"\s*(?:#[^\n]*\n\s*)*"
-_JUNK_RE = re.compile(_JUNK)
-_COMMENT_LINE_RE = re.compile(r"\n[^\S\n]*#[^\n]*")
+# str.split()'s whitespace by code point: no code point above U+3000 is
+# whitespace, so the last entry stands for all of them
+_SPACE = np.array([chr(c).isspace() for c in range(0x3001)] + [False])
+_TABLE_CHUNK = 1 << 16   # code points per slice when building the line table
 
 
-def _rows_pattern(n_rows: int, width: int) -> str:
-    """n_rows data lines of exactly `width` tokens, comment and blank
-    lines allowed before each."""
-    row = (_JUNK + r"[^\s#]\S*"
-           + r"(?:[^\S\n]+\S+){%d}[^\S\n]*\n" % (width - 1))
-    return "(?:%s){%d}" % (row, n_rows)
+def _line_table(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(ends, widths, exact) of the '\n'-terminated lines of text.
+
+    ends holds the offset of each line's '\n', widths its token count
+    (str.split's) or -1 for a comment line (first token starting with
+    '#'), and exact whether a line other than a comment holds anything
+    but printable ASCII other than '_', ' ' and '\n'.  The table is built
+    over slices of whole lines of about _TABLE_CHUNK code points each:
+    ASCII bytes, or UTF-32 when the text is not ASCII.
+    """
+    wide = not text.isascii()
+    parts = []
+    start = 0
+    while start < len(text):
+        stop = (text.rfind("\n", start, start + _TABLE_CHUNK) + 1
+                or text.index("\n", start + _TABLE_CHUNK) + 1)
+        codes = (np.frombuffer(text[start:stop].encode("utf-32-le"), np.uint32) if wide
+                 else np.frombuffer(text[start:stop].encode("ascii"), np.uint8))
+        eol = np.flatnonzero(codes == ord("\n"))
+        begins = np.concatenate(([0], eol[:-1] + 1))
+        odd = (codes < ord(" ")) | (codes > ord("~")) | (codes == ord("_"))
+        odd[eol] = False
+        if odd.any():
+            space = _SPACE[np.minimum(codes, np.uint32(len(_SPACE) - 1))]
+            exact = np.diff(np.searchsorted(np.flatnonzero(odd), eol), prepend=0) > 0
+        else:   # then ' ' and '\n' are the only whitespace
+            space = (codes == ord(" ")) | (codes == ord("\n"))
+            exact = np.zeros(len(eol), dtype=bool)
+        heads = ~space                 # the first code point of each token
+        heads[1:] &= space[:-1]        # (the slice starts after a '\n')
+        widths = np.add.reduceat(heads, begins, dtype=np.int32)
+        hashes = np.flatnonzero(heads & (codes == ord("#")))
+        if len(hashes):
+            # a '#' token makes a comment line when it is the line's first
+            lines = np.searchsorted(eol, hashes)
+            tokens = np.flatnonzero(heads)
+            first = tokens[np.searchsorted(tokens, begins[lines])] == hashes
+            widths[lines[first]] = -1
+            exact[lines[first]] = False
+        parts.append((eol + start, widths, exact))
+        start = stop
+    return tuple(np.concatenate(column) for column in zip(*parts))
+
+
+def _parse_values(block: str, exact: bool) -> np.ndarray:
+    """The values of block's tokens, with float()'s bits.
+
+    numpy's C parser reads printable ASCII literals with the bits of
+    float(), and rejects what float() rejects; joined onto one line, a
+    block that it can take is one parse.  A block holding '_', non-ASCII
+    digits or other whitespace (exact), or one that the C parser rejects,
+    goes through float() token by token, which also words the error.
+    """
+    if block and not exact:
+        try:
+            return np.loadtxt([block.replace("\n", " ")], comments=None, ndmin=1)
+        except ValueError:
+            pass
+    return np.array(block.split(), dtype=float)
 
 
 def write_anchor_records(path, records) -> None:
@@ -383,23 +437,27 @@ def write_anchor_records(path, records) -> None:
 def read_anchor_records(path) -> list[tuple[str, Anchors]]:
     """Read back records written by write_anchor_records.
 
-    Each image block is checked line by line with one regular
-    expression per anchor and converted with one float conversion.
-    Raises ValueError on a malformed header, and naming the image on an
-    id with a ',', a repeated image id, a truncated or ragged anchor
-    block, a value float() rejects, or samples that Anchors rejects.
+    Each image's header and line widths are checked against one table of
+    the file's lines, and its values converted in one call.  Raises
+    ValueError on a malformed header, and naming the image on an id with
+    a ',', a repeated image id, a truncated or ragged anchor block, a
+    value float() rejects, or samples that Anchors rejects.
     """
     with open(path) as fh:
         text = fh.read()
     if not text.endswith("\n"):
         text += "\n"
-    n_lines = text.count("\n")
+    ends, widths, exact = _line_table(text)
+    kept = np.flatnonzero(widths > 0)   # lines other than blank and comment
+
+    def begin(line):
+        return int(ends[line - 1]) + 1 if line else 0
+
     records = []
     seen = set()
-    pos = _JUNK_RE.match(text).end()
-    while pos < len(text):
-        eol = text.index("\n", pos)
-        header = text[pos:eol].strip()
+    pos = 0
+    while pos < len(kept):
+        header = text[begin(kept[pos]):ends[kept[pos]]].strip()
         parts = header.split()
         if (parts[0] != "image" or len(parts) != 5
                 or not all(v.isdecimal() for v in parts[2:])):
@@ -411,22 +469,23 @@ def read_anchor_records(path) -> list[tuple[str, Anchors]]:
             raise ValueError(f"image {image_id}: duplicate image id")
         seen.add(image_id)
         n_classes, t, n_anchors = int(parts[2]), int(parts[3]), int(parts[4])
-        start = pos = eol + 1
-        if t * n_anchors:
-            malformed = f"image {image_id}: truncated or malformed anchor block"
-            # counts the text cannot hold would also overflow re's repeat limit
-            if not (0 < n_classes <= len(text) and 2 * t * n_anchors <= n_lines):
-                raise ValueError(malformed)
-            # per anchor: t score rows of n_classes values, then t box rows of 4
-            anchor = re.compile(_rows_pattern(t, n_classes) + _rows_pattern(t, 4))
-            for _ in range(n_anchors):
-                match = anchor.match(text, pos)
-                if match is None:
-                    raise ValueError(malformed)
-                pos = match.end()
-        block = _COMMENT_LINE_RE.sub("\n", text[start - 1:pos])  # header's '\n' on
+        rows = kept[pos + 1:pos + 1 + 2 * t * n_anchors]
+        pos += 1 + 2 * t * n_anchors
+        # per anchor: t score rows of n_classes values, then t box rows of 4
+        if (pos > len(kept) or np.any(
+                widths[rows].reshape(n_anchors, 2, t) != [[n_classes], [4]])):
+            raise ValueError(f"image {image_id}: truncated or malformed anchor block")
+        block, needs_float = "", False
+        if len(rows):
+            # the rows' text, less that of the comment lines between them
+            first, last = int(rows[0]), int(rows[-1])
+            comments = first + np.flatnonzero(widths[first:last] < 0)
+            lo = [begin(first), *ends[comments].tolist()]
+            hi = [*(ends[comments - 1] + 1).tolist(), int(ends[last])]
+            block = "".join(text[a:b] for a, b in zip(lo, hi))
+            needs_float = exact[first:last + 1].any()
         try:
-            values = np.array(block.split(), dtype=float)
+            values = _parse_values(block, needs_float)
             values = values.reshape(n_anchors, t * (n_classes + 4))
             anchors = Anchors(
                 scores=values[:, :t * n_classes].reshape(n_anchors, t, n_classes),
@@ -434,5 +493,4 @@ def read_anchor_records(path) -> list[tuple[str, Anchors]]:
         except ValueError as exc:
             raise ValueError(f"image {image_id}: {exc}") from None
         records.append((image_id, anchors))
-        pos = _JUNK_RE.match(text, pos).end()
     return records

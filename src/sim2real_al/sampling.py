@@ -124,22 +124,6 @@ def select_coreset(pool_features, labeled_features, b: int) -> list[int]:
     return picked
 
 
-def covering_radius(pool_features, center_ids, labeled_features=None) -> float:
-    """Max over pool points of the distance to its nearest center.
-
-    Used as the k-center objective; centers are pool rows given by id
-    plus any labeled features.
-    """
-    pool = np.atleast_2d(np.asarray(pool_features, dtype=float))
-    centers = [pool[list(center_ids)]] if len(center_ids) else []
-    if labeled_features is not None and np.asarray(labeled_features).size:
-        centers.append(np.atleast_2d(np.asarray(labeled_features, dtype=float)))
-    if not centers:
-        raise ValueError("need at least one center")
-    stacked = np.vstack(centers)
-    return float(cdist(pool, stacked).min(axis=1).max())
-
-
 def _entropy(p: np.ndarray) -> np.ndarray:
     """-sum p log p over the last axis, with 0 log 0 = 0."""
     log_p = np.zeros_like(p)

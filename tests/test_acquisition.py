@@ -114,6 +114,14 @@ class TestCategoricalEntropy:
         with pytest.raises(ValueError, match=r"probabilities must sum to 1, got "):
             categorical_entropy(probs)
 
+    @pytest.mark.parametrize("probs, got", [([0.5, 0.6], "1.1"),
+                                            ([[0.5, 0.5], [0.25, 0.5]], "0.75"),
+                                            ([1e308, 1e308], "inf")])
+    def test_sum_message_prints_a_plain_float(self, probs, got):
+        with pytest.raises(ValueError) as info:
+            categorical_entropy(probs)
+        assert str(info.value) == f"probabilities must sum to 1, got {got}"
+
     def test_permutation_invariant(self):
         rng = np.random.default_rng(2)
         for _ in range(50):

@@ -122,6 +122,24 @@ class TestConfigParsing:
         with pytest.raises(cli.ConfigError, match=r":3:"):
             cli.load_config(write_cfg(tmp_path, bad))
 
+    def test_config_not_utf8_is_one_error_line(self, tmp_path, capsys):
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes(SMALL_CLS.encode() + b"# caf\xe9\n")
+        assert cli.main(["run", "--config", str(path),
+                         "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: config is not UTF-8 text "
+            f"(invalid continuation byte at byte {len(SMALL_CLS) + 5})\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_config_directory_is_one_error_line(self, tmp_path, capsys):
+        assert cli.main(["run", "--config", str(tmp_path),
+                         "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read config {str(tmp_path)!r}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_version_required(self, tmp_path):
         with pytest.raises(cli.ConfigError, match="config_version"):
             cli.load_config(write_cfg(tmp_path, "track = classification\n"))
@@ -367,6 +385,19 @@ class TestCmdRun:
         (out / "curve.csv").write_text("old artifact")
         assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 2
         assert (out / "curve.csv").read_text() == "old artifact"
+
+    @pytest.mark.parametrize("below", ["", "cell"])
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_out_naming_a_file_is_one_error_line(self, tmp_path, capsys, command,
+                                                 below):
+        cfg = write_cfg(tmp_path, SMALL_CLS)
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory")
+        out = taken / below if below else taken
+        assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: output path {out}: {taken} exists and is not a directory\n")
+        assert taken.read_text() == "not a directory"
 
     def test_strategy_override(self, tmp_path):
         cfg = write_cfg(tmp_path, SMALL_CLS)

@@ -1,6 +1,7 @@
 """Fusion: IoU, MC statistics, clustering, categorical/Gaussian products."""
 
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -475,9 +476,11 @@ class TestInterchangeFormat:
         ("image a 0 1 1\n\n0 0 1 1\n", "image a: truncated or malformed anchor block"),
         ("image a 1 1 1\n0.5 # note\n0 0 1 1\n",
          "image a: truncated or malformed anchor block"),
+        ("image a 1 1 1 # note\n0.5\n0 0 1 1\n",
+         "malformed image header: 'image a 1 1 1 # note'"),
     ], ids=["truncated", "negative-count", "nan-score", "inf-box", "score-range",
             "ragged-row", "not-a-number", "no-samples", "huge-count", "huge-width", "no-classes",
-            "trailing-comment"])
+            "trailing-comment", "header-comment"])
     def test_bad_block_names_image(self, tmp_path, text, match):
         path = tmp_path / "bad.txt"
         path.write_text(text)
@@ -675,11 +678,72 @@ class TestReaderReference:
         assert expected == "image a: truncated or malformed anchor block"
         assert read_either(read_anchor_records, path) == expected
 
-    def test_patterns_are_python_310_syntax(self):
-        # possessive quantifiers and atomic groups need Python 3.11
-        for pattern in (fusion._JUNK, fusion._COMMENT_LINE_RE.pattern,
-                        fusion._rows_pattern(3, 4)):
-            assert not re.search(r"[*+?}]\+|\(\?>", pattern), pattern
+    @staticmethod
+    def edited_dense_file(path, edit):
+        """Three dense images, several line-table slices long, with `edit`
+        applied to the lines of the middle image's first anchor, from its
+        header on; returns the records or the message of both readers."""
+        rng = np.random.default_rng(13)
+        lines = ("# anchor-sample interchange v1\n" + "".join(
+            dense_image_text(rng, f"img{i}", n_objects=(6, 10))
+            for i in range(3))).split("\n")
+        at = lines.index(next(ln for ln in lines if ln.startswith("image img1 ")))
+        lines[at:at + 41] = edit(lines[at:at + 41])
+        path.write_text("\n".join(lines))
+        assert path.stat().st_size > 3 * fusion._TABLE_CHUNK
+        expected = read_either(reference_read_anchor_records, path)
+        assert read_either(read_anchor_records, path) == expected
+        return expected
+
+    @staticmethod
+    def first_box_row(edit):
+        """An edit of the first box row (header, then 20 score rows)."""
+        return lambda anchor: [*anchor[:21], edit(anchor[21]), *anchor[22:]]
+
+    @pytest.mark.parametrize("literal, value", [("1_0", 10.0), ("١", 1.0),
+                                                ("１２", 12.0)])
+    def test_literals_only_float_reads(self, tmp_path, literal, value):
+        got = self.edited_dense_file(tmp_path / "a.txt", self.first_box_row(
+            lambda row: " ".join([literal, *row.split()[1:]])))
+        boxes = np.frombuffer(got[1][3]).reshape(-1, 20, 4)
+        assert boxes[0, 0, 0] == value
+
+    @pytest.mark.parametrize("sep", ["\xa0", "\u3000", "\x0b", "\x1c"])
+    def test_separators_other_than_space(self, tmp_path, sep):
+        plain = self.edited_dense_file(tmp_path / "plain.txt", lambda anchor: anchor)
+        got = self.edited_dense_file(tmp_path / "a.txt", self.first_box_row(
+            lambda row: sep.join(row.split(" "))))
+        assert got == plain
+
+    @pytest.mark.parametrize("token", ["x", "1__0", "1_"])
+    def test_bad_token_in_plain_block(self, tmp_path, token):
+        got = self.edited_dense_file(tmp_path / "a.txt", self.first_box_row(
+            lambda row: " ".join([token, *row.split()[1:]])))
+        assert got == f"image img1: could not convert string to float: {token!r}"
+
+    def test_comment_line_inside_an_anchor(self, tmp_path):
+        plain = self.edited_dense_file(tmp_path / "plain.txt", lambda anchor: anchor)
+        got = self.edited_dense_file(tmp_path / "a.txt", lambda anchor: [
+            *anchor[:6], "  # 0.1 0.2 0.3", *anchor[6:30], "#", *anchor[30:]])
+        assert got == plain
+
+    @pytest.mark.parametrize("chunk", [1, 5, 64])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_line_table_slices(self, tmp_path, monkeypatch, chunk, seed):
+        """Slices of any size, cut between any two lines, give the same table."""
+        rng = np.random.default_rng(seed)
+        text = "".join(dense_image_text(rng, f"i{i}", n_objects=(0, 2), t=3, loose=True)
+                       for i in range(3))
+        path = tmp_path / "a.txt"
+        path.write_text(mutate(text, rng) + "\n# ü\n")
+        expected = read_either(read_anchor_records, path)
+        assert expected == read_either(reference_read_anchor_records, path)
+        monkeypatch.setattr(fusion, "_TABLE_CHUNK", chunk)
+        assert read_either(read_anchor_records, path) == expected
+
+    def test_space_table_is_str_split_whitespace(self):
+        assert fusion._SPACE.tolist()[:-1] == [chr(c).isspace() for c in range(0x3001)]
+        assert not any(chr(c).isspace() for c in range(0x3001, sys.maxunicode + 1))
 
 
 IMAGE_IDS = st.text(st.characters(blacklist_categories=("Cs", "Cc", "Zs", "Zl", "Zp"),

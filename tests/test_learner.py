@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sim2real_al.learner import (MCDropoutClassifier, TrainConfig, _softmax,
-                                 analytic_gradients, gradient_check)
+from tests_support_oracles import analytic_gradients, gradient_check
+
+from sim2real_al.learner import MCDropoutClassifier, TrainConfig, _softmax
 
 
 def two_blobs(n=200, sep=6.0, seed=0):

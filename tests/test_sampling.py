@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
+from tests_support_oracles import covering_radius
 
-from sim2real_al.sampling import (SelectionConfig, bald_scores,
-                                  covering_radius, select_batchbald,
+from sim2real_al.sampling import (SelectionConfig, bald_scores, select_batchbald,
                                   select_clue, select_coreset, select_random,
                                   select_subsample_topn, select_topn,
                                   subsample_size)
