@@ -475,8 +475,7 @@ def cmd_report(args) -> int:
                 continue
             groups.setdefault(key, []).append((str(run_dir), curve, report))
     if not groups:
-        print("error: no readable run directories", file=sys.stderr)
-        return 1
+        raise ConfigError("no readable run directories")
 
     for gi, (key, entries) in enumerate(sorted(groups.items()), start=1):
         print(f"group {gi} ({len(entries)} runs)")

@@ -400,11 +400,12 @@ class DetectionSurrogate:
                        true_logit=interp(p.true_logit_weak, p.true_logit_strong),
                        miss_prob=interp(p.miss_weak, p.miss_strong))
 
-    def detect(self, scenes, seeds, iou_threshold: float = 0.5,
-               cls_bayesian: bool = False) -> Detections:
+    def detect(self, scenes, keys, iou_threshold: float = 0.5,
+               cls_bayesian: bool = False, prefix=()) -> Detections:
         """Fused detections of a batch of scenes at the current skill
-        level, one image per scene; scene i draws from seeds[i]."""
-        anchors = synth_detector_outputs(scenes, self.output_spec(), seeds)
+        level, one image per scene; scene i draws from the stream of
+        SeedSequence([*prefix, keys[i]]) (synth_detector_outputs)."""
+        anchors = synth_detector_outputs(scenes, self.output_spec(), keys, prefix)
         return bayesod_inference(anchors, iou_threshold, cls_bayesian)
 
 
@@ -580,9 +581,10 @@ class _DetectionTrack:
         self._pool_dets = (None, None)   # (pool ids, their detections by the current model)
 
     def _detect(self, model, scenes, stream, it, extras) -> Detections:
-        seeds = [_stream_seed(self.seed, stream, it, extra) for extra in extras]
-        return model.detect(scenes, seeds, iou_threshold=self.cfg.iou_threshold,
-                            cls_bayesian=self.cfg.cls_bayesian)
+        # scene i draws from the stream of _stream_seed(seed, stream, it, extras[i])
+        return model.detect(scenes, list(extras), iou_threshold=self.cfg.iou_threshold,
+                            cls_bayesian=self.cfg.cls_bayesian,
+                            prefix=(int(self.seed), stream, it))
 
     def _mean_ap(self, model, stream, it) -> float:
         scenes = self.data.test_scenes

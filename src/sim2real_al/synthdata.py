@@ -9,13 +9,19 @@ of anchor-level Monte-Carlo detector outputs (noisy box samples and
 sigmoid score samples), standing in for a BNN detector head so the
 fusion/acquisition stack can run without training an actual detector.
 
-Everything is a pure function of (spec, seed).  Scene generation
-draws scene i from the i-th child of SeedSequence(seed).spawn(n), one
-scene after another; detector outputs take one seed per scene.
+Everything is a pure function of (spec, seed).  Each detection scene
+draws from its own numpy stream: scene i of generate_detection_scenes
+has the stream of default_rng of the i-th child SeedSequence(seed)
+would spawn next, and scene i of synth_detector_outputs that of
+default_rng(SeedSequence([*prefix, keys[i]])).  Neither builds those
+objects: _keyed_generators computes SeedSequence's hash and PCG64's
+seeding for a whole batch at once and loads each scene's state into one
+reused Generator, so the draws are numpy's own, bit for bit.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,6 +148,8 @@ class DetectionSceneSpec:
         if self.class_priors is None:
             self.class_priors = np.full(self.n_classes, 1.0 / self.n_classes)
         self.class_priors = np.asarray(self.class_priors, dtype=float)
+        if self.class_priors.shape != (self.n_classes,) or not np.all(self.class_priors >= 0):
+            raise ValueError("class_priors must be n_classes values >= 0")
         if abs(self.class_priors.sum() - 1.0) > 1e-9:
             raise ValueError("class_priors must sum to 1")
         lo, hi = self.objects_per_scene
@@ -150,6 +158,8 @@ class DetectionSceneSpec:
         if self.anchors_per_object < 1 or self.mc_samples < 1:
             raise ValueError("need anchors_per_object >= 1 and mc_samples >= 1")
         smin, smax = self.box_size_range
+        if not np.all(np.isfinite([self.width, self.height, smin, smax])):
+            raise ValueError("scene extent and box_size_range must be finite")
         if smin <= 0 or smax < smin:
             raise ValueError("invalid box_size_range")
         if smax > self.width or smax > self.height:
@@ -160,42 +170,151 @@ class DetectionSceneSpec:
         return np.array(arr)
 
 
-def _as_seed_sequence(seed) -> np.random.SeedSequence:
-    if isinstance(seed, np.random.SeedSequence):
-        return seed
-    return np.random.SeedSequence(seed)
+# SeedSequence's hash (numpy/random/bit_generator.pyx) and PCG64's
+# seeding (pcg64.h), both fixed by NEP 19
+_INIT_A, _MULT_A = 0x43b0d7e5, 0x931e8875
+_INIT_B, _MULT_B = 0x8b51f9dd, 0x58f38ded
+_MIX_MULT_L, _MIX_MULT_R = 0xca01f9dd, 0x4973f715
+_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
+_PCG_MULT = 0x2360ed051fc65da44385df649fccf645
+
+
+def _words(values) -> list[int]:
+    """The 32-bit words SeedSequence makes of a sequence of non-negative
+    ints: each one little-endian, 0 as one zero word."""
+    words = []
+    for value in values:
+        value = operator.index(value)
+        if value < 0:
+            raise ValueError(f"seed entropy {value} is negative")
+        words.append(value & _MASK32)
+        while value > _MASK32:
+            value >>= 32
+            words.append(value & _MASK32)
+    return words
+
+
+def _keyed_generators(words, keys, pool_size: int = 4):
+    """Yield one Generator per key: for key k, the stream of
+    default_rng(SeedSequence(entropy)) where entropy is the 32-bit
+    `words` followed by k.
+
+    SeedSequence's mix_entropy and generate_state(4, uint64) run once
+    over (n,) uint32 columns, one per entropy word (the hash constants
+    do not depend on the data); each state then becomes PCG64's seeded
+    (state, inc) and is loaded into the same Generator, which is only
+    valid until the next one is yielded.
+    """
+    keys = [operator.index(k) for k in keys]
+    for key in keys:
+        if not 0 <= key <= _MASK32:
+            raise ValueError(f"scene key {key} does not fit one 32-bit word")
+    n = len(keys)
+    entropy = [np.full(n, w, dtype=np.uint32) for w in words]
+    entropy.append(np.array(keys, dtype=np.uint32))
+    entropy += [np.zeros(n, dtype=np.uint32)] * (pool_size - len(entropy))
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        result = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return result ^ (result >> 16)
+
+    pool = [hashmix(word) for word in entropy[:pool_size]]
+    for i_src in range(pool_size):
+        for i_dst in range(pool_size):
+            if i_src != i_dst:
+                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+    for word in entropy[pool_size:]:
+        for i_dst in range(pool_size):
+            pool[i_dst] = mix(pool[i_dst], hashmix(word))
+
+    state = np.empty((n, 8), dtype="<u4")
+    hash_const = _INIT_B
+    for i_dst in range(8):
+        value = pool[i_dst % pool_size] ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * hash_const
+        state[:, i_dst] = value ^ (value >> 16)
+
+    rng = np.random.Generator(np.random.PCG64())
+    for s0, s1, q0, q1 in state.view("<u8").tolist():
+        inc = ((q0 << 64 | q1) << 1 | 1) & _MASK128
+        rng.bit_generator.state = {
+            "bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+            "state": {"state": ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _MASK128,
+                      "inc": inc}}
+        yield rng
+
+
+def _child_generators(seed, n: int):
+    """_keyed_generators for the next n children that SeedSequence(seed),
+    or `seed` itself when it is one, would spawn; `seed` is not advanced.
+
+    A child's entropy is its parent's entropy words, zero-padded to the
+    pool size, then the words of its spawn_key: the parent's spawn_key
+    and the child's index.
+    """
+    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    entropy = ss.entropy
+    words = _words([entropy] if isinstance(entropy, (int, np.integer)) else entropy)
+    words += [0] * (ss.pool_size - len(words))
+    first = ss.n_children_spawned
+    return _keyed_generators(words + _words(ss.spawn_key), range(first, first + n),
+                             ss.pool_size)
 
 
 def generate_detection_scenes(spec: DetectionSceneSpec, n: int,
                               seed) -> list[DetectionScene]:
-    """n random scenes with object counts, classes and boxes from the spec."""
+    """n random scenes with object counts, classes and boxes from the spec.
+
+    Scene i draws from the stream of the i-th child that
+    SeedSequence(seed) (or `seed` itself, when it is one) would spawn
+    next; `seed` is read, not advanced.  Per scene: the object count,
+    one uniform per object for its class, then per object the width,
+    height and both lower corners, as Generator.integers, .choice and
+    .uniform would draw them.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
-    seeds = _as_seed_sequence(seed).spawn(n)
-    scenes = []
     lo, hi = spec.objects_per_scene
-    smin, smax = spec.box_size_range
-    for child in seeds:
-        rng = np.random.default_rng(child)
+    counts, draws = [], []
+    for rng in _child_generators(seed, n):
         n_obj = int(rng.integers(lo, hi + 1))
-        classes = rng.choice(spec.n_classes, size=n_obj, p=spec.class_priors)
-        boxes = np.empty((n_obj, 4))
-        for i in range(n_obj):
-            w = rng.uniform(smin, smax)
-            h = rng.uniform(smin, smax)
-            x0 = rng.uniform(0.0, spec.width - w)
-            y0 = rng.uniform(0.0, spec.height - h)
-            boxes[i] = (x0, y0, x0 + w, y0 + h)
-        scenes.append(DetectionScene(width=spec.width, height=spec.height,
-                                     gt_classes=classes, gt_boxes=boxes))
-    return scenes
+        counts.append(n_obj)
+        # one uniform per object's class, then per object w, h, x0, y0
+        draws.append(rng.random(5 * n_obj))
+    cdf = spec.class_priors.cumsum()
+    cdf /= cdf[-1]
+    classes = cdf.searchsorted(np.concatenate([d[:k] for d, k in zip(draws, counts)]),
+                               side="right")
+    u = np.concatenate([d[k:] for d, k in zip(draws, counts)]).reshape(-1, 2, 2)
+    smin, smax = spec.box_size_range
+    size = smin + (smax - smin) * u[:, 0]                            # uniform(smin, smax)
+    corner = (np.array([spec.width, spec.height]) - size) * u[:, 1]  # uniform(0, extent - size)
+    boxes = np.concatenate([corner, corner + size], axis=1)
+    bounds = np.cumsum([0] + counts).tolist()
+    return [DetectionScene(width=spec.width, height=spec.height,
+                           gt_classes=classes[a:b], gt_boxes=boxes[a:b])
+            for a, b in zip(bounds, bounds[1:])]
 
 
-def synth_detector_outputs(scenes, spec: DetectionSceneSpec, seeds) -> Anchors:
+def synth_detector_outputs(scenes, spec: DetectionSceneSpec, keys,
+                           prefix=()) -> Anchors:
     """Anchor-level MC outputs of a batch of scenes, one image per scene.
 
-    Scene i draws from its own generator, default_rng(seeds[i]), so its
-    anchors do not depend on the rest of the batch.  Per ground-truth
+    Scene i draws from its own stream, that of
+    default_rng(SeedSequence([*prefix, keys[i]])): the prefix (any
+    non-negative ints) is shared by the batch, and each key is one
+    32-bit word, so a scene's anchors depend on its key and not on the
+    rest of the batch.  With the default empty prefix, key k gives the
+    stream of default_rng(k).  Per ground-truth
     object, in order, it draws one uniform for the per-class miss
     probability (only where that is > 0; a missed object yields no
     anchors) and, for a surviving object, one standard_normal((m,
@@ -207,9 +326,9 @@ def synth_detector_outputs(scenes, spec: DetectionSceneSpec, seeds) -> Anchors:
     spec values raise the downstream classification and regression
     entropies.  Returns one Anchors whose offsets mark the scenes.
     """
-    scenes, seeds = list(scenes), list(seeds)
-    if len(scenes) != len(seeds):
-        raise ValueError(f"need one seed per scene, got {len(seeds)} seeds "
+    scenes, keys = list(scenes), list(keys)
+    if len(scenes) != len(keys):
+        raise ValueError(f"need one seed per scene, got {len(keys)} seeds "
                          f"for {len(scenes)} scenes")
     sigma_box = spec.per_class(spec.sigma_box)
     score_noise = spec.per_class(spec.score_noise)
@@ -222,8 +341,7 @@ def synth_detector_outputs(scenes, spec: DetectionSceneSpec, seeds) -> Anchors:
     draws = np.empty((len(classes), m, t * (4 + c)))
     kept = np.zeros(len(classes), dtype=bool)
     obj = n_kept = 0
-    for scene, seed in zip(scenes, seeds):
-        rng = np.random.default_rng(seed)
+    for scene, rng in zip(scenes, _keyed_generators(_words(prefix), keys)):
         for cls in scene.gt_classes.tolist():
             if not (miss_prob[cls] > 0 and rng.random() < miss_prob[cls]):
                 rng.standard_normal(out=draws[n_kept])

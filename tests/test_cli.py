@@ -648,13 +648,15 @@ class TestCmdReport:
         assert captured.err.startswith(f"warning: skipping {bad}")
         assert captured.out.startswith("group 1 (1 runs)\n")
         assert str(bad) not in captured.out
-        assert cli.main(["report", str(bad)]) == 1
+        assert cli.main(["report", str(bad)]) == 2
 
     def test_all_corrupt_nonzero_exit(self, tmp_path, capsys):
         bad = tmp_path / "bad"
         bad.mkdir()
         (bad / "manifest.txt").write_text("broken\n")
-        assert cli.main(["report", str(bad)]) == 1
+        capsys.readouterr()
+        assert cli.main(["report", str(bad)]) == 2
+        assert capsys.readouterr().err.endswith("error: no readable run directories\n")
 
     def test_not_bridged_rendered_as_greater_than(self, tmp_path, capsys):
         curve = al.LearningCurve(

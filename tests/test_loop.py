@@ -1,5 +1,6 @@
 """AL loop: metrics, gap reports, state conservation, artifacts."""
 
+import collections
 import itertools
 
 import numpy as np
@@ -469,20 +470,22 @@ class TestBatchDetectionReference:
             surrogate = al.DetectionSurrogate(spec, params,
                                               sim_counts=np.full(n_classes, seen))
         scenes = generate_detection_scenes(spec, n_scenes, seed)
-        seeds = [np.random.SeedSequence([seed, i]) for i in range(n_scenes)]
+        keys = list(range(n_scenes))
         cfg = AcquisitionConfig(comb=comb, agg=agg, w_cls=weights[0], w_reg=weights[1])
         ids = [f"s{i}" for i in range(n_scenes)]
 
         try:
-            detections = surrogate.detect(scenes, seeds, threshold, cls_bayesian)
+            detections = surrogate.detect(scenes, keys, threshold, cls_bayesian,
+                                          prefix=(seed,))
             got = (detections, score_image(detections, cfg, ids))
         except ValueError as exc:
             got = str(exc)
         expected = ([], [])
         try:
-            for scene_, seed_, image_id in zip(scenes, seeds, ids):
-                image = reference_detect(surrogate, scene_, seed_, threshold,
-                                         cls_bayesian)
+            for scene_, key, image_id in zip(scenes, keys, ids):
+                image = reference_detect(surrogate, scene_,
+                                         np.random.SeedSequence([seed, key]),
+                                         threshold, cls_bayesian)
                 expected[0].append(image)
                 expected[1].append(reference_score_image(image, cfg, image_id))
         except ValueError as exc:
@@ -502,6 +505,44 @@ class TestBatchDetectionReference:
         scenes = generate_detection_scenes(spec, 3, seed=1)
         with pytest.raises(ValueError, match="one seed per scene"):
             surrogate.detect(scenes, [1, 2])
+
+    def test_key_out_of_word_rejected(self):
+        spec = DetectionSceneSpec()
+        surrogate = al.DetectionSurrogate(spec, al.SurrogateParams())
+        scenes = generate_detection_scenes(spec, 2, seed=1)
+        with pytest.raises(ValueError, match=f"scene key {2**32} "):
+            surrogate.detect(scenes, [0, 2**32], prefix=(1,))
+
+
+class TestDetectionSeeding:
+    @staticmethod
+    def constructions(monkeypatch, pool, test_scenes, iterations):
+        """numpy seeding objects the package builds in one detection run_al:
+        SeedSequence, default_rng and PCG64 constructions."""
+        spec = al.DetectionExperimentSpec(sim_scenes=30, pool_scenes=pool,
+                                          test_scenes=test_scenes)
+        datasets, oracle, learner = al.build_detection_experiment(spec, 1)
+        cfg = al.ALRunConfig(iterations=iterations,
+                             selection=SelectionConfig(strategy="clue", batch_size=4))
+        counts = collections.Counter()
+        with monkeypatch.context() as patch:
+            for name in ("SeedSequence", "default_rng", "PCG64"):
+                def counting(*args, _original=getattr(np.random, name), _name=name,
+                             **kwargs):
+                    counts[_name] += 1
+                    return _original(*args, **kwargs)
+                patch.setattr(np.random, name, counting)
+            al.run_al(cfg, datasets, learner, oracle, seed=2)
+        return counts
+
+    def test_constructions_grow_with_iterations_not_scenes(self, monkeypatch):
+        # clue detects the pool, the labeled scenes and the test scenes
+        # each iteration; per-scene seeding would build thousands here
+        small = self.constructions(monkeypatch, pool=20, test_scenes=10, iterations=2)
+        large = self.constructions(monkeypatch, pool=120, test_scenes=80, iterations=2)
+        assert small == large
+        longer = self.constructions(monkeypatch, pool=120, test_scenes=80, iterations=4)
+        assert sum(longer.values()) <= 5 * (4 + 1)
 
 
 class TestRunAlSelectionProperty:

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
+from tests_support_reference import reference_generate_detection_scenes
 
 from sim2real_al.acquisition import reg_entropy
 from sim2real_al.fusion import bayesod_inference, iou_matrix
@@ -12,6 +15,7 @@ from sim2real_al.synthdata import (ClassificationDomainSpec,
                                    generate_detection_scenes, grid_class_means,
                                    shifted_domain, skewed_priors,
                                    synth_detector_outputs)
+from sim2real_al.synthdata import _child_generators, _keyed_generators, _words
 
 
 def small_domain(n_classes=3, dim=3, sep=3.0):
@@ -142,6 +146,136 @@ class TestGenerateDetectionScenes:
     def test_infeasible_box_range_rejected(self):
         with pytest.raises(ValueError, match="infeasible"):
             self.spec(box_size_range=(16.0, 200.0))
+
+    @pytest.mark.parametrize("priors", [[0.5, 0.5], [1.2, -0.1, -0.1],
+                                        [np.nan, 0.5, 0.5], [[0.5, 0.2, 0.3]]])
+    def test_bad_priors_rejected(self, priors):
+        # Generator.choice rejected these at generation; the spec now does
+        with pytest.raises(ValueError, match="class_priors"):
+            self.spec(class_priors=priors)
+
+    @pytest.mark.parametrize("field", [dict(width=np.inf, height=np.inf),
+                                       dict(height=np.nan),
+                                       dict(box_size_range=(16.0, np.nan))])
+    def test_non_finite_geometry_rejected(self, field):
+        with pytest.raises(ValueError, match="finite"):
+            self.spec(**field)
+
+    def test_pure_in_its_seed_sequence(self):
+        """The seed is read, not advanced: two calls on one SeedSequence
+        give the same scenes, those of its next children."""
+        ss = np.random.SeedSequence(11, spawn_key=(2,))
+        ss.spawn(3)
+        a = generate_detection_scenes(self.spec(), 15, ss)
+        b = generate_detection_scenes(self.spec(), 15, ss)
+        assert ss.n_children_spawned == 3
+        assert scene_bytes(a) == scene_bytes(b)
+        assert scene_bytes(a) == scene_bytes(
+            reference_generate_detection_scenes(self.spec(), 15, ss))
+        assert ss.n_children_spawned == 18
+
+
+def scene_bytes(scenes):
+    return [(s.width, s.height, s.gt_classes.dtype.str, s.gt_classes.tobytes(),
+             s.gt_boxes.shape, s.gt_boxes.tobytes()) for s in scenes]
+
+
+@st.composite
+def scene_seeds(draw):
+    """An int, or a SeedSequence with a spawn key and spawned children."""
+    if draw(st.booleans()):
+        return draw(st.integers(0, 2**64))
+    ss = np.random.SeedSequence(draw(st.integers(0, 2**128 - 1)),
+                                spawn_key=draw(st.lists(st.integers(0, 2**40),
+                                                        max_size=3)))
+    ss.spawn(draw(st.integers(0, 4)))
+    return ss
+
+
+class TestSceneGeneratorReference:
+    """generate_detection_scenes gives the scene bytes of the generator it
+    replaced, one spawned child, one choice and four scalar uniforms per
+    object (tests_support_reference.reference_generate_detection_scenes)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=scene_seeds(), n=st.integers(1, 12), n_classes=st.integers(1, 5),
+           skew=st.sampled_from([None, 0.0, 0.5, 3.0, 40.0]),
+           objects=st.tuples(st.integers(0, 3), st.integers(0, 4)),
+           sizes=st.sampled_from([(24.0, 48.0), (5.0, 5.0), (1.0, 64.0)]),
+           extent=st.sampled_from([(64.0, 64.0), (100.0, 70.0), (64, 128)]))
+    @example(seed=3, n=5, n_classes=1, skew=None, objects=(0, 0),
+             sizes=(24.0, 48.0), extent=(64.0, 64.0))
+    def test_same_scene_bytes(self, seed, n, n_classes, skew, objects, sizes, extent):
+        if skew is None:   # a class that never occurs
+            priors = np.eye(n_classes)[-1] if n_classes > 1 else None
+        else:
+            priors = skewed_priors(n_classes, skew)
+        spec = DetectionSceneSpec(width=extent[0], height=extent[1],
+                                  n_classes=n_classes, class_priors=priors,
+                                  objects_per_scene=tuple(sorted(objects)),
+                                  box_size_range=sizes)
+        got = scene_bytes(generate_detection_scenes(spec, n, seed))
+        assert got == scene_bytes(reference_generate_detection_scenes(spec, n, seed))
+
+
+def numpy_draws(rng):
+    return (rng.random(3).tobytes(), rng.standard_normal(3).tobytes(),
+            rng.integers(0, 2**40, 3).tobytes(), rng.integers(-5, 5))
+
+
+class TestKeyedGenerators:
+    """Each yielded generator holds numpy's own stream for its SeedSequence."""
+
+    words = st.one_of(st.just(0), st.integers(0, 2**32 - 1),
+                      st.integers(2**32, 2**160))
+    keys = st.one_of(st.sampled_from([0, 2**32 - 1]), st.integers(0, 2**32 - 1))
+
+    @settings(max_examples=150, deadline=None)
+    @given(prefix=st.lists(words, max_size=7), keys=st.lists(keys, max_size=6))
+    @example(prefix=[], keys=[0, 2**32 - 1])
+    @example(prefix=[0, 0, 0, 0, 0], keys=[0])
+    def test_streams_match_seed_sequence(self, prefix, keys):
+        got = [numpy_draws(rng) for rng in _keyed_generators(_words(prefix), keys)]
+        assert got == [numpy_draws(np.random.default_rng(
+            np.random.SeedSequence([*prefix, key]))) for key in keys]
+
+    @settings(max_examples=100, deadline=None)
+    @given(entropy=st.integers(0, 2**128 - 1),
+           spawn_key=st.lists(st.integers(0, 2**40), min_size=1, max_size=3),
+           before=st.integers(1, 5), n=st.integers(1, 6),
+           pool_size=st.sampled_from([4, 4, 5, 8]))
+    def test_children_match_spawn(self, entropy, spawn_key, before, n, pool_size):
+        ss = np.random.SeedSequence(entropy, spawn_key=spawn_key, pool_size=pool_size)
+        ss.spawn(before)
+        got = [numpy_draws(rng) for rng in _child_generators(ss, n)]
+        assert ss.n_children_spawned == before
+        assert got == [numpy_draws(np.random.default_rng(child))
+                       for child in ss.spawn(n)]
+
+    def test_children_of_fresh_entropy(self):
+        # SeedSequence() draws 128 bits from the OS
+        ss = np.random.SeedSequence(spawn_key=(7,))
+        ss.spawn(2)
+        got = [numpy_draws(rng) for rng in _child_generators(ss, 4)]
+        assert got == [numpy_draws(np.random.default_rng(child))
+                       for child in ss.spawn(4)]
+
+    def test_empty_prefix_is_default_rng_of_key(self):
+        rng = next(_keyed_generators([], [12345]))
+        assert numpy_draws(rng) == numpy_draws(np.random.default_rng(12345))
+
+    @pytest.mark.parametrize("key", [-1, 2**32, 2**64])
+    def test_key_must_fit_one_word(self, key):
+        spec = DetectionSceneSpec()
+        scenes = generate_detection_scenes(spec, 2, seed=1)
+        with pytest.raises(ValueError, match=f"scene key {key} "):
+            synth_detector_outputs(scenes, spec, [3, key], prefix=(1, 2))
+
+    def test_one_key_per_scene(self):
+        spec = DetectionSceneSpec()
+        scenes = generate_detection_scenes(spec, 2, seed=1)
+        with pytest.raises(ValueError, match="one seed per scene"):
+            synth_detector_outputs(scenes, spec, [3])
 
 
 class TestSynthDetectorOutputs:

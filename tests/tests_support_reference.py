@@ -1,12 +1,14 @@
 """Reference versions of the detection and `score` paths, kept to pin
 the array code.
 
+`synthdata.generate_detection_scenes`,
 `synthdata.synth_detector_outputs`, `fusion.cluster_anchors`,
 `fusion.fuse_gaussian` / `fusion.fuse_categorical` /
 `fusion.bayesod_inference`, `acquisition.score_image`,
 `loop.evaluate_detection` and `fusion.read_anchor_records` work on
 batches of images and on whole files.  The functions here are the
-one-scene synthesis, the one-center-at-a-time clustering, the
+scene generator with one spawned SeedSequence and scalar draws per
+object, the one-scene synthesis, the one-center-at-a-time clustering, the
 one-cluster-at-a-time fusion, the one-detection-at-a-time scoring and
 evaluation and the line-by-line reader they replaced, kept as they
 were, so tests can require the same records, the same bits and the
@@ -25,6 +27,7 @@ from scipy.special import xlogy
 from sim2real_al.acquisition import ImageScore
 from sim2real_al.fusion import (COV_REGULARIZER, DEFAULT_IOU_THRESHOLD, Anchors,
                                 Detections, iou_matrix, mc_statistics)
+from sim2real_al.synthdata import DetectionScene
 
 
 @dataclass
@@ -47,6 +50,36 @@ class Detection:
 
 
 # -- synthesis: one scene, one generator ------------------------------------
+
+def _as_seed_sequence(seed) -> np.random.SeedSequence:
+    if isinstance(seed, np.random.SeedSequence):
+        return seed
+    return np.random.SeedSequence(seed)
+
+
+def reference_generate_detection_scenes(spec, n, seed):
+    """n random scenes with object counts, classes and boxes from the spec."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    seeds = _as_seed_sequence(seed).spawn(n)
+    scenes = []
+    lo, hi = spec.objects_per_scene
+    smin, smax = spec.box_size_range
+    for child in seeds:
+        rng = np.random.default_rng(child)
+        n_obj = int(rng.integers(lo, hi + 1))
+        classes = rng.choice(spec.n_classes, size=n_obj, p=spec.class_priors)
+        boxes = np.empty((n_obj, 4))
+        for i in range(n_obj):
+            w = rng.uniform(smin, smax)
+            h = rng.uniform(smin, smax)
+            x0 = rng.uniform(0.0, spec.width - w)
+            y0 = rng.uniform(0.0, spec.height - h)
+            boxes[i] = (x0, y0, x0 + w, y0 + h)
+        scenes.append(DetectionScene(width=spec.width, height=spec.height,
+                                     gt_classes=classes, gt_boxes=boxes))
+    return scenes
+
 
 def reference_synth_detector_outputs(scene, spec, seed):
     rng = np.random.default_rng(seed)
