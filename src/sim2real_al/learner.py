@@ -63,17 +63,26 @@ class MCDropoutClassifier:
     def _hidden(self, x: np.ndarray) -> np.ndarray:
         return np.tanh(x @ self.w1 + self.b1)
 
+    def _inputs(self, x) -> np.ndarray:
+        """x as a float (N, input_dim) array; a 1-D x is one row."""
+        x2 = np.atleast_2d(np.asarray(x, dtype=float))
+        if x2.ndim != 2:
+            raise ValueError(f"x must be one row or a 2-D array of rows, "
+                             f"got shape {x2.shape}")
+        if x2.shape[1] != self.input_dim:
+            raise ValueError(f"x has {x2.shape[1]} columns, but the model's "
+                             f"input_dim is {self.input_dim}")
+        return x2
+
     def features(self, x) -> np.ndarray:
         """Pre-softmax logits (dropout off); the selection feature space."""
         single = np.asarray(x).ndim == 1
-        x2 = np.atleast_2d(np.asarray(x, dtype=float))
-        logits = self._hidden(x2) @ self.w2 + self.b2
+        logits = self._hidden(self._inputs(x)) @ self.w2 + self.b2
         return logits[0] if single else logits
 
     def predict_mean(self, x) -> np.ndarray:
         """Deterministic softmax output with dropout disabled."""
-        x2 = np.atleast_2d(np.asarray(x, dtype=float))
-        probs = _softmax(self._hidden(x2) @ self.w2 + self.b2)
+        probs = _softmax(self._hidden(self._inputs(x)) @ self.w2 + self.b2)
         return probs[0] if np.asarray(x).ndim == 1 else probs
 
     def predict_samples(self, x, t: int, seed: int = 0) -> np.ndarray:
@@ -86,7 +95,7 @@ class MCDropoutClassifier:
         if t < 1:
             raise ValueError("need at least one Monte-Carlo pass")
         single = np.asarray(x).ndim == 1
-        x2 = np.atleast_2d(np.asarray(x, dtype=float))
+        x2 = self._inputs(x)
         if self.dropout_rate == 0:
             # no stochasticity: every pass equals the deterministic one
             one = _softmax(self._hidden(x2) @ self.w2 + self.b2)
@@ -114,13 +123,28 @@ class MCDropoutClassifier:
         Each epoch draws one permutation and then, in one call, the
         dropout uniforms of all its batches: Generator.random fills an
         (n, H) array from the same stream, one double per output, that
-        per-batch (batch, H) draws would take in turn.  A step runs the
-        float operations of the textbook step in the same order, in
-        place, so the weights are the same bit for bit.
+        per-batch (batch, H) draws would take in turn.
+
+        A step runs the float operations of the textbook step in the
+        same order, so the weights are the same bit for bit, but it
+        allocates nothing.  Buffers made once per fit hold the epoch's
+        permuted rows and one-hot targets (gathered with np.take), its
+        dropout masks, and each step's activations, softmax and
+        gradients; every batch's slices of them, and the transposes its
+        gradients need, are views made once per fit too.  The softmax
+        row max and row sum go to one (rows, 1) column, and the bias
+        gradients are np.add.reduce over the batch, the reduction
+        np.sum would run.  The weights and their gradients are views of
+        one flat vector each, so an update is two calls.
         """
-        x = np.atleast_2d(np.asarray(x, dtype=float))
+        x = self._inputs(x)
         y = np.asarray(y, dtype=int)
-        if x.shape[0] == 0:
+        n = x.shape[0]
+        if y.ndim != 1:
+            raise ValueError(f"y must be a 1-D array of labels, got shape {y.shape}")
+        if len(y) != n:
+            raise ValueError(f"x has {n} rows, but y has {len(y)} labels")
+        if n == 0:
             raise ValueError("empty training set")
         if np.any(y < 0) or np.any(y >= self.n_classes):
             raise ValueError("labels outside [0, n_classes)")
@@ -128,59 +152,67 @@ class MCDropoutClassifier:
         start = self if cfg.fine_tune else MCDropoutClassifier(
             self.input_dim, self.hidden_dim, self.n_classes, self.dropout_rate,
             seed=cfg.seed)
-        # weights and their gradients are views of one flat vector each,
-        # so that an update is two calls
         shapes = [p.shape for p in (start.w1, start.b1, start.w2, start.b2)]
         params = np.concatenate([start.w1.ravel(), start.b1,
                                  start.w2.ravel(), start.b2])
         grads = np.empty_like(params)
         w1, b1, w2, b2 = _unflatten(params, shapes)
         dw1, db1, dw2, db2 = _unflatten(grads, shapes)
+        w2t = w2.T
 
         rng = np.random.default_rng(cfg.seed)
-        n, h = x.shape[0], self.hidden_dim
+        h = self.hidden_dim
         rate, lr = self.dropout_rate, cfg.learning_rate
         targets = np.eye(self.n_classes)[y]
         rows = min(cfg.batch_size, n)
+        xe, te = np.empty_like(x), np.empty_like(targets)
+        masks, kept = np.empty((n, h)), np.empty((n, h), dtype=bool)
         hidden = np.empty((rows, h))
-        dropped = np.empty_like(hidden)
+        dropped = np.empty_like(hidden) if rate > 0 else hidden  # a1 * 1.0 == a1
         grad_hidden = np.empty_like(hidden)
         probs = np.empty((rows, self.n_classes))
+        column = np.empty((rows, 1))
+        steps = []
+        for lo in range(0, n, cfg.batch_size):
+            hi = min(lo + cfg.batch_size, n)
+            m = hi - lo
+            xb, a1, a1d = xe[lo:hi], hidden[:m], dropped[:m]
+            steps.append((m, xb, xb.T, te[lo:hi], masks[lo:hi], a1, a1d, a1d.T,
+                          probs[:m], grad_hidden[:m], column[:m]))
         for _ in range(cfg.epochs):
             order = rng.permutation(n)
-            xe, te = x[order], targets[order]
+            np.take(x, order, axis=0, out=xe)
+            np.take(targets, order, axis=0, out=te)
             if rate > 0:
-                masks = (rng.random((n, h)) >= rate) / (1.0 - rate)
-            for lo in range(0, n, cfg.batch_size):
-                hi = min(lo + cfg.batch_size, n)
-                m = hi - lo
-                xb = xe[lo:hi]
-                a1 = np.matmul(xb, w1, out=hidden[:m])
+                rng.random((n, h), out=masks)
+                np.greater_equal(masks, rate, out=kept)
+                np.divide(kept, 1.0 - rate, out=masks)
+            for m, xb, xbt, tb, mask, a1, a1d, a1dt, dz2, da1, col in steps:
+                np.matmul(xb, w1, out=a1)
                 a1 += b1
                 np.tanh(a1, out=a1)
                 if rate > 0:
-                    mask = masks[lo:hi]
-                    a1d = np.multiply(a1, mask, out=dropped[:m])
-                else:
-                    a1d = a1                     # a1 * 1.0 == a1
+                    np.multiply(a1, mask, out=a1d)
                 # softmax, then dz2 = softmax - one_hot (p - 0.0 == p)
-                dz2 = np.matmul(a1d, w2, out=probs[:m])
+                np.matmul(a1d, w2, out=dz2)
                 dz2 += b2
-                dz2 -= dz2.max(axis=-1, keepdims=True)
+                np.maximum.reduce(dz2, axis=1, keepdims=True, out=col)
+                dz2 -= col
                 np.exp(dz2, out=dz2)
-                dz2 /= dz2.sum(axis=-1, keepdims=True)
-                dz2 -= te[lo:hi]
+                np.add.reduce(dz2, axis=1, keepdims=True, out=col)
+                dz2 /= col
+                dz2 -= tb
                 dz2 /= m
-                np.matmul(a1d.T, dz2, out=dw2)
-                np.sum(dz2, axis=0, out=db2)
-                da1 = np.matmul(dz2, w2.T, out=grad_hidden[:m])
+                np.matmul(a1dt, dz2, out=dw2)
+                np.add.reduce(dz2, axis=0, out=db2)
+                np.matmul(dz2, w2t, out=da1)
                 if rate > 0:
                     da1 *= mask
                 np.multiply(a1, a1, out=a1)      # a1d is no longer read
                 np.subtract(1.0, a1, out=a1)
                 da1 *= a1
-                np.matmul(xb.T, da1, out=dw1)
-                np.sum(da1, axis=0, out=db1)
+                np.matmul(xbt, da1, out=dw1)
+                np.add.reduce(da1, axis=0, out=db1)
                 grads *= lr
                 params -= grads
             if not np.all(np.isfinite(params)):

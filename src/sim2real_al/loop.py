@@ -764,10 +764,13 @@ class DetectionExperimentSpec:
                 raise ValueError(f"{name} must be finite and > 0")
         if not (0 <= self.objects_min <= self.objects_max):
             raise ValueError("objects_min must lie in [0, objects_max]")
-        if not (0 < self.box_min <= self.box_max):
-            raise ValueError("box_min must lie in (0, box_max]")
+        # box_max first, so that a non-finite box_max is named as such
+        if not self.box_max > 0:
+            raise ValueError("box_max must be > 0")
         if not self.box_max <= min(self.width, self.height):
             raise ValueError("box_max must be <= min(width, height)")
+        if not (0 < self.box_min <= self.box_max):
+            raise ValueError("box_min must lie in (0, box_max]")
         for name in ("anchors_per_object", "mc_samples", "sim_scenes",
                      "pool_scenes", "test_scenes"):
             if getattr(self, name) < 1:

@@ -148,6 +148,16 @@ def select_batchbald(prob_samples, b: int, mc_count: int = 100, seed=0) -> list[
     picks estimate the joint entropy of the grown batch with mc_count
     Monte-Carlo configuration draws of the already-selected items and
     an exact sum over the candidate's classes.
+
+    The per-sample class CDFs, log p and the per-item entropies are
+    computed once per call; each pick gathers from them.  A pick draws
+    its mc_count sample indices, then the configuration uniforms of
+    all selected items in one (picks so far, mc_count) call, which
+    Generator.random fills in C order from the stream per-item draws
+    would take in turn.  The configuration log-weights are one
+    np.add.reduce over the selected items, in pick order.  The
+    candidates' conditional class probabilities go to one (N, mc_count,
+    C) buffer, and their log to a second one when no probability is 0.
     """
     probs = np.asarray(prob_samples, dtype=float)
     if probs.ndim != 3:
@@ -159,30 +169,28 @@ def select_batchbald(prob_samples, b: int, mc_count: int = 100, seed=0) -> list[
         raise ValueError(f"batch size {b} exceeds pool size {n}")
 
     h_cond = _entropy(probs).mean(axis=1)
-
-    rng = np.random.default_rng(seed)
-    selected: list[int] = []
+    pick = int(np.argmax(_entropy(probs.mean(axis=1)) - h_cond))  # BALD
+    selected = [pick]
     available = np.ones(n, dtype=bool)
-
-    first = bald_scores(probs)
-    first[~available] = -np.inf
-    pick = int(np.argmax(first))
-    selected.append(pick)
     available[pick] = False
 
+    rng = np.random.default_rng(seed)
     k = mc_count
-    cond_probs = np.empty((n, k, c))
+    cdfs = probs.cumsum(axis=2)
+    with np.errstate(divide="ignore"):
+        log_probs = np.log(probs)
+    samples = np.arange(t)
+    cond_probs, log_cond = np.empty((n, k, c)), np.empty((n, k, c))
     while len(selected) < b:
         # sample mc_count label configurations of the selected batch from
         # the plug-in joint (1/T) sum_t prod_i p_it
         t_draws = rng.integers(0, t, size=k)
-        log_w = np.zeros((k, t))
-        for i in selected:
-            cdf = probs[i, t_draws].cumsum(axis=1)  # (k, C)
-            y = (cdf < rng.random(k)[:, None]).sum(axis=1)
-            y = np.minimum(y, c - 1)
-            with np.errstate(divide="ignore"):
-                log_w += np.log(probs[i][:, y].T)  # (k, t)
+        items = np.array(selected)[:, None]
+        u = rng.random((len(selected), k))
+        y = (cdfs[items, t_draws] < u[:, :, None]).sum(axis=2)   # (picks, k)
+        np.minimum(y, c - 1, out=y)
+        log_w = np.add.reduce(log_probs[items[:, :, None], samples, y[:, :, None]],
+                              axis=0)                            # (k, t)
         # posterior weights over t given each sampled configuration
         log_joint = np.logaddexp.reduce(log_w, axis=1) - np.log(t)
         w = np.exp(log_w - log_w.max(axis=1, keepdims=True))
@@ -192,8 +200,12 @@ def select_batchbald(prob_samples, b: int, mc_count: int = 100, seed=0) -> list[
         # candidate conditional entropy H(y_c | batch config), exact in y_c:
         # (k, t) @ (n, t, c) broadcasts to one BLAS product per candidate
         np.matmul(w, probs, out=cond_probs)
-        h_c_given = _entropy(cond_probs).mean(axis=1)
-        joint_mi = h_batch + h_c_given - (h_cond[selected].sum() + h_cond)
+        if cond_probs.min() > 0:
+            np.log(cond_probs, out=log_cond)
+            h_c_given = -np.einsum("...c,...c->...", cond_probs, log_cond)
+        else:
+            h_c_given = _entropy(cond_probs)
+        joint_mi = h_batch + h_c_given.mean(axis=1) - (h_cond[selected].sum() + h_cond)
         joint_mi[~available] = -np.inf
         pick = int(np.argmax(joint_mi))
         selected.append(pick)

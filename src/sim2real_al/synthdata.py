@@ -200,8 +200,10 @@ def _keyed_generators(words, keys, pool_size: int = 4):
     `words` followed by k.
 
     SeedSequence's mix_entropy and generate_state(4, uint64) run once
-    over (n,) uint32 columns, one per entropy word (the hash constants
-    do not depend on the data); each state then becomes PCG64's seeded
+    per batch: the hash constants do not depend on the data, so a value
+    that the key does not reach yet is one Python int, and only values
+    the key has reached are (n,) uint32 columns.  The 8 output words
+    are one (8, n) product.  Each state then becomes PCG64's seeded
     (state, inc) and is loaded into the same Generator, which is only
     valid until the next one is yielded.
     """
@@ -209,21 +211,19 @@ def _keyed_generators(words, keys, pool_size: int = 4):
     for key in keys:
         if not 0 <= key <= _MASK32:
             raise ValueError(f"scene key {key} does not fit one 32-bit word")
-    n = len(keys)
-    entropy = [np.full(n, w, dtype=np.uint32) for w in words]
-    entropy.append(np.array(keys, dtype=np.uint32))
-    entropy += [np.zeros(n, dtype=np.uint32)] * (pool_size - len(entropy))
+    entropy = [*words, np.array(keys, dtype=np.uint32)]
+    entropy += [0] * (pool_size - len(entropy))
     hash_const = _INIT_A
 
     def hashmix(value):
         nonlocal hash_const
         value = value ^ hash_const
         hash_const = hash_const * _MULT_A & _MASK32
-        value = value * hash_const
+        value = _word(value * hash_const)
         return value ^ (value >> 16)
 
     def mix(x, y):
-        result = _MIX_MULT_L * x - _MIX_MULT_R * y
+        result = _word(_word(_MIX_MULT_L * x) - _word(_MIX_MULT_R * y))
         return result ^ (result >> 16)
 
     pool = [hashmix(word) for word in entropy[:pool_size]]
@@ -235,22 +235,38 @@ def _keyed_generators(words, keys, pool_size: int = 4):
         for i_dst in range(pool_size):
             pool[i_dst] = mix(pool[i_dst], hashmix(word))
 
-    state = np.empty((n, 8), dtype="<u4")
-    hash_const = _INIT_B
-    for i_dst in range(8):
-        value = pool[i_dst % pool_size] ^ hash_const
-        hash_const = hash_const * _MULT_B & _MASK32
-        value = value * hash_const
-        state[:, i_dst] = value ^ (value >> 16)
-
+    # every pool word has mixed in the key, so each is an (n,) column
+    state = np.stack(pool)[np.arange(8) % pool_size]
+    state ^= _STATE_XOR
+    state *= _STATE_MULT
+    state ^= state >> 16
     rng = np.random.Generator(np.random.PCG64())
-    for s0, s1, q0, q1 in state.view("<u8").tolist():
+    for s0, s1, q0, q1 in np.ascontiguousarray(state.T, dtype="<u4").view("<u8").tolist():
         inc = ((q0 << 64 | q1) << 1 | 1) & _MASK128
         rng.bit_generator.state = {
             "bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
             "state": {"state": ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _MASK128,
                       "inc": inc}}
         yield rng
+
+
+def _word(value):
+    """value mod 2**32: uint32 columns wrap by themselves, Python ints do not."""
+    return value & _MASK32 if isinstance(value, int) else value
+
+
+def _state_constants():
+    """generate_state's per-word xor and multiplier, as (8, 1) columns."""
+    xor, mult, hash_const = [], [], _INIT_B
+    for _ in range(8):
+        xor.append(hash_const)
+        hash_const = hash_const * _MULT_B & _MASK32
+        mult.append(hash_const)
+    return (np.array(xor, dtype=np.uint32)[:, None],
+            np.array(mult, dtype=np.uint32)[:, None])
+
+
+_STATE_XOR, _STATE_MULT = _state_constants()
 
 
 def _child_generators(seed, n: int):

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from tests_support_reference import dense_image_text, reference_score_stdout
 
 from sim2real_al import cli
@@ -234,6 +236,8 @@ class TestConfigParsing:
         ("dataset.objects_min", "4", "objects_min must lie in [0, objects_max]"),
         ("dataset.objects_min", "-1", "objects_min must lie in [0, objects_max]"),
         ("dataset.box_max", "200", "box_max must be <= min(width, height)"),
+        ("dataset.box_max", "-inf", "box_max must be > 0"),
+        ("dataset.box_max", "0", "box_max must be > 0"),
         ("dataset.box_min", "0", "box_min must lie in (0, box_max]"),
         ("dataset.box_min", "60", "box_min must lie in (0, box_max]"),
         ("dataset.anchors_per_object", "0", "anchors_per_object must be >= 1"),
@@ -354,6 +358,54 @@ class TestConfigParsing:
         bad = SMALL_CLS.replace("track = classification", "track = regression")
         with pytest.raises(cli.ConfigError, match="track must be one of"):
             cli.load_config(write_cfg(tmp_path, bad))
+
+
+# values no key of the kind accepts at load: not a number of the
+# kind, not finite, or empty; letters without i and n spell no nan or inf
+_WORDS = st.from_regex(r"[a-hj-mo-z]{1,8}", fullmatch=True)
+_UNREADABLE = st.sampled_from(["", "nan", "NaN", "-nan", "inf", "-inf",
+                               "+Infinity", "1,2", "[1]"])
+BAD_VALUES = {
+    int: _UNREADABLE | _WORDS | st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    float: _UNREADABLE | _WORDS,
+    bool: _UNREADABLE | _WORDS.filter(lambda w: w not in ("true", "false", "yes"))
+          | st.integers().filter(lambda v: v not in (0, 1)).map(str)
+          | st.floats(allow_nan=False, allow_infinity=False).map(repr),
+}
+SCALAR_KEYS = [(track, key) for track in cli.TRACKS
+               for key, (kind, _) in cli.config_keys(track).items() if kind in BAD_VALUES]
+
+
+class TestConfigFuzz:
+    def test_every_scalar_key_is_covered(self):
+        kinds = {kind for track in cli.TRACKS
+                 for kind, _ in cli.config_keys(track).values()}
+        assert kinds - set(BAD_VALUES) == {str, list[int], list[str]}
+
+    @pytest.mark.parametrize("track, key", SCALAR_KEYS,
+                             ids=[f"{t[:3]}-{k}" for t, k in SCALAR_KEYS])
+    def test_bad_scalar_is_one_error_line(self, tmp_path, capsys, track, key):
+        """A value of the wrong type, non-finite or empty, for any int,
+        float or bool key of either track, fails at load: `run` returns
+        2, prints one `error:` line anchored at the key's line and
+        writes nothing."""
+        base = SMALL_CLS if track == "classification" else SMALL_DET
+        lines = [ln for ln in base.splitlines() if not ln.startswith(f"{key} =")]
+        cfg = tmp_path / "exp.cfg"
+        out = tmp_path / "out"
+
+        @settings(max_examples=12, deadline=None)
+        @given(value=BAD_VALUES[cli.config_keys(track)[key][0]])
+        def rejected(value):
+            cfg.write_text("\n".join([*lines, f"{key} = {value}"]) + "\n")
+            assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert re.fullmatch(f"error: {re.escape(str(cfg))}:{len(lines) + 1}: "
+                                f"[^\n]*{re.escape(repr(key))}[^\n]*\n", captured.err)
+            assert not out.exists()
+
+        rejected()
 
 
 class TestCmdRun:

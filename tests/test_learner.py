@@ -128,6 +128,65 @@ class TestFit:
             model.fit(np.ones((3, 2)), np.array([0, 1, 2]),
                       TrainConfig(epochs=1, learning_rate=0.1))
 
+    @pytest.mark.parametrize("n_labels", [7, 12])
+    def test_label_count_must_match_rows(self, n_labels):
+        model = MCDropoutClassifier(2, 8, 2, seed=0)
+        x = np.random.default_rng(1).normal(size=(10, 2))
+        y = np.arange(n_labels) % 2
+        with pytest.raises(ValueError,
+                           match=f"^x has 10 rows, but y has {n_labels} labels$"):
+            model.fit(x, y, TrainConfig(epochs=1, learning_rate=0.1))
+
+    def test_labels_must_be_one_dimensional(self):
+        model = MCDropoutClassifier(2, 8, 2, seed=0)
+        with pytest.raises(ValueError, match=r"^y must be a 1-D array of labels, "
+                                             r"got shape \(3, 1\)$"):
+            model.fit(np.ones((3, 2)), np.zeros((3, 1), dtype=int),
+                      TrainConfig(epochs=1, learning_rate=0.1))
+
+    @pytest.mark.parametrize("call", ["fit", "predict_mean", "predict_samples",
+                                      "features"])
+    @pytest.mark.parametrize("shape", [(6, 3), (3,)])
+    def test_column_count_must_match_input_dim(self, call, shape):
+        model = MCDropoutClassifier(2, 8, 2, dropout_rate=0.2, seed=0)
+        x = np.ones(shape)
+        run = {"fit": lambda: model.fit(x, np.zeros(len(np.atleast_2d(x)), dtype=int),
+                                        TrainConfig(epochs=1, learning_rate=0.1)),
+               "predict_mean": lambda: model.predict_mean(x),
+               "predict_samples": lambda: model.predict_samples(x, t=3),
+               "features": lambda: model.features(x)}[call]
+        with pytest.raises(ValueError,
+                           match="^x has 3 columns, but the model's input_dim is 2$"):
+            run()
+
+    def test_x_of_more_than_two_dimensions_rejected(self):
+        model = MCDropoutClassifier(2, 8, 2, seed=0)
+        with pytest.raises(ValueError, match=r"^x must be one row or a 2-D array "
+                                             r"of rows, got shape \(2, 3, 2\)$"):
+            model.predict_mean(np.ones((2, 3, 2)))
+
+    def test_fits_share_no_memory(self):
+        """Two fits from one snapshot give equal weights, and neither
+        model, nor the snapshot, holds a view of another model's weights
+        or of a fit's buffers: each weight array owns its memory."""
+        x, y = two_blobs(seed=10)
+        cfg = TrainConfig(epochs=3, learning_rate=0.2, batch_size=16, seed=4)
+        base = MCDropoutClassifier(2, 16, 2, dropout_rate=0.2, seed=6)
+        before = [p.copy() for p in (base.w1, base.b1, base.w2, base.b2)]
+        first = base.fit(x, y, cfg)
+        kept = [p.copy() for p in (first.w1, first.b1, first.w2, first.b2)]
+        second = base.fit(x, y, cfg)
+        models = (base, first, second)
+        weights = [p for m in models for p in (m.w1, m.b1, m.w2, m.b2)]
+        assert all(p.flags.owndata for p in weights)
+        assert not any(np.shares_memory(a, b)
+                       for i, a in enumerate(weights) for b in weights[i + 1:])
+        assert_same_weights(first, second)
+        for got, want in zip((first.w1, first.b1, first.w2, first.b2), kept):
+            assert np.array_equal(got, want)
+        for got, want in zip((base.w1, base.b1, base.w2, base.b2), before):
+            assert np.array_equal(got, want)
+
     def test_non_finite_weights_raise(self):
         x, y = two_blobs(seed=9)
         model = MCDropoutClassifier(2, 16, 2, seed=3)

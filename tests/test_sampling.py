@@ -10,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 from tests_support_oracles import covering_radius
+from tests_support_reference import reference_select_batchbald
 
+from sim2real_al import sampling
 from sim2real_al.sampling import (SelectionConfig, bald_scores, select_batchbald,
                                   select_clue, select_coreset, select_random,
                                   select_subsample_topn, select_topn,
@@ -321,6 +323,57 @@ class TestBatchBaldReference:
         assert len(picked) == len(set(picked)) == b
         assert set(picked) <= set(range(n))
         assert select_batchbald(probs, b, mc_count=16, seed=seed) == picked
+
+
+class TestBatchBaldPerItemReference:
+    """select_batchbald picks what the per-item selector it replaced
+    picks, on the plain-log path (no conditional probability is 0) and
+    on the masked-log path (some are)."""
+
+    @staticmethod
+    def dense_probs(rng, n, t, c):
+        logits = rng.normal(size=(n, t, c)) * 2.0
+        probs = np.exp(logits)
+        return probs / probs.sum(axis=-1, keepdims=True)
+
+    def test_same_picks_on_both_log_paths(self, monkeypatch):
+        paths = {"plain": 0, "masked": 0}
+        entropy = sampling._entropy
+
+        def counting_entropy(p):
+            # select_batchbald calls _entropy twice before its picks, and
+            # once more in each pick that takes the masked path
+            counting_entropy.calls += 1
+            return entropy(p)
+
+        monkeypatch.setattr(sampling, "_entropy", counting_entropy)
+
+        @settings(max_examples=60, deadline=None)
+        @given(n=st.integers(2, 40), t=st.integers(2, 12), c=st.integers(1, 8),
+               mc_count=st.integers(1, 60), zeros=st.booleans(), data=st.data())
+        def same_picks(n, t, c, mc_count, zeros, data):
+            rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+            probs = (probs_with_zeros(rng, n, t, c) if zeros
+                     else self.dense_probs(rng, n, t, c))
+            b = data.draw(st.integers(1, n))
+            seed = data.draw(st.integers(0, 2**32 - 1))
+            counting_entropy.calls = 0
+            picked = select_batchbald(probs, b, mc_count, seed=seed)
+            masked = counting_entropy.calls - 2
+            paths["masked"] += masked
+            paths["plain"] += b - 1 - masked
+            assert picked == reference_select_batchbald(probs, b, mc_count, seed=seed)
+
+        same_picks()
+        assert paths["plain"] > 0 and paths["masked"] > 0, paths
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_benchmark_shape(self, seed):
+        """The cls-batchbald shape: 400 candidates, 10 passes, 8 classes,
+        B = 20 and 100 configurations."""
+        probs = self.dense_probs(np.random.default_rng(seed), 400, 10, 8)
+        assert select_batchbald(probs, 20, 100, seed=seed) == \
+            reference_select_batchbald(probs, 20, 100, seed=seed)
 
 
 class TestSelectClue:

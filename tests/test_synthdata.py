@@ -234,6 +234,8 @@ class TestKeyedGenerators:
     @given(prefix=st.lists(words, max_size=7), keys=st.lists(keys, max_size=6))
     @example(prefix=[], keys=[0, 2**32 - 1])
     @example(prefix=[0, 0, 0, 0, 0], keys=[0])
+    @example(prefix=[2**32 - 1, 5, 2**40], keys=[2**32 - 1])    # one scene
+    @example(prefix=[1, 2, 3, 4, 5, 6, 7], keys=[9])             # key past the pool
     def test_streams_match_seed_sequence(self, prefix, keys):
         got = [numpy_draws(rng) for rng in _keyed_generators(_words(prefix), keys)]
         assert got == [numpy_draws(np.random.default_rng(

@@ -12,7 +12,9 @@ object, the one-scene synthesis, the one-center-at-a-time clustering, the
 one-cluster-at-a-time fusion, the one-detection-at-a-time scoring and
 evaluation and the line-by-line reader they replaced, kept as they
 were, so tests can require the same records, the same bits and the
-same error messages.  They work on `Detection` records, one per
+same error messages.  `reference_select_batchbald` is the BatchBALD
+selector with one configuration draw and one log per selected item
+and pick, which `sampling.select_batchbald` replaced.  They work on `Detection` records, one per
 detection; `detections_of` packs per-image record lists into a
 `fusion.Detections` batch.  `dense_image_text` writes images shaped
 like detector dumps (many anchors per object, fixed-precision values).
@@ -27,6 +29,7 @@ from scipy.special import xlogy
 from sim2real_al.acquisition import ImageScore
 from sim2real_al.fusion import (COV_REGULARIZER, DEFAULT_IOU_THRESHOLD, Anchors,
                                 Detections, iou_matrix, mc_statistics)
+from sim2real_al.sampling import _entropy, bald_scores
 from sim2real_al.synthdata import DetectionScene
 
 
@@ -378,6 +381,62 @@ def reference_score_stdout(path, iou_threshold=0.5, cls_bayesian=False,
     return "".join(["image_id,score,n_detections\n"]
                    + [f"{s.image_id},{repr(s.score)},{s.n_detections}\n"
                       for s in scored])
+
+
+# -- BatchBALD: per-item configuration draws ---------------------------------
+
+def reference_select_batchbald(prob_samples, b, mc_count=100, seed=0):
+    """Greedy batch selection by joint mutual information."""
+    probs = np.asarray(prob_samples, dtype=float)
+    if probs.ndim != 3:
+        raise ValueError("prob_samples must be (N, T, C)")
+    n, t, c = probs.shape
+    if t < 2:
+        raise ValueError("mutual information undefined")
+    if b > n:
+        raise ValueError(f"batch size {b} exceeds pool size {n}")
+
+    h_cond = _entropy(probs).mean(axis=1)
+
+    rng = np.random.default_rng(seed)
+    selected: list[int] = []
+    available = np.ones(n, dtype=bool)
+
+    first = bald_scores(probs)
+    first[~available] = -np.inf
+    pick = int(np.argmax(first))
+    selected.append(pick)
+    available[pick] = False
+
+    k = mc_count
+    cond_probs = np.empty((n, k, c))
+    while len(selected) < b:
+        # sample mc_count label configurations of the selected batch from
+        # the plug-in joint (1/T) sum_t prod_i p_it
+        t_draws = rng.integers(0, t, size=k)
+        log_w = np.zeros((k, t))
+        for i in selected:
+            cdf = probs[i, t_draws].cumsum(axis=1)  # (k, C)
+            y = (cdf < rng.random(k)[:, None]).sum(axis=1)
+            y = np.minimum(y, c - 1)
+            with np.errstate(divide="ignore"):
+                log_w += np.log(probs[i][:, y].T)  # (k, t)
+        # posterior weights over t given each sampled configuration
+        log_joint = np.logaddexp.reduce(log_w, axis=1) - np.log(t)
+        w = np.exp(log_w - log_w.max(axis=1, keepdims=True))
+        w /= w.sum(axis=1, keepdims=True)
+        h_batch = float(-log_joint.mean())
+
+        # candidate conditional entropy H(y_c | batch config), exact in y_c:
+        # (k, t) @ (n, t, c) broadcasts to one BLAS product per candidate
+        np.matmul(w, probs, out=cond_probs)
+        h_c_given = _entropy(cond_probs).mean(axis=1)
+        joint_mi = h_batch + h_c_given - (h_cond[selected].sum() + h_cond)
+        joint_mi[~available] = -np.inf
+        pick = int(np.argmax(joint_mi))
+        selected.append(pick)
+        available[pick] = False
+    return selected
 
 
 # -- inputs ------------------------------------------------------------------
