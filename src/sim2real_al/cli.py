@@ -80,7 +80,6 @@ OTHER_KEYS = {
     "name": (str, ""),
     "seeds": (list[int], [0]),
     "strategies": (list[str], []),
-    "selection.seed": _field_kinds(al.ALRunConfig)["selection_seed"],
 }
 
 
@@ -264,8 +263,9 @@ def build_experiment_config(raw: dict, path: str, track_override: str = None,
             key = name if "." in name else f"{section}.{name}"
             if key not in values:
                 raise ConfigError(f"{path}: {section}: {exc}") from None
-            where = f"{path}:{raw[key][1]}" if key in raw else path
-            raise ConfigError(f"{where}: {key!r}: {exc}") from None
+            where = (f"{path}:{raw[key][1]}: {key!r}" if key in raw
+                     else f"{path}: {key!r} (not set, default {values[key]})")
+            raise ConfigError(f"{where}: {exc}") from None
 
     selection = built("selection")
     acquisition = built("acquisition")
@@ -277,8 +277,7 @@ def build_experiment_config(raw: dict, path: str, track_override: str = None,
 
     def run_config(strategy):
         return built("loop", selection=replace(selection, strategy=strategy),
-                     acquisition=acquisition, train=train,
-                     selection_seed=values["selection.seed"])
+                     acquisition=acquisition, train=train)
 
     run_cfg = run_config(selection.strategy)
     for name in [*values["strategies"], *(strategy_flag or [])]:
@@ -295,10 +294,12 @@ def build_experiment_config(raw: dict, path: str, track_override: str = None,
 # run execution
 # ---------------------------------------------------------------------------
 
-def _build(excfg: ExperimentConfig, run_seed: int):
-    if excfg.track == "classification":
-        return al.build_classification_experiment(excfg.dataset_spec, run_seed)
-    return al.build_detection_experiment(excfg.dataset_spec, run_seed)
+def _cells(excfg: ExperimentConfig, strategies, seeds):
+    """loop.run_cells of the config, with the loop module's builder."""
+    build = (al.build_classification_experiment if excfg.track == "classification"
+             else al.build_detection_experiment)
+    return al.run_cells(excfg.al, functools.partial(build, excfg.dataset_spec),
+                        strategies, seeds)
 
 
 def _check_fresh(path: Path) -> None:
@@ -311,51 +312,31 @@ def _check_fresh(path: Path) -> None:
                           f"artifacts; refusing to overwrite")
 
 
-def _resolved_items(excfg: ExperimentConfig, strategy: str,
-                    seeds: list[int]) -> dict:
-    items = dict(excfg.resolved)
-    items["selection.strategy"] = strategy
-    items["seeds"] = ",".join(str(s) for s in seeds)
-    items["strategies"] = ",".join(excfg.strategies)
-    return {k: str(v) for k, v in items.items()}
-
-
-def execute_run(excfg: ExperimentConfig, strategy: str, seeds: list[int],
-                out_dir: Path, starts: dict = None) -> list[al.LearningCurve]:
-    """Run one strategy over the given seeds and write run artifacts.
-
-    starts maps a run seed to its loop.RunStart, which does not depend
-    on the strategy: a seed found there starts from it, and a seed not
-    found there gets its start recorded.  A seed whose run fails raises
-    ConfigError naming the strategy and the seed; out_dir is created
-    only once every seed has run, to hold the artifacts.
-    """
+def execute_run(excfg: ExperimentConfig, cells, out_dir: Path) -> list[al.LearningCurve]:
+    """Run the (strategy, seed, run) cells of one strategy (see
+    loop.run_cells) and write their artifacts.  A failing cell raises
+    ConfigError naming its strategy and seed; out_dir is created only
+    once every cell has run."""
     _check_fresh(out_dir)
-    run_cfg = replace(excfg.al,
-                      selection=replace(excfg.al.selection, strategy=strategy))
-    starts = {} if starts is None else starts
     curves = []
-    for seed in seeds:
+    for strategy, seed, run in cells:
         # a config's values can make the run itself fail, such as a
         # learning rate that drives the weights to overflow; the error
         # line then replaces the numpy warnings that led up to it
         with warnings.catch_warnings(record=True) as caught:
             try:
-                datasets, oracle, learner = _build(excfg, seed)
-                if seed not in starts:
-                    starts[seed] = al.run_start(run_cfg, datasets, learner, oracle, seed)
-                datasets.start = starts[seed]
-                curve = al.run_al(run_cfg, datasets, learner, oracle, seed)
+                curves.append(run())
             except (ValueError, ArithmeticError) as exc:
                 raise ConfigError(f"strategy {strategy!r}, seed {seed}: "
                                   f"{exc}") from None
         for w in caught:
             warnings.showwarning(w.message, w.category, w.filename, w.lineno)
-        curves.append(curve)
     out_dir.mkdir(parents=True, exist_ok=True)
     al.write_curve_csv(out_dir / "curve.csv", curves)
-    al.write_manifest(out_dir / "manifest.txt",
-                      _resolved_items(excfg, strategy, seeds), curves)
+    items = {**excfg.resolved, "selection.strategy": curves[0].strategy,
+             "seeds": ",".join(str(c.seed) for c in curves),
+             "strategies": ",".join(excfg.strategies)}
+    al.write_manifest(out_dir / "manifest.txt", items, curves)
     return curves
 
 
@@ -380,7 +361,7 @@ def cmd_run(args) -> int:
     seeds = _seeds(args, excfg)
     strategy = args.strategy or excfg.al.selection.strategy
     out_dir = Path(args.out) if args.out else _default_out(excfg, args.config)
-    curves = execute_run(excfg, strategy, seeds, out_dir)
+    curves = execute_run(excfg, _cells(excfg, [strategy], seeds), out_dir)
     for curve in curves:
         report = al.gap_report(curve)
         print(f"seed {curve.seed}: strategy={curve.strategy} "
@@ -404,13 +385,10 @@ def cmd_sweep(args) -> int:
     _check_fresh(out_root)
 
     rows = []
-    starts: dict[int, al.RunStart] = {}   # one run start per seed
-    for strategy in strategies:
-        for seed in seeds:
-            cell_dir = out_root / f"{strategy}-s{seed}"
-            curves = execute_run(excfg, strategy, [seed], cell_dir, starts)
-            report = al.gap_report(curves[0])
-            rows.append((strategy, seed, report, curves[0]))
+    for cell in _cells(excfg, strategies, seeds):
+        strategy, seed, _ = cell
+        curve, = execute_run(excfg, [cell], out_root / f"{strategy}-s{seed}")
+        rows.append((strategy, seed, al.gap_report(curve), curve))
 
     text = _sweep_report_text(rows)
     (out_root / "sweep_report.txt").write_text(text)

@@ -50,7 +50,6 @@ class ALRunConfig:
     level: float = 0.95            # gap fraction considered "bridged"
     replay: bool = True            # fine-tune on sim + all labeled real
     mc_passes: int = 10            # T predictive samples (batchbald scoring)
-    selection_seed: int = 0        # extra entropy mixed into selection draws
     iou_threshold: float = 0.5     # detection clustering + matching
     cls_bayesian: bool = False
 
@@ -117,10 +116,6 @@ class LearningCurve:
     level: float = 0.95
     truncated: bool = False
     selected_ids: list[list[int]] = field(default_factory=list)
-
-    @property
-    def metrics(self) -> np.ndarray:
-        return np.array([p.metric for p in self.points])
 
 
 @dataclass
@@ -289,7 +284,6 @@ class ClassificationDatasets:
     test_x: np.ndarray
     test_y: np.ndarray
     n_classes: int
-    start: RunStart | None = None
 
 
 @dataclass
@@ -298,7 +292,6 @@ class DetectionDatasets:
     pool_scenes: list[DetectionScene]
     test_scenes: list[DetectionScene]
     n_classes: int
-    start: RunStart | None = None
 
 
 def make_classification_oracle(pool_y):
@@ -421,9 +414,29 @@ def _track(cfg: ALRunConfig, datasets, seed: int):
     raise TypeError(f"unsupported dataset bundle {type(datasets).__name__}")
 
 
-def run_start(cfg: ALRunConfig, datasets, learner, oracle, seed: int = 0) -> RunStart:
-    """The start run_al computes when datasets.start is None; a caller
-    running several strategies on one (config, seed) may compute it once."""
+def run_cells(cfg: ALRunConfig, build, strategies, seeds):
+    """Yields each (strategy, seed, run) cell, strategy by strategy;
+    run() builds the seed's experiment with build(seed) and returns the
+    cell's curve.  The first cell of a seed to run computes its RunStart
+    and the seed's later cells share it, so each curve equals a lone
+    run_al's."""
+    starts: dict[int, RunStart] = {}
+
+    def run(cell_cfg, seed):
+        datasets, oracle, learner = build(seed)
+        if seed not in starts:
+            starts[seed] = _run_start(cell_cfg, datasets, learner, oracle, seed)
+        return run_al(cell_cfg, datasets, learner, oracle, seed, starts[seed])
+
+    for strategy in strategies:
+        cell_cfg = replace(cfg, selection=replace(cfg.selection, strategy=strategy))
+        for seed in seeds:
+            yield strategy, seed, functools.partial(run, cell_cfg, seed)
+
+
+def _run_start(cfg: ALRunConfig, datasets, learner, oracle, seed: int) -> RunStart:
+    """The fit on sim, the iteration-0 evaluation, then the reference,
+    each from its own seed stream."""
     track = _track(cfg, datasets, seed)
     track.start(learner)
     sim_perf = track.evaluate(0)
@@ -431,16 +444,18 @@ def run_start(cfg: ALRunConfig, datasets, learner, oracle, seed: int = 0) -> Run
         learner, oracle(list(range(track.pool_size)))))
 
 
-def run_al(cfg: ALRunConfig, datasets, learner, oracle, seed: int = 0) -> LearningCurve:
+def run_al(cfg: ALRunConfig, datasets, learner, oracle, seed: int = 0,
+           start: RunStart | None = None) -> LearningCurve:
     """One full active-learning run; see module docstring for the steps.
 
     One skeleton serves both tracks: a track object holds the current
     model and supplies the track's own steps (start, evaluate, the
     reference performance, learning from a labeled batch, the batch's
     labels) and what each selection strategy needs from the model.
+    The run begins at `start`, or when it is None computes its own.
     """
     track = _track(cfg, datasets, seed)
-    start = datasets.start or run_start(cfg, datasets, learner, oracle, seed)
+    start = start or _run_start(cfg, datasets, learner, oracle, seed)
     track.model = start.model
     n_pool0 = track.pool_size
     state = ALState(pool_ids=list(range(n_pool0)))
@@ -481,7 +496,7 @@ def _select(cfg, track, pool_ids, seed, it) -> list:
     the scores of a list of ids, pool and labeled features, clue
     weights or MC samples of the current model."""
     sel = cfg.selection
-    sel_seed = _stream_seed(seed, _SELECT, it, cfg.selection_seed)
+    sel_seed = _stream_seed(seed, _SELECT, it, cfg.selection.seed)
     scores = functools.partial(track.scores, it=it)
     if sel.strategy == "random":
         return sampling.select_random(pool_ids, sel.batch_size, sel_seed)
@@ -696,12 +711,14 @@ class ClassificationExperimentSpec:
                 raise ValueError(f"{name} must be finite")
         if not (np.isfinite(self.cov_scale) and self.cov_scale > 0):
             raise ValueError("cov_scale must be finite and > 0")
-        _check_label_skew(self.label_skew)
+        _check_skew_and_seed(self)
 
 
-def _check_label_skew(skew) -> None:
-    if not (np.isfinite(skew) and skew >= 0):
+def _check_skew_and_seed(spec) -> None:
+    if not (np.isfinite(spec.label_skew) and spec.label_skew >= 0):
         raise ValueError("label_skew must be finite and >= 0")
+    if spec.seed < 0:
+        raise ValueError("seed must be >= 0")
 
 
 def build_classification_experiment(spec: ClassificationExperimentSpec,
@@ -775,7 +792,7 @@ class DetectionExperimentSpec:
                      "pool_scenes", "test_scenes"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        _check_label_skew(self.label_skew)
+        _check_skew_and_seed(self)
         if not (np.isfinite(self.surrogate.kappa) and self.surrogate.kappa > 0):
             raise ValueError("surrogate.kappa must be finite and > 0")
         if not np.isfinite(self.surrogate.sim_weight):

@@ -20,6 +20,8 @@ from scipy.spatial.distance import cdist
 
 STRATEGIES = ("random", "topn", "subsample_topn", "coreset", "batchbald", "clue")
 
+_CLUE_MAX_ITER = 50   # weighted k-means rounds of select_clue
+
 
 @dataclass
 class SelectionConfig:
@@ -27,6 +29,7 @@ class SelectionConfig:
     batch_size: int = 20
     subsample_fraction: float = 0.5
     mc_count: int = 100
+    seed: int = 0        # extra entropy mixed into selection draws
 
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
@@ -38,6 +41,8 @@ class SelectionConfig:
             raise ValueError("subsample_fraction must lie in (0, 1]")
         if self.mc_count < 1:
             raise ValueError("mc_count must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 def select_random(pool_ids, b: int, seed) -> list:
@@ -213,8 +218,7 @@ def select_batchbald(prob_samples, b: int, mc_count: int = 100, seed=0) -> list[
     return selected
 
 
-def select_clue(pool_features, uncertainties, b: int, seed=0,
-                max_iter: int = 50) -> list[int]:
+def select_clue(pool_features, uncertainties, b: int, seed=0) -> list[int]:
     """Uncertainty-weighted k-means selection (diversity + uncertainty).
 
     Runs weighted k-means with k = b (k-means++-style seeding, weights
@@ -239,7 +243,7 @@ def select_clue(pool_features, uncertainties, b: int, seed=0,
 
     rng = np.random.default_rng(seed)
     centroids = _kmeanspp_init(pool, weights, b, rng)
-    for _ in range(max_iter):
+    for _ in range(_CLUE_MAX_ITER):
         assign = cdist(pool, centroids).argmin(axis=1)
         new_centroids = centroids.copy()
         for j in range(b):

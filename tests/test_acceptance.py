@@ -7,6 +7,7 @@ stated wall-clock budgets.
 """
 
 import contextlib
+import functools
 import itertools
 import math
 import time
@@ -166,34 +167,28 @@ def test_criterion_4_label_shift_mitigation():
         assert time.time() - start < 30.0
 
 
+# criteria 5 and 6 compare two strategies on the same ten seeds
+STRATEGIES, SEEDS = ("subsample_topn", "random"), range(1, 11)
+
+
 def test_criterion_5_digits_analog_ordering():
     with criterion(5, "classification track: entropy+subsample beats random "
                       "on >= 8/10 seeds and bridges no later on average"):
         start = time.time()
-        spec = al.ClassificationExperimentSpec()  # calibrated defaults
-        train = TrainConfig(epochs=60, learning_rate=0.15, batch_size=32)
-        wins = 0
-        bridged = {"subsample_topn": [], "random": []}
-        for seed in range(1, 11):
-            metrics = {}
-            seed_start = None   # shared by both strategies
-            for strategy in ("subsample_topn", "random"):
-                datasets, oracle, learner = \
-                    al.build_classification_experiment(spec, seed)
-                cfg = al.ALRunConfig(
-                    iterations=20,
-                    selection=SelectionConfig(strategy=strategy, batch_size=20,
-                                              subsample_fraction=0.25),
-                    train=train)
-                seed_start = datasets.start = (
-                    seed_start or al.run_start(cfg, datasets, learner, oracle, seed))
-                curve = al.run_al(cfg, datasets, learner, oracle, seed)
-                report = al.gap_report(curve, level=0.95)
-                metrics[strategy] = report.mean_metric
-                bridged[strategy].append(
-                    report.bridged_fraction
-                    if report.bridged_fraction is not None else 1.0)
-            wins += metrics["subsample_topn"] >= metrics["random"]
+        cfg = al.ALRunConfig(
+            iterations=20,
+            selection=SelectionConfig(batch_size=20, subsample_fraction=0.25),
+            train=TrainConfig(epochs=60, learning_rate=0.15, batch_size=32))
+        build = functools.partial(al.build_classification_experiment,
+                                  al.ClassificationExperimentSpec())  # calibrated defaults
+        metrics, bridged = {}, {"subsample_topn": [], "random": []}
+        for strategy, seed, run in al.run_cells(cfg, build, STRATEGIES, SEEDS):
+            report = al.gap_report(run(), level=0.95)
+            metrics[strategy, seed] = report.mean_metric
+            bridged[strategy].append(
+                report.bridged_fraction
+                if report.bridged_fraction is not None else 1.0)
+        wins = sum(metrics["subsample_topn", s] >= metrics["random", s] for s in SEEDS)
         elapsed = time.time() - start
         print(f"  criterion 5 detail: wins {wins}/10, mean bridged "
               f"subsample={np.mean(bridged['subsample_topn']):.3f} "
@@ -207,30 +202,22 @@ def test_criterion_6_detection_analog_gap_bridging():
     with criterion(6, "detection track: avg+sum acquisition with subsampling "
                       "bridges 95% of the gap no later than random on >= 7/10 seeds"):
         start = time.time()
-        spec = al.DetectionExperimentSpec()  # calibrated defaults
-        bridged_no_later = 0
-        for seed in range(1, 11):
-            fractions = {}
-            seed_start = None   # shared by both strategies
-            for strategy in ("subsample_topn", "random"):
-                datasets, oracle, learner = \
-                    al.build_detection_experiment(spec, seed)
-                cfg = al.ALRunConfig(
-                    iterations=8,
-                    selection=SelectionConfig(strategy=strategy, batch_size=40,
-                                              subsample_fraction=0.5),
-                    acquisition=AcquisitionConfig(comb="sum", agg="avg"))
-                seed_start = datasets.start = (
-                    seed_start or al.run_start(cfg, datasets, learner, oracle, seed))
-                curve = al.run_al(cfg, datasets, learner, oracle, seed)
-                report = al.gap_report(curve, level=0.95)
-                fractions[strategy] = (report.bridged_fraction
-                                       if report.bridged_fraction is not None
-                                       else np.inf)
-            # strict reading: subsampling must itself bridge, no later than random
-            bridged_no_later += (fractions["subsample_topn"] < np.inf
-                                 and fractions["subsample_topn"]
-                                 <= fractions["random"])
+        cfg = al.ALRunConfig(
+            iterations=8,
+            selection=SelectionConfig(batch_size=40, subsample_fraction=0.5),
+            acquisition=AcquisitionConfig(comb="sum", agg="avg"))
+        build = functools.partial(al.build_detection_experiment,
+                                  al.DetectionExperimentSpec())  # calibrated defaults
+        fractions = {}
+        for strategy, seed, run in al.run_cells(cfg, build, STRATEGIES, SEEDS):
+            report = al.gap_report(run(), level=0.95)
+            fractions[strategy, seed] = (report.bridged_fraction
+                                         if report.bridged_fraction is not None
+                                         else np.inf)
+        # strict reading: subsampling must itself bridge, no later than random
+        bridged_no_later = sum(fractions["subsample_topn", s] < np.inf
+                               and fractions["subsample_topn", s] <= fractions["random", s]
+                               for s in SEEDS)
         elapsed = time.time() - start
         print(f"  criterion 6 detail: bridged-no-later on "
               f"{bridged_no_later}/10 seeds, {elapsed:.0f}s")

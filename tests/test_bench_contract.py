@@ -87,6 +87,10 @@ def test_sweep_calls_match_span_contract(tmp_path, capsys, workload, text):
     assert [key for key in before if after[key] is not before[key]] == []
     calls = tracer.totals()[0]
     assert spans.coverage_errors(workload, calls) == []
+    # the benchmark's cell clock starts a cell at its builder call, so
+    # each of the five cells builds once, runs once and is executed once
+    assert (calls["loop.build_experiment"] == calls["loop.run_al"]
+            == calls["cli.execute_run"] == 5)
     if workload == "cls-sweep":
         # one scoring call per topn, subsample_topn (whose TopN is a
         # select_topn call) or clue selection, never one per pool id

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from tests_support_reference import dense_image_text, reference_score_stdout
 
@@ -314,6 +314,24 @@ class TestConfigParsing:
         assert capsys.readouterr().err == "error: --seed: seed -1 is negative\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, value, named, message", [
+        ("dataset.width", "7", "'dataset.box_max' (not set, default 48.0)",
+         "box_max must be <= min(width, height)"),
+        ("dataset.objects_max", "0", "'dataset.objects_min' (not set, default 1)",
+         "objects_min must lie in [0, objects_max]"),
+    ])
+    def test_error_on_an_unset_key_says_so(self, tmp_path, capsys, key, value,
+                                           named, message):
+        """A rule that a set key breaks, but that names a key the file
+        does not set, says that key is not set and gives its default."""
+        cfg = write_cfg(tmp_path, SMALL_DET + f"{key} = {value}\n")
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {cfg}: {named}: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("key, value, kind", [
         ("loop.iterations", "soon", "int"), ("loop.level", "high", "float"),
         ("loop.replay", "maybe", "bool"), ("train.fine_tune", "2", "bool"),
@@ -403,6 +421,30 @@ class TestConfigFuzz:
             assert captured.out == ""
             assert re.fullmatch(f"error: {re.escape(str(cfg))}:{len(lines) + 1}: "
                                 f"[^\n]*{re.escape(repr(key))}[^\n]*\n", captured.err)
+            assert not out.exists()
+
+        rejected()
+
+    @pytest.mark.parametrize("track", cli.TRACKS)
+    @pytest.mark.parametrize("key", ["dataset.seed", "selection.seed"])
+    def test_negative_seed_key_is_one_error_line(self, tmp_path, capsys, track, key):
+        """A negative dataset or selection seed fails at load, anchored at
+        its key's line, and not in the middle of the first run."""
+        base = SMALL_CLS if track == "classification" else SMALL_DET
+        lines = [ln for ln in base.splitlines() if not ln.startswith(f"{key} =")]
+        cfg = tmp_path / "exp.cfg"
+        out = tmp_path / "out"
+
+        @settings(max_examples=6, deadline=None)
+        @given(value=st.integers(max_value=-1))
+        @example(value=-1)
+        def rejected(value):
+            cfg.write_text("\n".join([*lines, f"{key} = {value}"]) + "\n")
+            assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (f"error: {cfg}:{len(lines) + 1}: {key!r}: "
+                                    f"seed must be >= 0\n")
             assert not out.exists()
 
         rejected()
@@ -545,9 +587,9 @@ class TestCmdSweep:
         lone `run`."""
         given = []
 
-        def recording_run_al(cfg, datasets, learner, oracle, seed):
-            given.append((cfg.selection.strategy, seed, datasets.start))
-            return run_al(cfg, datasets, learner, oracle, seed)
+        def recording_run_al(cfg, datasets, learner, oracle, seed, start=None):
+            given.append((cfg.selection.strategy, seed, start))
+            return run_al(cfg, datasets, learner, oracle, seed, start)
 
         run_al = al.run_al
         monkeypatch.setattr(al, "run_al", recording_run_al)
@@ -632,7 +674,7 @@ class TestCmdReport:
                                                          "seeds = 4"))
         out = tmp_path / "run"
         excfg = cli.load_config(cfg_path)
-        curves = cli.execute_run(excfg, "subsample_topn", [4], out)
+        curves = cli.execute_run(excfg, cli._cells(excfg, ["subsample_topn"], [4]), out)
         in_process = al.gap_report(curves[0])
         manifest = al.read_manifest(out / "manifest.txt")
         csv_data = al.read_curve_csv(out / "curve.csv")

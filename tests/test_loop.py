@@ -2,6 +2,7 @@
 
 import collections
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from tests_support_reference import (Detection, assert_same_detections,
 from sim2real_al import loop as al
 from sim2real_al.acquisition import (AGG_MODES, COMB_MODES, AcquisitionConfig,
                                      score_image)
-from sim2real_al.learner import TrainConfig
+from sim2real_al.learner import MCDropoutClassifier, TrainConfig
 from sim2real_al.cli import TRACK_STRATEGIES
 from sim2real_al.sampling import SelectionConfig
 from sim2real_al.synthdata import (DetectionScene, DetectionSceneSpec,
@@ -432,6 +433,62 @@ class TestRunAlDetection:
                                                             iterations=1)
             curve = al.run_al(cfg, datasets, learner, oracle, seed=2)
             assert len(curve.selected_ids[0]) == 8
+
+
+class TestRunCells:
+    STRATEGIES, SEEDS = ("random", "topn", "coreset"), [3, 1]
+    TRACKS = {
+        "classification": (
+            al.ClassificationExperimentSpec(n_classes=4, dim=4, sim_size=60, pool_size=60,
+                                            test_size=60, hidden_dim=8),
+            al.build_classification_experiment,
+            al.ALRunConfig(iterations=2, selection=SelectionConfig(batch_size=5),
+                           train=TrainConfig(epochs=2))),
+        "detection": (
+            al.DetectionExperimentSpec(sim_scenes=10, pool_scenes=20, test_scenes=10),
+            al.build_detection_experiment,
+            al.ALRunConfig(iterations=2, selection=SelectionConfig(batch_size=4))),
+    }
+
+    @pytest.mark.parametrize("track", TRACKS)
+    def test_cells_share_one_start_per_seed(self, monkeypatch, track):
+        """Cells come strategy by strategy and build their experiment
+        once each; a seed's start (one sim fit and one reference fit, or
+        one with_sim) is computed once; each curve equals a lone run_al
+        that computes its own start."""
+        spec, build_experiment, cfg = self.TRACKS[track]
+        builds, counts = [], collections.Counter()
+        fit, with_sim = MCDropoutClassifier.fit, al.DetectionSurrogate.with_sim
+
+        def build(seed):
+            builds.append(seed)
+            return build_experiment(spec, seed)
+
+        def counting_fit(model, x, y, cfg):
+            counts["fresh_fits"] += not cfg.fine_tune
+            return fit(model, x, y, cfg)
+
+        def counting_with_sim(surrogate, scenes):
+            counts["with_sim"] += 1
+            return with_sim(surrogate, scenes)
+
+        monkeypatch.setattr(MCDropoutClassifier, "fit", counting_fit)
+        monkeypatch.setattr(al.DetectionSurrogate, "with_sim", counting_with_sim)
+        cells = list(al.run_cells(cfg, build, self.STRATEGIES, self.SEEDS))
+        order = [(s, n) for s in self.STRATEGIES for n in self.SEEDS]
+        assert [cell[:2] for cell in cells] == order
+        assert builds == []
+        curves = [run() for _, _, run in cells]
+        assert builds == [n for _, n in order]
+        n_seeds = len(self.SEEDS)
+        assert counts == ({"fresh_fits": 2 * n_seeds} if track == "classification"
+                          else {"with_sim": n_seeds})
+        monkeypatch.undo()
+        for (strategy, seed), curve in zip(order, curves):
+            datasets, oracle, learner = build_experiment(spec, seed)
+            cell_cfg = replace(cfg, selection=replace(cfg.selection, strategy=strategy))
+            assert curve.strategy == strategy
+            assert curve == al.run_al(cell_cfg, datasets, learner, oracle, seed, start=None)
 
 
 class TestBatchDetectionReference:
