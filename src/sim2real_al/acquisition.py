@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import xlogy
 
 COMB_MODES = ("sum", "max")
 AGG_MODES = ("max", "sum", "avg")
@@ -63,6 +62,14 @@ class ImageScore:
             raise ValueError("image score must be finite")
 
 
+def _xlogy(x, y) -> np.ndarray:
+    """x * log(y), 0 where x == 0, by scipy's xlogy (loop.run_cells loads
+    it before a run's first cell)."""
+    # scipy.special takes ~0.2 s to load, and only the entropy scores call it
+    from scipy.special import xlogy
+    return xlogy(x, y)
+
+
 def _raise_first_failure(checks) -> None:
     """Raise the ValueError a loop over rows would raise first.
 
@@ -83,7 +90,7 @@ def _bernoulli_entropies(probs: np.ndarray):
     entry order.
     """
     out_of_range = ((probs < 0) | (probs > 1)).any(axis=1)
-    terms = xlogy(probs, probs) + xlogy(1.0 - probs, 1.0 - probs)
+    terms = _xlogy(probs, probs) + _xlogy(1.0 - probs, 1.0 - probs)
     entropies = -np.array([math.fsum(row) for row in terms.tolist()])
     return entropies, [("class scores must lie in [0, 1]", out_of_range)]
 
@@ -162,7 +169,7 @@ def categorical_entropy(probs):
                           (f"probabilities must sum to 1, got {got!r}", off_sum),
                           # NaN passes both checks above
                           ("probabilities must be finite", ~np.isfinite(rows).all(axis=1))])
-    entropies = -np.array([math.fsum(row) for row in xlogy(rows, rows).tolist()])
+    entropies = -np.array([math.fsum(row) for row in _xlogy(rows, rows).tolist()])
     return float(entropies[0]) if p.ndim == 1 else entropies
 
 

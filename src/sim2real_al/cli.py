@@ -32,6 +32,8 @@ from pathlib import Path
 
 import numpy as np
 
+# cmd_score calls through the modules, where perfbench's tracer patches them
+from . import acquisition, fusion
 from . import loop as al
 from .acquisition import AcquisitionConfig
 from .learner import TrainConfig
@@ -467,13 +469,11 @@ def cmd_report(args) -> int:
 
 
 def cmd_score(args) -> int:
-    from .acquisition import score_image
-    from .fusion import Anchors, bayesod_inference, read_anchor_records
     if not 0.0 <= args.iou_threshold <= 1.0:
         raise ConfigError(f"--iou-threshold must lie in [0, 1], "
                           f"got {args.iou_threshold!r}")
     try:
-        records = read_anchor_records(args.anchors)
+        records = fusion.read_anchor_records(args.anchors)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read anchor records: {exc}") from None
     try:
@@ -492,9 +492,10 @@ def cmd_score(args) -> int:
         with np.errstate(over="raise"):
             for batch in batches.values():
                 ids, parts = zip(*batch)
-                detections = bayesod_inference(Anchors.concatenate(parts),
-                                               args.iou_threshold, args.cls_bayesian)
-                scores += score_image(detections, acq_cfg, ids)
+                detections = fusion.bayesod_inference(fusion.Anchors.concatenate(parts),
+                                                      args.iou_threshold,
+                                                      args.cls_bayesian)
+                scores += acquisition.score_image(detections, acq_cfg, ids)
         return scores
 
     try:

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import __version__
 from . import acquisition as acq
 from . import sampling
 from .fusion import Detections, bayesod_inference, iou_matrix
@@ -414,12 +415,23 @@ def _track(cfg: ALRunConfig, datasets, seed: int):
     raise TypeError(f"unsupported dataset bundle {type(datasets).__name__}")
 
 
+# strategies whose selection calls scipy: xlogy in the entropy scores
+# (topn, subsample_topn, clue) and cdist in coreset and clue.  Both
+# modules load at first use, since they cost ~0.5 s beyond numpy.
+_SCIPY_STRATEGIES = frozenset({"topn", "subsample_topn", "coreset", "clue"})
+
+
 def run_cells(cfg: ALRunConfig, build, strategies, seeds):
     """Yields each (strategy, seed, run) cell, strategy by strategy;
     run() builds the seed's experiment with build(seed) and returns the
     cell's curve.  The first cell of a seed to run computes its RunStart
     and the seed's later cells share it, so each curve equals a lone
-    run_al's."""
+    run_al's.  When a strategy's selection calls scipy, scipy.special
+    and scipy.spatial load before the first cell, so that no cell's
+    first batch waits for an import."""
+    if _SCIPY_STRATEGIES.intersection(strategies):
+        import scipy.spatial.distance  # noqa: F401  (see _SCIPY_STRATEGIES)
+        import scipy.special  # noqa: F401
     starts: dict[int, RunStart] = {}
 
     def run(cell_cfg, seed):
@@ -871,9 +883,8 @@ def manifest_text(config_items: dict, curves) -> str:
     Deliberately free of timestamps and filesystem paths so that
     reruns of the same (config, seed) are byte-identical.
     """
-    import scipy
+    import scipy  # ~20 ms, and only a manifest needs its version
 
-    from . import __version__
     lines = ["manifest_version = 1",
              f"package_version = {__version__}",
              f"numpy_version = {np.__version__}",

@@ -16,7 +16,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 STRATEGIES = ("random", "topn", "subsample_topn", "coreset", "batchbald", "clue")
 
@@ -111,22 +110,30 @@ def select_coreset(pool_features, labeled_features, b: int) -> list[int]:
         labeled = np.atleast_2d(labeled)
         if labeled.shape[1] != pool.shape[1]:
             raise ValueError("pool and labeled feature dimensions differ")
-        min_dist = cdist(pool, labeled).min(axis=1)
+        min_dist = _cdist(pool, labeled).min(axis=1)
     else:
         # no covered points yet: first pick is farthest from the pool centroid
         centroid = pool.mean(axis=0, keepdims=True)
-        first = int(np.argmax(cdist(pool, centroid)[:, 0]))
+        first = int(np.argmax(_cdist(pool, centroid)[:, 0]))
         picked.append(first)
-        min_dist = cdist(pool, pool[first:first + 1])[:, 0]
+        min_dist = _cdist(pool, pool[first:first + 1])[:, 0]
         min_dist[first] = -np.inf
 
     while len(picked) < b:
         idx = int(np.argmax(min_dist))  # first max = smallest id on ties
         picked.append(idx)
-        dist_new = cdist(pool, pool[idx:idx + 1])[:, 0]
+        dist_new = _cdist(pool, pool[idx:idx + 1])[:, 0]
         min_dist = np.minimum(min_dist, dist_new)
         min_dist[idx] = -np.inf
     return picked
+
+
+def _cdist(xa, xb) -> np.ndarray:
+    """Euclidean distances between the rows of xa and of xb, by scipy's
+    cdist (loop.run_cells loads it before a run's first cell)."""
+    # scipy.spatial takes ~0.3 s to load, and only coreset and clue call it
+    from scipy.spatial.distance import cdist
+    return cdist(xa, xb)
 
 
 def _entropy(p: np.ndarray) -> np.ndarray:
@@ -244,7 +251,7 @@ def select_clue(pool_features, uncertainties, b: int, seed=0) -> list[int]:
     rng = np.random.default_rng(seed)
     centroids = _kmeanspp_init(pool, weights, b, rng)
     for _ in range(_CLUE_MAX_ITER):
-        assign = cdist(pool, centroids).argmin(axis=1)
+        assign = _cdist(pool, centroids).argmin(axis=1)
         new_centroids = centroids.copy()
         for j in range(b):
             mask = assign == j
@@ -263,7 +270,7 @@ def select_clue(pool_features, uncertainties, b: int, seed=0) -> list[int]:
     picked: list[int] = []
     taken = np.zeros(n, dtype=bool)
     for j in range(b):
-        dist = cdist(pool, centroids[j:j + 1])[:, 0]
+        dist = _cdist(pool, centroids[j:j + 1])[:, 0]
         dist[taken] = np.inf
         idx = int(np.argmin(dist))
         picked.append(idx)
@@ -278,7 +285,7 @@ def _kmeanspp_init(pool, weights, k, rng):
     p = weights / weights.sum()
     first = rng.choice(n, p=p)
     centroids[0] = pool[first]
-    min_sq = cdist(pool, centroids[0:1])[:, 0] ** 2
+    min_sq = _cdist(pool, centroids[0:1])[:, 0] ** 2
     for j in range(1, k):
         mass = weights * min_sq
         total = mass.sum()
@@ -288,5 +295,5 @@ def _kmeanspp_init(pool, weights, k, rng):
         else:
             idx = rng.choice(n, p=mass / total)
         centroids[j] = pool[idx]
-        min_sq = np.minimum(min_sq, cdist(pool, centroids[j:j + 1])[:, 0] ** 2)
+        min_sq = np.minimum(min_sq, _cdist(pool, centroids[j:j + 1])[:, 0] ** 2)
     return centroids

@@ -4,17 +4,20 @@ perfbench/spans.py wraps the package's layer boundaries by name and
 predicts, per workload, which of them a run calls (spans.COVERAGE).  A
 refactor that renames, moves or bypasses one of those names makes a
 traced benchmark run report `correct: false`.  These tests catch that
-without a benchmark run: a tiny classification sweep and a tiny
-detection sweep run under the tracer, every name the tracer patches
-must exist, the calls must match the cls-sweep and det-sweep
-predictions, and uninstalling the tracer must restore the originals.
+without a benchmark run: a tiny classification sweep, a tiny
+detection sweep and a small `score` run under the tracer, every name
+the tracer patches must exist, the calls must match the cls-sweep,
+det-sweep and det-score predictions, and uninstalling the tracer must
+restore the originals.
 """
 
 import sys
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
+from tests_support_reference import dense_image_text
 
 from sim2real_al import acquisition, cli, fusion, learner, loop, sampling
 
@@ -109,3 +112,20 @@ def test_sweep_calls_match_span_contract(tmp_path, capsys, workload, text):
         for name in ("synthdata.synth_detector_outputs", "fusion.bayesod_inference",
                      "fusion.cluster_anchors", "fusion.fuse_gaussian"):
             assert calls[name] == batches, name
+
+
+def test_score_calls_match_span_contract(tmp_path, capsys):
+    """`score` calls the reader, fusion and scoring through their home
+    modules, where the tracer patches them."""
+    rng = np.random.default_rng(3)
+    path = tmp_path / "anchors.txt"
+    path.write_text("".join(dense_image_text(rng, f"img{i}") for i in range(3)))
+    tracer = spans.Tracer()
+    tracer.install(PKG)
+    try:
+        assert tracer.missing == []
+        assert cli.main(["score", "--anchors", str(path)]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert spans.coverage_errors("det-score", tracer.totals()[0]) == []

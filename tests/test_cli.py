@@ -94,6 +94,29 @@ def write_cfg(tmp_path, text, name="exp.cfg"):
     return str(path)
 
 
+# tokens of the text formats, so that damage also makes near-valid lines
+_TOKENS = st.sampled_from([b"\n", b" ", b"\t", b",", b" = ", b"#", b"image ", b"0",
+                           b"-1", b"1e400", b"nan", b"run.1.", b"\xff", b"\xc3"])
+
+
+@st.composite
+def damaged(draw, data: bytes) -> bytes:
+    """data after one to three byte-level edits: a truncation, a flipped
+    byte, inserted bytes (non-UTF-8 included) or a deleted run."""
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(data)))
+        edit = draw(st.sampled_from(["truncate", "flip", "insert", "delete"]))
+        if edit == "truncate":
+            data = data[:at]
+        elif edit == "insert":
+            data = data[:at] + draw(st.binary(min_size=1, max_size=8) | _TOKENS) + data[at:]
+        elif edit == "delete":
+            data = data[:at] + data[at + draw(st.integers(1, 16)):]
+        elif at < len(data):
+            data = data[:at] + bytes([data[at] ^ draw(st.integers(1, 255))]) + data[at + 1:]
+    return data
+
+
 class TestConfigParsing:
     def test_small_config_loads(self, tmp_path):
         excfg = cli.load_config(write_cfg(tmp_path, SMALL_CLS))
@@ -752,6 +775,39 @@ class TestCmdReport:
         assert cli.main(["report", str(bad)]) == 2
         assert capsys.readouterr().err.endswith("error: no readable run directories\n")
 
+    def test_damaged_artifacts_are_0_or_one_error_line(self, tmp_path, capsys):
+        """Byte-level damage to a run's curve.csv, its manifest.txt or
+        both never makes `report` raise: it returns 0, or 2 with one
+        `error:` line and nothing on stdout."""
+        good = tmp_path / "good"
+        assert cli.main(["run", "--config", write_cfg(tmp_path, TINY_CLS_SWEEP),
+                         "--strategy", "random", "--out", str(good)]) == 0
+        files = {name: (good / name).read_bytes() for name in ("curve.csv", "manifest.txt")}
+        bad = tmp_path / "bad"
+        bad.mkdir()
+        capsys.readouterr()
+
+        @settings(max_examples=150, deadline=None)
+        @given(data=st.data())
+        def survives(data):
+            hit = data.draw(st.sampled_from([["curve.csv"], ["manifest.txt"],
+                                             ["curve.csv", "manifest.txt"]]))
+            for name, text in files.items():
+                (bad / name).write_bytes(data.draw(damaged(text)) if name in hit
+                                         else text)
+            rc = cli.main(["report", str(bad)])
+            captured = capsys.readouterr()
+            errors = [ln for ln in captured.err.splitlines() if ln.startswith("error:")]
+            if rc == 0:
+                assert captured.out.startswith("group 1 (")
+                assert errors == []
+            else:
+                assert rc == 2
+                assert captured.out == ""
+                assert errors == ["error: no readable run directories"]
+
+        survives()
+
     def test_not_bridged_rendered_as_greater_than(self, tmp_path, capsys):
         curve = al.LearningCurve(
             points=[al.CurvePoint(0, 0, 0.0, 0.5, 0.0),
@@ -869,6 +925,32 @@ class TestCmdScore:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: image early: overflow")
+
+    def test_damaged_file_is_0_or_one_error_line(self, tmp_path, capsys):
+        """Byte-level damage to an interchange file never makes `score`
+        raise: it returns 0 with the CSV on stdout, or 2 with exactly one
+        `error:` line on stderr and nothing on stdout."""
+        rng = np.random.default_rng(5)
+        text = "# dump\n" + "".join(
+            dense_image_text(rng, f"img{i}", n_objects=(0, 2), anchors_per_object=2,
+                             t=2, loose=bool(i % 2)) for i in range(3))
+        path = tmp_path / "anchors.txt"
+
+        @settings(max_examples=200, deadline=None)
+        @given(data=damaged(text.encode()))
+        def survives(data):
+            path.write_bytes(data)
+            rc = cli.main(["score", "--anchors", str(path)])
+            captured = capsys.readouterr()
+            if rc == 0:
+                assert captured.out.startswith("image_id,score,n_detections\n")
+                assert captured.err == ""
+            else:
+                assert rc == 2
+                assert captured.out == ""
+                assert re.fullmatch(r"error: [^\n]*\n", captured.err)
+
+        survives()
 
     def test_score_overflow_is_one_error_line(self, tmp_path):
         # finite boxes whose areas overflow: stderr carries no numpy warnings
