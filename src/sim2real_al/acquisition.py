@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .rules import check, checked, finite, finite_nonneg, one_of
+
 COMB_MODES = ("sum", "max")
 AGG_MODES = ("max", "sum", "avg")
 
@@ -32,23 +34,13 @@ class AcquisitionConfig:
     empty_image_score.
     """
 
-    comb: str = "sum"
-    agg: str = "avg"
-    w_cls: float = 1.0
-    w_reg: float = 0.01
-    empty_image_score: float = 0.0
+    comb: str = checked("sum", one_of(COMB_MODES))
+    agg: str = checked("avg", one_of(AGG_MODES))
+    w_cls: float = checked(1.0, finite_nonneg)
+    w_reg: float = checked(0.01, finite_nonneg)
+    empty_image_score: float = checked(0.0, finite)
 
-    def __post_init__(self):
-        if self.comb not in COMB_MODES:
-            raise ValueError(f"comb must be one of {COMB_MODES}, got {self.comb!r}")
-        if self.agg not in AGG_MODES:
-            raise ValueError(f"agg must be one of {AGG_MODES}, got {self.agg!r}")
-        if not (np.isfinite(self.w_cls) and self.w_cls >= 0):
-            raise ValueError("w_cls must be finite and >= 0")
-        if not (np.isfinite(self.w_reg) and self.w_reg >= 0):
-            raise ValueError("w_reg must be finite and >= 0")
-        if not np.isfinite(self.empty_image_score):
-            raise ValueError("empty_image_score must be finite")
+    __post_init__ = check
 
 
 @dataclass(frozen=True)

@@ -37,6 +37,7 @@ from . import acquisition, fusion
 from . import loop as al
 from .acquisition import AcquisitionConfig
 from .learner import TrainConfig
+from .rules import RuleError
 from .sampling import STRATEGIES, SelectionConfig
 
 OUTPUT_ROOT_ENV = "SIM2REAL_AL_OUTPUT_ROOT"
@@ -253,18 +254,15 @@ def build_experiment_config(raw: dict, path: str, track_override: str = None,
         _check_strategies(strategy_flag, track, "--strategy")
 
     def built(section, **fixed):
-        """The dataclass of a section from the values of its keys.  The
-        rules live in its __post_init__, whose ValueError starts with
-        the failing parameter's name (or with its full key, for a value
-        of another section); it is re-raised at that key's line."""
+        """The dataclass of a section from the values of its keys.  Its
+        rules (see rules.py) raise a RuleError whose `field` names the
+        failing field, or the full key of a nested section's field such
+        as `surrogate.kappa`; it is re-raised at that key's line."""
         cls, exposed = _section_fields(section, track)
         try:
             return cls(**{n: values[f"{section}.{n}"] for n in exposed}, **fixed)
-        except ValueError as exc:
-            name = str(exc).split()[0]
-            key = name if "." in name else f"{section}.{name}"
-            if key not in values:
-                raise ConfigError(f"{path}: {section}: {exc}") from None
+        except RuleError as exc:
+            key = exc.field if "." in exc.field else f"{section}.{exc.field}"
             where = (f"{path}:{raw[key][1]}: {key!r}" if key in raw
                      else f"{path}: {key!r} (not set, default {values[key]})")
             raise ConfigError(f"{where}: {exc}") from None

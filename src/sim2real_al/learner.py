@@ -16,22 +16,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .rules import at_least, check, checked, finite
+
 
 @dataclass
 class TrainConfig:
-    epochs: int = 60
-    learning_rate: float = 0.15
-    batch_size: int = 32
+    epochs: int = checked(60, at_least(1))
+    learning_rate: float = checked(0.15, finite)
+    batch_size: int = checked(32, at_least(1))
     seed: int = 0
     fine_tune: bool = True
 
-    def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if not np.isfinite(self.learning_rate):
-            raise ValueError("learning_rate must be finite")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+    __post_init__ = check
 
 
 class MCDropoutClassifier:

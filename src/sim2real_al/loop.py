@@ -24,6 +24,8 @@ from . import acquisition as acq
 from . import sampling
 from .fusion import Detections, bayesod_inference, iou_matrix
 from .learner import MCDropoutClassifier, TrainConfig
+from .rules import (RuleError, at_least, check, checked, finite, finite_nonneg,
+                    finite_positive, in_interval, positive)
 from .synthdata import (ClassificationDomainSpec, DetectionScene,
                         DetectionSceneSpec, generate_classification,
                         generate_detection_scenes, grid_class_means,
@@ -44,28 +46,21 @@ def _stream_seed(run_seed: int, stream: int, iteration: int = 0,
 
 @dataclass
 class ALRunConfig:
-    iterations: int = 10
+    iterations: int = checked(10, at_least(0))
     selection: sampling.SelectionConfig = field(default_factory=sampling.SelectionConfig)
     acquisition: acq.AcquisitionConfig = field(default_factory=acq.AcquisitionConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
-    level: float = 0.95            # gap fraction considered "bridged"
+    level: float = checked(0.95, in_interval(0, 1, "(]"))  # bridged gap fraction
     replay: bool = True            # fine-tune on sim + all labeled real
-    mc_passes: int = 10            # T predictive samples (batchbald scoring)
-    iou_threshold: float = 0.5     # detection clustering + matching
+    mc_passes: int = checked(10, at_least(1))  # T predictive samples (batchbald scoring)
+    iou_threshold: float = checked(0.5, in_interval(0, 1, "[]"))  # clustering, matching
     cls_bayesian: bool = False
 
     def __post_init__(self):
-        if self.iterations < 0:
-            raise ValueError("iterations must be >= 0")
-        if not (0.0 < self.level <= 1.0):
-            raise ValueError("level must lie in (0, 1]")
-        if self.mc_passes < 1:
-            raise ValueError("mc_passes must be >= 1")
+        check(self)
         if self.selection.strategy == "batchbald" and self.mc_passes < 2:
-            raise ValueError("mc_passes must be >= 2 for batchbald, whose "
-                             "mutual information needs two samples")
-        if not (0.0 <= self.iou_threshold <= 1.0):
-            raise ValueError("iou_threshold must lie in [0, 1]")
+            raise RuleError("mc_passes", "mc_passes must be >= 2 for batchbald, "
+                            "whose mutual information needs two samples")
 
 
 @dataclass
@@ -327,8 +322,8 @@ class SurrogateParams:
     weak (s=0) to its strong (s=1) end.
     """
 
-    kappa: float = 40.0
-    sim_weight: float = 0.15
+    kappa: float = checked(40.0, finite_positive)
+    sim_weight: float = checked(0.15, finite, at_least(0))
     true_logit_weak: float = 0.3
     true_logit_strong: float = 3.0
     sigma_box_weak: float = 6.0
@@ -695,42 +690,23 @@ class ClassificationExperimentSpec:
     uncertainty selection must find.
     """
 
-    n_classes: int = 8
+    n_classes: int = checked(8, at_least(1))
     dim: int = 8
-    sim_size: int = 500
-    pool_size: int = 2000
-    test_size: int = 1000
-    class_separation: float = 4.0
-    cov_scale: float = 1.0
-    mean_shift: float = 5.5      # translation magnitude (covariate shift)
-    label_skew: float = 2.5      # power-law pool priors (label shift)
-    hidden_dim: int = 64
-    dropout_rate: float = 0.1
-    seed: int = 100              # dataset stream base, mixed with the run seed
+    sim_size: int = checked(500, at_least(1))
+    pool_size: int = checked(2000, at_least(1))
+    test_size: int = checked(1000, at_least(1))
+    class_separation: float = checked(4.0, finite)
+    cov_scale: float = checked(1.0, finite_positive)
+    mean_shift: float = checked(5.5, finite)    # translation magnitude (covariate shift)
+    label_skew: float = checked(2.5, finite_nonneg)  # power-law pool priors (label shift)
+    hidden_dim: int = checked(64, at_least(1))
+    dropout_rate: float = checked(0.1, in_interval(0, 1, "[)"))
+    seed: int = checked(100, at_least(0))  # dataset stream base, mixed with the run seed
 
     def __post_init__(self):
-        if self.n_classes < 1:
-            raise ValueError("n_classes must be >= 1")
+        check(self)
         if self.dim < self.n_classes:
-            raise ValueError("dim must be >= n_classes")
-        for name in ("sim_size", "pool_size", "test_size", "hidden_dim"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if not (0.0 <= self.dropout_rate < 1.0):
-            raise ValueError("dropout_rate must lie in [0, 1)")
-        for name in ("class_separation", "mean_shift"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if not (np.isfinite(self.cov_scale) and self.cov_scale > 0):
-            raise ValueError("cov_scale must be finite and > 0")
-        _check_skew_and_seed(self)
-
-
-def _check_skew_and_seed(spec) -> None:
-    if not (np.isfinite(spec.label_skew) and spec.label_skew >= 0):
-        raise ValueError("label_skew must be finite and >= 0")
-    if spec.seed < 0:
-        raise ValueError("seed must be >= 0")
+            raise RuleError("dim", "dim must be >= n_classes")
 
 
 def build_classification_experiment(spec: ClassificationExperimentSpec,
@@ -769,48 +745,30 @@ def build_classification_experiment(spec: ClassificationExperimentSpec,
 class DetectionExperimentSpec:
     """Detection-analog track: synthetic scenes plus the skill surrogate."""
 
-    n_classes: int = 3
-    width: float = 128.0
-    height: float = 128.0
+    n_classes: int = checked(3, at_least(1))
+    width: float = checked(128.0, finite_positive)
+    height: float = checked(128.0, finite_positive)
     objects_min: int = 1
-    objects_max: int = 3
+    objects_max: int = checked(3, at_least(0))
     box_min: float = 24.0
-    box_max: float = 48.0
-    anchors_per_object: int = 3
-    mc_samples: int = 10
-    sim_scenes: int = 100
-    pool_scenes: int = 400
-    test_scenes: int = 160
-    label_skew: float = 1.5
-    surrogate: SurrogateParams = field(default_factory=SurrogateParams)
-    seed: int = 100
+    box_max: float = checked(48.0, positive)
+    anchors_per_object: int = checked(3, at_least(1))
+    mc_samples: int = checked(10, at_least(1))
+    sim_scenes: int = checked(100, at_least(1))
+    pool_scenes: int = checked(400, at_least(1))
+    test_scenes: int = checked(160, at_least(1))
+    label_skew: float = checked(1.5, finite_nonneg)
+    surrogate: SurrogateParams = field(default_factory=SurrogateParams, metadata={"nested": True})
+    seed: int = checked(100, at_least(0))
 
     def __post_init__(self):
-        if self.n_classes < 1:
-            raise ValueError("n_classes must be >= 1")
-        for name in ("width", "height"):
-            if not (np.isfinite(getattr(self, name)) and getattr(self, name) > 0):
-                raise ValueError(f"{name} must be finite and > 0")
+        check(self)
         if not (0 <= self.objects_min <= self.objects_max):
-            raise ValueError("objects_min must lie in [0, objects_max]")
-        # box_max first, so that a non-finite box_max is named as such
-        if not self.box_max > 0:
-            raise ValueError("box_max must be > 0")
+            raise RuleError("objects_min", "objects_min must lie in [0, objects_max]")
         if not self.box_max <= min(self.width, self.height):
-            raise ValueError("box_max must be <= min(width, height)")
+            raise RuleError("box_max", "box_max must be <= min(width, height)")
         if not (0 < self.box_min <= self.box_max):
-            raise ValueError("box_min must lie in (0, box_max]")
-        for name in ("anchors_per_object", "mc_samples", "sim_scenes",
-                     "pool_scenes", "test_scenes"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        _check_skew_and_seed(self)
-        if not (np.isfinite(self.surrogate.kappa) and self.surrogate.kappa > 0):
-            raise ValueError("surrogate.kappa must be finite and > 0")
-        if not np.isfinite(self.surrogate.sim_weight):
-            raise ValueError("surrogate.sim_weight must be finite")
-        if self.surrogate.sim_weight < 0:
-            raise ValueError("surrogate.sim_weight must be >= 0")
+            raise RuleError("box_min", "box_min must lie in (0, box_max]")
 
 
 def build_detection_experiment(spec: DetectionExperimentSpec, run_seed: int):

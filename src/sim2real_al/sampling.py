@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .rules import at_least, check, checked, in_interval, one_of
+
 STRATEGIES = ("random", "topn", "subsample_topn", "coreset", "batchbald", "clue")
 
 _CLUE_MAX_ITER = 50   # weighted k-means rounds of select_clue
@@ -24,24 +26,14 @@ _CLUE_MAX_ITER = 50   # weighted k-means rounds of select_clue
 
 @dataclass
 class SelectionConfig:
-    strategy: str = "subsample_topn"
-    batch_size: int = 20
-    subsample_fraction: float = 0.5
-    mc_count: int = 100
-    seed: int = 0        # extra entropy mixed into selection draws
+    strategy: str = checked("subsample_topn", one_of(
+        STRATEGIES, f"unknown strategy {{value!r}}; expected one of {STRATEGIES}"))
+    batch_size: int = checked(20, at_least(1))
+    subsample_fraction: float = checked(0.5, in_interval(0, 1, "(]"))
+    mc_count: int = checked(100, at_least(1))
+    seed: int = checked(0, at_least(0))   # extra entropy mixed into selection draws
 
-    def __post_init__(self):
-        if self.strategy not in STRATEGIES:
-            raise ValueError(f"unknown strategy {self.strategy!r}; "
-                             f"expected one of {STRATEGIES}")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if not (0.0 < self.subsample_fraction <= 1.0):
-            raise ValueError("subsample_fraction must lie in (0, 1]")
-        if self.mc_count < 1:
-            raise ValueError("mc_count must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+    __post_init__ = check
 
 
 def select_random(pool_ids, b: int, seed) -> list:

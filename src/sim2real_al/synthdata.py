@@ -27,6 +27,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fusion import Anchors
+from .rules import at_least, check, checked, finite_positive
+
+
+def _class_priors(priors, n_classes: int) -> np.ndarray:
+    """priors as n_classes floats >= 0 that sum to 1; uniform for None."""
+    if priors is None:
+        return np.full(n_classes, 1.0 / n_classes)
+    priors = np.asarray(priors, dtype=float)
+    if priors.shape != (n_classes,) or not np.all(priors >= 0):
+        raise ValueError("class_priors must be n_classes values >= 0")
+    if abs(priors.sum() - 1.0) > 1e-9:
+        raise ValueError("class_priors must sum to 1")
+    return priors
 
 
 @dataclass
@@ -34,19 +47,13 @@ class ClassificationDomainSpec:
     """A Gaussian-mixture domain: one isotropic blob per class."""
 
     class_means: np.ndarray          # (C, d)
-    cov_scale: float = 1.0
+    cov_scale: float = checked(1.0, finite_positive)
     class_priors: np.ndarray = None  # uniform when omitted
 
     def __post_init__(self):
         self.class_means = np.atleast_2d(np.asarray(self.class_means, dtype=float))
-        if self.cov_scale <= 0:
-            raise ValueError("cov_scale must be > 0")
-        c = self.class_means.shape[0]
-        if self.class_priors is None:
-            self.class_priors = np.full(c, 1.0 / c)
-        self.class_priors = np.asarray(self.class_priors, dtype=float)
-        if abs(self.class_priors.sum() - 1.0) > 1e-9:
-            raise ValueError("class_priors must sum to 1")
+        check(self)
+        self.class_priors = _class_priors(self.class_priors, self.class_means.shape[0])
 
     @property
     def n_classes(self) -> int:
@@ -130,9 +137,9 @@ class DetectionSceneSpec:
     sim-to-real surrogate uses this to model per-class skill).
     """
 
-    width: float = 128.0
-    height: float = 128.0
-    n_classes: int = 3
+    width: float = checked(128.0, finite_positive)
+    height: float = checked(128.0, finite_positive)
+    n_classes: int = checked(3, at_least(1))
     objects_per_scene: tuple[int, int] = (1, 3)
     class_priors: np.ndarray = None
     box_size_range: tuple[float, float] = (24.0, 48.0)
@@ -141,25 +148,18 @@ class DetectionSceneSpec:
     true_logit: object = 2.0         # scalar or (C,) true-class logit mean
     off_logit: float = -4.0          # off-class logit mean (kept negative)
     miss_prob: object = 0.0          # scalar or (C,) chance an object yields no anchors
-    anchors_per_object: int = 3
-    mc_samples: int = 10
+    anchors_per_object: int = checked(3, at_least(1))
+    mc_samples: int = checked(10, at_least(1))
 
     def __post_init__(self):
-        if self.class_priors is None:
-            self.class_priors = np.full(self.n_classes, 1.0 / self.n_classes)
-        self.class_priors = np.asarray(self.class_priors, dtype=float)
-        if self.class_priors.shape != (self.n_classes,) or not np.all(self.class_priors >= 0):
-            raise ValueError("class_priors must be n_classes values >= 0")
-        if abs(self.class_priors.sum() - 1.0) > 1e-9:
-            raise ValueError("class_priors must sum to 1")
+        check(self)
+        self.class_priors = _class_priors(self.class_priors, self.n_classes)
         lo, hi = self.objects_per_scene
         if lo < 0 or hi < lo:
             raise ValueError("invalid objects_per_scene range")
-        if self.anchors_per_object < 1 or self.mc_samples < 1:
-            raise ValueError("need anchors_per_object >= 1 and mc_samples >= 1")
         smin, smax = self.box_size_range
-        if not np.all(np.isfinite([self.width, self.height, smin, smax])):
-            raise ValueError("scene extent and box_size_range must be finite")
+        if not np.all(np.isfinite([smin, smax])):
+            raise ValueError("box_size_range must be finite")
         if smin <= 0 or smax < smin:
             raise ValueError("invalid box_size_range")
         if smax > self.width or smax > self.height:

@@ -1,0 +1,268 @@
+"""Declared value rules: the library's error contract, an out-of-range
+config property derived from the rule table, and byte damage to config
+files under `run`."""
+
+import itertools
+import math
+import re
+from dataclasses import fields
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_cli import SMALL_CLS, SMALL_DET, damaged
+
+from sim2real_al import cli
+from sim2real_al import loop as al
+from sim2real_al.acquisition import AcquisitionConfig
+from sim2real_al.learner import TrainConfig
+from sim2real_al.rules import RuleError
+from sim2real_al.sampling import SelectionConfig
+from sim2real_al.synthdata import ClassificationDomainSpec, DetectionSceneSpec
+
+BASES = {"classification": SMALL_CLS, "detection": SMALL_DET}
+
+# the classes whose fields carry rules, each with a constructor that
+# fills any field without a default
+CHECKED = {
+    AcquisitionConfig: AcquisitionConfig,
+    TrainConfig: TrainConfig,
+    SelectionConfig: SelectionConfig,
+    al.ALRunConfig: al.ALRunConfig,
+    al.ClassificationExperimentSpec: al.ClassificationExperimentSpec,
+    al.DetectionExperimentSpec: al.DetectionExperimentSpec,
+    # SurrogateParams alone is permissive: its rules are checked as
+    # `surrogate.<field>` by the detection spec that holds it
+    al.SurrogateParams: lambda **kw: al.DetectionExperimentSpec(
+        surrogate=al.SurrogateParams(**kw)),
+    ClassificationDomainSpec: lambda **kw: ClassificationDomainSpec(
+        class_means=np.eye(2), **kw),
+    DetectionSceneSpec: DetectionSceneSpec,
+}
+NESTED = {f.name for f in fields(al.DetectionExperimentSpec) if f.metadata.get("nested")}
+
+# the rules that compare two fields: a value breaking only that rule,
+# the section and field it blames, and its message
+CROSS_FIELD = [
+    (lambda: al.ClassificationExperimentSpec(n_classes=4, dim=3), "dataset.dim",
+     "dim must be >= n_classes"),
+    (lambda: al.DetectionExperimentSpec(objects_min=4), "dataset.objects_min",
+     "objects_min must lie in [0, objects_max]"),
+    (lambda: al.DetectionExperimentSpec(width=40.0), "dataset.box_max",
+     "box_max must be <= min(width, height)"),
+    (lambda: al.DetectionExperimentSpec(box_min=60.0), "dataset.box_min",
+     "box_min must lie in (0, box_max]"),
+    (lambda: al.ALRunConfig(selection=SelectionConfig(strategy="batchbald"), mc_passes=1),
+     "loop.mc_passes",
+     "mc_passes must be >= 2 for batchbald, whose mutual information needs two samples"),
+]
+CROSS_BLAMED = {key for _, key, _ in CROSS_FIELD}
+
+
+def rules_of(cls) -> list:
+    return [(f.name, rule) for f in fields(cls) for rule in f.metadata.get("rules", ())]
+
+
+# rule kind -> (*rule args) -> one value outside the rule
+ONE_BAD_VALUE = {
+    "at_least": lambda n: n - 1,
+    "positive": lambda: 0,
+    "finite": lambda: math.nan,
+    "finite_positive": lambda: 0.0,
+    "finite_nonneg": lambda: -1.0,
+    "in_interval": lambda lo, hi, ends: hi + 1,
+    "one_of": lambda options: "wobble",
+}
+
+
+SINGLE_FIELD = [(cls, name, rule) for cls in CHECKED for name, rule in rules_of(cls)]
+
+
+class TestErrorContract:
+    @pytest.mark.parametrize("cls, name, rule", SINGLE_FIELD,
+                             ids=[f"{c.__name__}.{n}-{r.kind}" for c, n, r in SINGLE_FIELD])
+    def test_single_field_rule_names_its_field(self, cls, name, rule):
+        """A value outside one field's rule raises RuleError, a ValueError
+        carrying the field, with the rule's message."""
+        value = ONE_BAD_VALUE[rule.kind](*rule.args)
+        field = f"surrogate.{name}" if cls is al.SurrogateParams else name
+        message = rule.text.format(name=field, value=value)
+        with pytest.raises(ValueError, match=re.escape(message)) as info:
+            CHECKED[cls](**{name: value})
+        assert type(info.value) is RuleError
+        assert (info.value.field, str(info.value)) == (field, message)
+
+    @pytest.mark.parametrize("build, key, message", CROSS_FIELD,
+                             ids=[key for _, key, _ in CROSS_FIELD])
+    def test_cross_field_rule_names_the_blamed_field(self, build, key, message):
+        with pytest.raises(RuleError) as info:
+            build()
+        assert (info.value.field, str(info.value)) == (key.split(".")[1], message)
+
+    def test_surrogate_rules_carry_the_full_key(self):
+        with pytest.raises(ValueError, match=r"^surrogate\.kappa must be finite and > 0$") as info:
+            al.DetectionExperimentSpec(surrogate=al.SurrogateParams(kappa=0))
+        assert info.value.field == "surrogate.kappa"
+        al.SurrogateParams(kappa=0, sim_weight=-1.0)   # alone, it checks nothing
+
+
+class TestDomainSpecs:
+    """Both domain specs share the priors check; cov_scale is finite and
+    > 0 (a NaN cov_scale once gave all-NaN points)."""
+
+    @pytest.mark.parametrize("cov_scale", [math.nan, math.inf, 0.0, -1.0])
+    def test_cov_scale_must_be_finite_and_positive(self, cov_scale):
+        with pytest.raises(ValueError, match=r"^cov_scale must be finite and > 0$"):
+            ClassificationDomainSpec(class_means=np.eye(2), cov_scale=cov_scale)
+
+    @pytest.mark.parametrize("spec", [
+        lambda priors: ClassificationDomainSpec(class_means=np.eye(2), class_priors=priors),
+        lambda priors: DetectionSceneSpec(n_classes=2, class_priors=priors)],
+        ids=["classification", "detection"])
+    @pytest.mark.parametrize("priors, message", [
+        ([-0.5, 1.5], "class_priors must be n_classes values >= 0"),
+        ([math.nan, 1.0], "class_priors must be n_classes values >= 0"),
+        ([0.5, 0.25, 0.25], "class_priors must be n_classes values >= 0"),
+        ([[0.5, 0.5]], "class_priors must be n_classes values >= 0"),
+        ([0.3, 0.3], "class_priors must sum to 1"),
+    ])
+    def test_bad_priors_rejected_by_the_spec(self, spec, priors, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            spec(priors)
+
+    def test_no_classes_rejected(self):
+        with pytest.raises(RuleError, match=r"^n_classes must be >= 1$"):
+            DetectionSceneSpec(n_classes=0)
+
+
+def section_keys(track) -> list:
+    return [key for key in cli.config_keys(track) if "." in key]
+
+
+def key_field(track, key):
+    """The field a section key feeds and the name its messages use."""
+    section, name = key.split(".")
+    cls = cli._section_fields(section, track)[0]
+    return next(f for f in fields(cls) if f.name == name), \
+        key if section in NESTED else name
+
+
+NON_FINITE = st.sampled_from(["nan", "inf", "-inf"])
+
+
+def up_to(kind, n):
+    """Config texts of values of `kind` up to n."""
+    if kind is int:
+        return st.integers(max_value=n).map(str)
+    return st.floats(max_value=n, allow_nan=False).map(repr)
+
+
+def from_(kind, n):
+    """Config texts of values of `kind` from n up."""
+    if kind is int:
+        return st.integers(min_value=n).map(str)
+    return st.floats(min_value=n, allow_nan=False).map(repr)
+
+
+# rule kind -> (key type, *rule args) -> config texts around the rule's
+# bounds; the property keeps those that break the rule
+OUTSIDE = {
+    "at_least": lambda kind, n: up_to(kind, n),
+    "positive": lambda kind: up_to(kind, 0),
+    "finite": lambda kind: NON_FINITE,
+    "finite_positive": lambda kind: NON_FINITE | up_to(kind, 0),
+    "finite_nonneg": lambda kind: NON_FINITE | up_to(kind, 0),
+    "in_interval": lambda kind, lo, hi, ends: NON_FINITE | up_to(kind, lo) | from_(kind, hi),
+    "one_of": lambda kind, options: st.from_regex(r"[a-z_]{1,12}", fullmatch=True),
+}
+
+RULED_KEYS = [(track, key) for track in cli.TRACKS for key in section_keys(track)
+              if key_field(track, key)[0].metadata.get("rules")]
+
+
+class TestOutOfRangeConfig:
+    def test_every_numeric_key_is_checked(self):
+        """Each int or float key has a rule or is blamed by a cross-field
+        rule, and each field with a rule is a key, so its error has a line."""
+        for track in cli.TRACKS:
+            keys = cli.config_keys(track)
+            for key in section_keys(track):
+                if keys[key][0] in (int, float):
+                    assert key_field(track, key)[0].metadata.get("rules") \
+                        or key in CROSS_BLAMED, key
+            for section, (classes, _) in cli.SECTIONS.items():
+                if track in classes:
+                    for name, _ in rules_of(classes[track]):
+                        assert f"{section}.{name}" in keys
+        assert CROSS_BLAMED <= set(cli.config_keys("classification")) \
+            | set(cli.config_keys("detection"))
+
+    def test_anchor_comes_from_the_error_not_its_text(self, tmp_path, capsys, monkeypatch):
+        """The CLI blames the key the RuleError names, whatever its
+        message says."""
+        def reworded(self):
+            raise RuleError("batch_size", "a batch needs an item")
+
+        monkeypatch.setattr(SelectionConfig, "__post_init__", reworded)
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(SMALL_CLS)
+        assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        line = SMALL_CLS.splitlines().index("selection.batch_size = 10") + 1
+        assert capsys.readouterr().err == (f"error: {cfg}:{line}: 'selection.batch_size': "
+                                           f"a batch needs an item\n")
+
+    @pytest.mark.parametrize("track, key", RULED_KEYS,
+                             ids=[f"{t[:3]}-{k}" for t, k in RULED_KEYS])
+    def test_value_outside_the_rule_is_one_error_line(self, tmp_path, capsys, track, key):
+        """A value outside a key's rule, of the key's type, makes `run`
+        return 2 with the rule's message at the key's line, and writes
+        nothing."""
+        field, name = key_field(track, key)
+        kind = cli.config_keys(track)[key][0]
+        rules = field.metadata["rules"]
+        broken = lambda text: [r for r in rules if not r.holds(kind(text))]
+        lines = [ln for ln in BASES[track].splitlines() if not ln.startswith(f"{key} =")]
+        cfg = tmp_path / "exp.cfg"
+        out = tmp_path / "out"
+
+        @settings(max_examples=10, deadline=None)
+        @given(text=st.one_of([OUTSIDE[r.kind](kind, *r.args) for r in rules]).filter(broken))
+        def rejected(text):
+            cfg.write_text("\n".join([*lines, f"{key} = {text}"]) + "\n")
+            assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+            captured = capsys.readouterr()
+            message = broken(text)[0].text.format(name=name, value=kind(text))
+            assert captured.out == ""
+            assert captured.err == f"error: {cfg}:{len(lines) + 1}: {key!r}: {message}\n"
+            assert not out.exists()
+
+        rejected()
+
+
+class TestConfigDamage:
+    @pytest.mark.parametrize("track", cli.TRACKS)
+    def test_damaged_config_is_0_or_one_error_line(self, tmp_path, capsys, track):
+        """Byte-level damage to a config never makes `run` raise: it
+        returns 0 with its artifacts written, or 2 with exactly one
+        `error:` line on stderr and nothing on stdout."""
+        cfg = tmp_path / "exp.cfg"
+        outs = (tmp_path / f"out{i}" for i in itertools.count())
+
+        @settings(max_examples=200, deadline=None)
+        @given(data=damaged(BASES[track].encode()))
+        def survives(data):
+            cfg.write_bytes(data)
+            out = next(outs)
+            rc = cli.main(["run", "--config", str(cfg), "--out", str(out)])
+            captured = capsys.readouterr()
+            if rc == 0:
+                assert captured.out.endswith(f"artifacts written to {out}\n")
+                assert (out / "curve.csv").exists() and (out / "manifest.txt").exists()
+            else:
+                assert rc == 2
+                assert captured.out == ""
+                assert re.fullmatch(r"error: [^\n]*\n", captured.err)
+                assert not out.exists()
+
+        survives()
