@@ -12,8 +12,9 @@ score   ingest an anchor-sample interchange file, run cluster-and-fuse
         plus entropy acquisition, and print ranked image scores
 
 Config files are flat `key = value` text with dotted section prefixes;
-`config_version = 1` is required.  Each `section.field` key takes the
-type and default of the dataclass field it feeds (see SECTIONS below).
+`config_version = 1` is required.  A track accepts the `section.field`
+keys of the fields its run reads, each with the type and default of its
+field; `score` takes some detection keys as flags (see SECTIONS below).
 Two presets ship with the package: digits-analog and detection-analog.
 The default output root comes from $SIM2REAL_AL_OUTPUT_ROOT.
 """
@@ -58,21 +59,24 @@ def _field_kinds(cls) -> dict:
             if f.default is not MISSING}
 
 
-# Each config section feeds one dataclass per track (a track missing
-# from the mapping has no such section).  Its keys are `section.field`
-# for the listed fields, or for every field with a plain default when
-# none are listed; a key takes the type and default of its field.
+# A section feeds one dataclass on each reader of its keys: a track's run,
+# or `score`, which takes them as flags.  A reader names the fields it reads
+# (None: all with a plain default); the others keep their defaults there.
 SECTIONS = {
-    "dataset": ({"classification": al.ClassificationExperimentSpec,
-                 "detection": al.DetectionExperimentSpec}, None),
-    "surrogate": ({"detection": al.SurrogateParams}, ("kappa", "sim_weight")),
-    "acquisition": (dict.fromkeys(TRACKS, AcquisitionConfig), None),
-    "selection": (dict.fromkeys(TRACKS, SelectionConfig), None),
-    "train": ({"classification": TrainConfig},
-              ("epochs", "learning_rate", "batch_size", "fine_tune")),
-    "loop": (dict.fromkeys(TRACKS, al.ALRunConfig),
-             ("iterations", "level", "replay", "mc_passes", "iou_threshold",
-              "cls_bayesian")),
+    "dataset": {"classification": (al.ClassificationExperimentSpec, None),
+                "detection": (al.DetectionExperimentSpec, None)},
+    "surrogate": {"detection": (al.SurrogateParams, ("kappa", "sim_weight"))},
+    "acquisition": dict.fromkeys(("detection", "score"), (AcquisitionConfig, None)),
+    "selection": {"classification": (SelectionConfig, None),
+                  "detection": (SelectionConfig, ("strategy", "batch_size",
+                                                   "subsample_fraction", "seed"))},
+    "train": {"classification": (TrainConfig, ("epochs", "learning_rate",
+                                               "batch_size", "fine_tune"))},
+    "loop": {"classification": (al.ALRunConfig, ("iterations", "level", "replay",
+                                                 "mc_passes")),
+             "detection": (al.ALRunConfig, ("iterations", "level", "iou_threshold",
+                                            "cls_bayesian")),
+             "score": (al.ALRunConfig, ("iou_threshold", "cls_bayesian"))},
 }
 
 # the keys listed by hand: key -> (type, default); config_version and
@@ -92,22 +96,35 @@ class ConfigError(Exception):
     `error:` line and exits 2."""
 
 
-def _section_fields(section: str, track: str) -> tuple:
-    """The dataclass a section feeds on a track, and name -> (type,
-    default) of each field the section exposes."""
-    classes, names = SECTIONS[section]
-    kinds = _field_kinds(classes[track])
-    return classes[track], {n: kinds[n] for n in names or kinds}
+def _section_fields(section: str, reader: str) -> tuple:
+    """The dataclass a section feeds on a reader, and name -> (type,
+    default) of each field the reader reads."""
+    cls, names = SECTIONS[section][reader]
+    kinds = _field_kinds(cls)
+    return cls, {n: kinds[n] for n in names or kinds}
+
+
+def _section_keys(reader: str) -> dict:
+    """key -> (type, default) of every `section.field` key of a reader."""
+    return {f"{section}.{n}": kind for section in SECTIONS if reader in SECTIONS[section]
+            for n, kind in _section_fields(section, reader)[1].items()}
 
 
 def config_keys(track: str) -> dict:
     """key -> (type, default) of every key a config of `track` may set."""
-    keys = dict(OTHER_KEYS)
-    for section, (classes, _) in SECTIONS.items():
-        if track in classes:
-            exposed = _section_fields(section, track)[1]
-            keys.update((f"{section}.{n}", kind) for n, kind in exposed.items())
-    return keys
+    return {**OTHER_KEYS, **_section_keys(track)}
+
+
+def _built(section: str, reader: str, values: dict, anchor, **fixed):
+    """A section's dataclass on a reader, from its keys' values.  A
+    RuleError (see rules.py) names the failing field, or a nested key such
+    as `surrogate.kappa`; it is re-raised after anchor(key), where it is set."""
+    cls, exposed = _section_fields(section, reader)
+    try:
+        return cls(**{n: values[f"{section}.{n}"] for n in exposed}, **fixed)
+    except RuleError as exc:
+        key = exc.field if "." in exc.field else f"{section}.{exc.field}"
+        raise ConfigError(f"{anchor(key)}: {exc}") from None
 
 
 def _parse_bool(raw: str) -> bool:
@@ -232,7 +249,8 @@ def build_experiment_config(raw: dict, path: str, track_override: str = None,
         if key == "track":
             continue
         if key not in keys:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r} on the "
+                              f"{track} track")
         values[key] = _convert(keys[key][0], value, key, lineno, path)
     for key, (_, default) in keys.items():
         values.setdefault(key, default)
@@ -253,41 +271,27 @@ def build_experiment_config(raw: dict, path: str, track_override: str = None,
     if strategy_flag is not None:
         _check_strategies(strategy_flag, track, "--strategy")
 
-    def built(section, **fixed):
-        """The dataclass of a section from the values of its keys.  Its
-        rules (see rules.py) raise a RuleError whose `field` names the
-        failing field, or the full key of a nested section's field such
-        as `surrogate.kappa`; it is re-raised at that key's line."""
-        cls, exposed = _section_fields(section, track)
-        try:
-            return cls(**{n: values[f"{section}.{n}"] for n in exposed}, **fixed)
-        except RuleError as exc:
-            key = exc.field if "." in exc.field else f"{section}.{exc.field}"
-            where = (f"{path}:{raw[key][1]}: {key!r}" if key in raw
-                     else f"{path}: {key!r} (not set, default {values[key]})")
-            raise ConfigError(f"{where}: {exc}") from None
+    def anchor(key):   # a key's line, or the file when the key is not set
+        return (f"{path}:{raw[key][1]}: {key!r}" if key in raw
+                else f"{path}: {key!r} (not set, default {values[key]})")
 
+    built = functools.partial(_built, reader=track, values=values, anchor=anchor)
     selection = built("selection")
-    acquisition = built("acquisition")
-    if track == "classification":
-        train, extra = built("train"), {}
-    else:
-        train, extra = TrainConfig(), {"surrogate": built("surrogate")}
+    # a section the track does not read keeps its dataclass defaults
+    parts = {s: built(s) for s in ("acquisition", "train") if track in SECTIONS[s]}
+    extra = {"surrogate": built("surrogate")} if track == "detection" else {}
     dataset_spec = built("dataset", **extra)
 
     def run_config(strategy):
-        return built("loop", selection=replace(selection, strategy=strategy),
-                     acquisition=acquisition, train=train)
+        return built("loop", selection=replace(selection, strategy=strategy), **parts)
 
     run_cfg = run_config(selection.strategy)
     for name in [*values["strategies"], *(strategy_flag or [])]:
         run_config(name)   # each strategy that may run must pass the loop rules
 
-    return ExperimentConfig(track=track, name=values["name"],
-                            seeds=list(values["seeds"]),
+    return ExperimentConfig(track=track, name=values["name"], seeds=list(values["seeds"]),
                             strategies=list(values["strategies"]),
-                            dataset_spec=dataset_spec, al=run_cfg,
-                            resolved=values)
+                            dataset_spec=dataset_spec, al=run_cfg, resolved=values)
 
 
 # ---------------------------------------------------------------------------
@@ -439,8 +443,7 @@ def cmd_report(args) -> int:
             skipped += 1
             continue
         key = tuple(sorted((k, v) for k, v in manifest.items()
-                           if k.startswith("config.dataset.")
-                           or k.startswith("config.loop.")
+                           if k.startswith(("config.dataset.", "config.loop."))
                            or k == "config.track"))
         for seed in sorted(csv_data["points"]):
             try:
@@ -466,19 +469,18 @@ def cmd_report(args) -> int:
     return 0
 
 
+def _flag(key: str) -> str:   # the `score` flag of a `section.field` key
+    return "--" + key.split(".")[1].replace("_", "-")
+
+
 def cmd_score(args) -> int:
-    if not 0.0 <= args.iou_threshold <= 1.0:
-        raise ConfigError(f"--iou-threshold must lie in [0, 1], "
-                          f"got {args.iou_threshold!r}")
+    values = {k: getattr(args, k.split(".")[1]) for k in _section_keys("score")}
+    built = functools.partial(_built, reader="score", values=values, anchor=_flag)
+    cfg = built("loop", acquisition=built("acquisition"))
     try:
         records = fusion.read_anchor_records(args.anchors)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read anchor records: {exc}") from None
-    try:
-        acq_cfg = AcquisitionConfig(**{name: getattr(args, name)
-                                       for name in _field_kinds(AcquisitionConfig)})
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
 
     def score_all(records):
         """ImageScores of the records, one batch per sample shape (T, C)."""
@@ -491,9 +493,9 @@ def cmd_score(args) -> int:
             for batch in batches.values():
                 ids, parts = zip(*batch)
                 detections = fusion.bayesod_inference(fusion.Anchors.concatenate(parts),
-                                                      args.iou_threshold,
-                                                      args.cls_bayesian)
-                scores += acquisition.score_image(detections, acq_cfg, ids)
+                                                      cfg.iou_threshold,
+                                                      cfg.cls_bayesian)
+                scores += acquisition.score_image(detections, cfg.acquisition, ids)
         return scores
 
     try:
@@ -547,13 +549,11 @@ def build_parser() -> argparse.ArgumentParser:
                              help="score an anchor-sample interchange file")
     score_p.add_argument("--anchors", required=True,
                          help="anchor records file (interchange format)")
-    score_p.add_argument("--iou-threshold", type=float, default=0.5)
-    score_p.add_argument("--cls-bayesian", action="store_true",
-                         help="fuse class scores too, not only boxes")
-    flag_help = {"empty_image_score": "score of an image with no detections"}
-    for name, (kind, default) in _field_kinds(AcquisitionConfig).items():
-        score_p.add_argument("--" + name.replace("_", "-"), type=_PARSERS[kind],
-                             default=default, help=flag_help.get(name))
+    flag_help = {"acquisition.empty_image_score": "score of an image with no detections",
+                 "loop.cls_bayesian": "fuse class scores too, not only boxes"}
+    for key, (kind, default) in _section_keys("score").items():
+        parse = {"action": "store_true"} if kind is bool else {"type": _PARSERS[kind]}
+        score_p.add_argument(_flag(key), default=default, help=flag_help.get(key), **parse)
     score_p.set_defaults(func=cmd_score)
     return parser
 

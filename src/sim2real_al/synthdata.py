@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fusion import Anchors
-from .rules import at_least, check, checked, finite_positive
+from .rules import RuleError, at_least, check, checked, finite_positive
 
 
 def _class_priors(priors, n_classes: int) -> np.ndarray:
@@ -52,6 +52,9 @@ class ClassificationDomainSpec:
 
     def __post_init__(self):
         self.class_means = np.atleast_2d(np.asarray(self.class_means, dtype=float))
+        if not self.class_means.size:
+            raise RuleError("class_means", "class_means must be a non-empty "
+                            "(n_classes, dim) array")
         check(self)
         self.class_priors = _class_priors(self.class_priors, self.class_means.shape[0])
 

@@ -381,7 +381,47 @@ class TestConfigParsing:
         if track == "classification":
             assert excfg.al.train == TrainConfig()
         assert (excfg.name, excfg.seeds, excfg.strategies) == ("", [0], [])
-        assert len(cli.config_keys(track)) == 37
+        assert len(cli.config_keys(track)) == {"classification": 30, "detection": 34}[track]
+
+    # the keys only the other track's run reads, each with a value that
+    # track accepts
+    UNREAD = [("classification", key, value) for key, value in (
+        ("acquisition.comb", "max"), ("acquisition.agg", "sum"),
+        ("acquisition.w_cls", "2.0"), ("acquisition.w_reg", "0.5"),
+        ("acquisition.empty_image_score", "1.0"), ("loop.iou_threshold", "0.3"),
+        ("loop.cls_bayesian", "true"))] + [("detection", key, value) for key, value in (
+            ("selection.mc_count", "50"), ("loop.mc_passes", "5"), ("loop.replay", "false"))]
+
+    @pytest.mark.parametrize("track, key, value", UNREAD,
+                             ids=[f"{t[:3]}-{k}" for t, k, _ in UNREAD])
+    def test_key_the_track_does_not_read_exits_2(self, tmp_path, capsys, track, key,
+                                                 value):
+        """A key that only the other track's run reads is unknown: `run`
+        returns 2 with one error line at its line and writes nothing,
+        while the other track loads the same line into its dataclass."""
+        bases = {"classification": SMALL_CLS, "detection": SMALL_DET}
+        text = bases[track] + f"{key} = {value}\n"
+        cfg = write_cfg(tmp_path, text)
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {cfg}:{len(text.splitlines())}: unknown key "
+                                f"{key!r} on the {track} track\n")
+        assert not out.exists()
+        other, = set(cli.TRACKS) - {track}
+        excfg = cli.load_config(write_cfg(tmp_path, bases[other] + f"{key} = {value}\n",
+                                          "other.cfg"))
+        section, name = key.split(".")
+        built = excfg.al if section == "loop" else getattr(excfg.al, section)
+        assert str(getattr(built, name)).lower() == value
+
+    def test_score_flags_are_the_keys_it_reads(self):
+        args = vars(cli.build_parser().parse_args(["score", "--anchors", "a.txt"]))
+        assert {k: v for k, v in args.items() if k not in ("command", "func")} == {
+            "anchors": "a.txt", "comb": "sum", "agg": "avg", "w_cls": 1.0,
+            "w_reg": 0.01, "empty_image_score": 0.0, "iou_threshold": 0.5,
+            "cls_bayesian": False}
 
     def test_score_flag_defaults_are_the_acquisition_defaults(self):
         args = cli.build_parser().parse_args(["score", "--anchors", "a.txt"])
@@ -389,6 +429,15 @@ class TestConfigParsing:
                                  w_reg=args.w_reg,
                                  empty_image_score=args.empty_image_score) \
             == AcquisitionConfig()
+
+    @pytest.mark.parametrize("track", cli.TRACKS)
+    def test_readme_key_table_is_the_track_keys(self, track):
+        """README's key table of a track lists exactly its config keys."""
+        text = (ROOT / "README.md").read_text(encoding="utf-8")
+        table = text.split(f"Keys of the {track} track", 1)[1].split("\n\n")[1]
+        listed = [key for row in table.splitlines()[2:]
+                  for key in re.findall(r"`([^`]+)`", row.split("|")[2])]
+        assert sorted(listed) == sorted(cli.config_keys(track))
 
     def test_type_errors_are_line_anchored(self, tmp_path):
         bad = SMALL_CLS.replace("loop.iterations = 3", "loop.iterations = soon")
@@ -747,6 +796,32 @@ class TestCmdReport:
         captured = capsys.readouterr()
         assert captured.err == ""
         assert captured.out.startswith("group 1 (1 runs)\n")
+
+    def test_report_reads_a_manifest_with_keys_the_track_does_not_read(self, tmp_path,
+                                                                        capsys):
+        """Manifests of classification runs once recorded the acquisition
+        keys and the detection loop keys; `report` still reads them."""
+        cfg = write_cfg(tmp_path, SMALL_CLS.replace("seeds = 1,2", "seeds = 1"))
+        new, old = tmp_path / "new", tmp_path / "old"
+        assert cli.main(["run", "--config", cfg, "--out", str(new)]) == 0
+        shutil.copytree(new, old)
+        lines = (old / "manifest.txt").read_text().splitlines()
+        config = [ln for ln in lines if ln.startswith("config.")] + [
+            "config.acquisition.agg = avg", "config.acquisition.comb = sum",
+            "config.acquisition.empty_image_score = 0.0",
+            "config.acquisition.w_cls = 1.0", "config.acquisition.w_reg = 0.01",
+            "config.loop.cls_bayesian = False", "config.loop.iou_threshold = 0.5"]
+        lines = ([ln for ln in lines if not ln.startswith(("config.", "run."))]
+                 + sorted(config) + [ln for ln in lines if ln.startswith("run.")])
+        (old / "manifest.txt").write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert cli.main(["report", str(old), str(new)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        rows = dict(ln.split(maxsplit=1) for ln in captured.out.splitlines()
+                    if ln.startswith("  "))
+        assert rows.keys() == {str(old), str(new)}
+        assert rows[str(old)] == rows[str(new)]
 
     @pytest.mark.parametrize("level", ["2.0", "nan", "-0.5"])
     def test_out_of_range_level_skipped_with_warning(self, tmp_path, capsys,

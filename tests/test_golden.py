@@ -99,40 +99,40 @@ SWEEPS = {
 RUN_DIGESTS = {
     "cls-batchbald": (
         "582fa9ce2edfddc8133e600b89463abf1b792bbb6a6cdc481952615a4c54561e",
-        "300bdc8d52716a976ed30c31aec07e5fad53f7d3280603c97e025e238d26a7fb"),
+        "d0c3b642e3e830b3e948572e08f5831c48bdf56ffdb8f7a2eae25538f696d011"),
     "cls-clue": (
         "ce04b08adb6c5e629593b8338832e68e15827f25425af6ac5f945fd6c4b6a6b3",
-        "c8f1680cc546227634914786b60e68355545599786637fcd1d7a6328b9b4013f"),
+        "1d04adc14ae7460a24d37781f50d822a316988a2d16377d00c4f9e3601b53602"),
     "cls-coreset": (
         "214c8e6363bccd574d13be145fbeabf1acfd83f89965583b4d865e471902cc22",
-        "ac2c792bb0d12941d9002d708b4f6b52522d64c8a554ddede3d44fa7f25f4b74"),
+        "c5e26bee4a4a8bb5d0bea6754fe030c9d60a39599eac7d196ce4d531d649a302"),
     "cls-random": (
         "ac489426ea2ac2b4f392fd0b46a32cf61daf11739d65cc83470fe23ec5076c0f",
-        "574bd83cde5bd9add6213be0afa3b300b8ff65b257e53b646647c10fb639d42d"),
+        "31e383971f667c832d20ceca0ca1ea6a5edc54ed449afc98e22d8a44dd993915"),
     "cls-subsample_topn": (
         "6b995c943ba795b165df0008624276e244ff4865e813c309b5d8ef72d8fe9436",
-        "145e7aa8e368af08f57ac01c595de09516cfeadd68af787bb8cf0f81c4faffed"),
+        "a875de0756e1c98c873ed45aaa4ca620af38d51c35b54169ec41fef4206cc15e"),
     "cls-topn": (
         "4f617703d9604e28273e331d9fb048199ef5d2025e4f8f3eb77d7c45837b6773",
-        "0a735f9485f867fed9218462cf5680154c5cb08247c3c2e12d20c39305520a9b"),
+        "bd55204930020d8bd0c66809593215d4442a637b9064089dcf5e37a012e945e8"),
     "det-clue": (
         "49c4462541029b8fad818f2d866cb8a55867558752c520a8e7b9665659d9f563",
-        "89154d7e6a0767e3ef9a024e912345f90fb95ab151d27ddd9c8088a8e564d50c"),
+        "d15b8af544b1d9e11b87602d81ab3d79cf5ce1d12e21c1e98254bf77e66775db"),
     "det-clue-cls_bayesian-max": (
         "e7ff8cf674cd88da8f79d3c3e82e85c02f5709c2a1e7af811f8da484f2508bfe",
-        "81fe4693ac9496782256d2d23e69a37e85398a91b23e7a1f843b1d8ca31df668"),
+        "ffaea94434642a708496f903b9ac05d96901698e31a160576640c3b27ad61da6"),
     "det-coreset": (
         "9b5f0cc757720bead31ceb6f601f95554c0455089ea99f9b0e16c0b08a1b1fa1",
-        "d6523d6c65d5d72b78c9d60212b475009a5a5f71d2b1dcf4b90bfb9624e01b15"),
+        "c958d348e66e7f6d677a111253fa969ee840a964a9b6b0934e33568412ad47fd"),
     "det-random": (
         "1cc1d27999018260a3e14b5079f7f4c40b1ed65e49735b0af21dc25fdd3f7711",
-        "25ff06db966da5800b155c484791c47cbcae9a930df3adf39e5d35963f3d5c8f"),
+        "d3a67882e53fa7da714a979b2386bef6db5825bcf336cab075938f95ec974055"),
     "det-subsample_topn": (
         "5a88803129781edeeeede2322071967fba9e00d8b0d4a72a2479f92bcccc61b9",
-        "6e089ea4d730e5c4f16cf7261f3551c0be946afc72dc947243e74f0b0d7cb5bc"),
+        "38d11652dced17ff8848c4c0e6b81cbff81245f575c2e672af6bf9ea89dd0759"),
     "det-topn": (
         "362bcb6733889dfdef380b44fc09e6ca19d7ee95f943c08a53928cb794bafc15",
-        "e71ef4fb23e0acd6dd1330c00b945fa9174c35b3378d2fed321e4faa709f2dfe"),
+        "a65df3a0c96385df2f8a1eabbf8a26c8b8847d2c324e05dc981cff5004fc40f3"),
 }
 
 # extra `score` flags -> sha256 of stdout; a leading "dense" scores the

@@ -135,6 +135,13 @@ class TestDomainSpecs:
         with pytest.raises(RuleError, match=r"^n_classes must be >= 1$"):
             DetectionSceneSpec(n_classes=0)
 
+    @pytest.mark.parametrize("means", [np.empty((0, 2)), []], ids=["no-classes", "empty"])
+    def test_no_class_means_rejected(self, means):
+        with pytest.raises(RuleError, match=r"^class_means must be a non-empty "
+                                            r"\(n_classes, dim\) array$") as info:
+            ClassificationDomainSpec(class_means=means)
+        assert info.value.field == "class_means"
+
 
 def section_keys(track) -> list:
     return [key for key in cli.config_keys(track) if "." in key]
@@ -184,17 +191,23 @@ RULED_KEYS = [(track, key) for track in cli.TRACKS for key in section_keys(track
 class TestOutOfRangeConfig:
     def test_every_numeric_key_is_checked(self):
         """Each int or float key has a rule or is blamed by a cross-field
-        rule, and each field with a rule is a key, so its error has a line."""
+        rule, and each field with a rule is a key on every track that
+        lists it and on at least one track, so its error has a line."""
         for track in cli.TRACKS:
             keys = cli.config_keys(track)
             for key in section_keys(track):
                 if keys[key][0] in (int, float):
                     assert key_field(track, key)[0].metadata.get("rules") \
                         or key in CROSS_BLAMED, key
-            for section, (classes, _) in cli.SECTIONS.items():
-                if track in classes:
-                    for name, _ in rules_of(classes[track]):
-                        assert f"{section}.{name}" in keys
+        for section, readers in cli.SECTIONS.items():
+            tracks = {t: readers[t] for t in cli.TRACKS if t in readers}
+            for cls in {cls for cls, _ in tracks.values()}:
+                for name, _ in rules_of(cls):
+                    listing = [t for t, (c, names) in tracks.items()
+                               if c is cls and (names is None or name in names)]
+                    assert listing, f"{section}.{name}"
+                    for track in listing:
+                        assert f"{section}.{name}" in cli.config_keys(track)
         assert CROSS_BLAMED <= set(cli.config_keys("classification")) \
             | set(cli.config_keys("detection"))
 
@@ -238,6 +251,32 @@ class TestOutOfRangeConfig:
             assert not out.exists()
 
         rejected()
+
+
+# each rule of a `score` flag's field, with the flag
+SCORE_RULES = [(key, rule) for key in cli._section_keys("score")
+               for rule in key_field("score", key)[0].metadata.get("rules", ())]
+
+
+class TestScoreFlags:
+    @pytest.mark.parametrize("key, rule", SCORE_RULES,
+                             ids=[f"{key}-{rule.kind}" for key, rule in SCORE_RULES])
+    def test_flag_outside_its_rule_is_one_error_line(self, tmp_path, capsys, key, rule):
+        """A `score` flag's value outside its field's rule makes `score`
+        return 2 with the rule's message at the flag, before the anchor
+        file is read."""
+        name = key.split(".")[1]
+        flag, value = "--" + name.replace("_", "-"), ONE_BAD_VALUE[rule.kind](*rule.args)
+        assert cli.main(["score", "--anchors", str(tmp_path / "missing.txt"),
+                         flag, str(value)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {flag}: {rule.text.format(name=name, value=value)}\n"
+
+    def test_every_ruled_flag_is_covered(self):
+        assert {key for key, _ in SCORE_RULES} == {
+            "acquisition.comb", "acquisition.agg", "acquisition.w_cls",
+            "acquisition.w_reg", "acquisition.empty_image_score", "loop.iou_threshold"}
 
 
 class TestConfigDamage:
