@@ -438,13 +438,18 @@ def cmd_report(args) -> int:
         try:
             manifest = al.read_manifest(run_dir / "manifest.txt")
             csv_data = al.read_curve_csv(run_dir / "curve.csv")
+            track = manifest.get("config.track")
+            if track not in TRACKS:
+                raise ValueError(f"unknown track {track!r}")
         except (OSError, ValueError, KeyError) as exc:
             print(f"warning: skipping {run_dir}: {exc}", file=sys.stderr)
             skipped += 1
             continue
-        key = tuple(sorted((k, v) for k, v in manifest.items()
-                           if k.startswith(("config.dataset.", "config.loop."))
-                           or k == "config.track"))
+        # a group shares the dataset and loop values its track reads; a
+        # manifest line for a key the track does not read changes nothing
+        read = {f"config.{k}" for k in config_keys(track)
+                if k.startswith(("dataset.", "loop."))} | {"config.track"}
+        key = tuple(sorted((k, v) for k, v in manifest.items() if k in read))
         for seed in sorted(csv_data["points"]):
             try:
                 curve = al.curve_from_artifacts(manifest, csv_data, seed)

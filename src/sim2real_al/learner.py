@@ -132,6 +132,14 @@ class MCDropoutClassifier:
         gradients are np.add.reduce over the batch, the reduction
         np.sum would run.  The weights and their gradients are views of
         one flat vector each, so an update is two calls.
+
+        The five products of a step go through np.dot, not np.matmul:
+        on 2-D operands both make the same BLAS call with the same
+        transpose flags, and np.dot skips the gufunc dispatch, about
+        1 us a product at (batch 32, H 64).  The masks are built in
+        place: the uniforms become keep flags (1.0 or 0.0) and are
+        then scaled by 1/(1 - rate), the double that dividing a keep
+        flag by (1 - rate) gives.
         """
         x = self._inputs(x)
         y = np.asarray(y, dtype=int)
@@ -159,10 +167,11 @@ class MCDropoutClassifier:
         rng = np.random.default_rng(cfg.seed)
         h = self.hidden_dim
         rate, lr = self.dropout_rate, cfg.learning_rate
+        scale = 1.0 / (1.0 - rate)
         targets = np.eye(self.n_classes)[y]
         rows = min(cfg.batch_size, n)
         xe, te = np.empty_like(x), np.empty_like(targets)
-        masks, kept = np.empty((n, h)), np.empty((n, h), dtype=bool)
+        masks = np.empty((n, h))
         hidden = np.empty((rows, h))
         dropped = np.empty_like(hidden) if rate > 0 else hidden  # a1 * 1.0 == a1
         grad_hidden = np.empty_like(hidden)
@@ -181,16 +190,16 @@ class MCDropoutClassifier:
             np.take(targets, order, axis=0, out=te)
             if rate > 0:
                 rng.random((n, h), out=masks)
-                np.greater_equal(masks, rate, out=kept)
-                np.divide(kept, 1.0 - rate, out=masks)
+                np.greater_equal(masks, rate, out=masks)
+                masks *= scale
             for m, xb, xbt, tb, mask, a1, a1d, a1dt, dz2, da1, col in steps:
-                np.matmul(xb, w1, out=a1)
+                np.dot(xb, w1, out=a1)
                 a1 += b1
                 np.tanh(a1, out=a1)
                 if rate > 0:
                     np.multiply(a1, mask, out=a1d)
                 # softmax, then dz2 = softmax - one_hot (p - 0.0 == p)
-                np.matmul(a1d, w2, out=dz2)
+                np.dot(a1d, w2, out=dz2)
                 dz2 += b2
                 np.maximum.reduce(dz2, axis=1, keepdims=True, out=col)
                 dz2 -= col
@@ -199,15 +208,15 @@ class MCDropoutClassifier:
                 dz2 /= col
                 dz2 -= tb
                 dz2 /= m
-                np.matmul(a1dt, dz2, out=dw2)
+                np.dot(a1dt, dz2, out=dw2)
                 np.add.reduce(dz2, axis=0, out=db2)
-                np.matmul(dz2, w2t, out=da1)
+                np.dot(dz2, w2t, out=da1)
                 if rate > 0:
                     da1 *= mask
                 np.multiply(a1, a1, out=a1)      # a1d is no longer read
                 np.subtract(1.0, a1, out=a1)
                 da1 *= a1
-                np.matmul(xbt, da1, out=dw1)
+                np.dot(xbt, da1, out=dw1)
                 np.add.reduce(da1, axis=0, out=db1)
                 grads *= lr
                 params -= grads

@@ -135,15 +135,6 @@ def _entropy(p: np.ndarray) -> np.ndarray:
     return -np.einsum("...c,...c->...", p, log_p)
 
 
-def bald_scores(prob_samples) -> np.ndarray:
-    """Mutual information H(mean_t p) - mean_t H(p) per item.
-
-    prob_samples: (N, T, C) stochastic predictive distributions.
-    """
-    probs = np.asarray(prob_samples, dtype=float)
-    return _entropy(probs.mean(axis=1)) - _entropy(probs).mean(axis=1)
-
-
 def select_batchbald(prob_samples, b: int, mc_count: int = 100, seed=0) -> list[int]:
     """Greedy batch selection by joint mutual information.
 

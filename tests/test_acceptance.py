@@ -15,13 +15,14 @@ import time
 import numpy as np
 from scipy import stats
 from tests_support_oracles import covering_radius, gradient_check
+from tests_support_reference import bald_scores
 
 from sim2real_al import loop as al
 from sim2real_al.acquisition import AcquisitionConfig, cls_entropy, reg_entropy
 from sim2real_al.fusion import fuse_categorical, fuse_gaussian, mc_statistics
 from sim2real_al.learner import MCDropoutClassifier, TrainConfig
-from sim2real_al.sampling import (SelectionConfig, bald_scores, select_coreset,
-                                  select_subsample_topn, select_topn)
+from sim2real_al.sampling import (SelectionConfig, select_coreset, select_subsample_topn,
+                                  select_topn)
 
 
 @contextlib.contextmanager

@@ -822,6 +822,27 @@ class TestCmdReport:
                     if ln.startswith("  "))
         assert rows.keys() == {str(old), str(new)}
         assert rows[str(old)] == rows[str(new)]
+        groups = [ln for ln in captured.out.splitlines() if ln.startswith("group")]
+        assert groups == ["group 1 (2 runs)"]
+
+    @pytest.mark.parametrize("line, track", [("config.track = wobble\n", "'wobble'"),
+                                             ("", "None")], ids=["unknown", "absent"])
+    def test_manifest_without_a_known_track_skipped_with_warning(self, tmp_path, capsys,
+                                                                 line, track):
+        cfg = write_cfg(tmp_path, SMALL_CLS.replace("seeds = 1,2", "seeds = 1"))
+        good, bad = tmp_path / "good", tmp_path / "bad"
+        assert cli.main(["run", "--config", cfg, "--out", str(good)]) == 0
+        shutil.copytree(good, bad)
+        manifest = (bad / "manifest.txt").read_text()
+        assert "\nconfig.track = classification\n" in manifest
+        (bad / "manifest.txt").write_text(
+            manifest.replace("config.track = classification\n", line))
+        capsys.readouterr()
+        assert cli.main(["report", str(bad), str(good)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == (f"warning: skipping {bad}: unknown track {track}\n"
+                                "(1 unreadable run(s) skipped)\n")
+        assert captured.out.startswith("group 1 (1 runs)\n")
 
     @pytest.mark.parametrize("level", ["2.0", "nan", "-0.5"])
     def test_out_of_range_level_skipped_with_warning(self, tmp_path, capsys,

@@ -1,5 +1,10 @@
 """MC-dropout classifier: training, prediction, gradients, snapshots."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +13,8 @@ from hypothesis import strategies as st
 from tests_support_oracles import analytic_gradients, gradient_check
 
 from sim2real_al.learner import MCDropoutClassifier, TrainConfig, _softmax
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def two_blobs(n=200, sep=6.0, seed=0):
@@ -290,6 +297,47 @@ class TestFitReference:
                           batch_size=batch_size, seed=seed, fine_tune=fine_tune)
         assert_same_weights(model.fit(x, y, cfg),
                             reference_fit(model, x, y, cfg))
+
+    @pytest.mark.parametrize("fine_tune", [True, False])
+    @pytest.mark.parametrize("n", [500, 516, 620])
+    def test_matches_per_batch_loop_at_the_sweep_shapes(self, n, fine_tune):
+        """d=8, H=64, C=8, batch 32 and rate 0.1, the digits-analog
+        shapes; the last batch holds 20, 4 or 12 rows."""
+        model, x, y = self.case(n, 8, 64, 8, 0.1, seed=n)
+        cfg = TrainConfig(epochs=2, batch_size=32, seed=7, fine_tune=fine_tune)
+        assert_same_weights(model.fit(x, y, cfg),
+                            reference_fit(model, x, y, cfg))
+
+
+# One fit at the digits-analog shapes; prints the sha256 of its weights.
+FIT_DIGEST = """\
+import hashlib
+import numpy as np
+from sim2real_al.learner import MCDropoutClassifier, TrainConfig
+rng = np.random.default_rng(620)
+x = rng.normal(size=(620, 8)) * 2.0
+y = rng.integers(0, 8, size=620)
+model = MCDropoutClassifier(8, 64, 8, dropout_rate=0.1, seed=621)
+fitted = model.fit(x, y, TrainConfig(epochs=3, batch_size=32, seed=7))
+digest = hashlib.sha256()
+for p in (fitted.w1, fitted.b1, fitted.w2, fitted.b2):
+    digest.update(p.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_fit_weights_do_not_depend_on_the_blas_thread_count():
+    """The same weights with one BLAS thread and with two."""
+    digests = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", FIT_DIGEST], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        digests[threads] = proc.stdout.split()[-1]
+    assert digests["1"] == digests["2"], digests
 
 
 class TestGradients:

@@ -10,13 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 from tests_support_oracles import covering_radius
-from tests_support_reference import reference_select_batchbald
+from tests_support_reference import bald_scores, reference_select_batchbald
 
 from sim2real_al import sampling
-from sim2real_al.sampling import (SelectionConfig, bald_scores, select_batchbald,
-                                  select_clue, select_coreset, select_random,
-                                  select_subsample_topn, select_topn,
-                                  subsample_size)
+from sim2real_al.sampling import (SelectionConfig, select_batchbald, select_clue,
+                                  select_coreset, select_random,
+                                  select_subsample_topn, select_topn, subsample_size)
 
 
 class TestSelectionConfig:

@@ -14,10 +14,12 @@ evaluation and the line-by-line reader they replaced, kept as they
 were, so tests can require the same records, the same bits and the
 same error messages.  `reference_select_batchbald` is the BatchBALD
 selector with one configuration draw and one log per selected item
-and pick, which `sampling.select_batchbald` replaced.  They work on `Detection` records, one per
-detection; `detections_of` packs per-image record lists into a
-`fusion.Detections` batch.  `dense_image_text` writes images shaped
-like detector dumps (many anchors per object, fixed-precision values).
+and pick, which `sampling.select_batchbald` replaced; `bald_scores`
+is the exact BALD score of its first pick.  They work on `Detection`
+records, one per detection; `detections_of` packs per-image record
+lists into a `fusion.Detections` batch.  `dense_image_text` writes
+images shaped like detector dumps (many anchors per object,
+fixed-precision values).
 """
 
 import math
@@ -29,7 +31,7 @@ from scipy.special import xlogy
 from sim2real_al.acquisition import ImageScore
 from sim2real_al.fusion import (COV_REGULARIZER, DEFAULT_IOU_THRESHOLD, Anchors,
                                 Detections, iou_matrix, mc_statistics)
-from sim2real_al.sampling import _entropy, bald_scores
+from sim2real_al.sampling import _entropy
 from sim2real_al.synthdata import DetectionScene
 
 
@@ -384,6 +386,15 @@ def reference_score_stdout(path, iou_threshold=0.5, cls_bayesian=False,
 
 
 # -- BatchBALD: per-item configuration draws ---------------------------------
+
+def bald_scores(prob_samples) -> np.ndarray:
+    """Mutual information H(mean_t p) - mean_t H(p) per item.
+
+    prob_samples: (N, T, C) stochastic predictive distributions.
+    """
+    probs = np.asarray(prob_samples, dtype=float)
+    return _entropy(probs.mean(axis=1)) - _entropy(probs).mean(axis=1)
+
 
 def reference_select_batchbald(prob_samples, b, mc_count=100, seed=0):
     """Greedy batch selection by joint mutual information."""
