@@ -36,9 +36,10 @@ mean_boxes = anchors.boxes.mean(axis=1)
 print("pairwise IoU of the first two anchor mean boxes:",
       round(float(iou_matrix(mean_boxes[:1], mean_boxes[1:2])[0, 0]), 3))
 
-clusters = cluster_anchors(anchors, iou_threshold=0.5)
-print(f"{len(anchors)} anchors -> {len(clusters)} clusters "
-      f"(sizes {[len(c) for c in clusters]})")
+# cluster k holds anchors members[offsets[k]:offsets[k + 1]], center first
+members, offsets = cluster_anchors(anchors, iou_threshold=0.5)
+sizes = np.diff(offsets)
+print(f"{len(anchors)} anchors -> {len(sizes)} clusters (sizes {sizes.tolist()})")
 
 # one Detections batch: a row per fused detection in each array
 detections = bayesod_inference(anchors, iou_threshold=0.5)

@@ -45,11 +45,6 @@ OUTPUT_ROOT_ENV = "SIM2REAL_AL_OUTPUT_ROOT"
 
 TRACKS = ("classification", "detection")
 
-# batchbald needs per-item class-probability samples, which the
-# detection surrogate does not produce
-TRACK_STRATEGIES = {"classification": STRATEGIES,
-                    "detection": tuple(s for s in STRATEGIES if s != "batchbald")}
-
 
 @functools.cache
 def _field_kinds(cls) -> dict:
@@ -159,7 +154,7 @@ def _check_strategies(names, track: str, where: str) -> None:
         if name not in STRATEGIES:
             raise ConfigError(f"{where}: unknown strategy {name!r}; expected "
                               f"one of {STRATEGIES}")
-        if name not in TRACK_STRATEGIES[track]:
+        if name not in al.TRACK_STRATEGIES[track]:
             raise ConfigError(f"{where}: strategy {name!r} is not available "
                               f"on the {track} track")
         if name in names[:i]:
@@ -445,10 +440,11 @@ def cmd_report(args) -> int:
             print(f"warning: skipping {run_dir}: {exc}", file=sys.stderr)
             skipped += 1
             continue
-        # a group shares the dataset and loop values its track reads; a
-        # manifest line for a key the track does not read changes nothing
-        read = {f"config.{k}" for k in config_keys(track)
-                if k.startswith(("dataset.", "loop."))} | {"config.track"}
+        # a group shares every value its track reads but the config's name
+        # and the seeds and strategies that the runs of one comparison vary;
+        # a manifest line for a key the track does not read changes nothing
+        read = {f"config.{k}" for k in config_keys(track).keys()
+                - {"name", "seeds", "strategies", "selection.strategy"}}
         key = tuple(sorted((k, v) for k, v in manifest.items() if k in read))
         for seed in sorted(csv_data["points"]):
             try:

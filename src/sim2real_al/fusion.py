@@ -8,8 +8,7 @@ and a Gaussian box distribution (mean + 4x4 covariance).
 Fusion rules
 ------------
 classification:  elementwise product of the member mean score vectors
-                 (independent per-class Bernoullis; optional categorical
-                 renormalization behind a flag)
+                 (independent per-class Bernoullis, not renormalized)
 regression:      product of Gaussians, i.e. precision-weighted fusion:
                  P = sum_i P_i,  mu = P^-1 sum_i P_i mu_i
 
@@ -154,17 +153,19 @@ def mc_statistics(samples) -> tuple[np.ndarray, np.ndarray]:
 _BLOCK_ENTRIES = 1 << 16
 
 
-def cluster_anchors(anchors: Anchors,
-                    iou_threshold: float = DEFAULT_IOU_THRESHOLD) -> list[np.ndarray]:
+def cluster_anchors(anchors: Anchors, iou_threshold: float = DEFAULT_IOU_THRESHOLD
+                    ) -> tuple[np.ndarray, np.ndarray]:
     """Greedy score-descending clustering by mean-box IoU, per image.
 
     In each image the highest-scoring unassigned anchor becomes a
     cluster center and absorbs every unassigned anchor of that image
     whose mean box overlaps it with IoU >= iou_threshold.  Score ties
     break toward the lower anchor index.  Every anchor ends up in
-    exactly one cluster; each cluster is an array of anchor indices
-    into the batch, center first, then the members in score order.
-    Clusters come image by image, each image's in the order they form.
+    exactly one cluster.  Returns (members, offsets): members (A,)
+    holds anchor indices into the batch, and cluster k is
+    members[offsets[k]:offsets[k + 1]], center first, then the members
+    in score order.  Clusters come image by image, each image's in the
+    order they form.
 
     All images cluster together, in rounds: each round takes the top
     unassigned anchor of every image that still has one, so there are
@@ -173,7 +174,7 @@ def cluster_anchors(anchors: Anchors,
     if not (0.0 <= iou_threshold <= 1.0):
         raise ValueError("iou_threshold must lie in [0, 1]")
     if len(anchors) == 0:
-        return []
+        return np.zeros(0, dtype=np.intp), np.zeros(1, dtype=np.intp)
     top_scores = anchors.scores.mean(axis=1).max(axis=1)
     mean_boxes = anchors.boxes.mean(axis=1)
     offsets = anchors.offsets
@@ -186,9 +187,7 @@ def cluster_anchors(anchors: Anchors,
         members.append(m)
         starts.append(s + placed)
         placed += len(m)
-    members = np.concatenate(members)
-    bounds = np.append(np.concatenate(starts), len(members)).tolist()
-    return [members[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    return np.concatenate(members), np.append(np.concatenate(starts), placed)
 
 
 def _cluster_rounds(top_scores, mean_boxes, offsets, iou_threshold):
@@ -226,34 +225,23 @@ def _cluster_rounds(top_scores, mean_boxes, offsets, iou_threshold):
     return members, np.flatnonzero(new)
 
 
-def fuse_categorical(mean_scores, clusters, renormalize: bool = False) -> np.ndarray:
+def fuse_categorical(mean_scores, clusters) -> np.ndarray:
     """Per-class products of the (n, C) member mean score vectors of each
-    of K clusters (anchor-index arrays into mean_scores).
+    of K clusters, given as (members, offsets) into mean_scores (as from
+    cluster_anchors).
 
-    Default keeps the independent-Bernoulli form (no renormalization);
-    renormalize=True divides each product by its sum to interpret it
-    as a categorical distribution.  Products run in log space, in
-    member order.  Returns (K, C).
+    The products keep the independent-Bernoulli form: they are not
+    renormalized into a categorical distribution.  Products run in log
+    space, in member order.  Returns (K, C).
     """
+    members, offsets = clusters
+    k = len(offsets) - 1
+    owner = np.repeat(np.arange(k), np.diff(offsets))
     mean_scores = np.asarray(mean_scores, dtype=float)
-    members, owner = _members(clusters)
-    log_prod = np.zeros((len(clusters), mean_scores.shape[1]))
+    log_prod = np.zeros((k, mean_scores.shape[1]))
     with np.errstate(divide="ignore"):
         np.add.at(log_prod, owner, np.log(mean_scores[members]))
-    probs = np.exp(log_prod)
-    if renormalize:
-        total = probs.sum(axis=1, keepdims=True)
-        if np.any(total <= 0):
-            raise ValueError("all-zero class products cannot be renormalized")
-        probs = probs / total
-    return probs
-
-
-def _members(clusters) -> tuple[np.ndarray, np.ndarray]:
-    """Every cluster's anchor indices in order, and the cluster of each."""
-    members = np.concatenate(clusters)
-    owner = np.repeat(np.arange(len(clusters)), [len(m) for m in clusters])
-    return members, owner
+    return np.exp(log_prod)
 
 
 def fuse_gaussian(box_samples, clusters,
@@ -261,14 +249,16 @@ def fuse_gaussian(box_samples, clusters,
     """Precision-weighted product-of-Gaussians fusion of K clusters.
 
     box_samples holds the batch's (A, T, 4) box samples and clusters is
-    a list of K anchor-index arrays (as from cluster_anchors).  Each
-    member is reduced to (mean, cov) via mc_statistics, the covariance
-    regularized with `regularizer` on the diagonal, and each cluster's
-    Gaussians multiplied: fused precision is the sum of member
+    the (members, offsets) pair of K clusters (as from cluster_anchors).
+    Each member is reduced to (mean, cov) via mc_statistics, the
+    covariance regularized with `regularizer` on the diagonal, and each
+    cluster's Gaussians multiplied: fused precision is the sum of member
     precisions, fused mean the precision-weighted mean.  Sums run in
     member order.  Returns (K, 4) means and (K, 4, 4) covariances.
     """
-    members, owner = _members(clusters)
+    members, offsets = clusters
+    k = len(offsets) - 1
+    owner = np.repeat(np.arange(k), np.diff(offsets))
     means, covs = mc_statistics(np.asarray(box_samples, dtype=float)[members])
     covs = covs + regularizer * np.eye(4)
     try:
@@ -276,8 +266,8 @@ def fuse_gaussian(box_samples, clusters,
         precisions = np.linalg.inv(covs)
     except np.linalg.LinAlgError as exc:
         raise ValueError("degenerate covariance") from exc
-    precision_sum = np.zeros((len(clusters), 4, 4))
-    weighted_mean_sum = np.zeros((len(clusters), 4, 1))
+    precision_sum = np.zeros((k, 4, 4))
+    weighted_mean_sum = np.zeros((k, 4, 1))
     # ufunc.at adds in index order, so each cluster sums in member order
     np.add.at(precision_sum, owner, precisions)
     np.add.at(weighted_mean_sum, owner, precisions @ means[..., None])
@@ -303,15 +293,16 @@ def bayesod_inference(anchors: Anchors,
     regression head only).
     """
     clusters = cluster_anchors(anchors, iou_threshold)
+    members, offsets = clusters
     n_classes = anchors.scores.shape[2]
-    if not clusters:
+    if not len(members):
         return Detections(class_probs=np.zeros((0, n_classes)),
                           box_mean=np.zeros((0, 4)), box_cov=np.zeros((0, 4, 4)),
                           cluster_size=np.zeros(0, dtype=int),
                           offsets=np.zeros(anchors.n_images + 1, dtype=int))
     box_mean, box_cov = fuse_gaussian(anchors.boxes, clusters, regularizer)
     mean_scores = anchors.scores.mean(axis=1)
-    centers = np.array([members[0] for members in clusters])
+    centers = members[offsets[:-1]]
     if cls_bayesian:
         class_probs = fuse_categorical(mean_scores, clusters)
     else:
@@ -319,7 +310,7 @@ def bayesod_inference(anchors: Anchors,
     image = np.searchsorted(anchors.offsets, centers, side="right") - 1
     per_image = np.bincount(image, minlength=anchors.n_images)
     return Detections(class_probs=class_probs, box_mean=box_mean, box_cov=box_cov,
-                      cluster_size=np.array([len(members) for members in clusters]),
+                      cluster_size=np.diff(offsets),
                       offsets=np.concatenate(([0], np.cumsum(per_image))))
 
 

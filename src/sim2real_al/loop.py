@@ -221,13 +221,9 @@ def _average_precision(tp: np.ndarray, n_gt: int) -> float:
     precision = cum_tp / np.arange(1, len(tp) + 1)
     # precision envelope (monotone non-increasing from the right)
     precision = np.maximum.accumulate(precision[::-1])[::-1]
-    ap = 0.0
-    prev_r = 0.0
-    for r, p in zip(recall, precision):
-        if r > prev_r:
-            ap += (r - prev_r) * p
-            prev_r = r
-    return float(ap)
+    # the area under the envelope, summed in recall order: cumsum adds
+    # one term at a time, where np.sum would add pairwise
+    return float(np.cumsum(np.diff(recall, prepend=0.0) * precision)[-1])
 
 
 def inter_class_variation(labels, n_classes: int) -> float:
@@ -408,6 +404,12 @@ def _track(cfg: ALRunConfig, datasets, seed: int):
     if isinstance(datasets, DetectionDatasets):
         return _DetectionTrack(cfg, datasets, seed)
     raise TypeError(f"unsupported dataset bundle {type(datasets).__name__}")
+
+
+# the strategies each track runs: batchbald needs per-item
+# class-probability samples, which the detection surrogate does not produce
+TRACK_STRATEGIES = {"classification": sampling.STRATEGIES,
+                    "detection": tuple(s for s in sampling.STRATEGIES if s != "batchbald")}
 
 
 # strategies whose selection calls scipy: xlogy in the entropy scores
@@ -594,7 +596,7 @@ class _DetectionTrack:
     """
 
     def __init__(self, cfg, data: DetectionDatasets, seed: int):
-        if cfg.selection.strategy == "batchbald":
+        if cfg.selection.strategy not in TRACK_STRATEGIES["detection"]:
             raise ValueError("batchbald needs per-item class-probability samples; "
                              "it is only available on the classification track")
         self.cfg, self.data, self.seed = cfg, data, seed
@@ -819,20 +821,17 @@ def write_curve_csv(path, curves) -> None:
 
 
 def read_curve_csv(path) -> dict:
-    """Rows grouped by run seed: {seed: list of CurvePoint}, plus strategy."""
+    """Rows grouped by run seed: {"points": {seed: list of CurvePoint}}."""
     with open(path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines or lines[0] != CSV_HEADER:
         raise ValueError(f"unexpected CSV header in {path}")
     by_seed: dict[int, list[CurvePoint]] = {}
-    strategies: dict[int, str] = {}
     for ln in lines[1:]:
-        seed_s, strategy, it, count, frac, metric, icv = ln.split(",")
-        seed = int(seed_s)
-        strategies[seed] = strategy
-        by_seed.setdefault(seed, []).append(
+        seed, _, it, count, frac, metric, icv = ln.split(",")
+        by_seed.setdefault(int(seed), []).append(
             CurvePoint(int(it), int(count), float(frac), float(metric), float(icv)))
-    return {"points": by_seed, "strategies": strategies}
+    return {"points": by_seed}
 
 
 def manifest_text(config_items: dict, curves) -> str:

@@ -115,10 +115,8 @@ def generate_classification(spec: ClassificationDomainSpec, n: int,
 
 @dataclass
 class DetectionScene:
-    """Ground truth for one image: class ids and boxes inside an extent."""
+    """Ground truth for one image: class ids and boxes."""
 
-    width: float
-    height: float
     gt_classes: np.ndarray    # (n_obj,)
     gt_boxes: np.ndarray      # (n_obj, 4)
 
@@ -319,8 +317,7 @@ def generate_detection_scenes(spec: DetectionSceneSpec, n: int,
     corner = (np.array([spec.width, spec.height]) - size) * u[:, 1]  # uniform(0, extent - size)
     boxes = np.concatenate([corner, corner + size], axis=1)
     bounds = np.cumsum([0] + counts).tolist()
-    return [DetectionScene(width=spec.width, height=spec.height,
-                           gt_classes=classes[a:b], gt_boxes=boxes[a:b])
+    return [DetectionScene(gt_classes=classes[a:b], gt_boxes=boxes[a:b])
             for a, b in zip(bounds, bounds[1:])]
 
 

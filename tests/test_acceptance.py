@@ -13,6 +13,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 from scipy import stats
 from tests_support_oracles import covering_radius, gradient_check
 from tests_support_reference import bald_scores
@@ -38,7 +39,7 @@ def criterion(number, description):
 def fuse_cluster(box_samples, **kwargs):
     """fuse_gaussian on one cluster of all the given (n, T, 4) samples."""
     return tuple(out[0] for out in fuse_gaussian(
-        box_samples, [np.arange(len(box_samples))], **kwargs))
+        box_samples, (np.arange(len(box_samples)), [0, len(box_samples)]), **kwargs))
 
 
 def scores_of(scores):
@@ -107,7 +108,7 @@ def test_criterion_2_fusion_oracles():
             expected = np.ones(5)
             for s in score_sets:
                 expected = expected * s
-            got = fuse_categorical(cluster, [np.arange(len(cluster))])[0]
+            got = fuse_categorical(cluster, (np.arange(len(cluster)), [0, len(cluster)]))[0]
             np.testing.assert_allclose(got, expected, atol=1e-12)
 
 
@@ -172,6 +173,7 @@ def test_criterion_4_label_shift_mitigation():
 STRATEGIES, SEEDS = ("subsample_topn", "random"), range(1, 11)
 
 
+@pytest.mark.slow
 def test_criterion_5_digits_analog_ordering():
     with criterion(5, "classification track: entropy+subsample beats random "
                       "on >= 8/10 seeds and bridges no later on average"):

@@ -769,6 +769,25 @@ class TestCmdReport:
         report = capsys.readouterr().out
         assert "group 1" in report and "group 2" in report
 
+    @pytest.mark.parametrize("edit, groups", [
+        (("train.epochs = 6", "train.epochs = 2"), 2),
+        (("selection.strategy = subsample_topn", "selection.strategy = random"), 1),
+    ], ids=["epochs", "strategy"])
+    def test_groups_by_every_value_but_name_seeds_and_strategy(self, tmp_path, capsys,
+                                                               edit, groups):
+        """Runs that differ in a value their track reads are not compared;
+        runs that differ only in their strategy are."""
+        text = SMALL_CLS.replace("seeds = 1,2", "seeds = 1")
+        out_a, out_b = tmp_path / "ra", tmp_path / "rb"
+        for out, cfg_text, name in ((out_a, text, "a.cfg"),
+                                    (out_b, text.replace(*edit), "b.cfg")):
+            assert cli.main(["run", "--config", write_cfg(tmp_path, cfg_text, name),
+                             "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert cli.main(["report", str(out_a), str(out_b)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len([ln for ln in lines if ln.startswith("group")]) == groups
+
     def test_corrupt_manifest_skipped_with_warning(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, SMALL_CLS.replace("seeds = 1,2", "seeds = 1"))
         good = tmp_path / "good"

@@ -30,15 +30,20 @@ def anchors_const(score_rows, boxes, t=3):
                    boxes=np.repeat(boxes[:, None, :], t, axis=1))
 
 
-def fuse_scores(mean_scores, **kwargs):
+def one_cluster(n):
+    """(members, offsets) of one cluster of n anchors, in order."""
+    return np.arange(n), np.array([0, n])
+
+
+def fuse_scores(mean_scores):
     """fuse_categorical on one cluster of all the given (n, C) mean scores."""
-    return fuse_categorical(mean_scores, [np.arange(len(mean_scores))], **kwargs)[0]
+    return fuse_categorical(mean_scores, one_cluster(len(mean_scores)))[0]
 
 
 def fuse_cluster(box_samples, **kwargs):
     """fuse_gaussian on one cluster of all the given (n, T, 4) samples."""
     return tuple(out[0] for out in fuse_gaussian(
-        box_samples, [np.arange(len(box_samples))], **kwargs))
+        box_samples, one_cluster(len(box_samples)), **kwargs))
 
 
 class TestAnchors:
@@ -131,23 +136,23 @@ class TestMcStatistics:
 
 class TestClusterAnchors:
     def test_singleton(self):
-        clusters = cluster_anchors(anchors_const([[0.9]], [[0, 0, 10, 10]]), 0.5)
-        assert len(clusters) == 1
-        np.testing.assert_array_equal(clusters[0], [0])
+        members, offsets = cluster_anchors(anchors_const([[0.9]], [[0, 0, 10, 10]]), 0.5)
+        np.testing.assert_array_equal(offsets, [0, 1])
+        np.testing.assert_array_equal(members, [0])
 
     def test_full_overlap(self):
         anchors = anchors_const([[0.3], [0.8]], [[0, 0, 10, 10]] * 2)
-        clusters = cluster_anchors(anchors, 0.5)
-        assert len(clusters) == 1
+        members, offsets = cluster_anchors(anchors, 0.5)
+        np.testing.assert_array_equal(offsets, [0, 2])
         # the center (highest score) comes first
-        np.testing.assert_array_equal(clusters[0], [1, 0])
+        np.testing.assert_array_equal(members, [1, 0])
 
     def test_three_anchor_partition(self):
         anchors = anchors_const([[0.9], [0.7], [0.5]],
                                 [[0, 0, 10, 10],
                                  [0, 1, 10, 11],     # IoU with 0: 9/11 >= 0.5
                                  [50, 50, 60, 60]])
-        clusters = cluster_anchors(anchors, 0.5)
+        clusters = split(*cluster_anchors(anchors, 0.5))
         assert sorted(len(cl) for cl in clusters) == [1, 2]
         assert [list(cl) for cl in clusters] == [[0, 1], [2]]
 
@@ -160,7 +165,7 @@ class TestClusterAnchors:
             boxes = np.concatenate([x0y0, x0y0 + wh], axis=1)
             anchors = Anchors(scores=rng.uniform(0, 1, size=(n, 4, 3)),
                               boxes=boxes[:, None, :] + rng.normal(0, 0.5, size=(n, 4, 4)))
-            clusters = cluster_anchors(anchors, rng.uniform(0.1, 0.9))
+            clusters = split(*cluster_anchors(anchors, rng.uniform(0.1, 0.9)))
             seen = np.concatenate(clusters)
             assert sorted(seen) == list(range(n))
             top = anchors.scores.mean(axis=1).max(axis=1)
@@ -169,11 +174,18 @@ class TestClusterAnchors:
 
     def test_empty(self):
         empty = Anchors(scores=np.empty((0, 0, 0)), boxes=np.empty((0, 0, 4)))
-        assert cluster_anchors(empty, 0.5) == []
+        members, offsets = cluster_anchors(empty, 0.5)
+        assert len(members) == 0
+        np.testing.assert_array_equal(offsets, [0])
 
     def test_threshold_range(self):
         with pytest.raises(ValueError, match="iou_threshold"):
             cluster_anchors(anchors_const([[0.9]], [[0, 0, 10, 10]]), 2.0)
+
+
+def split(members, offsets):
+    """The clusters of cluster_anchors as a list of anchor-index arrays."""
+    return [members[lo:hi] for lo, hi in zip(offsets[:-1], offsets[1:])]
 
 
 def random_batch(rng, sizes, t=3, n_classes=2):
@@ -199,13 +211,17 @@ class TestBatchClustering:
     reference_bayesod_inference), with indices shifted by each image's
     offset."""
 
-    def check(self, anchors, threshold, cls_bayesian):
-        clusters = cluster_anchors(anchors, threshold)
+    @staticmethod
+    def expected_clusters(anchors, threshold):
         expected = []
         for i in range(anchors.n_images):
             expected += [members + anchors.offsets[i] for members in
                          reference_cluster_anchors(one_image(anchors, i), threshold)]
-        assert [list(c) for c in clusters] == [list(c) for c in expected]
+        return [list(c) for c in expected]
+
+    def check(self, anchors, threshold, cls_bayesian):
+        clusters = split(*cluster_anchors(anchors, threshold))
+        assert [list(c) for c in clusters] == self.expected_clusters(anchors, threshold)
         assert_same_detections(
             bayesod_inference(anchors, threshold, cls_bayesian),
             [reference_bayesod_inference(one_image(anchors, i), threshold, cls_bayesian)
@@ -218,6 +234,25 @@ class TestBatchClustering:
     def test_random_batches(self, sizes, t, threshold, cls_bayesian, seed):
         self.check(random_batch(np.random.default_rng(seed), sizes, t),
                    threshold, cls_bayesian)
+
+    @settings(max_examples=60, deadline=None)
+    @given(sizes=st.lists(st.integers(0, 9), min_size=1, max_size=8),
+           threshold=st.sampled_from([0.0, 0.3, 0.5, 1.0]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_flat_clusters(self, sizes, threshold, seed):
+        """members is a permutation of the anchors and offsets rise from 0
+        to A; each cluster lies in one image, and splitting at offsets
+        gives the reference clusters image by image."""
+        anchors = random_batch(np.random.default_rng(seed), sizes)
+        members, offsets = cluster_anchors(anchors, threshold)
+        np.testing.assert_array_equal(np.sort(members), np.arange(len(anchors)))
+        assert offsets[0] == 0 and offsets[-1] == len(anchors)
+        assert np.all(np.diff(offsets) > 0)
+        image = np.searchsorted(anchors.offsets, members, side="right") - 1
+        for cluster in split(image, offsets):
+            assert np.all(cluster == cluster[0])
+        assert ([list(c) for c in split(members, offsets)]
+                == self.expected_clusters(anchors, threshold))
 
     def test_blocks_of_images(self, monkeypatch):
         # blocks of one or two images give the clusters of one block
@@ -259,10 +294,6 @@ class TestFuseCategorical:
     def test_two_members_bernoulli_default(self):
         fused = fuse_scores([[0.6, 0.4]] * 2)
         np.testing.assert_allclose(fused, [0.36, 0.16], atol=1e-12)
-
-    def test_two_members_renormalized(self):
-        fused = fuse_scores([[0.6, 0.4]] * 2, renormalize=True)
-        np.testing.assert_allclose(fused, [9 / 13, 4 / 13], atol=1e-12)
 
     def test_all_ones_member_is_identity(self):
         rng = np.random.default_rng(5)

@@ -13,6 +13,7 @@ from tests_support_map import make_det as det
 from tests_support_map import make_scene as scene
 from tests_support_reference import (Detection, assert_same_detections,
                                      detections_of, reference_detect,
+                                     reference_average_precision,
                                      reference_evaluate_detection,
                                      reference_score_image)
 
@@ -20,7 +21,6 @@ from sim2real_al import loop as al
 from sim2real_al.acquisition import (AGG_MODES, COMB_MODES, AcquisitionConfig,
                                      score_image)
 from sim2real_al.learner import MCDropoutClassifier, TrainConfig
-from sim2real_al.cli import TRACK_STRATEGIES
 from sim2real_al.sampling import SelectionConfig
 from sim2real_al.synthdata import (DetectionScene, DetectionSceneSpec,
                                    generate_detection_scenes)
@@ -84,8 +84,7 @@ class TestEvaluateDetection:
         assert al.evaluate_detection(detections_of([dets]), [sc]) == 0.5
 
     def test_empty_ground_truth_rejected(self):
-        empty = DetectionScene(width=10, height=10,
-                               gt_classes=np.empty(0, int),
+        empty = DetectionScene(gt_classes=np.empty(0, int),
                                gt_boxes=np.empty((0, 4)))
         with pytest.raises(ValueError, match="empty ground truth"):
             al.evaluate_detection(detections_of([[]]), [empty])
@@ -187,6 +186,18 @@ class TestEvaluateDetection:
 
         assert (outcome(al.evaluate_detection, detections_of(images))
                 == outcome(reference_evaluate_detection, images))
+
+    @settings(max_examples=300, deadline=None)
+    @given(tp=st.lists(st.sampled_from([0.0, 1.0]), max_size=40),
+           extra_gt=st.integers(0, 20))
+    def test_average_precision_matches_the_loop(self, tp, extra_gt):
+        """AP gives the bits of the loop that sums the area one recall
+        step at a time (tests_support_reference.reference_average_precision),
+        empty and all-zero flags included."""
+        tp = np.array(tp)
+        n_gt = max(1, int(tp.sum())) + extra_gt
+        assert (float.hex(al._average_precision(tp, n_gt))
+                == float.hex(reference_average_precision(tp, n_gt)))
 
 
 class TestALState:
@@ -604,7 +615,7 @@ class TestDetectionSeeding:
 
 class TestRunAlSelectionProperty:
     @pytest.mark.parametrize("track, strategy", [
-        (track, strategy) for track, names in TRACK_STRATEGIES.items()
+        (track, strategy) for track, names in al.TRACK_STRATEGIES.items()
         for strategy in names])
     @settings(max_examples=8, deadline=None)
     @given(seed=st.integers(0, 2**16), pool=st.integers(6, 20),

@@ -176,7 +176,7 @@ class TestGenerateDetectionScenes:
 
 
 def scene_bytes(scenes):
-    return [(s.width, s.height, s.gt_classes.dtype.str, s.gt_classes.tobytes(),
+    return [(s.gt_classes.dtype.str, s.gt_classes.tobytes(),
              s.gt_boxes.shape, s.gt_boxes.tobytes()) for s in scenes]
 
 

@@ -23,9 +23,8 @@ def make_det(cls, conf, box, n_classes=2):
                      box_cov=np.eye(4))
 
 
-def make_scene(classes, boxes, extent=100.0):
-    return DetectionScene(width=extent, height=extent,
-                          gt_classes=np.asarray(classes, int),
+def make_scene(classes, boxes):
+    return DetectionScene(gt_classes=np.asarray(classes, int),
                           gt_boxes=np.asarray(boxes, float).reshape(-1, 4))
 
 

@@ -81,8 +81,7 @@ def reference_generate_detection_scenes(spec, n, seed):
             x0 = rng.uniform(0.0, spec.width - w)
             y0 = rng.uniform(0.0, spec.height - h)
             boxes[i] = (x0, y0, x0 + w, y0 + h)
-        scenes.append(DetectionScene(width=spec.width, height=spec.height,
-                                     gt_classes=classes, gt_boxes=boxes))
+        scenes.append(DetectionScene(gt_classes=classes, gt_boxes=boxes))
     return scenes
 
 
@@ -146,19 +145,13 @@ def reference_cluster_anchors(anchors, iou_threshold=DEFAULT_IOU_THRESHOLD):
 
 # -- fusion: one call per cluster -------------------------------------------
 
-def reference_fuse_categorical(mean_scores, renormalize=False):
+def reference_fuse_categorical(mean_scores):
     mean_scores = np.asarray(mean_scores, dtype=float)
     log_prod = np.zeros(mean_scores.shape[1])
     for scores in mean_scores:
         with np.errstate(divide="ignore"):
             log_prod += np.log(scores)
-    probs = np.exp(log_prod)
-    if renormalize:
-        total = probs.sum()
-        if total <= 0:
-            raise ValueError("all-zero class products cannot be renormalized")
-        probs = probs / total
-    return probs
+    return np.exp(log_prod)
 
 
 def reference_fuse_gaussian(box_samples, regularizer=COV_REGULARIZER):
@@ -292,6 +285,8 @@ def reference_evaluate_detection(detections_per_image, scenes, iou_threshold=0.5
 
 
 def reference_average_precision(tp, n_gt):
+    """All-point interpolated AP, the envelope and the area one step at
+    a time in recall order."""
     if len(tp) == 0:
         return 0.0
     cum_tp = np.cumsum(tp)
