@@ -8,7 +8,7 @@ entropy measures read off how unsure the detector still is.
 
 import numpy as np
 
-from sim2real_al.acquisition import cls_entropy, reg_entropy
+from sim2real_al.acquisition import detection_entropies
 from sim2real_al.fusion import (Anchors, bayesod_inference, cluster_anchors,
                                 iou_matrix)
 
@@ -41,16 +41,16 @@ members, offsets = cluster_anchors(anchors, iou_threshold=0.5)
 sizes = np.diff(offsets)
 print(f"{len(anchors)} anchors -> {len(sizes)} clusters (sizes {sizes.tolist()})")
 
-# one Detections batch: a row per fused detection in each array
+# one Detections batch: a row per fused detection in each array, and
+# one entropy pair per detection, computed for the whole batch at once
 detections = bayesod_inference(anchors, iou_threshold=0.5)
 labels = detections.class_probs.argmax(axis=1)
+u_cls, u_reg = detection_entropies(detections)
 for i, probs in enumerate(detections.class_probs):
-    u_cls = cls_entropy(probs)
-    u_reg = reg_entropy(detections.box_cov[i])
     print(f"detection {i}: label={labels[i]} conf={probs[labels[i]]:.3f} "
           f"members={detections.cluster_size[i]}")
     print(f"  box mean {np.round(detections.box_mean[i], 1)}")
-    print(f"  semantic entropy {u_cls:.3f} nats, spatial entropy {u_reg:.3f} nats")
+    print(f"  semantic entropy {u_cls[i]:.3f} nats, spatial entropy {u_reg[i]:.3f} nats")
 
 print("\nthe fused box of the 3-anchor cluster is much tighter than any "
       "single anchor's sample cloud: covariance shrinks as 1/M.")

@@ -1,16 +1,19 @@
 """How comb/agg choices shape image scores, and the interchange format.
 
 Generates a couple of synthetic scenes at different detector skill
-levels, scores them under every comb/agg pairing, and round-trips the
-raw anchors through the text interchange file that `sim2real-al score`
-consumes.
+levels, fuses all four images as one batch, scores the batch under every
+comb/agg pairing (score_image gives one score per image), and round-trips
+the raw anchors through the text interchange file that `sim2real-al
+score` consumes.
 """
 
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 from sim2real_al.acquisition import AcquisitionConfig, score_image
-from sim2real_al.fusion import (bayesod_inference, read_anchor_records,
+from sim2real_al.fusion import (Anchors, bayesod_inference, read_anchor_records,
                                 write_anchor_records)
 from sim2real_al.synthdata import (DetectionSceneSpec,
                                    generate_detection_scenes,
@@ -30,13 +33,14 @@ records = [("sharp-0", synth_detector_outputs([scenes[0]], sharp, [10])),
 print("comb/agg grid (rows are images, higher = more informative):")
 header = [f"{comb}+{agg}" for comb in ("sum", "max") for agg in ("max", "sum", "avg")]
 print(f"{'image':10s} " + " ".join(f"{h:>9s}" for h in header))
-for image_id, anchors in records:
-    detections = bayesod_inference(anchors, iou_threshold=0.5)
-    row = []
-    for comb in ("sum", "max"):
-        for agg in ("max", "sum", "avg"):
-            cfg = AcquisitionConfig(comb=comb, agg=agg, w_cls=1.0, w_reg=0.01)
-            row.append(score_image(detections, cfg, [image_id])[0].score)
+# one Detections batch of the four images; each score_image call gives
+# an (n_images,) array, a column of the grid
+detections = bayesod_inference(Anchors.concatenate(anchors for _, anchors in records),
+                               iou_threshold=0.5)
+columns = [score_image(detections, AcquisitionConfig(comb=comb, agg=agg,
+                                                     w_cls=1.0, w_reg=0.01))
+           for comb in ("sum", "max") for agg in ("max", "sum", "avg")]
+for (image_id, _), row in zip(records, np.column_stack(columns)):
     print(f"{image_id:10s} " + " ".join(f"{v:9.3f}" for v in row))
 
 print("\nblurry images dominate under every setting; sum-aggregation also "

@@ -8,8 +8,9 @@ Per detection, two uncertainty numbers are computed in nats:
   k/2 + (k/2) ln(2 pi) + 1/2 ln|C|  (spatial uncertainty; may be
   negative for tight covariances, which is kept as-is)
 
-The pair is collapsed with a combination function (weighted sum or max)
-and per-image scores aggregate over detections with max, sum or avg.
+detection_entropies computes both for a fusion.Detections batch;
+score_image combines each pair (weighted sum or max) and aggregates
+them per image (max, sum or avg) into one score per image.
 """
 
 from __future__ import annotations
@@ -41,17 +42,6 @@ class AcquisitionConfig:
     empty_image_score: float = checked(0.0, finite)
 
     __post_init__ = check
-
-
-@dataclass(frozen=True)
-class ImageScore:
-    image_id: object
-    score: float
-    n_detections: int
-
-    def __post_init__(self):
-        if not np.isfinite(self.score):
-            raise ValueError("image score must be finite")
 
 
 def _xlogy(x, y) -> np.ndarray:
@@ -124,21 +114,6 @@ def _combined(u_cls, u_reg, cfg: AcquisitionConfig):
     return np.where(wr > wc, wr, wc)
 
 
-def cls_entropy(probs) -> float:
-    """Sum of per-class Bernoulli entropies, natural log.
-
-    Each entry is treated as an independent foreground-class score;
-    0 ln 0 evaluates to 0.  Summation via fsum, so the result does not
-    depend on entry order.
-    """
-    p = np.asarray(probs, dtype=float)[None]
-    entropies, checks = _bernoulli_entropies(p)
-    # NaN passes the range check (score_image rejects its entropy instead)
-    _raise_first_failure(checks + [("class scores must be finite",
-                                    ~np.isfinite(p).all(axis=1))])
-    return float(entropies[0])
-
-
 def categorical_entropy(probs):
     """Shannon entropy -sum p ln p of a categorical distribution (C,), a
     float, or of each row of (N, C) distributions, an (N,) array.
@@ -165,41 +140,30 @@ def categorical_entropy(probs):
     return float(entropies[0]) if p.ndim == 1 else entropies
 
 
-def reg_entropy(cov) -> float:
-    """Differential entropy of a Gaussian with covariance `cov`.
-
-    k/2 + (k/2) ln(2 pi) + 1/2 ln|cov| for k = cov dimension (4 for
-    fused boxes).  Raises on non-symmetric or non-positive-definite
-    input.
-    """
-    entropies, checks = _gaussian_entropies(np.asarray(cov, dtype=float)[None])
-    _raise_first_failure(checks)
-    return entropies[0]
-
-
-def score_image(detections, cfg: AcquisitionConfig, image_ids=None) -> list[ImageScore]:
-    """Score every image of a fusion.Detections batch, one ImageScore each.
-
-    All detections of the batch are scored in one pass; a detection
-    that cannot be scored raises the error the first such detection
-    would raise alone.  Each image then aggregates its detections'
-    combined uncertainties, in order, with Python's max or sum; an image
-    without detections scores cfg.empty_image_score.  image_ids names
-    the images (default 0, 1, ...).
-    """
-    image_ids = range(detections.n_images) if image_ids is None else list(image_ids)
-    if len(image_ids) != detections.n_images:
-        raise ValueError(f"need one image id per image, got {len(image_ids)} "
-                         f"for {detections.n_images} images")
+def detection_entropies(detections) -> tuple[np.ndarray, np.ndarray]:
+    """(u_cls, u_reg): the (K,) classification and regression entropies
+    of every detection of a fusion.Detections batch, in one pass.  A
+    detection that cannot be scored raises the error the first such
+    detection would raise alone."""
     u_cls, cls_checks = _bernoulli_entropies(
         np.asarray(detections.class_probs, dtype=float))
     u_reg, reg_checks = _gaussian_entropies(
         np.asarray(detections.box_cov, dtype=float))
     _raise_first_failure(cls_checks + reg_checks + _pair_checks(u_cls, u_reg))
-    values = _combined(u_cls, u_reg, cfg).tolist()
+    return u_cls, u_reg
+
+
+def score_image(detections, cfg: AcquisitionConfig) -> np.ndarray:
+    """The (n_images,) scores of the images of a fusion.Detections batch.
+
+    Each image aggregates its detections' combined uncertainties, in
+    order, with Python's max or sum; an image without detections scores
+    cfg.empty_image_score.  Every score must be finite.
+    """
+    values = _combined(*detection_entropies(detections), cfg).tolist()
     bounds = detections.offsets.tolist()
     scores = []
-    for image_id, lo, hi in zip(image_ids, bounds, bounds[1:]):
+    for lo, hi in zip(bounds, bounds[1:]):
         image_values = values[lo:hi]
         if not image_values:
             score = cfg.empty_image_score
@@ -209,6 +173,8 @@ def score_image(detections, cfg: AcquisitionConfig, image_ids=None) -> list[Imag
             score = sum(image_values)
         else:
             score = sum(image_values) / len(image_values)
-        scores.append(ImageScore(image_id=image_id, score=float(score),
-                                 n_detections=hi - lo))
+        scores.append(score)
+    scores = np.array(scores, dtype=float)
+    if not np.isfinite(scores).all():
+        raise ValueError("image score must be finite")
     return scores

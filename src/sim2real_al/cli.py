@@ -484,11 +484,11 @@ def cmd_score(args) -> int:
         raise ConfigError(f"cannot read anchor records: {exc}") from None
 
     def score_all(records):
-        """ImageScores of the records, one batch per sample shape (T, C)."""
+        """(image_id, score, n_detections) rows, one batch per shape (T, C)."""
         batches = {}
         for image_id, anchors in records:
             batches.setdefault(anchors.scores.shape[1:], []).append((image_id, anchors))
-        scores = []
+        rows = []
         # finite samples so large that fusion overflows cannot be scored
         with np.errstate(over="raise"):
             for batch in batches.values():
@@ -496,8 +496,10 @@ def cmd_score(args) -> int:
                 detections = fusion.bayesod_inference(fusion.Anchors.concatenate(parts),
                                                       cfg.iou_threshold,
                                                       cfg.cls_bayesian)
-                scores += acquisition.score_image(detections, cfg.acquisition, ids)
-        return scores
+                scores = acquisition.score_image(detections, cfg.acquisition)
+                # tolist: Python floats, whose repr is the plain literal
+                rows += zip(ids, scores.tolist(), np.diff(detections.offsets).tolist())
+        return rows
 
     try:
         scored = score_all(records)
@@ -509,10 +511,10 @@ def cmd_score(args) -> int:
             except (ValueError, FloatingPointError) as exc:
                 raise ConfigError(f"image {image_id}: {exc}") from None
         raise ConfigError(str(batch_exc)) from None
-    scored.sort(key=lambda s: (-s.score, str(s.image_id)))
+    scored.sort(key=lambda row: (-row[1], str(row[0])))
     print("image_id,score,n_detections")
-    for s in scored:
-        print(f"{s.image_id},{repr(s.score)},{s.n_detections}")
+    for image_id, score, n_detections in scored:
+        print(f"{image_id},{score!r},{n_detections}")
     return 0
 
 

@@ -26,6 +26,15 @@ COV_REGULARIZER = 1e-6
 DEFAULT_IOU_THRESHOLD = 0.5
 
 
+def _rising(offsets, count: int, what: str) -> np.ndarray:
+    """offsets as a 1-D intp array that rises (not strictly) from 0 to count."""
+    offsets = np.asarray(offsets, dtype=np.intp)
+    if (offsets.ndim != 1 or len(offsets) < 1 or offsets[0] != 0
+            or offsets[-1] != count or np.any(np.diff(offsets) < 0)):
+        raise ValueError(f"offsets must rise from 0 to the {what} count")
+    return offsets
+
+
 @dataclass(frozen=True)
 class Anchors:
     """Monte-Carlo samples of the anchors of one or more images, T samples each.
@@ -59,12 +68,8 @@ class Anchors:
             raise ValueError("anchor samples must be finite")
         if np.any(scores < 0) or np.any(scores > 1):
             raise ValueError("scores must lie in [0, 1]")
-        offsets = np.array([0, len(scores)]) if self.offsets is None \
-            else np.asarray(self.offsets, dtype=np.intp)
-        if (offsets.ndim != 1 or len(offsets) < 1 or offsets[0] != 0
-                or offsets[-1] != len(scores) or np.any(np.diff(offsets) < 0)):
-            raise ValueError("offsets must rise from 0 to the anchor count")
-        object.__setattr__(self, "offsets", offsets)
+        offsets = [0, len(scores)] if self.offsets is None else self.offsets
+        object.__setattr__(self, "offsets", _rising(offsets, len(scores), "anchor"))
 
     def __len__(self) -> int:
         return self.scores.shape[0]
@@ -225,16 +230,16 @@ def _cluster_rounds(top_scores, mean_boxes, offsets, iou_threshold):
     return members, np.flatnonzero(new)
 
 
-def fuse_categorical(mean_scores, clusters) -> np.ndarray:
+def fuse_categorical(mean_scores, members, offsets) -> np.ndarray:
     """Per-class products of the (n, C) member mean score vectors of each
-    of K clusters, given as (members, offsets) into mean_scores (as from
-    cluster_anchors).
+    of K clusters: cluster k is mean_scores[members[offsets[k]:offsets[k + 1]]]
+    (as from cluster_anchors).
 
     The products keep the independent-Bernoulli form: they are not
     renormalized into a categorical distribution.  Products run in log
     space, in member order.  Returns (K, C).
     """
-    members, offsets = clusters
+    offsets = _rising(offsets, len(members), "member")
     k = len(offsets) - 1
     owner = np.repeat(np.arange(k), np.diff(offsets))
     mean_scores = np.asarray(mean_scores, dtype=float)
@@ -244,19 +249,19 @@ def fuse_categorical(mean_scores, clusters) -> np.ndarray:
     return np.exp(log_prod)
 
 
-def fuse_gaussian(box_samples, clusters,
+def fuse_gaussian(box_samples, members, offsets,
                   regularizer: float = COV_REGULARIZER) -> tuple[np.ndarray, np.ndarray]:
     """Precision-weighted product-of-Gaussians fusion of K clusters.
 
-    box_samples holds the batch's (A, T, 4) box samples and clusters is
-    the (members, offsets) pair of K clusters (as from cluster_anchors).
+    box_samples holds the batch's (A, T, 4) box samples; cluster k is
+    box_samples[members[offsets[k]:offsets[k + 1]]] (as from cluster_anchors).
     Each member is reduced to (mean, cov) via mc_statistics, the
     covariance regularized with `regularizer` on the diagonal, and each
     cluster's Gaussians multiplied: fused precision is the sum of member
     precisions, fused mean the precision-weighted mean.  Sums run in
     member order.  Returns (K, 4) means and (K, 4, 4) covariances.
     """
-    members, offsets = clusters
+    offsets = _rising(offsets, len(members), "member")
     k = len(offsets) - 1
     owner = np.repeat(np.arange(k), np.diff(offsets))
     means, covs = mc_statistics(np.asarray(box_samples, dtype=float)[members])
@@ -292,19 +297,18 @@ def bayesod_inference(anchors: Anchors,
     cluster center's mean scores are used (Bayesian inference on the
     regression head only).
     """
-    clusters = cluster_anchors(anchors, iou_threshold)
-    members, offsets = clusters
+    members, offsets = cluster_anchors(anchors, iou_threshold)
     n_classes = anchors.scores.shape[2]
     if not len(members):
         return Detections(class_probs=np.zeros((0, n_classes)),
                           box_mean=np.zeros((0, 4)), box_cov=np.zeros((0, 4, 4)),
                           cluster_size=np.zeros(0, dtype=int),
                           offsets=np.zeros(anchors.n_images + 1, dtype=int))
-    box_mean, box_cov = fuse_gaussian(anchors.boxes, clusters, regularizer)
+    box_mean, box_cov = fuse_gaussian(anchors.boxes, members, offsets, regularizer)
     mean_scores = anchors.scores.mean(axis=1)
     centers = members[offsets[:-1]]
     if cls_bayesian:
-        class_probs = fuse_categorical(mean_scores, clusters)
+        class_probs = fuse_categorical(mean_scores, members, offsets)
     else:
         class_probs = mean_scores[centers]
     image = np.searchsorted(anchors.offsets, centers, side="right") - 1

@@ -75,7 +75,7 @@ class ALState:
         overlap = set(ids) - set(self.pool_ids)
         if overlap:
             raise ValueError(f"ids not in pool: {sorted(overlap)}")
-        if set(ids) & set(self.labeled_ids):
+        if len(set(ids)) < len(ids) or set(ids) & set(self.labeled_ids):
             raise ValueError("id acquired twice")
         self.labeled_ids.extend(ids)
         chosen = set(ids)
@@ -135,6 +135,10 @@ def evaluate_classifier(model, x_test, y_test) -> float:
     y_test = np.asarray(y_test, dtype=int)
     if x_test.shape[0] == 0:
         raise ValueError("empty test set")
+    if y_test.ndim != 1:
+        raise ValueError(f"y must be a 1-D array of labels, got shape {y_test.shape}")
+    if len(y_test) != x_test.shape[0]:
+        raise ValueError(f"x has {x_test.shape[0]} rows, but y has {len(y_test)} labels")
     probs = np.atleast_2d(model.predict_mean(x_test))
     return float((probs.argmax(axis=1) == y_test).mean())
 
@@ -646,10 +650,8 @@ class _DetectionTrack:
                                                       it, pool_ids))
         return self._pool_dets[1]
 
-    def scores(self, pool_ids, it) -> list[float]:
-        scored = acq.score_image(self._pool_detections(pool_ids, it),
-                                 self.cfg.acquisition, pool_ids)
-        return [s.score for s in scored]
+    def scores(self, pool_ids, it) -> np.ndarray:
+        return acq.score_image(self._pool_detections(pool_ids, it), self.cfg.acquisition)
 
     def pool_features(self, pool_ids, it) -> np.ndarray:
         return _scene_features(self._pool_detections(pool_ids, it),

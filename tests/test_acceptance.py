@@ -16,10 +16,10 @@ import numpy as np
 import pytest
 from scipy import stats
 from tests_support_oracles import covering_radius, gradient_check
-from tests_support_reference import bald_scores
+from tests_support_reference import Detection, bald_scores, detections_of
 
 from sim2real_al import loop as al
-from sim2real_al.acquisition import AcquisitionConfig, cls_entropy, reg_entropy
+from sim2real_al.acquisition import AcquisitionConfig, detection_entropies
 from sim2real_al.fusion import fuse_categorical, fuse_gaussian, mc_statistics
 from sim2real_al.learner import MCDropoutClassifier, TrainConfig
 from sim2real_al.sampling import (SelectionConfig, select_coreset, select_subsample_topn,
@@ -39,7 +39,14 @@ def criterion(number, description):
 def fuse_cluster(box_samples, **kwargs):
     """fuse_gaussian on one cluster of all the given (n, T, 4) samples."""
     return tuple(out[0] for out in fuse_gaussian(
-        box_samples, (np.arange(len(box_samples)), [0, len(box_samples)]), **kwargs))
+        box_samples, np.arange(len(box_samples)), [0, len(box_samples)], **kwargs))
+
+
+def entropies(probs, cov):
+    """detection_entropies of one image holding one detection."""
+    det = Detection(class_probs=np.array(probs, dtype=float), box_mean=np.zeros(4),
+                    box_cov=np.asarray(cov, dtype=float))
+    return tuple(u[0] for u in detection_entropies(detections_of([[det]])))
 
 
 def scores_of(scores):
@@ -49,14 +56,15 @@ def scores_of(scores):
 
 def test_criterion_1_entropy_closed_forms():
     with criterion(1, "entropy closed forms and scaling identity"):
-        assert abs(cls_entropy([0.5]) - math.log(2)) < 1e-9
-        assert abs(reg_entropy(np.eye(4)) - (2 + 2 * math.log(2 * math.pi))) < 1e-9
+        u_cls, u_reg = entropies([0.5], np.eye(4))
+        assert abs(u_cls - math.log(2)) < 1e-9
+        assert abs(u_reg - (2 + 2 * math.log(2 * math.pi))) < 1e-9
         rng = np.random.default_rng(0)
         for _ in range(20):
             a = rng.normal(size=(4, 4))
             cov = a @ a.T + 0.5 * np.eye(4)
             for alpha in (2.0, 5.0, 0.5):
-                diff = reg_entropy(alpha * cov) - reg_entropy(cov)
+                diff = entropies([0.5], alpha * cov)[1] - entropies([0.5], cov)[1]
                 assert abs(diff - 2.0 * math.log(alpha)) < 1e-10
 
 
@@ -108,7 +116,7 @@ def test_criterion_2_fusion_oracles():
             expected = np.ones(5)
             for s in score_sets:
                 expected = expected * s
-            got = fuse_categorical(cluster, (np.arange(len(cluster)), [0, len(cluster)]))[0]
+            got = fuse_categorical(cluster, np.arange(len(cluster)), [0, len(cluster)])[0]
             np.testing.assert_allclose(got, expected, atol=1e-12)
 
 

@@ -2,6 +2,7 @@
 
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,10 +13,9 @@ from tests_support_reference import (Detection, detections_of, reference_cls_ent
                                      reference_reg_entropy,
                                      reference_score_image)
 
-from sim2real_al.acquisition import (AcquisitionConfig, ImageScore,
-                                     _combined, _pair_checks,
+from sim2real_al.acquisition import (AcquisitionConfig, _combined, _pair_checks,
                                      _raise_first_failure, categorical_entropy,
-                                     cls_entropy, reg_entropy, score_image)
+                                     detection_entropies, score_image)
 
 
 # three Dirichlet rows, a one-hot row and the uniform row, with the
@@ -29,39 +29,55 @@ BERNOULLI_HEX = ["0x1.bf5c6c9a4d9d2p+0", "0x1.6778363c905b2p-1", "0x1.10d25db9f3
                  "-0x0.0p+0", "0x1.1fea645f0ef4ep+1"]
 
 
+def entropies(probs=(0.5,), cov=np.eye(4)):
+    """detection_entropies of a batch of one image with one detection."""
+    det = Detection(class_probs=np.asarray(probs, dtype=float), box_mean=np.zeros(4),
+                    box_cov=np.asarray(cov, dtype=float))
+    return tuple(float(u[0]) for u in detection_entropies(detections_of([[det]])))
+
+
+def cls_entropy_of(probs):
+    return entropies(probs=probs)[0]
+
+
+def reg_entropy_of(cov):
+    return entropies(cov=cov)[1]
+
+
 class TestClsEntropy:
     @pytest.mark.parametrize("probs, message", [
-        ([np.nan, 0.5], "class scores must be finite"),
-        ([0.5, np.nan, 0.5], "class scores must be finite"),
+        # NaN passes the range check, and its entropy fails the pair check
+        ([np.nan, 0.5], "uncertainties must be finite"),
+        ([0.5, np.nan, 0.5], "uncertainties must be finite"),
         ([np.nan, 1.5], "class scores must lie in [0, 1]"),   # the range check runs first
     ])
     def test_nan_rejected(self, probs, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            cls_entropy(probs)
-        assert [cls_entropy(row).hex() for row in VALID_ROWS] == BERNOULLI_HEX
+            cls_entropy_of(probs)
+        assert [cls_entropy_of(row).hex() for row in VALID_ROWS] == BERNOULLI_HEX
 
     def test_max_entropy_bernoulli(self):
-        assert cls_entropy([0.5]) == pytest.approx(math.log(2), abs=1e-12)
+        assert cls_entropy_of([0.5]) == pytest.approx(math.log(2), abs=1e-12)
 
     def test_deterministic_classes(self):
-        assert cls_entropy([1.0, 0.0]) == 0.0
+        assert cls_entropy_of([1.0, 0.0]) == 0.0
 
     def test_hand_computed(self):
         # h(0.9) = 0.325083, h(0.2) = 0.500402
-        assert cls_entropy([0.9, 0.2]) == pytest.approx(0.8254853969296361,
-                                                        abs=1e-9)
+        assert cls_entropy_of([0.9, 0.2]) == pytest.approx(0.8254853969296361,
+                                                           abs=1e-9)
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
-            cls_entropy([0.5, 1.2])
+            cls_entropy_of([0.5, 1.2])
         with pytest.raises(ValueError):
-            cls_entropy([-0.1])
+            cls_entropy_of([-0.1])
 
     def test_upper_bound(self):
         rng = np.random.default_rng(0)
         for _ in range(300):
             p = rng.uniform(0, 1, size=rng.integers(1, 10))
-            assert cls_entropy(p) <= len(p) * math.log(2) + 1e-12
+            assert cls_entropy_of(p) <= len(p) * math.log(2) + 1e-12
 
     def test_direct_summation_oracle(self):
         rng = np.random.default_rng(1)
@@ -69,7 +85,7 @@ class TestClsEntropy:
             p = rng.uniform(0, 1, size=6)
             expected = sum(-pi * math.log(pi) - (1 - pi) * math.log(1 - pi)
                            for pi in p)
-            assert cls_entropy(p) == pytest.approx(expected, abs=1e-12)
+            assert cls_entropy_of(p) == pytest.approx(expected, abs=1e-12)
 
 
 class TestCategoricalEntropy:
@@ -172,12 +188,12 @@ class TestCategoricalEntropy:
 class TestRegEntropy:
     def test_identity(self):
         expected = 2.0 + 2.0 * math.log(2 * math.pi)
-        assert reg_entropy(np.eye(4)) == pytest.approx(expected, abs=1e-12)
+        assert reg_entropy_of(np.eye(4)) == pytest.approx(expected, abs=1e-12)
 
     def test_scaled_identity(self):
         expected = 2.0 + 2.0 * math.log(2 * math.pi) + 4.0
-        assert reg_entropy(np.exp(2) * np.eye(4)) == pytest.approx(expected,
-                                                                   abs=1e-9)
+        assert reg_entropy_of(np.exp(2) * np.eye(4)) == pytest.approx(expected,
+                                                                      abs=1e-9)
 
     def test_scaling_identity(self):
         rng = np.random.default_rng(4)
@@ -185,14 +201,14 @@ class TestRegEntropy:
             a = rng.normal(size=(4, 4))
             cov = a @ a.T + 0.5 * np.eye(4)
             for alpha in (2.0, 3.5, 10.0):
-                diff = reg_entropy(alpha * cov) - reg_entropy(cov)
+                diff = reg_entropy_of(alpha * cov) - reg_entropy_of(cov)
                 assert diff == pytest.approx(2.0 * math.log(alpha), abs=1e-10)
 
     def test_degenerate_rejected(self):
         with pytest.raises(ValueError, match="degenerate covariance"):
-            reg_entropy(np.zeros((4, 4)))
+            reg_entropy_of(np.zeros((4, 4)))
         with pytest.raises(ValueError):
-            reg_entropy(np.array([[1.0, 2.0], [0.0, 1.0]]))  # not symmetric
+            reg_entropy_of(np.array([[1.0, 2.0], [0.0, 1.0]]))  # not symmetric
 
     def test_monte_carlo_oracle(self):
         """-E[log pdf] over 1e6 draws matches the closed form (3 SE)."""
@@ -207,7 +223,7 @@ class TestRegEntropy:
                        - 2.0 * np.log(2 * np.pi))
             estimate = -log_pdf.mean()
             se = log_pdf.std(ddof=1) / np.sqrt(n)
-            assert abs(reg_entropy(cov) - estimate) <= 3 * se
+            assert abs(reg_entropy_of(cov) - estimate) <= 3 * se
 
 
 def combine(u_cls, u_reg, cfg):
@@ -284,9 +300,9 @@ class TestCombine:
             AcquisitionConfig(empty_image_score=float("nan"))
 
 
-def score_one(dets, cfg, image_id=0):
+def score_one(dets, cfg):
     """score_image on a batch of one image holding the detections dets."""
-    return score_image(detections_of([dets]), cfg, [image_id])[0]
+    return float(score_image(detections_of([dets]), cfg)[0])
 
 
 def _det(probs, cov_scale=1.0):
@@ -303,31 +319,37 @@ class TestScoreImage:
         h = math.log(2)
         for agg, expected in (("max", h), ("sum", 3 * h), ("avg", h)):
             cfg = AcquisitionConfig(agg=agg, **cfg_base)
-            assert score_one(dets, cfg).score == pytest.approx(expected)
+            assert score_one(dets, cfg) == pytest.approx(expected)
 
     def test_empty_default_zero(self):
-        score = score_one([], AcquisitionConfig())
-        assert score.score == 0.0
-        assert score.n_detections == 0
+        assert score_one([], AcquisitionConfig()) == 0.0
 
     def test_empty_custom_score(self):
         cfg = AcquisitionConfig(empty_image_score=-3.5)
-        assert score_one([], cfg).score == -3.5
+        assert score_one([], cfg) == -3.5
 
     def test_singleton_agg_equivalence(self):
         det = _det([0.3, 0.6], cov_scale=2.0)
-        scores = [score_one([det], AcquisitionConfig(agg=a)).score
+        scores = [score_one([det], AcquisitionConfig(agg=a))
                   for a in ("max", "sum", "avg")]
         assert scores[0] == scores[1] == scores[2]
 
-    def test_image_id_and_count(self):
-        s = score_one([_det([0.4])], AcquisitionConfig(), image_id="k7")
-        assert s.image_id == "k7"
-        assert s.n_detections == 1
+    def test_one_score_per_image(self):
+        images = [[_det([0.4])], [], [_det([0.5]), _det([0.2])]]
+        scores = score_image(detections_of(images), AcquisitionConfig(agg="max"))
+        assert scores.shape == (3,)
+        assert scores[1] == 0.0
+        assert scores[2] == score_one(images[2], AcquisitionConfig(agg="max"))
 
-    def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError):
-            ImageScore(image_id=0, score=float("nan"), n_detections=0)
+    @pytest.mark.parametrize("agg", ["sum", "avg"])
+    def test_nonfinite_rejected(self, agg):
+        # each detection combines to ln 2 * 1e308, finite; three of them
+        # sum past the largest double
+        cfg = AcquisitionConfig(comb="sum", agg=agg, w_cls=1e308, w_reg=0.0)
+        dets = [_det([0.5])] * 3
+        with pytest.raises(ValueError, match="^image score must be finite$"):
+            score_one(dets, cfg)
+        assert score_one(dets, replace(cfg, agg="max")) == 1e308 * math.log(2)
 
 
 CONFIGS = [AcquisitionConfig(comb=comb, agg=agg, w_cls=w_cls, w_reg=w_reg)
@@ -350,11 +372,11 @@ def random_detections(rng, n, n_classes):
 
 
 def score_or_error(score, dets, cfg):
+    """The float.hex of score(dets, cfg), or ("error", message)."""
     try:
-        s = score(dets, cfg, image_id="x")
+        return float(score(dets, cfg)).hex()
     except ValueError as exc:
-        return str(exc)
-    return (s.image_id, s.score.hex(), s.n_detections)
+        return ("error", str(exc))
 
 
 class TestScoreImageReference:
@@ -425,11 +447,9 @@ class TestScoreImageReference:
                 dets[int(rng.integers(0, sum(sizes)))] = self.BAD[kind](good)
         bounds = np.cumsum([0, *sizes])
         images = [dets[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-        ids = [f"im{i}" for i in range(len(images))]
 
         def batch():
-            return [(s.image_id, s.score.hex(), s.n_detections) for s in
-                    score_image(detections_of(images), CONFIGS[0], ids)]
+            return [v.hex() for v in score_image(detections_of(images), CONFIGS[0]).tolist()]
 
         def one_by_one():
             return [score_or_error(reference_score_image, image, CONFIGS[0])
@@ -439,13 +459,13 @@ class TestScoreImageReference:
             try:
                 got = batch()
             except ValueError as exc:
-                got = str(exc)
+                got = ("error", str(exc))
             expected = one_by_one()
-        errors = [e for e in expected if isinstance(e, str)]
+        errors = [e for e in expected if isinstance(e, tuple)]
         if errors:
             assert got == errors[0]
         else:
-            assert got == [(i, *e[1:]) for i, e in zip(ids, expected)]
+            assert got == expected
 
     @pytest.mark.parametrize("comb", ["sum", "max"])
     @pytest.mark.parametrize("agg", ["max", "sum", "avg"])
@@ -458,21 +478,16 @@ class TestScoreImageReference:
         wide = Detection(np.array([1.0, 0.0]), np.zeros(4), np.eye(4))
         images = [[tight, wide], [wide, tight], [tight], [], [wide, wide, tight]]
         cfg = AcquisitionConfig(comb=comb, agg=agg, w_reg=0.0)
-        got = [(s.image_id, s.score.hex(), s.n_detections)
-               for s in score_image(detections_of(images), cfg)]
-        refs = [reference_score_image(image, cfg, i) for i, image in enumerate(images)]
-        expected = [(r.image_id, r.score.hex(), r.n_detections) for r in refs]
+        got = [v.hex() for v in score_image(detections_of(images), cfg).tolist()]
+        expected = [reference_score_image(image, cfg).hex() for image in images]
         assert got == expected
-
-    def test_one_image_id_per_image(self):
-        with pytest.raises(ValueError, match="one image id per image"):
-            score_image(detections_of([[_det([0.4])], []]), AcquisitionConfig(), ["a"])
 
     def test_one_row_kernels(self):
         rng = np.random.default_rng(4)
         for det in random_detections(rng, 50, 4):
-            assert cls_entropy(det.class_probs) == reference_cls_entropy(det.class_probs)
-            assert reg_entropy(det.box_cov) == reference_reg_entropy(det.box_cov)
+            assert (entropies(det.class_probs, det.box_cov)
+                    == (reference_cls_entropy(det.class_probs),
+                        reference_reg_entropy(det.box_cov)))
         for bad in ([0.5, 1.5], [-0.1]):
             with pytest.raises(ValueError, match=r"class scores must lie in \[0, 1\]"):
-                cls_entropy(bad)
+                cls_entropy_of(bad)

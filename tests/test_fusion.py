@@ -1,5 +1,6 @@
 """Fusion: IoU, MC statistics, clustering, categorical/Gaussian products."""
 
+import functools
 import re
 import sys
 
@@ -37,13 +38,13 @@ def one_cluster(n):
 
 def fuse_scores(mean_scores):
     """fuse_categorical on one cluster of all the given (n, C) mean scores."""
-    return fuse_categorical(mean_scores, one_cluster(len(mean_scores)))[0]
+    return fuse_categorical(mean_scores, *one_cluster(len(mean_scores)))[0]
 
 
 def fuse_cluster(box_samples, **kwargs):
     """fuse_gaussian on one cluster of all the given (n, T, 4) samples."""
     return tuple(out[0] for out in fuse_gaussian(
-        box_samples, one_cluster(len(box_samples)), **kwargs))
+        box_samples, *one_cluster(len(box_samples)), **kwargs))
 
 
 class TestAnchors:
@@ -312,6 +313,30 @@ class TestFuseCategorical:
             np.testing.assert_allclose(fuse_scores(score_sets), expected,
                                        atol=1e-12)
             assert np.all(fuse_scores(score_sets) <= 1.0 + 1e-15)
+
+
+class TestClusterPairChecked:
+    """fuse_gaussian and fuse_categorical take members and offsets as two
+    parameters, and reject offsets that do not split the members."""
+
+    SAMPLES = np.random.default_rng(3).normal([0, 0, 20, 20], 2.0, size=(6, 10, 4))
+    FUSERS = {"gaussian": functools.partial(fuse_gaussian, SAMPLES),
+              "categorical": functools.partial(fuse_categorical, np.full((6, 3), 0.5))}
+
+    @pytest.mark.parametrize("fuser", sorted(FUSERS))
+    @pytest.mark.parametrize("offsets", [[0, 2, 5], [1, 3, 6], [0, 4, 2, 6], [], [[0, 6]]],
+                             ids=["short-of-the-count", "not-from-0", "falling", "empty",
+                                  "2-d"])
+    def test_offsets_must_split_the_members(self, fuser, offsets):
+        with pytest.raises(ValueError, match="^offsets must rise from 0 to the member count$"):
+            self.FUSERS[fuser](np.arange(6), offsets)
+
+    @pytest.mark.parametrize("fuser", sorted(FUSERS))
+    def test_list_of_cluster_arrays_is_a_type_error(self, fuser):
+        # the old per-cluster list would read as members [0, 1, 2] and
+        # offsets [0, 1, 3]: two wrong clusters
+        with pytest.raises(TypeError):
+            self.FUSERS[fuser]([np.array([0, 1, 2]), np.array([0, 1, 3])])
 
 
 class TestFuseGaussian:

@@ -60,6 +60,19 @@ class TestEvaluateClassifier:
         with pytest.raises(ValueError, match="empty test set"):
             al.evaluate_classifier(self.Uniform(), np.empty((0, 2)), np.empty(0))
 
+    @pytest.mark.parametrize("n_labels", [1, 2, 11])
+    def test_label_count_must_match_rows(self, n_labels):
+        # one label used to broadcast over all 10 rows, two raised numpy's
+        # broadcast error
+        with pytest.raises(ValueError,
+                           match=f"^x has 10 rows, but y has {n_labels} labels$"):
+            al.evaluate_classifier(self.Uniform(), np.zeros((10, 2)), np.zeros(n_labels))
+
+    def test_labels_must_be_1d(self):
+        with pytest.raises(ValueError, match=r"^y must be a 1-D array of labels, "
+                                             r"got shape \(10, 1\)$"):
+            al.evaluate_classifier(self.Uniform(), np.zeros((10, 2)), np.zeros((10, 1)))
+
 
 class TestEvaluateDetection:
     def test_perfect_detections(self):
@@ -218,6 +231,13 @@ class TestALState:
         state = al.ALState(pool_ids=[0, 1])
         with pytest.raises(ValueError, match="not in pool"):
             state.acquire([7])
+
+    def test_id_repeated_within_one_call_rejected(self):
+        state = al.ALState(pool_ids=list(range(6)))
+        with pytest.raises(ValueError, match="^id acquired twice$"):
+            state.acquire([3, 1, 3])
+        assert state.labeled_ids == []
+        assert state.pool_ids == list(range(6))
 
 
 class TestInterClassVariation:
@@ -540,22 +560,21 @@ class TestBatchDetectionReference:
         scenes = generate_detection_scenes(spec, n_scenes, seed)
         keys = list(range(n_scenes))
         cfg = AcquisitionConfig(comb=comb, agg=agg, w_cls=weights[0], w_reg=weights[1])
-        ids = [f"s{i}" for i in range(n_scenes)]
 
         try:
             detections = surrogate.detect(scenes, keys, threshold, cls_bayesian,
                                           prefix=(seed,))
-            got = (detections, score_image(detections, cfg, ids))
+            got = (detections, score_image(detections, cfg))
         except ValueError as exc:
             got = str(exc)
         expected = ([], [])
         try:
-            for scene_, key, image_id in zip(scenes, keys, ids):
+            for scene_, key in zip(scenes, keys):
                 image = reference_detect(surrogate, scene_,
                                          np.random.SeedSequence([seed, key]),
                                          threshold, cls_bayesian)
                 expected[0].append(image)
-                expected[1].append(reference_score_image(image, cfg, image_id))
+                expected[1].append(reference_score_image(image, cfg))
         except ValueError as exc:
             expected = str(exc)
 
@@ -564,8 +583,8 @@ class TestBatchDetectionReference:
             return
         assert not isinstance(got, str), got
         assert_same_detections(got[0], expected[0])
-        assert ([(s.image_id, s.score.hex(), s.n_detections) for s in got[1]]
-                == [(s.image_id, s.score.hex(), s.n_detections) for s in expected[1]])
+        assert np.diff(got[0].offsets).tolist() == [len(image) for image in expected[0]]
+        assert [v.hex() for v in got[1].tolist()] == [v.hex() for v in expected[1]]
 
     def test_seed_count_checked(self):
         spec = DetectionSceneSpec()

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy import stats
 from tests_support_reference import reference_generate_detection_scenes
 
-from sim2real_al.acquisition import reg_entropy
+from sim2real_al.acquisition import detection_entropies
 from sim2real_al.fusion import bayesod_inference, iou_matrix
 from sim2real_al.learner import MCDropoutClassifier, TrainConfig
 from sim2real_al.synthdata import (ClassificationDomainSpec,
@@ -309,9 +309,9 @@ class TestSynthDetectorOutputs:
             scenes = generate_detection_scenes(spec, 100, seed=5)
             values = []
             for i, scene in enumerate(scenes):
-                for cov in bayesod_inference(
-                        synth_detector_outputs([scene], spec, [1000 + i]), 0.5).box_cov:
-                    values.append(reg_entropy(cov))
+                detections = bayesod_inference(
+                    synth_detector_outputs([scene], spec, [1000 + i]), 0.5)
+                values.extend(detection_entropies(detections)[1].tolist())
             entropies[sigma] = np.mean(values)
         assert entropies[4.0] > entropies[1.0]
 

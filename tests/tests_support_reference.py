@@ -28,7 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import xlogy
 
-from sim2real_al.acquisition import ImageScore
 from sim2real_al.fusion import (COV_REGULARIZER, DEFAULT_IOU_THRESHOLD, Anchors,
                                 Detections, iou_matrix, mc_statistics)
 from sim2real_al.sampling import _entropy
@@ -227,10 +226,10 @@ def reference_combine(u_cls, u_reg, cfg):
     return max(wc, wr)
 
 
-def reference_score_image(detections, cfg, image_id=0):
+def reference_score_image(detections, cfg):
+    """The score of one image's list of Detection records."""
     if not detections:
-        return ImageScore(image_id=image_id, score=cfg.empty_image_score,
-                          n_detections=0)
+        return cfg.empty_image_score
     values = []
     for det in detections:
         values.append(reference_combine(reference_cls_entropy(det.class_probs),
@@ -241,8 +240,9 @@ def reference_score_image(detections, cfg, image_id=0):
         score = sum(values)
     else:
         score = sum(values) / len(values)
-    return ImageScore(image_id=image_id, score=float(score),
-                      n_detections=len(values))
+    if not np.isfinite(score):
+        raise ValueError("image score must be finite")
+    return float(score)
 
 
 # -- evaluation: one detection at a time ------------------------------------
@@ -371,13 +371,13 @@ def reference_read_anchor_records(path):
 def reference_score_stdout(path, iou_threshold=0.5, cls_bayesian=False,
                            cfg=None) -> str:
     """What `score` prints for a readable file, from the references."""
-    scored = [reference_score_image(
-        reference_bayesod_inference(anchors, iou_threshold, cls_bayesian),
-        cfg, image_id) for image_id, anchors in reference_read_anchor_records(path)]
-    scored.sort(key=lambda s: (-s.score, str(s.image_id)))
+    scored = []
+    for image_id, anchors in reference_read_anchor_records(path):
+        dets = reference_bayesod_inference(anchors, iou_threshold, cls_bayesian)
+        scored.append((image_id, reference_score_image(dets, cfg), len(dets)))
+    scored.sort(key=lambda row: (-row[1], str(row[0])))
     return "".join(["image_id,score,n_detections\n"]
-                   + [f"{s.image_id},{repr(s.score)},{s.n_detections}\n"
-                      for s in scored])
+                   + [f"{image_id},{repr(score)},{n}\n" for image_id, score, n in scored])
 
 
 # -- BatchBALD: per-item configuration draws ---------------------------------
