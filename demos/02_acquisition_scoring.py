@@ -24,11 +24,13 @@ sharp = DetectionSceneSpec(n_classes=3, objects_per_scene=(2, 3),
 blurry = DetectionSceneSpec(n_classes=3, objects_per_scene=(2, 3),
                             sigma_box=5.0, score_noise=1.5, true_logit=0.5)
 
+# one Scenes batch: every object's class and box, offsets mark the scenes
 scenes = generate_detection_scenes(sharp, 2, seed=3)
-records = [("sharp-0", synth_detector_outputs([scenes[0]], sharp, [10])),
-           ("blurry-0", synth_detector_outputs([scenes[0]], blurry, [11])),
-           ("sharp-1", synth_detector_outputs([scenes[1]], sharp, [12])),
-           ("blurry-1", synth_detector_outputs([scenes[1]], blurry, [13]))]
+first, second = scenes.take([0]), scenes.take([1])
+records = [("sharp-0", synth_detector_outputs(first, sharp, [10])),
+           ("blurry-0", synth_detector_outputs(first, blurry, [11])),
+           ("sharp-1", synth_detector_outputs(second, sharp, [12])),
+           ("blurry-1", synth_detector_outputs(second, blurry, [13]))]
 
 print("comb/agg grid (rows are images, higher = more informative):")
 header = [f"{comb}+{agg}" for comb in ("sum", "max") for agg in ("max", "sum", "avg")]

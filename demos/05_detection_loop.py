@@ -39,11 +39,17 @@ for strategy in ("subsample_topn", "random"):
                if report.bridged_fraction is not None else "not bridged")
     print(f"95%-gap bridged at: {bridged}")
 
-# peek inside the surrogate: skill before and after labeling everything
+# peek inside the surrogate: skill before and after labeling everything.
+# Each split is one Scenes batch: flat per-object classes and boxes, with
+# offsets that mark the scenes; the oracle is pool_scenes.take
 datasets, oracle, learner = al.build_detection_experiment(spec, seed)
+pool = datasets.pool_scenes
+print(f"\npool: {pool.n_images} scenes, {len(pool)} objects, per class "
+      f"{np.bincount(pool.classes, minlength=spec.n_classes).tolist()}; "
+      f"the first batch of 15 holds {len(oracle(range(15)))} objects")
 sim_model = learner.with_sim(datasets.sim_scenes)
 full_model = sim_model.with_real(datasets.pool_scenes)
-print("\nper-class skill  sim-only:", np.round(sim_model.competence(), 3),
+print("per-class skill  sim-only:", np.round(sim_model.competence(), 3),
       " after all pool labels:", np.round(full_model.competence(), 3))
 print("(class 0 dominates the skewed pool, class 2 is rare; uncertainty "
       "scoring hunts exactly the classes with low skill)")

@@ -320,14 +320,15 @@ def execute_run(excfg: ExperimentConfig, cells, out_dir: Path) -> list[al.Learni
     curves = []
     for strategy, seed, run in cells:
         # a config's values can make the run itself fail, such as a
-        # learning rate that drives the weights to overflow; the error
-        # line then replaces the numpy warnings that led up to it
+        # learning rate that drives the weights to overflow or an
+        # mc_count whose buffer cannot be allocated; the error line then
+        # replaces the numpy warnings that led up to it
         with warnings.catch_warnings(record=True) as caught:
             try:
                 curves.append(run())
-            except (ValueError, ArithmeticError) as exc:
+            except (ValueError, ArithmeticError, MemoryError) as exc:
                 raise ConfigError(f"strategy {strategy!r}, seed {seed}: "
-                                  f"{exc}") from None
+                                  f"{str(exc) or type(exc).__name__}") from None
         for w in caught:
             warnings.showwarning(w.message, w.category, w.filename, w.lineno)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -18,35 +18,62 @@ noise-free synthetic samples do not produce singular matrices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
+
+from .rules import rising, whole
 
 COV_REGULARIZER = 1e-6
 DEFAULT_IOU_THRESHOLD = 0.5
 
 
-def _rising(offsets, count: int, what: str) -> np.ndarray:
-    """offsets as a 1-D intp array that rises (not strictly) from 0 to count."""
-    offsets = np.asarray(offsets, dtype=np.intp)
-    if (offsets.ndim != 1 or len(offsets) < 1 or offsets[0] != 0
-            or offsets[-1] != count or np.any(np.diff(offsets) < 0)):
-        raise ValueError(f"offsets must rise from 0 to the {what} count")
-    return offsets
+class Ragged:
+    """The layout of every ragged batch (Anchors, Detections and
+    synthdata.Scenes): each dataclass field but `offsets` holds one row
+    per item, and `offsets` (n_images + 1,) rises from 0 to the row count,
+    so image i holds rows offsets[i]:offsets[i + 1].  len() is the row
+    count over all images."""
+
+    def __len__(self) -> int:
+        return int(self.offsets[-1])
+
+    @property
+    def n_images(self) -> int:
+        return len(self.offsets) - 1
+
+    def take(self, ids):
+        """The images `ids`, in that order; each id is an image index, once."""
+        ids = whole(ids)
+        if (ids is None or ids.ndim != 1 or np.any(ids < 0) or np.any(ids >= self.n_images)
+                or len(np.unique(ids)) < len(ids)):
+            raise ValueError(f"ids must be distinct image indices in [0, {self.n_images})")
+        counts = np.diff(self.offsets)[ids]
+        offsets = np.concatenate(([0], np.cumsum(counts)))
+        rows = np.arange(offsets[-1]) + np.repeat(self.offsets[ids] - offsets[:-1], counts)
+        return type(self)(**{f.name: getattr(self, f.name)[rows] for f in fields(self)
+                             if f.name != "offsets"}, offsets=offsets)
+
+    @classmethod
+    def concatenate(cls, parts):
+        """One batch of the images of every part, in order; each field's
+        rows have the same trailing shape in every part."""
+        parts = list(parts)
+        counts = np.concatenate([np.diff(part.offsets) for part in parts])
+        return cls(**{f.name: np.concatenate([getattr(part, f.name) for part in parts])
+                      for f in fields(cls) if f.name != "offsets"},
+                   offsets=np.concatenate(([0], np.cumsum(counts))))
 
 
 @dataclass(frozen=True)
-class Anchors:
-    """Monte-Carlo samples of the anchors of one or more images, T samples each.
+class Anchors(Ragged):
+    """Monte-Carlo samples of the anchors of one or more images, T samples
+    each, in the Ragged layout; offsets omitted, the A anchors are one image.
 
     scores:  (A, T, C) array, entries in [0, 1]
     boxes:   (A, T, 4) array of (x_min, y_min, x_max, y_max)
-    offsets: (n_images + 1,) ints rising from 0 to A; image i holds
-             anchors offsets[i]:offsets[i + 1].  Omitted, the A anchors
-             are one image.
 
-    The only place anchor samples are validated; len() is A, the anchor
-    count over all images.
+    The only place anchor samples are validated; len() is A.
     """
 
     scores: np.ndarray
@@ -69,48 +96,20 @@ class Anchors:
         if np.any(scores < 0) or np.any(scores > 1):
             raise ValueError("scores must lie in [0, 1]")
         offsets = [0, len(scores)] if self.offsets is None else self.offsets
-        object.__setattr__(self, "offsets", _rising(offsets, len(scores), "anchor"))
-
-    def __len__(self) -> int:
-        return self.scores.shape[0]
-
-    @property
-    def n_images(self) -> int:
-        return len(self.offsets) - 1
-
-    @classmethod
-    def concatenate(cls, parts) -> Anchors:
-        """One batch of the images of every part, in order; the parts
-        share T and C."""
-        parts = list(parts)
-        counts = np.concatenate([np.diff(part.offsets) for part in parts])
-        return cls(scores=np.concatenate([part.scores for part in parts]),
-                   boxes=np.concatenate([part.boxes for part in parts]),
-                   offsets=np.concatenate(([0], np.cumsum(counts))))
+        object.__setattr__(self, "offsets", rising(offsets, len(scores), "anchor"))
 
 
 @dataclass(frozen=True)
-class Detections:
-    """Fused detections of one or more images: K detections, image by image.
-
+class Detections(Ragged):
+    """Fused detections of one or more images, in the Ragged layout:
     class_probs (K, C), box_mean (K, 4), box_cov (K, 4, 4) and
-    cluster_size (K,) hold one row per detection; offsets
-    (n_images + 1,) says image i holds detections offsets[i]:offsets[i + 1].
-    len() is K.
-    """
+    cluster_size (K,) hold one row per detection.  len() is K."""
 
     class_probs: np.ndarray
     box_mean: np.ndarray
     box_cov: np.ndarray
     cluster_size: np.ndarray
     offsets: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.cluster_size)
-
-    @property
-    def n_images(self) -> int:
-        return len(self.offsets) - 1
 
 
 def iou_matrix(a, b) -> np.ndarray:
@@ -239,7 +238,7 @@ def fuse_categorical(mean_scores, members, offsets) -> np.ndarray:
     renormalized into a categorical distribution.  Products run in log
     space, in member order.  Returns (K, C).
     """
-    offsets = _rising(offsets, len(members), "member")
+    offsets = rising(offsets, len(members), "member")
     k = len(offsets) - 1
     owner = np.repeat(np.arange(k), np.diff(offsets))
     mean_scores = np.asarray(mean_scores, dtype=float)
@@ -261,7 +260,7 @@ def fuse_gaussian(box_samples, members, offsets,
     precisions, fused mean the precision-weighted mean.  Sums run in
     member order.  Returns (K, 4) means and (K, 4, 4) covariances.
     """
-    offsets = _rising(offsets, len(members), "member")
+    offsets = rising(offsets, len(members), "member")
     k = len(offsets) - 1
     owner = np.repeat(np.arange(k), np.diff(offsets))
     means, covs = mc_statistics(np.asarray(box_samples, dtype=float)[members])

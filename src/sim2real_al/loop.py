@@ -26,10 +26,10 @@ from .fusion import Detections, bayesod_inference, iou_matrix
 from .learner import MCDropoutClassifier, TrainConfig
 from .rules import (RuleError, at_least, check, checked, finite, finite_nonneg,
                     finite_positive, in_interval, positive)
-from .synthdata import (ClassificationDomainSpec, DetectionScene,
-                        DetectionSceneSpec, generate_classification,
-                        generate_detection_scenes, grid_class_means,
-                        shifted_domain, skewed_priors, synth_detector_outputs)
+from .synthdata import (ClassificationDomainSpec, DetectionSceneSpec, Scenes,
+                        generate_classification, generate_detection_scenes,
+                        grid_class_means, shifted_domain, skewed_priors,
+                        synth_detector_outputs)
 
 # seed stream tags (mixed into SeedSequence entropy)
 _TRAIN, _SELECT, _EVAL, _REFERENCE, _SCORE, _PREDICT, _DATA = range(7)
@@ -143,11 +143,11 @@ def evaluate_classifier(model, x_test, y_test) -> float:
     return float((probs.argmax(axis=1) == y_test).mean())
 
 
-def evaluate_detection(detections: Detections, scenes,
+def evaluate_detection(detections: Detections, scenes: Scenes,
                        iou_threshold: float = 0.5) -> float:
     """Mean average precision with greedy confidence-ordered matching.
 
-    Image i of the detections batch is scenes[i].  Each detection counts
+    Image i of the detections batch is scene i of `scenes`.  Each detection counts
     for its argmax class with its max score as confidence.  A match
     never crosses images, so each image matches on its own: its
     detections in stable descending-confidence order each take the
@@ -157,28 +157,24 @@ def evaluate_detection(detections: Detections, scenes,
     index) order is then averaged over the classes present in the
     ground truth.
     """
-    gt_classes = [np.asarray(scene.gt_classes, dtype=int) for scene in scenes]
-    classes, n_gt = np.unique(np.concatenate([np.zeros(0, dtype=int), *gt_classes]),
-                              return_counts=True)
+    classes, n_gt = np.unique(scenes.classes, return_counts=True)
     if not len(classes):
         raise ValueError("empty ground truth")
-    if detections.n_images != len(scenes):
+    if detections.n_images != scenes.n_images:
         raise ValueError(f"need one image of detections per scene, got "
-                         f"{detections.n_images} for {len(scenes)} scenes")
+                         f"{detections.n_images} for {scenes.n_images} scenes")
     labels, confidence = np.zeros(len(detections), dtype=int), np.zeros(len(detections))
     if len(detections):
         labels = detections.class_probs.argmax(axis=1)
         confidence = detections.class_probs.max(axis=1)
-    tp = _greedy_matches(detections, labels, confidence, scenes, gt_classes,
-                         iou_threshold)
+    tp = _greedy_matches(detections, labels, confidence, scenes, iou_threshold)
     order = np.argsort(-confidence, kind="stable")
     labels, tp = labels[order], tp[order]
     return float(np.mean([_average_precision(tp[labels == cls], n)
                           for cls, n in zip(classes.tolist(), n_gt.tolist())]))
 
 
-def _greedy_matches(detections, labels, confidence, scenes, gt_classes,
-                    iou_threshold) -> np.ndarray:
+def _greedy_matches(detections, labels, confidence, scenes, iou_threshold) -> np.ndarray:
     """The (K,) true-positive flags of evaluate_detection's matching.
 
     All images match together, in rounds: round r takes the r-th
@@ -190,12 +186,13 @@ def _greedy_matches(detections, labels, confidence, scenes, gt_classes,
     counts = np.diff(offsets)
     image = np.repeat(np.arange(len(counts)), counts)
     order = np.lexsort((-confidence, image))    # by image, then by confidence
-    n_boxes = np.array([len(gt) for gt in gt_classes])
-    gt_boxes = np.zeros((len(scenes), n_boxes.max(), 4))
+    n_boxes = np.diff(scenes.offsets)
+    scene_of = np.repeat(np.arange(scenes.n_images), n_boxes)
+    slot = np.arange(len(scenes)) - scenes.offsets[scene_of]
+    gt_boxes = np.zeros((scenes.n_images, n_boxes.max(), 4))
     gt_labels = np.zeros(gt_boxes.shape[:2], dtype=int)
-    for i, (scene, gt) in enumerate(zip(scenes, gt_classes)):
-        gt_boxes[i, :len(gt)] = scene.gt_boxes
-        gt_labels[i, :len(gt)] = gt
+    gt_boxes[scene_of, slot] = scenes.boxes
+    gt_labels[scene_of, slot] = scenes.classes
     owner = image[order]
     overlaps = iou_matrix(detections.box_mean[order, None], gt_boxes[owner])[:, 0]
     # -inf marks a box the detection may not take: padding, another
@@ -269,7 +266,7 @@ def gap_report(curve: LearningCurve, sim_perf: float = None,
 
 
 # ---------------------------------------------------------------------------
-# dataset bundles and oracles
+# dataset bundles; each track's oracle is its pool's `take`
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -284,29 +281,10 @@ class ClassificationDatasets:
 
 @dataclass
 class DetectionDatasets:
-    sim_scenes: list[DetectionScene]
-    pool_scenes: list[DetectionScene]
-    test_scenes: list[DetectionScene]
+    sim_scenes: Scenes
+    pool_scenes: Scenes
+    test_scenes: Scenes
     n_classes: int
-
-
-def make_classification_oracle(pool_y):
-    """Ground-truth labeling oracle over pool ids."""
-    pool_y = np.asarray(pool_y, dtype=int)
-
-    def oracle(ids):
-        return pool_y[np.asarray(list(ids), dtype=int)]
-
-    return oracle
-
-
-def make_detection_oracle(pool_scenes):
-    """Annotation oracle: returns the scenes' ground truth."""
-
-    def oracle(ids):
-        return [pool_scenes[i] for i in ids]
-
-    return oracle
 
 
 # ---------------------------------------------------------------------------
@@ -351,19 +329,15 @@ class DetectionSurrogate:
         self.real_counts = np.zeros(c) if real_counts is None else np.asarray(real_counts, dtype=float)
         self._output_spec = self._derive_output_spec()
 
-    def _counted(self, scenes) -> np.ndarray:
-        counts = np.zeros(self.scene_spec.n_classes)
-        for scene in scenes:
-            counts += np.bincount(scene.gt_classes,
-                                  minlength=self.scene_spec.n_classes)
-        return counts
+    def _counted(self, scenes: Scenes) -> np.ndarray:
+        return np.bincount(scenes.classes, minlength=self.scene_spec.n_classes)
 
-    def with_sim(self, scenes) -> "DetectionSurrogate":
+    def with_sim(self, scenes: Scenes) -> "DetectionSurrogate":
         return DetectionSurrogate(self.scene_spec, self.params,
                                   self.sim_counts + self._counted(scenes),
                                   self.real_counts)
 
-    def with_real(self, scenes) -> "DetectionSurrogate":
+    def with_real(self, scenes: Scenes) -> "DetectionSurrogate":
         return DetectionSurrogate(self.scene_spec, self.params,
                                   self.sim_counts,
                                   self.real_counts + self._counted(scenes))
@@ -389,7 +363,7 @@ class DetectionSurrogate:
                        true_logit=interp(p.true_logit_weak, p.true_logit_strong),
                        miss_prob=interp(p.miss_weak, p.miss_strong))
 
-    def detect(self, scenes, keys, iou_threshold: float = 0.5,
+    def detect(self, scenes: Scenes, keys, iou_threshold: float = 0.5,
                cls_bayesian: bool = False, prefix=()) -> Detections:
         """Fused detections of a batch of scenes at the current skill
         level, one image per scene; scene i draws from the stream of
@@ -604,8 +578,8 @@ class _DetectionTrack:
             raise ValueError("batchbald needs per-item class-probability samples; "
                              "it is only available on the classification track")
         self.cfg, self.data, self.seed = cfg, data, seed
-        self.pool_size = len(data.pool_scenes)
-        self.labeled_scenes = list(data.sim_scenes)
+        self.pool_size = data.pool_scenes.n_images
+        self.labeled_scenes = data.sim_scenes
         self._pool_dets = (None, None)   # (pool ids, their detections by the current model)
 
     def _detect(self, model, scenes, stream, it, extras) -> Detections:
@@ -616,7 +590,7 @@ class _DetectionTrack:
 
     def _mean_ap(self, model, stream, it) -> float:
         scenes = self.data.test_scenes
-        detections = self._detect(model, scenes, stream, it, range(len(scenes)))
+        detections = self._detect(model, scenes, stream, it, range(scenes.n_images))
         return evaluate_detection(detections, scenes, self.cfg.iou_threshold)
 
     def start(self, learner) -> None:
@@ -631,21 +605,19 @@ class _DetectionTrack:
 
     def learn(self, ids, batch, it) -> None:
         self.model = self.model.with_real(batch)
-        self.labeled_scenes.extend(batch)
+        self.labeled_scenes = Scenes.concatenate([self.labeled_scenes, batch])
         self._pool_dets = (None, None)
 
     @staticmethod
-    def labels(batch) -> np.ndarray:
-        if not batch:
-            return np.empty(0, dtype=int)
-        return np.concatenate([s.gt_classes for s in batch])
+    def labels(batch: Scenes) -> np.ndarray:
+        return batch.classes
 
     def _pool_detections(self, pool_ids, it) -> Detections:
         # detect is a pure function of (model, scenes, seeds), and clue
         # asks twice about the same ids
         pool_ids = tuple(pool_ids)
         if self._pool_dets[0] != pool_ids:
-            scenes = [self.data.pool_scenes[pid] for pid in pool_ids]
+            scenes = self.data.pool_scenes.take(pool_ids)
             self._pool_dets = (pool_ids, self._detect(self.model, scenes, _SCORE,
                                                       it, pool_ids))
         return self._pool_dets[1]
@@ -659,7 +631,7 @@ class _DetectionTrack:
 
     def labeled_features(self, it) -> np.ndarray:
         scenes = self.labeled_scenes
-        extras = range(self.pool_size, self.pool_size + len(scenes))
+        extras = range(self.pool_size, self.pool_size + scenes.n_images)
         return _scene_features(self._detect(self.model, scenes, _SCORE, it, extras),
                                self.model.scene_spec.n_classes)
 
@@ -739,10 +711,9 @@ def build_classification_experiment(spec: ClassificationExperimentSpec,
     datasets = ClassificationDatasets(sim_x=sim_x, sim_y=sim_y, pool_x=pool_x,
                                       test_x=test_x, test_y=test_y,
                                       n_classes=spec.n_classes)
-    oracle = make_classification_oracle(pool_y)
     learner = MCDropoutClassifier(spec.dim, spec.hidden_dim, spec.n_classes,
                                   dropout_rate=spec.dropout_rate)
-    return datasets, oracle, learner
+    return datasets, pool_y.take, learner
 
 
 @dataclass
@@ -795,9 +766,8 @@ def build_detection_experiment(spec: DetectionExperimentSpec, run_seed: int):
     datasets = DetectionDatasets(sim_scenes=sim_scenes, pool_scenes=pool_scenes,
                                  test_scenes=test_scenes,
                                  n_classes=spec.n_classes)
-    oracle = make_detection_oracle(pool_scenes)
     learner = DetectionSurrogate(base, spec.surrogate)
-    return datasets, oracle, learner
+    return datasets, pool_scenes.take, learner
 
 
 # ---------------------------------------------------------------------------

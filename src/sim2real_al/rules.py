@@ -1,11 +1,14 @@
 """Value rules of the config dataclasses: `checked(default, *rules)`
 declares a field with its rules, and `check(obj)` runs them in field
 order, recursing into a field whose metadata sets `nested`.  Cross-field
-rules stay as code; all raise RuleError, which names the field as data."""
+rules stay as code; all raise RuleError, which names the field as data.
+`whole` and `rising` are the array rules of the ragged batches' ids and offsets."""
 
 import math
 from collections import namedtuple
 from dataclasses import field, fields
+
+import numpy as np
 
 
 class RuleError(ValueError):
@@ -60,3 +63,23 @@ def check(obj, prefix: str = "") -> None:
         for rule in f.metadata.get("rules", ()):
             if not rule.holds(value):
                 raise RuleError(name, rule.text.format(name=name, value=value))
+
+
+def whole(values) -> np.ndarray | None:
+    """values as an intp array when each is a whole number that fits one
+    (an int, or a float without a fraction), else None."""
+    values = np.asarray(values)
+    with np.errstate(invalid="ignore"):     # NaN, inf and huge floats cast to junk
+        as_int = values.astype(np.intp, copy=False) if values.dtype.kind in "iuf" else None
+    return as_int if as_int is not None and np.array_equal(as_int, values) else None
+
+
+def rising(offsets, count: int, what: str) -> np.ndarray:
+    """offsets as a 1-D intp array of whole numbers that rises (not
+    strictly) from 0 to count: image or cluster i of a ragged batch holds
+    rows offsets[i]:offsets[i + 1].  Anything else is a ValueError."""
+    offsets = whole(offsets)
+    if (offsets is None or offsets.ndim != 1 or len(offsets) < 1 or offsets[0] != 0
+            or offsets[-1] != count or np.any(np.diff(offsets) < 0)):
+        raise ValueError(f"offsets must rise from 0 to the {what} count")
+    return offsets

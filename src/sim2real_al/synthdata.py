@@ -8,6 +8,8 @@ Detection track: random scenes of ground-truth boxes plus a generator
 of anchor-level Monte-Carlo detector outputs (noisy box samples and
 sigmoid score samples), standing in for a BNN detector head so the
 fusion/acquisition stack can run without training an actual detector.
+A batch of scenes is one Scenes value: every object's class and box in
+flat arrays, with offsets that mark the scenes, as Anchors marks images.
 
 Everything is a pure function of (spec, seed).  Each detection scene
 draws from its own numpy stream: scene i of generate_detection_scenes
@@ -26,8 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fusion import Anchors
-from .rules import RuleError, at_least, check, checked, finite_positive
+from .fusion import Anchors, Ragged
+from .rules import (RuleError, at_least, check, checked, finite_positive, rising,
+                    whole)
 
 
 def _class_priors(priors, n_classes: int) -> np.ndarray:
@@ -113,20 +116,25 @@ def generate_classification(spec: ClassificationDomainSpec, n: int,
 # detection track
 # ---------------------------------------------------------------------------
 
-@dataclass
-class DetectionScene:
-    """Ground truth for one image: class ids and boxes."""
+@dataclass(frozen=True)
+class Scenes(Ragged):
+    """Ground truth of one or more scenes, in the Ragged layout: classes
+    (n,) ids >= 0 and finite boxes (n, 4) hold one row per object, and
+    scene i holds objects offsets[i]:offsets[i + 1].  len() is n."""
 
-    gt_classes: np.ndarray    # (n_obj,)
-    gt_boxes: np.ndarray      # (n_obj, 4)
+    classes: np.ndarray
+    boxes: np.ndarray
+    offsets: np.ndarray
 
     def __post_init__(self):
-        self.gt_classes = np.asarray(self.gt_classes, dtype=int)
-        self.gt_boxes = np.asarray(self.gt_boxes, dtype=float).reshape(-1, 4)
-
-    @property
-    def n_objects(self) -> int:
-        return len(self.gt_classes)
+        classes = whole(self.classes)
+        boxes = np.asarray(self.boxes, dtype=float)
+        if (classes is None or classes.ndim != 1 or np.any(classes < 0)
+                or boxes.shape != (len(classes), 4) or not np.isfinite(boxes).all()):
+            raise ValueError("need (n,) class ids >= 0 and finite (n, 4) boxes")
+        object.__setattr__(self, "classes", classes)
+        object.__setattr__(self, "boxes", boxes)
+        object.__setattr__(self, "offsets", rising(self.offsets, len(classes), "object"))
 
 
 @dataclass
@@ -287,8 +295,7 @@ def _child_generators(seed, n: int):
                              ss.pool_size)
 
 
-def generate_detection_scenes(spec: DetectionSceneSpec, n: int,
-                              seed) -> list[DetectionScene]:
+def generate_detection_scenes(spec: DetectionSceneSpec, n: int, seed) -> Scenes:
     """n random scenes with object counts, classes and boxes from the spec.
 
     Scene i draws from the stream of the i-th child that
@@ -315,13 +322,11 @@ def generate_detection_scenes(spec: DetectionSceneSpec, n: int,
     smin, smax = spec.box_size_range
     size = smin + (smax - smin) * u[:, 0]                            # uniform(smin, smax)
     corner = (np.array([spec.width, spec.height]) - size) * u[:, 1]  # uniform(0, extent - size)
-    boxes = np.concatenate([corner, corner + size], axis=1)
-    bounds = np.cumsum([0] + counts).tolist()
-    return [DetectionScene(gt_classes=classes[a:b], gt_boxes=boxes[a:b])
-            for a, b in zip(bounds, bounds[1:])]
+    return Scenes(classes=classes, boxes=np.concatenate([corner, corner + size], axis=1),
+                  offsets=np.cumsum([0] + counts))
 
 
-def synth_detector_outputs(scenes, spec: DetectionSceneSpec, keys,
+def synth_detector_outputs(scenes: Scenes, spec: DetectionSceneSpec, keys,
                            prefix=()) -> Anchors:
     """Anchor-level MC outputs of a batch of scenes, one image per scene.
 
@@ -342,31 +347,28 @@ def synth_detector_outputs(scenes, spec: DetectionSceneSpec, keys,
     spec values raise the downstream classification and regression
     entropies.  Returns one Anchors whose offsets mark the scenes.
     """
-    scenes, keys = list(scenes), list(keys)
-    if len(scenes) != len(keys):
+    keys = list(keys)
+    if scenes.n_images != len(keys):
         raise ValueError(f"need one seed per scene, got {len(keys)} seeds "
-                         f"for {len(scenes)} scenes")
+                         f"for {scenes.n_images} scenes")
     sigma_box = spec.per_class(spec.sigma_box)
     score_noise = spec.per_class(spec.score_noise)
     true_logit = spec.per_class(spec.true_logit)
     miss_prob = spec.per_class(spec.miss_prob).tolist()
     t, m, c = spec.mc_samples, spec.anchors_per_object, spec.n_classes
 
-    classes = np.concatenate([np.zeros(0, dtype=int)] + [s.gt_classes for s in scenes])
-    gt_boxes = np.concatenate([np.zeros((0, 4))] + [s.gt_boxes for s in scenes])
-    draws = np.empty((len(classes), m, t * (4 + c)))
-    kept = np.zeros(len(classes), dtype=bool)
-    obj = n_kept = 0
-    for scene, rng in zip(scenes, _keyed_generators(_words(prefix), keys)):
-        for cls in scene.gt_classes.tolist():
+    draws = np.empty((len(scenes), m, t * (4 + c)))
+    kept = np.zeros(len(scenes), dtype=bool)
+    classes, bounds = scenes.classes.tolist(), scenes.offsets.tolist()
+    n_kept = 0
+    for lo, hi, rng in zip(bounds, bounds[1:], _keyed_generators(_words(prefix), keys)):
+        for obj in range(lo, hi):
+            cls = classes[obj]
             if not (miss_prob[cls] > 0 and rng.random() < miss_prob[cls]):
                 rng.standard_normal(out=draws[n_kept])
                 kept[obj] = True
                 n_kept += 1
-            obj += 1
-    draws, cls, box = draws[:n_kept], classes[kept], gt_boxes[kept]
-    scene_of = np.repeat(np.arange(len(scenes)), [s.n_objects for s in scenes])
-    per_scene = m * np.bincount(scene_of[kept], minlength=len(scenes))
+    draws, cls, box = draws[:n_kept], scenes.classes[kept], scenes.boxes[kept]
 
     jitter = draws[..., :4 * t].reshape(n_kept, m, t, 4)
     samples = box[:, None, None, :] + jitter * sigma_box[cls][:, None, None, None]
@@ -382,4 +384,4 @@ def synth_detector_outputs(scenes, spec: DetectionSceneSpec, keys,
     scores = 1.0 / (1.0 + np.exp(-logits))
     return Anchors(scores=scores.reshape(n_kept * m, t, c),
                    boxes=boxes.reshape(n_kept * m, t, 4),
-                   offsets=np.concatenate(([0], np.cumsum(per_scene))))
+                   offsets=m * np.concatenate(([0], np.cumsum(kept)))[scenes.offsets])

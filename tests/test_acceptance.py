@@ -240,9 +240,9 @@ def test_criterion_7_map_oracle_equivalence():
     with criterion(7, "greedy-matching mAP equals exhaustive matching on all "
                       "enumerated instances with <= 3 detections/GT boxes"):
         from tests_support_map import brute_force_map, build_instances
-        from tests_support_reference import detections_of
+        from tests_support_reference import detections_of, scenes_of
         for dets, scenes in build_instances():
-            got = al.evaluate_detection(detections_of(dets), scenes, 0.5)
+            got = al.evaluate_detection(detections_of(dets), scenes_of(scenes), 0.5)
             want = brute_force_map(dets, scenes, 0.5)
             assert abs(got - want) < 1e-12
 

@@ -632,6 +632,32 @@ class TestCmdRun:
         strategy, seed = re.match(r"strategy '(\w+)', seed (\d+)", message).groups()
         assert not (out / f"{strategy}-s{seed}" if command == "sweep" else out).exists()
 
+    @pytest.mark.parametrize("raised, message", [
+        (MemoryError("Unable to allocate 7.28 TiB for an array with shape "
+                     "(400, 1000000000000, 2) and data type float64"),
+         "Unable to allocate 7.28 TiB for an array with shape "
+         "(400, 1000000000000, 2) and data type float64"),
+        (MemoryError(), "MemoryError")], ids=["numpy-message", "bare"])
+    def test_memory_error_is_one_error_line(self, tmp_path, monkeypatch, capsys,
+                                            raised, message):
+        """A buffer the config asks for but the machine cannot hold, such
+        as BatchBALD's (N, mc_count, C) block for a huge mc_count, ends
+        in one error line and exit 2; here the selector raises as numpy
+        would, so no large buffer is allocated."""
+        def out_of_memory(*args, **kwargs):
+            raise raised
+
+        monkeypatch.setattr(al.sampling, "select_batchbald", out_of_memory)
+        cfg = write_cfg(tmp_path, SMALL_CLS.replace("seeds = 1,2", "seeds = 1")
+                        + "selection.mc_count = 1000000000000\n")
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", cfg, "--out", str(out),
+                         "--strategy", "batchbald"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: strategy 'batchbald', seed 1: {message}\n"
+        assert not out.exists()
+
     def test_env_output_root(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path / "root"))
         cfg = write_cfg(tmp_path, SMALL_CLS.replace("seeds = 1,2", "seeds = 1"))
@@ -946,9 +972,9 @@ class TestCmdScore:
                                    box_size_range=(24.0, 32.0),
                                    sigma_box=5.0, score_noise=2.0,
                                    true_logit=0.5)
-        sc = generate_detection_scenes(quiet, 1, seed=1)[0]
-        records = [("calm", synth_detector_outputs([sc], quiet, [2])),
-                   ("loud", synth_detector_outputs([sc], noisy, [3]))]
+        sc = generate_detection_scenes(quiet, 1, seed=1)
+        records = [("calm", synth_detector_outputs(sc, quiet, [2])),
+                   ("loud", synth_detector_outputs(sc, noisy, [3]))]
         path = tmp_path / "anchors.txt"
         write_anchor_records(path, records)
         assert cli.main(["score", "--anchors", str(path)]) == 0

@@ -68,6 +68,20 @@ class TestAnchors:
         with pytest.raises(ValueError):
             Anchors(scores=scores, boxes=boxes)
 
+    @pytest.mark.parametrize("offsets", [[0, 2.7, 4], [0, np.nan, 4], [0, np.inf, 4],
+                                         [0, 2, 4, 4.5]],
+                             ids=["fraction", "nan", "inf", "fraction-past-count"])
+    def test_offsets_must_be_whole_numbers(self, offsets):
+        # np.asarray(..., dtype=np.intp) used to truncate 2.7 to 2
+        with pytest.raises(ValueError, match="^offsets must rise from 0 to the anchor count$"):
+            Anchors(scores=np.full((4, 2, 3), 0.5), boxes=np.zeros((4, 2, 4)),
+                    offsets=offsets)
+
+    def test_whole_float_offsets_accepted(self):
+        a = Anchors(scores=np.full((4, 2, 3), 0.5), boxes=np.zeros((4, 2, 4)),
+                    offsets=[0.0, 2.0, 4.0])
+        assert a.offsets.dtype == np.intp and a.offsets.tolist() == [0, 2, 4]
+
 
 class TestIoU:
     def test_identical(self):
@@ -331,6 +345,14 @@ class TestClusterPairChecked:
         with pytest.raises(ValueError, match="^offsets must rise from 0 to the member count$"):
             self.FUSERS[fuser](np.arange(6), offsets)
 
+    @pytest.mark.parametrize("fuse, values", [
+        (fuse_categorical, np.full((4, 1), 0.5)), (fuse_gaussian, SAMPLES[:4])],
+        ids=["categorical", "gaussian"])
+    def test_fractional_offsets_rejected(self, fuse, values):
+        # truncated to [0, 1, 4], these offsets fused clusters of 1 and 3 members
+        with pytest.raises(ValueError, match="^offsets must rise from 0 to the member count$"):
+            fuse(values, np.arange(4), [0, 1.5, 4])
+
     @pytest.mark.parametrize("fuser", sorted(FUSERS))
     def test_list_of_cluster_arrays_is_a_type_error(self, fuser):
         # the old per-cluster list would read as members [0, 1, 2] and
@@ -558,8 +580,8 @@ class TestFusionReference:
                                   anchors_per_object=anchors_per_object,
                                   mc_samples=t, sigma_box=3.0)
         scenes = generate_detection_scenes(spec, 12, seed=t)
-        for i, scene in enumerate(scenes):
-            anchors = synth_detector_outputs([scene], spec, [i])
+        for i in range(scenes.n_images):
+            anchors = synth_detector_outputs(scenes.take([i]), spec, [i])
             for threshold in self.THRESHOLDS:
                 assert_same_detections(
                     bayesod_inference(anchors, threshold, cls_bayesian),
@@ -687,10 +709,11 @@ class TestReaderReference:
     def test_written_files(self, tmp_path):
         rng = np.random.default_rng(12)
         path = tmp_path / "repr.txt"
+        scenes = generate_detection_scenes(DetectionSceneSpec(), 20,
+                                           seed=rng.integers(1 << 30))
         write_anchor_records(path, [
-            (f"r{i}", synth_detector_outputs([scene], DetectionSceneSpec(), [i]))
-            for i, scene in enumerate(generate_detection_scenes(
-                DetectionSceneSpec(), 20, seed=rng.integers(1 << 30)))])
+            (f"r{i}", synth_detector_outputs(scenes.take([i]), DetectionSceneSpec(), [i]))
+            for i in range(scenes.n_images)])
         expected = read_either(reference_read_anchor_records, path)
         assert isinstance(expected, list) and len(expected) == 20
         assert read_either(read_anchor_records, path) == expected

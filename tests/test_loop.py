@@ -12,18 +12,19 @@ from tests_support_map import brute_force_map
 from tests_support_map import make_det as det
 from tests_support_map import make_scene as scene
 from tests_support_reference import (Detection, assert_same_detections,
-                                     detections_of, reference_detect,
+                                     detections_of, per_scene, records_of,
                                      reference_average_precision,
+                                     reference_counts, reference_detect,
                                      reference_evaluate_detection,
-                                     reference_score_image)
+                                     reference_labels, reference_score_image,
+                                     scenes_of)
 
 from sim2real_al import loop as al
 from sim2real_al.acquisition import (AGG_MODES, COMB_MODES, AcquisitionConfig,
                                      score_image)
 from sim2real_al.learner import MCDropoutClassifier, TrainConfig
 from sim2real_al.sampling import SelectionConfig
-from sim2real_al.synthdata import (DetectionScene, DetectionSceneSpec,
-                                   generate_detection_scenes)
+from sim2real_al.synthdata import DetectionSceneSpec, generate_detection_scenes
 
 
 class TestEvaluateClassifier:
@@ -78,29 +79,28 @@ class TestEvaluateDetection:
     def test_perfect_detections(self):
         sc = scene([0, 1], [[0, 0, 10, 10], [20, 20, 30, 30]])
         dets = [det(0, 1.0, [0, 0, 10, 10]), det(1, 1.0, [20, 20, 30, 30])]
-        assert al.evaluate_detection(detections_of([dets]), [sc]) == 1.0
+        assert al.evaluate_detection(detections_of([dets]), scenes_of([sc])) == 1.0
 
     def test_no_detections(self):
         sc = scene([0], [[0, 0, 10, 10]])
-        assert al.evaluate_detection(detections_of([[]]), [sc]) == 0.0
+        assert al.evaluate_detection(detections_of([[]]), scenes_of([sc])) == 0.0
 
     def test_tp_then_fp_keeps_ap_one(self):
         sc = scene([0], [[0, 0, 10, 10]])
         dets = [det(0, 0.9, [0, 0, 10, 10]),
                 det(0, 0.8, [50, 50, 60, 60])]
-        assert al.evaluate_detection(detections_of([dets]), [sc]) == 1.0
+        assert al.evaluate_detection(detections_of([dets]), scenes_of([sc])) == 1.0
 
     def test_fp_before_tp_halves_ap(self):
         sc = scene([0], [[0, 0, 10, 10]])
         dets = [det(0, 0.9, [50, 50, 60, 60]),
                 det(0, 0.8, [0, 0, 10, 10])]
-        assert al.evaluate_detection(detections_of([dets]), [sc]) == 0.5
+        assert al.evaluate_detection(detections_of([dets]), scenes_of([sc])) == 0.5
 
     def test_empty_ground_truth_rejected(self):
-        empty = DetectionScene(gt_classes=np.empty(0, int),
-                               gt_boxes=np.empty((0, 4)))
+        empty = scene(np.empty(0, int), np.empty((0, 4)))
         with pytest.raises(ValueError, match="empty ground truth"):
-            al.evaluate_detection(detections_of([[]]), [empty])
+            al.evaluate_detection(detections_of([[]]), scenes_of([empty]))
 
     def test_brute_force_matching_oracle(self):
         """Greedy mAP equals exhaustive max-over-matchings on all
@@ -120,7 +120,7 @@ class TestEvaluateDetection:
                         else:
                             box = np.array([70.0 + 11 * d, 70, 80 + 11 * d, 80])
                         dets.append(det(0, confs[d], box))
-                    got = al.evaluate_detection(detections_of([dets]), [sc])
+                    got = al.evaluate_detection(detections_of([dets]), scenes_of([sc]))
                     want = brute_force_map([dets], [sc], 0.5)
                     assert got == pytest.approx(want, abs=1e-12), \
                         (n_gt, targets)
@@ -132,7 +132,7 @@ class TestEvaluateDetection:
         dets = [det(0, 0.9, [1, 0, 11, 10]),
                 det(1, 0.8, [21, 20, 31, 30]),
                 det(1, 0.7, [60, 60, 70, 70])]
-        got = al.evaluate_detection(detections_of([dets]), [sc])
+        got = al.evaluate_detection(detections_of([dets]), scenes_of([sc]))
         assert got == pytest.approx(brute_force_map([dets], [sc], 0.5), abs=1e-12)
 
     @settings(max_examples=100, deadline=None)
@@ -155,7 +155,7 @@ class TestEvaluateDetection:
             images.append(dets)
             scenes.append(scene(data.draw(st.lists(st.integers(0, 1), min_size=n_gt,
                                                    max_size=n_gt)), gt_boxes[:n_gt]))
-        got = al.evaluate_detection(detections_of(images), scenes)
+        got = al.evaluate_detection(detections_of(images), scenes_of(scenes))
         assert got == pytest.approx(brute_force_map(images, scenes, 0.5), abs=1e-12)
 
     # boxes with IoU ties: [2, 0, 12, 10] overlaps [0, 0, 10, 10] and
@@ -168,7 +168,7 @@ class TestEvaluateDetection:
         # one, so the second detection still finds its box
         sc = scene([0, 0], [self.BOXES[0], self.BOXES[2]])
         dets = [det(0, 0.9, self.BOXES[1]), det(0, 0.8, self.BOXES[0])]
-        assert al.evaluate_detection(detections_of([dets]), [sc]) == 1.0
+        assert al.evaluate_detection(detections_of([dets]), scenes_of([sc])) == 1.0
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), n_images=st.integers(1, 6), n_classes=st.integers(1, 3),
@@ -191,14 +191,14 @@ class TestEvaluateDetection:
             images.append([Detection(np.array(probs), np.array(box), np.eye(4))
                            for probs, box in data.draw(st.lists(detection, max_size=4))])
 
-        def outcome(evaluate, detections):
+        def outcome(evaluate, detections, scenes):
             try:
                 return evaluate(detections, scenes, threshold)
             except ValueError as exc:
                 return str(exc)
 
-        assert (outcome(al.evaluate_detection, detections_of(images))
-                == outcome(reference_evaluate_detection, images))
+        assert (outcome(al.evaluate_detection, detections_of(images), scenes_of(scenes))
+                == outcome(reference_evaluate_detection, images, scenes))
 
     @settings(max_examples=300, deadline=None)
     @given(tp=st.lists(st.sampled_from([0.0, 1.0]), max_size=40),
@@ -569,7 +569,7 @@ class TestBatchDetectionReference:
             got = str(exc)
         expected = ([], [])
         try:
-            for scene_, key in zip(scenes, keys):
+            for scene_, key in zip(per_scene(scenes), keys):
                 image = reference_detect(surrogate, scene_,
                                          np.random.SeedSequence([seed, key]),
                                          threshold, cls_bayesian)
@@ -599,6 +599,55 @@ class TestBatchDetectionReference:
         scenes = generate_detection_scenes(spec, 2, seed=1)
         with pytest.raises(ValueError, match=f"scene key {2**32} "):
             surrogate.detect(scenes, [0, 2**32], prefix=(1,))
+
+
+class TestGroundTruthBatches:
+    """The consumers of a Scenes batch give what the per-scene code they
+    replaced gave, on batches with empty scenes (objects_min = 0):
+    the surrogate's counts, the track's labels and mAP
+    (tests_support_reference.reference_counts, reference_labels,
+    reference_evaluate_detection)."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_scenes=st.integers(1, 8),
+           objects_max=st.integers(0, 3), n_classes=st.integers(1, 4),
+           threshold=st.sampled_from([0.0, 0.5, 1.0]), data=st.data())
+    def test_counts_labels_and_map(self, seed, n_scenes, objects_max, n_classes,
+                                   threshold, data):
+        spec = DetectionSceneSpec(n_classes=n_classes, objects_per_scene=(0, objects_max))
+        scenes = generate_detection_scenes(spec, n_scenes, seed)
+        records = per_scene(scenes)
+        surrogate = al.DetectionSurrogate(spec, al.SurrogateParams())
+        counted = surrogate.with_real(scenes).with_sim(scenes)
+        expected = reference_counts(records, n_classes)
+        assert counted.real_counts.tobytes() == expected.tobytes()
+        assert counted.sim_counts.tobytes() == expected.tobytes()
+
+        ids = data.draw(st.lists(st.integers(0, n_scenes - 1), unique=True))
+        labels = al._DetectionTrack.labels(scenes.take(ids))
+        assert labels.dtype.kind == "i"
+        assert labels.tolist() == reference_labels([records[i] for i in ids]).tolist()
+
+        detections = surrogate.detect(scenes, range(n_scenes), threshold, prefix=(seed,))
+
+        def outcome(evaluate, detections, scenes):
+            try:
+                return evaluate(detections, scenes, threshold)
+            except ValueError as exc:
+                return str(exc)
+
+        assert (outcome(al.evaluate_detection, detections, scenes)
+                == outcome(reference_evaluate_detection, records_of(detections), records))
+
+    def test_oracle_takes_pool_scenes(self):
+        spec = al.DetectionExperimentSpec(sim_scenes=5, pool_scenes=12, test_scenes=5,
+                                          objects_min=0, objects_max=2)
+        datasets, oracle, _ = al.build_detection_experiment(spec, 3)
+        pool = per_scene(datasets.pool_scenes)
+        batch = per_scene(oracle([7, 0, 11]))
+        for got, want in zip(batch, [pool[7], pool[0], pool[11]], strict=True):
+            assert got.gt_classes.tolist() == want.gt_classes.tolist()
+            assert got.gt_boxes.tobytes() == want.gt_boxes.tobytes()
 
 
 class TestDetectionSeeding:

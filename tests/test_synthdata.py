@@ -1,17 +1,19 @@
 """Synthetic data generators: determinism, shift knobs, detector outputs."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
-from tests_support_reference import reference_generate_detection_scenes
+from tests_support_reference import per_scene, reference_generate_detection_scenes
 
 from sim2real_al.acquisition import detection_entropies
 from sim2real_al.fusion import bayesod_inference, iou_matrix
 from sim2real_al.learner import MCDropoutClassifier, TrainConfig
 from sim2real_al.synthdata import (ClassificationDomainSpec,
-                                   DetectionSceneSpec, generate_classification,
+                                   DetectionSceneSpec, Scenes, generate_classification,
                                    generate_detection_scenes, grid_class_means,
                                    shifted_domain, skewed_priors,
                                    synth_detector_outputs)
@@ -119,17 +121,17 @@ class TestGenerateDetectionScenes:
         spec = self.spec()
         a = generate_detection_scenes(spec, 20, seed=5)
         b = generate_detection_scenes(spec, 20, seed=5)
-        for sa, sb in zip(a, b):
+        for sa, sb in zip(per_scene(a), per_scene(b)):
             np.testing.assert_array_equal(sa.gt_boxes, sb.gt_boxes)
             np.testing.assert_array_equal(sa.gt_classes, sb.gt_classes)
 
     def test_fixed_object_count(self):
         scenes = generate_detection_scenes(self.spec(objects_per_scene=(1, 1)),
                                            50, seed=0)
-        assert all(s.n_objects == 1 for s in scenes)
+        assert np.diff(scenes.offsets).tolist() == [1] * 50
 
     def test_boxes_inside_extent(self):
-        for scene in generate_detection_scenes(self.spec(), 200, seed=1):
+        for scene in per_scene(generate_detection_scenes(self.spec(), 200, seed=1)):
             b = scene.gt_boxes
             assert np.all(b[:, 0] >= 0) and np.all(b[:, 1] >= 0)
             assert np.all(b[:, 2] <= 100) and np.all(b[:, 3] <= 100)
@@ -139,8 +141,7 @@ class TestGenerateDetectionScenes:
         priors = np.array([0.6, 0.3, 0.1])
         scenes = generate_detection_scenes(self.spec(class_priors=priors),
                                            1000, seed=2)
-        counts = np.bincount(np.concatenate([s.gt_classes for s in scenes]),
-                             minlength=3)
+        counts = np.bincount(scenes.classes, minlength=3)
         assert stats.chisquare(counts, priors * counts.sum()).pvalue > 0.001
 
     def test_infeasible_box_range_rejected(self):
@@ -169,8 +170,8 @@ class TestGenerateDetectionScenes:
         a = generate_detection_scenes(self.spec(), 15, ss)
         b = generate_detection_scenes(self.spec(), 15, ss)
         assert ss.n_children_spawned == 3
-        assert scene_bytes(a) == scene_bytes(b)
-        assert scene_bytes(a) == scene_bytes(
+        assert scene_bytes(per_scene(a)) == scene_bytes(per_scene(b))
+        assert scene_bytes(per_scene(a)) == scene_bytes(
             reference_generate_detection_scenes(self.spec(), 15, ss))
         assert ss.n_children_spawned == 18
 
@@ -214,8 +215,107 @@ class TestSceneGeneratorReference:
                                   n_classes=n_classes, class_priors=priors,
                                   objects_per_scene=tuple(sorted(objects)),
                                   box_size_range=sizes)
-        got = scene_bytes(generate_detection_scenes(spec, n, seed))
+        got = scene_bytes(per_scene(generate_detection_scenes(spec, n, seed)))
         assert got == scene_bytes(reference_generate_detection_scenes(spec, n, seed))
+
+
+@st.composite
+def scene_batches(draw):
+    """A generated Scenes batch of 1-8 scenes; objects_min = 0, so some
+    scenes, or all, may be empty."""
+    spec = DetectionSceneSpec(n_classes=draw(st.integers(1, 4)),
+                              objects_per_scene=(0, draw(st.integers(0, 3))))
+    return generate_detection_scenes(spec, draw(st.integers(1, 8)),
+                                     draw(st.integers(0, 2**32)))
+
+
+def raised_in_package(excinfo) -> bool:
+    """The exception was raised by the package's own code, not by numpy."""
+    tb = excinfo.tb
+    while tb.tb_next is not None:
+        tb = tb.tb_next
+    return "sim2real_al" in Path(tb.tb_frame.f_code.co_filename).parts
+
+
+def same_arrays(a: Scenes, b: Scenes) -> bool:
+    return all(getattr(a, name).dtype == getattr(b, name).dtype
+               and np.array_equal(getattr(a, name), getattr(b, name))
+               for name in ("classes", "boxes", "offsets"))
+
+
+class TestScenes:
+    """Scenes holds ground truth as flat rows plus the offsets rule of
+    Anchors; take and concatenate keep each scene's rows."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(scenes=scene_batches(), data=st.data())
+    def test_take_then_concatenate_is_one_take(self, scenes, data):
+        ids = data.draw(st.lists(st.integers(0, scenes.n_images - 1), unique=True))
+        cut = data.draw(st.integers(0, len(ids)))
+        a, b = ids[:cut], ids[cut:]
+        taken = scenes.take(a + b)
+        assert same_arrays(Scenes.concatenate([scenes.take(a), scenes.take(b)]), taken)
+        # scene by scene, take keeps each scene's bytes
+        assert (scene_bytes(per_scene(taken))
+                == scene_bytes([per_scene(scenes)[i] for i in ids]))
+        assert len(taken) == len(taken.classes) and taken.n_images == len(ids)
+
+    def test_empty_scenes_keep_their_place(self):
+        scenes = Scenes(classes=[2, 0, 1], boxes=np.arange(12.0).reshape(3, 4),
+                        offsets=[0, 0, 2, 2, 3])
+        taken = scenes.take([3, 0, 1])
+        assert taken.offsets.tolist() == [0, 1, 1, 3]
+        assert taken.classes.tolist() == [1, 2, 0]
+        assert taken.boxes[0].tolist() == [8.0, 9.0, 10.0, 11.0]
+        assert len(scenes.take([])) == 0 and scenes.take([]).n_images == 0
+
+    @settings(max_examples=100, deadline=None)
+    @given(scenes=scene_batches(), data=st.data())
+    def test_repeated_or_out_of_range_ids_raise(self, scenes, data):
+        n = scenes.n_images
+        ids = data.draw(st.one_of(
+            st.lists(st.integers(0, n - 1), min_size=1).map(lambda v: v + v[:1]),
+            st.lists(st.one_of(st.integers(n, n + 3), st.integers(-3, -1)), min_size=1)
+            .flatmap(lambda bad: st.permutations(bad + list(range(n)))),
+            st.just([0.5]), st.just([[0]])))
+        with pytest.raises(ValueError, match=r"^ids must be distinct image indices "
+                                             rf"in \[0, {n}\)$") as excinfo:
+            scenes.take(ids)
+        assert raised_in_package(excinfo)
+
+    @settings(max_examples=100, deadline=None)
+    @given(scenes=scene_batches(), data=st.data())
+    def test_malformed_offsets_raise(self, scenes, data):
+        offsets = scenes.offsets.astype(float)
+        n = len(scenes)
+        kind = data.draw(st.sampled_from(["not-from-0", "short", "long", "falling",
+                                          "fraction", "2-d", "empty"]))
+        if kind == "not-from-0":
+            offsets[0] = data.draw(st.sampled_from([-1, 1]))
+        elif kind in ("short", "long"):
+            offsets[-1] = n - 1 if kind == "short" else n + 1
+        elif kind == "falling":
+            offsets = np.append(offsets, [n + 1, n])
+        elif kind == "fraction":
+            offsets = np.append(offsets[:-1], [n - 0.5, n]) if n else [0, 0.5, 0]
+        elif kind == "2-d":
+            offsets = offsets[None]
+        else:
+            offsets = []
+        with pytest.raises(ValueError, match="^offsets must rise from 0 to the "
+                                             "object count$") as excinfo:
+            Scenes(scenes.classes, scenes.boxes, offsets)
+        assert raised_in_package(excinfo)
+
+    @pytest.mark.parametrize("classes, boxes", [
+        ([0, 1], np.zeros((3, 4))), ([0, 1], np.zeros((2, 3))),
+        ([0.5, 1], np.zeros((2, 4))), ([-1, 1], np.zeros((2, 4))),
+        ([[0, 1]], np.zeros((2, 4))), ([0, 1], [[0, 0, 1, 1], [0, 0, np.nan, 1]])],
+        ids=["rows", "box-width", "fraction", "negative", "2-d", "nan-box"])
+    def test_malformed_rows_raise(self, classes, boxes):
+        with pytest.raises(ValueError) as excinfo:
+            Scenes(classes, boxes, [0, 2])
+        assert raised_in_package(excinfo)
 
 
 def numpy_draws(rng):
@@ -290,15 +390,15 @@ class TestSynthDetectorOutputs:
 
     def test_noiseless_limit_exact(self):
         spec = self.spec(sigma_box=0.0, score_noise=0.0)
-        scene = generate_detection_scenes(spec, 1, seed=3)[0]
-        anchors = synth_detector_outputs([scene], spec, [4])
-        assert len(anchors) == scene.n_objects * 3
+        scene = generate_detection_scenes(spec, 1, seed=3)
+        anchors = synth_detector_outputs(scene, spec, [4])
+        assert len(anchors) == len(scene) * 3
         dets = bayesod_inference(anchors, 0.5)
-        assert len(dets) == scene.n_objects
+        assert len(dets) == len(scene)
         for mean, cov, size in zip(dets.box_mean, dets.box_cov, dets.cluster_size):
             gt_idx = int(np.argmin([np.abs(mean - g).max()
-                                    for g in scene.gt_boxes]))
-            np.testing.assert_allclose(mean, scene.gt_boxes[gt_idx], atol=1e-9)
+                                    for g in scene.boxes]))
+            np.testing.assert_allclose(mean, scene.boxes[gt_idx], atol=1e-9)
             # member covariances are eps*I; M members fuse to eps/M * I
             np.testing.assert_allclose(cov, 1e-6 / size * np.eye(4), atol=1e-12)
 
@@ -308,9 +408,9 @@ class TestSynthDetectorOutputs:
             spec = self.spec(sigma_box=sigma)
             scenes = generate_detection_scenes(spec, 100, seed=5)
             values = []
-            for i, scene in enumerate(scenes):
+            for i in range(scenes.n_images):
                 detections = bayesod_inference(
-                    synth_detector_outputs([scene], spec, [1000 + i]), 0.5)
+                    synth_detector_outputs(scenes.take([i]), spec, [1000 + i]), 0.5)
                 values.extend(detection_entropies(detections)[1].tolist())
             entropies[sigma] = np.mean(values)
         assert entropies[4.0] > entropies[1.0]
@@ -323,9 +423,9 @@ class TestSynthDetectorOutputs:
         draws = 0
         i = 0
         while draws < 10_000:
-            scene = generate_detection_scenes(spec, 1, seed=7000 + i)[0]
-            anchors = synth_detector_outputs([scene], spec, [8000 + i])
-            overlaps = iou_matrix(anchors.boxes.mean(axis=1), scene.gt_boxes[:1])
+            scene = generate_detection_scenes(spec, 1, seed=7000 + i)
+            anchors = synth_detector_outputs(scene, spec, [8000 + i])
+            overlaps = iou_matrix(anchors.boxes.mean(axis=1), scene.boxes[:1])
             hits += int((overlaps >= 0.5).sum())
             total += len(anchors)
             draws += len(anchors)
@@ -334,13 +434,13 @@ class TestSynthDetectorOutputs:
 
     def test_score_samples_in_range_and_class_structure(self):
         spec = self.spec(score_noise=1.0, true_logit=2.0)
-        scene = generate_detection_scenes(spec, 1, seed=9)[0]
-        scores = synth_detector_outputs([scene], spec, [10]).scores
+        scene = generate_detection_scenes(spec, 1, seed=9)
+        scores = synth_detector_outputs(scene, spec, [10]).scores
         assert np.all(scores >= 0)
         assert np.all(scores <= 1)
         # noiseless scores: true class sigmoid(2), off classes sigmoid(-4)
         quiet = self.spec(score_noise=0.0, sigma_box=0.0)
-        mean_scores = synth_detector_outputs([scene], quiet, [11]).scores[0].mean(axis=0)
+        mean_scores = synth_detector_outputs(scene, quiet, [11]).scores[0].mean(axis=0)
         top = mean_scores.argmax()
         assert mean_scores[top] == pytest.approx(1 / (1 + np.exp(-2)))
 
@@ -352,13 +452,13 @@ class TestSynthDetectorOutputs:
 
     def test_deterministic(self):
         spec = self.spec()
-        scene = generate_detection_scenes(spec, 1, seed=14)[0]
-        a = synth_detector_outputs([scene], spec, [15])
-        b = synth_detector_outputs([scene], spec, [15])
+        scene = generate_detection_scenes(spec, 1, seed=14)
+        a = synth_detector_outputs(scene, spec, [15])
+        b = synth_detector_outputs(scene, spec, [15])
         np.testing.assert_array_equal(a.scores, b.scores)
         np.testing.assert_array_equal(a.boxes, b.boxes)
 
     def test_miss_probability_drops_objects(self):
         spec = self.spec(miss_prob=1.0)
-        scene = generate_detection_scenes(spec, 1, seed=12)[0]
-        assert len(synth_detector_outputs([scene], spec, [13])) == 0
+        scene = generate_detection_scenes(spec, 1, seed=12)
+        assert len(synth_detector_outputs(scene, spec, [13])) == 0

@@ -9,11 +9,10 @@ GT, where greedy confidence-ordered matching is provably optimal.
 import itertools
 
 import numpy as np
-from tests_support_reference import Detection
+from tests_support_reference import Detection, Scene
 
 from sim2real_al import loop as al
 from sim2real_al.fusion import iou_matrix
-from sim2real_al.synthdata import DetectionScene
 
 
 def make_det(cls, conf, box, n_classes=2):
@@ -24,8 +23,8 @@ def make_det(cls, conf, box, n_classes=2):
 
 
 def make_scene(classes, boxes):
-    return DetectionScene(gt_classes=np.asarray(classes, int),
-                          gt_boxes=np.asarray(boxes, float).reshape(-1, 4))
+    return Scene(gt_classes=np.asarray(classes, int),
+                 gt_boxes=np.asarray(boxes, float).reshape(-1, 4))
 
 
 def brute_force_map(dets_per_img, scenes, thr):

@@ -10,16 +10,19 @@ batches of images and on whole files.  The functions here are the
 scene generator with one spawned SeedSequence and scalar draws per
 object, the one-scene synthesis, the one-center-at-a-time clustering, the
 one-cluster-at-a-time fusion, the one-detection-at-a-time scoring and
-evaluation and the line-by-line reader they replaced, kept as they
-were, so tests can require the same records, the same bits and the
-same error messages.  `reference_select_batchbald` is the BatchBALD
-selector with one configuration draw and one log per selected item
-and pick, which `sampling.select_batchbald` replaced; `bald_scores`
-is the exact BALD score of its first pick.  They work on `Detection`
-records, one per detection; `detections_of` packs per-image record
-lists into a `fusion.Detections` batch.  `dense_image_text` writes
-images shaped like detector dumps (many anchors per object,
-fixed-precision values).
+evaluation, the per-scene counts and labels of the ground truth, and
+the line-by-line reader they replaced, kept as they were, so tests can
+require the same records, the same bits and the same error messages.
+`reference_select_batchbald` is the BatchBALD selector with one
+configuration draw and one log per selected item and pick, which
+`sampling.select_batchbald` replaced; `bald_scores` is the exact BALD
+score of its first pick.  They work on `Detection` records, one per
+detection, and on `Scene` records, one per image.  `detections_of`
+packs per-image record lists into a `fusion.Detections` batch and
+`records_of` splits one back; `scenes_of` and `per_scene` do the same
+between `Scene` records and a `synthdata.Scenes` batch.
+`dense_image_text` writes images shaped like detector dumps (many
+anchors per object, fixed-precision values).
 """
 
 import math
@@ -31,7 +34,7 @@ from scipy.special import xlogy
 from sim2real_al.fusion import (COV_REGULARIZER, DEFAULT_IOU_THRESHOLD, Anchors,
                                 Detections, iou_matrix, mc_statistics)
 from sim2real_al.sampling import _entropy
-from sim2real_al.synthdata import DetectionScene
+from sim2real_al.synthdata import Scenes
 
 
 @dataclass
@@ -51,6 +54,52 @@ class Detection:
     @property
     def confidence(self) -> float:
         return float(self.class_probs[self.label])
+
+
+@dataclass
+class Scene:
+    """Ground truth of one image: class ids and boxes."""
+
+    gt_classes: np.ndarray    # (n_obj,)
+    gt_boxes: np.ndarray      # (n_obj, 4)
+
+    def __post_init__(self):
+        self.gt_classes = np.asarray(self.gt_classes, dtype=int)
+        self.gt_boxes = np.asarray(self.gt_boxes, dtype=float).reshape(-1, 4)
+
+
+def scenes_of(scenes):
+    """A synthdata.Scenes batch of a list of Scene records."""
+    return Scenes(classes=np.concatenate([np.zeros(0, dtype=int)]
+                                         + [s.gt_classes for s in scenes]),
+                  boxes=np.concatenate([np.zeros((0, 4))] + [s.gt_boxes for s in scenes]),
+                  offsets=np.cumsum([0] + [len(s.gt_classes) for s in scenes]))
+
+
+def per_scene(scenes):
+    """The Scene records of a synthdata.Scenes batch, one per image."""
+    bounds = scenes.offsets.tolist()
+    return [Scene(gt_classes=scenes.classes[lo:hi], gt_boxes=scenes.boxes[lo:hi])
+            for lo, hi in zip(bounds, bounds[1:])]
+
+
+# -- ground truth: one scene at a time --------------------------------------
+
+def reference_counts(scenes, n_classes):
+    """Per-class object counts of a list of Scene records, one bincount
+    per scene (DetectionSurrogate's counts)."""
+    counts = np.zeros(n_classes)
+    for scene in scenes:
+        counts += np.bincount(scene.gt_classes, minlength=n_classes)
+    return counts
+
+
+def reference_labels(batch):
+    """The class ids of a list of Scene records, scene by scene (the
+    detection track's labels of an oracle batch)."""
+    if not batch:
+        return np.empty(0, dtype=int)
+    return np.concatenate([s.gt_classes for s in batch])
 
 
 # -- synthesis: one scene, one generator ------------------------------------
@@ -80,7 +129,7 @@ def reference_generate_detection_scenes(spec, n, seed):
             x0 = rng.uniform(0.0, spec.width - w)
             y0 = rng.uniform(0.0, spec.height - h)
             boxes[i] = (x0, y0, x0 + w, y0 + h)
-        scenes.append(DetectionScene(gt_classes=classes, gt_boxes=boxes))
+        scenes.append(Scene(gt_classes=classes, gt_boxes=boxes))
     return scenes
 
 
@@ -315,6 +364,15 @@ def detections_of(images):
         box_cov=np.array([d.box_cov for d in dets]) if dets else np.zeros((0, 4, 4)),
         cluster_size=np.array([d.cluster_size for d in dets], dtype=int),
         offsets=np.cumsum([0] + [len(image) for image in images]))
+
+
+def records_of(detections):
+    """The per-image lists of Detection records of a fusion.Detections
+    batch, the inverse of detections_of."""
+    bounds = detections.offsets.tolist()
+    return [[Detection(detections.class_probs[k], detections.box_mean[k],
+                       detections.box_cov[k], int(detections.cluster_size[k]))
+             for k in range(lo, hi)] for lo, hi in zip(bounds, bounds[1:])]
 
 
 def assert_same_detections(got, expected):
