@@ -22,7 +22,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .rules import rising, whole
+from .rules import indices, rising
 
 COV_REGULARIZER = 1e-6
 DEFAULT_IOU_THRESHOLD = 0.5
@@ -44,10 +44,10 @@ class Ragged:
 
     def take(self, ids):
         """The images `ids`, in that order; each id is an image index, once."""
-        ids = whole(ids)
-        if (ids is None or ids.ndim != 1 or np.any(ids < 0) or np.any(ids >= self.n_images)
-                or len(np.unique(ids)) < len(ids)):
-            raise ValueError(f"ids must be distinct image indices in [0, {self.n_images})")
+        message = f"ids must be distinct image indices in [0, {self.n_images})"
+        ids = indices(ids, self.n_images, message)
+        if len(np.unique(ids)) < len(ids):
+            raise ValueError(message)
         counts = np.diff(self.offsets)[ids]
         offsets = np.concatenate(([0], np.cumsum(counts)))
         rows = np.arange(offsets[-1]) + np.repeat(self.offsets[ids] - offsets[:-1], counts)
@@ -59,6 +59,8 @@ class Ragged:
         """One batch of the images of every part, in order; each field's
         rows have the same trailing shape in every part."""
         parts = list(parts)
+        if not parts:
+            raise ValueError(f"{cls.__name__}.concatenate needs at least one batch")
         counts = np.concatenate([np.diff(part.offsets) for part in parts])
         return cls(**{f.name: np.concatenate([getattr(part, f.name) for part in parts])
                       for f in fields(cls) if f.name != "offsets"},
@@ -242,6 +244,7 @@ def fuse_categorical(mean_scores, members, offsets) -> np.ndarray:
     k = len(offsets) - 1
     owner = np.repeat(np.arange(k), np.diff(offsets))
     mean_scores = np.asarray(mean_scores, dtype=float)
+    members = indices(members, len(mean_scores), "members must be rows of mean_scores")
     log_prod = np.zeros((k, mean_scores.shape[1]))
     with np.errstate(divide="ignore"):
         np.add.at(log_prod, owner, np.log(mean_scores[members]))
@@ -263,6 +266,7 @@ def fuse_gaussian(box_samples, members, offsets,
     offsets = rising(offsets, len(members), "member")
     k = len(offsets) - 1
     owner = np.repeat(np.arange(k), np.diff(offsets))
+    members = indices(members, len(box_samples), "members must be rows of box_samples")
     means, covs = mc_statistics(np.asarray(box_samples, dtype=float)[members])
     covs = covs + regularizer * np.eye(4)
     try:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rules import at_least, check, checked, finite
+from .rules import at_least, check, checked, count, finite, labels
 
 
 @dataclass
@@ -88,8 +88,7 @@ class MCDropoutClassifier:
         the role of T shared posterior weight samples.  Shape: (T, C)
         for a single input, (N, T, C) for a batch.
         """
-        if t < 1:
-            raise ValueError("need at least one Monte-Carlo pass")
+        t = count(t, "t")
         single = np.asarray(x).ndim == 1
         x2 = self._inputs(x)
         if self.dropout_rate == 0:
@@ -142,16 +141,10 @@ class MCDropoutClassifier:
         flag by (1 - rate) gives.
         """
         x = self._inputs(x)
-        y = np.asarray(y, dtype=int)
         n = x.shape[0]
-        if y.ndim != 1:
-            raise ValueError(f"y must be a 1-D array of labels, got shape {y.shape}")
-        if len(y) != n:
-            raise ValueError(f"x has {n} rows, but y has {len(y)} labels")
+        y = labels(y, self.n_classes, rows=n)
         if n == 0:
             raise ValueError("empty training set")
-        if np.any(y < 0) or np.any(y >= self.n_classes):
-            raise ValueError("labels outside [0, n_classes)")
 
         start = self if cfg.fine_tune else MCDropoutClassifier(
             self.input_dim, self.hidden_dim, self.n_classes, self.dropout_rate,

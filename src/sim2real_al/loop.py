@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from . import acquisition as acq
-from . import sampling
+from . import rules, sampling
 from .fusion import Detections, bayesod_inference, iou_matrix
 from .learner import MCDropoutClassifier, TrainConfig
 from .rules import (RuleError, at_least, check, checked, finite, finite_nonneg,
@@ -132,14 +132,10 @@ class GapReport:
 def evaluate_classifier(model, x_test, y_test) -> float:
     """Argmax accuracy of predict_mean; ties go to the smaller class."""
     x_test = np.atleast_2d(np.asarray(x_test, dtype=float))
-    y_test = np.asarray(y_test, dtype=int)
     if x_test.shape[0] == 0:
         raise ValueError("empty test set")
-    if y_test.ndim != 1:
-        raise ValueError(f"y must be a 1-D array of labels, got shape {y_test.shape}")
-    if len(y_test) != x_test.shape[0]:
-        raise ValueError(f"x has {x_test.shape[0]} rows, but y has {len(y_test)} labels")
     probs = np.atleast_2d(model.predict_mean(x_test))
+    y_test = rules.labels(y_test, probs.shape[1], rows=x_test.shape[0])
     return float((probs.argmax(axis=1) == y_test).mean())
 
 
@@ -232,12 +228,8 @@ def inter_class_variation(labels, n_classes: int) -> float:
 
     Zero-count classes are included; an empty selection scores 0.
     """
-    if n_classes < 1:
-        raise ValueError("n_classes must be >= 1")
-    labels = np.asarray(labels, dtype=int)
-    if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
-        raise ValueError("labels outside [0, n_classes)")
-    counts = np.bincount(labels, minlength=n_classes)[:n_classes]
+    n_classes = rules.count(n_classes, "n_classes")
+    counts = np.bincount(rules.labels(labels, n_classes), minlength=n_classes)
     return float(np.std(counts) * n_classes)
 
 
@@ -330,7 +322,8 @@ class DetectionSurrogate:
         self._output_spec = self._derive_output_spec()
 
     def _counted(self, scenes: Scenes) -> np.ndarray:
-        return np.bincount(scenes.classes, minlength=self.scene_spec.n_classes)
+        n_classes = self.scene_spec.n_classes
+        return np.bincount(rules.labels(scenes.classes, n_classes), minlength=n_classes)
 
     def with_sim(self, scenes: Scenes) -> "DetectionSurrogate":
         return DetectionSurrogate(self.scene_spec, self.params,

@@ -2,7 +2,7 @@
 declares a field with its rules, and `check(obj)` runs them in field
 order, recursing into a field whose metadata sets `nested`.  Cross-field
 rules stay as code; all raise RuleError, which names the field as data.
-`whole` and `rising` are the array rules of the ragged batches' ids and offsets."""
+Array inputs have one rule each: `whole`, `count`, `labels`, `indices`, `rising`."""
 
 import math
 from collections import namedtuple
@@ -74,12 +74,36 @@ def whole(values) -> np.ndarray | None:
     return as_int if as_int is not None and np.array_equal(as_int, values) else None
 
 
-def rising(offsets, count: int, what: str) -> np.ndarray:
+def count(value, name: str) -> int:
+    """value as an int when it is one whole number >= 1, else a ValueError."""
+    if whole(value) is None or np.ndim(value) or value < 1:
+        raise ValueError(f"{name} must be a whole number >= 1, got {value!r}")
+    return int(value)
+
+
+def labels(y, n_classes: int, rows: int = None) -> np.ndarray:
+    """y as 1-D intp class ids in [0, n_classes), one per row when rows is given."""
+    if np.ndim(y) != 1:
+        raise ValueError(f"y must be a 1-D array of labels, got shape {np.shape(y)}")
+    if rows is not None and len(y) != rows:
+        raise ValueError(f"x has {rows} rows, but y has {len(y)} labels")
+    return indices(y, n_classes, "labels outside [0, n_classes)")
+
+
+def indices(ids, n: int, message: str) -> np.ndarray:
+    """ids as a 1-D intp array of whole numbers in [0, n), else ValueError(message)."""
+    ids = whole(ids)
+    if ids is None or ids.ndim != 1 or len(ids) and (ids.min() < 0 or ids.max() >= n):
+        raise ValueError(message)
+    return ids
+
+
+def rising(offsets, total: int, what: str) -> np.ndarray:
     """offsets as a 1-D intp array of whole numbers that rises (not
-    strictly) from 0 to count: image or cluster i of a ragged batch holds
+    strictly) from 0 to total: image or cluster i of a ragged batch holds
     rows offsets[i]:offsets[i + 1].  Anything else is a ValueError."""
     offsets = whole(offsets)
     if (offsets is None or offsets.ndim != 1 or len(offsets) < 1 or offsets[0] != 0
-            or offsets[-1] != count or np.any(np.diff(offsets) < 0)):
+            or offsets[-1] != total or np.any(np.diff(offsets) < 0)):
         raise ValueError(f"offsets must rise from 0 to the {what} count")
     return offsets

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rules import at_least, check, checked, in_interval, one_of
+from .rules import at_least, check, checked, count, in_interval, one_of
 
 STRATEGIES = ("random", "topn", "subsample_topn", "coreset", "batchbald", "clue")
 
@@ -36,11 +36,18 @@ class SelectionConfig:
     __post_init__ = check
 
 
+def _batch_size(b, n: int, too_big: str = None) -> int:
+    """b as an int when 1 <= b <= n, the bound SelectionConfig gives
+    batch_size; a b above n raises too_big, if given."""
+    if count(b, "batch size") > n:
+        raise ValueError(too_big or f"batch size {int(b)} exceeds pool size {n}")
+    return int(b)
+
+
 def select_random(pool_ids, b: int, seed) -> list:
     """Uniform sample of b pool ids without replacement."""
     pool_ids = list(pool_ids)
-    if b > len(pool_ids):
-        raise ValueError(f"batch size {b} exceeds pool size {len(pool_ids)}")
+    b = _batch_size(b, len(pool_ids))
     rng = np.random.default_rng(seed)
     picked = rng.choice(len(pool_ids), size=b, replace=False)
     return [pool_ids[i] for i in picked]
@@ -53,8 +60,7 @@ def select_topn(scores, b: int) -> list:
     the smaller id.
     """
     scores = list(scores)
-    if b > len(scores):
-        raise ValueError(f"batch size {b} exceeds candidate count {len(scores)}")
+    b = _batch_size(b, len(scores))
     ranked = sorted(scores, key=lambda item: (-item[1], item[0]))
     return [item[0] for item in ranked[:b]]
 
@@ -73,8 +79,7 @@ def select_subsample_topn(pool_ids, score_fn, p: float, b: int, seed) -> list:
     """
     pool_ids = list(pool_ids)
     m = subsample_size(p, len(pool_ids))
-    if b > m:
-        raise ValueError("sub-sample too small for batch")
+    b = _batch_size(b, m, "sub-sample too small for batch")
     rng = np.random.default_rng(seed)
     drawn = [pool_ids[i] for i in rng.choice(len(pool_ids), size=m, replace=False)]
     scores = list(score_fn(drawn))
@@ -92,10 +97,7 @@ def select_coreset(pool_features, labeled_features, b: int) -> list[int]:
     centroid.  Returned ids are row indices into pool_features.
     """
     pool = np.atleast_2d(np.asarray(pool_features, dtype=float))
-    if pool.shape[0] == 0:
-        raise ValueError("pool must be nonempty")
-    if b > pool.shape[0]:
-        raise ValueError(f"batch size {b} exceeds pool size {pool.shape[0]}")
+    b = _batch_size(b, pool.shape[0])
     labeled = np.asarray(labeled_features, dtype=float)
     picked: list[int] = []
     if labeled.size:
@@ -160,8 +162,7 @@ def select_batchbald(prob_samples, b: int, mc_count: int = 100, seed=0) -> list[
     n, t, c = probs.shape
     if t < 2:
         raise ValueError("mutual information undefined")
-    if b > n:
-        raise ValueError(f"batch size {b} exceeds pool size {n}")
+    b = _batch_size(b, n)
 
     h_cond = _entropy(probs).mean(axis=1)
     pick = int(np.argmax(_entropy(probs.mean(axis=1)) - h_cond))  # BALD
@@ -219,14 +220,11 @@ def select_clue(pool_features, uncertainties, b: int, seed=0) -> list[int]:
     pool = np.atleast_2d(np.asarray(pool_features, dtype=float))
     weights = np.asarray(uncertainties, dtype=float)
     n = pool.shape[0]
-    if n == 0:
-        raise ValueError("pool must be nonempty")
-    if weights.shape[0] != n:
-        raise ValueError("need one uncertainty per pool point")
+    if weights.shape != (n,) or not np.all(np.isfinite(weights)):
+        raise ValueError("need one finite uncertainty per pool point")
     if np.any(weights < 0):
         raise ValueError("uncertainties must be >= 0")
-    if b > n:
-        raise ValueError(f"batch size {b} exceeds pool size {n}")
+    b = _batch_size(b, n)
     if weights.sum() == 0:
         warnings.warn("all-zero uncertainties; falling back to unweighted k-means")
         weights = np.ones(n)

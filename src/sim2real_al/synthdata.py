@@ -29,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fusion import Anchors, Ragged
-from .rules import (RuleError, at_least, check, checked, finite_positive, rising,
-                    whole)
+from .rules import (RuleError, at_least, check, checked, count, finite_positive,
+                    labels, rising, whole)
 
 
 def _class_priors(priors, n_classes: int) -> np.ndarray:
@@ -104,12 +104,11 @@ def generate_classification(spec: ClassificationDomainSpec, n: int,
 
     Returns the (n, d) points and their (n,) integer labels.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = count(n, "n")
     rng = np.random.default_rng(seed)
-    labels = rng.choice(spec.n_classes, size=n, p=spec.class_priors)
+    y = rng.choice(spec.n_classes, size=n, p=spec.class_priors)
     noise = rng.standard_normal((n, spec.dim)) * np.sqrt(spec.cov_scale)
-    return spec.class_means[labels] + noise, labels
+    return spec.class_means[y] + noise, y
 
 
 # ---------------------------------------------------------------------------
@@ -305,8 +304,7 @@ def generate_detection_scenes(spec: DetectionSceneSpec, n: int, seed) -> Scenes:
     height and both lower corners, as Generator.integers, .choice and
     .uniform would draw them.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = count(n, "n")
     lo, hi = spec.objects_per_scene
     counts, draws = [], []
     for rng in _child_generators(seed, n):
@@ -357,9 +355,9 @@ def synth_detector_outputs(scenes: Scenes, spec: DetectionSceneSpec, keys,
     miss_prob = spec.per_class(spec.miss_prob).tolist()
     t, m, c = spec.mc_samples, spec.anchors_per_object, spec.n_classes
 
+    classes, bounds = labels(scenes.classes, c).tolist(), scenes.offsets.tolist()
     draws = np.empty((len(scenes), m, t * (4 + c)))
     kept = np.zeros(len(scenes), dtype=bool)
-    classes, bounds = scenes.classes.tolist(), scenes.offsets.tolist()
     n_kept = 0
     for lo, hi, rng in zip(bounds, bounds[1:], _keyed_generators(_words(prefix), keys)):
         for obj in range(lo, hi):

@@ -82,6 +82,11 @@ class TestAnchors:
                     offsets=[0.0, 2.0, 4.0])
         assert a.offsets.dtype == np.intp and a.offsets.tolist() == [0, 2, 4]
 
+    def test_concatenate_needs_a_batch(self):
+        # numpy's "need at least one array to concatenate" before
+        with pytest.raises(ValueError, match="^Anchors.concatenate needs at least one batch$"):
+            Anchors.concatenate([])
+
 
 class TestIoU:
     def test_identical(self):
@@ -352,6 +357,20 @@ class TestClusterPairChecked:
         # truncated to [0, 1, 4], these offsets fused clusters of 1 and 3 members
         with pytest.raises(ValueError, match="^offsets must rise from 0 to the member count$"):
             fuse(values, np.arange(4), [0, 1.5, 4])
+
+    @pytest.mark.parametrize("fuser, rows", [("gaussian", "box_samples"),
+                                             ("categorical", "mean_scores")])
+    @pytest.mark.parametrize("members", [[-1, 1], [0, 6], [0, 9], [0.5, 1]],
+                             ids=["negative", "one-past-the-rows", "far-past", "fraction"])
+    def test_members_must_be_rows(self, fuser, rows, members):
+        # -1 used to wrap around to the last row; 6 and 0.5 raised numpy's IndexError
+        with pytest.raises(ValueError, match=f"^members must be rows of {rows}$"):
+            self.FUSERS[fuser](members, [0, 2])
+
+    @pytest.mark.parametrize("fuser", sorted(FUSERS))
+    def test_whole_float_members_are_rows(self, fuser):
+        np.testing.assert_equal(self.FUSERS[fuser]([5.0, 0.0, 2.0], [0, 1, 3]),
+                                self.FUSERS[fuser]([5, 0, 2], [0, 1, 3]))
 
     @pytest.mark.parametrize("fuser", sorted(FUSERS))
     def test_list_of_cluster_arrays_is_a_type_error(self, fuser):

@@ -151,6 +151,24 @@ class TestFit:
             model.fit(np.ones((3, 2)), np.zeros((3, 1), dtype=int),
                       TrainConfig(epochs=1, learning_rate=0.1))
 
+    @pytest.mark.parametrize("y", [[0.5, 1.7, 1], [0, 1, 1.5]], ids=["fractions", "one-fraction"])
+    def test_fractional_labels_rejected(self, y):
+        # truncated to whole labels, these used to train silently
+        model = MCDropoutClassifier(2, 8, 2, seed=0)
+        with pytest.raises(ValueError, match=r"^labels outside \[0, n_classes\)$"):
+            model.fit(np.ones((3, 2)), y, TrainConfig(epochs=1, learning_rate=0.1))
+
+    @pytest.mark.parametrize("t", [2.5, 0, -1, True, [2]])
+    def test_pass_count_must_be_a_whole_number(self, t):
+        model = MCDropoutClassifier(2, 8, 2, dropout_rate=0.2, seed=0)
+        with pytest.raises(ValueError, match=r"^t must be a whole number >= 1, got "):
+            model.predict_samples(np.ones((3, 2)), t)
+
+    def test_whole_float_pass_count_accepted(self):
+        model = MCDropoutClassifier(2, 8, 2, dropout_rate=0.2, seed=0)
+        np.testing.assert_array_equal(model.predict_samples(np.ones((3, 2)), 4.0, seed=1),
+                                      model.predict_samples(np.ones((3, 2)), 4, seed=1))
+
     @pytest.mark.parametrize("call", ["fit", "predict_mean", "predict_samples",
                                       "features"])
     @pytest.mark.parametrize("shape", [(6, 3), (3,)])

@@ -24,7 +24,7 @@ from sim2real_al.acquisition import (AGG_MODES, COMB_MODES, AcquisitionConfig,
                                      score_image)
 from sim2real_al.learner import MCDropoutClassifier, TrainConfig
 from sim2real_al.sampling import SelectionConfig
-from sim2real_al.synthdata import DetectionSceneSpec, generate_detection_scenes
+from sim2real_al.synthdata import DetectionSceneSpec, Scenes, generate_detection_scenes
 
 
 class TestEvaluateClassifier:
@@ -73,6 +73,13 @@ class TestEvaluateClassifier:
         with pytest.raises(ValueError, match=r"^y must be a 1-D array of labels, "
                                              r"got shape \(10, 1\)$"):
             al.evaluate_classifier(self.Uniform(), np.zeros((10, 2)), np.zeros((10, 1)))
+
+    @pytest.mark.parametrize("y", [[0, 7], [0, -1], [0.5, 1], [2, 1]],
+                             ids=["too-large", "negative", "fraction", "model-has-2"])
+    def test_labels_outside_the_model_classes_rejected(self, y):
+        # [0, 7] used to score 0.5: the 7 counted as one more miss
+        with pytest.raises(ValueError, match=r"^labels outside \[0, n_classes\)$"):
+            al.evaluate_classifier(self.Uniform(), np.zeros((2, 2)), y)
 
 
 class TestEvaluateDetection:
@@ -254,6 +261,27 @@ class TestInterClassVariation:
     def test_zero_count_classes_included(self):
         # counts [2, 0]: mean 1, std 1, times 2 -> 2
         assert al.inter_class_variation([0, 0], 2) == 2.0
+
+    def test_fractional_labels_rejected(self):
+        # [0.5, 1.7] used to count as [0, 1] and score 1.414
+        with pytest.raises(ValueError, match=r"^labels outside \[0, n_classes\)$"):
+            al.inter_class_variation([0.5, 1.7], 3)
+
+    def test_labels_must_be_1d(self):
+        # numpy's bincount error before
+        with pytest.raises(ValueError, match=r"^y must be a 1-D array of labels, "
+                                             r"got shape \(1, 2\)$"):
+            al.inter_class_variation([[0, 1]], 3)
+
+
+class TestSurrogateCounts:
+    @pytest.mark.parametrize("add", ["with_sim", "with_real"])
+    def test_class_ids_beyond_the_spec_rejected(self, add):
+        # numpy's broadcast error before: counts of 6 classes added to 3
+        surrogate = al.DetectionSurrogate(DetectionSceneSpec(n_classes=3), al.SurrogateParams())
+        scenes = Scenes(classes=[0, 5], boxes=[[0, 0, 10, 10]] * 2, offsets=[0, 1, 2])
+        with pytest.raises(ValueError, match=r"^labels outside \[0, n_classes\)$"):
+            getattr(surrogate, add)(scenes)
 
 
 def curve_with(metrics, fractions=None, sim=0.5, real=0.9, level=0.95):

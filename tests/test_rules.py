@@ -12,14 +12,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_cli import SMALL_CLS, SMALL_DET, damaged
+from test_sampling import six_selectors
+from tests_support_oracles import raised_in_package
 
 from sim2real_al import cli
 from sim2real_al import loop as al
 from sim2real_al.acquisition import AcquisitionConfig
-from sim2real_al.learner import TrainConfig
+from sim2real_al.fusion import fuse_categorical, fuse_gaussian
+from sim2real_al.learner import MCDropoutClassifier, TrainConfig
 from sim2real_al.rules import RuleError
 from sim2real_al.sampling import SelectionConfig
-from sim2real_al.synthdata import ClassificationDomainSpec, DetectionSceneSpec
+from sim2real_al.synthdata import (ClassificationDomainSpec, DetectionSceneSpec, Scenes,
+                                   synth_detector_outputs)
 
 BASES = {"classification": SMALL_CLS, "detection": SMALL_DET}
 
@@ -305,3 +309,94 @@ class TestConfigDamage:
                 assert not out.exists()
 
         survives()
+
+
+# ---------------------------------------------------------------------------
+# array inputs: class labels, item indices and batch sizes
+# ---------------------------------------------------------------------------
+
+@st.composite
+def id_arrays(draw, n: int, size: int, empty_ok: bool = True):
+    """(value, accepted): `size` ids in [0, n), each an int or a whole
+    float, which the consumer accepts; that list with one fractional,
+    negative or too-large entry, or reshaped to 2-D, which it rejects; or
+    the empty list, accepted when empty_ok."""
+    ids = st.integers(0, n - 1).flatmap(lambda i: st.sampled_from([i, float(i)]))
+    values = draw(st.lists(ids, min_size=size, max_size=size))
+    damage = draw(st.sampled_from(["none", "none", "entry", "2-d", "empty"]))
+    if damage == "entry":
+        values[draw(st.integers(0, size - 1))] = draw(
+            st.sampled_from([-1, -0.5, 0.5, n - 0.5, n, n + 3]))
+    elif damage == "2-d":
+        values = np.reshape(values, draw(st.sampled_from([(1, -1), (-1, 1)]))).tolist()
+    elif damage == "empty":
+        values = []
+    return values, damage == "none" or (damage == "empty" and empty_ok)
+
+
+def batch_sizes(n: int, most: int):
+    """(b, accepted) for a pool of n whose batches hold at most `most`."""
+    return st.one_of(st.integers(1, n), st.integers(1, n).map(float),
+                     st.sampled_from([0, -1, 1.5, n + 1])
+                     ).map(lambda b: (b, float(b).is_integer() and 1 <= b <= most))
+
+
+X_ROWS = np.random.default_rng(0).normal(size=(5, 2))
+MODEL = MCDropoutClassifier(2, 4, 3, seed=0)
+SPEC = DetectionSceneSpec(n_classes=3)
+SAMPLES = np.random.default_rng(1).normal([0, 0, 20, 20], 2.0, size=(6, 5, 4))
+MEAN_SCORES = np.random.default_rng(2).uniform(0.1, 0.9, size=(6, 3))
+
+
+def one_scene(classes) -> Scenes:
+    return Scenes(classes=classes, boxes=np.tile([0.0, 0.0, 10.0, 10.0], (np.size(classes), 1)),
+                  offsets=[0, np.size(classes)])
+
+
+def anchor_arrays(anchors) -> tuple:
+    return anchors.scores, anchors.boxes, anchors.offsets
+
+
+# name: (strategy of (value, accepted), the call); the labels are
+# fit's and evaluate_classifier's 5 rows, so an empty y is rejected, and
+# one cluster of no members has no covariance to fuse
+ARRAY_CONSUMERS = {
+    "fit": (id_arrays(3, 5, empty_ok=False), lambda y: [
+        getattr(MODEL.fit(X_ROWS, y, TrainConfig(epochs=1, batch_size=4)), w)
+        for w in ("w1", "b1", "w2", "b2")]),
+    "evaluate_classifier": (id_arrays(3, 5, empty_ok=False),
+                            lambda y: al.evaluate_classifier(MODEL, X_ROWS, y)),
+    "inter_class_variation": (id_arrays(3, 4), lambda y: al.inter_class_variation(y, 3)),
+    "with_real": (id_arrays(3, 3), lambda y: al.DetectionSurrogate(
+        SPEC, al.SurrogateParams()).with_real(one_scene(y)).competence()),
+    "synth_detector_outputs": (id_arrays(3, 3), lambda y: anchor_arrays(
+        synth_detector_outputs(one_scene(y), SPEC, [7]))),
+    "fuse_categorical": (id_arrays(6, 4),
+                         lambda m: fuse_categorical(MEAN_SCORES, m, [0, len(m)])),
+    "fuse_gaussian": (id_arrays(6, 4, empty_ok=False),
+                      lambda m: fuse_gaussian(SAMPLES, m, [0, len(m)])),
+    **{name: (batch_sizes(6, 3 if name == "subsample_topn" else 6), select)
+       for name, select in six_selectors(6, p=0.5).items()},
+}
+
+
+class TestArrayInputs:
+    """Every consumer of class labels, item indices or a batch size keeps
+    its input's one rule: a value that breaks it raises ValueError from
+    the package, never numpy's error or a result, and a value that keeps
+    it, ints or whole floats, returns what its ints give."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(name=st.sampled_from(sorted(ARRAY_CONSUMERS)), data=st.data())
+    def test_one_rule_per_input(self, name, data):
+        inputs, call = ARRAY_CONSUMERS[name]
+        value, accepted = data.draw(inputs, label="value")
+        try:
+            got = call(value)
+        except ValueError:
+            assert raised_in_package(pytest.ExceptionInfo.from_current())
+            assert not accepted, f"{name} rejected {value!r}"
+            return
+        assert accepted, f"{name} accepted {value!r}"
+        as_ints = int(value) if np.ndim(value) == 0 else np.asarray(value, dtype=int)
+        np.testing.assert_equal(got, call(as_ints))

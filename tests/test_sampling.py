@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
-from tests_support_oracles import covering_radius
+from tests_support_oracles import covering_radius, raised_in_package
 from tests_support_reference import bald_scores, reference_select_batchbald
 
 from sim2real_al import sampling
@@ -76,6 +76,57 @@ class TestSelectTopn:
 def scores_of(scores):
     """The batch scorer select_subsample_topn calls: ids -> their scores."""
     return lambda ids: [scores[i] for i in ids]
+
+
+def six_selectors(n: int = 6, p: float = 1.0):
+    """Each selector as a function of b alone, over one pool of n items;
+    subsample_topn draws a fraction p of it."""
+    rng = np.random.default_rng(n)
+    ids = list(range(n))
+    feats = rng.normal(size=(n, 2))
+    scores = dict(zip(ids, rng.normal(size=n).tolist()))
+    probs = rng.dirichlet(np.ones(3), size=(n, 4))
+    weights = rng.uniform(0.1, 1.0, size=n)
+    return {
+        "random": lambda b: select_random(ids, b, seed=1),
+        "topn": lambda b: select_topn(list(scores.items()), b),
+        "subsample_topn": lambda b: select_subsample_topn(ids, scores_of(scores), p, b,
+                                                          seed=1),
+        "coreset": lambda b: select_coreset(feats, [], b),
+        "batchbald": lambda b: select_batchbald(probs, b, mc_count=8, seed=1),
+        "clue": lambda b: select_clue(feats, weights, b, seed=1),
+    }
+
+
+class TestBatchSize:
+    """Every selector takes b under one rule: a whole number in [1, n]."""
+
+    @pytest.mark.parametrize("b", [0, -1, 1.5])
+    @pytest.mark.parametrize("name", sorted(six_selectors()))
+    def test_b_below_one_or_fractional_rejected(self, name, b):
+        # b = 0 used to return [] from three selectors and one id from
+        # two; -1 and 1.5 ended in numpy's errors
+        with pytest.raises(ValueError, match=r"^batch size must be a whole number >= 1, "
+                                             rf"got {b}$") as excinfo:
+            six_selectors()[name](b)
+        assert raised_in_package(excinfo)
+
+    def test_topn_b_above_the_candidates_is_a_batch_too_large(self):
+        # topn had its own "exceeds candidate count" message
+        with pytest.raises(ValueError, match="^batch size 7 exceeds pool size 6$"):
+            six_selectors()["topn"](7)
+
+    @pytest.mark.parametrize("name", ["random", "topn", "subsample_topn", "clue"])
+    def test_whole_float_b_is_b(self, name):
+        # numpy's TypeError before (coreset and batchbald took 3.0 already)
+        assert six_selectors()[name](3.0) == six_selectors()[name](3)
+
+    @pytest.mark.parametrize("select", [
+        lambda: select_coreset(np.zeros((0, 2)), [], 1),
+        lambda: select_clue(np.zeros((0, 2)), np.zeros(0), 1)], ids=["coreset", "clue"])
+    def test_empty_pool_is_a_batch_too_large(self, select):
+        with pytest.raises(ValueError, match="^batch size 1 exceeds pool size 0$"):
+            select()
 
 
 class TestSelectSubsampleTopn:
@@ -429,6 +480,14 @@ class TestSelectClue:
         pool = rng.normal(size=(30, 3))
         w = rng.uniform(0, 1, size=30)
         assert select_clue(pool, w, 5, seed=9) == select_clue(pool, w, 5, seed=9)
+
+    @pytest.mark.parametrize("weights", [np.ones((6, 1)), [np.nan] * 6, [np.inf] + [1.0] * 5],
+                             ids=["2-d", "nan", "inf"])
+    def test_uncertainties_must_be_one_finite_value_per_point(self, weights):
+        # numpy's "p must be 1-dimensional" and "Probabilities contain NaN" before
+        pool = np.random.default_rng(2).normal(size=(6, 2))
+        with pytest.raises(ValueError, match="^need one finite uncertainty per pool point$"):
+            select_clue(pool, weights, 2, seed=0)
 
 
 class TestAllStrategiesContract:

@@ -1,12 +1,11 @@
 """Synthetic data generators: determinism, shift knobs, detector outputs."""
 
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
+from tests_support_oracles import raised_in_package
 from tests_support_reference import per_scene, reference_generate_detection_scenes
 
 from sim2real_al.acquisition import detection_entropies
@@ -40,6 +39,15 @@ class TestGenerateClassification:
     def test_n_zero_rejected(self):
         with pytest.raises(ValueError):
             generate_classification(small_domain(), 0, seed=0)
+
+    @pytest.mark.parametrize("generate", [
+        lambda n: generate_classification(small_domain(), n, seed=0),
+        lambda n: generate_detection_scenes(DetectionSceneSpec(), n, seed=0)],
+        ids=["classification", "detection"])
+    def test_n_must_be_a_whole_number(self, generate):
+        # numpy's TypeError before
+        with pytest.raises(ValueError, match=r"^n must be a whole number >= 1, got 2\.5$"):
+            generate(2.5)
 
     def test_prior_skew_histogram(self):
         priors = np.array([0.9, 0.1, 0.0])
@@ -229,14 +237,6 @@ def scene_batches(draw):
                                      draw(st.integers(0, 2**32)))
 
 
-def raised_in_package(excinfo) -> bool:
-    """The exception was raised by the package's own code, not by numpy."""
-    tb = excinfo.tb
-    while tb.tb_next is not None:
-        tb = tb.tb_next
-    return "sim2real_al" in Path(tb.tb_frame.f_code.co_filename).parts
-
-
 def same_arrays(a: Scenes, b: Scenes) -> bool:
     return all(getattr(a, name).dtype == getattr(b, name).dtype
                and np.array_equal(getattr(a, name), getattr(b, name))
@@ -306,6 +306,11 @@ class TestScenes:
                                              "object count$") as excinfo:
             Scenes(scenes.classes, scenes.boxes, offsets)
         assert raised_in_package(excinfo)
+
+    def test_concatenate_needs_a_batch(self):
+        # numpy's "need at least one array to concatenate" before
+        with pytest.raises(ValueError, match="^Scenes.concatenate needs at least one batch$"):
+            Scenes.concatenate([])
 
     @pytest.mark.parametrize("classes, boxes", [
         ([0, 1], np.zeros((3, 4))), ([0, 1], np.zeros((2, 3))),
@@ -387,6 +392,12 @@ class TestSynthDetectorOutputs:
                         anchors_per_object=3, mc_samples=10)
         defaults.update(kw)
         return DetectionSceneSpec(**defaults)
+
+    def test_class_ids_beyond_the_spec_rejected(self):
+        # a bare IndexError before
+        scenes = Scenes(classes=[0, 5], boxes=[[0, 0, 10, 10]] * 2, offsets=[0, 1, 2])
+        with pytest.raises(ValueError, match=r"^labels outside \[0, n_classes\)$"):
+            synth_detector_outputs(scenes, self.spec(), [0, 1])
 
     def test_noiseless_limit_exact(self):
         spec = self.spec(sigma_box=0.0, score_noise=0.0)

@@ -3,8 +3,11 @@
 `covering_radius` is the k-center objective that greedy `coreset`
 selection approximates within a factor of two.  `analytic_gradients`
 and `gradient_check` compare the classifier's backward pass with
-central finite differences of `cross_entropy_loss`.
+central finite differences of `cross_entropy_loss`.  `raised_in_package`
+tells an error the package raised from one numpy raised.
 """
+
+from pathlib import Path
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -81,3 +84,11 @@ def gradient_check(model: MCDropoutClassifier, x, y, n_checks: int = 40,
         rel = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-5)
         worst = max(worst, rel)
     return worst
+
+
+def raised_in_package(excinfo) -> bool:
+    """The exception was raised by the package's own code, not by numpy."""
+    tb = excinfo.tb
+    while tb.tb_next is not None:
+        tb = tb.tb_next
+    return "sim2real_al" in Path(tb.tb_frame.f_code.co_filename).parts
