@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rules import check, checked, finite, finite_nonneg, one_of
+from .rules import check, checked, finite, finite_nonneg, one_of, shaped
 
 COMB_MODES = ("sum", "max")
 AGG_MODES = ("max", "sum", "avg")
@@ -114,16 +114,15 @@ def _combined(u_cls, u_reg, cfg: AcquisitionConfig):
     return np.where(wr > wc, wr, wc)
 
 
-def categorical_entropy(probs):
-    """Shannon entropy -sum p ln p of a categorical distribution (C,), a
-    float, or of each row of (N, C) distributions, an (N,) array.
+def categorical_entropy(probs) -> np.ndarray:
+    """(N,) Shannon entropies -sum p ln p of the rows of (N, C)
+    categorical distributions.
 
     Each row sums via fsum, so its entropy is exactly permutation
     invariant; rows that cannot be scored raise the error the first
     such row would raise alone.
     """
-    p = np.asarray(probs, dtype=float)
-    rows = np.atleast_2d(p)
+    rows = shaped(probs, "probs", ("N", "C"))
     negative = (rows < 0).any(axis=1)
     # clipped to [0, 2], fsum neither meets -inf + inf nor overflows; a
     # row with a negative entry fails the first check, so its total is
@@ -136,8 +135,7 @@ def categorical_entropy(probs):
                           (f"probabilities must sum to 1, got {got!r}", off_sum),
                           # NaN passes both checks above
                           ("probabilities must be finite", ~np.isfinite(rows).all(axis=1))])
-    entropies = -np.array([math.fsum(row) for row in _xlogy(rows, rows).tolist()])
-    return float(entropies[0]) if p.ndim == 1 else entropies
+    return -np.array([math.fsum(row) for row in _xlogy(rows, rows).tolist()])
 
 
 def detection_entropies(detections) -> tuple[np.ndarray, np.ndarray]:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .rules import indices, rising
+from .rules import indices, rising, shaped
 
 COV_REGULARIZER = 1e-6
 DEFAULT_IOU_THRESHOLD = 0.5
@@ -118,8 +118,8 @@ def iou_matrix(a, b) -> np.ndarray:
     """(..., N, M) IoU matrix of boxes a (..., N, 4) and b (..., M, 4); 0
     where they do not overlap.  Leading axes broadcast, so a stack of
     images gives one IoU block per image."""
-    a = _boxes(a)[..., :, None, :]
-    b = _boxes(b)[..., None, :, :]
+    a = shaped(a, "a", (..., "N", 4))[..., :, None, :]
+    b = shaped(b, "b", (..., "M", 4))[..., None, :, :]
     ix = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
     iy = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
     inter = ix * iy
@@ -129,11 +129,6 @@ def iou_matrix(a, b) -> np.ndarray:
         return np.where((ix > 0) & (iy > 0), inter / (area_a + area_b - inter), 0.0)
 
 
-def _boxes(boxes) -> np.ndarray:
-    boxes = np.asarray(boxes, dtype=float)
-    return boxes.reshape(-1, 4) if boxes.ndim < 2 else boxes
-
-
 def mc_statistics(samples) -> tuple[np.ndarray, np.ndarray]:
     """Sample mean and unbiased covariance of (..., T, 4) samples.
 
@@ -141,7 +136,7 @@ def mc_statistics(samples) -> tuple[np.ndarray, np.ndarray]:
     of anchors yields stacked means and covariances.  A single sample
     yields a zero covariance matrix by convention.
     """
-    samples = np.atleast_2d(np.asarray(samples, dtype=float))
+    samples = shaped(samples, "samples", (..., "T", 4))
     if samples.size == 0:
         raise ValueError("no samples")
     mean = samples.mean(axis=-2)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rules import at_least, check, checked, count, finite, labels
+from .rules import at_least, check, checked, count, finite, labels, shaped
 
 
 @dataclass
@@ -60,49 +60,35 @@ class MCDropoutClassifier:
         return np.tanh(x @ self.w1 + self.b1)
 
     def _inputs(self, x) -> np.ndarray:
-        """x as a float (N, input_dim) array; a 1-D x is one row."""
-        x2 = np.atleast_2d(np.asarray(x, dtype=float))
-        if x2.ndim != 2:
-            raise ValueError(f"x must be one row or a 2-D array of rows, "
-                             f"got shape {x2.shape}")
-        if x2.shape[1] != self.input_dim:
-            raise ValueError(f"x has {x2.shape[1]} columns, but the model's "
-                             f"input_dim is {self.input_dim}")
-        return x2
+        """x as a float (N, input_dim) array: a batch of N rows."""
+        return shaped(x, "x", ("N", self.input_dim))
 
     def features(self, x) -> np.ndarray:
-        """Pre-softmax logits (dropout off); the selection feature space."""
-        single = np.asarray(x).ndim == 1
-        logits = self._hidden(self._inputs(x)) @ self.w2 + self.b2
-        return logits[0] if single else logits
+        """(N, C) pre-softmax logits (dropout off); the selection feature space."""
+        return self._hidden(self._inputs(x)) @ self.w2 + self.b2
 
     def predict_mean(self, x) -> np.ndarray:
-        """Deterministic softmax output with dropout disabled."""
-        probs = _softmax(self._hidden(self._inputs(x)) @ self.w2 + self.b2)
-        return probs[0] if np.asarray(x).ndim == 1 else probs
+        """(N, C) deterministic softmax outputs with dropout disabled."""
+        return _softmax(self._hidden(self._inputs(x)) @ self.w2 + self.b2)
 
     def predict_samples(self, x, t: int, seed: int = 0) -> np.ndarray:
-        """T stochastic softmax passes with fresh dropout masks.
+        """(N, T, C): T stochastic softmax passes with fresh dropout masks.
 
         The same T masks apply to every input row, i.e. the passes play
-        the role of T shared posterior weight samples.  Shape: (T, C)
-        for a single input, (N, T, C) for a batch.
+        the role of T shared posterior weight samples.
         """
         t = count(t, "t")
-        single = np.asarray(x).ndim == 1
         x2 = self._inputs(x)
         if self.dropout_rate == 0:
             # no stochasticity: every pass equals the deterministic one
             one = _softmax(self._hidden(x2) @ self.w2 + self.b2)
-            probs = np.repeat(one[:, None, :], t, axis=1)
-            return probs[0] if single else probs
+            return np.repeat(one[:, None, :], t, axis=1)
         hidden = self._hidden(x2)                       # (N, H)
         rng = np.random.default_rng(seed)
         masks = (rng.random((t, self.hidden_dim)) >= self.dropout_rate)
         masks = masks / (1.0 - self.dropout_rate)       # (T, H)
         dropped = hidden[:, None, :] * masks[None, :, :]  # (N, T, H)
-        probs = _softmax(dropped @ self.w2 + self.b2)
-        return probs[0] if single else probs
+        return _softmax(dropped @ self.w2 + self.b2)
 
     # ------------------------------------------------------------------
     # training

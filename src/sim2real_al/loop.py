@@ -130,12 +130,12 @@ class GapReport:
 # ---------------------------------------------------------------------------
 
 def evaluate_classifier(model, x_test, y_test) -> float:
-    """Argmax accuracy of predict_mean; ties go to the smaller class."""
-    x_test = np.atleast_2d(np.asarray(x_test, dtype=float))
-    if x_test.shape[0] == 0:
+    """Argmax accuracy of predict_mean on (N, D) rows; ties go to the smaller class."""
+    x_test = rules.shaped(x_test, "x_test", ("N", "D"))
+    if len(x_test) == 0:
         raise ValueError("empty test set")
-    probs = np.atleast_2d(model.predict_mean(x_test))
-    y_test = rules.labels(y_test, probs.shape[1], rows=x_test.shape[0])
+    probs = model.predict_mean(x_test)
+    y_test = rules.labels(y_test, probs.shape[1], rows=len(x_test))
     return float((probs.argmax(axis=1) == y_test).mean())
 
 

@@ -2,7 +2,7 @@
 declares a field with its rules, and `check(obj)` runs them in field
 order, recursing into a field whose metadata sets `nested`.  Cross-field
 rules stay as code; all raise RuleError, which names the field as data.
-Array inputs have one rule each: `whole`, `count`, `labels`, `indices`, `rising`."""
+Array inputs have one rule each: `whole`, `count`, `labels`, `indices`, `rising`, `shaped`."""
 
 import math
 from collections import namedtuple
@@ -96,6 +96,23 @@ def indices(ids, n: int, message: str) -> np.ndarray:
     if ids is None or ids.ndim != 1 or len(ids) and (ids.min() < 0 or ids.max() >= n):
         raise ValueError(message)
     return ids
+
+
+def shaped(values, name: str, dims: tuple) -> np.ndarray:
+    """values as a float array of shape dims, else a ValueError naming
+    name and the shape it got.  In dims an int is the size its axis must
+    have, a letter any size, and a leading ... any number of leading
+    axes, as in (..., "N", 4).  An empty sequence is a batch of 0 rows."""
+    values = np.asarray(values, dtype=float)
+    sizes = dims[1:] if dims[0] is ... else dims
+    if values.shape == (0,) and len(sizes) > 1:
+        values = values.reshape(0, *[0 if isinstance(d, str) else d for d in sizes[1:]])
+    lead = values.ndim - len(sizes)        # leading axes, which only ... allows
+    if lead < 0 or lead > 0 and dims[0] is not ... or any(
+            got != d for got, d in zip(values.shape[lead:], sizes) if not isinstance(d, str)):
+        text = ", ".join("..." if d is ... else str(d) for d in dims)
+        raise ValueError(f"{name} must be an array of shape ({text}), got shape {values.shape}")
+    return values
 
 
 def rising(offsets, total: int, what: str) -> np.ndarray:

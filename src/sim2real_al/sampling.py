@@ -17,11 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rules import at_least, check, checked, count, in_interval, one_of
+from .rules import at_least, check, checked, count, in_interval, one_of, shaped
 
 STRATEGIES = ("random", "topn", "subsample_topn", "coreset", "batchbald", "clue")
 
 _CLUE_MAX_ITER = 50   # weighted k-means rounds of select_clue
+_FRACTION = in_interval(0, 1, "(]")   # subsample_fraction, and select_subsample_topn's p
 
 
 @dataclass
@@ -29,7 +30,7 @@ class SelectionConfig:
     strategy: str = checked("subsample_topn", one_of(
         STRATEGIES, f"unknown strategy {{value!r}}; expected one of {STRATEGIES}"))
     batch_size: int = checked(20, at_least(1))
-    subsample_fraction: float = checked(0.5, in_interval(0, 1, "(]"))
+    subsample_fraction: float = checked(0.5, _FRACTION)
     mc_count: int = checked(100, at_least(1))
     seed: int = checked(0, at_least(0))   # extra entropy mixed into selection draws
 
@@ -56,11 +57,13 @@ def select_random(pool_ids, b: int, seed) -> list:
 def select_topn(scores, b: int) -> list:
     """Ids of the b largest scores, sorted by descending score.
 
-    scores: iterable of (id, score) pairs.  Equal scores break toward
-    the smaller id.
+    scores: iterable of (id, score) pairs, each score finite.  Equal
+    scores break toward the smaller id.
     """
     scores = list(scores)
     b = _batch_size(b, len(scores))
+    if not all(math.isfinite(score) for _, score in scores):
+        raise ValueError("need one finite score per candidate")
     ranked = sorted(scores, key=lambda item: (-item[1], item[0]))
     return [item[0] for item in ranked[:b]]
 
@@ -77,6 +80,8 @@ def select_subsample_topn(pool_ids, score_fn, p: float, b: int, seed) -> list:
     distribution follows the pool distribution instead of concentrating
     on whatever the raw scores favor.
     """
+    if not _FRACTION.holds(p):
+        raise ValueError(_FRACTION.text.format(name="p", value=p))
     pool_ids = list(pool_ids)
     m = subsample_size(p, len(pool_ids))
     b = _batch_size(b, m, "sub-sample too small for batch")
@@ -94,16 +99,14 @@ def select_coreset(pool_features, labeled_features, b: int) -> list[int]:
     Repeatedly picks the pool point farthest from its nearest
     already-covered point (labeled set plus picks so far).  With an
     empty labeled set the first pick maximizes distance to the pool
-    centroid.  Returned ids are row indices into pool_features.
+    centroid.  Returned ids are row indices into the (N, D) batch
+    pool_features; labeled_features is an (L, D) one, [] 0 rows.
     """
-    pool = np.atleast_2d(np.asarray(pool_features, dtype=float))
-    b = _batch_size(b, pool.shape[0])
-    labeled = np.asarray(labeled_features, dtype=float)
+    pool = shaped(pool_features, "pool_features", ("N", "D"))
+    b = _batch_size(b, len(pool))
+    labeled = shaped(labeled_features, "labeled_features", ("L", pool.shape[1]))
     picked: list[int] = []
-    if labeled.size:
-        labeled = np.atleast_2d(labeled)
-        if labeled.shape[1] != pool.shape[1]:
-            raise ValueError("pool and labeled feature dimensions differ")
+    if len(labeled):
         min_dist = _cdist(pool, labeled).min(axis=1)
     else:
         # no covered points yet: first pick is farthest from the pool centroid
@@ -156,13 +159,12 @@ def select_batchbald(prob_samples, b: int, mc_count: int = 100, seed=0) -> list[
     candidates' conditional class probabilities go to one (N, mc_count,
     C) buffer, and their log to a second one when no probability is 0.
     """
-    probs = np.asarray(prob_samples, dtype=float)
-    if probs.ndim != 3:
-        raise ValueError("prob_samples must be (N, T, C)")
+    probs = shaped(prob_samples, "prob_samples", ("N", "T", "C"))
     n, t, c = probs.shape
     if t < 2:
         raise ValueError("mutual information undefined")
     b = _batch_size(b, n)
+    k = count(mc_count, "mc_count")
 
     h_cond = _entropy(probs).mean(axis=1)
     pick = int(np.argmax(_entropy(probs.mean(axis=1)) - h_cond))  # BALD
@@ -171,7 +173,6 @@ def select_batchbald(prob_samples, b: int, mc_count: int = 100, seed=0) -> list[
     available[pick] = False
 
     rng = np.random.default_rng(seed)
-    k = mc_count
     cdfs = probs.cumsum(axis=2)
     with np.errstate(divide="ignore"):
         log_probs = np.log(probs)
@@ -215,11 +216,12 @@ def select_clue(pool_features, uncertainties, b: int, seed=0) -> list[int]:
     Runs weighted k-means with k = b (k-means++-style seeding, weights
     given by the uncertainties) and returns the pool id nearest each
     final centroid, deduplicated by next-nearest.  All-zero weights
-    fall back to unweighted k-means with a warning.
+    fall back to unweighted k-means with a warning.  pool_features is
+    an (N, D) batch, [] one of 0 rows, with one uncertainty per row.
     """
-    pool = np.atleast_2d(np.asarray(pool_features, dtype=float))
+    pool = shaped(pool_features, "pool_features", ("N", "D"))
     weights = np.asarray(uncertainties, dtype=float)
-    n = pool.shape[0]
+    n = len(pool)
     if weights.shape != (n,) or not np.all(np.isfinite(weights)):
         raise ValueError("need one finite uncertainty per pool point")
     if np.any(weights < 0):

@@ -90,14 +90,14 @@ class TestClsEntropy:
 
 class TestCategoricalEntropy:
     def test_uniform_ten(self):
-        assert categorical_entropy(np.full(10, 0.1)) == pytest.approx(
+        assert categorical_entropy(np.full((1, 10), 0.1))[0] == pytest.approx(
             math.log(10), abs=1e-12)
 
     def test_one_hot(self):
-        assert categorical_entropy([0.0, 1.0, 0.0]) == 0.0
+        assert categorical_entropy([[0.0, 1.0, 0.0]])[0] == 0.0
 
     def test_hand_computed(self):
-        assert categorical_entropy([0.7, 0.3]) == pytest.approx(
+        assert categorical_entropy([[0.7, 0.3]])[0] == pytest.approx(
             0.6108643020548935, abs=1e-9)
 
     @pytest.mark.parametrize("bad, message", [
@@ -115,24 +115,24 @@ class TestCategoricalEntropy:
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 categorical_entropy(rows)
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            categorical_entropy(bad[0])
+            categorical_entropy(bad[:1])
 
     def test_non_normalized_rejected(self):
         with pytest.raises(ValueError):
-            categorical_entropy([0.5, 0.6])
+            categorical_entropy([[0.5, 0.6]])
         with pytest.raises(ValueError):
-            categorical_entropy([-0.2, 1.2])
+            categorical_entropy([[-0.2, 1.2]])
 
-    @pytest.mark.parametrize("probs", [[1e308, 1e308],
+    @pytest.mark.parametrize("probs", [[[1e308, 1e308]],
                                        [[0.5, 0.5], [1e308, 1e308]]],
                              ids=["row", "after-valid-row"])
     def test_overflowing_sum_rejected(self, probs):
         with pytest.raises(ValueError, match=r"probabilities must sum to 1, got "):
             categorical_entropy(probs)
 
-    @pytest.mark.parametrize("probs, got", [([0.5, 0.6], "1.1"),
+    @pytest.mark.parametrize("probs, got", [([[0.5, 0.6]], "1.1"),
                                             ([[0.5, 0.5], [0.25, 0.5]], "0.75"),
-                                            ([1e308, 1e308], "inf")])
+                                            ([[1e308, 1e308]], "inf")])
     def test_sum_message_prints_a_plain_float(self, probs, got):
         with pytest.raises(ValueError) as info:
             categorical_entropy(probs)
@@ -142,14 +142,15 @@ class TestCategoricalEntropy:
         rng = np.random.default_rng(2)
         for _ in range(50):
             p = rng.dirichlet(np.ones(7))
-            assert categorical_entropy(p) == categorical_entropy(p[::-1].copy())
+            forward, backward = categorical_entropy([p, p[::-1]])
+            assert forward == backward
 
     def test_direct_summation_oracle(self):
         rng = np.random.default_rng(3)
         for _ in range(100):
             p = rng.dirichlet(np.ones(5))
             expected = sum(-pi * math.log(pi) for pi in p if pi > 0)
-            assert categorical_entropy(p) == pytest.approx(expected, abs=1e-12)
+            assert categorical_entropy([p])[0] == pytest.approx(expected, abs=1e-12)
 
     BAD_ROWS = {
         "negative": lambda p: np.concatenate(([-0.2], p[1:])),
@@ -162,8 +163,8 @@ class TestCategoricalEntropy:
            kinds=st.lists(st.sampled_from(sorted(BAD_ROWS)), max_size=3),
            seed=st.integers(0, 2**32 - 1))
     def test_rows_match_one_row_calls(self, n, c, kinds, seed):
-        """(N, C) rows give the bits of N one-row calls, and fail with
-        the message of the first row that fails alone."""
+        """(N, C) rows give the bits of N calls on a batch of one row,
+        and fail with the message of the first row that fails alone."""
         rng = np.random.default_rng(seed)
         rows = rng.dirichlet(np.ones(c), size=n)
         rows[rng.random(n) < 0.2] = np.eye(c)[rng.integers(0, c)]   # exact 0s and 1s
@@ -179,7 +180,7 @@ class TestCategoricalEntropy:
                 return ("error", str(exc))
 
         batch = outcome(lambda: [v.hex() for v in categorical_entropy(rows).tolist()])
-        one_by_one = [outcome(lambda row=row: categorical_entropy(row).hex())
+        one_by_one = [outcome(lambda row=row: categorical_entropy(row[None])[0].hex())
                       for row in rows]
         errors = [e for e in one_by_one if isinstance(e, tuple)]
         assert batch == (errors[0] if errors else one_by_one)

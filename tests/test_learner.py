@@ -1,6 +1,7 @@
 """MC-dropout classifier: training, prediction, gradients, snapshots."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -35,22 +36,22 @@ class TestForwardPasses:
 
     def test_predict_samples_simplexes(self):
         model = MCDropoutClassifier(4, 16, 3, dropout_rate=0.3, seed=1)
-        x = np.random.default_rng(0).normal(size=4)
+        x = np.random.default_rng(0).normal(size=(1, 4))
         samples = model.predict_samples(x, t=25, seed=2)
-        assert samples.shape == (25, 3)
-        np.testing.assert_allclose(samples.sum(axis=1), 1.0, atol=1e-9)
+        assert samples.shape == (1, 25, 3)
+        np.testing.assert_allclose(samples.sum(axis=2), 1.0, atol=1e-9)
 
     def test_no_dropout_means_identical_samples(self):
         model = MCDropoutClassifier(4, 16, 3, dropout_rate=0.0, seed=1)
-        samples = model.predict_samples(np.ones(4), t=10, seed=3)
-        assert np.ptp(samples, axis=0).max() == 0.0
+        samples = model.predict_samples(np.ones((1, 4)), t=10, seed=3)
+        assert np.ptp(samples, axis=1).max() == 0.0
 
     def test_variance_grows_with_dropout_rate(self):
-        x = np.random.default_rng(5).normal(size=4)
+        x = np.random.default_rng(5).normal(size=(1, 4))
         variances = []
         for rate in (0.0, 0.1, 0.5):
             model = MCDropoutClassifier(4, 32, 3, dropout_rate=rate, seed=7)
-            samples = model.predict_samples(x, t=1000, seed=11)
+            samples = model.predict_samples(x, t=1000, seed=11)[0]
             variances.append(samples.var(axis=0).mean())
         assert variances[0] < variances[1] < variances[2]
 
@@ -59,14 +60,14 @@ class TestForwardPasses:
         x, y = two_blobs(seed=3)
         model = MCDropoutClassifier(2, 32, 2, dropout_rate=0.1, seed=2)
         model = model.fit(x, y, TrainConfig(epochs=20, learning_rate=0.2, seed=5))
-        probe = np.array([1.5, 1.5])
+        probe = np.array([[1.5, 1.5]])
         samples = model.predict_samples(probe, t=10_000, seed=13)
         np.testing.assert_allclose(model.predict_mean(probe),
-                                   samples.mean(axis=0), atol=2e-2)
+                                   samples.mean(axis=1), atol=2e-2)
 
     def test_features_dimension_is_class_count(self):
         model = MCDropoutClassifier(6, 24, 4, seed=0)
-        assert model.features(np.ones(6)).shape == (4,)
+        assert model.features(np.ones((1, 6))).shape == (1, 4)
         assert model.features(np.ones((7, 6))).shape == (7, 4)
 
     def test_batch_shapes(self):
@@ -171,23 +172,24 @@ class TestFit:
 
     @pytest.mark.parametrize("call", ["fit", "predict_mean", "predict_samples",
                                       "features"])
-    @pytest.mark.parametrize("shape", [(6, 3), (3,)])
+    @pytest.mark.parametrize("shape", [(6, 3), (3,), (2,)])
     def test_column_count_must_match_input_dim(self, call, shape):
+        """x is one (N, input_dim) batch; a single 1-D row is not one."""
         model = MCDropoutClassifier(2, 8, 2, dropout_rate=0.2, seed=0)
         x = np.ones(shape)
-        run = {"fit": lambda: model.fit(x, np.zeros(len(np.atleast_2d(x)), dtype=int),
+        run = {"fit": lambda: model.fit(x, np.zeros(len(x), dtype=int),
                                         TrainConfig(epochs=1, learning_rate=0.1)),
                "predict_mean": lambda: model.predict_mean(x),
                "predict_samples": lambda: model.predict_samples(x, t=3),
                "features": lambda: model.features(x)}[call]
-        with pytest.raises(ValueError,
-                           match="^x has 3 columns, but the model's input_dim is 2$"):
+        with pytest.raises(ValueError, match=rf"^x must be an array of shape \(N, 2\), "
+                                             rf"got shape {re.escape(str(shape))}$"):
             run()
 
     def test_x_of_more_than_two_dimensions_rejected(self):
         model = MCDropoutClassifier(2, 8, 2, seed=0)
-        with pytest.raises(ValueError, match=r"^x must be one row or a 2-D array "
-                                             r"of rows, got shape \(2, 3, 2\)$"):
+        with pytest.raises(ValueError, match=r"^x must be an array of shape \(N, 2\), "
+                                             r"got shape \(2, 3, 2\)$"):
             model.predict_mean(np.ones((2, 3, 2)))
 
     def test_fits_share_no_memory(self):

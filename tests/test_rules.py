@@ -17,11 +17,12 @@ from tests_support_oracles import raised_in_package
 
 from sim2real_al import cli
 from sim2real_al import loop as al
-from sim2real_al.acquisition import AcquisitionConfig
-from sim2real_al.fusion import fuse_categorical, fuse_gaussian
+from sim2real_al.acquisition import AcquisitionConfig, categorical_entropy
+from sim2real_al.fusion import fuse_categorical, fuse_gaussian, iou_matrix, mc_statistics
 from sim2real_al.learner import MCDropoutClassifier, TrainConfig
 from sim2real_al.rules import RuleError
-from sim2real_al.sampling import SelectionConfig
+from sim2real_al.sampling import (SelectionConfig, select_batchbald, select_clue,
+                                  select_coreset, select_subsample_topn, select_topn)
 from sim2real_al.synthdata import (ClassificationDomainSpec, DetectionSceneSpec, Scenes,
                                    synth_detector_outputs)
 
@@ -312,15 +313,19 @@ class TestConfigDamage:
 
 
 # ---------------------------------------------------------------------------
-# array inputs: class labels, item indices and batch sizes
+# array inputs: class labels, item indices, batch sizes and batch shapes
+#
+# Each strategy draws (value, plain): plain is the int or float array an
+# accepted value must give the result of, and None for a value the
+# consumer rejects.
 # ---------------------------------------------------------------------------
 
 @st.composite
 def id_arrays(draw, n: int, size: int, empty_ok: bool = True):
-    """(value, accepted): `size` ids in [0, n), each an int or a whole
-    float, which the consumer accepts; that list with one fractional,
-    negative or too-large entry, or reshaped to 2-D, which it rejects; or
-    the empty list, accepted when empty_ok."""
+    """`size` ids in [0, n), each an int or a whole float, which the
+    consumer accepts; that list with one fractional, negative or
+    too-large entry, or reshaped to 2-D, which it rejects; or the empty
+    list, accepted when empty_ok."""
     ids = st.integers(0, n - 1).flatmap(lambda i: st.sampled_from([i, float(i)]))
     values = draw(st.lists(ids, min_size=size, max_size=size))
     damage = draw(st.sampled_from(["none", "none", "entry", "2-d", "empty"]))
@@ -331,14 +336,34 @@ def id_arrays(draw, n: int, size: int, empty_ok: bool = True):
         values = np.reshape(values, draw(st.sampled_from([(1, -1), (-1, 1)]))).tolist()
     elif damage == "empty":
         values = []
-    return values, damage == "none" or (damage == "empty" and empty_ok)
+    accepted = damage == "none" or (damage == "empty" and empty_ok)
+    return values, np.asarray(values, dtype=int) if accepted else None
 
 
 def batch_sizes(n: int, most: int):
-    """(b, accepted) for a pool of n whose batches hold at most `most`."""
+    """b for a pool of n whose batches hold at most `most`."""
     return st.one_of(st.integers(1, n), st.integers(1, n).map(float),
                      st.sampled_from([0, -1, 1.5, n + 1])
-                     ).map(lambda b: (b, float(b).is_integer() and 1 <= b <= most))
+                     ).map(lambda b: (b, int(b) if float(b).is_integer() and 1 <= b <= most
+                                      else None))
+
+
+@st.composite
+def batches(draw, rows: np.ndarray, last_fixed: bool = True, empty_ok: bool = True):
+    """The first 1 to len(rows) rows as nested lists, which the consumer
+    accepts; rejected, a single row, a scalar, the batch with one more
+    (trailing) axis, or, when the consumer fixes the size of the last
+    axis, the batch one column short; or [], a batch of 0 rows, which
+    gives what a (0, *rows.shape[1:]) array gives, accepted when
+    empty_ok."""
+    batch = rows[:draw(st.integers(1, len(rows)))]
+    damage = draw(st.sampled_from(["none", "none", "single", "scalar", "axis", "empty"]
+                                  + ["column"] * last_fixed))
+    if damage == "empty":
+        return [], np.zeros((0, *rows.shape[1:])) if empty_ok else None
+    value = {"none": batch, "single": batch[0], "scalar": batch.flat[0],
+             "axis": batch[..., None], "column": batch[..., :-1]}[damage]
+    return value.tolist(), batch if damage == "none" else None
 
 
 X_ROWS = np.random.default_rng(0).normal(size=(5, 2))
@@ -346,6 +371,14 @@ MODEL = MCDropoutClassifier(2, 4, 3, seed=0)
 SPEC = DetectionSceneSpec(n_classes=3)
 SAMPLES = np.random.default_rng(1).normal([0, 0, 20, 20], 2.0, size=(6, 5, 4))
 MEAN_SCORES = np.random.default_rng(2).uniform(0.1, 0.9, size=(6, 3))
+BOXES = np.random.default_rng(3).uniform(0, 10, size=(5, 4)) + [0, 0, 10, 10]
+PROBS = np.random.default_rng(4).dirichlet(np.ones(3), size=(6, 4))   # (N, T, C)
+WEIGHTS = np.random.default_rng(5).uniform(0.1, 1.0, size=5)
+
+
+def rows_of(batch) -> int:
+    """The row count of a drawn batch; a scalar has none."""
+    return len(batch) if np.ndim(batch) else 0
 
 
 def one_scene(classes) -> Scenes:
@@ -357,9 +390,10 @@ def anchor_arrays(anchors) -> tuple:
     return anchors.scores, anchors.boxes, anchors.offsets
 
 
-# name: (strategy of (value, accepted), the call); the labels are
-# fit's and evaluate_classifier's 5 rows, so an empty y is rejected, and
-# one cluster of no members has no covariance to fuse
+# name: (strategy of (value, plain), the call); the labels are fit's
+# and evaluate_classifier's 5 rows, so an empty y is rejected, and one
+# cluster of no members has no covariance to fuse.  A batch of 0 rows
+# holds no samples, is no test set, and is a pool too small for b = 1.
 ARRAY_CONSUMERS = {
     "fit": (id_arrays(3, 5, empty_ok=False), lambda y: [
         getattr(MODEL.fit(X_ROWS, y, TrainConfig(epochs=1, batch_size=4)), w)
@@ -377,26 +411,68 @@ ARRAY_CONSUMERS = {
                       lambda m: fuse_gaussian(SAMPLES, m, [0, len(m)])),
     **{name: (batch_sizes(6, 3 if name == "subsample_topn" else 6), select)
        for name, select in six_selectors(6, p=0.5).items()},
+    "features": (batches(X_ROWS), MODEL.features),
+    "predict_mean": (batches(X_ROWS), MODEL.predict_mean),
+    "predict_samples": (batches(X_ROWS), lambda x: MODEL.predict_samples(x, 3, seed=1)),
+    "evaluate_classifier x": (batches(X_ROWS, last_fixed=False, empty_ok=False), lambda x:
+                              al.evaluate_classifier(MODEL, x, [0, 1, 2, 0, 1][:rows_of(x)])),
+    "categorical_entropy": (batches(PROBS[:, 0], last_fixed=False), categorical_entropy),
+    "iou_matrix": (batches(BOXES), lambda a: iou_matrix(a, a)),
+    "mc_statistics": (batches(SAMPLES[0], empty_ok=False), mc_statistics),
+    "coreset pool": (batches(X_ROWS, last_fixed=False, empty_ok=False),
+                     lambda pool: select_coreset(pool, [], 1)),
+    "coreset labeled": (batches(X_ROWS), lambda labeled: select_coreset(X_ROWS, labeled, 2)),
+    "clue pool": (batches(X_ROWS, last_fixed=False, empty_ok=False),
+                  lambda pool: select_clue(pool, WEIGHTS[:rows_of(pool)], 1, seed=1)),
+    "batchbald": (batches(PROBS, last_fixed=False, empty_ok=False),
+                  lambda probs: select_batchbald(probs, 1, mc_count=4, seed=1)),
 }
 
 
 class TestArrayInputs:
-    """Every consumer of class labels, item indices or a batch size keeps
-    its input's one rule: a value that breaks it raises ValueError from
-    the package, never numpy's error or a result, and a value that keeps
-    it, ints or whole floats, returns what its ints give."""
+    """Every consumer of class labels, item indices, a batch size or a
+    batch of rows keeps its input's one rule: a value that breaks it
+    raises ValueError from the package, never numpy's error or a result,
+    and a value that keeps it returns what its plain int or float array
+    gives."""
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=500, deadline=None)
     @given(name=st.sampled_from(sorted(ARRAY_CONSUMERS)), data=st.data())
     def test_one_rule_per_input(self, name, data):
         inputs, call = ARRAY_CONSUMERS[name]
-        value, accepted = data.draw(inputs, label="value")
+        value, plain = data.draw(inputs, label="value")
         try:
             got = call(value)
         except ValueError:
             assert raised_in_package(pytest.ExceptionInfo.from_current())
-            assert not accepted, f"{name} rejected {value!r}"
+            assert plain is None, f"{name} rejected {value!r}"
             return
-        assert accepted, f"{name} accepted {value!r}"
-        as_ints = int(value) if np.ndim(value) == 0 else np.asarray(value, dtype=int)
-        np.testing.assert_equal(got, call(as_ints))
+        assert plain is not None, f"{name} accepted {value!r}"
+        np.testing.assert_equal(got, call(plain))
+
+    @pytest.mark.parametrize("call, message", [
+        # an empty pool was one row of no features: coreset returned [0]
+        (lambda: select_coreset([], [], 1), "batch size 1 exceeds pool size 0"),
+        (lambda: select_clue([], [], 1), "batch size 1 exceeds pool size 0"),
+        # scipy's, numpy's or a TypeError before
+        (lambda: select_coreset(np.ones((2, 3, 2)), [], 1),
+         "pool_features must be an array of shape (N, D), got shape (2, 3, 2)"),
+        (lambda: iou_matrix(np.ones((2, 3)), BOXES),
+         "a must be an array of shape (..., N, 4), got shape (2, 3)"),
+        (lambda: categorical_entropy(np.full((1, 2, 2), 0.5)),
+         "probs must be an array of shape (N, C), got shape (1, 2, 2)"),
+        (lambda: select_subsample_topn(list(range(6)), lambda ids: np.zeros(len(ids)), 2, 1, 0),
+         "p must lie in (0, 1]"),
+        (lambda: select_batchbald(PROBS, 2, mc_count=0),
+         "mc_count must be a whole number >= 1, got 0"),
+        # the result depended on the order of the pairs
+        (lambda: select_topn([(0, math.nan), (1, 1.0), (2, 0.5)], 2),
+         "need one finite score per candidate"),
+        (lambda: select_topn([(1, 1.0), (0, math.nan), (2, 0.5)], 2),
+         "need one finite score per candidate"),
+    ], ids=["coreset-empty", "clue-empty", "coreset-3d", "iou-3-columns", "entropy-3d",
+            "subsample-p-2", "batchbald-mc-0", "topn-nan-first", "topn-nan-second"])
+    def test_inputs_that_reached_numpy_raise_the_rule(self, call, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as excinfo:
+            call()
+        assert raised_in_package(excinfo)

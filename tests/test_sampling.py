@@ -210,7 +210,8 @@ class TestSelectCoreset:
         assert select_coreset(pool, [], 3) == [0, 1, 2]
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimensions differ"):
+        with pytest.raises(ValueError, match=r"^labeled_features must be an array of shape "
+                                             r"\(L, 2\), got shape \(1, 3\)$"):
             select_coreset([(1.0, 2.0)], [(1.0, 2.0, 3.0)], 1)
 
     def test_two_approximation_exhaustive(self):
