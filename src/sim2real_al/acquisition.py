@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rules import check, checked, finite, finite_nonneg, one_of, shaped
+from .rules import _raise_first_failure, check, checked, finite, finite_nonneg, one_of, shaped
 
 COMB_MODES = ("sum", "max")
 AGG_MODES = ("max", "sum", "avg")
@@ -52,18 +52,6 @@ def _xlogy(x, y) -> np.ndarray:
     return xlogy(x, y)
 
 
-def _raise_first_failure(checks) -> None:
-    """Raise the ValueError a loop over rows would raise first.
-
-    checks lists (message, (N,) failure mask) pairs in the order one
-    row's checks run; rows are checked in order.
-    """
-    failed = np.column_stack([mask for _, mask in checks])
-    rows = np.flatnonzero(failed.any(axis=1))
-    if len(rows):
-        raise ValueError(checks[int(np.argmax(failed[rows[0]]))][0])
-
-
 def _bernoulli_entropies(probs: np.ndarray):
     """Per-row sums of Bernoulli entropies of (N, C) class scores.
 
@@ -83,10 +71,6 @@ def _gaussian_entropies(covs: np.ndarray):
     k/2 + (k/2) ln(2 pi) + 1/2 ln|cov|.  Returns the (N,) entropies and
     the checks that each covariance is symmetric and positive definite.
     """
-    if covs.ndim != 3 or covs.shape[1] != covs.shape[2]:
-        not_square = np.ones(len(covs), dtype=bool)
-        return np.full(len(covs), np.nan), [
-            ("covariance must be a square matrix", not_square)]
     # np.allclose(cov, cov.T, atol=1e-10) per matrix
     asymmetric = ~np.isclose(covs, np.swapaxes(covs, 1, 2),
                              atol=1e-10).all(axis=(1, 2))
@@ -143,10 +127,8 @@ def detection_entropies(detections) -> tuple[np.ndarray, np.ndarray]:
     of every detection of a fusion.Detections batch, in one pass.  A
     detection that cannot be scored raises the error the first such
     detection would raise alone."""
-    u_cls, cls_checks = _bernoulli_entropies(
-        np.asarray(detections.class_probs, dtype=float))
-    u_reg, reg_checks = _gaussian_entropies(
-        np.asarray(detections.box_cov, dtype=float))
+    u_cls, cls_checks = _bernoulli_entropies(detections.class_probs)
+    u_reg, reg_checks = _gaussian_entropies(detections.box_cov)
     _raise_first_failure(cls_checks + reg_checks + _pair_checks(u_cls, u_reg))
     return u_cls, u_reg
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .rules import indices, rising, shaped
+from .rules import indices, rising, shaped, whole
 
 COV_REGULARIZER = 1e-6
 DEFAULT_IOU_THRESHOLD = 0.5
@@ -32,8 +32,8 @@ class Ragged:
     """The layout of every ragged batch (Anchors, Detections and
     synthdata.Scenes): each dataclass field but `offsets` holds one row
     per item, and `offsets` (n_images + 1,) rises from 0 to the row count,
-    so image i holds rows offsets[i]:offsets[i + 1].  len() is the row
-    count over all images."""
+    so image i holds rows offsets[i]:offsets[i + 1], as each batch checks
+    when built (rules.shaped, rules.rising).  len() counts all rows."""
 
     def __len__(self) -> int:
         return int(self.offsets[-1])
@@ -41,6 +41,11 @@ class Ragged:
     @property
     def n_images(self) -> int:
         return len(self.offsets) - 1
+
+    def _set(self, **checked):
+        """Store a frozen batch's checked fields."""
+        for name, value in checked.items():
+            object.__setattr__(self, name, value)
 
     def take(self, ids):
         """The images `ids`, in that order; each id is an image index, once."""
@@ -83,14 +88,8 @@ class Anchors(Ragged):
     offsets: np.ndarray = None
 
     def __post_init__(self):
-        scores = np.ascontiguousarray(self.scores, dtype=float)
-        boxes = np.ascontiguousarray(self.boxes, dtype=float)
-        object.__setattr__(self, "scores", scores)
-        object.__setattr__(self, "boxes", boxes)
-        if (scores.ndim != 3 or boxes.ndim != 3 or boxes.shape[2] != 4
-                or scores.shape[:2] != boxes.shape[:2]):
-            raise ValueError(f"need (A, T, C) scores and (A, T, 4) boxes, got "
-                             f"{scores.shape} and {boxes.shape}")
+        scores = np.ascontiguousarray(shaped(self.scores, "scores", ("A", "T", "C")))
+        boxes = np.ascontiguousarray(shaped(self.boxes, "boxes", (*scores.shape[:2], 4)))
         if len(scores) and scores.shape[1] < 1:
             raise ValueError("need at least one Monte-Carlo sample")
         if not (np.isfinite(scores).all() and np.isfinite(boxes).all()):
@@ -98,20 +97,32 @@ class Anchors(Ragged):
         if np.any(scores < 0) or np.any(scores > 1):
             raise ValueError("scores must lie in [0, 1]")
         offsets = [0, len(scores)] if self.offsets is None else self.offsets
-        object.__setattr__(self, "offsets", rising(offsets, len(scores), "anchor"))
+        self._set(scores=scores, boxes=boxes, offsets=rising(offsets, len(scores), "anchor"))
 
 
 @dataclass(frozen=True)
 class Detections(Ragged):
     """Fused detections of one or more images, in the Ragged layout:
     class_probs (K, C), box_mean (K, 4), box_cov (K, 4, 4) and
-    cluster_size (K,) hold one row per detection.  len() is K."""
+    cluster_size (K,) whole numbers >= 1 hold one row per detection.
+    len() is K.  Acquisition checks the values it scores."""
 
     class_probs: np.ndarray
     box_mean: np.ndarray
     box_cov: np.ndarray
     cluster_size: np.ndarray
     offsets: np.ndarray
+
+    def __post_init__(self):
+        class_probs = shaped(self.class_probs, "class_probs", ("K", "C"))
+        k = len(class_probs)
+        box_mean = shaped(self.box_mean, "box_mean", (k, 4))
+        box_cov = shaped(self.box_cov, "box_cov", (k, 4, 4))
+        cluster_size = whole(self.cluster_size)
+        if cluster_size is None or cluster_size.shape != (k,) or np.any(cluster_size < 1):
+            raise ValueError("cluster_size must hold one whole number >= 1 per detection")
+        self._set(class_probs=class_probs, box_mean=box_mean, box_cov=box_cov,
+                  cluster_size=cluster_size, offsets=rising(self.offsets, k, "detection"))
 
 
 def iou_matrix(a, b) -> np.ndarray:

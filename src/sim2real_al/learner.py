@@ -37,9 +37,9 @@ class MCDropoutClassifier:
                  dropout_rate: float = 0.1, seed: int = 0, params=None):
         if not (0.0 <= dropout_rate < 1.0):
             raise ValueError("dropout_rate must lie in [0, 1)")
-        self.input_dim = input_dim
-        self.hidden_dim = hidden_dim
-        self.n_classes = n_classes
+        self.input_dim = count(input_dim, "input_dim")
+        self.hidden_dim = count(hidden_dim, "hidden_dim")
+        self.n_classes = count(n_classes, "n_classes")
         self.dropout_rate = dropout_rate
         if params is not None:
             self.w1, self.b1, self.w2, self.b2 = [np.array(p, dtype=float) for p in params]

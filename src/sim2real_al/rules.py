@@ -2,7 +2,8 @@
 declares a field with its rules, and `check(obj)` runs them in field
 order, recursing into a field whose metadata sets `nested`.  Cross-field
 rules stay as code; all raise RuleError, which names the field as data.
-Array inputs have one rule each: `whole`, `count`, `labels`, `indices`, `rising`, `shaped`."""
+Array inputs have one rule each: `whole`, `count`, `labels`, `indices`, `rising`, `shaped`;
+`_raise_first_failure` raises the error of the first row to fail checks run on whole arrays."""
 
 import math
 from collections import namedtuple
@@ -102,15 +103,20 @@ def shaped(values, name: str, dims: tuple) -> np.ndarray:
     """values as a float array of shape dims, else a ValueError naming
     name and the shape it got.  In dims an int is the size its axis must
     have, a letter any size, and a leading ... any number of leading
-    axes, as in (..., "N", 4).  An empty sequence is a batch of 0 rows."""
-    values = np.asarray(values, dtype=float)
+    axes, as in (..., "N", 4).  An empty sequence is a batch of 0 rows;
+    a ragged or non-numeric nested sequence is a ValueError too."""
+    text = ", ".join("..." if d is ... else str(d) for d in dims)
+    try:
+        values = np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be an array of shape ({text}), "
+                         f"got a ragged or non-numeric value") from None
     sizes = dims[1:] if dims[0] is ... else dims
     if values.shape == (0,) and len(sizes) > 1:
         values = values.reshape(0, *[0 if isinstance(d, str) else d for d in sizes[1:]])
     lead = values.ndim - len(sizes)        # leading axes, which only ... allows
     if lead < 0 or lead > 0 and dims[0] is not ... or any(
             got != d for got, d in zip(values.shape[lead:], sizes) if not isinstance(d, str)):
-        text = ", ".join("..." if d is ... else str(d) for d in dims)
         raise ValueError(f"{name} must be an array of shape ({text}), got shape {values.shape}")
     return values
 
@@ -124,3 +130,15 @@ def rising(offsets, total: int, what: str) -> np.ndarray:
             or offsets[-1] != total or np.any(np.diff(offsets) < 0)):
         raise ValueError(f"offsets must rise from 0 to the {what} count")
     return offsets
+
+
+def _raise_first_failure(checks) -> None:
+    """Raise the ValueError a loop over rows would raise first.
+
+    checks lists (message, (N,) failure mask) pairs in the order one
+    row's checks run; rows are checked in order.
+    """
+    failed = np.column_stack([mask for _, mask in checks])
+    rows = np.flatnonzero(failed.any(axis=1))
+    if len(rows):
+        raise ValueError(checks[int(np.argmax(failed[rows[0]]))][0])

@@ -29,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fusion import Anchors, Ragged
-from .rules import (RuleError, at_least, check, checked, count, finite_positive,
-                    labels, rising, whole)
+from .rules import (RuleError, at_least, check, checked, count, finite_nonneg,
+                    finite_positive, labels, rising, shaped, whole)
 
 
 def _class_priors(priors, n_classes: int) -> np.ndarray:
@@ -83,8 +83,8 @@ def shifted_domain(spec: ClassificationDomainSpec, translation=None,
 
 def skewed_priors(n_classes: int, skew: float) -> np.ndarray:
     """Power-law priors p_c proportional to (c+1)^-skew; skew 0 is uniform."""
-    if skew < 0:
-        raise ValueError("skew must be >= 0")
+    if not finite_nonneg.holds(skew):
+        raise ValueError(finite_nonneg.text.format(name="skew", value=skew))
     raw = (np.arange(n_classes) + 1.0) ** (-skew)
     return raw / raw.sum()
 
@@ -127,13 +127,12 @@ class Scenes(Ragged):
 
     def __post_init__(self):
         classes = whole(self.classes)
-        boxes = np.asarray(self.boxes, dtype=float)
-        if (classes is None or classes.ndim != 1 or np.any(classes < 0)
-                or boxes.shape != (len(classes), 4) or not np.isfinite(boxes).all()):
+        if classes is None or classes.ndim != 1 or np.any(classes < 0):
             raise ValueError("need (n,) class ids >= 0 and finite (n, 4) boxes")
-        object.__setattr__(self, "classes", classes)
-        object.__setattr__(self, "boxes", boxes)
-        object.__setattr__(self, "offsets", rising(self.offsets, len(classes), "object"))
+        boxes = shaped(self.boxes, "boxes", (len(classes), 4))
+        if not np.isfinite(boxes).all():
+            raise ValueError("need (n,) class ids >= 0 and finite (n, 4) boxes")
+        self._set(classes=classes, boxes=boxes, offsets=rising(self.offsets, len(classes), "object"))
 
 
 @dataclass

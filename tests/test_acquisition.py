@@ -14,8 +14,8 @@ from tests_support_reference import (Detection, detections_of, reference_cls_ent
                                      reference_score_image)
 
 from sim2real_al.acquisition import (AcquisitionConfig, _combined, _pair_checks,
-                                     _raise_first_failure, categorical_entropy,
-                                     detection_entropies, score_image)
+                                     categorical_entropy, detection_entropies, score_image)
+from sim2real_al.rules import _raise_first_failure
 
 
 # three Dirichlet rows, a one-hot row and the uniform row, with the
@@ -418,8 +418,11 @@ class TestScoreImageReference:
         "not-square": lambda d: Detection(d.class_probs, d.box_mean, np.eye(4)[:3]),
     }
 
+    # a not-square covariance fails when its Detections batch is built
+    # (test_fusion.TestDetections), before scoring
     @settings(max_examples=80, deadline=None)
-    @given(kinds=st.lists(st.sampled_from(sorted(BAD)), min_size=1, max_size=3),
+    @given(kinds=st.lists(st.sampled_from(sorted(set(BAD) - {"not-square"})),
+                          min_size=1, max_size=3),
            n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
     def test_first_error_matches(self, kinds, n, seed):
         rng = np.random.default_rng(seed)
@@ -427,8 +430,6 @@ class TestScoreImageReference:
         for kind, good in zip(kinds, dets[n:]):
             dets[int(rng.integers(0, n))] = self.BAD[kind](good)
         dets = dets[:n]
-        if len({np.shape(d.box_cov) for d in dets}) > 1:
-            dets = [d for d in dets if np.shape(d.box_cov) == np.shape(dets[0].box_cov)]
         with np.errstate(invalid="ignore"):
             assert (score_or_error(score_one, dets, CONFIGS[0])
                     == score_or_error(reference_score_image, dets, CONFIGS[0]))

@@ -14,7 +14,7 @@ from tests_support_reference import (assert_same_detections, dense_image_text,
                                      reference_read_anchor_records)
 
 from sim2real_al import fusion
-from sim2real_al.fusion import (Anchors, bayesod_inference, cluster_anchors,
+from sim2real_al.fusion import (Anchors, Detections, bayesod_inference, cluster_anchors,
                                 fuse_categorical, fuse_gaussian, iou_matrix,
                                 mc_statistics, read_anchor_records,
                                 write_anchor_records)
@@ -86,6 +86,24 @@ class TestAnchors:
         # numpy's "need at least one array to concatenate" before
         with pytest.raises(ValueError, match="^Anchors.concatenate needs at least one batch$"):
             Anchors.concatenate([])
+
+
+class TestDetections:
+    def test_not_square_covariance_fails_when_built(self):
+        # scoring raised "covariance must be a square matrix" before
+        with pytest.raises(ValueError, match=re.escape(
+                "box_cov must be an array of shape (1, 4, 4), got shape (1, 3, 4)")):
+            Detections(class_probs=[[0.5, 0.5]], box_mean=[[0, 0, 1, 1]],
+                       box_cov=[np.eye(4)[:3]], cluster_size=[1], offsets=[0, 1])
+
+    def test_built_batch_keeps_its_arrays(self):
+        """Fields already in the layout are stored as given, not copied."""
+        anchors = anchors_const([[0.9, 0.1], [0.8, 0.2]], [[0, 0, 10, 10], [0, 0, 10, 11]])
+        detections = bayesod_inference(anchors)
+        again = Detections(detections.class_probs, detections.box_mean, detections.box_cov,
+                           detections.cluster_size, detections.offsets)
+        assert all(getattr(again, f) is getattr(detections, f) for f in
+                   ("class_probs", "box_mean", "box_cov", "cluster_size", "offsets"))
 
 
 class TestIoU:

@@ -17,14 +17,15 @@ from tests_support_oracles import raised_in_package
 
 from sim2real_al import cli
 from sim2real_al import loop as al
-from sim2real_al.acquisition import AcquisitionConfig, categorical_entropy
-from sim2real_al.fusion import fuse_categorical, fuse_gaussian, iou_matrix, mc_statistics
+from sim2real_al.acquisition import AcquisitionConfig, categorical_entropy, score_image
+from sim2real_al.fusion import (Detections, fuse_categorical, fuse_gaussian, iou_matrix,
+                                mc_statistics)
 from sim2real_al.learner import MCDropoutClassifier, TrainConfig
 from sim2real_al.rules import RuleError
 from sim2real_al.sampling import (SelectionConfig, select_batchbald, select_clue,
                                   select_coreset, select_subsample_topn, select_topn)
 from sim2real_al.synthdata import (ClassificationDomainSpec, DetectionSceneSpec, Scenes,
-                                   synth_detector_outputs)
+                                   skewed_priors, synth_detector_outputs)
 
 BASES = {"classification": SMALL_CLS, "detection": SMALL_DET}
 
@@ -349,18 +350,61 @@ def batch_sizes(n: int, most: int):
 
 
 @st.composite
+def member_counts(draw, size: int):
+    """`size` whole numbers >= 1, each an int or a whole float, which the
+    consumer accepts; rejected, that list with one 0, negative or
+    fractional entry, one entry short, or reshaped to 2-D."""
+    counts = st.integers(1, 9).flatmap(lambda i: st.sampled_from([i, float(i)]))
+    values = draw(st.lists(counts, min_size=size, max_size=size))
+    damage = draw(st.sampled_from(["none", "none", "entry", "short", "2-d"]))
+    if damage == "entry":
+        values[draw(st.integers(0, size - 1))] = draw(st.sampled_from([0, -1, 0.5, 2.5]))
+    elif damage == "short":
+        values = values[1:]
+    elif damage == "2-d":
+        values = [values]
+    return values, np.asarray(values, dtype=int) if damage == "none" else None
+
+
+@st.composite
+def offset_arrays(draw, total: int):
+    """Offsets rising from 0 to total, each an int or a whole float, which
+    the consumer accepts; rejected, with a fractional entry, a falling
+    step or a last entry other than total, reshaped to 2-D, or []."""
+    cuts = sorted(draw(st.lists(st.integers(0, total), max_size=3)))
+    values = [draw(st.sampled_from([v, float(v)])) for v in [0, *cuts, total]]
+    damage = draw(st.sampled_from(["none", "none", "fraction", "falling", "end", "2-d",
+                                   "empty"]))
+    if damage == "fraction":
+        values.insert(1, 0.5)
+    elif damage == "falling":
+        values.insert(-1, total + 1)
+    elif damage == "end":
+        values[-1] = total + draw(st.sampled_from([-1, 1]))
+    elif damage == "2-d":
+        values = [values]
+    elif damage == "empty":
+        values = []
+    return values, np.asarray(values, dtype=int) if damage == "none" else None
+
+
+@st.composite
 def batches(draw, rows: np.ndarray, last_fixed: bool = True, empty_ok: bool = True):
     """The first 1 to len(rows) rows as nested lists, which the consumer
     accepts; rejected, a single row, a scalar, the batch with one more
-    (trailing) axis, or, when the consumer fixes the size of the last
+    (trailing) axis, a ragged batch of two or more rows whose first row
+    is a column short, or, when the consumer fixes the size of the last
     axis, the batch one column short; or [], a batch of 0 rows, which
     gives what a (0, *rows.shape[1:]) array gives, accepted when
     empty_ok."""
     batch = rows[:draw(st.integers(1, len(rows)))]
-    damage = draw(st.sampled_from(["none", "none", "single", "scalar", "axis", "empty"]
-                                  + ["column"] * last_fixed))
+    damage = draw(st.sampled_from(["none", "none", "single", "scalar", "axis", "ragged",
+                                   "empty"] + ["column"] * last_fixed))
     if damage == "empty":
         return [], np.zeros((0, *rows.shape[1:])) if empty_ok else None
+    if damage == "ragged":
+        batch = rows[:max(len(batch), 2)]
+        return [batch[0][..., :-1].tolist(), *batch[1:].tolist()], None
     value = {"none": batch, "single": batch[0], "scalar": batch.flat[0],
              "axis": batch[..., None], "column": batch[..., :-1]}[damage]
     return value.tolist(), batch if damage == "none" else None
@@ -374,11 +418,15 @@ MEAN_SCORES = np.random.default_rng(2).uniform(0.1, 0.9, size=(6, 3))
 BOXES = np.random.default_rng(3).uniform(0, 10, size=(5, 4)) + [0, 0, 10, 10]
 PROBS = np.random.default_rng(4).dirichlet(np.ones(3), size=(6, 4))   # (N, T, C)
 WEIGHTS = np.random.default_rng(5).uniform(0.1, 1.0, size=5)
+# four detections' fields, apart from offsets
+DETECTION_ROWS = {"class_probs": PROBS[:4, 0], "box_mean": BOXES[:4],
+                  "box_cov": np.eye(4) * np.arange(1.0, 5.0)[:, None, None],
+                  "cluster_size": np.array([1, 3, 2, 1])}
 
 
 def rows_of(batch) -> int:
     """The row count of a drawn batch; a scalar has none."""
-    return len(batch) if np.ndim(batch) else 0
+    return len(batch) if isinstance(batch, (list, np.ndarray)) else 0
 
 
 def one_scene(classes) -> Scenes:
@@ -388,6 +436,14 @@ def one_scene(classes) -> Scenes:
 
 def anchor_arrays(anchors) -> tuple:
     return anchors.scores, anchors.boxes, anchors.offsets
+
+
+def scored(name: str, value, k: int):
+    """score_image of k detections in one image, with field `name` set to
+    value and every other field the first k rows of DETECTION_ROWS."""
+    rows = {field: v[:k] for field, v in DETECTION_ROWS.items()}
+    return score_image(Detections(**{**rows, "offsets": [0, k], name: value}),
+                       AcquisitionConfig())
 
 
 # name: (strategy of (value, plain), the call); the labels are fit's
@@ -426,6 +482,11 @@ ARRAY_CONSUMERS = {
                   lambda pool: select_clue(pool, WEIGHTS[:rows_of(pool)], 1, seed=1)),
     "batchbald": (batches(PROBS, last_fixed=False, empty_ok=False),
                   lambda probs: select_batchbald(probs, 1, mc_count=4, seed=1)),
+    **{f"detections {name}": (batches(DETECTION_ROWS[name], last_fixed=name != "class_probs"),
+                              lambda v, name=name: scored(name, v, rows_of(v)))
+       for name in ("class_probs", "box_mean", "box_cov")},
+    "detections cluster_size": (member_counts(3), lambda v: scored("cluster_size", v, 3)),
+    "detections offsets": (offset_arrays(3), lambda v: scored("offsets", v, 3)),
 }
 
 
@@ -436,7 +497,7 @@ class TestArrayInputs:
     and a value that keeps it returns what its plain int or float array
     gives."""
 
-    @settings(max_examples=500, deadline=None)
+    @settings(max_examples=600, deadline=None)
     @given(name=st.sampled_from(sorted(ARRAY_CONSUMERS)), data=st.data())
     def test_one_rule_per_input(self, name, data):
         inputs, call = ARRAY_CONSUMERS[name]
@@ -470,8 +531,32 @@ class TestArrayInputs:
          "need one finite score per candidate"),
         (lambda: select_topn([(1, 1.0), (0, math.nan), (2, 0.5)], 2),
          "need one finite score per candidate"),
+        # built without a check, and scored as another layout or not at all
+        *[(lambda offsets=offsets: scored("offsets", offsets, 3),
+           "offsets must rise from 0 to the detection count")
+          for offsets in ([0, 1], [0, 2, 5], [0, 1.5, 3])],
+        (lambda: scored("box_cov", np.ones((3, 3, 3)), 3),
+         "box_cov must be an array of shape (3, 4, 4), got shape (3, 3, 3)"),
+        (lambda: scored("box_mean", np.zeros((2, 4)), 3),
+         "box_mean must be an array of shape (3, 4), got shape (2, 4)"),
+        (lambda: scored("class_probs", [0.5, 0.5, 0.5], 3),
+         "class_probs must be an array of shape (K, C), got shape (3,)"),
+        # numpy's inhomogeneous-shape or string-conversion errors before
+        (lambda: iou_matrix([[0, 0, 1, 1], [0, 0, 1]], BOXES),
+         "a must be an array of shape (..., N, 4), got a ragged or non-numeric value"),
+        (lambda: select_coreset([[0, 1], [1]], [], 1),
+         "pool_features must be an array of shape (N, D), got a ragged or non-numeric value"),
+        (lambda: iou_matrix([[0, 0, 1, "x"]], BOXES),
+         "a must be an array of shape (..., N, 4), got a ragged or non-numeric value"),
+        # a divide-by-zero warning and numpy's OverflowError before
+        (lambda: MCDropoutClassifier(2, 0, 2), "hidden_dim must be a whole number >= 1, got 0"),
+        # [nan, nan, nan] before
+        (lambda: skewed_priors(3, math.nan), "skew must be finite and >= 0"),
     ], ids=["coreset-empty", "clue-empty", "coreset-3d", "iou-3-columns", "entropy-3d",
-            "subsample-p-2", "batchbald-mc-0", "topn-nan-first", "topn-nan-second"])
+            "subsample-p-2", "batchbald-mc-0", "topn-nan-first", "topn-nan-second",
+            "detections-offsets-short", "detections-offsets-long", "detections-offsets-fraction",
+            "detections-cov-3x3", "detections-mean-rows", "detections-probs-1d",
+            "iou-ragged", "coreset-ragged", "iou-string", "classifier-hidden-0", "skew-nan"])
     def test_inputs_that_reached_numpy_raise_the_rule(self, call, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as excinfo:
             call()
