@@ -42,7 +42,12 @@ class MCDropoutClassifier:
         self.n_classes = count(n_classes, "n_classes")
         self.dropout_rate = dropout_rate
         if params is not None:
-            self.w1, self.b1, self.w2, self.b2 = [np.array(p, dtype=float) for p in params]
+            d, h, c = self.input_dim, self.hidden_dim, self.n_classes
+            dims = {"w1": (d, h), "b1": (h,), "w2": (h, c), "b2": (c,)}
+            if len(params) != len(dims):
+                raise ValueError("params must hold w1, b1, w2 and b2")
+            self.w1, self.b1, self.w2, self.b2 = [
+                np.array(shaped(p, name, shape)) for p, (name, shape) in zip(params, dims.items())]
         else:
             rng = np.random.default_rng(seed)
             s1 = 1.0 / np.sqrt(input_dim)

@@ -104,13 +104,15 @@ def shaped(values, name: str, dims: tuple) -> np.ndarray:
     name and the shape it got.  In dims an int is the size its axis must
     have, a letter any size, and a leading ... any number of leading
     axes, as in (..., "N", 4).  An empty sequence is a batch of 0 rows;
-    a ragged or non-numeric nested sequence is a ValueError too."""
+    a ragged or non-numeric nested sequence, or an int beyond float
+    range, is a ValueError too."""
     text = ", ".join("..." if d is ... else str(d) for d in dims)
     try:
         values = np.asarray(values, dtype=float)
-    except (TypeError, ValueError):
-        raise ValueError(f"{name} must be an array of shape ({text}), "
-                         f"got a ragged or non-numeric value") from None
+    except (TypeError, ValueError, OverflowError) as error:
+        got = ("a number beyond float range" if isinstance(error, OverflowError)
+               else "a ragged or non-numeric value")
+        raise ValueError(f"{name} must be an array of shape ({text}), got {got}") from None
     sizes = dims[1:] if dims[0] is ... else dims
     if values.shape == (0,) and len(sizes) > 1:
         values = values.reshape(0, *[0 if isinstance(d, str) else d for d in sizes[1:]])

@@ -143,23 +143,37 @@ def _entropy(p: np.ndarray) -> np.ndarray:
 def select_batchbald(prob_samples, b: int, mc_count: int = 100, seed=0) -> list[int]:
     """Greedy batch selection by joint mutual information.
 
-    prob_samples: per-id (N, T, C) predictive samples sharing the same
-    T posterior draws.  The first pick uses the exact BALD score; later
-    picks estimate the joint entropy of the grown batch with mc_count
-    Monte-Carlo configuration draws of the already-selected items and
-    an exact sum over the candidate's classes.
+    prob_samples: per-id (N, T, C) predictive samples in [0, 1] sharing
+    the same T posterior draws.  The first pick uses the exact BALD
+    score; later picks estimate the joint entropy of the grown batch
+    with mc_count Monte-Carlo configuration draws of the
+    already-selected items and an exact sum over the candidate's classes.
 
     The per-sample class CDFs, log p and the per-item entropies are
     computed once per call; each pick gathers from them.  A pick draws
     its mc_count sample indices, then the configuration uniforms of
     all selected items in one (picks so far, mc_count) call, which
     Generator.random fills in C order from the stream per-item draws
-    would take in turn.  The configuration log-weights are one
-    np.add.reduce over the selected items, in pick order.  The
-    candidates' conditional class probabilities go to one (N, mc_count,
-    C) buffer, and their log to a second one when no probability is 0.
+    would take in turn.  Every later quantity of a configuration
+    depends only on its labels, a column of the draw, and a few dozen
+    of the mc_count columns are distinct: np.lexsort and a compare of
+    neighbouring columns find them, and the log-weights (one
+    np.add.reduce over the selected items, in pick order), the
+    posterior weights, the candidates' conditional class probabilities
+    and their entropies are computed once per distinct configuration.
+    Those probabilities go to a C-contiguous view of one (N, mc_count,
+    C) buffer, and their log to a view of a second one when no
+    probability is 0; both buffers are allocated once per call.  A lone
+    distinct configuration is doubled when mc_count > 1, so its
+    product stays a BLAS gemm (a one-row product goes to gemv, which
+    rounds differently).  The per-configuration log joint and entropies
+    are gathered back to mc_count columns in C order (np.take) before
+    any mean, so every score keeps the bits of the product over all
+    mc_count rows.
     """
     probs = shaped(prob_samples, "prob_samples", ("N", "T", "C"))
+    if not np.all((probs >= 0) & (probs <= 1)):
+        raise ValueError("prob_samples must be finite and lie in [0, 1]")
     n, t, c = probs.shape
     if t < 2:
         raise ValueError("mutual information undefined")
@@ -177,7 +191,9 @@ def select_batchbald(prob_samples, b: int, mc_count: int = 100, seed=0) -> list[
     with np.errstate(divide="ignore"):
         log_probs = np.log(probs)
     samples = np.arange(t)
-    cond_probs, log_cond = np.empty((n, k, c)), np.empty((n, k, c))
+    cond_buf, log_buf = np.empty(n * k * c), np.empty(n * k * c)
+    first = np.ones(k, dtype=bool)      # first column of each run of equal sorted ones
+    config = np.empty(k, dtype=np.intp)
     while len(selected) < b:
         # sample mc_count label configurations of the selected batch from
         # the plug-in joint (1/T) sum_t prod_i p_it
@@ -186,23 +202,35 @@ def select_batchbald(prob_samples, b: int, mc_count: int = 100, seed=0) -> list[
         u = rng.random((len(selected), k))
         y = (cdfs[items, t_draws] < u[:, :, None]).sum(axis=2)   # (picks, k)
         np.minimum(y, c - 1, out=y)
+        # the distinct configurations, and config[j], the one of column j
+        order = np.lexsort(y)
+        y = y[:, order]
+        np.any(y[:, 1:] != y[:, :-1], axis=0, out=first[1:])
+        config[order] = np.cumsum(first) - 1
+        y = y[:, first]                                          # (picks, distinct)
         log_w = np.add.reduce(log_probs[items[:, :, None], samples, y[:, :, None]],
-                              axis=0)                            # (k, t)
+                              axis=0)                            # (distinct, t)
         # posterior weights over t given each sampled configuration
         log_joint = np.logaddexp.reduce(log_w, axis=1) - np.log(t)
         w = np.exp(log_w - log_w.max(axis=1, keepdims=True))
         w /= w.sum(axis=1, keepdims=True)
-        h_batch = float(-log_joint.mean())
+        h_batch = float(-log_joint.take(config).mean())
+        if len(w) == 1 < k:
+            w = np.repeat(w, 2, axis=0)
 
         # candidate conditional entropy H(y_c | batch config), exact in y_c:
-        # (k, t) @ (n, t, c) broadcasts to one BLAS product per candidate
+        # (m, t) @ (n, t, c) broadcasts to one BLAS product per candidate
+        m = len(w)
+        cond_probs = cond_buf[:n * m * c].reshape(n, m, c)
         np.matmul(w, probs, out=cond_probs)
         if cond_probs.min() > 0:
+            log_cond = log_buf[:n * m * c].reshape(n, m, c)
             np.log(cond_probs, out=log_cond)
             h_c_given = -np.einsum("...c,...c->...", cond_probs, log_cond)
         else:
             h_c_given = _entropy(cond_probs)
-        joint_mi = h_batch + h_c_given.mean(axis=1) - (h_cond[selected].sum() + h_cond)
+        h_c_given = h_c_given.take(config, axis=1).mean(axis=1)
+        joint_mi = h_batch + h_c_given - (h_cond[selected].sum() + h_cond)
         joint_mi[~available] = -np.inf
         pick = int(np.argmax(joint_mi))
         selected.append(pick)

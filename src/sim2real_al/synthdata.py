@@ -83,6 +83,7 @@ def shifted_domain(spec: ClassificationDomainSpec, translation=None,
 
 def skewed_priors(n_classes: int, skew: float) -> np.ndarray:
     """Power-law priors p_c proportional to (c+1)^-skew; skew 0 is uniform."""
+    n_classes = count(n_classes, "n_classes")
     if not finite_nonneg.holds(skew):
         raise ValueError(finite_nonneg.text.format(name="skew", value=skew))
     raw = (np.arange(n_classes) + 1.0) ** (-skew)

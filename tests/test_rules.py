@@ -393,15 +393,22 @@ def batches(draw, rows: np.ndarray, last_fixed: bool = True, empty_ok: bool = Tr
     """The first 1 to len(rows) rows as nested lists, which the consumer
     accepts; rejected, a single row, a scalar, the batch with one more
     (trailing) axis, a ragged batch of two or more rows whose first row
-    is a column short, or, when the consumer fixes the size of the last
-    axis, the batch one column short; or [], a batch of 0 rows, which
-    gives what a (0, *rows.shape[1:]) array gives, accepted when
-    empty_ok."""
+    is a column short, the batch with an int beyond float range as its
+    first entry, or, when the consumer fixes the size of the last axis,
+    the batch one column short; or [], a batch of 0 rows, which gives
+    what a (0, *rows.shape[1:]) array gives, accepted when empty_ok."""
     batch = rows[:draw(st.integers(1, len(rows)))]
     damage = draw(st.sampled_from(["none", "none", "single", "scalar", "axis", "ragged",
-                                   "empty"] + ["column"] * last_fixed))
+                                   "huge", "empty"] + ["column"] * last_fixed))
     if damage == "empty":
         return [], np.zeros((0, *rows.shape[1:])) if empty_ok else None
+    if damage == "huge":
+        value = batch.tolist()
+        row = value
+        while isinstance(row[0], list):
+            row = row[0]
+        row[0] = 10**400
+        return value, None
     if damage == "ragged":
         batch = rows[:max(len(batch), 2)]
         return [batch[0][..., :-1].tolist(), *batch[1:].tolist()], None
@@ -412,6 +419,7 @@ def batches(draw, rows: np.ndarray, last_fixed: bool = True, empty_ok: bool = Tr
 
 X_ROWS = np.random.default_rng(0).normal(size=(5, 2))
 MODEL = MCDropoutClassifier(2, 4, 3, seed=0)
+MODEL_PARAMS = (MODEL.w1, MODEL.b1, MODEL.w2, MODEL.b2)
 SPEC = DetectionSceneSpec(n_classes=3)
 SAMPLES = np.random.default_rng(1).normal([0, 0, 20, 20], 2.0, size=(6, 5, 4))
 MEAN_SCORES = np.random.default_rng(2).uniform(0.1, 0.9, size=(6, 3))
@@ -552,11 +560,34 @@ class TestArrayInputs:
         (lambda: MCDropoutClassifier(2, 0, 2), "hidden_dim must be a whole number >= 1, got 0"),
         # [nan, nan, nan] before
         (lambda: skewed_priors(3, math.nan), "skew must be finite and >= 0"),
+        # [] and three priors before
+        (lambda: skewed_priors(0, 1.0), "n_classes must be a whole number >= 1, got 0"),
+        (lambda: skewed_priors(2.5, 1.0), "n_classes must be a whole number >= 1, got 2.5"),
+        # numpy's matmul core-dimension mismatch at the first prediction before
+        (lambda: MCDropoutClassifier(2, 4, 3, params=[np.zeros((3, 4)), np.zeros(4),
+                                                      np.zeros((4, 3)), np.zeros(3)]),
+         "w1 must be an array of shape (2, 4), got shape (3, 4)"),
+        (lambda: MCDropoutClassifier(2, 4, 3, params=[np.zeros((2, 4)), np.zeros(4),
+                                                      np.zeros((4, 3)), np.zeros(2)]),
+         "b2 must be an array of shape (3), got shape (2,)"),
+        (lambda: MCDropoutClassifier(2, 4, 3, params=MODEL_PARAMS + (np.zeros(3),)),
+         "params must hold w1, b1, w2 and b2"),
+        # a bare OverflowError before
+        (lambda: iou_matrix([[0, 0, 1, 10**400]], BOXES),
+         "a must be an array of shape (..., N, 4), got a number beyond float range"),
+        # an item of NaN samples was picked first, a negative one warned
+        (lambda: select_batchbald(np.where(np.arange(6)[:, None, None] == 3, math.nan, PROBS),
+                                  3), "prob_samples must be finite and lie in [0, 1]"),
+        (lambda: select_batchbald(PROBS - 0.5, 3),
+         "prob_samples must be finite and lie in [0, 1]"),
     ], ids=["coreset-empty", "clue-empty", "coreset-3d", "iou-3-columns", "entropy-3d",
             "subsample-p-2", "batchbald-mc-0", "topn-nan-first", "topn-nan-second",
             "detections-offsets-short", "detections-offsets-long", "detections-offsets-fraction",
             "detections-cov-3x3", "detections-mean-rows", "detections-probs-1d",
-            "iou-ragged", "coreset-ragged", "iou-string", "classifier-hidden-0", "skew-nan"])
+            "iou-ragged", "coreset-ragged", "iou-string", "classifier-hidden-0", "skew-nan",
+            "priors-classes-0", "priors-classes-fraction", "classifier-w1-rows",
+            "classifier-b2-size", "classifier-params-5", "iou-beyond-float", "batchbald-nan-item",
+            "batchbald-negative"])
     def test_inputs_that_reached_numpy_raise_the_rule(self, call, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as excinfo:
             call()

@@ -6,11 +6,12 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 from tests_support_oracles import covering_radius, raised_in_package
-from tests_support_reference import bald_scores, reference_select_batchbald
+from tests_support_reference import (bald_scores, reference_select_batchbald,
+                                     reference_select_batchbald_all_configs)
 
 from sim2real_al import sampling
 from sim2real_al.sampling import (SelectionConfig, select_batchbald, select_clue,
@@ -250,6 +251,20 @@ class TestBatchBald:
         with pytest.raises(ValueError, match="mutual information undefined"):
             select_batchbald(np.ones((3, 1, 2)) * 0.5, 1)
 
+    @pytest.mark.parametrize("item, value", [
+        (slice(None), math.nan),   # an item of NaN samples was picked first: [3, 0, 1]
+        ((1, 0), math.inf),
+        ((1, 0), -0.1),            # numpy's RuntimeWarning before
+        ((1, 0), 1.5),
+    ], ids=["nan-item", "inf", "negative", "above-1"])
+    def test_invalid_probabilities_rejected(self, item, value):
+        probs = np.random.default_rng(2).dirichlet(np.ones(2), size=(4, 3))
+        probs[3][item] = value
+        with pytest.raises(ValueError,
+                           match=r"^prob_samples must be finite and lie in \[0, 1\]$") as excinfo:
+            select_batchbald(probs, 3)
+        assert raised_in_package(excinfo)
+
     def test_greedy_avoids_correlated_pair(self):
         """Two perfectly correlated items; greedy must pick the independent one."""
         # items 0, 1 flip with the "first bit" of theta; item 2 with the second
@@ -425,6 +440,62 @@ class TestBatchBaldPerItemReference:
         probs = self.dense_probs(np.random.default_rng(seed), 400, 10, 8)
         assert select_batchbald(probs, 20, 100, seed=seed) == \
             reference_select_batchbald(probs, 20, 100, seed=seed)
+
+
+def near_one_hot(rng, n, t, c):
+    """(n, t, c) samples that put 1 - eps on one class of each item in
+    every pass, eps between 1e-12 and 1e-2, so the configurations of
+    the first few picks are mostly one and the same."""
+    eps = 10.0 ** rng.uniform(-12, -2, size=(n, 1, 1))
+    probs = rng.dirichlet(np.ones(c), size=(n, t)) * eps
+    probs[np.arange(n), :, rng.integers(0, c, size=n)] += 1 - eps[:, :, 0]
+    return probs
+
+
+class TestBatchBaldDistinctConfigs:
+    """select_batchbald computes each distinct configuration once, and
+    hands np.argmax, pick by pick, the very score arrays of the selector
+    that computed all mc_count of them, bit for bit: near one-hot items
+    (picks with one distinct configuration, whose product must stay a
+    gemm), exact zeros (the masked log), mc_count = 1 and c = 1."""
+
+    def test_same_scores_bit_for_bit(self, monkeypatch):
+        scores, argmax = [], np.argmax
+
+        def spy(a, *args, **kwargs):
+            scores.append(np.array(a, copy=True))
+            return argmax(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "argmax", spy)
+
+        def scored(select, probs, b, mc_count, seed):
+            scores.clear()
+            return select(probs, b, mc_count, seed=seed), list(scores)
+
+        kinds = {"dense": TestBatchBaldPerItemReference.dense_probs,
+                 "zeros": probs_with_zeros, "near one-hot": near_one_hot}
+
+        @settings(max_examples=150, deadline=None)
+        @given(kind=st.sampled_from(sorted(kinds)), n=st.integers(2, 30),
+               t=st.integers(2, 10), c=st.integers(1, 8),
+               mc_count=st.one_of(st.just(1), st.integers(1, 120)),
+               b=st.integers(1, 30), seed=st.integers(0, 2**32 - 1))
+        @example(kind="near one-hot", n=6, t=5, c=3, mc_count=100, b=6, seed=1)
+        @example(kind="near one-hot", n=5, t=9, c=1, mc_count=27, b=5, seed=2)
+        @example(kind="zeros", n=12, t=6, c=4, mc_count=1, b=12, seed=3)
+        def same_scores(kind, n, t, c, mc_count, b, seed):
+            probs = kinds[kind](np.random.default_rng(seed), n, t, c)
+            b = min(b, n)
+            got, got_scores = scored(select_batchbald, probs, b, mc_count, seed)
+            want, want_scores = scored(reference_select_batchbald_all_configs,
+                                       probs, b, mc_count, seed)
+            assert got == want
+            assert len(got_scores) == len(want_scores) == b
+            for got_pick, want_pick in zip(got_scores, want_scores):
+                np.testing.assert_array_equal(got_pick.view(np.uint64),
+                                              want_pick.view(np.uint64))
+
+        same_scores()
 
 
 class TestSelectClue:

@@ -15,8 +15,10 @@ the line-by-line reader they replaced, kept as they were, so tests can
 require the same records, the same bits and the same error messages.
 `reference_select_batchbald` is the BatchBALD selector with one
 configuration draw and one log per selected item and pick, which
-`sampling.select_batchbald` replaced; `bald_scores` is the exact BALD
-score of its first pick.  They work on `Detection` records, one per
+`sampling.select_batchbald` replaced, and
+`reference_select_batchbald_all_configs` the one that computed every
+Monte-Carlo configuration, repeated ones too; `bald_scores` is the
+exact BALD score of its first pick.  They work on `Detection` records, one per
 detection, and on `Scene` records, one per image.  `detections_of`
 packs per-image record lists into a `fusion.Detections` batch and
 `records_of` splits one back; `scenes_of` and `per_scene` do the same
@@ -496,6 +498,54 @@ def reference_select_batchbald(prob_samples, b, mc_count=100, seed=0):
         np.matmul(w, probs, out=cond_probs)
         h_c_given = _entropy(cond_probs).mean(axis=1)
         joint_mi = h_batch + h_c_given - (h_cond[selected].sum() + h_cond)
+        joint_mi[~available] = -np.inf
+        pick = int(np.argmax(joint_mi))
+        selected.append(pick)
+        available[pick] = False
+    return selected
+
+
+def reference_select_batchbald_all_configs(prob_samples, b, mc_count=100, seed=0):
+    """The selector with one configuration draw per pick and every
+    later quantity computed on all mc_count configurations, repeated
+    ones included, which `sampling.select_batchbald` replaced; its
+    inputs are taken as valid."""
+    probs = np.asarray(prob_samples, dtype=float)
+    n, t, c = probs.shape
+    k = mc_count
+
+    h_cond = _entropy(probs).mean(axis=1)
+    pick = int(np.argmax(_entropy(probs.mean(axis=1)) - h_cond))  # BALD
+    selected = [pick]
+    available = np.ones(n, dtype=bool)
+    available[pick] = False
+
+    rng = np.random.default_rng(seed)
+    cdfs = probs.cumsum(axis=2)
+    with np.errstate(divide="ignore"):
+        log_probs = np.log(probs)
+    samples = np.arange(t)
+    cond_probs, log_cond = np.empty((n, k, c)), np.empty((n, k, c))
+    while len(selected) < b:
+        t_draws = rng.integers(0, t, size=k)
+        items = np.array(selected)[:, None]
+        u = rng.random((len(selected), k))
+        y = (cdfs[items, t_draws] < u[:, :, None]).sum(axis=2)   # (picks, k)
+        np.minimum(y, c - 1, out=y)
+        log_w = np.add.reduce(log_probs[items[:, :, None], samples, y[:, :, None]],
+                              axis=0)                            # (k, t)
+        log_joint = np.logaddexp.reduce(log_w, axis=1) - np.log(t)
+        w = np.exp(log_w - log_w.max(axis=1, keepdims=True))
+        w /= w.sum(axis=1, keepdims=True)
+        h_batch = float(-log_joint.mean())
+
+        np.matmul(w, probs, out=cond_probs)
+        if cond_probs.min() > 0:
+            np.log(cond_probs, out=log_cond)
+            h_c_given = -np.einsum("...c,...c->...", cond_probs, log_cond)
+        else:
+            h_c_given = _entropy(cond_probs)
+        joint_mi = h_batch + h_c_given.mean(axis=1) - (h_cond[selected].sum() + h_cond)
         joint_mi[~available] = -np.inf
         pick = int(np.argmax(joint_mi))
         selected.append(pick)
