@@ -130,8 +130,8 @@ class GapReport:
 # ---------------------------------------------------------------------------
 
 def evaluate_classifier(model, x_test, y_test) -> float:
-    """Argmax accuracy of predict_mean on (N, D) rows; ties go to the smaller class."""
-    x_test = rules.shaped(x_test, "x_test", ("N", "D"))
+    """Argmax accuracy of predict_mean on finite (N, D) rows; ties go to the smaller class."""
+    x_test = rules.all_finite(rules.shaped(x_test, "x_test", ("N", "D")), "x_test")
     if len(x_test) == 0:
         raise ValueError("empty test set")
     probs = model.predict_mean(x_test)
@@ -383,23 +383,12 @@ TRACK_STRATEGIES = {"classification": sampling.STRATEGIES,
                     "detection": tuple(s for s in sampling.STRATEGIES if s != "batchbald")}
 
 
-# strategies whose selection calls scipy: xlogy in the entropy scores
-# (topn, subsample_topn, clue) and cdist in coreset and clue.  Both
-# modules load at first use, since they cost ~0.5 s beyond numpy.
-_SCIPY_STRATEGIES = frozenset({"topn", "subsample_topn", "coreset", "clue"})
-
-
 def run_cells(cfg: ALRunConfig, build, strategies, seeds):
     """Yields each (strategy, seed, run) cell, strategy by strategy;
     run() builds the seed's experiment with build(seed) and returns the
     cell's curve.  The first cell of a seed to run computes its RunStart
     and the seed's later cells share it, so each curve equals a lone
-    run_al's.  When a strategy's selection calls scipy, scipy.special
-    and scipy.spatial load before the first cell, so that no cell's
-    first batch waits for an import."""
-    if _SCIPY_STRATEGIES.intersection(strategies):
-        import scipy.spatial.distance  # noqa: F401  (see _SCIPY_STRATEGIES)
-        import scipy.special  # noqa: F401
+    run_al's."""
     starts: dict[int, RunStart] = {}
 
     def run(cell_cfg, seed):
@@ -805,12 +794,9 @@ def manifest_text(config_items: dict, curves) -> str:
     Deliberately free of timestamps and filesystem paths so that
     reruns of the same (config, seed) are byte-identical.
     """
-    import scipy  # ~20 ms, and only a manifest needs its version
-
     lines = ["manifest_version = 1",
              f"package_version = {__version__}",
-             f"numpy_version = {np.__version__}",
-             f"scipy_version = {scipy.__version__}"]
+             f"numpy_version = {np.__version__}"]
     for key in sorted(config_items):
         lines.append(f"config.{key} = {config_items[key]}")
     for curve in curves:

@@ -2,7 +2,8 @@
 declares a field with its rules, and `check(obj)` runs them in field
 order, recursing into a field whose metadata sets `nested`.  Cross-field
 rules stay as code; all raise RuleError, which names the field as data.
-Array inputs have one rule each: `whole`, `count`, `labels`, `indices`, `rising`, `shaped`;
+Array inputs have one rule each: `whole`, `count`, `labels`, `indices`,
+`rising`, `shaped`, `all_finite`;
 `_raise_first_failure` raises the error of the first row to fail checks run on whole arrays."""
 
 import math
@@ -120,6 +121,14 @@ def shaped(values, name: str, dims: tuple) -> np.ndarray:
     if lead < 0 or lead > 0 and dims[0] is not ... or any(
             got != d for got, d in zip(values.shape[lead:], sizes) if not isinstance(d, str)):
         raise ValueError(f"{name} must be an array of shape ({text}), got shape {values.shape}")
+    return values
+
+
+def all_finite(values: np.ndarray, name: str) -> np.ndarray:
+    """values, an array, when every entry is finite, else a ValueError:
+    '<name> must be finite'."""
+    if not np.isfinite(values).all():
+        raise ValueError(f"{name} must be finite")
     return values
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rules import at_least, check, checked, count, in_interval, one_of, shaped
+from .rules import all_finite, at_least, check, checked, count, in_interval, one_of, shaped
 
 STRATEGIES = ("random", "topn", "subsample_topn", "coreset", "batchbald", "clue")
 
@@ -100,37 +100,91 @@ def select_coreset(pool_features, labeled_features, b: int) -> list[int]:
     already-covered point (labeled set plus picks so far).  With an
     empty labeled set the first pick maximizes distance to the pool
     centroid.  Returned ids are row indices into the (N, D) batch
-    pool_features; labeled_features is an (L, D) one, [] 0 rows.
+    pool_features; labeled_features is an (L, D) one, [] 0 rows.  Both
+    must be finite.  Distances to the labeled set are _nearest's, and
+    to one point _distances'.
     """
-    pool = shaped(pool_features, "pool_features", ("N", "D"))
+    pool = all_finite(shaped(pool_features, "pool_features", ("N", "D")), "pool_features")
     b = _batch_size(b, len(pool))
-    labeled = shaped(labeled_features, "labeled_features", ("L", pool.shape[1]))
+    labeled = all_finite(shaped(labeled_features, "labeled_features", ("L", pool.shape[1])),
+                         "labeled_features")
+    cols = np.ascontiguousarray(pool.T)
     picked: list[int] = []
     if len(labeled):
-        min_dist = _cdist(pool, labeled).min(axis=1)
+        min_dist = _nearest(pool, labeled)[0]
     else:
         # no covered points yet: first pick is farthest from the pool centroid
-        centroid = pool.mean(axis=0, keepdims=True)
-        first = int(np.argmax(_cdist(pool, centroid)[:, 0]))
+        first = int(np.argmax(_distances(cols, pool.mean(axis=0))))
         picked.append(first)
-        min_dist = _cdist(pool, pool[first:first + 1])[:, 0]
+        min_dist = _distances(cols, pool[first])
         min_dist[first] = -np.inf
 
     while len(picked) < b:
         idx = int(np.argmax(min_dist))  # first max = smallest id on ties
         picked.append(idx)
-        dist_new = _cdist(pool, pool[idx:idx + 1])[:, 0]
-        min_dist = np.minimum(min_dist, dist_new)
+        min_dist = np.minimum(min_dist, _distances(cols, pool[idx]))
         min_dist[idx] = -np.inf
     return picked
 
 
-def _cdist(xa, xb) -> np.ndarray:
-    """Euclidean distances between the rows of xa and of xb, by scipy's
-    cdist (loop.run_cells loads it before a run's first cell)."""
-    # scipy.spatial takes ~0.3 s to load, and only coreset and clue call it
-    from scipy.spatial.distance import cdist
-    return cdist(xa, xb)
+# Both distance kernels give each distance as the root of its squared
+# differences summed in feature order, so their bits are the same for
+# every pair, whichever kernel computes it (the tests pin them to a
+# reference cdist).  numpy sums in that order when it reduces axis 0 of
+# a C-ordered (D, K) array with K >= 2; along a contiguous axis, as in a
+# (D, 1) or an F-ordered array, it sums pairwise, with other bits.
+
+def _squared_sums(diff: np.ndarray) -> np.ndarray:
+    """The column sums of squares of a C-ordered (D, K) array of
+    differences, each in row order; diff is squared in place, and a lone
+    column is doubled."""
+    if diff.shape[1] == 1:
+        diff = np.repeat(diff, 2, axis=1)
+    with np.errstate(over="ignore"):     # an inf distance, as cdist gives it
+        np.multiply(diff, diff, out=diff)
+        return np.add.reduce(diff, axis=0)
+
+
+def _distances(cols: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """(N,) Euclidean distances from each column of the C-ordered (D, N)
+    cols, a pool's rows transposed, to the (D,) row."""
+    return np.sqrt(_squared_sums(cols - row[:, None]))[:cols.shape[1]]
+
+
+_EPS = np.finfo(float).eps
+_TINY = np.finfo(float).smallest_subnormal
+
+
+def _nearest(xa: np.ndarray, xb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each row of the finite (N, D) xa, the Euclidean distance to its
+    nearest row of the finite (M, D) xb, M >= 1, and the first index at
+    that distance: cdist(xa, xb).min(1) and .argmin(1).
+
+    One BLAS product, of [a, 1] and [-2 b, |b|^2], gives g, the squared
+    distance less |a|^2, up to rounding.  A row of xb stays a candidate
+    for a row of xa unless its g exceeds the row's least g by more than
+    the slack, which bounds the rounding of g and of the exact sums (its
+    subnormal term covers underflow); a NaN g keeps it.  Only the
+    candidates' distances are summed, as _distances sums them.
+    """
+    n, d = xa.shape
+    with np.errstate(over="ignore", invalid="ignore"):   # a NaN g keeps its row
+        sq_b = np.einsum("ij,ij->i", xb, xb)
+        g = np.column_stack([xa, np.ones(n)]) @ np.column_stack([-2.0 * xb, sq_b]).T
+        slack = 16 * (d + 2) * (_EPS * (np.einsum("ij,ij->i", xa, xa) + sq_b.max()) + _TINY)
+        far = g > (g.min(axis=1) + slack)[:, None]
+    rows, cols = np.divmod(np.flatnonzero(~far), len(xb))
+    diff = np.empty((d, len(rows)))
+    np.subtract(xa[rows].T, xb[cols].T, out=diff)
+    dist = np.sqrt(_squared_sums(diff))[:len(rows)]
+    if len(rows) == n:          # each row keeps its least g, so one candidate each
+        return dist, cols
+    # row i's candidates start at starts[i]; sorted by distance, then
+    # index, the first is the nearest
+    per_row = np.bincount(rows, minlength=n)
+    starts = np.cumsum(per_row) - per_row
+    first = np.lexsort((cols, dist, rows))[starts]
+    return dist[first], cols[first]
 
 
 def _entropy(p: np.ndarray) -> np.ndarray:
@@ -245,9 +299,12 @@ def select_clue(pool_features, uncertainties, b: int, seed=0) -> list[int]:
     given by the uncertainties) and returns the pool id nearest each
     final centroid, deduplicated by next-nearest.  All-zero weights
     fall back to unweighted k-means with a warning.  pool_features is
-    an (N, D) batch, [] one of 0 rows, with one uncertainty per row.
+    a finite (N, D) batch, [] one of 0 rows, with one uncertainty per
+    row.  Each round assigns every point to its nearest centroid by
+    _nearest; the seeding and the final picks take _distances to one
+    centroid at a time.
     """
-    pool = shaped(pool_features, "pool_features", ("N", "D"))
+    pool = all_finite(shaped(pool_features, "pool_features", ("N", "D")), "pool_features")
     weights = np.asarray(uncertainties, dtype=float)
     n = len(pool)
     if weights.shape != (n,) or not np.all(np.isfinite(weights)):
@@ -260,9 +317,10 @@ def select_clue(pool_features, uncertainties, b: int, seed=0) -> list[int]:
         weights = np.ones(n)
 
     rng = np.random.default_rng(seed)
-    centroids = _kmeanspp_init(pool, weights, b, rng)
+    cols = np.ascontiguousarray(pool.T)
+    centroids = _kmeanspp_init(pool, cols, weights, b, rng)
     for _ in range(_CLUE_MAX_ITER):
-        assign = _cdist(pool, centroids).argmin(axis=1)
+        assign = _nearest(pool, centroids)[1]
         new_centroids = centroids.copy()
         for j in range(b):
             mask = assign == j
@@ -281,7 +339,7 @@ def select_clue(pool_features, uncertainties, b: int, seed=0) -> list[int]:
     picked: list[int] = []
     taken = np.zeros(n, dtype=bool)
     for j in range(b):
-        dist = _cdist(pool, centroids[j:j + 1])[:, 0]
+        dist = _distances(cols, centroids[j])
         dist[taken] = np.inf
         idx = int(np.argmin(dist))
         picked.append(idx)
@@ -289,14 +347,14 @@ def select_clue(pool_features, uncertainties, b: int, seed=0) -> list[int]:
     return picked
 
 
-def _kmeanspp_init(pool, weights, k, rng):
-    """k-means++ seeding with sample weights."""
+def _kmeanspp_init(pool, cols, weights, k, rng):
+    """k-means++ seeding with sample weights; cols is pool.T, C-ordered."""
     n = pool.shape[0]
     centroids = np.empty((k, pool.shape[1]))
     p = weights / weights.sum()
     first = rng.choice(n, p=p)
     centroids[0] = pool[first]
-    min_sq = _cdist(pool, centroids[0:1])[:, 0] ** 2
+    min_sq = _distances(cols, centroids[0]) ** 2
     for j in range(1, k):
         mass = weights * min_sq
         total = mass.sum()
@@ -306,5 +364,5 @@ def _kmeanspp_init(pool, weights, k, rng):
         else:
             idx = rng.choice(n, p=mass / total)
         centroids[j] = pool[idx]
-        min_sq = np.minimum(min_sq, _cdist(pool, centroids[j:j + 1])[:, 0] ** 2)
+        min_sq = np.minimum(min_sq, _distances(cols, centroids[j]) ** 2)
     return centroids

@@ -61,6 +61,13 @@ class TestEvaluateClassifier:
         with pytest.raises(ValueError, match="empty test set"):
             al.evaluate_classifier(self.Uniform(), np.empty((0, 2)), np.empty(0))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rows_must_be_finite(self, bad):
+        x = np.zeros((4, 2))
+        x[2, 0] = bad
+        with pytest.raises(ValueError, match="^x_test must be finite$"):
+            al.evaluate_classifier(self.Oracle(), x, np.zeros(4))
+
     @pytest.mark.parametrize("n_labels", [1, 2, 11])
     def test_label_count_must_match_rows(self, n_labels):
         # one label used to broadcast over all 10 rows, two raised numpy's

@@ -580,6 +580,17 @@ class TestArrayInputs:
                                   3), "prob_samples must be finite and lie in [0, 1]"),
         (lambda: select_batchbald(PROBS - 0.5, 3),
          "prob_samples must be finite and lie in [0, 1]"),
+        # the NaN row was picked first, [1]
+        (lambda: select_coreset([[0, 0], [math.nan, 1], [5, 5]], [[0, 0]], 1),
+         "pool_features must be finite"),
+        (lambda: select_coreset([[0, 0], [1, 1], [5, 5]], [[math.inf, 0]], 1),
+         "labeled_features must be finite"),
+        (lambda: select_clue([[0, 0], [1, -math.inf], [5, 5]], [1, 1, 1], 2),
+         "pool_features must be finite"),
+        # the NaN row scored as class 0, 0.5
+        (lambda: al.evaluate_classifier(MCDropoutClassifier(2, 4, 2), [[math.nan, 0.0],
+                                                                       [1.0, 1.0]], [0, 0]),
+         "x_test must be finite"),
     ], ids=["coreset-empty", "clue-empty", "coreset-3d", "iou-3-columns", "entropy-3d",
             "subsample-p-2", "batchbald-mc-0", "topn-nan-first", "topn-nan-second",
             "detections-offsets-short", "detections-offsets-long", "detections-offsets-fraction",
@@ -587,7 +598,8 @@ class TestArrayInputs:
             "iou-ragged", "coreset-ragged", "iou-string", "classifier-hidden-0", "skew-nan",
             "priors-classes-0", "priors-classes-fraction", "classifier-w1-rows",
             "classifier-b2-size", "classifier-params-5", "iou-beyond-float", "batchbald-nan-item",
-            "batchbald-negative"])
+            "batchbald-negative", "coreset-nan-pool", "coreset-inf-labeled", "clue-inf-pool",
+            "evaluate-classifier-nan"])
     def test_inputs_that_reached_numpy_raise_the_rule(self, call, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as excinfo:
             call()

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
+from scipy.spatial.distance import cdist
 from tests_support_oracles import covering_radius, raised_in_package
 from tests_support_reference import (bald_scores, reference_select_batchbald,
                                      reference_select_batchbald_all_configs)
@@ -230,6 +231,76 @@ class TestSelectCoreset:
                                        lab if len(lab) else None)
                        for subset in itertools.combinations(range(n), b))
             assert greedy_radius <= 2.0 * best + 1e-9
+
+    @pytest.mark.parametrize("pool, labeled", [
+        ([[0.0, 0.0], [np.nan, 1.0], [5.0, 5.0]], [[0.0, 0.0]]),
+        ([[0.0, 0.0], [np.inf, 1.0], [5.0, 5.0]], []),
+        ([[0.0, 0.0], [1.0, 1.0], [5.0, 5.0]], [[0.0, -np.inf]]),
+        ([[0.0, 0.0], [1.0, 1.0], [5.0, 5.0], [3.0, 3.0]], [[np.nan, 0.0]]),
+    ], ids=["nan pool row", "inf pool row", "inf labeled row", "nan labeled row"])
+    def test_features_must_be_finite(self, pool, labeled):
+        # a NaN pool row was picked first, [1], since argmax stops at NaN
+        name = "pool_features" if not np.isfinite(pool).all() else "labeled_features"
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            select_coreset(pool, labeled, 1)
+
+
+def features(seed, n, m, d, kind, exponent, layout):
+    """(n, d) and (m, d) feature batches drawn from seed.  kind: normal
+    draws, a rounded grid (ties and duplicate rows), rows of xa that
+    repeat rows of xb, a 1e6 offset, or draws scaled by 10**exponent;
+    layout: C-ordered, F-ordered or reversed rows."""
+    rng = np.random.default_rng(seed)
+    xa, xb = rng.standard_normal((n, d)), rng.standard_normal((m, d))
+    if kind == "grid":
+        xa, xb = np.round(2 * xa) / 2, np.round(2 * xb) / 2
+    elif kind == "repeats":
+        xa[::2] = xb[rng.integers(0, m, len(xa[::2]))]
+    elif kind == "offset":
+        xa, xb = xa + 1e6, xb + 1e6
+    elif kind == "scaled":
+        xa, xb = xa * 10.0 ** exponent, xb * 10.0 ** exponent
+    if layout == "F":
+        return np.asfortranarray(xa), np.asfortranarray(xb)
+    if layout == "reversed":
+        return xa[::-1], xb[::-1]
+    return xa, xb
+
+
+FEATURES = dict(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 60), m=st.integers(1, 60),
+                d=st.integers(1, 70),
+                kind=st.sampled_from(["normal", "grid", "repeats", "offset", "scaled"]),
+                # the second range is where squared distances underflow
+                exponent=st.one_of(st.integers(-200, 170), st.integers(-164, -156)),
+                layout=st.sampled_from(["C", "F", "reversed"]))
+
+
+class TestDistanceBits:
+    """The distance kernels of coreset and clue give the bits of scipy's
+    cdist, which the tests keep as the reference."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(**FEATURES)
+    # without the slack's subnormal term, row 4's nearest was wrong here
+    @example(seed=2550389550, n=5, m=8, d=5, kind="scaled", exponent=-162, layout="C")
+    @example(seed=2, n=1, m=1, d=70, kind="normal", exponent=0, layout="F")
+    def test_nearest_is_cdist_min_and_argmin(self, seed, n, m, d, kind, exponent, layout):
+        xa, xb = features(seed, n, m, d, kind, exponent, layout)
+        want = cdist(xa, xb)
+        dist, index = sampling._nearest(xa, xb)
+        assert dist.view(np.uint64).tolist() == want.min(axis=1).view(np.uint64).tolist()
+        assert index.tolist() == want.argmin(axis=1).tolist()
+
+    @settings(max_examples=200, deadline=None)
+    @given(**FEATURES)
+    @example(seed=3, n=1, m=2, d=70, kind="normal", exponent=0, layout="C")
+    def test_distances_are_a_cdist_column(self, seed, n, m, d, kind, exponent, layout):
+        xa, xb = features(seed, n, m, d, kind, exponent, layout)
+        want = cdist(xa, xb)
+        cols = np.ascontiguousarray(xa.T)     # as the selectors make it
+        for j in range(m):
+            got = sampling._distances(cols, xb[j])
+            assert got.view(np.uint64).tolist() == want[:, j].view(np.uint64).tolist()
 
 
 class TestBatchBald:
@@ -552,6 +623,13 @@ class TestSelectClue:
         pool = rng.normal(size=(30, 3))
         w = rng.uniform(0, 1, size=30)
         assert select_clue(pool, w, 5, seed=9) == select_clue(pool, w, 5, seed=9)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_features_must_be_finite(self, bad):
+        pool = np.random.default_rng(2).normal(size=(6, 2))
+        pool[3, 1] = bad
+        with pytest.raises(ValueError, match="^pool_features must be finite$"):
+            select_clue(pool, np.ones(6), 2, seed=0)
 
     @pytest.mark.parametrize("weights", [np.ones((6, 1)), [np.nan] * 6, [np.inf] + [1.0] * 5],
                              ids=["2-d", "nan", "inf"])
