@@ -22,7 +22,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .rules import indices, rising, shaped, whole
+from .rules import BLOCK_ENTRIES, indices, rising, shaped, whole
 
 COV_REGULARIZER = 1e-6
 DEFAULT_IOU_THRESHOLD = 0.5
@@ -159,12 +159,6 @@ def mc_statistics(samples) -> tuple[np.ndarray, np.ndarray]:
     return mean, cov
 
 
-# Images are clustered in blocks of at most this many padded IoU entries
-# (images x widest image squared), so a batch of wide images needs no
-# more memory than a few of them.
-_BLOCK_ENTRIES = 1 << 16
-
-
 def cluster_anchors(anchors: Anchors, iou_threshold: float = DEFAULT_IOU_THRESHOLD
                     ) -> tuple[np.ndarray, np.ndarray]:
     """Greedy score-descending clustering by mean-box IoU, per image.
@@ -181,7 +175,10 @@ def cluster_anchors(anchors: Anchors, iou_threshold: float = DEFAULT_IOU_THRESHO
 
     All images cluster together, in rounds: each round takes the top
     unassigned anchor of every image that still has one, so there are
-    as many rounds as the most clusters any image has.
+    as many rounds as the most clusters any image has.  Images go in
+    blocks of at most BLOCK_ENTRIES padded IoU entries (images x widest
+    image squared), so a batch of wide images needs no more memory than
+    a few of them.
     """
     if not (0.0 <= iou_threshold <= 1.0):
         raise ValueError("iou_threshold must lie in [0, 1]")
@@ -191,7 +188,7 @@ def cluster_anchors(anchors: Anchors, iou_threshold: float = DEFAULT_IOU_THRESHO
     mean_boxes = anchors.boxes.mean(axis=1)
     offsets = anchors.offsets
     width = int(np.diff(offsets).max())
-    step = max(1, _BLOCK_ENTRIES // width ** 2)
+    step = max(1, BLOCK_ENTRIES // width ** 2)
     members, starts, placed = [], [], 0
     for first in range(0, anchors.n_images, step):
         block = offsets[first:first + step + 1]
@@ -352,7 +349,9 @@ def bayesod_inference(anchors: Anchors,
 
 # str.split()'s whitespace by code point: no code point above U+3000 is
 # whitespace, so the last entry stands for all of them
-_SPACE = np.array([chr(c).isspace() for c in range(0x3001)] + [False])
+_SPACE = np.zeros(0x3002, dtype=bool)
+_SPACE[[*range(0x09, 0x0E), *range(0x1C, 0x21), 0x85, 0xA0, 0x1680, *range(0x2000, 0x200B),
+        0x2028, 0x2029, 0x202F, 0x205F, 0x3000]] = True
 _TABLE_CHUNK = 1 << 16   # code points per slice when building the line table
 
 

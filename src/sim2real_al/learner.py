@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rules import at_least, check, checked, count, finite, labels, shaped
+from .rules import all_finite, at_least, check, checked, count, finite, labels, shaped
 
 
 @dataclass
@@ -65,8 +65,9 @@ class MCDropoutClassifier:
         return np.tanh(x @ self.w1 + self.b1)
 
     def _inputs(self, x) -> np.ndarray:
-        """x as a float (N, input_dim) array: a batch of N rows."""
-        return shaped(x, "x", ("N", self.input_dim))
+        """x as a float (N, input_dim) array: a batch of N rows, each
+        entry finite ('x must be finite')."""
+        return all_finite(shaped(x, "x", ("N", self.input_dim)), "x")
 
     def features(self, x) -> np.ndarray:
         """(N, C) pre-softmax logits (dropout off); the selection feature space."""

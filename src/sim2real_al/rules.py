@@ -4,13 +4,21 @@ order, recursing into a field whose metadata sets `nested`.  Cross-field
 rules stay as code; all raise RuleError, which names the field as data.
 Array inputs have one rule each: `whole`, `count`, `labels`, `indices`,
 `rising`, `shaped`, `all_finite`;
-`_raise_first_failure` raises the error of the first row to fail checks run on whole arrays."""
+`_raise_first_failure` raises the error of the first row to fail checks run on whole arrays.
+`BLOCK_ENTRIES` sizes the blocks of the kernels that work in blocks."""
 
 import math
 from collections import namedtuple
 from dataclasses import field, fields
 
 import numpy as np
+
+# Kernels whose working set would grow with a batch work through it in
+# blocks of at most this many entries, so a large batch needs no more
+# memory than a few blocks of it: fusion.cluster_anchors (images by the
+# widest image squared) and sampling.select_batchbald (candidates by
+# mc_count x classes).
+BLOCK_ENTRIES = 1 << 16
 
 
 class RuleError(ValueError):

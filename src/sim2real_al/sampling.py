@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rules import all_finite, at_least, check, checked, count, in_interval, one_of, shaped
+from .rules import (BLOCK_ENTRIES, all_finite, at_least, check, checked, count, in_interval,
+                    one_of, shaped)
 
 STRATEGIES = ("random", "topn", "subsample_topn", "coreset", "batchbald", "clue")
 
@@ -215,9 +216,14 @@ def select_batchbald(prob_samples, b: int, mc_count: int = 100, seed=0) -> list[
     np.add.reduce over the selected items, in pick order), the
     posterior weights, the candidates' conditional class probabilities
     and their entropies are computed once per distinct configuration.
-    Those probabilities go to a C-contiguous view of one (N, mc_count,
-    C) buffer, and their log to a view of a second one when no
-    probability is 0; both buffers are allocated once per call.  A lone
+    The candidates go in blocks, so no array grows with N x mc_count.
+    Two buffers of max(BLOCK_ENTRIES, mc_count x C) entries are
+    allocated once per call, and each pick fills them with as many
+    candidates as fit: their probabilities in a C-contiguous
+    (candidates, distinct, C) view of one, and their log in the other
+    when none of the block's probabilities is 0.  A block with a 0
+    takes _entropy's masked log, which has the same bits on the
+    positive entries.  A lone
     distinct configuration is doubled when mc_count > 1, so its
     product stays a BLAS gemm (a one-row product goes to gemv, which
     rounds differently).  The per-configuration log joint and entropies
@@ -245,7 +251,9 @@ def select_batchbald(prob_samples, b: int, mc_count: int = 100, seed=0) -> list[
     with np.errstate(divide="ignore"):
         log_probs = np.log(probs)
     samples = np.arange(t)
-    cond_buf, log_buf = np.empty(n * k * c), np.empty(n * k * c)
+    entries = max(BLOCK_ENTRIES, k * c)     # one candidate's at least
+    cond_buf, log_buf = np.empty(entries), np.empty(entries)
+    h_c_given = np.empty(n)
     first = np.ones(k, dtype=bool)      # first column of each run of equal sorted ones
     config = np.empty(k, dtype=np.intp)
     while len(selected) < b:
@@ -272,18 +280,23 @@ def select_batchbald(prob_samples, b: int, mc_count: int = 100, seed=0) -> list[
         if len(w) == 1 < k:
             w = np.repeat(w, 2, axis=0)
 
-        # candidate conditional entropy H(y_c | batch config), exact in y_c:
-        # (m, t) @ (n, t, c) broadcasts to one BLAS product per candidate
+        # candidate conditional entropy H(y_c | batch config), exact in y_c,
+        # for as many candidates at a time as the buffers hold: (m, t) @
+        # (candidates, t, c) broadcasts to one BLAS product per candidate
         m = len(w)
-        cond_probs = cond_buf[:n * m * c].reshape(n, m, c)
-        np.matmul(w, probs, out=cond_probs)
-        if cond_probs.min() > 0:
-            log_cond = log_buf[:n * m * c].reshape(n, m, c)
-            np.log(cond_probs, out=log_cond)
-            h_c_given = -np.einsum("...c,...c->...", cond_probs, log_cond)
-        else:
-            h_c_given = _entropy(cond_probs)
-        h_c_given = h_c_given.take(config, axis=1).mean(axis=1)
+        step = entries // (m * c)
+        for lo in range(0, n, step):
+            block = probs[lo:lo + step]
+            size = len(block) * m * c
+            cond_probs = cond_buf[:size].reshape(len(block), m, c)
+            np.matmul(w, block, out=cond_probs)
+            if cond_probs.min() > 0:
+                log_cond = log_buf[:size].reshape(cond_probs.shape)
+                np.log(cond_probs, out=log_cond)
+                h_block = -np.einsum("...c,...c->...", cond_probs, log_cond)
+            else:
+                h_block = _entropy(cond_probs)
+            np.mean(h_block.take(config, axis=1), axis=1, out=h_c_given[lo:lo + step])
         joint_mi = h_batch + h_c_given - (h_cond[selected].sum() + h_cond)
         joint_mi[~available] = -np.inf
         pick = int(np.argmax(joint_mi))

@@ -641,7 +641,7 @@ class TestCmdRun:
     def test_memory_error_is_one_error_line(self, tmp_path, monkeypatch, capsys,
                                             raised, message):
         """A buffer the config asks for but the machine cannot hold, such
-        as BatchBALD's (N, mc_count, C) block for a huge mc_count, ends
+        as BatchBALD's (mc_count, C) buffers for a huge mc_count, ends
         in one error line and exit 2; here the selector raises as numpy
         would, so no large buffer is allocated."""
         def out_of_memory(*args, **kwargs):

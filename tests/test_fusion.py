@@ -297,7 +297,7 @@ class TestBatchClustering:
         rng = np.random.default_rng(8)
         anchors = random_batch(rng, [5, 0, 9, 1, 7, 3, 0, 8])
         for entries in (1, 2 * 81, 1 << 16):
-            monkeypatch.setattr(fusion, "_BLOCK_ENTRIES", entries)
+            monkeypatch.setattr(fusion, "BLOCK_ENTRIES", entries)
             for cls_bayesian in (False, True):
                 self.check(anchors, 0.5, cls_bayesian)
 

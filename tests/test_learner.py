@@ -192,6 +192,24 @@ class TestFit:
                                              r"got shape \(2, 3, 2\)$"):
             model.predict_mean(np.ones((2, 3, 2)))
 
+    @pytest.mark.parametrize("call", ["fit", "predict_mean", "predict_samples",
+                                      "features"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rows_must_be_finite(self, call, bad):
+        """A non-finite entry is rejected before any pass: it gave NaN
+        scores, or a fit that trained an epoch and then raised on its
+        weights."""
+        model = MCDropoutClassifier(2, 8, 2, dropout_rate=0.2, seed=0)
+        x = np.ones((4, 2))
+        x[2, 1] = bad
+        run = {"fit": lambda: model.fit(x, np.zeros(len(x), dtype=int),
+                                        TrainConfig(epochs=1, learning_rate=0.1)),
+               "predict_mean": lambda: model.predict_mean(x),
+               "predict_samples": lambda: model.predict_samples(x, t=3),
+               "features": lambda: model.features(x)}[call]
+        with pytest.raises(ValueError, match="^x must be finite$"):
+            run()
+
     def test_fits_share_no_memory(self):
         """Two fits from one snapshot give equal weights, and neither
         model, nor the snapshot, holds a view of another model's weights

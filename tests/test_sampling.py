@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -18,6 +19,23 @@ from sim2real_al import sampling
 from sim2real_al.sampling import (SelectionConfig, select_batchbald, select_clue,
                                   select_coreset, select_random,
                                   select_subsample_topn, select_topn, subsample_size)
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    """BatchBALD blocks of 64 entries: a hypothesis-sized pool spans
+    several blocks, and blocks of one candidate occur."""
+    monkeypatch.setattr(sampling, "BLOCK_ENTRIES", 64)
+
+
+def peak_mib(call) -> float:
+    """The most memory, in MiB, that call() holds allocated at once."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
 
 
 class TestSelectionConfig:
@@ -475,15 +493,23 @@ class TestBatchBaldPerItemReference:
 
     def test_same_picks_on_both_log_paths(self, monkeypatch):
         paths = {"plain": 0, "masked": 0}
-        entropy = sampling._entropy
+        entropy, argmax = sampling._entropy, np.argmax
+        # select_batchbald calls _entropy twice before its first pick, the
+        # BALD one, and then once per block of a later pick that takes the
+        # masked path; each pick ends with one np.argmax
+        picks, masked_picks = [0], set()
 
         def counting_entropy(p):
-            # select_batchbald calls _entropy twice before its picks, and
-            # once more in each pick that takes the masked path
-            counting_entropy.calls += 1
+            if picks[0]:
+                masked_picks.add(picks[0])
             return entropy(p)
 
+        def counting_argmax(a, *args, **kwargs):
+            picks[0] += 1
+            return argmax(a, *args, **kwargs)
+
         monkeypatch.setattr(sampling, "_entropy", counting_entropy)
+        monkeypatch.setattr(np, "argmax", counting_argmax)
 
         @settings(max_examples=60, deadline=None)
         @given(n=st.integers(2, 40), t=st.integers(2, 12), c=st.integers(1, 8),
@@ -494,9 +520,10 @@ class TestBatchBaldPerItemReference:
                      else self.dense_probs(rng, n, t, c))
             b = data.draw(st.integers(1, n))
             seed = data.draw(st.integers(0, 2**32 - 1))
-            counting_entropy.calls = 0
+            picks[0] = 0
+            masked_picks.clear()
             picked = select_batchbald(probs, b, mc_count, seed=seed)
-            masked = counting_entropy.calls - 2
+            masked = len(masked_picks)
             paths["masked"] += masked
             paths["plain"] += b - 1 - masked
             assert picked == reference_select_batchbald(probs, b, mc_count, seed=seed)
@@ -511,6 +538,12 @@ class TestBatchBaldPerItemReference:
         probs = self.dense_probs(np.random.default_rng(seed), 400, 10, 8)
         assert select_batchbald(probs, 20, 100, seed=seed) == \
             reference_select_batchbald(probs, 20, 100, seed=seed)
+
+    def test_same_picks_in_small_blocks(self, monkeypatch, small_blocks):
+        self.test_same_picks_on_both_log_paths(monkeypatch)
+
+    def test_benchmark_shape_in_small_blocks(self, small_blocks):
+        self.test_benchmark_shape(0)
 
 
 def near_one_hot(rng, n, t, c):
@@ -567,6 +600,51 @@ class TestBatchBaldDistinctConfigs:
                                               want_pick.view(np.uint64))
 
         same_scores()
+
+    def test_same_scores_in_small_blocks(self, monkeypatch, small_blocks):
+        self.test_same_scores_bit_for_bit(monkeypatch)
+
+
+class TestMaskedLog:
+    """A block of candidates whose conditional probabilities hold a 0
+    takes _entropy's masked log, any other the plain np.log; the two
+    give the same bits on every positive entry, so the path a block
+    takes does not change a score."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 300),
+           zeros=st.sampled_from([0.0, 0.05, 0.5]), exponent=st.integers(-320, 0),
+           start=st.integers(0, 3))
+    def test_masked_log_is_the_plain_log(self, seed, size, zeros, exponent, start):
+        rng = np.random.default_rng(seed)
+        p = (rng.random(size + start) * 10.0 ** exponent)[start:]   # odd alignments too
+        p[rng.random(size) < zeros] = 0.0
+        positive = p > 0
+        masked = np.zeros_like(p)
+        np.log(p, out=masked, where=positive)
+        plain = np.log(p[positive])
+        assert masked[positive].view(np.uint64).tolist() == plain.view(np.uint64).tolist()
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 20),
+           m=st.integers(1, 20), c=st.integers(1, 8))
+    def test_entropy_is_the_plain_entropy(self, seed, rows, m, c):
+        p = np.random.default_rng(seed).dirichlet(np.ones(c), size=(rows, m))
+        p = np.maximum(p, np.finfo(float).tiny)      # no 0, as on the plain path
+        plain = -np.einsum("...c,...c->...", p, np.log(p))
+        assert sampling._entropy(p).view(np.uint64).tolist() == \
+            plain.view(np.uint64).tolist()
+
+
+class TestWorkingSet:
+    """select_batchbald works through the candidates in blocks, so a
+    call's memory does not grow with the pool: at the digits-analog
+    preset's scale the whole (N, mc_count, C) buffers took 28.6 MiB."""
+
+    def test_batchbald(self):
+        probs = TestBatchBaldPerItemReference.dense_probs(np.random.default_rng(0),
+                                                          2000, 10, 8)
+        assert peak_mib(lambda: select_batchbald(probs, 2, 100, seed=0)) < 8
 
 
 class TestSelectClue:
