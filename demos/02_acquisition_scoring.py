@@ -19,9 +19,9 @@ from sim2real_al.synthdata import (DetectionSceneSpec,
                                    generate_detection_scenes,
                                    synth_detector_outputs)
 
-sharp = DetectionSceneSpec(n_classes=3, objects_per_scene=(2, 3),
+sharp = DetectionSceneSpec(n_classes=3, objects_min=2, objects_max=3,
                            sigma_box=0.8, score_noise=0.3, true_logit=3.0)
-blurry = DetectionSceneSpec(n_classes=3, objects_per_scene=(2, 3),
+blurry = DetectionSceneSpec(n_classes=3, objects_min=2, objects_max=3,
                             sigma_box=5.0, score_noise=1.5, true_logit=0.5)
 
 # one Scenes batch: every object's class and box, offsets mark the scenes

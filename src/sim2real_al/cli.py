@@ -391,7 +391,7 @@ def cmd_sweep(args) -> int:
         rows.append((strategy, seed, al.gap_report(curve), curve))
 
     text = _sweep_report_text(rows)
-    (out_root / "sweep_report.txt").write_text(text)
+    (out_root / "sweep_report.txt").write_text(text, encoding="utf-8")
     print(text, end="")
     print(f"sweep artifacts written to {out_root}")
     return 0
@@ -563,6 +563,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # stdout carries score's table, whose image ids come from a UTF-8
+    # file: it is UTF-8 too, as every artifact is, whatever the locale
+    if hasattr(sys.stdout, "reconfigure"):
+        sys.stdout.reconfigure(encoding="utf-8")
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -22,10 +22,13 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .rules import BLOCK_ENTRIES, indices, rising, shaped, whole
+from .rules import (BLOCK_ENTRIES, all_finite, finite_nonneg, hold, in_interval, indices,
+                    rising, shaped, whole)
 
 COV_REGULARIZER = 1e-6
 DEFAULT_IOU_THRESHOLD = 0.5
+# the one rule of every iou_threshold: clustering, matching, the run config
+IOU_THRESHOLD = in_interval(0, 1, "[]")
 
 
 class Ragged:
@@ -129,8 +132,8 @@ def iou_matrix(a, b) -> np.ndarray:
     """(..., N, M) IoU matrix of boxes a (..., N, 4) and b (..., M, 4); 0
     where they do not overlap.  Leading axes broadcast, so a stack of
     images gives one IoU block per image."""
-    a = shaped(a, "a", (..., "N", 4))[..., :, None, :]
-    b = shaped(b, "b", (..., "M", 4))[..., None, :, :]
+    a = all_finite(shaped(a, "a", (..., "N", 4)), "a")[..., :, None, :]
+    b = all_finite(shaped(b, "b", (..., "M", 4)), "b")[..., None, :, :]
     ix = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
     iy = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
     inter = ix * iy
@@ -147,7 +150,7 @@ def mc_statistics(samples) -> tuple[np.ndarray, np.ndarray]:
     of anchors yields stacked means and covariances.  A single sample
     yields a zero covariance matrix by convention.
     """
-    samples = shaped(samples, "samples", (..., "T", 4))
+    samples = all_finite(shaped(samples, "samples", (..., "T", 4)), "samples")
     if samples.size == 0:
         raise ValueError("no samples")
     mean = samples.mean(axis=-2)
@@ -180,8 +183,7 @@ def cluster_anchors(anchors: Anchors, iou_threshold: float = DEFAULT_IOU_THRESHO
     image squared), so a batch of wide images needs no more memory than
     a few of them.
     """
-    if not (0.0 <= iou_threshold <= 1.0):
-        raise ValueError("iou_threshold must lie in [0, 1]")
+    hold(IOU_THRESHOLD, iou_threshold, "iou_threshold")
     if len(anchors) == 0:
         return np.zeros(0, dtype=np.intp), np.zeros(1, dtype=np.intp)
     top_scores = anchors.scores.mean(axis=1).max(axis=1)
@@ -266,6 +268,7 @@ def fuse_gaussian(box_samples, members, offsets,
     precisions, fused mean the precision-weighted mean.  Sums run in
     member order.  Returns (K, 4) means and (K, 4, 4) covariances.
     """
+    hold(finite_nonneg, regularizer, "regularizer")
     offsets = rising(offsets, len(members), "member")
     k = len(offsets) - 1
     owner = np.repeat(np.arange(k), np.diff(offsets))
@@ -427,7 +430,7 @@ def write_anchor_records(path, records) -> None:
         if not image_id or "," in image_id or any(ch.isspace() for ch in image_id):
             raise ValueError(f"image id {image_id!r} cannot be read back: "
                              f"an id is non-empty, with no whitespace or ','")
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write("# anchor-sample interchange v1\n")
         for image_id, anchors in records:
             t, n_classes = anchors.scores.shape[1:] if len(anchors) else (0, 0)
@@ -446,7 +449,7 @@ def read_anchor_records(path) -> list[tuple[str, Anchors]]:
     a ',', a repeated image id, a truncated or ragged anchor block, a
     value float() rejects, or samples that Anchors rejects.
     """
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         text = fh.read()
     if not text.endswith("\n"):
         text += "\n"

@@ -15,18 +15,18 @@ the same curve byte for byte.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from . import __version__
 from . import acquisition as acq
 from . import rules, sampling
-from .fusion import Detections, bayesod_inference, iou_matrix
+from .fusion import IOU_THRESHOLD, Detections, bayesod_inference, iou_matrix
 from .learner import MCDropoutClassifier, TrainConfig
 from .rules import (RuleError, at_least, check, checked, finite, finite_nonneg,
-                    finite_positive, in_interval, positive)
-from .synthdata import (ClassificationDomainSpec, DetectionSceneSpec, Scenes,
+                    finite_positive, in_interval)
+from .synthdata import (ClassificationDomainSpec, DetectionSceneSpec, SceneGeometry, Scenes,
                         generate_classification, generate_detection_scenes,
                         grid_class_means, shifted_domain, skewed_priors,
                         synth_detector_outputs)
@@ -53,7 +53,7 @@ class ALRunConfig:
     level: float = checked(0.95, in_interval(0, 1, "(]"))  # bridged gap fraction
     replay: bool = True            # fine-tune on sim + all labeled real
     mc_passes: int = checked(10, at_least(1))  # T predictive samples (batchbald scoring)
-    iou_threshold: float = checked(0.5, in_interval(0, 1, "[]"))  # clustering, matching
+    iou_threshold: float = checked(0.5, IOU_THRESHOLD)  # clustering, matching
     cls_bayesian: bool = False
 
     def __post_init__(self):
@@ -153,6 +153,7 @@ def evaluate_detection(detections: Detections, scenes: Scenes,
     index) order is then averaged over the classes present in the
     ground truth.
     """
+    rules.hold(IOU_THRESHOLD, iou_threshold, "iou_threshold")
     classes, n_gt = np.unique(scenes.classes, return_counts=True)
     if not len(classes):
         raise ValueError("empty ground truth")
@@ -699,18 +700,9 @@ def build_classification_experiment(spec: ClassificationExperimentSpec,
 
 
 @dataclass
-class DetectionExperimentSpec:
+class DetectionExperimentSpec(SceneGeometry):
     """Detection-analog track: synthetic scenes plus the skill surrogate."""
 
-    n_classes: int = checked(3, at_least(1))
-    width: float = checked(128.0, finite_positive)
-    height: float = checked(128.0, finite_positive)
-    objects_min: int = 1
-    objects_max: int = checked(3, at_least(0))
-    box_min: float = 24.0
-    box_max: float = checked(48.0, positive)
-    anchors_per_object: int = checked(3, at_least(1))
-    mc_samples: int = checked(10, at_least(1))
     sim_scenes: int = checked(100, at_least(1))
     pool_scenes: int = checked(400, at_least(1))
     test_scenes: int = checked(160, at_least(1))
@@ -718,26 +710,12 @@ class DetectionExperimentSpec:
     surrogate: SurrogateParams = field(default_factory=SurrogateParams, metadata={"nested": True})
     seed: int = checked(100, at_least(0))
 
-    def __post_init__(self):
-        check(self)
-        if not (0 <= self.objects_min <= self.objects_max):
-            raise RuleError("objects_min", "objects_min must lie in [0, objects_max]")
-        if not self.box_max <= min(self.width, self.height):
-            raise RuleError("box_max", "box_max must be <= min(width, height)")
-        if not (0 < self.box_min <= self.box_max):
-            raise RuleError("box_min", "box_min must lie in (0, box_max]")
-
 
 def build_detection_experiment(spec: DetectionExperimentSpec, run_seed: int):
     data_ss = np.random.SeedSequence([spec.seed, _DATA, int(run_seed)])
     s_sim, s_pool, s_test = data_ss.spawn(3)
 
-    base = DetectionSceneSpec(width=spec.width, height=spec.height,
-                              n_classes=spec.n_classes,
-                              objects_per_scene=(spec.objects_min, spec.objects_max),
-                              box_size_range=(spec.box_min, spec.box_max),
-                              anchors_per_object=spec.anchors_per_object,
-                              mc_samples=spec.mc_samples)
+    base = DetectionSceneSpec(**{f.name: getattr(spec, f.name) for f in fields(SceneGeometry)})
     pool_spec = replace(base, class_priors=skewed_priors(spec.n_classes,
                                                          spec.label_skew))
 
@@ -770,13 +748,13 @@ def curve_csv_text(curves) -> str:
 
 
 def write_curve_csv(path, curves) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(curve_csv_text(curves))
 
 
 def read_curve_csv(path) -> dict:
     """Rows grouped by run seed: {"points": {seed: list of CurvePoint}}."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines or lines[0] != CSV_HEADER:
         raise ValueError(f"unexpected CSV header in {path}")
@@ -812,7 +790,7 @@ def manifest_text(config_items: dict, curves) -> str:
 
 
 def write_manifest(path, config_items: dict, curves) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(manifest_text(config_items, curves))
 
 
@@ -820,7 +798,7 @@ def read_manifest(path) -> dict:
     """Flat key -> string value mapping of a manifest file; a value may
     be empty (`key = `)."""
     items = {}
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):

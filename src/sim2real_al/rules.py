@@ -1,6 +1,7 @@
 """Value rules of the config dataclasses: `checked(default, *rules)`
 declares a field with its rules, and `check(obj)` runs them in field
-order, recursing into a field whose metadata sets `nested`.  Cross-field
+order, recursing into a field whose metadata sets `nested`, and
+`hold(rule, value, name)` checks one argument of a function.  Cross-field
 rules stay as code; all raise RuleError, which names the field as data.
 Array inputs have one rule each: `whole`, `count`, `labels`, `indices`,
 `rising`, `shaped`, `all_finite`;
@@ -64,6 +65,13 @@ def checked(default, *rules):
     return field(default=default, metadata={"rules": rules})
 
 
+def hold(rule: Rule, value, name: str):
+    """value when it keeps rule, else a RuleError naming it `name`."""
+    if not rule.holds(value):
+        raise RuleError(name, rule.text.format(name=name, value=value))
+    return value
+
+
 def check(obj, prefix: str = "") -> None:
     """Raise RuleError for obj's first field, in field order, that breaks a rule."""
     for f in fields(obj):
@@ -71,8 +79,7 @@ def check(obj, prefix: str = "") -> None:
         if f.metadata.get("nested"):
             check(value, name + ".")
         for rule in f.metadata.get("rules", ()):
-            if not rule.holds(value):
-                raise RuleError(name, rule.text.format(name=name, value=value))
+            hold(rule, value, name)
 
 
 def whole(values) -> np.ndarray | None:

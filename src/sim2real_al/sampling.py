@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rules import (BLOCK_ENTRIES, all_finite, at_least, check, checked, count, in_interval,
+from .rules import (BLOCK_ENTRIES, all_finite, at_least, check, checked, count, hold, in_interval,
                     one_of, shaped)
 
 STRATEGIES = ("random", "topn", "subsample_topn", "coreset", "batchbald", "clue")
@@ -81,8 +81,7 @@ def select_subsample_topn(pool_ids, score_fn, p: float, b: int, seed) -> list:
     distribution follows the pool distribution instead of concentrating
     on whatever the raw scores favor.
     """
-    if not _FRACTION.holds(p):
-        raise ValueError(_FRACTION.text.format(name="p", value=p))
+    hold(_FRACTION, p, "p")
     pool_ids = list(pool_ids)
     m = subsample_size(p, len(pool_ids))
     b = _batch_size(b, m, "sub-sample too small for batch")

@@ -30,7 +30,7 @@ import numpy as np
 
 from .fusion import Anchors, Ragged
 from .rules import (RuleError, at_least, check, checked, count, finite_nonneg,
-                    finite_positive, labels, rising, shaped, whole)
+                    finite_positive, hold, labels, positive, rising, shaped, whole)
 
 
 def _class_priors(priors, n_classes: int) -> np.ndarray:
@@ -84,8 +84,7 @@ def shifted_domain(spec: ClassificationDomainSpec, translation=None,
 def skewed_priors(n_classes: int, skew: float) -> np.ndarray:
     """Power-law priors p_c proportional to (c+1)^-skew; skew 0 is uniform."""
     n_classes = count(n_classes, "n_classes")
-    if not finite_nonneg.holds(skew):
-        raise ValueError(finite_nonneg.text.format(name="skew", value=skew))
+    hold(finite_nonneg, skew, "skew")
     raw = (np.arange(n_classes) + 1.0) ** (-skew)
     return raw / raw.sum()
 
@@ -137,41 +136,57 @@ class Scenes(Ragged):
 
 
 @dataclass
-class DetectionSceneSpec:
-    """Scene geometry plus detector-output noise knobs.
+class SceneGeometry:
+    """What a valid detection scene is: n_classes classes in a width x
+    height extent, objects_min..objects_max objects per scene, box sides
+    in [box_min, box_max], and anchors_per_object anchors of mc_samples
+    samples each per detected object.
 
-    The noise fields accept scalars or per-class arrays of length
-    n_classes, so a caller can degrade specific classes (the
-    sim-to-real surrogate uses this to model per-class skill).
+    Each field keeps its declared rules; then objects_min must lie in
+    [0, objects_max], box_max must fit the extent, and box_min must lie
+    in (0, box_max].  Every failure is a RuleError naming its field.
     """
 
+    n_classes: int = checked(3, at_least(1))
     width: float = checked(128.0, finite_positive)
     height: float = checked(128.0, finite_positive)
-    n_classes: int = checked(3, at_least(1))
-    objects_per_scene: tuple[int, int] = (1, 3)
-    class_priors: np.ndarray = None
-    box_size_range: tuple[float, float] = (24.0, 48.0)
-    sigma_box: object = 1.0          # scalar or (C,) pixels
-    score_noise: object = 0.5        # scalar or (C,) logit-space sigma
-    true_logit: object = 2.0         # scalar or (C,) true-class logit mean
-    off_logit: float = -4.0          # off-class logit mean (kept negative)
-    miss_prob: object = 0.0          # scalar or (C,) chance an object yields no anchors
+    objects_min: int = 1
+    objects_max: int = checked(3, at_least(0))
+    box_min: float = 24.0
+    box_max: float = checked(48.0, positive)
     anchors_per_object: int = checked(3, at_least(1))
     mc_samples: int = checked(10, at_least(1))
 
     def __post_init__(self):
         check(self)
+        if not (0 <= self.objects_min <= self.objects_max):
+            raise RuleError("objects_min", "objects_min must lie in [0, objects_max]")
+        if not self.box_max <= min(self.width, self.height):
+            raise RuleError("box_max", "box_max must be <= min(width, height)")
+        if not (0 < self.box_min <= self.box_max):
+            raise RuleError("box_min", "box_min must lie in (0, box_max]")
+
+
+@dataclass
+class DetectionSceneSpec(SceneGeometry):
+    """Scene geometry plus class priors and detector-output noise knobs.
+
+    class_priors defaults to uniform.  The noise fields accept scalars
+    or per-class arrays of length n_classes, so a caller can degrade
+    specific classes (the sim-to-real surrogate uses this to model
+    per-class skill).
+    """
+
+    class_priors: np.ndarray = None
+    sigma_box: object = 1.0          # scalar or (C,) pixels
+    score_noise: object = 0.5        # scalar or (C,) logit-space sigma
+    true_logit: object = 2.0         # scalar or (C,) true-class logit mean
+    off_logit: float = -4.0          # off-class logit mean (kept negative)
+    miss_prob: object = 0.0          # scalar or (C,) chance an object yields no anchors
+
+    def __post_init__(self):
+        super().__post_init__()
         self.class_priors = _class_priors(self.class_priors, self.n_classes)
-        lo, hi = self.objects_per_scene
-        if lo < 0 or hi < lo:
-            raise ValueError("invalid objects_per_scene range")
-        smin, smax = self.box_size_range
-        if not np.all(np.isfinite([smin, smax])):
-            raise ValueError("box_size_range must be finite")
-        if smin <= 0 or smax < smin:
-            raise ValueError("invalid box_size_range")
-        if smax > self.width or smax > self.height:
-            raise ValueError("box size range infeasible for scene extent")
 
     def per_class(self, value) -> np.ndarray:
         arr = np.broadcast_to(np.asarray(value, dtype=float), (self.n_classes,))
@@ -297,6 +312,9 @@ def _child_generators(seed, n: int):
 def generate_detection_scenes(spec: DetectionSceneSpec, n: int, seed) -> Scenes:
     """n random scenes with object counts, classes and boxes from the spec.
 
+    A scene holds objects_min..objects_max objects, each of a class
+    drawn from class_priors and with a width and height uniform in
+    [box_min, box_max], placed wholly inside the width x height extent.
     Scene i draws from the stream of the i-th child that
     SeedSequence(seed) (or `seed` itself, when it is one) would spawn
     next; `seed` is read, not advanced.  Per scene: the object count,
@@ -305,10 +323,9 @@ def generate_detection_scenes(spec: DetectionSceneSpec, n: int, seed) -> Scenes:
     .uniform would draw them.
     """
     n = count(n, "n")
-    lo, hi = spec.objects_per_scene
     counts, draws = [], []
     for rng in _child_generators(seed, n):
-        n_obj = int(rng.integers(lo, hi + 1))
+        n_obj = int(rng.integers(spec.objects_min, spec.objects_max + 1))
         counts.append(n_obj)
         # one uniform per object's class, then per object w, h, x0, y0
         draws.append(rng.random(5 * n_obj))
@@ -317,7 +334,7 @@ def generate_detection_scenes(spec: DetectionSceneSpec, n: int, seed) -> Scenes:
     classes = cdf.searchsorted(np.concatenate([d[:k] for d, k in zip(draws, counts)]),
                                side="right")
     u = np.concatenate([d[k:] for d, k in zip(draws, counts)]).reshape(-1, 2, 2)
-    smin, smax = spec.box_size_range
+    smin, smax = spec.box_min, spec.box_max
     size = smin + (smax - smin) * u[:, 0]                            # uniform(smin, smax)
     corner = (np.array([spec.width, spec.height]) - size) * u[:, 1]  # uniform(0, extent - size)
     return Scenes(classes=classes, boxes=np.concatenate([corner, corner + size], axis=1),

@@ -90,8 +90,22 @@ strategies = {",".join(FIVE_STRATEGIES)}
 
 def write_cfg(tmp_path, text, name="exp.cfg"):
     path = tmp_path / name
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+# the C locale without UTF-8 mode: files and stdout default to ASCII
+ASCII_LOCALE = {"PYTHONUTF8": "0", "LC_ALL": "C"}
+
+
+def python_process(*args, **env):
+    """`python *args` in a fresh interpreter that imports this tree's
+    package, with env added to its environment; output read as UTF-8."""
+    env = {**os.environ, **env}
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          encoding="utf-8", timeout=300)
 
 
 # tokens of the text formats, so that damage also makes near-valid lines
@@ -544,6 +558,25 @@ class TestCmdRun:
                          (out / "manifest.txt").read_bytes()))
         assert outs[0] == outs[1]
 
+    def test_artifacts_are_utf8_under_an_ascii_locale(self, tmp_path):
+        """A non-ASCII name reaches the manifest as UTF-8 whatever the
+        locale: under an ASCII one, run writes the bytes a UTF-8-mode run
+        writes, and report reads them."""
+        cfg = write_cfg(tmp_path, SMALL_DET.replace("name = det-smoke", "name = café"))
+        manifests = []
+        for tag, env in (("ascii", ASCII_LOCALE), ("utf8", {"PYTHONUTF8": "1"})):
+            out = tmp_path / tag
+            proc = python_process("-m", "sim2real_al.cli", "run", "--config", cfg,
+                                  "--out", str(out), **env)
+            assert proc.returncode == 0, proc.stderr
+            manifests.append((out / "manifest.txt").read_bytes())
+        assert manifests[0] == manifests[1]
+        assert "config.name = café\n".encode() in manifests[0]
+        proc = python_process("-m", "sim2real_al.cli", "report", str(tmp_path / "ascii"),
+                              **ASCII_LOCALE)
+        assert proc.returncode == 0, proc.stderr
+        assert "mean_metric=" in proc.stdout
+
     def test_occupied_directory_fails_fast(self, tmp_path):
         cfg = write_cfg(tmp_path, SMALL_CLS)
         out = tmp_path / "busy"
@@ -619,12 +652,8 @@ class TestCmdRun:
         directory for the failed cell."""
         cfg = write_cfg(tmp_path, text)
         out = tmp_path / "out"
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-        proc = subprocess.run([sys.executable, "-m", "sim2real_al.cli", command,
-                               "--config", cfg, "--out", str(out), *args],
-                              env=env, capture_output=True, text=True, timeout=300)
+        proc = python_process("-m", "sim2real_al.cli", command, "--config", cfg,
+                              "--out", str(out), *args)
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr == f"error: {message}\n"
@@ -964,12 +993,12 @@ class TestCmdScore:
         from sim2real_al.synthdata import (DetectionSceneSpec,
                                            generate_detection_scenes,
                                            synth_detector_outputs)
-        quiet = DetectionSceneSpec(n_classes=2, objects_per_scene=(1, 1),
-                                   box_size_range=(24.0, 32.0),
+        quiet = DetectionSceneSpec(n_classes=2, objects_min=1, objects_max=1,
+                                   box_min=24.0, box_max=32.0,
                                    sigma_box=0.5, score_noise=0.1,
                                    true_logit=3.0)
-        noisy = DetectionSceneSpec(n_classes=2, objects_per_scene=(1, 1),
-                                   box_size_range=(24.0, 32.0),
+        noisy = DetectionSceneSpec(n_classes=2, objects_min=1, objects_max=1,
+                                   box_min=24.0, box_max=32.0,
                                    sigma_box=5.0, score_noise=2.0,
                                    true_logit=0.5)
         sc = generate_detection_scenes(quiet, 1, seed=1)
@@ -1093,18 +1122,29 @@ class TestCmdScore:
 
         survives()
 
+    def test_anchor_records_are_utf8_under_an_ascii_locale(self, tmp_path):
+        """Under an ASCII locale, an image id outside ASCII is written,
+        read back and printed by score as UTF-8."""
+        path = tmp_path / "anchors.txt"
+        write = ("import sys; from sim2real_al.fusion import read_anchor_records as read, "
+                 "write_anchor_records as write; write(sys.argv[1], read(sys.argv[2]))")
+        source = tmp_path / "source.txt"
+        source.write_text(self.GOOD_IMAGE.replace("image ok", "image café"), encoding="utf-8")
+        proc = python_process("-c", write, str(path), str(source), **ASCII_LOCALE)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert "image café 2 2 1\n" in path.read_text(encoding="utf-8")
+        proc = python_process("-m", "sim2real_al.cli", "score", "--anchors", str(path),
+                              **ASCII_LOCALE)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.splitlines()[1].startswith("café,")
+
     def test_score_overflow_is_one_error_line(self, tmp_path):
         # finite boxes whose areas overflow: stderr carries no numpy warnings
         big = "1e200 1e200 3e200 3e200\n2e200 2e200 5e200 5e200\n"
         path = tmp_path / "anchors.txt"
         path.write_text(self.GOOD_IMAGE + "image big 2 2 2\n"
                         + ("0.5 0.5\n0.5 0.5\n" + big) * 2)
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-        proc = subprocess.run([sys.executable, "-m", "sim2real_al.cli", "score",
-                               "--anchors", str(path)], env=env,
-                              capture_output=True, text=True, timeout=120)
+        proc = python_process("-m", "sim2real_al.cli", "score", "--anchors", str(path))
         assert proc.returncode == 2
         assert proc.stdout == ""
         lines = proc.stderr.splitlines()

@@ -1,6 +1,7 @@
 """Fusion: IoU, MC statistics, clustering, categorical/Gaussian products."""
 
 import functools
+import math
 import re
 import sys
 
@@ -132,6 +133,15 @@ class TestIoU:
         assert iou_matrix(np.zeros((0, 4)), [[0, 0, 1, 1]]).shape == (0, 1)
         assert iou_matrix([[0, 0, 1, 1]] * 3, [[0, 0, 1, 1]] * 2).shape == (3, 2)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("side", ["a", "b"])
+    def test_boxes_must_be_finite(self, side, bad):
+        """A non-finite corner read IoU 0.0 against every box."""
+        boxes = {"a": [[0, 0, 2, 2], [1, 1, 3, 3]], "b": [[1, 1, 3, 3]]}
+        boxes[side][0][2] = bad
+        with pytest.raises(ValueError, match=f"^{side} must be finite$"):
+            iou_matrix(boxes["a"], boxes["b"])
+
 
 class TestMcStatistics:
     def test_identical_samples(self):
@@ -154,6 +164,14 @@ class TestMcStatistics:
     def test_empty_errors(self):
         with pytest.raises(ValueError, match="no samples"):
             mc_statistics(np.empty((0, 4)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_samples_must_be_finite(self, bad):
+        """A non-finite sample gave a NaN or infinite mean and covariance."""
+        samples = np.ones((2, 3, 4))
+        samples[1, 2, 0] = bad
+        with pytest.raises(ValueError, match="^samples must be finite$"):
+            mc_statistics(samples)
 
     def test_matches_numpy_cov(self):
         rng = np.random.default_rng(3)
@@ -433,6 +451,14 @@ class TestFuseGaussian:
             np.testing.assert_allclose(cov, (c0 + 1e-6 * np.eye(4)) / m,
                                        atol=1e-10)
 
+    @pytest.mark.parametrize("regularizer", [math.nan, math.inf, -1e-6])
+    def test_regularizer_must_be_finite_and_nonneg(self, regularizer):
+        """A NaN regularizer got past the Cholesky check and fused NaN
+        boxes and covariances."""
+        samples = np.random.default_rng(2).normal([10, 10, 30, 30], 1.5, size=(1, 40, 4))
+        with pytest.raises(ValueError, match="^regularizer must be finite and >= 0$"):
+            fuse_cluster(samples, regularizer=regularizer)
+
     def test_information_never_decreases(self):
         rng = np.random.default_rng(21)
         for _ in range(20):
@@ -526,6 +552,12 @@ class TestBayesodInference:
             np.testing.assert_allclose(cov, cov.T, atol=1e-12)
             assert np.linalg.eigvalsh(cov).min() >= 0
 
+    def test_nan_regularizer_rejected(self):
+        """It returned all-NaN boxes and covariances."""
+        anchors = anchors_const([[0.9], [0.6]], [[0, 0, 10, 10]] * 2, t=4)
+        with pytest.raises(ValueError, match="^regularizer must be finite and >= 0$"):
+            bayesod_inference(anchors, regularizer=math.nan)
+
     def test_single_sample_anchors(self):
         anchors = anchors_const([[0.9], [0.6]], [[0, 0, 10, 10]] * 2, t=1)
         dets = bayesod_inference(anchors, 0.5)
@@ -613,7 +645,7 @@ class TestFusionReference:
     @pytest.mark.parametrize("t, n_classes, anchors_per_object",
                              [(1, 3, 3), (10, 3, 3), (20, 1, 6), (130, 5, 2)])
     def test_synth_outputs(self, t, n_classes, anchors_per_object, cls_bayesian):
-        spec = DetectionSceneSpec(n_classes=n_classes, objects_per_scene=(0, 8),
+        spec = DetectionSceneSpec(n_classes=n_classes, objects_min=0, objects_max=8,
                                   anchors_per_object=anchors_per_object,
                                   mc_samples=t, sigma_box=3.0)
         scenes = generate_detection_scenes(spec, 12, seed=t)

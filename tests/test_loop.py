@@ -2,6 +2,7 @@
 
 import collections
 import itertools
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -110,6 +111,14 @@ class TestEvaluateDetection:
         dets = [det(0, 0.9, [50, 50, 60, 60]),
                 det(0, 0.8, [0, 0, 10, 10])]
         assert al.evaluate_detection(detections_of([dets]), scenes_of([sc])) == 0.5
+
+    @pytest.mark.parametrize("threshold", [math.nan, 1.5, -3.0])
+    def test_iou_threshold_must_lie_in_the_unit_interval(self, threshold):
+        """NaN and 1.5 read mAP 0.0 and -3 read 1.0, without a word."""
+        sc = scene([0], [[0, 0, 10, 10]])
+        dets = detections_of([[det(0, 0.9, [50, 50, 60, 60])]])
+        with pytest.raises(ValueError, match=r"^iou_threshold must lie in \[0, 1\]$"):
+            al.evaluate_detection(dets, scenes_of([sc]), threshold)
 
     def test_empty_ground_truth_rejected(self):
         empty = scene(np.empty(0, int), np.empty((0, 4)))
@@ -583,7 +592,7 @@ class TestBatchDetectionReference:
         # a -0.0 classification entropy, so w_reg = 0 ties signed zeros;
         # an infinite box sigma fails every scene with a surviving object
         spec = DetectionSceneSpec(n_classes=n_classes,
-                                  objects_per_scene=tuple(sorted(objects)),
+                                  objects_min=min(objects), objects_max=max(objects),
                                   anchors_per_object=m, mc_samples=t)
         params = al.SurrogateParams(miss_weak=miss, miss_strong=miss,
                                     true_logit_weak=true_logit,
@@ -649,7 +658,7 @@ class TestGroundTruthBatches:
            threshold=st.sampled_from([0.0, 0.5, 1.0]), data=st.data())
     def test_counts_labels_and_map(self, seed, n_scenes, objects_max, n_classes,
                                    threshold, data):
-        spec = DetectionSceneSpec(n_classes=n_classes, objects_per_scene=(0, objects_max))
+        spec = DetectionSceneSpec(n_classes=n_classes, objects_min=0, objects_max=objects_max)
         scenes = generate_detection_scenes(spec, n_scenes, seed)
         records = per_scene(scenes)
         surrogate = al.DetectionSurrogate(spec, al.SurrogateParams())

@@ -65,6 +65,15 @@ CROSS_FIELD = [
 ]
 CROSS_BLAMED = {key for _, key, _ in CROSS_FIELD}
 
+# a scene geometry value outside a field rule or a cross-field rule
+BAD_GEOMETRY = [
+    dict(n_classes=0), dict(width=0.0), dict(width=math.nan), dict(height=math.inf),
+    dict(height=-1.0), dict(objects_min=-1), dict(objects_min=4), dict(objects_max=-1),
+    dict(box_min=0.0), dict(box_min=math.nan), dict(box_min=60.0), dict(box_max=0.0),
+    dict(box_max=math.nan), dict(box_max=math.inf), dict(box_max=200.0), dict(width=40.0),
+    dict(anchors_per_object=0), dict(mc_samples=0),
+]
+
 
 def rules_of(cls) -> list:
     return [(f.name, rule) for f in fields(cls) for rule in f.metadata.get("rules", ())]
@@ -105,6 +114,18 @@ class TestErrorContract:
         with pytest.raises(RuleError) as info:
             build()
         assert (info.value.field, str(info.value)) == (key.split(".")[1], message)
+
+    @pytest.mark.parametrize("bad", BAD_GEOMETRY, ids=[",".join(f"{k}={v}" for k, v in bad.items())
+                                                      for bad in BAD_GEOMETRY])
+    def test_both_detection_specs_share_the_geometry_rules(self, bad):
+        """The library's scene spec and the config's experiment spec
+        raise the same RuleError, field and message, for bad geometry."""
+        errors = []
+        for spec in (DetectionSceneSpec, al.DetectionExperimentSpec):
+            with pytest.raises(RuleError) as info:
+                spec(**bad)
+            errors.append((info.value.field, str(info.value)))
+        assert errors[0] == errors[1]
 
     def test_surrogate_rules_carry_the_full_key(self):
         with pytest.raises(ValueError, match=r"^surrogate\.kappa must be finite and > 0$") as info:

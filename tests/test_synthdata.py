@@ -1,5 +1,7 @@
 """Synthetic data generators: determinism, shift knobs, detector outputs."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -121,7 +123,7 @@ class TestGenerateClassification:
 class TestGenerateDetectionScenes:
     def spec(self, **kw):
         defaults = dict(width=100.0, height=100.0, n_classes=3,
-                        objects_per_scene=(1, 3), box_size_range=(16.0, 32.0))
+                        objects_min=1, objects_max=3, box_min=16.0, box_max=32.0)
         defaults.update(kw)
         return DetectionSceneSpec(**defaults)
 
@@ -134,7 +136,7 @@ class TestGenerateDetectionScenes:
             np.testing.assert_array_equal(sa.gt_classes, sb.gt_classes)
 
     def test_fixed_object_count(self):
-        scenes = generate_detection_scenes(self.spec(objects_per_scene=(1, 1)),
+        scenes = generate_detection_scenes(self.spec(objects_min=1, objects_max=1),
                                            50, seed=0)
         assert np.diff(scenes.offsets).tolist() == [1] * 50
 
@@ -153,8 +155,8 @@ class TestGenerateDetectionScenes:
         assert stats.chisquare(counts, priors * counts.sum()).pvalue > 0.001
 
     def test_infeasible_box_range_rejected(self):
-        with pytest.raises(ValueError, match="infeasible"):
-            self.spec(box_size_range=(16.0, 200.0))
+        with pytest.raises(ValueError, match=re.escape("box_max must be <= min(width, height)")):
+            self.spec(box_min=16.0, box_max=200.0)
 
     @pytest.mark.parametrize("priors", [[0.5, 0.5], [1.2, -0.1, -0.1],
                                         [np.nan, 0.5, 0.5], [[0.5, 0.2, 0.3]]])
@@ -163,11 +165,13 @@ class TestGenerateDetectionScenes:
         with pytest.raises(ValueError, match="class_priors"):
             self.spec(class_priors=priors)
 
-    @pytest.mark.parametrize("field", [dict(width=np.inf, height=np.inf),
-                                       dict(height=np.nan),
-                                       dict(box_size_range=(16.0, np.nan))])
-    def test_non_finite_geometry_rejected(self, field):
-        with pytest.raises(ValueError, match="finite"):
+    @pytest.mark.parametrize("field, message", [
+        (dict(width=np.inf, height=np.inf), "width must be finite and > 0"),
+        (dict(height=np.nan), "height must be finite and > 0"),
+        (dict(box_min=16.0, box_max=np.nan), "box_max must be > 0")],
+        ids=["inf-extent", "nan-height", "nan-box-max"])
+    def test_non_finite_geometry_rejected(self, field, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             self.spec(**field)
 
     def test_pure_in_its_seed_sequence(self):
@@ -221,8 +225,8 @@ class TestSceneGeneratorReference:
             priors = skewed_priors(n_classes, skew)
         spec = DetectionSceneSpec(width=extent[0], height=extent[1],
                                   n_classes=n_classes, class_priors=priors,
-                                  objects_per_scene=tuple(sorted(objects)),
-                                  box_size_range=sizes)
+                                  objects_min=min(objects), objects_max=max(objects),
+                                  box_min=sizes[0], box_max=sizes[1])
         got = scene_bytes(per_scene(generate_detection_scenes(spec, n, seed)))
         assert got == scene_bytes(reference_generate_detection_scenes(spec, n, seed))
 
@@ -232,7 +236,7 @@ def scene_batches(draw):
     """A generated Scenes batch of 1-8 scenes; objects_min = 0, so some
     scenes, or all, may be empty."""
     spec = DetectionSceneSpec(n_classes=draw(st.integers(1, 4)),
-                              objects_per_scene=(0, draw(st.integers(0, 3))))
+                              objects_min=0, objects_max=draw(st.integers(0, 3)))
     return generate_detection_scenes(spec, draw(st.integers(1, 8)),
                                      draw(st.integers(0, 2**32)))
 
@@ -388,7 +392,7 @@ class TestKeyedGenerators:
 class TestSynthDetectorOutputs:
     def spec(self, **kw):
         defaults = dict(width=100.0, height=100.0, n_classes=3,
-                        objects_per_scene=(1, 2), box_size_range=(30.0, 34.0),
+                        objects_min=1, objects_max=2, box_min=30.0, box_max=34.0,
                         anchors_per_object=3, mc_samples=10)
         defaults.update(kw)
         return DetectionSceneSpec(**defaults)
@@ -428,8 +432,8 @@ class TestSynthDetectorOutputs:
 
     def test_anchor_iou_coverage(self):
         """Anchor mean boxes cover GT with IoU >= 0.5 in >= 95% of draws."""
-        spec = self.spec(sigma_box=2.0, box_size_range=(32.0, 32.0),
-                         objects_per_scene=(1, 1))
+        spec = self.spec(sigma_box=2.0, box_min=32.0, box_max=32.0,
+                         objects_min=1, objects_max=1)
         hits = total = 0
         draws = 0
         i = 0
@@ -457,7 +461,7 @@ class TestSynthDetectorOutputs:
 
     def test_per_class_noise_arrays(self):
         spec = self.spec(sigma_box=np.array([0.0, 5.0, 0.0]),
-                         objects_per_scene=(1, 1))
+                         objects_min=1, objects_max=1)
         assert spec.per_class(spec.sigma_box)[1] == 5.0
         np.testing.assert_array_equal(spec.per_class(2.0), [2.0, 2.0, 2.0])
 

@@ -118,8 +118,8 @@ def reference_generate_detection_scenes(spec, n, seed):
         raise ValueError("n must be >= 1")
     seeds = _as_seed_sequence(seed).spawn(n)
     scenes = []
-    lo, hi = spec.objects_per_scene
-    smin, smax = spec.box_size_range
+    lo, hi = spec.objects_min, spec.objects_max
+    smin, smax = spec.box_min, spec.box_max
     for child in seeds:
         rng = np.random.default_rng(child)
         n_obj = int(rng.integers(lo, hi + 1))
