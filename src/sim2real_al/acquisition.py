@@ -82,8 +82,7 @@ def _gaussian_entropies(covs: np.ndarray):
     # np.allclose(cov, cov.T, atol=1e-10) per matrix
     asymmetric = ~np.isclose(covs, np.swapaxes(covs, 1, 2),
                              atol=1e-10).all(axis=(1, 2))
-    with np.errstate(invalid="ignore"):  # NaN matrices fail the symmetry check
-        sign, logdet = np.linalg.slogdet(covs)
+    sign, logdet = np.linalg.slogdet(covs)
     k = covs.shape[-1]
     entropies = 0.5 * k + 0.5 * k * np.log(2.0 * np.pi) + 0.5 * logdet
     return entropies, [("covariance must be symmetric", asymmetric),
@@ -111,22 +110,21 @@ def categorical_entropy(probs) -> np.ndarray:
     categorical distributions.
 
     Each row sums via fsum, so its entropy is exactly permutation
-    invariant; rows that cannot be scored raise the error the first
-    such row would raise alone.
+    invariant.  A non-finite entry anywhere raises 'probs must be
+    finite' (rules.shaped); among finite rows, those that cannot be
+    scored raise the error the first such row would raise alone.
     """
     rows = shaped(probs, "probs", ("N", "C"))
     negative = (rows < 0).any(axis=1)
-    # clipped to [0, 2], fsum neither meets -inf + inf nor overflows; a
-    # row with a negative entry fails the first check, so its total is
-    # never read, and one with an entry above 2 is off the sum either way
+    # clipped to [0, 2], fsum does not overflow; a row with a negative
+    # entry fails the first check, so its total is never read, and one
+    # with an entry above 2 is off the sum either way
     totals = np.array([math.fsum(row) for row in np.clip(rows, 0.0, 2.0).tolist()])
     off_sum = np.abs(totals - 1.0) > 1e-9
     with np.errstate(over="ignore"):
         got = float(rows[np.argmax(off_sum)].sum()) if off_sum.any() else None
     _raise_first_failure([("probabilities must be nonnegative", negative),
-                          (f"probabilities must sum to 1, got {got!r}", off_sum),
-                          # NaN passes both checks above
-                          ("probabilities must be finite", ~np.isfinite(rows).all(axis=1))])
+                          (f"probabilities must sum to 1, got {got!r}", off_sum)])
     return -np.array([math.fsum(row) for row in _xlogx(rows).tolist()])
 
 

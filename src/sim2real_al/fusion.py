@@ -22,8 +22,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .rules import (BLOCK_ENTRIES, all_finite, finite_nonneg, hold, in_interval, indices,
-                    rising, shaped, whole)
+from .rules import (BLOCK_ENTRIES, finite_nonneg, hold, in_interval, indices, rising,
+                    shaped, whole)
 
 COV_REGULARIZER = 1e-6
 DEFAULT_IOU_THRESHOLD = 0.5
@@ -36,7 +36,8 @@ class Ragged:
     synthdata.Scenes): each dataclass field but `offsets` holds one row
     per item, and `offsets` (n_images + 1,) rises from 0 to the row count,
     so image i holds rows offsets[i]:offsets[i + 1], as each batch checks
-    when built (rules.shaped, rules.rising).  len() counts all rows."""
+    when built (rules.shaped, which also keeps every entry finite, and
+    rules.rising).  len() counts all rows."""
 
     def __len__(self) -> int:
         return int(self.offsets[-1])
@@ -81,7 +82,7 @@ class Anchors(Ragged):
     each, in the Ragged layout; offsets omitted, the A anchors are one image.
 
     scores:  (A, T, C) array, entries in [0, 1]
-    boxes:   (A, T, 4) array of (x_min, y_min, x_max, y_max)
+    boxes:   (A, T, 4) array of finite (x_min, y_min, x_max, y_max)
 
     The only place anchor samples are validated; len() is A.
     """
@@ -95,8 +96,6 @@ class Anchors(Ragged):
         boxes = np.ascontiguousarray(shaped(self.boxes, "boxes", (*scores.shape[:2], 4)))
         if len(scores) and scores.shape[1] < 1:
             raise ValueError("need at least one Monte-Carlo sample")
-        if not (np.isfinite(scores).all() and np.isfinite(boxes).all()):
-            raise ValueError("anchor samples must be finite")
         if np.any(scores < 0) or np.any(scores > 1):
             raise ValueError("scores must lie in [0, 1]")
         offsets = [0, len(scores)] if self.offsets is None else self.offsets
@@ -106,9 +105,9 @@ class Anchors(Ragged):
 @dataclass(frozen=True)
 class Detections(Ragged):
     """Fused detections of one or more images, in the Ragged layout:
-    class_probs (K, C), box_mean (K, 4), box_cov (K, 4, 4) and
-    cluster_size (K,) whole numbers >= 1 hold one row per detection.
-    len() is K.  Acquisition checks the values it scores."""
+    class_probs (K, C), box_mean (K, 4) and box_cov (K, 4, 4), each
+    finite, and cluster_size (K,) whole numbers >= 1 hold one row per
+    detection.  len() is K.  Acquisition checks the ranges it scores."""
 
     class_probs: np.ndarray
     box_mean: np.ndarray
@@ -132,8 +131,8 @@ def iou_matrix(a, b) -> np.ndarray:
     """(..., N, M) IoU matrix of boxes a (..., N, 4) and b (..., M, 4); 0
     where they do not overlap.  Leading axes broadcast, so a stack of
     images gives one IoU block per image."""
-    a = all_finite(shaped(a, "a", (..., "N", 4)), "a")[..., :, None, :]
-    b = all_finite(shaped(b, "b", (..., "M", 4)), "b")[..., None, :, :]
+    a = shaped(a, "a", (..., "N", 4))[..., :, None, :]
+    b = shaped(b, "b", (..., "M", 4))[..., None, :, :]
     ix = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
     iy = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
     inter = ix * iy
@@ -150,7 +149,7 @@ def mc_statistics(samples) -> tuple[np.ndarray, np.ndarray]:
     of anchors yields stacked means and covariances.  A single sample
     yields a zero covariance matrix by convention.
     """
-    samples = all_finite(shaped(samples, "samples", (..., "T", 4)), "samples")
+    samples = shaped(samples, "samples", (..., "T", 4))
     if samples.size == 0:
         raise ValueError("no samples")
     mean = samples.mean(axis=-2)
@@ -239,7 +238,8 @@ def _cluster_rounds(top_scores, mean_boxes, offsets, iou_threshold):
 def fuse_categorical(mean_scores, members, offsets) -> np.ndarray:
     """Per-class products of the (n, C) member mean score vectors of each
     of K clusters: cluster k is mean_scores[members[offsets[k]:offsets[k + 1]]]
-    (as from cluster_anchors).
+    (as from cluster_anchors); every score lies in [0, 1], as Anchors'
+    scores do.
 
     The products keep the independent-Bernoulli form: they are not
     renormalized into a categorical distribution.  Products run in log
@@ -248,7 +248,9 @@ def fuse_categorical(mean_scores, members, offsets) -> np.ndarray:
     offsets = rising(offsets, len(members), "member")
     k = len(offsets) - 1
     owner = np.repeat(np.arange(k), np.diff(offsets))
-    mean_scores = np.asarray(mean_scores, dtype=float)
+    mean_scores = shaped(mean_scores, "mean_scores", ("N", "C"))
+    if np.any(mean_scores < 0) or np.any(mean_scores > 1):
+        raise ValueError("mean_scores must lie in [0, 1]")
     members = indices(members, len(mean_scores), "members must be rows of mean_scores")
     log_prod = np.zeros((k, mean_scores.shape[1]))
     with np.errstate(divide="ignore"):

@@ -16,7 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rules import all_finite, at_least, check, checked, count, finite, labels, shaped
+from .rules import at_least, check, checked, count, finite, hold, in_interval, labels, shaped
+
+# the one rule of every dropout_rate: the learner's and the experiment config's
+DROPOUT_RATE = in_interval(0, 1, "[)")
 
 
 @dataclass
@@ -35,8 +38,7 @@ class MCDropoutClassifier:
 
     def __init__(self, input_dim: int, hidden_dim: int = 64, n_classes: int = 2,
                  dropout_rate: float = 0.1, seed: int = 0, params=None):
-        if not (0.0 <= dropout_rate < 1.0):
-            raise ValueError("dropout_rate must lie in [0, 1)")
+        hold(DROPOUT_RATE, dropout_rate, "dropout_rate")
         self.input_dim = count(input_dim, "input_dim")
         self.hidden_dim = count(hidden_dim, "hidden_dim")
         self.n_classes = count(n_classes, "n_classes")
@@ -67,7 +69,7 @@ class MCDropoutClassifier:
     def _inputs(self, x) -> np.ndarray:
         """x as a float (N, input_dim) array: a batch of N rows, each
         entry finite ('x must be finite')."""
-        return all_finite(shaped(x, "x", ("N", self.input_dim)), "x")
+        return shaped(x, "x", ("N", self.input_dim))
 
     def features(self, x) -> np.ndarray:
         """(N, C) pre-softmax logits (dropout off); the selection feature space."""

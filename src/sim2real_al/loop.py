@@ -23,7 +23,7 @@ from . import __version__
 from . import acquisition as acq
 from . import rules, sampling
 from .fusion import IOU_THRESHOLD, Detections, bayesod_inference, iou_matrix
-from .learner import MCDropoutClassifier, TrainConfig
+from .learner import DROPOUT_RATE, MCDropoutClassifier, TrainConfig
 from .rules import (RuleError, at_least, check, checked, finite, finite_nonneg,
                     finite_positive, in_interval)
 from .synthdata import (ClassificationDomainSpec, DetectionSceneSpec, SceneGeometry, Scenes,
@@ -33,6 +33,8 @@ from .synthdata import (ClassificationDomainSpec, DetectionSceneSpec, SceneGeome
 
 # seed stream tags (mixed into SeedSequence entropy)
 _TRAIN, _SELECT, _EVAL, _REFERENCE, _SCORE, _PREDICT, _DATA = range(7)
+# the one rule of every bridged gap fraction: the run config's and gap_report's
+_LEVEL = in_interval(0, 1, "(]")
 
 
 def _stream_seed(run_seed: int, stream: int, iteration: int = 0,
@@ -50,7 +52,7 @@ class ALRunConfig:
     selection: sampling.SelectionConfig = field(default_factory=sampling.SelectionConfig)
     acquisition: acq.AcquisitionConfig = field(default_factory=acq.AcquisitionConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
-    level: float = checked(0.95, in_interval(0, 1, "(]"))  # bridged gap fraction
+    level: float = checked(0.95, _LEVEL)  # bridged gap fraction
     replay: bool = True            # fine-tune on sim + all labeled real
     mc_passes: int = checked(10, at_least(1))  # T predictive samples (batchbald scoring)
     iou_threshold: float = checked(0.5, IOU_THRESHOLD)  # clustering, matching
@@ -131,7 +133,7 @@ class GapReport:
 
 def evaluate_classifier(model, x_test, y_test) -> float:
     """Argmax accuracy of predict_mean on finite (N, D) rows; ties go to the smaller class."""
-    x_test = rules.all_finite(rules.shaped(x_test, "x_test", ("N", "D")), "x_test")
+    x_test = rules.shaped(x_test, "x_test", ("N", "D"))
     if len(x_test) == 0:
         raise ValueError("empty test set")
     probs = model.predict_mean(x_test)
@@ -240,9 +242,7 @@ def gap_report(curve: LearningCurve, sim_perf: float = None,
     sim_perf + level * (real_perf - sim_perf)."""
     sim_perf = curve.sim_perf if sim_perf is None else sim_perf
     real_perf = curve.real_perf if real_perf is None else real_perf
-    level = curve.level if level is None else level
-    if not (0.0 < level <= 1.0):
-        raise ValueError("level must lie in (0, 1]")
+    level = rules.hold(_LEVEL, curve.level if level is None else level, "level")
     inverted = real_perf < sim_perf
     gap = real_perf - sim_perf
     threshold = sim_perf + level * gap
@@ -659,7 +659,7 @@ class ClassificationExperimentSpec:
     mean_shift: float = checked(5.5, finite)    # translation magnitude (covariate shift)
     label_skew: float = checked(2.5, finite_nonneg)  # power-law pool priors (label shift)
     hidden_dim: int = checked(64, at_least(1))
-    dropout_rate: float = checked(0.1, in_interval(0, 1, "[)"))
+    dropout_rate: float = checked(0.1, DROPOUT_RATE)
     seed: int = checked(100, at_least(0))  # dataset stream base, mixed with the run seed
 
     def __post_init__(self):

@@ -4,7 +4,7 @@ order, recursing into a field whose metadata sets `nested`, and
 `hold(rule, value, name)` checks one argument of a function.  Cross-field
 rules stay as code; all raise RuleError, which names the field as data.
 Array inputs have one rule each: `whole`, `count`, `labels`, `indices`,
-`rising`, `shaped`, `all_finite`;
+`rising`, `shaped` (which also rejects a non-finite entry);
 `_raise_first_failure` raises the error of the first row to fail checks run on whole arrays.
 `BLOCK_ENTRIES` sizes the blocks of the kernels that work in blocks."""
 
@@ -116,8 +116,9 @@ def indices(ids, n: int, message: str) -> np.ndarray:
 
 
 def shaped(values, name: str, dims: tuple) -> np.ndarray:
-    """values as a float array of shape dims, else a ValueError naming
-    name and the shape it got.  In dims an int is the size its axis must
+    """values as a float array of shape dims and finite entries, else a
+    ValueError naming name and the shape it got, or '<name> must be
+    finite'.  In dims an int is the size its axis must
     have, a letter any size, and a leading ... any number of leading
     axes, as in (..., "N", 4).  An empty sequence is a batch of 0 rows;
     a ragged or non-numeric nested sequence, or an int beyond float
@@ -136,12 +137,6 @@ def shaped(values, name: str, dims: tuple) -> np.ndarray:
     if lead < 0 or lead > 0 and dims[0] is not ... or any(
             got != d for got, d in zip(values.shape[lead:], sizes) if not isinstance(d, str)):
         raise ValueError(f"{name} must be an array of shape ({text}), got shape {values.shape}")
-    return values
-
-
-def all_finite(values: np.ndarray, name: str) -> np.ndarray:
-    """values, an array, when every entry is finite, else a ValueError:
-    '<name> must be finite'."""
     if not np.isfinite(values).all():
         raise ValueError(f"{name} must be finite")
     return values

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rules import (BLOCK_ENTRIES, all_finite, at_least, check, checked, count, hold, in_interval,
-                    one_of, shaped)
+from .rules import (BLOCK_ENTRIES, at_least, check, checked, count, hold, in_interval, one_of,
+                    shaped)
 
 STRATEGIES = ("random", "topn", "subsample_topn", "coreset", "batchbald", "clue")
 
@@ -104,10 +104,9 @@ def select_coreset(pool_features, labeled_features, b: int) -> list[int]:
     must be finite.  Distances to the labeled set are _nearest's, and
     to one point _distances'.
     """
-    pool = all_finite(shaped(pool_features, "pool_features", ("N", "D")), "pool_features")
+    pool = shaped(pool_features, "pool_features", ("N", "D"))
     b = _batch_size(b, len(pool))
-    labeled = all_finite(shaped(labeled_features, "labeled_features", ("L", pool.shape[1])),
-                         "labeled_features")
+    labeled = shaped(labeled_features, "labeled_features", ("L", pool.shape[1]))
     cols = np.ascontiguousarray(pool.T)
     picked: list[int] = []
     if len(labeled):
@@ -232,7 +231,7 @@ def select_batchbald(prob_samples, b: int, mc_count: int = 100, seed=0) -> list[
     """
     probs = shaped(prob_samples, "prob_samples", ("N", "T", "C"))
     if not np.all((probs >= 0) & (probs <= 1)):
-        raise ValueError("prob_samples must be finite and lie in [0, 1]")
+        raise ValueError("prob_samples must lie in [0, 1]")
     n, t, c = probs.shape
     if t < 2:
         raise ValueError("mutual information undefined")
@@ -316,7 +315,7 @@ def select_clue(pool_features, uncertainties, b: int, seed=0) -> list[int]:
     _nearest; the seeding and the final picks take _distances to one
     centroid at a time.
     """
-    pool = all_finite(shaped(pool_features, "pool_features", ("N", "D")), "pool_features")
+    pool = shaped(pool_features, "pool_features", ("N", "D"))
     weights = np.asarray(uncertainties, dtype=float)
     n = len(pool)
     if weights.shape != (n,) or not np.all(np.isfinite(weights)):

@@ -118,8 +118,9 @@ def generate_classification(spec: ClassificationDomainSpec, n: int,
 @dataclass(frozen=True)
 class Scenes(Ragged):
     """Ground truth of one or more scenes, in the Ragged layout: classes
-    (n,) ids >= 0 and finite boxes (n, 4) hold one row per object, and
-    scene i holds objects offsets[i]:offsets[i + 1].  len() is n."""
+    (n,) ids >= 0 and boxes (n, 4), each finite (rules.shaped), hold one
+    row per object, and scene i holds objects offsets[i]:offsets[i + 1].
+    len() is n."""
 
     classes: np.ndarray
     boxes: np.ndarray
@@ -130,8 +131,6 @@ class Scenes(Ragged):
         if classes is None or classes.ndim != 1 or np.any(classes < 0):
             raise ValueError("need (n,) class ids >= 0 and finite (n, 4) boxes")
         boxes = shaped(self.boxes, "boxes", (len(classes), 4))
-        if not np.isfinite(boxes).all():
-            raise ValueError("need (n,) class ids >= 0 and finite (n, 4) boxes")
         self._set(classes=classes, boxes=boxes, offsets=rising(self.offsets, len(classes), "object"))
 
 
@@ -171,10 +170,11 @@ class SceneGeometry:
 class DetectionSceneSpec(SceneGeometry):
     """Scene geometry plus class priors and detector-output noise knobs.
 
-    class_priors defaults to uniform.  The noise fields accept scalars
-    or per-class arrays of length n_classes, so a caller can degrade
-    specific classes (the sim-to-real surrogate uses this to model
-    per-class skill).
+    class_priors defaults to uniform.  Each noise field is one finite
+    number or n_classes of them, so a caller can degrade specific
+    classes (the sim-to-real surrogate uses this to model per-class
+    skill); miss_prob lies in [0, 1].  Every failure is a RuleError
+    naming its field.
     """
 
     class_priors: np.ndarray = None
@@ -187,6 +187,16 @@ class DetectionSceneSpec(SceneGeometry):
     def __post_init__(self):
         super().__post_init__()
         self.class_priors = _class_priors(self.class_priors, self.n_classes)
+        for name in ("sigma_box", "score_noise", "true_logit", "off_logit", "miss_prob"):
+            try:
+                shape = shaped(getattr(self, name), name, (...,)).shape   # any shape, finite
+            except ValueError:
+                shape = None
+            if shape not in ((), (self.n_classes,)):
+                raise RuleError(name, f"{name} must be one finite number or n_classes of them")
+        miss = self.per_class(self.miss_prob)
+        if np.any((miss < 0) | (miss > 1)):
+            raise RuleError("miss_prob", "miss_prob must lie in [0, 1]")
 
     def per_class(self, value) -> np.ndarray:
         arr = np.broadcast_to(np.asarray(value, dtype=float), (self.n_classes,))

@@ -72,10 +72,12 @@ class TestXlogx:
 
 class TestClsEntropy:
     @pytest.mark.parametrize("probs, message", [
-        # NaN passes the range check, and its entropy fails the pair check
-        ([np.nan, 0.5], "uncertainties must be finite"),
-        ([0.5, np.nan, 0.5], "uncertainties must be finite"),
-        ([np.nan, 1.5], "class scores must lie in [0, 1]"),   # the range check runs first
+        # a NaN score fails when its Detections batch is built, before
+        # any range check; it passed the range check and failed the pair
+        # check ("uncertainties must be finite") before
+        ([np.nan, 0.5], "class_probs must be finite"),
+        ([0.5, np.nan, 0.5], "class_probs must be finite"),
+        ([np.nan, 1.5], "class_probs must be finite"),
     ])
     def test_nan_rejected(self, probs, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -127,21 +129,25 @@ class TestCategoricalEntropy:
             0.6108643020548935, abs=1e-9)
 
     @pytest.mark.parametrize("bad, message", [
-        ([[np.nan, 0.5, 0.25, 0.25]], "probabilities must be finite"),
-        ([[0.5, 0.5, 0.0, np.nan], [-0.2, 0.4, 0.4, 0.4]], "probabilities must be finite"),
-        ([[-0.2, 0.4, 0.4, 0.4], [0.5, 0.5, 0.0, np.nan]], "probabilities must be nonnegative"),
-        ([[np.nan, -0.5, 1.0, 0.5]], "probabilities must be nonnegative"),  # sign check first
-    ], ids=["nan", "nan-then-negative", "negative-then-nan", "nan-and-negative"])
+        ([[np.nan, 0.5, 0.25, 0.25]], "probs must be finite"),
+        ([[0.5, 0.5, 0.0, np.nan], [-0.2, 0.4, 0.4, 0.4]], "probs must be finite"),
+        ([[-0.2, 0.4, 0.4, 0.4], [0.5, 0.5, 0.0, np.nan]], "probs must be finite"),
+        ([[np.nan, -0.5, 1.0, 0.5]], "probs must be finite"),
+        ([[0.5, 0.5, -np.inf, np.inf]], "probs must be finite"),
+    ], ids=["nan", "nan-then-negative", "negative-then-nan", "nan-and-negative", "inf"])
     def test_nan_rows_rejected(self, bad, message):
-        """An (N, C) batch holding NaN rows raises the first failing
-        row's message wherever the rows sit; valid rows keep their bits."""
+        """An (N, C) batch holding a non-finite entry raises 'probs must
+        be finite' wherever its row sits, before any per-row check; valid
+        rows keep their bits.  The per-row checks used to run first, so a
+        negative entry in an earlier row or the same one raised
+        "probabilities must be nonnegative"."""
         assert [v.hex() for v in categorical_entropy(VALID_ROWS).tolist()] == CATEGORICAL_HEX
         for at in range(len(VALID_ROWS) + 1):
             rows = np.insert(VALID_ROWS, at, bad, axis=0)
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 categorical_entropy(rows)
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            categorical_entropy(bad[:1])
+            categorical_entropy(bad)
 
     def test_non_normalized_rejected(self):
         with pytest.raises(ValueError):
@@ -189,8 +195,10 @@ class TestCategoricalEntropy:
            kinds=st.lists(st.sampled_from(sorted(BAD_ROWS)), max_size=3),
            seed=st.integers(0, 2**32 - 1))
     def test_rows_match_one_row_calls(self, n, c, kinds, seed):
-        """(N, C) rows give the bits of N calls on a batch of one row,
-        and fail with the message of the first row that fails alone."""
+        """(N, C) finite rows give the bits of N calls on a batch of one
+        row, and fail with the message of the first row that fails alone;
+        a non-finite entry anywhere fails the batch as 'probs must be
+        finite'."""
         rng = np.random.default_rng(seed)
         rows = rng.dirichlet(np.ones(c), size=n)
         rows[rng.random(n) < 0.2] = np.eye(c)[rng.integers(0, c)]   # exact 0s and 1s
@@ -209,7 +217,10 @@ class TestCategoricalEntropy:
         one_by_one = [outcome(lambda row=row: categorical_entropy(row[None])[0].hex())
                       for row in rows]
         errors = [e for e in one_by_one if isinstance(e, tuple)]
-        assert batch == (errors[0] if errors else one_by_one)
+        if not np.isfinite(rows).all():
+            assert batch == ("error", "probs must be finite")
+        else:
+            assert batch == (errors[0] if errors else one_by_one)
 
 
 class TestRegEntropy:
@@ -444,10 +455,13 @@ class TestScoreImageReference:
         "not-square": lambda d: Detection(d.class_probs, d.box_mean, np.eye(4)[:3]),
     }
 
-    # a not-square covariance fails when its Detections batch is built
-    # (test_fusion.TestDetections), before scoring
+    # a not-square covariance, a NaN score and a non-finite covariance
+    # fail when their Detections batch is built (test_fusion.TestDetections),
+    # before scoring
+    BUILT = {"not-square", "nan-score", "nan-cov", "inf-cov"}
+
     @settings(max_examples=80, deadline=None)
-    @given(kinds=st.lists(st.sampled_from(sorted(set(BAD) - {"not-square"})),
+    @given(kinds=st.lists(st.sampled_from(sorted(set(BAD) - BUILT)),
                           min_size=1, max_size=3),
            n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
     def test_first_error_matches(self, kinds, n, seed):
@@ -456,12 +470,11 @@ class TestScoreImageReference:
         for kind, good in zip(kinds, dets[n:]):
             dets[int(rng.integers(0, n))] = self.BAD[kind](good)
         dets = dets[:n]
-        with np.errstate(invalid="ignore"):
-            assert (score_or_error(score_one, dets, CONFIGS[0])
-                    == score_or_error(reference_score_image, dets, CONFIGS[0]))
+        assert (score_or_error(score_one, dets, CONFIGS[0])
+                == score_or_error(reference_score_image, dets, CONFIGS[0]))
 
     @settings(max_examples=60, deadline=None)
-    @given(kinds=st.lists(st.sampled_from(sorted(set(BAD) - {"not-square"})),
+    @given(kinds=st.lists(st.sampled_from(sorted(set(BAD) - BUILT)),
                           max_size=3),
            sizes=st.lists(st.integers(0, 4), min_size=1, max_size=5),
            seed=st.integers(0, 2**32 - 1))
@@ -483,12 +496,11 @@ class TestScoreImageReference:
             return [score_or_error(reference_score_image, image, CONFIGS[0])
                     for image in images]
 
-        with np.errstate(invalid="ignore"):
-            try:
-                got = batch()
-            except ValueError as exc:
-                got = ("error", str(exc))
-            expected = one_by_one()
+        try:
+            got = batch()
+        except ValueError as exc:
+            got = ("error", str(exc))
+        expected = one_by_one()
         errors = [e for e in expected if isinstance(e, tuple)]
         if errors:
             assert got == errors[0]

@@ -642,8 +642,12 @@ class TestCmdRun:
          "strategy 'random', seed 1: training produced non-finite weights"),
         ("run", SMALL_DET + "acquisition.w_cls = 1e308\n", ["--strategy", "topn"],
          "strategy 'topn', seed 1: image score must be finite"),
+        # the skill interpolation gives NaN noise, rejected when the
+        # surrogate derives its output spec ("anchor samples must be finite"
+        # from the anchors it made before)
         ("run", SMALL_DET + "surrogate.sim_weight = 1e308\n", [],
-         "strategy 'subsample_topn', seed 1: anchor samples must be finite"),
+         "strategy 'subsample_topn', seed 1: sigma_box must be one finite number "
+         "or n_classes of them"),
     ], ids=["learning-rate", "learning-rate-sweep", "w-cls", "sim-weight"])
     def test_run_time_failure_is_one_error_line(self, tmp_path, command, text,
                                                 args, message):

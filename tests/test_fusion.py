@@ -90,6 +90,19 @@ class TestAnchors:
 
 
 class TestDetections:
+    ROWS = {"class_probs": [[0.5, 0.5]], "box_mean": [[0.0, 0.0, 1.0, 1.0]],
+            "box_cov": [np.eye(4)]}
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", sorted(ROWS))
+    def test_non_finite_field_fails_when_built(self, name, bad):
+        """A NaN class score read mAP 1.0 and scored 'uncertainties must
+        be finite'; a NaN box mean scored as if finite."""
+        rows = {field: np.array(value) for field, value in self.ROWS.items()}
+        rows[name].flat[-1] = bad
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            Detections(**rows, cluster_size=[1], offsets=[0, 1])
+
     def test_not_square_covariance_fails_when_built(self):
         # scoring raised "covariance must be a square matrix" before
         with pytest.raises(ValueError, match=re.escape(
@@ -369,6 +382,17 @@ class TestFuseCategorical:
                                        atol=1e-12)
             assert np.all(fuse_scores(score_sets) <= 1.0 + 1e-15)
 
+    @pytest.mark.parametrize("bad, message", [
+        (math.nan, "mean_scores must be finite"),
+        (math.inf, "mean_scores must be finite"),
+        (3.0, "mean_scores must lie in [0, 1]"),
+        (-0.5, "mean_scores must lie in [0, 1]"),
+    ], ids=["nan", "inf", "above-one", "below-zero"])
+    def test_scores_must_be_finite_and_in_the_unit_interval(self, bad, message):
+        """NaN fused to NaN, inf to inf and 3.0 to 0.6 without a word."""
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            fuse_categorical([[bad, 0.5], [0.2, 0.3]], [0, 1], [0, 2])
+
 
 class TestClusterPairChecked:
     """fuse_gaussian and fuse_categorical take members and offsets as two
@@ -610,8 +634,8 @@ class TestInterchangeFormat:
     @pytest.mark.parametrize("text, match", [
         ("image a 1 2 1\n0.5\n0.5\n0 0 1 1\n", "image a: truncated or malformed anchor block"),
         ("image a 1 1 -1\n", "malformed image header: 'image a 1 1 -1'"),
-        ("image a 1 1 1\nnan\n0 0 1 1\n", "image a: anchor samples must be finite"),
-        ("image a 1 1 1\n0.5\n0 0 inf 1\n", "image a: anchor samples must be finite"),
+        ("image a 1 1 1\nnan\n0 0 1 1\n", "image a: scores must be finite"),
+        ("image a 1 1 1\n0.5\n0 0 inf 1\n", "image a: boxes must be finite"),
         ("image a 1 1 1\n1.5\n0 0 1 1\n", r"image a: scores must lie in \[0, 1\]"),
         ("image a 2 1 1\n0.5\n0 0 1 1\n", "image a: truncated or malformed anchor block"),
         ("image a 1 1 1\nx\n0 0 1 1\n", "image a: could not convert"),

@@ -24,6 +24,7 @@ from sim2real_al import loop as al
 from sim2real_al.acquisition import (AGG_MODES, COMB_MODES, AcquisitionConfig,
                                      score_image)
 from sim2real_al.learner import MCDropoutClassifier, TrainConfig
+from sim2real_al.rules import RuleError
 from sim2real_al.sampling import SelectionConfig
 from sim2real_al.synthdata import DetectionSceneSpec, Scenes, generate_detection_scenes
 
@@ -298,6 +299,16 @@ class TestSurrogateCounts:
         scenes = Scenes(classes=[0, 5], boxes=[[0, 0, 10, 10]] * 2, offsets=[0, 1, 2])
         with pytest.raises(ValueError, match=r"^labels outside \[0, n_classes\)$"):
             getattr(surrogate, add)(scenes)
+
+    def test_every_snapshot_checks_its_output_spec(self):
+        """A skill whose miss chance leaves [0, 1] fails when the snapshot
+        derives its output spec; it dropped every object before."""
+        params = al.SurrogateParams(miss_weak=0.5, miss_strong=1.5)   # kappa 40
+        surrogate = al.DetectionSurrogate(DetectionSceneSpec(n_classes=2), params,
+                                          real_counts=[40, 40])   # skill 0.5, miss 1.0
+        scenes = Scenes(classes=[0, 1], boxes=[[0, 0, 10, 10]] * 2, offsets=[0, 2])
+        with pytest.raises(RuleError, match=r"^miss_prob must lie in \[0, 1\]$"):
+            surrogate.with_real(scenes)
 
 
 def curve_with(metrics, fractions=None, sim=0.5, real=0.9, level=0.95):
@@ -590,7 +601,9 @@ class TestBatchDetectionReference:
         # objects_min = 0 gives empty scenes and miss = 1 misses every
         # object; a huge true-class logit with one class scores exactly 1,
         # a -0.0 classification entropy, so w_reg = 0 ties signed zeros;
-        # an infinite box sigma fails every scene with a surviving object
+        # an infinite box sigma (or the NaN of inf - inf in the skill
+        # interpolation) is rejected when the surrogate derives its
+        # output spec, before any scene is detected
         spec = DetectionSceneSpec(n_classes=n_classes,
                                   objects_min=min(objects), objects_max=max(objects),
                                   anchors_per_object=m, mc_samples=t)
@@ -598,9 +611,17 @@ class TestBatchDetectionReference:
                                     true_logit_weak=true_logit,
                                     true_logit_strong=true_logit,
                                     sigma_box_weak=sigma_weak, sigma_box_strong=0.2)
-        with np.errstate(invalid="ignore"):   # inf - inf in the skill interpolation
-            surrogate = al.DetectionSurrogate(spec, params,
-                                              sim_counts=np.full(n_classes, seen))
+
+        def build():
+            with np.errstate(invalid="ignore"):
+                return al.DetectionSurrogate(spec, params, sim_counts=np.full(n_classes, seen))
+
+        if sigma_weak == np.inf:
+            with pytest.raises(RuleError, match="^sigma_box must be one finite number "
+                                                "or n_classes of them$"):
+                build()
+            return
+        surrogate = build()
         scenes = generate_detection_scenes(spec, n_scenes, seed)
         keys = list(range(n_scenes))
         cfg = AcquisitionConfig(comb=comb, agg=agg, w_cls=weights[0], w_reg=weights[1])

@@ -127,6 +127,29 @@ class TestErrorContract:
             errors.append((info.value.field, str(info.value)))
         assert errors[0] == errors[1]
 
+    CURVE = al.LearningCurve(points=[], sim_perf=0.5, real_perf=0.9, strategy="topn",
+                             seed=0, level=0.95)
+    SHARED = {
+        "dropout_rate": (lambda v: MCDropoutClassifier(2, dropout_rate=v),
+                         lambda v: al.ClassificationExperimentSpec(dropout_rate=v),
+                         (-0.1, 1.0, math.nan)),
+        "level": (lambda v: al.gap_report(TestErrorContract.CURVE, level=v),
+                  lambda v: al.ALRunConfig(level=v), (0.0, 1.5, math.nan)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SHARED))
+    def test_function_and_config_share_one_rule(self, name):
+        """The learner and gap_report raise the RuleError of the config
+        field that declares the same condition."""
+        function, config, values = self.SHARED[name]
+        for value in values:
+            errors = []
+            for build in (function, config):
+                with pytest.raises(RuleError) as info:
+                    build(value)
+                errors.append((info.value.field, str(info.value)))
+            assert errors[0] == errors[1]
+
     def test_surrogate_rules_carry_the_full_key(self):
         with pytest.raises(ValueError, match=r"^surrogate\.kappa must be finite and > 0$") as info:
             al.DetectionExperimentSpec(surrogate=al.SurrogateParams(kappa=0))
@@ -409,18 +432,30 @@ def offset_arrays(draw, total: int):
     return values, np.asarray(values, dtype=int) if damage == "none" else None
 
 
+class Raises(str):
+    """The exact message a consumer must raise for a drawn value."""
+
+
 @st.composite
-def batches(draw, rows: np.ndarray, last_fixed: bool = True, empty_ok: bool = True):
+def batches(draw, rows: np.ndarray, name: str, last_fixed: bool = True,
+            empty_ok: bool = True):
     """The first 1 to len(rows) rows as nested lists, which the consumer
     accepts; rejected, a single row, a scalar, the batch with one more
     (trailing) axis, a ragged batch of two or more rows whose first row
     is a column short, the batch with an int beyond float range as its
     first entry, or, when the consumer fixes the size of the last axis,
     the batch one column short; or [], a batch of 0 rows, which gives
-    what a (0, *rows.shape[1:]) array gives, accepted when empty_ok."""
+    what a (0, *rows.shape[1:]) array gives, accepted when empty_ok.
+    NaN, inf or -inf in one entry must raise Raises('<name> must be
+    finite'), where name is the consumer's name for the batch."""
     batch = rows[:draw(st.integers(1, len(rows)))]
     damage = draw(st.sampled_from(["none", "none", "single", "scalar", "axis", "ragged",
-                                   "huge", "empty"] + ["column"] * last_fixed))
+                                   "huge", "empty", "nan", "inf", "-inf"]
+                                  + ["column"] * last_fixed))
+    if damage in ("nan", "inf", "-inf"):
+        value = batch.astype(float)
+        value.flat[draw(st.integers(0, value.size - 1))] = float(damage)
+        return value.tolist(), Raises(f"{name} must be finite")
     if damage == "empty":
         return [], np.zeros((0, *rows.shape[1:])) if empty_ok else None
     if damage == "huge":
@@ -496,22 +531,26 @@ ARRAY_CONSUMERS = {
                       lambda m: fuse_gaussian(SAMPLES, m, [0, len(m)])),
     **{name: (batch_sizes(6, 3 if name == "subsample_topn" else 6), select)
        for name, select in six_selectors(6, p=0.5).items()},
-    "features": (batches(X_ROWS), MODEL.features),
-    "predict_mean": (batches(X_ROWS), MODEL.predict_mean),
-    "predict_samples": (batches(X_ROWS), lambda x: MODEL.predict_samples(x, 3, seed=1)),
-    "evaluate_classifier x": (batches(X_ROWS, last_fixed=False, empty_ok=False), lambda x:
-                              al.evaluate_classifier(MODEL, x, [0, 1, 2, 0, 1][:rows_of(x)])),
-    "categorical_entropy": (batches(PROBS[:, 0], last_fixed=False), categorical_entropy),
-    "iou_matrix": (batches(BOXES), lambda a: iou_matrix(a, a)),
-    "mc_statistics": (batches(SAMPLES[0], empty_ok=False), mc_statistics),
-    "coreset pool": (batches(X_ROWS, last_fixed=False, empty_ok=False),
+    "features": (batches(X_ROWS, "x"), MODEL.features),
+    "predict_mean": (batches(X_ROWS, "x"), MODEL.predict_mean),
+    "predict_samples": (batches(X_ROWS, "x"), lambda x: MODEL.predict_samples(x, 3, seed=1)),
+    "evaluate_classifier x": (batches(X_ROWS, "x_test", last_fixed=False, empty_ok=False),
+                              lambda x: al.evaluate_classifier(MODEL, x,
+                                                               [0, 1, 2, 0, 1][:rows_of(x)])),
+    "categorical_entropy": (batches(PROBS[:, 0], "probs", last_fixed=False),
+                            categorical_entropy),
+    "iou_matrix": (batches(BOXES, "a"), lambda a: iou_matrix(a, a)),
+    "mc_statistics": (batches(SAMPLES[0], "samples", empty_ok=False), mc_statistics),
+    "coreset pool": (batches(X_ROWS, "pool_features", last_fixed=False, empty_ok=False),
                      lambda pool: select_coreset(pool, [], 1)),
-    "coreset labeled": (batches(X_ROWS), lambda labeled: select_coreset(X_ROWS, labeled, 2)),
-    "clue pool": (batches(X_ROWS, last_fixed=False, empty_ok=False),
+    "coreset labeled": (batches(X_ROWS, "labeled_features"),
+                        lambda labeled: select_coreset(X_ROWS, labeled, 2)),
+    "clue pool": (batches(X_ROWS, "pool_features", last_fixed=False, empty_ok=False),
                   lambda pool: select_clue(pool, WEIGHTS[:rows_of(pool)], 1, seed=1)),
-    "batchbald": (batches(PROBS, last_fixed=False, empty_ok=False),
+    "batchbald": (batches(PROBS, "prob_samples", last_fixed=False, empty_ok=False),
                   lambda probs: select_batchbald(probs, 1, mc_count=4, seed=1)),
-    **{f"detections {name}": (batches(DETECTION_ROWS[name], last_fixed=name != "class_probs"),
+    **{f"detections {name}": (batches(DETECTION_ROWS[name], name,
+                                      last_fixed=name != "class_probs"),
                               lambda v, name=name: scored(name, v, rows_of(v)))
        for name in ("class_probs", "box_mean", "box_cov")},
     "detections cluster_size": (member_counts(3), lambda v: scored("cluster_size", v, 3)),
@@ -523,7 +562,8 @@ class TestArrayInputs:
     """Every consumer of class labels, item indices, a batch size or a
     batch of rows keeps its input's one rule: a value that breaks it
     raises ValueError from the package, never numpy's error or a result,
-    and a value that keeps it returns what its plain int or float array
+    with the exact message when the drawn value names one (Raises), and
+    a value that keeps it returns what its plain int or float array
     gives."""
 
     @settings(max_examples=600, deadline=None)
@@ -531,13 +571,15 @@ class TestArrayInputs:
     def test_one_rule_per_input(self, name, data):
         inputs, call = ARRAY_CONSUMERS[name]
         value, plain = data.draw(inputs, label="value")
+        rejected = plain is None or isinstance(plain, Raises)
         try:
             got = call(value)
-        except ValueError:
+        except ValueError as error:
             assert raised_in_package(pytest.ExceptionInfo.from_current())
-            assert plain is None, f"{name} rejected {value!r}"
+            assert rejected, f"{name} rejected {value!r}"
+            assert plain is None or str(error) == plain
             return
-        assert plain is not None, f"{name} accepted {value!r}"
+        assert not rejected, f"{name} accepted {value!r}"
         np.testing.assert_equal(got, call(plain))
 
     @pytest.mark.parametrize("call, message", [
@@ -593,14 +635,17 @@ class TestArrayInputs:
          "b2 must be an array of shape (3), got shape (2,)"),
         (lambda: MCDropoutClassifier(2, 4, 3, params=MODEL_PARAMS + (np.zeros(3),)),
          "params must hold w1, b1, w2 and b2"),
+        # accepted, and every prediction NaN, before
+        (lambda: MCDropoutClassifier(2, 4, 3, params=[np.where(MODEL.w1 > 0, math.nan, 0.0),
+                                                      *MODEL_PARAMS[1:]]),
+         "w1 must be finite"),
         # a bare OverflowError before
         (lambda: iou_matrix([[0, 0, 1, 10**400]], BOXES),
          "a must be an array of shape (..., N, 4), got a number beyond float range"),
         # an item of NaN samples was picked first, a negative one warned
         (lambda: select_batchbald(np.where(np.arange(6)[:, None, None] == 3, math.nan, PROBS),
-                                  3), "prob_samples must be finite and lie in [0, 1]"),
-        (lambda: select_batchbald(PROBS - 0.5, 3),
-         "prob_samples must be finite and lie in [0, 1]"),
+                                  3), "prob_samples must be finite"),
+        (lambda: select_batchbald(PROBS - 0.5, 3), "prob_samples must lie in [0, 1]"),
         # the NaN row was picked first, [1]
         (lambda: select_coreset([[0, 0], [math.nan, 1], [5, 5]], [[0, 0]], 1),
          "pool_features must be finite"),
@@ -618,7 +663,8 @@ class TestArrayInputs:
             "detections-cov-3x3", "detections-mean-rows", "detections-probs-1d",
             "iou-ragged", "coreset-ragged", "iou-string", "classifier-hidden-0", "skew-nan",
             "priors-classes-0", "priors-classes-fraction", "classifier-w1-rows",
-            "classifier-b2-size", "classifier-params-5", "iou-beyond-float", "batchbald-nan-item",
+            "classifier-b2-size", "classifier-params-5", "classifier-w1-nan",
+            "iou-beyond-float", "batchbald-nan-item",
             "batchbald-negative", "coreset-nan-pool", "coreset-inf-labeled", "clue-inf-pool",
             "evaluate-classifier-nan"])
     def test_inputs_that_reached_numpy_raise_the_rule(self, call, message):

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -340,17 +341,17 @@ class TestBatchBald:
         with pytest.raises(ValueError, match="mutual information undefined"):
             select_batchbald(np.ones((3, 1, 2)) * 0.5, 1)
 
-    @pytest.mark.parametrize("item, value", [
-        (slice(None), math.nan),   # an item of NaN samples was picked first: [3, 0, 1]
-        ((1, 0), math.inf),
-        ((1, 0), -0.1),            # numpy's RuntimeWarning before
-        ((1, 0), 1.5),
+    @pytest.mark.parametrize("item, value, message", [
+        # an item of NaN samples was picked first: [3, 0, 1]
+        (slice(None), math.nan, "prob_samples must be finite"),
+        ((1, 0), math.inf, "prob_samples must be finite"),
+        ((1, 0), -0.1, "prob_samples must lie in [0, 1]"),   # numpy's RuntimeWarning before
+        ((1, 0), 1.5, "prob_samples must lie in [0, 1]"),
     ], ids=["nan-item", "inf", "negative", "above-1"])
-    def test_invalid_probabilities_rejected(self, item, value):
+    def test_invalid_probabilities_rejected(self, item, value, message):
         probs = np.random.default_rng(2).dirichlet(np.ones(2), size=(4, 3))
         probs[3][item] = value
-        with pytest.raises(ValueError,
-                           match=r"^prob_samples must be finite and lie in \[0, 1\]$") as excinfo:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as excinfo:
             select_batchbald(probs, 3)
         assert raised_in_package(excinfo)
 

@@ -13,6 +13,7 @@ from tests_support_reference import per_scene, reference_generate_detection_scen
 from sim2real_al.acquisition import detection_entropies
 from sim2real_al.fusion import bayesod_inference, iou_matrix
 from sim2real_al.learner import MCDropoutClassifier, TrainConfig
+from sim2real_al.rules import RuleError
 from sim2real_al.synthdata import (ClassificationDomainSpec,
                                    DetectionSceneSpec, Scenes, generate_classification,
                                    generate_detection_scenes, grid_class_means,
@@ -396,6 +397,33 @@ class TestSynthDetectorOutputs:
                         anchors_per_object=3, mc_samples=10)
         defaults.update(kw)
         return DetectionSceneSpec(**defaults)
+
+    NOISE = "must be one finite number or n_classes of them"
+
+    @pytest.mark.parametrize("field, value, message", [
+        # never missed an object: nan > 0 is false
+        ("miss_prob", np.nan, f"miss_prob {NOISE}"),
+        # dropped every object, 0 anchors
+        ("miss_prob", 2.0, "miss_prob must lie in [0, 1]"),
+        ("miss_prob", [0.1, -0.1, 0.0], "miss_prob must lie in [0, 1]"),
+        # numpy's unanchored broadcast error from per_class
+        ("sigma_box", [1.0, 2.0], f"sigma_box {NOISE}"),
+        ("score_noise", np.inf, f"score_noise {NOISE}"),
+        ("true_logit", [2.0, np.nan, 2.0], f"true_logit {NOISE}"),
+        ("off_logit", -np.inf, f"off_logit {NOISE}"),
+        ("off_logit", [[-4.0, -4.0, -4.0]], f"off_logit {NOISE}"),
+        ("sigma_box", "wide", f"sigma_box {NOISE}"),
+    ], ids=["nan-miss", "miss-above-one", "negative-class-miss", "sigma-length-2",
+            "inf-score-noise", "nan-class-logit", "inf-off-logit", "2-d-off-logit",
+            "string-sigma"])
+    def test_noise_fields_checked(self, field, value, message):
+        with pytest.raises(RuleError, match=f"^{re.escape(message)}$") as info:
+            self.spec(**{field: value})
+        assert info.value.field == field
+
+    def test_per_class_noise_accepted(self):
+        spec = self.spec(sigma_box=[0.5, 1.0, 2.0], miss_prob=[0.0, 0.5, 1.0], off_logit=-3.0)
+        np.testing.assert_array_equal(spec.per_class(spec.miss_prob), [0.0, 0.5, 1.0])
 
     def test_class_ids_beyond_the_spec_rejected(self):
         # a bare IndexError before
