@@ -23,7 +23,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .rules import (BLOCK_ENTRIES, finite_nonneg, hold, in_interval, indices, rising,
-                    shaped, whole)
+                    shaped, unit_interval, whole)
 
 COV_REGULARIZER = 1e-6
 DEFAULT_IOU_THRESHOLD = 0.5
@@ -96,8 +96,7 @@ class Anchors(Ragged):
         boxes = np.ascontiguousarray(shaped(self.boxes, "boxes", (*scores.shape[:2], 4)))
         if len(scores) and scores.shape[1] < 1:
             raise ValueError("need at least one Monte-Carlo sample")
-        if np.any(scores < 0) or np.any(scores > 1):
-            raise ValueError("scores must lie in [0, 1]")
+        unit_interval(scores, "scores")
         offsets = [0, len(scores)] if self.offsets is None else self.offsets
         self._set(scores=scores, boxes=boxes, offsets=rising(offsets, len(scores), "anchor"))
 
@@ -248,9 +247,7 @@ def fuse_categorical(mean_scores, members, offsets) -> np.ndarray:
     offsets = rising(offsets, len(members), "member")
     k = len(offsets) - 1
     owner = np.repeat(np.arange(k), np.diff(offsets))
-    mean_scores = shaped(mean_scores, "mean_scores", ("N", "C"))
-    if np.any(mean_scores < 0) or np.any(mean_scores > 1):
-        raise ValueError("mean_scores must lie in [0, 1]")
+    mean_scores = unit_interval(shaped(mean_scores, "mean_scores", ("N", "C")), "mean_scores")
     members = indices(members, len(mean_scores), "members must be rows of mean_scores")
     log_prod = np.zeros((k, mean_scores.shape[1]))
     with np.errstate(divide="ignore"):

@@ -4,7 +4,7 @@ order, recursing into a field whose metadata sets `nested`, and
 `hold(rule, value, name)` checks one argument of a function.  Cross-field
 rules stay as code; all raise RuleError, which names the field as data.
 Array inputs have one rule each: `whole`, `count`, `labels`, `indices`,
-`rising`, `shaped` (which also rejects a non-finite entry);
+`rising`, `shaped` (which also rejects a non-finite entry), `unit_interval`;
 `_raise_first_failure` raises the error of the first row to fail checks run on whole arrays.
 `BLOCK_ENTRIES` sizes the blocks of the kernels that work in blocks."""
 
@@ -139,6 +139,14 @@ def shaped(values, name: str, dims: tuple) -> np.ndarray:
         raise ValueError(f"{name} must be an array of shape ({text}), got shape {values.shape}")
     if not np.isfinite(values).all():
         raise ValueError(f"{name} must be finite")
+    return values
+
+
+def unit_interval(values: np.ndarray, name: str) -> np.ndarray:
+    """values, a float array, when every entry lies in [0, 1], else a
+    RuleError naming name."""
+    if values.size and not (values.min() >= 0 and values.max() <= 1):   # NaN fails too
+        raise RuleError(name, f"{name} must lie in [0, 1]")
     return values
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rules import (BLOCK_ENTRIES, at_least, check, checked, count, hold, in_interval, one_of,
-                    shaped)
+                    shaped, unit_interval)
 
 STRATEGIES = ("random", "topn", "subsample_topn", "coreset", "batchbald", "clue")
 
@@ -229,9 +229,7 @@ def select_batchbald(prob_samples, b: int, mc_count: int = 100, seed=0) -> list[
     any mean, so every score keeps the bits of the product over all
     mc_count rows.
     """
-    probs = shaped(prob_samples, "prob_samples", ("N", "T", "C"))
-    if not np.all((probs >= 0) & (probs <= 1)):
-        raise ValueError("prob_samples must lie in [0, 1]")
+    probs = unit_interval(shaped(prob_samples, "prob_samples", ("N", "T", "C")), "prob_samples")
     n, t, c = probs.shape
     if t < 2:
         raise ValueError("mutual information undefined")

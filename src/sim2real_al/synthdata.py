@@ -23,6 +23,7 @@ reused Generator, so the draws are numpy's own, bit for bit.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 
@@ -30,7 +31,8 @@ import numpy as np
 
 from .fusion import Anchors, Ragged
 from .rules import (RuleError, at_least, check, checked, count, finite_nonneg,
-                    finite_positive, hold, labels, positive, rising, shaped, whole)
+                    finite_positive, hold, labels, positive, rising, shaped, unit_interval,
+                    whole)
 
 
 def _class_priors(priors, n_classes: int) -> np.ndarray:
@@ -189,14 +191,13 @@ class DetectionSceneSpec(SceneGeometry):
         self.class_priors = _class_priors(self.class_priors, self.n_classes)
         for name in ("sigma_box", "score_noise", "true_logit", "off_logit", "miss_prob"):
             try:
-                shape = shaped(getattr(self, name), name, (...,)).shape   # any shape, finite
-            except ValueError:
-                shape = None
-            if shape not in ((), (self.n_classes,)):
+                value = np.asarray(getattr(self, name), dtype=float)
+            except (TypeError, ValueError, OverflowError):
+                value = None
+            if (value is None or value.shape not in ((), (self.n_classes,))
+                    or not all(map(math.isfinite, value.ravel().tolist()))):
                 raise RuleError(name, f"{name} must be one finite number or n_classes of them")
-        miss = self.per_class(self.miss_prob)
-        if np.any((miss < 0) | (miss > 1)):
-            raise RuleError("miss_prob", "miss_prob must lie in [0, 1]")
+        unit_interval(np.asarray(self.miss_prob, dtype=float), "miss_prob")
 
     def per_class(self, value) -> np.ndarray:
         arr = np.broadcast_to(np.asarray(value, dtype=float), (self.n_classes,))

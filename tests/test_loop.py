@@ -310,6 +310,15 @@ class TestSurrogateCounts:
         with pytest.raises(RuleError, match=r"^miss_prob must lie in \[0, 1\]$"):
             surrogate.with_real(scenes)
 
+    def test_infinite_box_sigma_fails_when_built(self):
+        """An infinite weak box sigma (NaN at skill 0, from inf - inf in
+        the skill interpolation) fails when the surrogate derives its
+        first output spec; before, every anchor sample was inf."""
+        params = al.SurrogateParams(sigma_box_weak=np.inf, sigma_box_strong=0.2)
+        with np.errstate(invalid="ignore"), pytest.raises(
+                RuleError, match="^sigma_box must be one finite number or n_classes of them$"):
+            al.DetectionSurrogate(DetectionSceneSpec(), params)
+
 
 def curve_with(metrics, fractions=None, sim=0.5, real=0.9, level=0.95):
     fractions = fractions or [i / 10 for i in range(len(metrics))]
@@ -579,9 +588,11 @@ class TestRunCells:
 
 class TestBatchDetectionReference:
     """One batch step, DetectionSurrogate.detect on every scene and one
-    score_image call, gives the bits, and the first error, of the
-    per-scene chain it replaced: detect one scene, then score it
-    (tests_support_reference.reference_detect, reference_score_image)."""
+    score_image call, gives the bits of the per-scene chain it replaced,
+    and its first error when each stage runs over every scene in turn:
+    synthesis, clustering, fusion, the Detections batch's finite fields,
+    then scoring (tests_support_reference.reference_detect,
+    reference_score_image)."""
 
     @settings(max_examples=80, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n_scenes=st.integers(1, 10),
@@ -589,7 +600,7 @@ class TestBatchDetectionReference:
            n_classes=st.integers(1, 4), t=st.integers(1, 6), m=st.integers(1, 4),
            miss=st.sampled_from([0.0, 0.3, 1.0]),
            true_logit=st.sampled_from([2.0, 800.0]),
-           sigma_weak=st.sampled_from([6.0, 6.0, 6.0, np.inf]),
+           sigma_weak=st.sampled_from([6.0, 6.0, 6.0, 1e308]),
            seen=st.sampled_from([0.0, 30.0, 1e4]),
            threshold=st.sampled_from([0.0, 0.5, 1.0]), cls_bayesian=st.booleans(),
            comb=st.sampled_from(COMB_MODES), agg=st.sampled_from(AGG_MODES),
@@ -601,9 +612,9 @@ class TestBatchDetectionReference:
         # objects_min = 0 gives empty scenes and miss = 1 misses every
         # object; a huge true-class logit with one class scores exactly 1,
         # a -0.0 classification entropy, so w_reg = 0 ties signed zeros;
-        # an infinite box sigma (or the NaN of inf - inf in the skill
-        # interpolation) is rejected when the surrogate derives its
-        # output spec, before any scene is detected
+        # a box sigma of 1e308 overflows box samples, their means or the
+        # fused box means to inf, so a scene fails in synthesis
+        # ('boxes must be finite'), clustering or the Detections batch
         spec = DetectionSceneSpec(n_classes=n_classes,
                                   objects_min=min(objects), objects_max=max(objects),
                                   anchors_per_object=m, mc_samples=t)
@@ -611,37 +622,25 @@ class TestBatchDetectionReference:
                                     true_logit_weak=true_logit,
                                     true_logit_strong=true_logit,
                                     sigma_box_weak=sigma_weak, sigma_box_strong=0.2)
-
-        def build():
-            with np.errstate(invalid="ignore"):
-                return al.DetectionSurrogate(spec, params, sim_counts=np.full(n_classes, seen))
-
-        if sigma_weak == np.inf:
-            with pytest.raises(RuleError, match="^sigma_box must be one finite number "
-                                                "or n_classes of them$"):
-                build()
-            return
-        surrogate = build()
+        surrogate = al.DetectionSurrogate(spec, params, sim_counts=np.full(n_classes, seen))
         scenes = generate_detection_scenes(spec, n_scenes, seed)
         keys = list(range(n_scenes))
         cfg = AcquisitionConfig(comb=comb, agg=agg, w_cls=weights[0], w_reg=weights[1])
 
-        try:
-            detections = surrogate.detect(scenes, keys, threshold, cls_bayesian,
-                                          prefix=(seed,))
-            got = (detections, score_image(detections, cfg))
-        except ValueError as exc:
-            got = str(exc)
-        expected = ([], [])
-        try:
-            for scene_, key in zip(per_scene(scenes), keys):
-                image = reference_detect(surrogate, scene_,
-                                         np.random.SeedSequence([seed, key]),
-                                         threshold, cls_bayesian)
-                expected[0].append(image)
-                expected[1].append(reference_score_image(image, cfg))
-        except ValueError as exc:
-            expected = str(exc)
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                detections = surrogate.detect(scenes, keys, threshold, cls_bayesian,
+                                              prefix=(seed,))
+                got = (detections, score_image(detections, cfg))
+            except ValueError as exc:
+                got = str(exc)
+            try:
+                images = reference_detect(surrogate, per_scene(scenes),
+                                          [np.random.SeedSequence([seed, key]) for key in keys],
+                                          threshold, cls_bayesian)
+                expected = (images, [reference_score_image(image, cfg) for image in images])
+            except ValueError as exc:
+                expected = str(exc)
 
         if isinstance(expected, str):
             assert got == expected

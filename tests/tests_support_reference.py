@@ -162,10 +162,21 @@ def reference_synth_detector_outputs(scene, spec, seed):
     return Anchors(scores=np.concatenate(scores), boxes=np.concatenate(boxes))
 
 
-def reference_detect(surrogate, scene, seed, iou_threshold=0.5, cls_bayesian=False):
-    """`DetectionSurrogate.detect` on one scene, as the per-scene chain."""
-    anchors = reference_synth_detector_outputs(scene, surrogate.output_spec(), seed)
-    return reference_bayesod_inference(anchors, iou_threshold, cls_bayesian)
+def reference_detect(surrogate, scenes, seeds, iou_threshold=0.5, cls_bayesian=False):
+    """`DetectionSurrogate.detect` on a list of Scene records, one scene
+    at a time within each stage, and the stages in the batch's order, so
+    the first error is the batch's: every scene's synthesis, then every
+    image's clustering, then its fusion, then the finite fields that a
+    Detections batch keeps.  Returns per-image lists of Detection records."""
+    spec = surrogate.output_spec()
+    anchors = [reference_synth_detector_outputs(scene, spec, seed)
+               for scene, seed in zip(scenes, seeds)]
+    for image in anchors:
+        reference_cluster_anchors(image, iou_threshold)
+    images = [reference_bayesod_inference(image, iou_threshold, cls_bayesian)
+              for image in anchors]
+    detections_of(images)
+    return images
 
 
 # -- clustering: one center at a time ---------------------------------------
