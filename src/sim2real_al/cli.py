@@ -38,8 +38,8 @@ from . import acquisition, fusion
 from . import loop as al
 from .acquisition import AcquisitionConfig
 from .learner import TrainConfig
-from .rules import RuleError
-from .sampling import STRATEGIES, SelectionConfig
+from .rules import RuleError, hold
+from .sampling import STRATEGY, SelectionConfig
 
 OUTPUT_ROOT_ENV = "SIM2REAL_AL_OUTPUT_ROOT"
 
@@ -147,16 +147,21 @@ def _convert(kind, raw, key, lineno, path):
                           f"got {raw!r}") from None
 
 
+def _hold(rule, value, where: str):
+    """value when it keeps rule (rules.hold), else a ConfigError of the
+    rule's message after `where`, its anchor (file:line, or the flag)."""
+    try:
+        return hold(rule, value, where)
+    except RuleError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+
+
 def _check_strategies(names, track: str, where: str) -> None:
     """Reject an unknown, repeated or track-incompatible strategy name;
     `where` anchors the message (file:line, or the flag)."""
     for i, name in enumerate(names):
-        if name not in STRATEGIES:
-            raise ConfigError(f"{where}: unknown strategy {name!r}; expected "
-                              f"one of {STRATEGIES}")
-        if name not in al.TRACK_STRATEGIES[track]:
-            raise ConfigError(f"{where}: strategy {name!r} is not available "
-                              f"on the {track} track")
+        _hold(STRATEGY, name, where)
+        _hold(al.TRACK_RULES[track], name, where)
         if name in names[:i]:
             raise ConfigError(f"{where}: repeated strategy {name!r}")
 
@@ -257,8 +262,7 @@ def build_experiment_config(raw: dict, path: str, track_override: str = None,
     if len(set(seeds)) != len(seeds):
         repeated = next(s for i, s in enumerate(seeds) if s in seeds[:i])
         raise ConfigError(f"{where}: duplicate seed {repeated} in 'seeds'")
-    if min(seeds) < 0:
-        raise ConfigError(f"{where}: 'seeds': seed {min(seeds)} is negative")
+    _hold(al.SEED, min(seeds), f"{where}: 'seeds'")
     for key in ("selection.strategy", "strategies"):
         names = values[key] if key == "strategies" else [values[key]]
         where = f"{path}:{raw[key][1]}" if key in raw else path
@@ -350,9 +354,7 @@ def _seeds(args, excfg: ExperimentConfig) -> list[int]:
     """The config's seeds, or the one --seed overriding them."""
     if args.seed is None:
         return excfg.seeds
-    if args.seed < 0:
-        raise ConfigError(f"--seed: seed {args.seed} is negative")
-    return [args.seed]
+    return [_hold(al.SEED, args.seed, "--seed")]
 
 
 def cmd_run(args) -> int:
@@ -366,7 +368,7 @@ def cmd_run(args) -> int:
         report = al.gap_report(curve)
         print(f"seed {curve.seed}: strategy={curve.strategy} "
               f"mean_metric={report.mean_metric:.4f} "
-              f"bridged={_fmt_bridged(report, curve)}")
+              f"bridged={_fmt_bridged([(report, curve)])}")
     print(f"artifacts written to {out_dir}")
     return 0
 
@@ -397,17 +399,19 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _fmt_bridged(report: al.GapReport, curve) -> str:
-    if report.bridged_fraction is None:
-        max_frac = max(p.labeled_fraction for p in curve.points)
-        return f"> {100 * max_frac:.1f}%"
-    return f"{100 * report.bridged_fraction:.1f}%"
+def _fmt_bridged(runs, space: str = " ") -> str:
+    """The mean bridged fraction of (GapReport, curve) runs, in percent: an
+    unbridged run counts its largest labeled fraction and puts > in front."""
+    fracs = [max(p.labeled_fraction for p in c.points) if r.bridged_fraction is None
+             else r.bridged_fraction for r, c in runs]
+    bridged = all(r.bridged_fraction is not None for r, _ in runs)
+    return f"{'' if bridged else '>' + space}{100 * sum(fracs) / len(fracs):.1f}%"
 
 
 def _sweep_report_text(rows) -> str:
     lines = ["strategy, seed, bridged_fraction, mean_metric"]
     for strategy, seed, report, curve in rows:
-        lines.append(f"{strategy}, {seed}, {_fmt_bridged(report, curve)}, "
+        lines.append(f"{strategy}, {seed}, {_fmt_bridged([(report, curve)])}, "
                      f"{report.mean_metric:.6f}")
     lines.append("")
     by_strategy: dict[str, list] = {}
@@ -416,13 +420,8 @@ def _sweep_report_text(rows) -> str:
     lines.append("strategy means:")
     for strategy, items in by_strategy.items():
         mean_metric = sum(r.mean_metric for r, _ in items) / len(items)
-        fracs = [r.bridged_fraction if r.bridged_fraction is not None
-                 else max(p.labeled_fraction for p in c.points)
-                 for r, c in items]
-        all_bridged = all(r.bridged_fraction is not None for r, _ in items)
-        marker = "" if all_bridged else ">"
         lines.append(f"  {strategy}: mean_metric={mean_metric:.6f} "
-                     f"mean_bridged={marker}{100 * sum(fracs) / len(fracs):.1f}%")
+                     f"mean_bridged={_fmt_bridged(items, space='')}")
     return "\n".join(lines) + "\n"
 
 
@@ -433,7 +432,7 @@ def cmd_report(args) -> int:
         run_dir = Path(raw_dir)
         try:
             manifest = al.read_manifest(run_dir / "manifest.txt")
-            csv_data = al.read_curve_csv(run_dir / "curve.csv")
+            points = al.read_curve_csv(run_dir / "curve.csv")
             track = manifest.get("config.track")
             if track not in TRACKS:
                 raise ValueError(f"unknown track {track!r}")
@@ -447,9 +446,9 @@ def cmd_report(args) -> int:
         read = {f"config.{k}" for k in config_keys(track).keys()
                 - {"name", "seeds", "strategies", "selection.strategy"}}
         key = tuple(sorted((k, v) for k, v in manifest.items() if k in read))
-        for seed in sorted(csv_data["points"]):
+        for seed in sorted(points):
             try:
-                curve = al.curve_from_artifacts(manifest, csv_data, seed)
+                curve = al.curve_from_artifacts(manifest, points, seed)
                 report = al.gap_report(curve)
             except (KeyError, ValueError) as exc:
                 print(f"warning: skipping {run_dir} seed {seed}: {exc}",
@@ -464,7 +463,7 @@ def cmd_report(args) -> int:
         print(f"group {gi} ({len(entries)} runs)")
         for run_dir, curve, report in entries:
             print(f"  {run_dir} seed={curve.seed} strategy={curve.strategy} "
-                  f"gap={report.gap:.4f} bridged={_fmt_bridged(report, curve)} "
+                  f"gap={report.gap:.4f} bridged={_fmt_bridged([(report, curve)])} "
                   f"mean_metric={report.mean_metric:.6f}")
     if skipped:
         print(f"({skipped} unreadable run(s) skipped)", file=sys.stderr)

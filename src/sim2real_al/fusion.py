@@ -26,8 +26,8 @@ from .rules import (BLOCK_ENTRIES, finite_nonneg, hold, in_interval, indices, ri
                     shaped, unit_interval, whole)
 
 COV_REGULARIZER = 1e-6
+# the one default and rule of every iou_threshold: clustering, matching, the run config
 DEFAULT_IOU_THRESHOLD = 0.5
-# the one rule of every iou_threshold: clustering, matching, the run config
 IOU_THRESHOLD = in_interval(0, 1, "[]")
 
 

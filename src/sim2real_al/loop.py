@@ -22,10 +22,11 @@ import numpy as np
 from . import __version__
 from . import acquisition as acq
 from . import rules, sampling
-from .fusion import IOU_THRESHOLD, Detections, bayesod_inference, iou_matrix
+from .fusion import (DEFAULT_IOU_THRESHOLD, IOU_THRESHOLD, Detections, bayesod_inference,
+                     iou_matrix)
 from .learner import DROPOUT_RATE, MCDropoutClassifier, TrainConfig
 from .rules import (RuleError, at_least, check, checked, finite, finite_nonneg,
-                    finite_positive, in_interval)
+                    finite_positive, in_interval, one_of)
 from .synthdata import (ClassificationDomainSpec, DetectionSceneSpec, SceneGeometry, Scenes,
                         generate_classification, generate_detection_scenes,
                         grid_class_means, shifted_domain, skewed_priors,
@@ -35,6 +36,8 @@ from .synthdata import (ClassificationDomainSpec, DetectionSceneSpec, SceneGeome
 _TRAIN, _SELECT, _EVAL, _REFERENCE, _SCORE, _PREDICT, _DATA = range(7)
 # the one rule of every bridged gap fraction: the run config's and gap_report's
 _LEVEL = in_interval(0, 1, "(]")
+# the one rule of a run seed: the builders', run_al's and the CLI's
+SEED = at_least(0)._replace(text="seed {value} is negative")
 
 
 def _stream_seed(run_seed: int, stream: int, iteration: int = 0,
@@ -55,7 +58,7 @@ class ALRunConfig:
     level: float = checked(0.95, _LEVEL)  # bridged gap fraction
     replay: bool = True            # fine-tune on sim + all labeled real
     mc_passes: int = checked(10, at_least(1))  # T predictive samples (batchbald scoring)
-    iou_threshold: float = checked(0.5, IOU_THRESHOLD)  # clustering, matching
+    iou_threshold: float = checked(DEFAULT_IOU_THRESHOLD, IOU_THRESHOLD)  # clustering, matching
     cls_bayesian: bool = False
 
     def __post_init__(self):
@@ -142,7 +145,7 @@ def evaluate_classifier(model, x_test, y_test) -> float:
 
 
 def evaluate_detection(detections: Detections, scenes: Scenes,
-                       iou_threshold: float = 0.5) -> float:
+                       iou_threshold: float = DEFAULT_IOU_THRESHOLD) -> float:
     """Mean average precision with greedy confidence-ordered matching.
 
     Image i of the detections batch is scene i of `scenes`.  Each detection counts
@@ -236,13 +239,12 @@ def inter_class_variation(labels, n_classes: int) -> float:
     return float(np.std(counts) * n_classes)
 
 
-def gap_report(curve: LearningCurve, sim_perf: float = None,
-               real_perf: float = None, level: float = None) -> GapReport:
-    """Gap arithmetic: bridged when the curve first reaches
-    sim_perf + level * (real_perf - sim_perf)."""
-    sim_perf = curve.sim_perf if sim_perf is None else sim_perf
-    real_perf = curve.real_perf if real_perf is None else real_perf
-    level = rules.hold(_LEVEL, curve.level if level is None else level, "level")
+def gap_report(curve: LearningCurve) -> GapReport:
+    """Gap arithmetic of the curve's sim_perf, real_perf and level (checked,
+    as a curve rebuilt from a damaged manifest may carry any): bridged when
+    the curve first reaches sim_perf + level * (real_perf - sim_perf)."""
+    sim_perf, real_perf = curve.sim_perf, curve.real_perf
+    level = rules.hold(_LEVEL, curve.level, "level")
     inverted = real_perf < sim_perf
     gap = real_perf - sim_perf
     threshold = sim_perf + level * gap
@@ -310,7 +312,7 @@ class DetectionSurrogate:
     labeled instances of that class it has seen (sim counts discounted).
 
     Immutable: with_sim / with_real return new snapshots, so each
-    snapshot derives its output spec once.
+    snapshot derives its output_spec once.
     """
 
     def __init__(self, scene_spec: DetectionSceneSpec, params: SurrogateParams,
@@ -320,7 +322,7 @@ class DetectionSurrogate:
         c = scene_spec.n_classes
         self.sim_counts = np.zeros(c) if sim_counts is None else np.asarray(sim_counts, dtype=float)
         self.real_counts = np.zeros(c) if real_counts is None else np.asarray(real_counts, dtype=float)
-        self._output_spec = self._derive_output_spec()
+        self.output_spec = self._derive_output_spec()
 
     def _counted(self, scenes: Scenes) -> np.ndarray:
         n_classes = self.scene_spec.n_classes
@@ -337,12 +339,15 @@ class DetectionSurrogate:
                                   self.real_counts + self._counted(scenes))
 
     def competence(self) -> np.ndarray:
-        e = self.params.sim_weight * self.sim_counts + self.real_counts
-        return e / (e + self.params.kappa)
-
-    def output_spec(self) -> DetectionSceneSpec:
-        """Scene spec with per-class noise derived from current skill."""
-        return self._output_spec
+        """The per-class skill; a sim_weight that overflows the weighted
+        counts makes it NaN, which is a ValueError naming the key."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            e = self.params.sim_weight * self.sim_counts + self.real_counts
+            skill = e / (e + self.params.kappa)
+        if not np.isfinite(skill).all():
+            raise ValueError(f"surrogate.sim_weight {self.params.sim_weight!r} "
+                             f"makes the skill non-finite")
+        return skill
 
     def _derive_output_spec(self) -> DetectionSceneSpec:
         s = self.competence()
@@ -357,12 +362,12 @@ class DetectionSurrogate:
                        true_logit=interp(p.true_logit_weak, p.true_logit_strong),
                        miss_prob=interp(p.miss_weak, p.miss_strong))
 
-    def detect(self, scenes: Scenes, keys, iou_threshold: float = 0.5,
+    def detect(self, scenes: Scenes, keys, iou_threshold: float = DEFAULT_IOU_THRESHOLD,
                cls_bayesian: bool = False, prefix=()) -> Detections:
         """Fused detections of a batch of scenes at the current skill
         level, one image per scene; scene i draws from the stream of
         SeedSequence([*prefix, keys[i]]) (synth_detector_outputs)."""
-        anchors = synth_detector_outputs(scenes, self.output_spec(), keys, prefix)
+        anchors = synth_detector_outputs(scenes, self.output_spec, keys, prefix)
         return bayesod_inference(anchors, iou_threshold, cls_bayesian)
 
 
@@ -382,6 +387,9 @@ def _track(cfg: ALRunConfig, datasets, seed: int):
 # class-probability samples, which the detection surrogate does not produce
 TRACK_STRATEGIES = {"classification": sampling.STRATEGIES,
                     "detection": tuple(s for s in sampling.STRATEGIES if s != "batchbald")}
+# the one rule of each track's strategy: the track's own and the CLI's
+TRACK_RULES = {track: one_of(names, f"strategy {{value!r}} is not available on the {track} track")
+               for track, names in TRACK_STRATEGIES.items()}
 
 
 def run_cells(cfg: ALRunConfig, build, strategies, seeds):
@@ -424,6 +432,7 @@ def run_al(cfg: ALRunConfig, datasets, learner, oracle, seed: int = 0,
     labels) and what each selection strategy needs from the model.
     The run begins at `start`, or when it is None computes its own.
     """
+    rules.hold(SEED, seed, "seed")
     track = _track(cfg, datasets, seed)
     start = start or _run_start(cfg, datasets, learner, oracle, seed)
     track.model = start.model
@@ -483,12 +492,10 @@ def _select(cfg, track, pool_ids, seed, it) -> list:
     elif sel.strategy == "batchbald":
         idx = sampling.select_batchbald(track.mc_samples(pool_ids, it),
                                         sel.batch_size, sel.mc_count, sel_seed)
-    elif sel.strategy == "clue":
+    else:   # clue, the last strategy a track's rule lets through
         idx = sampling.select_clue(track.pool_features(pool_ids, it),
                                    np.maximum(scores(pool_ids), 0.0),
                                    sel.batch_size, sel_seed)
-    else:
-        raise ValueError(f"unknown strategy {sel.strategy!r}")
     return [pool_ids[i] for i in idx]
 
 
@@ -496,6 +503,7 @@ class _ClassificationTrack:
     """The MC-dropout learner on sim arrays plus the labeled pool rows."""
 
     def __init__(self, cfg, data: ClassificationDatasets, seed: int):
+        rules.hold(TRACK_RULES["classification"], cfg.selection.strategy, "selection.strategy")
         self.cfg, self.data, self.seed = cfg, data, seed
         self.x_sim = np.asarray(data.sim_x, dtype=float)
         self.y_sim = np.asarray(data.sim_y, dtype=int)
@@ -557,9 +565,7 @@ class _DetectionTrack:
     """
 
     def __init__(self, cfg, data: DetectionDatasets, seed: int):
-        if cfg.selection.strategy not in TRACK_STRATEGIES["detection"]:
-            raise ValueError("batchbald needs per-item class-probability samples; "
-                             "it is only available on the classification track")
+        rules.hold(TRACK_RULES["detection"], cfg.selection.strategy, "selection.strategy")
         self.cfg, self.data, self.seed = cfg, data, seed
         self.pool_size = data.pool_scenes.n_images
         self.labeled_scenes = data.sim_scenes
@@ -671,6 +677,7 @@ class ClassificationExperimentSpec:
 def build_classification_experiment(spec: ClassificationExperimentSpec,
                                     run_seed: int):
     """Datasets, oracle and learner template for one run seed."""
+    rules.hold(SEED, run_seed, "run_seed")
     data_ss = np.random.SeedSequence([spec.seed, _DATA, int(run_seed)])
     s_sim, s_pool, s_test, s_dir = data_ss.spawn(4)
 
@@ -712,6 +719,8 @@ class DetectionExperimentSpec(SceneGeometry):
 
 
 def build_detection_experiment(spec: DetectionExperimentSpec, run_seed: int):
+    """Datasets, oracle and surrogate template for one run seed."""
+    rules.hold(SEED, run_seed, "run_seed")
     data_ss = np.random.SeedSequence([spec.seed, _DATA, int(run_seed)])
     s_sim, s_pool, s_test = data_ss.spawn(3)
 
@@ -753,7 +762,7 @@ def write_curve_csv(path, curves) -> None:
 
 
 def read_curve_csv(path) -> dict:
-    """Rows grouped by run seed: {"points": {seed: list of CurvePoint}}."""
+    """Rows grouped by run seed: {seed: list of CurvePoint}."""
     with open(path, encoding="utf-8") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines or lines[0] != CSV_HEADER:
@@ -763,7 +772,7 @@ def read_curve_csv(path) -> dict:
         seed, _, it, count, frac, metric, icv = ln.split(",")
         by_seed.setdefault(int(seed), []).append(
             CurvePoint(int(it), int(count), float(frac), float(metric), float(icv)))
-    return {"points": by_seed}
+    return by_seed
 
 
 def manifest_text(config_items: dict, curves) -> str:
@@ -812,17 +821,16 @@ def read_manifest(path) -> dict:
     return items
 
 
-def curve_from_artifacts(manifest: dict, csv_data: dict, seed: int) -> LearningCurve:
-    """Rebuild a LearningCurve from manifest + CSV rows for gap recomputation."""
+def curve_from_artifacts(manifest: dict, points: dict, seed: int) -> LearningCurve:
+    """Rebuild a LearningCurve from the manifest and read_curve_csv's points."""
     tag = f"run.{seed}"
-    points = csv_data["points"][seed]
     selected = []
     it = 1
     while f"{tag}.selected.{it}" in manifest:
         raw = manifest[f"{tag}.selected.{it}"]
         selected.append([int(v) for v in raw.split(",")] if raw else [])
         it += 1
-    return LearningCurve(points=points,
+    return LearningCurve(points=points[seed],
                          sim_perf=float(manifest[f"{tag}.sim_perf"]),
                          real_perf=float(manifest[f"{tag}.real_perf"]),
                          strategy=manifest[f"{tag}.strategy"],

@@ -24,12 +24,13 @@ STRATEGIES = ("random", "topn", "subsample_topn", "coreset", "batchbald", "clue"
 
 _CLUE_MAX_ITER = 50   # weighted k-means rounds of select_clue
 _FRACTION = in_interval(0, 1, "(]")   # subsample_fraction, and select_subsample_topn's p
+# the one rule of a strategy name: SelectionConfig's and the CLI's
+STRATEGY = one_of(STRATEGIES, f"unknown strategy {{value!r}}; expected one of {STRATEGIES}")
 
 
 @dataclass
 class SelectionConfig:
-    strategy: str = checked("subsample_topn", one_of(
-        STRATEGIES, f"unknown strategy {{value!r}}; expected one of {STRATEGIES}"))
+    strategy: str = checked("subsample_topn", STRATEGY)
     batch_size: int = checked(20, at_least(1))
     subsample_fraction: float = checked(0.5, _FRACTION)
     mc_count: int = checked(100, at_least(1))

@@ -131,7 +131,7 @@ class Scenes(Ragged):
     def __post_init__(self):
         classes = whole(self.classes)
         if classes is None or classes.ndim != 1 or np.any(classes < 0):
-            raise ValueError("need (n,) class ids >= 0 and finite (n, 4) boxes")
+            raise ValueError("classes must be (n,) class ids >= 0")
         boxes = shaped(self.boxes, "boxes", (len(classes), 4))
         self._set(classes=classes, boxes=boxes, offsets=rising(self.offsets, len(classes), "object"))
 

@@ -194,7 +194,7 @@ def test_criterion_5_digits_analog_ordering():
                                   al.ClassificationExperimentSpec())  # calibrated defaults
         metrics, bridged = {}, {"subsample_topn": [], "random": []}
         for strategy, seed, run in al.run_cells(cfg, build, STRATEGIES, SEEDS):
-            report = al.gap_report(run(), level=0.95)
+            report = al.gap_report(run())
             metrics[strategy, seed] = report.mean_metric
             bridged[strategy].append(
                 report.bridged_fraction
@@ -221,7 +221,7 @@ def test_criterion_6_detection_analog_gap_bridging():
                                   al.DetectionExperimentSpec())  # calibrated defaults
         fractions = {}
         for strategy, seed, run in al.run_cells(cfg, build, STRATEGIES, SEEDS):
-            report = al.gap_report(run(), level=0.95)
+            report = al.gap_report(run())
             fractions[strategy, seed] = (report.bridged_fraction
                                          if report.bridged_fraction is not None
                                          else np.inf)

@@ -624,14 +624,13 @@ class TestCmdRun:
                          "--out", str(out)]) == 0
         manifest = al.read_manifest(out / "manifest.txt")
         assert manifest["run.1.truncated"] == "True"
-        assert len(al.read_curve_csv(out / "curve.csv")["points"][1]) == 3
+        assert len(al.read_curve_csv(out / "curve.csv")[1]) == 3
 
     def test_detection_track_runs(self, tmp_path):
         cfg = write_cfg(tmp_path, SMALL_DET)
         out = tmp_path / "det"
         assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
-        data = al.read_curve_csv(out / "curve.csv")
-        assert len(data["points"][1]) == 3
+        assert len(al.read_curve_csv(out / "curve.csv")[1]) == 3
 
     @pytest.mark.parametrize("command, text, args, message", [
         ("run", SMALL_CLS.replace("seeds = 1,2", "seeds = 1")
@@ -642,12 +641,10 @@ class TestCmdRun:
          "strategy 'random', seed 1: training produced non-finite weights"),
         ("run", SMALL_DET + "acquisition.w_cls = 1e308\n", ["--strategy", "topn"],
          "strategy 'topn', seed 1: image score must be finite"),
-        # the skill interpolation gives NaN noise, rejected when the
-        # surrogate derives its output spec ("anchor samples must be finite"
-        # from the anchors it made before)
+        # the weighted sim counts overflow, so the skill is NaN
         ("run", SMALL_DET + "surrogate.sim_weight = 1e308\n", [],
-         "strategy 'subsample_topn', seed 1: sigma_box must be one finite number "
-         "or n_classes of them"),
+         "strategy 'subsample_topn', seed 1: surrogate.sim_weight 1e+308 makes the "
+         "skill non-finite"),
     ], ids=["learning-rate", "learning-rate-sweep", "w-cls", "sim-weight"])
     def test_run_time_failure_is_one_error_line(self, tmp_path, command, text,
                                                 args, message):
@@ -794,8 +791,7 @@ class TestCmdSweep:
         assert cli.main(["sweep", "--config", cfg, "--out", str(out)]) == 0
         firsts = []
         for cell in ("random-s5", "subsample_topn-s5"):
-            data = al.read_curve_csv(out / cell / "curve.csv")
-            firsts.append(data["points"][5][0].metric)
+            firsts.append(al.read_curve_csv(out / cell / "curve.csv")[5][0].metric)
         assert firsts[0] == firsts[1]
 
 
@@ -808,8 +804,8 @@ class TestCmdReport:
         curves = cli.execute_run(excfg, cli._cells(excfg, ["subsample_topn"], [4]), out)
         in_process = al.gap_report(curves[0])
         manifest = al.read_manifest(out / "manifest.txt")
-        csv_data = al.read_curve_csv(out / "curve.csv")
-        rebuilt = al.gap_report(al.curve_from_artifacts(manifest, csv_data, 4))
+        points = al.read_curve_csv(out / "curve.csv")
+        rebuilt = al.gap_report(al.curve_from_artifacts(manifest, points, 4))
         assert rebuilt == in_process
 
     def test_groups_by_dataset_config(self, tmp_path, capsys):
@@ -988,7 +984,12 @@ class TestCmdReport:
                     al.CurvePoint(1, 10, 0.4, 0.6, 0.0)],
             sim_perf=0.5, real_perf=0.99, strategy="random", seed=0)
         report = al.gap_report(curve)
-        assert cli._fmt_bridged(report, curve) == "> 40.0%"
+        assert cli._fmt_bridged([(report, curve)]) == "> 40.0%"
+        # a sweep's strategy mean shares the rule, with no space after >
+        bridged = replace(curve, real_perf=0.5)    # bridged at fraction 0.0
+        runs = [(report, curve), (al.gap_report(bridged), bridged)]
+        assert cli._fmt_bridged(runs, space="") == ">20.0%"
+        assert cli._fmt_bridged(runs[1:] * 2, space="") == "0.0%"
 
 
 class TestCmdScore:

@@ -310,6 +310,16 @@ class TestSurrogateCounts:
         with pytest.raises(RuleError, match=r"^miss_prob must lie in \[0, 1\]$"):
             surrogate.with_real(scenes)
 
+    def test_overflowing_sim_weight_names_the_key(self):
+        """A sim_weight that overflows the weighted sim counts makes the
+        skill NaN, which names the config key."""
+        surrogate = al.DetectionSurrogate(DetectionSceneSpec(n_classes=2),
+                                          al.SurrogateParams(sim_weight=1e308))
+        scenes = Scenes(classes=[0, 0, 1], boxes=[[0, 0, 10, 10]] * 3, offsets=[0, 3])
+        with pytest.raises(ValueError, match=r"^surrogate\.sim_weight 1e\+308 makes the "
+                                             r"skill non-finite$"):
+            surrogate.with_sim(scenes)   # 2 sim objects of class 0 weigh 2e308
+
     def test_infinite_box_sigma_fails_when_built(self):
         """An infinite weak box sigma (NaN at skill 0, from inf - inf in
         the skill interpolation) fails when the surrogate derives its
@@ -331,23 +341,25 @@ def curve_with(metrics, fractions=None, sim=0.5, real=0.9, level=0.95):
 class TestGapReport:
     def test_threshold_arithmetic(self):
         curve = curve_with([0.50, 0.70, 0.92])
-        report = al.gap_report(curve, 0.50, 0.90, 0.95)
+        report = al.gap_report(replace(curve, sim_perf=0.50, real_perf=0.90, level=0.95))
         assert report.gap == pytest.approx(0.40)
         # threshold 0.88 first reached at iteration 2 (fraction 0.2)
         assert report.bridged_fraction == pytest.approx(0.2)
         assert report.mean_metric == pytest.approx((0.70 + 0.92) / 2)
 
     def test_never_bridged(self):
-        report = al.gap_report(curve_with([0.50, 0.60, 0.70]), 0.50, 0.90, 0.95)
+        report = al.gap_report(replace(curve_with([0.50, 0.60, 0.70]), sim_perf=0.50,
+                                       real_perf=0.90, level=0.95))
         assert report.bridged_fraction is None
 
     def test_level_one_touching_real(self):
         curve = curve_with([0.50, 0.90, 0.85])
-        report = al.gap_report(curve, 0.50, 0.90, 1.0)
+        report = al.gap_report(replace(curve, sim_perf=0.50, real_perf=0.90, level=1.0))
         assert report.bridged_fraction == pytest.approx(0.1)
 
     def test_inverted_gap_flagged(self):
-        report = al.gap_report(curve_with([0.5, 0.6]), 0.8, 0.6, 0.95)
+        report = al.gap_report(replace(curve_with([0.5, 0.6]), sim_perf=0.8, real_perf=0.6,
+                                       level=0.95))
         assert report.inverted
 
     def test_defaults_from_curve(self):
@@ -504,7 +516,8 @@ class TestRunAlDetection:
 
     def test_batchbald_rejected(self):
         cfg, datasets, oracle, learner = tiny_detection(strategy="batchbald")
-        with pytest.raises(ValueError, match="classification track"):
+        with pytest.raises(RuleError, match="^strategy 'batchbald' is not available on the "
+                                            "detection track$"):
             al.run_al(cfg, datasets, learner, oracle, seed=1)
 
     def test_batchbald_rejected_before_any_detection(self):
@@ -519,7 +532,8 @@ class TestRunAlDetection:
             def detect(self, *args, **kwargs):
                 raise AssertionError("detect ran before the strategy check")
 
-        with pytest.raises(ValueError, match="classification track"):
+        with pytest.raises(RuleError, match="^strategy 'batchbald' is not available on the "
+                                            "detection track$"):
             al.run_al(cfg, datasets, FailingSurrogate(), oracle, seed=1)
 
     def test_strategies_run(self):
@@ -528,6 +542,25 @@ class TestRunAlDetection:
                                                             iterations=1)
             curve = al.run_al(cfg, datasets, learner, oracle, seed=2)
             assert len(curve.selected_ids[0]) == 8
+
+
+class TestRunSeeds:
+    """Both builders and run_al check a run seed by one rule, loop.SEED,
+    whose message the CLI prints too."""
+
+    def test_classification_builder(self):
+        with pytest.raises(RuleError, match="^seed -1 is negative$"):
+            al.build_classification_experiment(al.ClassificationExperimentSpec(), -1)
+
+    def test_detection_builder(self):
+        with pytest.raises(RuleError, match="^seed -2 is negative$"):
+            al.build_detection_experiment(al.DetectionExperimentSpec(), -2)
+
+    @pytest.mark.parametrize("tiny", [tiny_classification, tiny_detection])
+    def test_run_al(self, tiny):
+        cfg, datasets, oracle, learner = tiny(iterations=1)
+        with pytest.raises(RuleError, match="^seed -1 is negative$"):
+            al.run_al(cfg, datasets, learner, oracle, seed=-1)
 
 
 class TestRunCells:
@@ -795,8 +828,8 @@ class TestArtifacts:
         al.write_manifest(man_path, {"track": "classification"}, [curve])
 
         manifest = al.read_manifest(man_path)
-        csv_data = al.read_curve_csv(csv_path)
-        rebuilt = al.curve_from_artifacts(manifest, csv_data, seed=13)
+        points = al.read_curve_csv(csv_path)
+        rebuilt = al.curve_from_artifacts(manifest, points, seed=13)
         assert rebuilt.points == curve.points
         assert al.gap_report(rebuilt) == al.gap_report(curve)
 

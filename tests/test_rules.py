@@ -2,10 +2,13 @@
 config property derived from the rule table, and byte damage to config
 files under `run`."""
 
+import importlib
+import inspect
 import itertools
 import math
+import pkgutil
 import re
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -15,7 +18,8 @@ from test_cli import SMALL_CLS, SMALL_DET, damaged
 from test_sampling import six_selectors
 from tests_support_oracles import raised_in_package
 
-from sim2real_al import cli
+import sim2real_al
+from sim2real_al import cli, fusion
 from sim2real_al import loop as al
 from sim2real_al.acquisition import AcquisitionConfig, categorical_entropy, score_image
 from sim2real_al.fusion import (Detections, fuse_categorical, fuse_gaussian, iou_matrix,
@@ -133,7 +137,7 @@ class TestErrorContract:
         "dropout_rate": (lambda v: MCDropoutClassifier(2, dropout_rate=v),
                          lambda v: al.ClassificationExperimentSpec(dropout_rate=v),
                          (-0.1, 1.0, math.nan)),
-        "level": (lambda v: al.gap_report(TestErrorContract.CURVE, level=v),
+        "level": (lambda v: al.gap_report(replace(TestErrorContract.CURVE, level=v)),
                   lambda v: al.ALRunConfig(level=v), (0.0, 1.5, math.nan)),
     }
 
@@ -149,6 +153,26 @@ class TestErrorContract:
                     build(value)
                 errors.append((info.value.field, str(info.value)))
             assert errors[0] == errors[1]
+
+    def test_every_iou_threshold_default_is_the_fusion_default(self):
+        """Each iou_threshold default in the package is the object
+        fusion.DEFAULT_IOU_THRESHOLD, not a literal of its own."""
+        found = {}
+        for info in pkgutil.iter_modules(sim2real_al.__path__):
+            module = importlib.import_module(f"sim2real_al.{info.name}")
+            for owner in vars(module).values():
+                if getattr(owner, "__module__", None) != module.__name__:
+                    continue
+                members = vars(owner).values() if inspect.isclass(owner) else [owner]
+                for function in filter(inspect.isfunction, members):
+                    parameter = inspect.signature(function).parameters.get("iou_threshold")
+                    if parameter is not None and parameter.default is not parameter.empty:
+                        found[function.__qualname__] = parameter.default
+        assert {"cluster_anchors", "bayesod_inference", "evaluate_detection",
+                "DetectionSurrogate.detect", "ALRunConfig.__init__"} <= found.keys()
+        assert all(default is fusion.DEFAULT_IOU_THRESHOLD for default in found.values()), found
+        field, = (f for f in fields(al.ALRunConfig) if f.name == "iou_threshold")
+        assert field.default is fusion.DEFAULT_IOU_THRESHOLD
 
     def test_surrogate_rules_carry_the_full_key(self):
         with pytest.raises(ValueError, match=r"^surrogate\.kappa must be finite and > 0$") as info:

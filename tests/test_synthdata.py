@@ -317,14 +317,21 @@ class TestScenes:
         with pytest.raises(ValueError, match="^Scenes.concatenate needs at least one batch$"):
             Scenes.concatenate([])
 
-    @pytest.mark.parametrize("classes, boxes", [
-        ([0, 1], np.zeros((3, 4))), ([0, 1], np.zeros((2, 3))),
-        ([0.5, 1], np.zeros((2, 4))), ([-1, 1], np.zeros((2, 4))),
-        ([[0, 1]], np.zeros((2, 4))), ([0, 1], [[0, 0, 1, 1], [0, 0, np.nan, 1]])],
-        ids=["rows", "box-width", "fraction", "negative", "2-d", "nan-box"])
-    def test_malformed_rows_raise(self, classes, boxes):
-        with pytest.raises(ValueError) as excinfo:
-            Scenes(classes, boxes, [0, 2])
+    CLASSES = r"^classes must be \(n,\) class ids >= 0$"
+    BOXES = r"^boxes must be an array of shape \(2, 4\), got shape "
+
+    @pytest.mark.parametrize("classes, boxes, message", [
+        ([0, 1], np.zeros((3, 4)), BOXES + r"\(3, 4\)$"),
+        ([0, 1], np.zeros((2, 3)), BOXES + r"\(2, 3\)$"),
+        ([0.5, 1], np.zeros((2, 4)), CLASSES), ([-1, 1], np.zeros((2, 4)), CLASSES),
+        ([-1], [[0, 0, 1, 1]], CLASSES), ([[0, 1]], np.zeros((2, 4)), CLASSES),
+        ([0, 1], [[0, 0, 1, 1], [0, 0, np.nan, 1]], r"^boxes must be finite$")],
+        ids=["rows", "box-width", "fraction", "negative", "lone-negative", "2-d", "nan-box"])
+    def test_malformed_rows_raise(self, classes, boxes, message):
+        """A bad class id names the classes alone; box errors keep
+        rules.shaped's messages."""
+        with pytest.raises(ValueError, match=message) as excinfo:
+            Scenes(classes, boxes, [0, np.size(classes)])
         assert raised_in_package(excinfo)
 
 

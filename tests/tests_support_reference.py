@@ -168,7 +168,7 @@ def reference_detect(surrogate, scenes, seeds, iou_threshold=0.5, cls_bayesian=F
     the first error is the batch's: every scene's synthesis, then every
     image's clustering, then its fusion, then the finite fields that a
     Detections batch keeps.  Returns per-image lists of Detection records."""
-    spec = surrogate.output_spec()
+    spec = surrogate.output_spec
     anchors = [reference_synth_detector_outputs(scene, spec, seed)
                for scene, seed in zip(scenes, seeds)]
     for image in anchors:
