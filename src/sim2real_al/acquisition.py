@@ -132,7 +132,9 @@ def detection_entropies(detections) -> tuple[np.ndarray, np.ndarray]:
     """(u_cls, u_reg): the (K,) classification and regression entropies
     of every detection of a fusion.Detections batch, in one pass.  A
     detection that cannot be scored raises the error the first such
-    detection would raise alone."""
+    detection would raise alone.  Only values are checked here: scores
+    in [0, 1], symmetric positive-definite covariances and finite
+    entropies; the layout is the batch's own check."""
     u_cls, cls_checks = _bernoulli_entropies(detections.class_probs)
     u_reg, reg_checks = _gaussian_entropies(detections.box_cov)
     _raise_first_failure(cls_checks + reg_checks + _pair_checks(u_cls, u_reg))

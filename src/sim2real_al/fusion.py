@@ -66,7 +66,8 @@ class Ragged:
     @classmethod
     def concatenate(cls, parts):
         """One batch of the images of every part, in order; each field's
-        rows have the same trailing shape in every part."""
+        rows have the same trailing shape in every part, and there is at
+        least one part."""
         parts = list(parts)
         if not parts:
             raise ValueError(f"{cls.__name__}.concatenate needs at least one batch")
@@ -84,7 +85,8 @@ class Anchors(Ragged):
     scores:  (A, T, C) array, entries in [0, 1]
     boxes:   (A, T, 4) array of finite (x_min, y_min, x_max, y_max)
 
-    The only place anchor samples are validated; len() is A.
+    T >= 1 when A > 0.  The only place anchor samples are validated;
+    len() is A.
     """
 
     scores: np.ndarray
@@ -237,8 +239,10 @@ def _cluster_rounds(top_scores, mean_boxes, offsets, iou_threshold):
 def fuse_categorical(mean_scores, members, offsets) -> np.ndarray:
     """Per-class products of the (n, C) member mean score vectors of each
     of K clusters: cluster k is mean_scores[members[offsets[k]:offsets[k + 1]]]
-    (as from cluster_anchors); every score lies in [0, 1], as Anchors'
-    scores do.
+    (as from cluster_anchors); every score is finite and lies in
+    [0, 1], as Anchors' scores do.  offsets rise from 0 to len(members)
+    (rules.rising), and members are row indices (rules.indices), so a
+    -1 is rejected, not read as the last row.
 
     The products keep the independent-Bernoulli form: they are not
     renormalized into a categorical distribution.  Products run in log
@@ -266,6 +270,8 @@ def fuse_gaussian(box_samples, members, offsets,
     cluster's Gaussians multiplied: fused precision is the sum of member
     precisions, fused mean the precision-weighted mean.  Sums run in
     member order.  Returns (K, 4) means and (K, 4, 4) covariances.
+    members and offsets keep fuse_categorical's rules, and regularizer
+    is finite and >= 0.
     """
     hold(finite_nonneg, regularizer, "regularizer")
     offsets = rising(offsets, len(members), "member")
@@ -303,7 +309,8 @@ def bayesod_inference(anchors: Anchors,
     call fuses every cluster's box samples; class scores go through the
     categorical product only when cls_bayesian is set, otherwise the
     cluster center's mean scores are used (Bayesian inference on the
-    regression head only).
+    regression head only).  Returns one Detections batch, image by
+    image, whose offsets mark the images of `anchors`.
     """
     members, offsets = cluster_anchors(anchors, iou_threshold)
     n_classes = anchors.scores.shape[2]

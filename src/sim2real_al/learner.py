@@ -34,7 +34,12 @@ class TrainConfig:
 
 
 class MCDropoutClassifier:
-    """input_dim -> hidden_dim (tanh, dropout) -> n_classes (softmax)."""
+    """input_dim -> hidden_dim (tanh, dropout) -> n_classes (softmax).
+
+    The three sizes are whole numbers >= 1 (rules.count), and
+    dropout_rate keeps DROPOUT_RATE.  params, when given, are w1, b1, w2
+    and b2, finite and of the shapes these sizes declare.
+    """
 
     def __init__(self, input_dim: int, hidden_dim: int = 64, n_classes: int = 2,
                  dropout_rate: float = 0.1, seed: int = 0, params=None):
@@ -80,7 +85,8 @@ class MCDropoutClassifier:
         return _softmax(self._hidden(self._inputs(x)) @ self.w2 + self.b2)
 
     def predict_samples(self, x, t: int, seed: int = 0) -> np.ndarray:
-        """(N, T, C): T stochastic softmax passes with fresh dropout masks.
+        """(N, T, C): T stochastic softmax passes with fresh dropout masks;
+        t is a whole number >= 1.
 
         The same T masks apply to every input row, i.e. the passes play
         the role of T shared posterior weight samples.

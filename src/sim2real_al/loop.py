@@ -51,6 +51,10 @@ def _stream_seed(run_seed: int, stream: int, iteration: int = 0,
 
 @dataclass
 class ALRunConfig:
+    """Settings of one run.  The single-field rules run first, so the
+    first bad field in field order is reported; then batchbald needs
+    mc_passes >= 2."""
+
     iterations: int = checked(10, at_least(0))
     selection: sampling.SelectionConfig = field(default_factory=sampling.SelectionConfig)
     acquisition: acq.AcquisitionConfig = field(default_factory=acq.AcquisitionConfig)
@@ -135,7 +139,8 @@ class GapReport:
 # ---------------------------------------------------------------------------
 
 def evaluate_classifier(model, x_test, y_test) -> float:
-    """Argmax accuracy of predict_mean on finite (N, D) rows; ties go to the smaller class."""
+    """Argmax accuracy of predict_mean on finite (N, D) rows, N >= 1, each
+    labeled with a class of the model's output; ties go to the smaller class."""
     x_test = rules.shaped(x_test, "x_test", ("N", "D"))
     if len(x_test) == 0:
         raise ValueError("empty test set")
@@ -292,7 +297,9 @@ class SurrogateParams:
 
     Skill s = e / (e + kappa) with e = sim_weight * n_sim + n_real
     counted per class; each noise knob interpolates linearly from its
-    weak (s=0) to its strong (s=1) end.
+    weak (s=0) to its strong (s=1) end.  It checks nothing itself:
+    DetectionExperimentSpec checks kappa and sim_weight as
+    `surrogate.kappa` and `surrogate.sim_weight`.
     """
 
     kappa: float = checked(40.0, finite_positive)
@@ -312,7 +319,8 @@ class DetectionSurrogate:
     labeled instances of that class it has seen (sim counts discounted).
 
     Immutable: with_sim / with_real return new snapshots, so each
-    snapshot derives its output_spec once.
+    snapshot derives its output_spec once, and a skill whose noise
+    leaves DetectionSceneSpec's bounds fails when the snapshot is made.
     """
 
     def __init__(self, scene_spec: DetectionSceneSpec, params: SurrogateParams,
@@ -652,7 +660,8 @@ class ClassificationExperimentSpec:
 
     Defaults are calibrated so a sim-trained model lands well under a
     real-trained one and the pool's rare classes carry the signal that
-    uncertainty selection must find.
+    uncertainty selection must find.  dim >= n_classes is checked after
+    the single-field rules.
     """
 
     n_classes: int = checked(8, at_least(1))
@@ -676,7 +685,8 @@ class ClassificationExperimentSpec:
 
 def build_classification_experiment(spec: ClassificationExperimentSpec,
                                     run_seed: int):
-    """Datasets, oracle and learner template for one run seed."""
+    """Datasets, oracle and learner template for one run seed; the
+    oracle is pool_y.take."""
     rules.hold(SEED, run_seed, "run_seed")
     data_ss = np.random.SeedSequence([spec.seed, _DATA, int(run_seed)])
     s_sim, s_pool, s_test, s_dir = data_ss.spawn(4)
@@ -708,7 +718,11 @@ def build_classification_experiment(spec: ClassificationExperimentSpec,
 
 @dataclass
 class DetectionExperimentSpec(SceneGeometry):
-    """Detection-analog track: synthetic scenes plus the skill surrogate."""
+    """Detection-analog track: synthetic scenes plus the skill surrogate.
+
+    The scene geometry is a SceneGeometry, so its fields, rules and
+    errors are those of synthdata.DetectionSceneSpec.
+    """
 
     sim_scenes: int = checked(100, at_least(1))
     pool_scenes: int = checked(400, at_least(1))
@@ -719,7 +733,8 @@ class DetectionExperimentSpec(SceneGeometry):
 
 
 def build_detection_experiment(spec: DetectionExperimentSpec, run_seed: int):
-    """Datasets, oracle and surrogate template for one run seed."""
+    """Datasets, oracle and surrogate template for one run seed; the
+    oracle is pool_scenes.take."""
     rules.hold(SEED, run_seed, "run_seed")
     data_ss = np.random.SeedSequence([spec.seed, _DATA, int(run_seed)])
     s_sim, s_pool, s_test = data_ss.spawn(3)

@@ -80,7 +80,8 @@ def select_subsample_topn(pool_ids, score_fn, p: float, b: int, seed) -> list:
     Only the sub-sampled ids are scored, in one call: score_fn(ids)
     returns one real per id, in order.  So the selected label
     distribution follows the pool distribution instead of concentrating
-    on whatever the raw scores favor.
+    on whatever the raw scores favor.  p lies in (0, 1], the rule of
+    SelectionConfig.subsample_fraction, and b fits in the sub-sample.
     """
     hold(_FRACTION, p, "p")
     pool_ids = list(pool_ids)
@@ -197,11 +198,12 @@ def _entropy(p: np.ndarray) -> np.ndarray:
 def select_batchbald(prob_samples, b: int, mc_count: int = 100, seed=0) -> list[int]:
     """Greedy batch selection by joint mutual information.
 
-    prob_samples: per-id (N, T, C) predictive samples in [0, 1] sharing
-    the same T posterior draws.  The first pick uses the exact BALD
-    score; later picks estimate the joint entropy of the grown batch
-    with mc_count Monte-Carlo configuration draws of the
-    already-selected items and an exact sum over the candidate's classes.
+    prob_samples: per-id (N, T, C) finite predictive samples in [0, 1]
+    sharing the same T posterior draws; mc_count is a whole number
+    >= 1.  The first pick uses the exact BALD score; later picks
+    estimate the joint entropy of the grown batch with mc_count
+    Monte-Carlo configuration draws of the already-selected items and
+    an exact sum over the candidate's classes.
 
     The per-sample class CDFs, log p and the per-item entropies are
     computed once per call; each pick gathers from them.  A pick draws
@@ -309,10 +311,10 @@ def select_clue(pool_features, uncertainties, b: int, seed=0) -> list[int]:
     given by the uncertainties) and returns the pool id nearest each
     final centroid, deduplicated by next-nearest.  All-zero weights
     fall back to unweighted k-means with a warning.  pool_features is
-    a finite (N, D) batch, [] one of 0 rows, with one uncertainty per
-    row.  Each round assigns every point to its nearest centroid by
-    _nearest; the seeding and the final picks take _distances to one
-    centroid at a time.
+    a finite (N, D) batch, [] one of 0 rows, with one finite
+    uncertainty >= 0 per row.  Each round assigns every point to its
+    nearest centroid by _nearest; the seeding and the final picks take
+    _distances to one centroid at a time.
     """
     pool = shaped(pool_features, "pool_features", ("N", "D"))
     weights = np.asarray(uncertainties, dtype=float)

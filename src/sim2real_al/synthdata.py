@@ -49,14 +49,15 @@ def _class_priors(priors, n_classes: int) -> np.ndarray:
 
 @dataclass
 class ClassificationDomainSpec:
-    """A Gaussian-mixture domain: one isotropic blob per class."""
+    """A Gaussian-mixture domain: one isotropic blob per class, at the
+    rows of the finite, non-empty (C, d) class_means."""
 
     class_means: np.ndarray          # (C, d)
     cov_scale: float = checked(1.0, finite_positive)
     class_priors: np.ndarray = None  # uniform when omitted
 
     def __post_init__(self):
-        self.class_means = np.atleast_2d(np.asarray(self.class_means, dtype=float))
+        self.class_means = shaped(self.class_means, "class_means", ("C", "D"))
         if not self.class_means.size:
             raise RuleError("class_means", "class_means must be a non-empty "
                             "(n_classes, dim) array")
@@ -74,17 +75,20 @@ class ClassificationDomainSpec:
 
 def shifted_domain(spec: ClassificationDomainSpec, translation=None,
                    priors=None) -> ClassificationDomainSpec:
-    """Derive a shifted domain: translate all class means and/or replace priors."""
+    """Derive a shifted domain: translate all class means by a finite
+    (d,) translation and/or replace priors."""
     means = spec.class_means
     if translation is not None:
-        means = means + np.asarray(translation, dtype=float)
+        means = means + shaped(translation, "translation", (spec.dim,))
     new_priors = spec.class_priors if priors is None else np.asarray(priors, dtype=float)
     return ClassificationDomainSpec(class_means=means, cov_scale=spec.cov_scale,
                                     class_priors=new_priors)
 
 
 def skewed_priors(n_classes: int, skew: float) -> np.ndarray:
-    """Power-law priors p_c proportional to (c+1)^-skew; skew 0 is uniform."""
+    """Power-law priors p_c proportional to (c+1)^-skew; skew 0 is uniform.
+    n_classes is a whole number >= 1, and skew keeps the rule of a
+    spec's label_skew: finite and >= 0."""
     n_classes = count(n_classes, "n_classes")
     hold(finite_nonneg, skew, "skew")
     raw = (np.arange(n_classes) + 1.0) ** (-skew)
@@ -102,7 +106,8 @@ def grid_class_means(n_classes: int, dim: int, separation: float) -> np.ndarray:
 
 def generate_classification(spec: ClassificationDomainSpec, n: int,
                             seed) -> tuple[np.ndarray, np.ndarray]:
-    """Draw n labeled points: class from priors, point from its Gaussian.
+    """Draw n labeled points, n a whole number >= 1: class from priors,
+    point from its Gaussian.
 
     Returns the (n, d) points and their (n,) integer labels.
     """

@@ -193,6 +193,12 @@ class TestConfigParsing:
         with pytest.raises(cli.ConfigError, match="duplicate key"):
             cli.load_config(write_cfg(tmp_path, bad))
 
+    def test_empty_key_rejected(self, tmp_path):
+        path = write_cfg(tmp_path, SMALL_CLS + " = 5\n")
+        line = len(SMALL_CLS.splitlines()) + 1
+        with pytest.raises(cli.ConfigError, match=f"^{re.escape(path)}:{line}: empty key$"):
+            cli.load_config(path)
+
     def test_duplicate_seed_rejected(self, tmp_path, capsys):
         bad = write_cfg(tmp_path, SMALL_CLS.replace("seeds = 1,2", "seeds = 1,2,1"))
         with pytest.raises(cli.ConfigError, match=r":4: duplicate seed 1"):

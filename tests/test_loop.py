@@ -463,6 +463,37 @@ class TestRunAlClassification:
         assert curve.truncated
         assert [p.labeled_count for p in curve.points] == [0, 20, 40]
 
+    def test_fine_tune_without_replay_fits_the_labeled_rows(self, monkeypatch):
+        """loop.replay = false: fine-tune it fits the it * B labeled pool
+        rows and their labels, and no sim row."""
+        cfg, datasets, oracle, learner = tiny_classification(strategy="topn")
+        no_replay = replace(cfg, replay=False)
+        fine_tunes = []
+        fit = MCDropoutClassifier.fit
+
+        def spy(model, x, y, train):
+            if train.fine_tune:
+                fine_tunes.append((np.array(x), np.array(y)))
+            return fit(model, x, y, train)
+
+        monkeypatch.setattr(MCDropoutClassifier, "fit", spy)
+        curve = al.run_al(no_replay, datasets, learner, oracle, seed=5)
+        assert len(fine_tunes) == 3
+        for it, (x, y) in enumerate(fine_tunes, start=1):
+            ids = np.concatenate(curve.selected_ids[:it])
+            assert len(ids) == it * 10
+            np.testing.assert_array_equal(x, datasets.pool_x[ids])
+            np.testing.assert_array_equal(y, oracle(ids))
+        text = al.curve_csv_text([curve])
+        assert al.curve_csv_text([al.run_al(no_replay, datasets, learner, oracle,
+                                            seed=5)]) == text
+        assert al.curve_csv_text([al.run_al(cfg, datasets, learner, oracle,
+                                            seed=5)]) != text
+
+    def test_unsupported_datasets_rejected(self):
+        with pytest.raises(TypeError, match="^unsupported dataset bundle tuple$"):
+            al.run_al(al.ALRunConfig(), (), learner=None, oracle=None)
+
     def test_all_strategies_run(self):
         for strategy in ("random", "topn", "subsample_topn", "coreset",
                          "batchbald", "clue"):
@@ -841,6 +872,14 @@ class TestArtifacts:
             curve = al.run_al(cfg, datasets, learner, oracle, seed=17)
             texts.append(al.curve_csv_text([curve]))
         assert texts[0] == texts[1]
+
+    def test_manifest_skips_comment_and_blank_lines(self, tmp_path):
+        first, *rest = al.manifest_text({"track": "classification"}, []).splitlines(keepends=True)
+        plain, noted = tmp_path / "plain.txt", tmp_path / "noted.txt"
+        plain.write_text("".join([first, *rest]), encoding="utf-8")
+        noted.write_text("".join(["# written by hand\n", first, "\n  # indented\n", *rest]),
+                         encoding="utf-8")
+        assert al.read_manifest(noted) == al.read_manifest(plain)
 
     def test_manifest_rejects_garbage(self, tmp_path):
         bad = tmp_path / "m.txt"

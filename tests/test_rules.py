@@ -29,7 +29,8 @@ from sim2real_al.rules import RuleError
 from sim2real_al.sampling import (SelectionConfig, select_batchbald, select_clue,
                                   select_coreset, select_subsample_topn, select_topn)
 from sim2real_al.synthdata import (ClassificationDomainSpec, DetectionSceneSpec, Scenes,
-                                   skewed_priors, synth_detector_outputs)
+                                   generate_classification, grid_class_means,
+                                   shifted_domain, skewed_priors, synth_detector_outputs)
 
 BASES = {"classification": SMALL_CLS, "detection": SMALL_DET}
 
@@ -497,6 +498,22 @@ def batches(draw, rows: np.ndarray, name: str, last_fixed: bool = True,
     return value.tolist(), batch if damage == "none" else None
 
 
+@st.composite
+def vectors(draw, row: np.ndarray, name: str):
+    """row as a list, which the consumer accepts; rejected, one entry
+    short or one more, a scalar, or the row as a batch of one.  NaN, inf
+    or -inf in one entry must raise Raises('<name> must be finite')."""
+    damage = draw(st.sampled_from(["none", "none", "short", "long", "scalar", "2-d",
+                                   "nan", "inf", "-inf"]))
+    if damage in ("nan", "inf", "-inf"):
+        value = row.astype(float)
+        value[draw(st.integers(0, len(row) - 1))] = float(damage)
+        return value.tolist(), Raises(f"{name} must be finite")
+    value = {"none": row, "short": row[:-1], "long": np.append(row, row[0]),
+             "scalar": row[0], "2-d": row[None]}[damage]
+    return value.tolist(), row if damage == "none" else None
+
+
 X_ROWS = np.random.default_rng(0).normal(size=(5, 2))
 MODEL = MCDropoutClassifier(2, 4, 3, seed=0)
 MODEL_PARAMS = (MODEL.w1, MODEL.b1, MODEL.w2, MODEL.b2)
@@ -579,6 +596,11 @@ ARRAY_CONSUMERS = {
        for name in ("class_probs", "box_mean", "box_cov")},
     "detections cluster_size": (member_counts(3), lambda v: scored("cluster_size", v, 3)),
     "detections offsets": (offset_arrays(3), lambda v: scored("offsets", v, 3)),
+    "class_means": (batches(X_ROWS, "class_means", last_fixed=False, empty_ok=False),
+                    lambda means: generate_classification(
+                        ClassificationDomainSpec(class_means=means), 5, seed=1)),
+    "translation": (vectors(X_ROWS[0], "translation"), lambda t: shifted_domain(
+        ClassificationDomainSpec(class_means=np.eye(2)), translation=t).class_means),
 }
 
 
@@ -681,6 +703,13 @@ class TestArrayInputs:
         (lambda: al.evaluate_classifier(MCDropoutClassifier(2, 4, 2), [[math.nan, 0.0],
                                                                        [1.0, 1.0]], [0, 0]),
          "x_test must be finite"),
+        # checked, but reached by no test before
+        (lambda: select_clue(X_ROWS, [1.0, -0.5, 1.0, 1.0, 1.0], 1),
+         "uncertainties must be >= 0"),
+        (lambda: grid_class_means(3, 2, 1.0), "dim must be >= n_classes for one-hot class means"),
+        (lambda: al.evaluate_detection(Detections(**DETECTION_ROWS, offsets=[0, 2, 4]),
+                                       one_scene([0, 1])),
+         "need one image of detections per scene, got 2 for 1 scenes"),
     ], ids=["coreset-empty", "clue-empty", "coreset-3d", "iou-3-columns", "entropy-3d",
             "subsample-p-2", "batchbald-mc-0", "topn-nan-first", "topn-nan-second",
             "detections-offsets-short", "detections-offsets-long", "detections-offsets-fraction",
@@ -690,7 +719,8 @@ class TestArrayInputs:
             "classifier-b2-size", "classifier-params-5", "classifier-w1-nan",
             "iou-beyond-float", "batchbald-nan-item",
             "batchbald-negative", "coreset-nan-pool", "coreset-inf-labeled", "clue-inf-pool",
-            "evaluate-classifier-nan"])
+            "evaluate-classifier-nan", "clue-negative-uncertainty", "grid-means-dim",
+            "evaluate-detection-images"])
     def test_inputs_that_reached_numpy_raise_the_rule(self, call, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as excinfo:
             call()
