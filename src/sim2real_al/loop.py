@@ -15,6 +15,11 @@ the same curve byte for byte.
 from __future__ import annotations
 
 import functools
+import os
+import pickle
+import signal
+import sys
+import warnings
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -421,13 +426,23 @@ def run_cells(cfg: ALRunConfig, build, strategies, seeds):
 
 
 def _run_start(cfg: ALRunConfig, datasets, learner, oracle, seed: int) -> RunStart:
-    """The fit on sim, the iteration-0 evaluation, then the reference,
-    each from its own seed stream."""
+    """The fit on sim, the iteration-0 evaluation and the reference,
+    each from its own seed stream; the oracle labels the whole pool first.
+
+    Where the track's reference is a fit of its own (classification),
+    it runs in a forked worker while this process fits on sim, when
+    there is a core to spare (_Beside); the detection surrogate's cheap
+    reference runs here, after the evaluation.  No bit depends on where
+    the reference runs: the worker computes what this process would,
+    and its warnings and errors come back in serial order.
+    """
     track = _track(cfg, datasets, seed)
-    track.start(learner)
-    sim_perf = track.evaluate(0)
-    return RunStart(track.model, sim_perf, track.reference_perf(
-        learner, oracle(list(range(track.pool_size)))))
+    reference = functools.partial(track.reference_perf, learner,
+                                  oracle(list(range(track.pool_size))))
+    with _Beside(reference, track.forks_reference) as real_perf:
+        track.start(learner)
+        sim_perf = track.evaluate(0)
+        return RunStart(track.model, sim_perf, real_perf.result())
 
 
 def run_al(cfg: ALRunConfig, datasets, learner, oracle, seed: int = 0,
@@ -507,8 +522,108 @@ def _select(cfg, track, pool_ids, seed, it) -> list:
     return [pool_ids[i] for i in idx]
 
 
+def _spare_core() -> bool:
+    """True where a worker can run beside this process: os.fork exists
+    and this process may use two or more cores."""
+    return (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) > 1)
+
+
+class _Beside:
+    """fn() in a forked worker, started at once, while this process goes
+    on; inline, when result() asks for it, where fork is off or there is
+    no core to spare (_spare_core).
+
+    result() returns fn()'s value or raises its exception, with the same
+    type and message, after re-issuing fn()'s warnings in order through
+    this process's filters, so the worker shows what an inline fn()
+    would (a warning from code that no module was loaded from, such as
+    `python -c`, has no registry here, so its repeats are all shown).
+    The worker blocks SIGINT and writes nothing but its answer to the
+    pipe.  A worker that cannot start, or dies without an answer (killed,
+    say), costs only time: fn() then runs here.  Leaving the with-block
+    reaps the worker, killed first if its answer was never collected.
+    The fork copies only the calling thread, so fn() must take no lock
+    that another thread may hold; the reference fit takes none.
+    """
+
+    def __init__(self, fn, fork: bool):
+        self.fn, self.pid = fn, None
+        if fork and _spare_core():
+            self.pipe, write = os.pipe()
+            try:
+                self.pid = os.fork()
+            except OSError:   # no process to spare: fn() runs here
+                os.close(self.pipe)
+            if self.pid == 0:
+                _work(fn, write)
+            os.close(write)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        if self.pid is not None:
+            os.kill(self.pid, signal.SIGKILL)
+            self._reap()
+
+    def _reap(self) -> int:
+        _, status = os.waitpid(self.pid, 0)
+        os.close(self.pipe)
+        self.pid = None
+        return status
+
+    def result(self):
+        if self.pid is None:
+            return self.fn()
+        answer = b"".join(iter(functools.partial(os.read, self.pipe, 1 << 16), b""))
+        if self._reap() != 0:
+            return self.fn()
+        shown, ok, value = pickle.loads(answer)
+        # a warning from a module's file goes into that module's registry,
+        # as warnings.warn puts it, so a repeat is still shown only once
+        modules = {getattr(m, "__file__", None): m
+                   for m in (list(sys.modules.values()) if shown else ())}
+        for message, category, filename, lineno in shown:
+            module = modules.get(filename)
+            registry = vars(module).setdefault("__warningregistry__", {}) if module else None
+            warnings.warn_explicit(message, category, filename, lineno,
+                                   module=getattr(module, "__name__", None), registry=registry)
+        if not ok:
+            raise value
+        return value
+
+
+def _work(fn, write: int):
+    """The worker: fn()'s warnings, then its value or exception, pickled
+    down the pipe; SIGINT is blocked, stdout and stderr go to the null
+    device, and it ends with os._exit, status 0 once its whole answer is
+    written."""
+    status = 1
+    try:
+        signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, 1)
+        os.dup2(null, 2)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")   # the parent's filters decide
+            try:
+                outcome = (True, fn())
+            except Exception as exc:
+                outcome = (False, exc)
+        shown = [(w.message, w.category, w.filename, w.lineno) for w in caught]
+        answer = memoryview(pickle.dumps((shown, *outcome)))
+        while answer:
+            answer = answer[os.write(write, answer):]
+        status = 0
+    finally:
+        os._exit(status)
+
+
 class _ClassificationTrack:
     """The MC-dropout learner on sim arrays plus the labeled pool rows."""
+
+    forks_reference = True   # its reference is a fit on the whole pool
 
     def __init__(self, cfg, data: ClassificationDatasets, seed: int):
         rules.hold(TRACK_RULES["classification"], cfg.selection.strategy, "selection.strategy")
@@ -571,6 +686,8 @@ class _DetectionTrack:
     Each detection need is one batch: the test scenes of an evaluation,
     the pool ids a selection asks about, the labeled scenes for coreset.
     """
+
+    forks_reference = False   # its reference is a surrogate snapshot
 
     def __init__(self, cfg, data: DetectionDatasets, seed: int):
         rules.hold(TRACK_RULES["detection"], cfg.selection.strategy, "selection.strategy")

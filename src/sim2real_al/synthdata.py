@@ -96,7 +96,9 @@ def skewed_priors(n_classes: int, skew: float) -> np.ndarray:
 
 
 def grid_class_means(n_classes: int, dim: int, separation: float) -> np.ndarray:
-    """Well-separated means: one-hot directions scaled by `separation`."""
+    """Well-separated means: one-hot directions scaled by `separation`;
+    n_classes is a whole number >= 1 (rules.count)."""
+    n_classes = count(n_classes, "n_classes")
     if dim < n_classes:
         raise ValueError("dim must be >= n_classes for one-hot class means")
     means = np.zeros((n_classes, dim))

@@ -5,6 +5,7 @@ import re
 import shutil
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -752,12 +753,17 @@ class TestCmdSweep:
         same lone `run --strategy s --seed n`, and the sweep computes
         each seed's start once: on classification one sim fit and one
         reference fit per seed (the fits that do not fine-tune), on
-        detection one with_sim per seed."""
+        detection one with_sim per seed.  A fresh fit appends a line to
+        a file, which the reference worker reaches too."""
         counts = {"fresh_fits": 0, "with_sim": 0}
         fit, with_sim = MCDropoutClassifier.fit, al.DetectionSurrogate.with_sim
+        fresh_fits = tmp_path / "fresh_fits"
+        fresh_fits.touch()
 
         def counting_fit(model, x, y, cfg):
-            counts["fresh_fits"] += not cfg.fine_tune
+            if not cfg.fine_tune:
+                with open(fresh_fits, "a") as fh:
+                    fh.write("fit\n")
             return fit(model, x, y, cfg)
 
         def counting_with_sim(surrogate, scenes):
@@ -769,6 +775,7 @@ class TestCmdSweep:
         cfg = write_cfg(tmp_path, text)
         out = tmp_path / "sweep"
         assert cli.main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+        counts["fresh_fits"] = len(fresh_fits.read_text().splitlines())
         if "classification" in text:
             assert counts == {"fresh_fits": 2 * 2, "with_sim": 0}
         else:
@@ -799,6 +806,211 @@ class TestCmdSweep:
         for cell in ("random-s5", "subsample_topn-s5"):
             firsts.append(al.read_curve_csv(out / cell / "curve.csv")[5][0].metric)
         assert firsts[0] == firsts[1]
+
+
+ONE_SEED_CLS = SMALL_CLS.replace("seeds = 1,2", "seeds = 1")
+
+
+def usable_cores(monkeypatch, n):
+    """os.sched_getaffinity reporting n usable cores."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def counted_forks(monkeypatch) -> list:
+    """A list that grows by one in this process for each os.fork."""
+    forks, fork = [], os.fork
+
+    def counting_fork():
+        forks.append(None)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forks
+
+
+def raising(exc):
+    def raise_it(*args, **kwargs):
+        raise exc
+    return raise_it
+
+
+def sleeping(*args, **kwargs):
+    time.sleep(60)
+
+
+# a run whose sim fit and reference both warn; argv: cores, then cli args
+WARNING_RUN = """\
+import os, sys, warnings
+import numpy as np
+from sim2real_al import cli, loop as al
+
+def overflow():
+    return np.exp(np.array(1000.0))
+
+start, reference_perf = al._ClassificationTrack.start, al._ClassificationTrack.reference_perf
+
+def warning_start(track, learner):
+    overflow()
+    return start(track, learner)
+
+def warning_reference(track, learner, pool_y):
+    overflow()   # a repeat of the sim fit's warning, shown once
+    warnings.warn("the reference warns", UserWarning)
+    return reference_perf(track, learner, pool_y)
+
+forks, fork = [], os.fork
+
+def counting_fork():
+    forks.append(None)
+    return fork()
+
+al._ClassificationTrack.start = warning_start
+al._ClassificationTrack.reference_perf = warning_reference
+os.fork = counting_fork
+os.sched_getaffinity = lambda pid: set(range(int(sys.argv[1])))
+code = cli.main(sys.argv[2:])
+print(f"forks {len(forks)}")
+sys.exit(code)
+"""
+
+
+class TestReferenceWorker:
+    """With two usable cores, a classification start fits its reference
+    in a forked worker (loop._Beside); with one it fits it inline.  Both
+    give the same artifacts, error lines and warnings, and no child is
+    left (conftest.py)."""
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_artifacts_as_on_one_core(self, tmp_path, monkeypatch, capsys, command):
+        cfg = write_cfg(tmp_path, SMALL_CLS)
+        forks = counted_forks(monkeypatch)
+        written = {}
+        for cores in (2, 1):
+            usable_cores(monkeypatch, cores)
+            out = tmp_path / f"cores-{cores}"
+            assert cli.main([command, "--config", cfg, "--out", str(out)]) == 0
+            written[cores] = {p.relative_to(out): p.read_bytes()
+                              for p in sorted(out.rglob("*")) if p.is_file()}
+            # one worker per seed's start, on two cores only
+            assert len(forks) == 2
+        assert len(written[1]) == (2 if command == "run" else 9)
+        assert written[2] == written[1]
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("lost", ["fork-fails", "worker-dies"])
+    def test_a_lost_worker_costs_only_time(self, tmp_path, monkeypatch, capsys, lost):
+        """A fork that fails, or a worker that ends without an answer,
+        leaves the reference to this process: the bytes stay the same."""
+        cfg = write_cfg(tmp_path, ONE_SEED_CLS)
+        usable_cores(monkeypatch, 1)
+        assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "one")]) == 0
+        usable_cores(monkeypatch, 2)
+        if lost == "fork-fails":
+            monkeypatch.setattr(os, "fork", raising(BlockingIOError(11, "no process")))
+        else:
+            parent, reference_perf = os.getpid(), al._ClassificationTrack.reference_perf
+
+            def dies_in_the_worker(*args):
+                if os.getpid() != parent:
+                    os._exit(9)
+                return reference_perf(*args)
+
+            monkeypatch.setattr(al._ClassificationTrack, "reference_perf", dies_in_the_worker)
+        assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "two")]) == 0
+        for name in ("curve.csv", "manifest.txt"):
+            assert (tmp_path / "two" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
+        capsys.readouterr()
+
+    def test_detection_keeps_its_reference_inline(self, tmp_path, monkeypatch, capsys):
+        forks = counted_forks(monkeypatch)
+        usable_cores(monkeypatch, 2)
+        assert cli.main(["run", "--config", write_cfg(tmp_path, SMALL_DET),
+                         "--out", str(tmp_path / "det")]) == 0
+        assert forks == []
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("cores", [2, 1])
+    @pytest.mark.parametrize("raised, message", [
+        (FloatingPointError("overflow encountered in dot"), "overflow encountered in dot"),
+        (MemoryError("Unable to allocate 8.00 EiB for an array"),
+         "Unable to allocate 8.00 EiB for an array"),
+        (MemoryError(), "MemoryError")], ids=["floating-point", "memory", "bare-memory"])
+    def test_failing_reference_is_one_error_line(self, tmp_path, monkeypatch, capsys,
+                                                 cores, raised, message):
+        usable_cores(monkeypatch, cores)
+        monkeypatch.setattr(al._ClassificationTrack, "reference_perf", raising(raised))
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", write_cfg(tmp_path, ONE_SEED_CLS),
+                         "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: strategy 'subsample_topn', seed 1: {message}\n"
+        assert not out.exists()
+
+    def test_failing_sim_fit_ends_the_worker(self, tmp_path, monkeypatch, capsys):
+        """The sim fit raises while the worker fits (here: sleeps) for a
+        minute; the run ends at once, with the one-core error line."""
+        usable_cores(monkeypatch, 2)
+        forks = counted_forks(monkeypatch)
+        monkeypatch.setattr(al._ClassificationTrack, "start",
+                            raising(ValueError("training produced non-finite weights")))
+        monkeypatch.setattr(al._ClassificationTrack, "reference_perf", sleeping)
+        out = tmp_path / "out"
+        began = time.monotonic()
+        assert cli.main(["run", "--config", write_cfg(tmp_path, ONE_SEED_CLS),
+                         "--out", str(out)]) == 2
+        assert time.monotonic() - began < 30
+        assert len(forks) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("error: strategy 'subsample_topn', seed 1: "
+                                "training produced non-finite weights\n")
+        assert not out.exists()
+
+    def test_warnings_as_on_one_core(self, tmp_path):
+        script = tmp_path / "warning_run.py"
+        script.write_text(WARNING_RUN, encoding="utf-8")
+        cfg = write_cfg(tmp_path, ONE_SEED_CLS)
+        procs = {cores: python_process(str(script), str(cores), "run", "--config", cfg,
+                                       "--out", str(tmp_path / f"cores-{cores}"))
+                 for cores in (2, 1)}
+        for cores, proc in procs.items():
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.endswith(f"forks {cores - 1}\n")
+        assert procs[2].stderr == procs[1].stderr
+        assert procs[1].stderr.count("RuntimeWarning: overflow encountered in exp") == 1
+        assert procs[1].stderr.count("UserWarning: the reference warns") == 1
+
+
+class TestInterrupt:
+    """An interrupt ends `run` and `sweep` with one `error: interrupted`
+    line and exit 130: no traceback, no output directory, and no child
+    left (conftest.py)."""
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_interrupt_in_a_selector(self, tmp_path, monkeypatch, capsys, command):
+        monkeypatch.setattr(al.sampling, "select_random", raising(KeyboardInterrupt))
+        out = tmp_path / "out"
+        args = ["--strategy", "random"] if command == "run" else []
+        assert cli.main([command, "--config", write_cfg(tmp_path, ONE_SEED_CLS),
+                         "--out", str(out), *args]) == 130
+        assert capsys.readouterr() == ("", "error: interrupted\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_interrupt_in_the_sim_fit_ends_the_worker(self, tmp_path, monkeypatch,
+                                                     capsys, command):
+        usable_cores(monkeypatch, 2)
+        forks = counted_forks(monkeypatch)
+        monkeypatch.setattr(al._ClassificationTrack, "start", raising(KeyboardInterrupt))
+        monkeypatch.setattr(al._ClassificationTrack, "reference_perf", sleeping)
+        out = tmp_path / "out"
+        began = time.monotonic()
+        assert cli.main([command, "--config", write_cfg(tmp_path, ONE_SEED_CLS),
+                         "--out", str(out)]) == 130
+        assert time.monotonic() - began < 30
+        assert len(forks) == 1
+        assert capsys.readouterr() == ("", "error: interrupted\n")
+        assert not out.exists()
 
 
 class TestCmdReport:

@@ -610,21 +610,26 @@ class TestRunCells:
     }
 
     @pytest.mark.parametrize("track", TRACKS)
-    def test_cells_share_one_start_per_seed(self, monkeypatch, track):
+    def test_cells_share_one_start_per_seed(self, tmp_path, monkeypatch, track):
         """Cells come strategy by strategy and build their experiment
         once each; a seed's start (one sim fit and one reference fit, or
         one with_sim) is computed once; each curve equals a lone run_al
-        that computes its own start."""
+        that computes its own start.  A fresh fit appends a line to a
+        file, which the reference worker reaches too."""
         spec, build_experiment, cfg = self.TRACKS[track]
-        builds, counts = [], collections.Counter()
+        builds, counts = [], {"fresh_fits": 0, "with_sim": 0}
         fit, with_sim = MCDropoutClassifier.fit, al.DetectionSurrogate.with_sim
+        fresh_fits = tmp_path / "fresh_fits"
+        fresh_fits.touch()
 
         def build(seed):
             builds.append(seed)
             return build_experiment(spec, seed)
 
         def counting_fit(model, x, y, cfg):
-            counts["fresh_fits"] += not cfg.fine_tune
+            if not cfg.fine_tune:
+                with open(fresh_fits, "a") as fh:
+                    fh.write("fit\n")
             return fit(model, x, y, cfg)
 
         def counting_with_sim(surrogate, scenes):
@@ -639,9 +644,11 @@ class TestRunCells:
         assert builds == []
         curves = [run() for _, _, run in cells]
         assert builds == [n for _, n in order]
+        counts["fresh_fits"] = len(fresh_fits.read_text().splitlines())
         n_seeds = len(self.SEEDS)
-        assert counts == ({"fresh_fits": 2 * n_seeds} if track == "classification"
-                          else {"with_sim": n_seeds})
+        assert counts == ({"fresh_fits": 2 * n_seeds, "with_sim": 0}
+                          if track == "classification"
+                          else {"fresh_fits": 0, "with_sim": n_seeds})
         monkeypatch.undo()
         for (strategy, seed), curve in zip(order, curves):
             datasets, oracle, learner = build_experiment(spec, seed)

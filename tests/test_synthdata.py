@@ -120,6 +120,16 @@ class TestGenerateClassification:
         assert np.all(np.diff(p) < 0)
         assert p.sum() == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("n_classes", [2.5, 0, -1])
+    def test_grid_means_need_a_class_count(self, n_classes):
+        with pytest.raises(ValueError, match=re.escape(
+                f"n_classes must be a whole number >= 1, got {n_classes!r}")):
+            grid_class_means(n_classes, 3, 1.0)
+
+    def test_grid_means_take_a_whole_float_count(self):
+        np.testing.assert_array_equal(grid_class_means(2.0, 3, 1.5),
+                                      [[1.5, 0.0, 0.0], [0.0, 1.5, 0.0]])
+
 
 class TestGenerateDetectionScenes:
     def spec(self, **kw):
